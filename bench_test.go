@@ -1,5 +1,6 @@
-// Top-level benchmark suite: one bench per experiment in EXPERIMENTS.md,
-// plus micro-benchmarks for the ablation targets in DESIGN.md.
+// Top-level benchmark suite: one bench per classic experiment of the
+// registry (internal/bench), plus micro-benchmarks for the ablation
+// targets in DESIGN.md.
 //
 //	go test -bench=. -benchmem
 package repro_test

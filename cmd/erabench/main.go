@@ -1,566 +1,165 @@
-// Command erabench runs the experiment suite and prints the tables and
-// series recorded in EXPERIMENTS.md.
+// Command erabench runs the experiment registry (internal/bench) and
+// prints each experiment's table:
 //
-//	erabench -exp matrix       # EXP-ERA:     the ERA matrix
-//	erabench -exp space        # EXP-SPACE:   stalled-reader space bounds
-//	erabench -exp stall        # EXP-STALL:   backlog-over-time curves
-//	erabench -exp throughput   # EXP-THRU:    scheme × mix × threads sweep
-//	erabench -exp michael      # EXP-MICHAEL: Harris+EBR vs Michael+HP
-//	erabench -exp service      # EXP-SERVICE: sharded store, per-shard SMR
-//	erabench -exp chaos        # EXP-CHAOS:   live robustness audit (erachaos)
-//	erabench -exp adaptive     # EXP-ADAPT:   static vs adaptive reclamation
-//	erabench -exp traverse     # EXP-TRAVERSE: bounded finds + iterator snapshot
-//	erabench -exp batch        # EXP-BATCH:   fused vs per-op-bracket batches
-//	erabench -exp obs          # EXP-OBS:     fault→verdict→migration causal timelines
-//	erabench -exp all          # everything
+//	erabench -exp NAME|all [-profile short|full] [-out DIR] [-check]
 //
-// The throughput experiments are workload-driven: -workload names the key
-// distribution (uniform, zipfian, hotset, shifting) and -mix the op-mix
-// schedule (steady, phased, oversub), both resolved through the
-// internal/workload registries. -seed fixes every stream, so two runs
-// with equal flags replay identical operation sequences. -json writes the
-// measured rows as a machine-readable benchmark artifact:
+// The experiment names, in the order "all" runs them, are the registry's;
+// an unknown name lists them. -profile short is the reduced scale CI runs.
+// -out DIR writes each experiment's machine-readable artifact to
+// DIR/BENCH_<name>.json; nothing is written without it. -check turns the
+// experiment's gates into the exit status.
 //
-//	erabench -exp throughput -workload zipfian -mix phased -json BENCH_throughput.json
+// The throughput-shaped experiments are workload-driven: -workload names
+// the key distribution and -mix the op-mix schedule, both resolved through
+// the internal/workload registries. -seed fixes every stream, so two runs
+// with equal flags replay identical operation sequences.
+//
+//	erabench -exp throughput -workload zipfian -mix phased -out .
+//	erabench -exp batch -profile short -out . -check
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
-	"time"
+	"path/filepath"
 
 	"repro/internal/bench"
-	"repro/internal/core/adversary"
 	"repro/internal/ds/registry"
-	"repro/internal/mem"
-	"repro/internal/smr/all"
 	"repro/internal/workload"
 )
 
-func main() {
-	exp := flag.String("exp", "all", "experiment: matrix|space|scale|stall|throughput|structures|michael|service|chaos|adaptive|traverse|batch|obs|pipeline|resil|all")
-	shards := flag.Int("shards", 4, "shard count for the service experiment")
-	duration := flag.Duration("duration", 800*time.Millisecond, "traffic window for the adaptive experiment")
-	adaptiveJSON := flag.String("adaptive-json", "BENCH_adaptive.json",
-		"adaptive artifact path, written by the adaptive experiment (empty disables)")
-	traverseJSON := flag.String("traverse-json", "BENCH_traverse.json",
-		"traverse artifact path, written by the traverse experiment (empty disables)")
-	traverseShort := flag.Bool("traverse-short", false,
-		"run EXP-TRAVERSE at reduced scale (the CI smoke configuration)")
-	batchJSON := flag.String("batch-json", "BENCH_batch.json",
-		"batch artifact path, written by the batch experiment (empty disables)")
-	batchShort := flag.Bool("batch-short", false,
-		"run EXP-BATCH at reduced scale (the CI smoke configuration)")
-	obsJSON := flag.String("obs-json", "BENCH_obs.json",
-		"observability artifact path, written by the obs experiment (empty disables)")
-	obsTrace := flag.String("obs-trace", "BENCH_obs_trace.json",
-		"Chrome trace-event file for the obs experiment (chrome://tracing; empty disables)")
-	obsShort := flag.Bool("obs-short", false,
-		"run EXP-OBS at reduced scale (the CI smoke configuration)")
-	obsAddr := flag.String("obs-addr", "",
+var (
+	exp       = flag.String("exp", "all", fmt.Sprintf("experiment %v or all", bench.Names()))
+	profile   = flag.String("profile", "full", "scale: short (the CI smoke configuration) or full")
+	out       = flag.String("out", "", "directory for BENCH_<name>.json artifacts (empty writes none)")
+	check     = flag.Bool("check", false, "exit 1 when any of an experiment's gates does not hold")
+	seed      = flag.Uint64("seed", 42, "workload seed: runs with equal seeds draw identical operation streams")
+	k         = flag.Int("k", 0, "churn length for the matrix/space/structures experiments (0 = the profile's default)")
+	ops       = flag.Int("ops", 0, "operations per thread for the throughput-shaped experiments (0 = the profile's default)")
+	keyRange  = flag.Int("keyrange", 0, "key universe for the throughput-shaped experiments (0 = the profile's default)")
+	structure = flag.String("structure", "harris", "set structure for the throughput sweep")
+	wl        = flag.String("workload", "uniform",
+		fmt.Sprintf("key distribution for the throughput-shaped experiments %v", workload.DistNames()))
+	mix = flag.String("mix", "steady",
+		fmt.Sprintf("op-mix schedule for the throughput-shaped experiments %v", workload.ScheduleNames()))
+	shards  = flag.Int("shards", 4, "shard count for the service experiment")
+	obsAddr = flag.String("obs-addr", "",
 		"serve the live observability plane on this address during the obs experiment (e.g. :8080)")
-	pipelineJSON := flag.String("pipeline-json", "BENCH_pipeline.json",
-		"pipeline artifact path, written by the pipeline experiment (empty disables)")
-	pipelineShort := flag.Bool("pipeline-short", false,
-		"run EXP-PIPELINE at reduced scale (the CI smoke configuration)")
-	resilJSON := flag.String("resil-json", "BENCH_resil.json",
-		"resilience artifact path, written by the resil experiment (empty disables)")
-	resilShort := flag.Bool("resil-short", false,
-		"run EXP-RESIL at reduced scale (the CI smoke configuration)")
-	k := flag.Int("k", 800, "churn length for space/matrix experiments")
-	ops := flag.Int("ops", 20000, "operations per thread for throughput experiments")
-	keyRange := flag.Int("keyrange", 1024, "key universe for throughput experiments")
-	seed := flag.Uint64("seed", 42, "workload seed: runs with equal seeds draw identical operation streams")
-	structure := flag.String("structure", "harris", "set structure for the throughput sweep")
-	wl := flag.String("workload", "uniform",
-		fmt.Sprintf("key distribution for throughput experiments %v", workload.DistNames()))
-	mix := flag.String("mix", "steady",
-		fmt.Sprintf("op-mix schedule for throughput experiments %v", workload.ScheduleNames()))
-	jsonPath := flag.String("json", "", "write throughput rows as a JSON benchmark artifact to this path")
+)
+
+func main() {
 	flag.Parse()
 
-	exps := []string{"matrix", "space", "scale", "stall", "throughput", "structures", "michael", "service", "chaos", "adaptive", "traverse", "batch", "obs", "pipeline", "resil", "all"}
-	known := false
+	usage := func(err error) {
+		fmt.Fprintf(os.Stderr, "erabench: %v\n", err)
+		os.Exit(2)
+	}
+	// Reject bad selections up front rather than after a long run.
+	exps := bench.Experiments()
+	if *exp != "all" {
+		e, err := bench.Lookup(*exp)
+		if err != nil {
+			usage(err)
+		}
+		if *out != "" && e.TableOnly {
+			usage(fmt.Errorf("-out: experiment %s prints a table only, it has no artifact", e.Name))
+		}
+		exps = []bench.Experiment{e}
+	}
+	if *profile != "short" && *profile != "full" {
+		usage(fmt.Errorf("unknown profile %q (have [short full])", *profile))
+	}
+	if _, err := workload.NewDist(*wl, 2); err != nil {
+		usage(err)
+	}
+	if _, err := workload.NewSchedule(*mix, workload.MixBalanced); err != nil {
+		usage(err)
+	}
+	if info, err := registry.Get(*structure); err != nil {
+		usage(err)
+	} else if info.Kind != registry.KindSet {
+		usage(fmt.Errorf("throughput runs on set structures, %s is a %v", *structure, info.Kind))
+	}
+	p := bench.Profile{
+		Short: *profile == "short", Seed: *seed, ObsAddr: *obsAddr,
+		K: *k, Ops: *ops, KeyRange: *keyRange, Shards: *shards,
+		Structure: *structure, Workload: *wl, Schedule: *mix,
+	}
+
+	// Artifact files are created before anything runs, so an unwritable
+	// path cannot surface only after a long run.
+	files := map[string]*os.File{}
+	if *out != "" {
+		for _, e := range exps {
+			if e.TableOnly {
+				continue
+			}
+			f, err := os.Create(artifactPath(*out, e.Name))
+			if err != nil {
+				usage(err)
+			}
+			files[e.Name] = f
+		}
+	}
+
+	failed := false
 	for _, e := range exps {
-		known = known || e == *exp
-	}
-	if !known {
-		fmt.Fprintf(os.Stderr, "erabench: unknown experiment %q (have %v)\n", *exp, exps)
-		os.Exit(2)
-	}
-	want := func(name string) bool { return *exp == "all" || *exp == name }
-
-	// Reject bad selections up front rather than after a long run: typo'd
-	// workload/schedule names would otherwise only surface once the
-	// throughput experiment starts, discarding earlier experiments' work.
-	// Only the experiments that consume a flag validate it, so e.g.
-	// -exp stall ignores -structure as it always has.
-	if want("throughput") || want("michael") || want("service") {
-		if _, err := workload.NewDist(*wl, 2); err != nil {
-			fmt.Fprintf(os.Stderr, "erabench: %v\n", err)
-			os.Exit(2)
-		}
-		if _, err := workload.NewSchedule(*mix, workload.MixBalanced); err != nil {
-			fmt.Fprintf(os.Stderr, "erabench: %v\n", err)
-			os.Exit(2)
-		}
-	}
-	if want("throughput") {
-		if info, err := registry.Get(*structure); err != nil {
-			fmt.Fprintf(os.Stderr, "erabench: %v\n", err)
-			os.Exit(2)
-		} else if info.Kind != registry.KindSet {
-			fmt.Fprintf(os.Stderr, "erabench: throughput runs on set structures, %s is a %v\n", *structure, info.Kind)
-			os.Exit(2)
-		}
-	}
-	// -json captures throughput-shaped rows; same up-front treatment,
-	// including creating the file now so an unwritable path cannot
-	// surface only after a long run.
-	jsonEligible := map[string]bool{"throughput": true, "michael": true, "all": true}
-	if *jsonPath != "" && !jsonEligible[*exp] {
-		fmt.Fprintf(os.Stderr, "erabench: -json applies to the throughput-shaped experiments (throughput, michael, all); -exp %s produces no rows\n", *exp)
-		os.Exit(2)
-	}
-	var jsonFile *os.File
-	if *jsonPath != "" {
-		f, err := os.Create(*jsonPath)
+		fmt.Printf("==== %s ====\n", e.Title)
+		res, err := e.Run(p)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "erabench: %v\n", err)
-			os.Exit(2)
+			fmt.Fprintf(os.Stderr, "erabench: %s: %v\n", e.Name, err)
+			os.Exit(1)
 		}
-		jsonFile = f
-	}
-	// The adaptive experiment owns its own artifact (two arms plus an
-	// episode log do not fit throughput-shaped rows); create it up front
-	// for the same unwritable-path reason.
-	var adaptiveFile *os.File
-	if *adaptiveJSON != "" && want("adaptive") {
-		f, err := os.Create(*adaptiveJSON)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "erabench: %v\n", err)
-			os.Exit(2)
-		}
-		adaptiveFile = f
-	}
-	// Same treatment for the traverse experiment's A/B artifact.
-	var traverseFile *os.File
-	if *traverseJSON != "" && want("traverse") {
-		f, err := os.Create(*traverseJSON)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "erabench: %v\n", err)
-			os.Exit(2)
-		}
-		traverseFile = f
-	}
-	// And for the batch experiment's A/B + gate artifact.
-	var batchFile *os.File
-	if *batchJSON != "" && want("batch") {
-		f, err := os.Create(*batchJSON)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "erabench: %v\n", err)
-			os.Exit(2)
-		}
-		batchFile = f
-	}
-	// And for the obs experiment's artifact pair (timeline + trace).
-	var obsFile, obsTraceFile *os.File
-	if want("obs") {
-		if *obsJSON != "" {
-			f, err := os.Create(*obsJSON)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "erabench: %v\n", err)
-				os.Exit(2)
+		res.WriteTable(os.Stdout)
+		if f := files[e.Name]; f != nil {
+			if err := writeArtifacts(f, *out, e.Name, res); err != nil {
+				fmt.Fprintf(os.Stderr, "erabench: %s: %v\n", e.Name, err)
+				os.Exit(1)
 			}
-			obsFile = f
 		}
-		if *obsTrace != "" {
-			f, err := os.Create(*obsTrace)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "erabench: %v\n", err)
-				os.Exit(2)
+		if *check {
+			if err := bench.Check(res); err != nil {
+				fmt.Fprintf(os.Stderr, "erabench: %s: %v\n", e.Name, err)
+				failed = true
 			}
-			obsTraceFile = f
-		}
-	}
-
-	// And for the pipeline experiment's A/B + chaos artifact.
-	var pipelineFile *os.File
-	if *pipelineJSON != "" && want("pipeline") {
-		f, err := os.Create(*pipelineJSON)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "erabench: %v\n", err)
-			os.Exit(2)
-		}
-		pipelineFile = f
-	}
-
-	// And for the resilience experiment's gate artifact.
-	var resilFile *os.File
-	if *resilJSON != "" && want("resil") {
-		f, err := os.Create(*resilJSON)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "erabench: %v\n", err)
-			os.Exit(2)
-		}
-		resilFile = f
-	}
-
-	// Throughput-shaped rows accumulate here for the -json artifact.
-	var artifact []bench.ThroughputRow
-	// A zero-row artifact is still written: tooling that asked for the
-	// file must find it, empty rows and all.
-	writeArtifact := func() {
-		if jsonFile == nil {
-			return
-		}
-		if err := bench.WriteJSONReport(jsonFile, *exp, artifact); err != nil {
-			jsonFile.Close()
-			fmt.Fprintf(os.Stderr, "erabench: %v\n", err)
-			os.Exit(1)
-		}
-		if err := jsonFile.Close(); err != nil {
-			fmt.Fprintf(os.Stderr, "erabench: %v\n", err)
-			os.Exit(1)
-		}
-		jsonFile = nil
-		fmt.Printf("wrote %d rows to %s\n", len(artifact), *jsonPath)
-	}
-
-	run := func(name string, fn func() error) {
-		fmt.Printf("==== %s ====\n", name)
-		if err := fn(); err != nil {
-			fmt.Fprintf(os.Stderr, "erabench: %s: %v\n", name, err)
-			// A later experiment failing must not discard rows already
-			// measured: flush the partial artifact before exiting.
-			writeArtifact()
-			os.Exit(1)
 		}
 		fmt.Println()
 	}
+	if failed {
+		os.Exit(1)
+	}
+}
 
-	if want("matrix") {
-		run("EXP-ERA: the ERA matrix (Theorem 6.1)", func() error {
-			return bench.MatrixReport(os.Stdout, *k)
-		})
+func artifactPath(dir, name string) string {
+	return filepath.Join(dir, "BENCH_"+name+".json")
+}
+
+// writeArtifacts writes the experiment's artifact into f, then any extra
+// artifacts the result carries beside it.
+func writeArtifacts(f *os.File, dir, name string, res bench.Result) error {
+	if err := bench.WriteArtifactFile(f, name, res); err != nil {
+		return err
 	}
-	if want("space") {
-		run(fmt.Sprintf("EXP-SPACE: stalled-reader space bounds (K=%d)", *k), func() error {
-			rows, err := bench.SpaceSweep(*k)
-			if err != nil {
-				return err
-			}
-			bench.WriteSpaceTable(os.Stdout, rows)
-			return nil
-		})
+	fmt.Printf("wrote %s\n", f.Name())
+	extra, ok := res.(bench.Artifacter)
+	if !ok {
+		return nil
 	}
-	if want("scale") {
-		run("EXP-SCALE: stalled-reader backlog vs structure size (Def 5.1 vs 5.2)", func() error {
-			rows, err := bench.ScaleSweep([]string{"hp", "he", "ibr", "vbr", "nbr", "rc"},
-				[]int{128, 512, 2048})
-			if err != nil {
-				return err
-			}
-			bench.WriteScaleTable(os.Stdout, rows)
-			return nil
-		})
+	for _, a := range extra.Artifacts() {
+		path := artifactPath(dir, name+"_"+a.Suffix)
+		xf, err := os.Create(path)
+		if err != nil {
+			return err
+		}
+		err = a.Write(xf)
+		if cerr := xf.Close(); err == nil {
+			err = cerr
+		}
+		if err != nil {
+			return err
+		}
+		fmt.Printf("wrote %s\n", path)
 	}
-	if want("stall") {
-		run("EXP-STALL: retired backlog over time with one stalled reader", func() error {
-			series := make(map[string][]bench.StallSample)
-			for _, scheme := range []string{"ebr", "qsbr", "hp", "ibr", "vbr", "nbr"} {
-				s, err := bench.StallSeries(scheme, 2000, 200)
-				if err != nil {
-					return err
-				}
-				series[scheme] = s
-			}
-			bench.WriteStallSeries(os.Stdout, series)
-			return nil
-		})
-	}
-	if want("throughput") {
-		run(fmt.Sprintf("EXP-THRU: throughput sweep on %s (%s/%s)", *structure, *wl, *mix), func() error {
-			rows, err := bench.ThroughputSweep(*structure, all.SafeNames(),
-				[]bench.Mix{bench.MixReadHeavy, bench.MixBalanced, bench.MixUpdateOnly},
-				[]int{1, 2, 4},
-				bench.ThroughputConfig{
-					OpsPerThread: *ops, KeyRange: *keyRange, Seed: *seed,
-					Workload: *wl, Schedule: *mix,
-				})
-			artifact = append(artifact, rows...)
-			if err != nil {
-				return err
-			}
-			bench.WriteThroughputTable(os.Stdout, rows)
-			return nil
-		})
-	}
-	if want("structures") {
-		run("EXP-EXT: stalled traversal across structures (§6 open question)", func() error {
-			// The structure list comes from the registry (sorted, so the
-			// table orders stably across runs), restricted to the
-			// traversal structures the stall script can target.
-			for _, structure := range registry.TraversalSetNames() {
-				fmt.Printf("-- %s --\n", structure)
-				for _, scheme := range all.SafeNames() {
-					o, err := adversary.StallTraversal(scheme, structure, *k, mem.Unmap)
-					if err != nil {
-						return err
-					}
-					fmt.Println(o)
-				}
-			}
-			return nil
-		})
-	}
-	if want("service") {
-		run(fmt.Sprintf("EXP-SERVICE: sharded store, heterogeneous SMR (ebr+hp, %d shards)", *shards), func() error {
-			// The canned deployment alternates EBR and HP across shards of
-			// the HP-compatible hashmap — the ERA trade-off made per shard.
-			// eraserve exposes the full configuration surface and owns the
-			// BENCH_service.json artifact.
-			res, err := bench.RunService(bench.ServiceConfig{
-				Shards:       *shards,
-				Schemes:      []string{"ebr", "hp"},
-				Structure:    "hashmap",
-				OpsPerClient: *ops,
-				KeyRange:     *keyRange,
-				Workload:     *wl,
-				Schedule:     *mix,
-				Seed:         *seed,
-			})
-			if err != nil {
-				return err
-			}
-			bench.WriteServiceTable(os.Stdout, res)
-			return nil
-		})
-	}
-	if want("chaos") {
-		run("EXP-CHAOS: live robustness audit under stall injection (ebr/ibr/hp)", func() error {
-			// The canned audit: one shard per robustness class, a stall in
-			// each, verdicts from the faulted telemetry. erachaos exposes
-			// the full fault/schedule surface and owns the
-			// BENCH_chaos.json artifact.
-			res, err := bench.RunChaos(bench.ChaosConfig{Seed: *seed})
-			if err != nil {
-				return err
-			}
-			bench.WriteChaosTable(os.Stdout, res)
-			return nil
-		})
-	}
-	if want("adaptive") {
-		run(fmt.Sprintf("EXP-ADAPT: static vs adaptive reclamation under delayed-release storm (%s window)", *duration), func() error {
-			// The canned A/B: both fleets start on ebr under the storm;
-			// the adaptive one carries the controller (ladder
-			// ebr→ibr→hp) and must migrate its way out.
-			res, err := bench.RunAdaptive(bench.AdaptiveConfig{Duration: *duration, Seed: *seed})
-			if err != nil {
-				return err
-			}
-			bench.WriteAdaptiveTable(os.Stdout, res)
-			if adaptiveFile != nil {
-				err := bench.WriteAdaptiveReport(adaptiveFile, res)
-				if cerr := adaptiveFile.Close(); err == nil {
-					err = cerr
-				}
-				adaptiveFile = nil
-				if err != nil {
-					return err
-				}
-				fmt.Printf("wrote %s\n", *adaptiveJSON)
-			}
-			return nil
-		})
-	}
-	if want("traverse") {
-		run("EXP-TRAVERSE: bounded-restart finds + O(live-keys) migration snapshot", func() error {
-			// The canned A/B pair: head-restart vs bounded finds under the
-			// long-chain churn storm, then Contains-scan vs iterator
-			// migration snapshots at a large universe with few live keys.
-			cfg := bench.TraverseConfig{Seed: *seed}
-			if *traverseShort {
-				cfg.Duration = 150 * time.Millisecond
-				cfg.ChurnKeyRange = 1024
-				cfg.SnapKeyRange = 100_000
-				cfg.SnapLiveKeys = 2000
-			}
-			res, err := bench.RunTraverse(cfg)
-			if err != nil {
-				return err
-			}
-			bench.WriteTraverseTable(os.Stdout, res)
-			if traverseFile != nil {
-				err := bench.WriteTraverseReport(traverseFile, res)
-				if cerr := traverseFile.Close(); err == nil {
-					err = cerr
-				}
-				traverseFile = nil
-				if err != nil {
-					return err
-				}
-				fmt.Printf("wrote %s\n", *traverseJSON)
-			}
-			return nil
-		})
-	}
-	if want("batch") {
-		run("EXP-BATCH: fused vs per-op SMR brackets, zero-alloc spine, parked-worker backlog", func() error {
-			// The canned A/B: the same batched churn stream served once
-			// through the fused hot path (one amortized bracket per request,
-			// key-sorted execution) and once with ShardSpec.NoFuse, across
-			// one scheme per reclamation family — then the zero-alloc DoInto
-			// count and the parked-worker backlog guard.
-			cfg := bench.BatchConfig{Seed: *seed}
-			if *batchShort {
-				cfg.Duration = 150 * time.Millisecond
-				cfg.StallDuration = 150 * time.Millisecond
-				cfg.Batches = []int{16}
-				cfg.Schemes = []string{"ebr", "hp"}
-				cfg.KeyRange = 1024
-				cfg.AllocRounds = 500
-			}
-			res, err := bench.RunBatch(cfg)
-			if err != nil {
-				return err
-			}
-			bench.WriteBatchTable(os.Stdout, res)
-			if batchFile != nil {
-				err := bench.WriteBatchReport(batchFile, res)
-				if cerr := batchFile.Close(); err == nil {
-					err = cerr
-				}
-				batchFile = nil
-				if err != nil {
-					return err
-				}
-				fmt.Printf("wrote %s\n", *batchJSON)
-			}
-			return bench.CheckBatch(res)
-		})
-	}
-	if want("obs") {
-		run("EXP-OBS: flight recorder + causal fault→verdict→migration timelines", func() error {
-			// The canned incident drill: a small adaptive fleet on ebr,
-			// one staggered self-healing delayed-release fault per shard,
-			// the full plane on tape — then the joined incident chains,
-			// the SLO trace, and the recorder's own overhead A/B.
-			cfg := bench.ObsConfig{Seed: *seed, ObsAddr: *obsAddr}
-			if *obsShort {
-				cfg.Duration = 700 * time.Millisecond
-				cfg.OverheadRoundDuration = 100 * time.Millisecond
-			}
-			res, err := bench.RunObs(cfg)
-			if err != nil {
-				return err
-			}
-			bench.WriteObsTable(os.Stdout, res)
-			if obsFile != nil {
-				err := bench.WriteObsReport(obsFile, res)
-				if cerr := obsFile.Close(); err == nil {
-					err = cerr
-				}
-				obsFile = nil
-				if err != nil {
-					return err
-				}
-				fmt.Printf("wrote %s\n", *obsJSON)
-			}
-			if obsTraceFile != nil {
-				err := bench.WriteObsTrace(obsTraceFile, res)
-				if cerr := obsTraceFile.Close(); err == nil {
-					err = cerr
-				}
-				obsTraceFile = nil
-				if err != nil {
-					return err
-				}
-				fmt.Printf("wrote %s\n", *obsTrace)
-			}
-			return bench.CheckObs(res)
-		})
-	}
-	if want("pipeline") {
-		run("EXP-PIPELINE: blocking vs pipelined scatter-gather + partial-failure chaos", func() error {
-			// The canned A/B: the same fan-out request stream executed as
-			// sequential blocking store calls, then through the pipelined
-			// executor — followed by the chaos campaign, which stalls one
-			// shard mid-traffic and must come back with partial results,
-			// shed/timeout accounting, and a clean store after heal.
-			cfg := bench.PipelineConfig{Seed: *seed}
-			if *pipelineShort {
-				cfg.Shards = 4
-				cfg.Duration = 250 * time.Millisecond
-				cfg.ChaosDuration = 400 * time.Millisecond
-				cfg.KeyRange = 1024
-				cfg.LegTimeout = 20 * time.Millisecond
-			}
-			res, err := bench.RunPipeline(cfg)
-			if err != nil {
-				return err
-			}
-			bench.WritePipelineTable(os.Stdout, res)
-			if pipelineFile != nil {
-				err := bench.WritePipelineReport(pipelineFile, res)
-				if cerr := pipelineFile.Close(); err == nil {
-					err = cerr
-				}
-				pipelineFile = nil
-				if err != nil {
-					return err
-				}
-				fmt.Printf("wrote %s\n", *pipelineJSON)
-			}
-			return bench.CheckPipeline(res)
-		})
-	}
-	if want("resil") {
-		run("EXP-RESIL: typed retries, hedged legs, retry-budget amplification bound", func() error {
-			// The canned resilience drill: the naive executor vs the retry
-			// client under staggered stall + delayed-release pulses (paced
-			// open-loop offered load, so goodput is comparable), then the
-			// hedge A/B against a one-slow-worker park pulse.
-			cfg := bench.ResilConfig{Seed: *seed}
-			if *resilShort {
-				cfg.Duration = 500 * time.Millisecond
-				cfg.HedgeDuration = 300 * time.Millisecond
-				cfg.KeyRange = 2048
-			}
-			res, err := bench.RunResil(cfg)
-			if err != nil {
-				return err
-			}
-			bench.WriteResilTable(os.Stdout, res)
-			if resilFile != nil {
-				err := bench.WriteResilReport(resilFile, res)
-				if cerr := resilFile.Close(); err == nil {
-					err = cerr
-				}
-				resilFile = nil
-				if err != nil {
-					return err
-				}
-				fmt.Printf("wrote %s\n", *resilJSON)
-			}
-			return bench.CheckResil(res)
-		})
-	}
-	if want("michael") {
-		run("EXP-MICHAEL: Harris+EBR vs Michael+HP (delete-heavy)", func() error {
-			rows, err := bench.MichaelComparison(bench.ThroughputConfig{
-				Threads: 2, OpsPerThread: *ops, KeyRange: *keyRange, Seed: *seed,
-				Workload: *wl, Schedule: *mix,
-			})
-			artifact = append(artifact, rows...)
-			if err != nil {
-				return err
-			}
-			bench.WriteThroughputTable(os.Stdout, rows)
-			return nil
-		})
-	}
-	writeArtifact()
+	return nil
 }

@@ -128,23 +128,19 @@ func main() {
 		fmt.Fprintf(os.Stderr, "erachaos: %v\n", err)
 		os.Exit(1)
 	}
-	bench.WriteChaosTable(os.Stdout, res)
+	res.WriteTable(os.Stdout)
 	if res.ObsURL != "" {
 		fmt.Printf("observability plane served at %s\n", res.ObsURL)
 	}
 	if jsonFile != nil {
-		err := bench.WriteChaosReport(jsonFile, res)
-		if cerr := jsonFile.Close(); err == nil {
-			err = cerr
-		}
-		if err != nil {
+		if err := bench.WriteArtifactFile(jsonFile, "chaos", res); err != nil {
 			fmt.Fprintf(os.Stderr, "erachaos: %v\n", err)
 			os.Exit(1)
 		}
 		fmt.Printf("wrote %s\n", *jsonPath)
 	}
 	if *strict {
-		if err := bench.CheckChaos(res); err != nil {
+		if err := bench.Check(res); err != nil {
 			fmt.Fprintf(os.Stderr, "erachaos: %v\n", err)
 			os.Exit(1)
 		}

@@ -190,16 +190,12 @@ func main() {
 		fmt.Fprintf(os.Stderr, "eraserve: %v\n", err)
 		os.Exit(1)
 	}
-	bench.WriteServiceTable(os.Stdout, res)
+	res.WriteTable(os.Stdout)
 	if res.ObsURL != "" {
 		fmt.Printf("observability plane served at %s\n", res.ObsURL)
 	}
 	if jsonFile != nil {
-		err := bench.WriteServiceReport(jsonFile, res)
-		if cerr := jsonFile.Close(); err == nil {
-			err = cerr
-		}
-		if err != nil {
+		if err := bench.WriteArtifactFile(jsonFile, "service", res); err != nil {
 			fmt.Fprintf(os.Stderr, "eraserve: %v\n", err)
 			os.Exit(1)
 		}

@@ -44,17 +44,15 @@ func main() {
 			}
 		}
 	}
-	bench.WriteThroughputTable(os.Stdout, rows)
+	res := bench.ThroughputResult{Rows: rows}
+	res.WriteTable(os.Stdout)
 
 	if *out != "" {
 		f, err := os.Create(*out)
 		if err != nil {
 			log.Fatal(err)
 		}
-		if err := bench.WriteJSONReport(f, "workloads", rows); err != nil {
-			log.Fatal(err)
-		}
-		if err := f.Close(); err != nil {
+		if err := bench.WriteArtifactFile(f, "workloads", res); err != nil {
 			log.Fatal(err)
 		}
 		fmt.Printf("\nwrote %d rows to %s\n", len(rows), *out)

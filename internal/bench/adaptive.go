@@ -1,147 +1,59 @@
+// EXP-ADAPT: the adaptive-reclamation experiment. Two identical
+// single-shard fleets run the same seeded traffic under the same
+// delayed-release storm (the stall-plus-retire-storm that punishes a
+// non-robust scheme hardest) — one pinned to ebr (the static control),
+// one with the adapt controller live on the ladder ebr → ibr → hp — and
+// the audit compares what each shard's backlog did before and after the
+// controller acted. It is the ERA theorem as an A/B test: the control
+// demonstrates the impossibility (a non-robust scheme under a
+// reclamation-critical stall grows without bound), the adaptive arm
+// demonstrates the escape hatch (detect it live, migrate the shard up
+// the ladder, keep the data).
+
 package bench
 
 import (
+	"fmt"
+	"io"
 	"time"
 
 	"repro/internal/adapt"
 	"repro/internal/chaos"
-	"repro/internal/sched"
 	"repro/internal/smr"
 	"repro/internal/smr/all"
 	"repro/internal/store"
 	"repro/internal/telemetry"
-	"repro/internal/workload"
 )
 
-// AdaptiveConfig sizes the adaptive-reclamation experiment (EXP-ADAPT):
-// two identical single-shard fleets run the same seeded traffic under
-// the same chaos fault — one pinned to its starting scheme (the static
-// control), one with the adapt controller live — and the audit compares
-// what each shard's backlog did before and after the controller acted.
-// It is the ERA theorem as an A/B test: the control demonstrates the
-// impossibility (a non-robust scheme under a reclamation-critical stall
-// grows without bound), the adaptive arm demonstrates the escape hatch
-// (detect it live, migrate the shard up the ladder, keep the data).
-type AdaptiveConfig struct {
-	// Ladder is the controller's migration ladder, cheapest first; the
-	// default trio ebr → ibr → hp walks the paper's robustness classes.
-	Ladder []string
-	// StartScheme is both arms' initial scheme; empty selects the
-	// ladder's bottom rung.
-	StartScheme string
-	// Structure is the shard's set structure; empty selects "hashmap".
-	Structure string
-	// WorkersPerShard sizes the worker pool; 0 selects one survivor
-	// above the stall-family fault count (min 2), as in EXP-CHAOS.
-	WorkersPerShard int
-	// Clients is the closed-loop client count; 0 selects 4.
-	Clients int
-	// Batch is operations per service request; 0 selects 16.
-	Batch int
-	// KeyRange is the key universe; 0 selects 2048.
-	KeyRange int
-	// Threshold is the retire-scan threshold; 0 selects 16.
-	Threshold int
-	// SlotsPerShard sizes the shard heap; 0 selects a budget only a
-	// genuinely unbounded backlog can exhaust (and an OOM is evidence).
-	SlotsPerShard int
-	// Duration is the traffic window; 0 selects 800ms — long enough for
-	// fault → verdict → migration → post-migration window.
-	Duration time.Duration
-	// FaultAfter is the injection delay; 0 selects Duration/8.
-	FaultAfter time.Duration
-	// SampleInterval is the telemetry tick; 0 derives ~200 samples per
-	// window clamped to [200µs, 5ms].
-	SampleInterval time.Duration
-	// DecideInterval is the controller tick; 0 selects Duration/32
-	// clamped to [5ms, 25ms].
-	DecideInterval time.Duration
-	// Hysteresis is the controller's consecutive-verdict requirement;
-	// 0 selects 2.
-	Hysteresis int
-	// Faults names the chaos faults injected into the shard; empty
-	// selects ["delayed-release"] — the stall-plus-retire-storm that
-	// punishes a non-robust scheme hardest.
-	Faults []string
-	// Mix, Workload, Schedule name the traffic shape; zero values select
-	// balanced/uniform/steady.
-	Mix      Mix
-	Workload string
-	Schedule string
-	// Seed makes both arms replay identical client streams.
-	Seed uint64
+// adaptiveConfig is what EXP-ADAPT varies; the rest of its sizing is the
+// shared fleet sizing (fleet.go).
+type adaptiveConfig struct {
+	// duration is each arm's traffic window — long enough for fault →
+	// verdict → migration → post-migration window.
+	duration time.Duration
+	seed     uint64
 }
 
-func (cfg *AdaptiveConfig) fill() {
-	if len(cfg.Ladder) == 0 {
-		cfg.Ladder = []string{"ebr", "ibr", "hp"}
+func (p Profile) adaptiveConfig() adaptiveConfig {
+	cfg := adaptiveConfig{duration: 2 * time.Second, seed: p.Seed}
+	if p.Short {
+		cfg.duration = time.Second
 	}
-	if cfg.StartScheme == "" {
-		cfg.StartScheme = cfg.Ladder[0]
-	}
-	if cfg.Structure == "" {
-		cfg.Structure = "hashmap"
-	}
-	if cfg.Workload == "" {
-		cfg.Workload = "uniform"
-	}
-	if cfg.Schedule == "" {
-		cfg.Schedule = "steady"
-	}
-	if len(cfg.Faults) == 0 {
-		cfg.Faults = []string{"delayed-release"}
-	}
-	if cfg.WorkersPerShard <= 0 {
-		parks := 0
-		for _, f := range cfg.Faults {
-			if chaos.ParksWorker(f) {
-				parks++
-			}
-		}
-		cfg.WorkersPerShard = parks + 1
-		if cfg.WorkersPerShard < 2 {
-			cfg.WorkersPerShard = 2
-		}
-	}
-	if cfg.Clients <= 0 {
-		cfg.Clients = 4
-	}
-	if cfg.Batch <= 0 {
-		cfg.Batch = 16
-	}
-	if cfg.KeyRange <= 0 {
-		cfg.KeyRange = 2048
-	}
-	if cfg.Threshold <= 0 {
-		cfg.Threshold = 16
-	}
-	if cfg.SlotsPerShard <= 0 {
-		cfg.SlotsPerShard = 1 << 18
-	}
-	if cfg.Duration <= 0 {
-		cfg.Duration = 800 * time.Millisecond
-	}
-	if cfg.FaultAfter <= 0 {
-		cfg.FaultAfter = cfg.Duration / 8
-	}
-	if cfg.SampleInterval <= 0 {
-		cfg.SampleInterval = sampleEvery(cfg.Duration)
-	}
-	if cfg.DecideInterval <= 0 {
-		cfg.DecideInterval = cfg.Duration / 32
-		if cfg.DecideInterval < 5*time.Millisecond {
-			cfg.DecideInterval = 5 * time.Millisecond
-		}
-		if cfg.DecideInterval > 25*time.Millisecond {
-			cfg.DecideInterval = 25 * time.Millisecond
-		}
-	}
-	if cfg.Hysteresis <= 0 {
-		cfg.Hysteresis = 2
-	}
-	if cfg.Mix == (Mix{}) {
-		cfg.Mix = MixBalanced
-	}
+	return cfg
+}
+
+const (
+	adaptiveClients = 4
+	adaptiveFault   = "delayed-release"
+	// adaptiveHysteresis is the controller's consecutive-verdict
+	// requirement.
+	adaptiveHysteresis = 2
+)
+
+// decideEvery derives the controller tick from a traffic window: 32
+// decisions per run, clamped to [5ms, 25ms].
+func decideEvery(d time.Duration) time.Duration {
+	return min(max(d/32, 5*time.Millisecond), 25*time.Millisecond)
 }
 
 // AdaptiveArm is one fleet's outcome: where its shard started and ended
@@ -213,128 +125,66 @@ type AdaptiveResult struct {
 	Improved bool `json:"improved"`
 }
 
-// runAdaptiveArm runs one fleet: a single gated shard on StartScheme,
-// seeded closed-loop clients, the configured faults one-shot into the
-// shard, a sampler feeding the online classifier throughout — and, for
-// the adaptive arm, the controller deciding on it. The returned class
-// is the arm's final audited class; conclusive reports whether it rests
-// on real evidence (enough samples, or an OOM) rather than an empty
-// window's default.
-func runAdaptiveArm(cfg AdaptiveConfig, adaptive bool) (arm AdaptiveArm, class smr.RobustnessClass, conclusive bool, err error) {
-	arm = AdaptiveArm{Arm: "static", StartScheme: cfg.StartScheme}
+// runAdaptiveArm runs one fleet: a single gated shard on the ladder's
+// bottom rung, seeded closed-loop clients, the storm one-shot into the
+// shard an eighth of the way in, a sampler feeding the online classifier
+// throughout — and, for the adaptive arm, the controller deciding on it.
+// The returned class is the arm's final audited class; conclusive reports
+// whether it rests on real evidence (enough samples, or an OOM) rather
+// than an empty window's default.
+func runAdaptiveArm(cfg adaptiveConfig, adaptive bool) (arm AdaptiveArm, class smr.RobustnessClass, conclusive bool, err error) {
+	start := fleetLadder[0]
+	arm = AdaptiveArm{Arm: "static", StartScheme: start}
 	if adaptive {
 		arm.Arm = "adaptive"
 	}
-	// The migration grace scales with the window: a parked worker never
-	// drains anyway, and every ms spent waiting is a ms the whole
-	// single-shard fleet serves nothing but ErrShardClosed.
-	grace := cfg.Duration / 16
-	if grace < 10*time.Millisecond {
-		grace = 10 * time.Millisecond
-	}
-	gate := sched.NewBreakpoints()
-	st, err := store.New(store.Config{
-		Shards: []store.ShardSpec{{
-			Scheme:    cfg.StartScheme,
-			Structure: cfg.Structure,
-			Workers:   cfg.WorkersPerShard,
-			Threshold: cfg.Threshold,
-			Slots:     cfg.SlotsPerShard,
-			Gate:      gate,
-		}},
-		KeyRange:     cfg.KeyRange,
-		MigrateGrace: grace,
+	f, err := newFleet(fleetConfig{
+		schemes: []string{start}, structure: fleetStructure, workers: fleetWorkers,
+		clients: adaptiveClients, batch: fleetBatch, keyRange: fleetKeyRange,
+		duration: cfg.duration, mix: MixBalanced, workload: fleetWorkload, schedule: fleetSchedule,
+		seed: cfg.seed, controlled: true,
 	})
 	if err != nil {
 		return arm, 0, false, err
 	}
-	defer st.Close()
-
-	src, err := workload.New(workload.Config{
-		Dist:     cfg.Workload,
-		Schedule: cfg.Schedule,
-		KeyRange: cfg.KeyRange,
-		Mix:      cfg.Mix,
-		Seed:     cfg.Seed,
-	})
-	if err != nil {
-		return arm, 0, false, err
-	}
-	if err := prefillHalf(st, cfg.KeyRange, cfg.Batch, cfg.Seed); err != nil {
-		return arm, 0, false, err
-	}
-
-	startProps, err := all.Props(cfg.StartScheme)
-	if err != nil {
-		return arm, 0, false, err
-	}
-	budget := telemetry.Budget{Threads: cfg.WorkersPerShard, Threshold: cfg.Threshold}
-	mon := telemetry.NewMonitor(telemetry.MonitorConfig{}, []telemetry.Domain{
-		{Scheme: cfg.StartScheme, Declared: startProps.Robustness, Budget: budget},
-	})
-	sampler := telemetry.NewSampler(
-		telemetry.Config{Interval: cfg.SampleInterval, Capacity: 4096, OnSample: mon.Observe},
-		storeProbe(st))
+	defer f.st.Close()
 	var ctl *adapt.Controller
 	if adaptive {
 		ctl, err = adapt.New(adapt.Config{
-			Ladder:     cfg.Ladder,
-			Interval:   cfg.DecideInterval,
-			Hysteresis: cfg.Hysteresis,
-		}, st, mon)
+			Ladder:     fleetLadder,
+			Interval:   decideEvery(cfg.duration),
+			Hysteresis: adaptiveHysteresis,
+		}, f.st, f.mon)
 		if err != nil {
 			return arm, 0, false, err
 		}
-	}
-
-	target := &chaos.Target{Store: st, Gates: []*sched.Breakpoints{gate}, KeyRange: cfg.KeyRange}
-	engine := chaos.NewEngine(target)
-	for _, name := range cfg.Faults {
-		if err := engine.Add(name, chaos.Params{Shard: 0}, chaos.OneShot(cfg.FaultAfter)); err != nil {
-			return arm, 0, false, err
-		}
-	}
-
-	sampler.Start()
-	engine.Start()
-	if ctl != nil {
 		ctl.Start()
 	}
-	deadline := time.Now().Add(cfg.Duration)
+	if err := f.engine.Add(adaptiveFault, chaos.Params{Shard: 0}, chaos.OneShot(cfg.duration/8)); err != nil {
+		return arm, 0, false, err
+	}
 
-	// Deadline watchdog, as in RunChaos: freeze the policy first (no
-	// migration may race the evidence reads), snapshot the evidence, and
-	// only then heal — a heal lets parked workers collapse the backlog,
-	// which would contaminate the faulted window.
+	// At the deadline: freeze the policy first (no migration may race the
+	// evidence reads), then snapshot the evidence.
 	var stats store.Stats
 	var series []telemetry.Point
 	var finalVerdict telemetry.Verdict
-	healed := make(chan struct{})
-	go func() {
-		defer close(healed)
-		time.Sleep(time.Until(deadline))
+	t, err := f.run(func() {
 		if ctl != nil {
 			ctl.Stop()
 		}
-		stats = st.Stats()
-		series = sampler.Series(0).Points()
-		finalVerdict = mon.Verdict(0)
-		engine.Stop()
-	}()
-	ops, opErrs, lat, err := runTimedClients(st, src, cfg.Clients, cfg.Batch, deadline, nil)
-	<-healed
-	sampler.Stop()
+		stats = f.st.Stats()
+		series = f.series()[0]
+		finalVerdict = f.mon.Verdict(0)
+	}, nil)
 	if err != nil {
-		return arm, 0, false, err
-	}
-	if err := st.Close(); err != nil {
 		return arm, 0, false, err
 	}
 
 	// The faulted "before" window: from the first successful injection
 	// onward; the batch fit stops at a migration's counter reset on its
 	// own, so it describes the pre-migration incarnation exactly.
-	events := engine.Events()
+	events := f.engine.Events()
 	var faultAt time.Duration
 	for _, ev := range events {
 		if ev.Err == "" {
@@ -342,7 +192,11 @@ func runAdaptiveArm(cfg AdaptiveConfig, adaptive bool) (arm AdaptiveArm, class s
 			break
 		}
 	}
-	faulted := telemetry.Audit(cfg.StartScheme, startProps.Robustness, series, faultAt, budget)
+	startProps, err := all.Props(start)
+	if err != nil {
+		return arm, 0, false, err
+	}
+	faulted := telemetry.Audit(start, startProps.Robustness, series, faultAt, f.budget())
 	faulted.Fit.Sanitize()
 
 	arm.FinalScheme = stats.Shards[0].Scheme
@@ -354,12 +208,12 @@ func runAdaptiveArm(cfg AdaptiveConfig, adaptive bool) (arm AdaptiveArm, class s
 	arm.FinalAudited = finalVerdict.Audited
 	arm.FinalGrowth = finalFit.GrowthName
 	arm.FinalFit = finalFit
-	arm.Ops = ops
-	arm.OpErrs = opErrs
+	arm.Ops = t.ops
+	arm.OpErrs = t.opErrs
 	arm.OOMs = stats.Shards[0].OOMs
 	arm.PeakRetired = stats.Shards[0].MaxRetired
-	arm.P50 = lat.Percentile(0.50)
-	arm.P99 = lat.Percentile(0.99)
+	arm.P50 = t.lat.Percentile(0.50)
+	arm.P99 = t.lat.Percentile(0.99)
 	arm.Events = events
 	arm.Series = series
 	arm.Migrations = []adapt.Episode{}
@@ -388,46 +242,74 @@ func runAdaptiveArm(cfg AdaptiveConfig, adaptive bool) (arm AdaptiveArm, class s
 	return arm, finalClass, finalConclusive, nil
 }
 
-// RunAdaptive runs the static control and the adaptive arm back to back
+// runAdaptive runs the static control and the adaptive arm back to back
 // on identical seeds and assembles the comparison.
-func RunAdaptive(cfg AdaptiveConfig) (AdaptiveResult, error) {
-	cfg.fill()
-	// Validate the ladder once up front (both arms share it).
-	for _, s := range cfg.Ladder {
-		if _, err := all.Props(s); err != nil {
-			return AdaptiveResult{}, err
-		}
-	}
+func runAdaptive(p Profile) (Result, error) {
+	cfg := p.adaptiveConfig()
 	static, staticClass, staticOK, err := runAdaptiveArm(cfg, false)
 	if err != nil {
-		return AdaptiveResult{}, err
+		return nil, err
 	}
 	adaptiveArm, adaptiveClass, adaptiveOK, err := runAdaptiveArm(cfg, true)
 	if err != nil {
-		return AdaptiveResult{}, err
+		return nil, err
 	}
 	return AdaptiveResult{
 		Static:   static,
 		Adaptive: adaptiveArm,
 		Agg: AdaptiveAggregate{
-			Ladder:      cfg.Ladder,
-			StartScheme: cfg.StartScheme,
-			Structure:   cfg.Structure,
-			Faults:      cfg.Faults,
-			Workers:     cfg.WorkersPerShard,
-			Clients:     cfg.Clients,
-			Batch:       cfg.Batch,
-			KeyRange:    cfg.KeyRange,
-			Duration:    cfg.Duration,
-			FaultAfter:  cfg.FaultAfter,
-			Mix:         cfg.Mix,
-			Workload:    cfg.Workload,
-			Schedule:    cfg.Schedule,
-			Seed:        cfg.Seed,
+			Ladder:      fleetLadder,
+			StartScheme: fleetLadder[0],
+			Structure:   fleetStructure,
+			Faults:      []string{adaptiveFault},
+			Workers:     fleetWorkers,
+			Clients:     adaptiveClients,
+			Batch:       fleetBatch,
+			KeyRange:    fleetKeyRange,
+			Duration:    cfg.duration,
+			FaultAfter:  cfg.duration / 8,
+			Mix:         MixBalanced,
+			Workload:    fleetWorkload,
+			Schedule:    fleetSchedule,
+			Seed:        cfg.seed,
 		},
 		// The headline needs real evidence on both sides: a window too
 		// thin to classify (migration just before the deadline, stalled
 		// progress) must not default its way into an improvement claim.
 		Improved: staticOK && adaptiveOK && adaptiveClass > staticClass,
 	}, nil
+}
+
+// Gates is the headline: the adaptive arm's final audited class is
+// strictly better than the static control's.
+func (res AdaptiveResult) Gates() []Gate {
+	return []Gate{{
+		Name: "improved", OK: res.Improved,
+		Detail: fmt.Sprintf("static arm ended %s, adaptive arm ended %s after %d migration(s)",
+			res.Static.FinalAudited, res.Adaptive.FinalAudited, len(res.Adaptive.Migrations)),
+	}}
+}
+
+// WriteTable renders the adaptive experiment: one line per arm, the
+// adaptive arm's migration episode log, its fault episodes, then the
+// headline.
+func (res AdaptiveResult) WriteTable(w io.Writer) {
+	fmt.Fprintf(w, "%-9s %-7s %-7s %5s %-18s %-18s %13s %10s %8s %6s %10s\n",
+		"arm", "start", "final", "moves", "faulted-audited", "final-audited",
+		"peak-retired", "ops", "op-errs", "ooms", "p99")
+	for _, arm := range []AdaptiveArm{res.Static, res.Adaptive} {
+		fmt.Fprintf(w, "%-9s %-7s %-7s %5d %-18s %-18s %13d %10d %8d %6d %10s\n",
+			arm.Arm, arm.StartScheme, arm.FinalScheme, len(arm.Migrations),
+			arm.FaultedAudited+" ("+arm.FaultedGrowth+")", arm.FinalAudited+" ("+arm.FinalGrowth+")",
+			arm.PeakRetired, arm.Ops, arm.OpErrs, arm.OOMs, fmtLatency(arm.P99))
+	}
+	writeEpisodes(w, res.Adaptive.Migrations)
+	for _, ev := range res.Adaptive.Events {
+		fmt.Fprintf(w, "fault: %-16s shard %d at %s\n", ev.Fault, ev.Shard, ev.At.Round(time.Millisecond))
+	}
+	a := res.Agg
+	fmt.Fprintf(w, "aggregate: ladder %v from %s, faults %v, %s window, %d clients × batch %d, %s/%s mix %s seed %d\n",
+		a.Ladder, a.StartScheme, a.Faults, a.Duration, a.Clients, a.Batch,
+		a.Workload, a.Schedule, a.Mix, a.Seed)
+	fmt.Fprintf(w, "           adaptive improved on static: %v\n", res.Improved)
 }

@@ -27,6 +27,7 @@ package bench
 
 import (
 	"fmt"
+	"io"
 	"runtime"
 	"runtime/debug"
 	"time"
@@ -37,59 +38,40 @@ import (
 	"repro/internal/workload"
 )
 
-// BatchConfig sizes EXP-BATCH.
-type BatchConfig struct {
-	// Workers is the shard's worker count; 0 selects 2.
-	Workers int
-	// Clients is the throughput-section client count; 0 selects 4.
-	Clients int
-	// Duration is the traffic window per throughput arm; 0 selects 300ms.
-	Duration time.Duration
-	// Batches is the client batch sizes to sweep; nil selects {16, 64}.
-	Batches []int
-	// KeyRange is the key universe (the live chain is about half of it);
-	// 0 selects 4096.
-	KeyRange int
-	// Schemes is the scheme list for the throughput and backlog sections;
-	// nil selects {ebr, hp, vbr} — one representative per reclamation
-	// family (epoch, pointer, version).
-	Schemes []string
-	// AllocRounds is the measured DoInto call count in the allocation
-	// section; 0 selects 2000.
-	AllocRounds int
-	// StallDuration is the parked-worker window per backlog arm; 0
-	// selects 250ms.
-	StallDuration time.Duration
-	// Seed makes the client streams deterministic.
-	Seed uint64
+// batchConfig is what EXP-BATCH varies between its smoke and full scale.
+type batchConfig struct {
+	// duration is the traffic window per throughput arm; stall the
+	// parked-worker window per backlog arm.
+	duration time.Duration
+	stall    time.Duration
+	// batches is the client batch sizes swept; schemes the scheme list for
+	// the throughput and backlog sections — at full scale one
+	// representative per reclamation family (epoch, pointer, version).
+	batches []int
+	schemes []string
+	// keyRange is the key universe (the live chain is about half of it).
+	keyRange int
+	// allocRounds is the measured DoInto call count in the allocation
+	// section.
+	allocRounds int
+	seed        uint64
 }
 
-func (cfg *BatchConfig) fill() {
-	if cfg.Workers <= 0 {
-		cfg.Workers = 2
+func (p Profile) batchConfig() batchConfig {
+	if p.Short {
+		return batchConfig{duration: 150 * time.Millisecond, stall: 150 * time.Millisecond,
+			batches: []int{16}, schemes: []string{"ebr", "hp"}, keyRange: 1024, allocRounds: 500, seed: p.Seed}
 	}
-	if cfg.Clients <= 0 {
-		cfg.Clients = 4
-	}
-	if cfg.Duration <= 0 {
-		cfg.Duration = 300 * time.Millisecond
-	}
-	if len(cfg.Batches) == 0 {
-		cfg.Batches = []int{16, 64}
-	}
-	if cfg.KeyRange <= 0 {
-		cfg.KeyRange = 4096
-	}
-	if len(cfg.Schemes) == 0 {
-		cfg.Schemes = []string{"ebr", "hp", "vbr"}
-	}
-	if cfg.AllocRounds <= 0 {
-		cfg.AllocRounds = 2000
-	}
-	if cfg.StallDuration <= 0 {
-		cfg.StallDuration = 250 * time.Millisecond
-	}
+	return batchConfig{duration: 300 * time.Millisecond, stall: 250 * time.Millisecond,
+		batches: []int{16, 64}, schemes: []string{"ebr", "hp", "vbr"}, keyRange: 4096, allocRounds: 2000, seed: p.Seed}
 }
+
+const (
+	// batchWorkers is the shard's worker count: in the backlog section one
+	// parks and one serves.
+	batchWorkers = 2
+	batchClients = 4
+)
 
 // BatchArm is one throughput arm's measurement.
 type BatchArm struct {
@@ -185,7 +167,7 @@ type BatchResult struct {
 // runBatchArm runs one throughput arm: a single Michael-list shard over
 // the whole key range, duration-boxed clients, fused-window counters read
 // after close.
-func runBatchArm(cfg BatchConfig, scheme string, batch int, nofuse bool) (BatchArm, error) {
+func runBatchArm(cfg batchConfig, scheme string, batch int, nofuse bool) (BatchArm, error) {
 	mode := "fused"
 	if nofuse {
 		mode = "per-op"
@@ -194,28 +176,28 @@ func runBatchArm(cfg BatchConfig, scheme string, batch int, nofuse bool) (BatchA
 		Shards: []store.ShardSpec{{
 			Scheme:    scheme,
 			Structure: "michael",
-			Workers:   cfg.Workers,
+			Workers:   batchWorkers,
 			NoFuse:    nofuse,
 		}},
-		KeyRange: cfg.KeyRange,
+		KeyRange: cfg.keyRange,
 	})
 	if err != nil {
 		return BatchArm{}, err
 	}
 	defer st.Close()
 	src, err := workload.New(workload.Config{
-		KeyRange: cfg.KeyRange,
+		KeyRange: cfg.keyRange,
 		Mix:      MixBalanced,
-		Seed:     cfg.Seed,
+		Seed:     cfg.seed,
 	})
 	if err != nil {
 		return BatchArm{}, err
 	}
-	if err := prefillHalf(st, cfg.KeyRange, batch, cfg.Seed); err != nil {
+	if err := prefillHalf(st, cfg.keyRange, batch, cfg.seed); err != nil {
 		return BatchArm{}, err
 	}
 	start := time.Now()
-	ops, _, lat, err := runTimedClients(st, src, cfg.Clients, batch, start.Add(cfg.Duration), nil)
+	ops, _, lat, err := runTimedClients(st, src, batchClients, batch, start.Add(cfg.duration), nil)
 	if err != nil {
 		return BatchArm{}, err
 	}
@@ -243,23 +225,23 @@ func runBatchArm(cfg BatchConfig, scheme string, batch int, nofuse bool) (BatchA
 // retire lists quiescent, so every malloc the window sees belongs to the
 // request spine — the thing the claim is about. GC is parked for the
 // window so a collection cannot evict the request/spine pools mid-count.
-func runBatchAllocs(cfg BatchConfig) (BatchAllocs, error) {
+func runBatchAllocs(cfg batchConfig) (BatchAllocs, error) {
 	const batch = 64
 	st, err := store.New(store.Config{
-		Shards:   []store.ShardSpec{{Scheme: "ebr", Structure: "michael", Workers: cfg.Workers}},
-		KeyRange: cfg.KeyRange,
+		Shards:   []store.ShardSpec{{Scheme: "ebr", Structure: "michael", Workers: batchWorkers}},
+		KeyRange: cfg.keyRange,
 	})
 	if err != nil {
 		return BatchAllocs{}, err
 	}
 	defer st.Close()
-	if err := prefillHalf(st, cfg.KeyRange, batch, cfg.Seed); err != nil {
+	if err := prefillHalf(st, cfg.keyRange, batch, cfg.seed); err != nil {
 		return BatchAllocs{}, err
 	}
-	rng := workload.RNG(cfg.Seed ^ 0xbeef)
+	rng := workload.RNG(cfg.seed ^ 0xbeef)
 	ops := make([]store.Op, batch)
 	for i := range ops {
-		ops[i] = store.Op{Kind: workload.OpContains, Key: int64(rng.Next() % uint64(cfg.KeyRange))}
+		ops[i] = store.Op{Kind: workload.OpContains, Key: int64(rng.Next() % uint64(cfg.keyRange))}
 	}
 	res := make([]store.Result, batch)
 	do := func(n int) error {
@@ -278,18 +260,18 @@ func runBatchAllocs(cfg BatchConfig) (BatchAllocs, error) {
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	if err := do(cfg.AllocRounds); err != nil {
+	if err := do(cfg.allocRounds); err != nil {
 		return BatchAllocs{}, err
 	}
 	runtime.ReadMemStats(&after)
 	mallocs := after.Mallocs - before.Mallocs
 	bytes := after.TotalAlloc - before.TotalAlloc
 	return BatchAllocs{
-		Rounds:      cfg.AllocRounds,
+		Rounds:      cfg.allocRounds,
 		Batch:       batch,
-		AllocsPerOp: float64(mallocs) / float64(cfg.AllocRounds),
-		BytesPerOp:  float64(bytes) / float64(cfg.AllocRounds),
-		ZeroAlloc:   mallocs/uint64(cfg.AllocRounds) == 0,
+		AllocsPerOp: float64(mallocs) / float64(cfg.allocRounds),
+		BytesPerOp:  float64(bytes) / float64(cfg.allocRounds),
+		ZeroAlloc:   mallocs/uint64(cfg.allocRounds) == 0,
 	}, nil
 }
 
@@ -298,46 +280,42 @@ func runBatchAllocs(cfg BatchConfig) (BatchAllocs, error) {
 // the surviving worker serving batched traffic. The stall releases at
 // the deadline so the client blocked on the parked worker's request can
 // drain and the shard closes clean.
-func runBatchBacklog(cfg BatchConfig, scheme string, nofuse bool) (BatchBacklogArm, error) {
+func runBatchBacklog(cfg batchConfig, scheme string, nofuse bool) (BatchBacklogArm, error) {
 	mode := "fused"
 	if nofuse {
 		mode = "per-op"
 	}
 	bp := sched.NewBreakpoints()
-	workers := cfg.Workers
-	if workers < 2 {
-		workers = 2 // one to park, one to serve
-	}
 	st, err := store.New(store.Config{
 		Shards: []store.ShardSpec{{
 			Scheme:    scheme,
 			Structure: "michael",
-			Workers:   workers,
+			Workers:   batchWorkers,
 			Gate:      bp,
 			NoFuse:    nofuse,
 		}},
-		KeyRange: cfg.KeyRange,
+		KeyRange: cfg.keyRange,
 	})
 	if err != nil {
 		return BatchBacklogArm{}, err
 	}
 	defer st.Close()
 	src, err := workload.New(workload.Config{
-		KeyRange: cfg.KeyRange,
+		KeyRange: cfg.keyRange,
 		Mix:      MixBalanced,
-		Seed:     cfg.Seed,
+		Seed:     cfg.seed,
 	})
 	if err != nil {
 		return BatchBacklogArm{}, err
 	}
 	batch := 32
-	if err := prefillHalf(st, cfg.KeyRange, batch, cfg.Seed); err != nil {
+	if err := prefillHalf(st, cfg.keyRange, batch, cfg.seed); err != nil {
 		return BatchBacklogArm{}, err
 	}
 	stall := bp.Arm(0, ds.PointSearchHead, nil, 0)
-	timer := time.AfterFunc(cfg.StallDuration, stall.Release)
+	timer := time.AfterFunc(cfg.stall, stall.Release)
 	defer timer.Stop()
-	ops, _, _, err := runTimedClients(st, src, 2, batch, time.Now().Add(cfg.StallDuration), nil)
+	ops, _, _, err := runTimedClients(st, src, 2, batch, time.Now().Add(cfg.stall), nil)
 	stall.Release() // idempotent: frees the worker if the timer lost a race
 	if err != nil {
 		return BatchBacklogArm{}, err
@@ -352,52 +330,50 @@ func runBatchBacklog(cfg BatchConfig, scheme string, nofuse bool) (BatchBacklogA
 	}, nil
 }
 
-// RunBatch runs all three sections of EXP-BATCH, baseline arms last so
+// runBatch runs all three sections of EXP-BATCH, baseline arms last so
 // each pair reads fused-first in the artifact.
-func RunBatch(cfg BatchConfig) (BatchResult, error) {
-	cfg.fill()
+func runBatch(p Profile) (Result, error) {
+	cfg := p.batchConfig()
 	res := BatchResult{
-		Workers:       cfg.Workers,
-		Clients:       cfg.Clients,
-		Duration:      cfg.Duration,
-		KeyRange:      cfg.KeyRange,
-		StallDuration: cfg.StallDuration,
-		Seed:          cfg.Seed,
+		Workers:       batchWorkers,
+		Clients:       batchClients,
+		Duration:      cfg.duration,
+		KeyRange:      cfg.keyRange,
+		StallDuration: cfg.stall,
+		Seed:          cfg.seed,
 	}
-	for _, scheme := range cfg.Schemes {
-		for _, batch := range cfg.Batches {
+	for _, scheme := range cfg.schemes {
+		for _, batch := range cfg.batches {
 			fused, err := runBatchArm(cfg, scheme, batch, false)
 			if err != nil {
-				return BatchResult{}, err
+				return nil, err
 			}
 			serial, err := runBatchArm(cfg, scheme, batch, true)
 			if err != nil {
-				return BatchResult{}, err
+				return nil, err
 			}
 			pair := BatchPair{Scheme: scheme, Batch: batch, Fused: fused, Serial: serial}
 			if serial.MopsPerSec > 0 {
 				pair.Ratio = fused.MopsPerSec / serial.MopsPerSec
 			}
-			if pair.Ratio > res.BestRatio {
-				res.BestRatio = pair.Ratio
-			}
+			res.BestRatio = max(res.BestRatio, pair.Ratio)
 			res.Pairs = append(res.Pairs, pair)
 		}
 	}
 	allocs, err := runBatchAllocs(cfg)
 	if err != nil {
-		return BatchResult{}, err
+		return nil, err
 	}
 	res.Allocs = allocs
 	res.BacklogBounded = true
-	for _, scheme := range cfg.Schemes {
+	for _, scheme := range cfg.schemes {
 		fused, err := runBatchBacklog(cfg, scheme, false)
 		if err != nil {
-			return BatchResult{}, err
+			return nil, err
 		}
 		serial, err := runBatchBacklog(cfg, scheme, true)
 		if err != nil {
-			return BatchResult{}, err
+			return nil, err
 		}
 		pair := BatchBacklogPair{Scheme: scheme, Fused: fused, Serial: serial}
 		pair.Bounded = fused.PeakRetired <= 2*serial.PeakRetired+backlogFloor
@@ -411,24 +387,55 @@ func RunBatch(cfg BatchConfig) (BatchResult, error) {
 	return res, nil
 }
 
-// CheckBatch is the CI gate over a batch result: the fused path must
-// beat the per-op baseline, the steady-state spine must not allocate,
-// and amortization must not widen the parked-worker backlog past 2x.
-func CheckBatch(res BatchResult) error {
-	if !res.FusedBeatsSerial {
-		return fmt.Errorf("batch: best fused/per-op ratio %.3f below the 1.15x bar", res.BestRatio)
-	}
-	if !res.ZeroAlloc {
-		return fmt.Errorf("batch: steady-state DoInto allocated %.2f allocs/call (%.1f B/call); the spine must be zero-alloc",
-			res.Allocs.AllocsPerOp, res.Allocs.BytesPerOp)
-	}
-	if !res.BacklogBounded {
-		for _, p := range res.Backlog {
-			if !p.Bounded {
-				return fmt.Errorf("batch: %s fused peak retired backlog %d exceeds 2x per-op %d under a parked worker",
-					p.Scheme, p.Fused.PeakRetired, p.Serial.PeakRetired)
-			}
+// Gates: the fused path must beat the per-op baseline, the steady-state
+// spine must not allocate, and amortization must not widen the
+// parked-worker backlog past 2x.
+func (res BatchResult) Gates() []Gate {
+	backlog := Gate{Name: "backlog_bounded", OK: res.BacklogBounded}
+	for _, p := range res.Backlog {
+		if !p.Bounded {
+			backlog.Detail = fmt.Sprintf("%s fused peak retired backlog %d exceeds 2x per-op %d under a parked worker",
+				p.Scheme, p.Fused.PeakRetired, p.Serial.PeakRetired)
+			break
 		}
 	}
-	return nil
+	return []Gate{
+		{Name: "fused_beats_serial", OK: res.FusedBeatsSerial,
+			Detail: fmt.Sprintf("best fused/per-op ratio %.3f below the 1.15x bar", res.BestRatio)},
+		{Name: "zero_alloc", OK: res.ZeroAlloc,
+			Detail: fmt.Sprintf("steady-state DoInto allocated %.2f allocs/call (%.1f B/call); the spine must be zero-alloc",
+				res.Allocs.AllocsPerOp, res.Allocs.BytesPerOp)},
+		backlog,
+	}
+}
+
+// WriteTable renders EXP-BATCH: the throughput pairs, the allocation
+// section, the parked-worker backlog pairs, then the headlines.
+func (res BatchResult) WriteTable(w io.Writer) {
+	fmt.Fprintf(w, "%-7s %6s %-7s %10s %10s %10s %10s %9s %11s %11s %7s\n",
+		"scheme", "batch", "arm", "ops", "Mops/s", "p50", "p99", "fused", "rebrackets", "sorts", "ratio")
+	for _, p := range res.Pairs {
+		for _, a := range []BatchArm{p.Fused, p.Serial} {
+			ratio := ""
+			if a.Mode == "fused" {
+				ratio = fmt.Sprintf("%.2fx", p.Ratio)
+			}
+			fmt.Fprintf(w, "%-7s %6d %-7s %10d %10.3f %10s %10s %9d %11d %11d %7s\n",
+				p.Scheme, p.Batch, a.Mode, a.Ops, a.MopsPerSec, fmtLatency(a.P50), fmtLatency(a.P99),
+				a.FusedBatches, a.Rebrackets, a.BatchSorts, ratio)
+		}
+	}
+	fmt.Fprintf(w, "allocs: %d DoInto calls × batch %d: %.2f allocs/call, %.1f B/call (zero-alloc: %v)\n",
+		res.Allocs.Rounds, res.Allocs.Batch, res.Allocs.AllocsPerOp, res.Allocs.BytesPerOp, res.Allocs.ZeroAlloc)
+	fmt.Fprintf(w, "%-7s %-22s %-22s %8s\n", "scheme", "fused peak-retired/ops", "per-op peak-retired/ops", "bounded")
+	for _, p := range res.Backlog {
+		fmt.Fprintf(w, "%-7s %-22s %-22s %8v\n", p.Scheme,
+			fmt.Sprintf("%d / %d", p.Fused.PeakRetired, p.Fused.Ops),
+			fmt.Sprintf("%d / %d", p.Serial.PeakRetired, p.Serial.Ops),
+			p.Bounded)
+	}
+	fmt.Fprintf(w, "aggregate: %d workers, %d clients, %s window, keyrange %d, stall %s, seed %d\n",
+		res.Workers, res.Clients, res.Duration, res.KeyRange, res.StallDuration, res.Seed)
+	fmt.Fprintf(w, "           best ratio %.2fx (fused beats serial: %v), zero-alloc: %v, backlog bounded: %v\n",
+		res.BestRatio, res.FusedBeatsSerial, res.ZeroAlloc, res.BacklogBounded)
 }

@@ -55,7 +55,7 @@ func TestSpaceSweepShape(t *testing.T) {
 		t.Errorf("none per-churn = %.3f, want near 1", r.PerChurn)
 	}
 	var sb strings.Builder
-	bench.WriteSpaceTable(&sb, rows)
+	rows.WriteTable(&sb)
 	if !strings.Contains(sb.String(), "ebr") {
 		t.Error("table rendering lost rows")
 	}
@@ -83,19 +83,18 @@ func TestStallSeriesShape(t *testing.T) {
 		t.Errorf("vbr backlog grew from %d to %d — should stay flat", first.Retired, last.Retired)
 	}
 	var sb strings.Builder
-	bench.WriteStallSeries(&sb, map[string][]bench.StallSample{"ebr": ebr, "vbr": vbr})
+	bench.StallCurves{"ebr": ebr, "vbr": vbr}.WriteTable(&sb)
 	if !strings.Contains(sb.String(), "step") {
 		t.Error("series rendering lost header")
 	}
 }
 
-// TestMichaelComparisonShape: the Section 6 claim — Harris+EBR beats
-// Michael+HP on delete-heavy mixes. On a one-core box the margin can be
-// thin, so assert the weaker, always-true part of the claim: the
-// comparison runs and Harris+EBR is not drastically slower.
+// TestMichaelComparisonShape: the Section 6 comparison runs its three
+// (scheme, structure) pairs in the documented order. Which pair is faster
+// is a measurement, not a unit-test fact.
 func TestMichaelComparisonShape(t *testing.T) {
 	rows, err := bench.MichaelComparison(bench.ThroughputConfig{
-		Threads: 2, OpsPerThread: 10000, KeyRange: 256, Seed: 5,
+		Threads: 2, OpsPerThread: 4000, KeyRange: 256, Seed: 5,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -103,13 +102,13 @@ func TestMichaelComparisonShape(t *testing.T) {
 	if len(rows) != 3 {
 		t.Fatalf("rows = %d, want 3", len(rows))
 	}
-	harrisEBR, michaelHP := rows[0], rows[1]
-	if harrisEBR.Scheme != "ebr" || harrisEBR.Structure != "harris" {
-		t.Fatalf("row order changed: %+v", rows)
-	}
-	if harrisEBR.MopsPerSec < 0.5*michaelHP.MopsPerSec {
-		t.Errorf("harris+ebr %.3f Mops/s vs michael+hp %.3f Mops/s — shape inverted",
-			harrisEBR.MopsPerSec, michaelHP.MopsPerSec)
+	for i, want := range [][2]string{{"ebr", "harris"}, {"hp", "michael"}, {"ebr", "michael"}} {
+		if rows[i].Scheme != want[0] || rows[i].Structure != want[1] {
+			t.Fatalf("row %d = %s × %s, want %s × %s", i, rows[i].Scheme, rows[i].Structure, want[0], want[1])
+		}
+		if rows[i].Mix != bench.MixUpdateOnly || rows[i].MopsPerSec <= 0 {
+			t.Errorf("row %d: mix %s, %.3f Mops/s", i, rows[i].Mix, rows[i].MopsPerSec)
+		}
 	}
 }
 
@@ -130,7 +129,7 @@ func TestThroughputSweep(t *testing.T) {
 		t.Fatal("sweep produced no rows")
 	}
 	var sb strings.Builder
-	bench.WriteThroughputTable(&sb, rows)
+	bench.ThroughputResult{Rows: rows}.WriteTable(&sb)
 	if !strings.Contains(sb.String(), "Mops/s") {
 		t.Error("table rendering lost header")
 	}
@@ -166,19 +165,8 @@ func TestScaleSweepShape(t *testing.T) {
 		}
 	}
 	var sb strings.Builder
-	bench.WriteScaleTable(&sb, rows)
+	rows.WriteTable(&sb)
 	if !strings.Contains(sb.String(), "per-size") {
 		t.Error("table rendering lost header")
-	}
-}
-
-// TestMatrixReport renders the ERA matrix end to end.
-func TestMatrixReport(t *testing.T) {
-	var sb strings.Builder
-	if err := bench.MatrixReport(&sb, 300); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(sb.String(), "holds=true") {
-		t.Errorf("matrix report:\n%s", sb.String())
 	}
 }

@@ -2,28 +2,23 @@ package bench
 
 import (
 	"fmt"
-	"sync"
+	"io"
 	"time"
 
 	"repro/internal/chaos"
-	"repro/internal/hist"
 	"repro/internal/obs"
 	"repro/internal/obs/rec"
-	"repro/internal/sched"
 	"repro/internal/smr/all"
 	"repro/internal/store"
 	"repro/internal/telemetry"
-	"repro/internal/workload"
 )
 
 // ChaosConfig sizes the chaos experiment (EXP-CHAOS): a sharded store
 // with one shard per scheme under audit, closed-loop client traffic for a
-// fixed wall-clock window, scheduled fault injection, and a telemetry
-// sampler whose series are fitted into per-scheme robustness verdicts.
-//
-// The run is duration-boxed, not op-boxed: a client whose batch lands on
-// a stalled worker blocks until the fault heals (that is the fault
-// working), so "run until every client did N ops" could never terminate.
+// fixed wall-clock window, fault injection an eighth of the way in (early,
+// so most of the window is faulted — the growth fit reads the faulted
+// tail), and a telemetry sampler whose series are fitted into per-scheme
+// robustness verdicts. cmd/erachaos exposes every field as a flag.
 type ChaosConfig struct {
 	// Schemes get one shard each, in order; the default trio spans the
 	// three robustness classes (ebr not-robust, ibr weakly-robust, hp
@@ -43,24 +38,8 @@ type ChaosConfig struct {
 	Batch int
 	// KeyRange is the key universe; 0 selects 2048.
 	KeyRange int
-	// Threshold is every shard's retire-scan threshold; 0 selects 16.
-	// Fixing it (rather than per-scheme defaults) fixes the audit's
-	// bounded-backlog budget.
-	Threshold int
-	// SlotsPerShard sizes each shard heap; 0 selects a budget generous
-	// enough that only a genuinely unbounded backlog can exhaust it —
-	// and if one does, the OOM is reported as audit evidence, not a
-	// crash.
-	SlotsPerShard int
 	// Duration is the traffic window; 0 selects 400ms.
 	Duration time.Duration
-	// FaultAfter is the injection delay from traffic start; 0 selects
-	// Duration/8 (early, so most of the window is faulted — the growth
-	// fit reads the faulted tail).
-	FaultAfter time.Duration
-	// SampleInterval is the telemetry tick; 0 derives Duration/200
-	// clamped to [200µs, 5ms].
-	SampleInterval time.Duration
 	// Faults names the faults injected (chaos registry names); each is
 	// applied to every shard. Empty selects ["stall"] — the
 	// reclamation-critical stall that separates the robustness classes.
@@ -85,49 +64,31 @@ func (cfg *ChaosConfig) fill() {
 		cfg.Schemes = []string{"ebr", "ibr", "hp"}
 	}
 	if cfg.Structure == "" {
-		cfg.Structure = "hashmap"
+		cfg.Structure = fleetStructure
 	}
 	if len(cfg.Faults) == 0 {
 		cfg.Faults = []string{"stall"}
 	}
 	if cfg.WorkersPerShard <= 0 {
-		// One survivor above the stall-family fault count: every parking
-		// fault claims a worker, and the audit needs a live worker to
-		// keep the shard's churn (and telemetry progress) going.
 		parks := 0
 		for _, f := range cfg.Faults {
 			if chaos.ParksWorker(f) {
 				parks++
 			}
 		}
-		cfg.WorkersPerShard = parks + 1
-		if cfg.WorkersPerShard < 2 {
-			cfg.WorkersPerShard = 2
-		}
+		cfg.WorkersPerShard = max(parks+1, 2)
 	}
 	if cfg.Clients <= 0 {
 		cfg.Clients = 2 * len(cfg.Schemes)
 	}
 	if cfg.Batch <= 0 {
-		cfg.Batch = 16
+		cfg.Batch = fleetBatch
 	}
 	if cfg.KeyRange <= 0 {
-		cfg.KeyRange = 2048
-	}
-	if cfg.Threshold <= 0 {
-		cfg.Threshold = 16
-	}
-	if cfg.SlotsPerShard <= 0 {
-		cfg.SlotsPerShard = 1 << 18
+		cfg.KeyRange = fleetKeyRange
 	}
 	if cfg.Duration <= 0 {
 		cfg.Duration = 400 * time.Millisecond
-	}
-	if cfg.FaultAfter <= 0 {
-		cfg.FaultAfter = cfg.Duration / 8
-	}
-	if cfg.SampleInterval <= 0 {
-		cfg.SampleInterval = sampleEvery(cfg.Duration)
 	}
 	if cfg.Mix == (Mix{}) {
 		cfg.Mix = MixBalanced
@@ -199,65 +160,52 @@ type ChaosResult struct {
 	ObsURL string `json:"obs_url,omitempty"`
 }
 
-// runTimedClients drives closed-loop clients until deadline, tolerating
-// per-operation errors (they are what faults — and migration windows —
-// look like from outside). Returns total ops, op errors, and merged
-// request latencies. Shared by the chaos, adaptive, duration-boxed
-// service, and observability experiments. each, when non-nil, receives
-// every request latency live (the SLO monitor's feed); it is called from
-// every client goroutine concurrently and must be cheap and thread-safe.
-func runTimedClients(st *store.Store, src *workload.Source, clients, batchSize int, deadline time.Time, each func(time.Duration)) (uint64, uint64, hist.Latency, error) {
-	var wg sync.WaitGroup
-	ops := make([]uint64, clients)
-	errs := make([]uint64, clients)
-	lats := make([]hist.Latency, clients)
-	fail := make([]error, clients)
-	for c := 0; c < clients; c++ {
-		wg.Add(1)
-		go func(c int) {
-			defer wg.Done()
-			stream := src.Thread(c, 1<<20)
-			batch := make([]store.Op, 0, batchSize)
-			for time.Now().Before(deadline) {
-				batch = batch[:0]
-				for len(batch) < batchSize {
-					kind, key := stream.Next()
-					batch = append(batch, store.Op{Kind: kind, Key: key})
-				}
-				t0 := time.Now()
-				res, err := st.Do(batch)
-				if err != nil {
-					// Store-level failure (closed store): a harness bug,
-					// not a fault outcome.
-					fail[c] = err
-					return
-				}
-				d := time.Since(t0)
-				lats[c].Record(d)
-				if each != nil {
-					each(d)
-				}
-				ops[c] += uint64(len(batch))
-				for _, r := range res {
-					if r.Err != nil {
-						errs[c]++
-					}
-				}
-			}
-		}(c)
-	}
-	wg.Wait()
-	var lat hist.Latency
-	var totalOps, totalErrs uint64
-	for c := 0; c < clients; c++ {
-		if fail[c] != nil {
-			return 0, 0, lat, fail[c]
+// Gates is the -strict criterion: no audit contradicted a declared
+// robustness class.
+func (res ChaosResult) Gates() []Gate {
+	bad := 0
+	for _, r := range res.Rows {
+		if !r.Consistent {
+			bad++
 		}
-		totalOps += ops[c]
-		totalErrs += errs[c]
-		lat.Merge(&lats[c])
 	}
-	return totalOps, totalErrs, lat, nil
+	return []Gate{{
+		Name: "consistent", OK: bad == 0,
+		Detail: fmt.Sprintf("%d scheme(s) violated their declared robustness class", bad),
+	}}
+}
+
+// WriteTable renders the chaos audit: one verdict line per scheme shard,
+// the fault episode log, then the client-side aggregate.
+func (res ChaosResult) WriteTable(w io.Writer) {
+	fmt.Fprintf(w, "%-6s %-11s %-13s %-13s %-18s %9s %9s %13s %10s %6s %s\n",
+		"shard", "scheme", "declared", "audited", "growth", "slope/op", "plateau", "peak-retired", "ops", "ooms", "outcome")
+	for _, r := range res.Rows {
+		fmt.Fprintf(w, "%-6d %-11s %-13s %-13s %-18s %9.4f %9.1f %13d %10d %6d %s\n",
+			r.Shard, r.Scheme, r.Declared, r.Audited, r.Growth,
+			r.Slope, r.Plateau, r.PeakRetired, r.Ops, r.OOMs, r.Outcome)
+	}
+	for _, ev := range res.Events {
+		line := fmt.Sprintf("fault: %-16s shard %d episode %d at %s", ev.Fault, ev.Shard, ev.Episode, ev.At.Round(time.Millisecond))
+		if ev.Err != "" {
+			line += " FAILED: " + ev.Err
+		} else if ev.Healed > 0 {
+			line += fmt.Sprintf(" healed at %s", ev.Healed.Round(time.Millisecond))
+		}
+		fmt.Fprintln(w, line)
+	}
+	a := res.Agg
+	fmt.Fprintf(w, "aggregate: %d shards × %d workers, %d clients × batch %d, faults %v, %s/%s mix %s seed %d\n",
+		a.Shards, a.Workers, a.Clients, a.Batch, a.Faults, a.Workload, a.Schedule, a.Mix, a.Seed)
+	fmt.Fprintf(w, "           %d ops (%d op-errors) in %s, request p50 %s p99 %s, verdicts consistent: %v\n",
+		a.Ops, a.OpErrs, a.Elapsed.Round(time.Millisecond), fmtLatency(a.P50), fmtLatency(a.P99), res.Consistent)
+}
+
+// runChaosExperiment is the registry's canned audit: one shard per
+// robustness class, a stall in each, verdicts from the faulted telemetry.
+// erachaos exposes the full fault/schedule surface.
+func runChaosExperiment(p Profile) (Result, error) {
+	return RunChaos(ChaosConfig{Seed: p.Seed})
 }
 
 // RunChaos builds a gated store with one shard per scheme, runs
@@ -267,65 +215,27 @@ func runTimedClients(st *store.Store, src *workload.Source, clients, batchSize i
 // robustness class against the fitted growth of its faulted window.
 func RunChaos(cfg ChaosConfig) (ChaosResult, error) {
 	cfg.fill()
-	nshards := len(cfg.Schemes)
-	gates := make([]*sched.Breakpoints, nshards)
-	specs := make([]store.ShardSpec, nshards)
-	for i, scheme := range cfg.Schemes {
-		gates[i] = sched.NewBreakpoints()
-		specs[i] = store.ShardSpec{
-			Scheme:    scheme,
-			Structure: cfg.Structure,
-			Workers:   cfg.WorkersPerShard,
-			Threshold: cfg.Threshold,
-			Slots:     cfg.SlotsPerShard,
-			Gate:      gates[i],
-		}
+	fc := fleetConfig{
+		schemes: cfg.Schemes, structure: cfg.Structure, workers: cfg.WorkersPerShard,
+		clients: cfg.Clients, batch: cfg.Batch, keyRange: cfg.KeyRange, duration: cfg.Duration,
+		mix: cfg.Mix, workload: cfg.Workload, schedule: cfg.Schedule, seed: cfg.Seed,
 	}
 	// With ObsAddr set, the plane serves live throughout: shard scans and
 	// guard trips from the store, fire/heal events from the engine, all
 	// on one shared run clock.
-	var (
-		clock    *rec.Clock
-		recorder *rec.Recorder
-	)
 	if cfg.ObsAddr != "" {
-		clock = rec.NewClock()
-		recorder = rec.NewRecorder(clock, 0)
+		fc.clock = rec.NewClock()
+		fc.recorder = rec.NewRecorder(fc.clock, 0)
 	}
-	st, err := store.New(store.Config{Shards: specs, KeyRange: cfg.KeyRange, Recorder: recorder})
+	f, err := newFleet(fc)
 	if err != nil {
 		return ChaosResult{}, err
 	}
-	defer st.Close()
-
-	src, err := workload.New(workload.Config{
-		Dist:     cfg.Workload,
-		Schedule: cfg.Schedule,
-		KeyRange: cfg.KeyRange,
-		Mix:      cfg.Mix,
-		Seed:     cfg.Seed,
-	})
-	if err != nil {
-		return ChaosResult{}, err
-	}
-
-	// Prefill to half occupancy through the service, like any traffic.
-	if err := prefillHalf(st, cfg.KeyRange, cfg.Batch, cfg.Seed); err != nil {
-		return ChaosResult{}, err
-	}
-
-	sampler := telemetry.NewSampler(
-		telemetry.Config{Interval: cfg.SampleInterval, Capacity: 4096,
-			Clock: clock, Recorder: recorder},
-		storeProbe(st))
-
-	target := &chaos.Target{Store: st, Gates: gates, KeyRange: cfg.KeyRange}
-	engine := chaos.NewEngine(target)
-	engine.SetObs(clock, recorder)
+	defer f.st.Close()
 
 	var obsURL string
 	if cfg.ObsAddr != "" {
-		srv, err := obs.Serve(cfg.ObsAddr, &obs.Registry{Store: st, Sampler: sampler, Recorder: recorder})
+		srv, err := obs.Serve(cfg.ObsAddr, &obs.Registry{Store: f.st, Sampler: f.sampler, Recorder: fc.recorder})
 		if err != nil {
 			return ChaosResult{}, err
 		}
@@ -333,74 +243,48 @@ func RunChaos(cfg ChaosConfig) (ChaosResult, error) {
 		obsURL = srv.URL
 	}
 	for _, name := range cfg.Faults {
-		for s := 0; s < nshards; s++ {
-			if err := engine.Add(name, chaos.Params{Shard: s}, chaos.OneShot(cfg.FaultAfter)); err != nil {
+		for s := range cfg.Schemes {
+			if err := f.engine.Add(name, chaos.Params{Shard: s}, chaos.OneShot(cfg.Duration/8)); err != nil {
 				return ChaosResult{}, err
 			}
 		}
 	}
 
-	sampler.Start()
-	engine.Start()
-	start := time.Now()
-	deadline := start.Add(cfg.Duration)
-
-	// Heal at the deadline from a watchdog: clients blocked on a stalled
-	// worker only come back once the faults do, so the engine must stop
-	// first, independent of client progress. The evidence — shard stats
-	// and the telemetry series — is snapshotted at the deadline too,
-	// *before* the heals run: a churn heal reopens its shard with zeroed
-	// counters, and a stall heal lets the resumed worker collapse the
-	// backlog, either of which would contaminate the faulted window if
-	// read afterwards.
 	var stats store.Stats
-	series := make([][]telemetry.Point, nshards)
-	healed := make(chan struct{})
-	go func() {
-		defer close(healed)
-		time.Sleep(time.Until(deadline))
-		stats = st.Stats()
-		for s := 0; s < nshards; s++ {
-			series[s] = sampler.Series(s).Points()
-		}
-		engine.Stop()
-	}()
-	ops, opErrs, lat, err := runTimedClients(st, src, cfg.Clients, cfg.Batch, deadline, nil)
-	<-healed
-	elapsed := time.Since(start)
-	sampler.Stop()
+	var series [][]telemetry.Point
+	t, err := f.run(func() {
+		stats = f.st.Stats()
+		series = f.series()
+	}, nil)
 	if err != nil {
 		return ChaosResult{}, err
 	}
-	if err := st.Close(); err != nil {
-		return ChaosResult{}, err
-	}
 
-	events := engine.Events()
+	events := f.engine.Events()
+	srcCfg := f.src.Config()
 	res := ChaosResult{
 		Events:     events,
 		Consistent: true,
 		ObsURL:     obsURL,
 		Agg: ChaosAggregate{
-			Shards:   nshards,
+			Shards:   len(cfg.Schemes),
 			Schemes:  cfg.Schemes,
 			Faults:   cfg.Faults,
 			Clients:  cfg.Clients,
 			Batch:    cfg.Batch,
 			Workers:  cfg.WorkersPerShard,
 			KeyRange: cfg.KeyRange,
-			Mix:      src.Config().Mix,
-			Workload: src.Config().Dist,
-			Schedule: src.Config().Schedule,
+			Mix:      srcCfg.Mix,
+			Workload: srcCfg.Dist,
+			Schedule: srcCfg.Schedule,
 			Seed:     cfg.Seed,
-			Elapsed:  elapsed,
-			Ops:      ops,
-			OpErrs:   opErrs,
-			P50:      lat.Percentile(0.50),
-			P99:      lat.Percentile(0.99),
+			Elapsed:  t.elapsed,
+			Ops:      t.ops,
+			OpErrs:   t.opErrs,
+			P50:      t.lat.Percentile(0.50),
+			P99:      t.lat.Percentile(0.99),
 		},
 	}
-	budget := telemetry.Budget{Threads: cfg.WorkersPerShard, Threshold: cfg.Threshold}
 	for s, scheme := range cfg.Schemes {
 		props, err := all.Props(scheme)
 		if err != nil {
@@ -416,7 +300,7 @@ func RunChaos(cfg ChaosConfig) (ChaosResult, error) {
 			}
 		}
 		points := series[s]
-		v := telemetry.Audit(scheme, props.Robustness, points, from, budget)
+		v := telemetry.Audit(scheme, props.Robustness, points, from, f.budget())
 		v.Fit.Sanitize()
 		row := ChaosRow{
 			Shard:       s,
@@ -452,27 +336,4 @@ func RunChaos(cfg ChaosConfig) (ChaosResult, error) {
 		res.Rows = append(res.Rows, row)
 	}
 	return res, nil
-}
-
-// ChaosVerdictError is returned by CheckChaos when an audit contradicts a
-// declared robustness class.
-type ChaosVerdictError struct{ Rows []ChaosRow }
-
-func (e *ChaosVerdictError) Error() string {
-	return fmt.Sprintf("chaos: %d scheme(s) violated their declared robustness class", len(e.Rows))
-}
-
-// CheckChaos returns a ChaosVerdictError when the result holds
-// violations, for drivers that want a nonzero exit under -strict.
-func CheckChaos(res ChaosResult) error {
-	var bad []ChaosRow
-	for _, r := range res.Rows {
-		if !r.Consistent {
-			bad = append(bad, r)
-		}
-	}
-	if len(bad) > 0 {
-		return &ChaosVerdictError{Rows: bad}
-	}
-	return nil
 }

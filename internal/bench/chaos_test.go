@@ -1,7 +1,6 @@
 package bench
 
 import (
-	"bytes"
 	"strings"
 	"testing"
 	"time"
@@ -68,26 +67,13 @@ func TestRunChaosSeparatesClasses(t *testing.T) {
 	if res.Agg.Ops == 0 {
 		t.Error("clients made no progress under chaos")
 	}
-	if err := CheckChaos(res); err != nil {
-		t.Errorf("CheckChaos: %v", err)
-	}
-
-	// The artifact round-trips.
-	var buf bytes.Buffer
-	if err := WriteChaosReport(&buf, res); err != nil {
-		t.Fatal(err)
-	}
-	rep, err := ReadChaosReport(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Experiment != "chaos" || len(rep.Rows) != 3 || !rep.Consistent {
-		t.Fatalf("artifact round-trip mangled: %+v", rep.Aggregate)
+	if err := Check(res); err != nil {
+		t.Errorf("Check: %v", err)
 	}
 
 	// And the table renders every verdict.
 	var tbl strings.Builder
-	WriteChaosTable(&tbl, res)
+	res.WriteTable(&tbl)
 	for _, want := range []string{"ebr", "hp", "unbounded", "bounded", "confirmed"} {
 		if !strings.Contains(tbl.String(), want) {
 			t.Errorf("table missing %q:\n%s", want, tbl.String())
@@ -96,8 +82,7 @@ func TestRunChaosSeparatesClasses(t *testing.T) {
 }
 
 // TestRunChaosChurnFault exercises the close/reopen fault through the
-// full experiment: op errors are absorbed, the run completes, and the
-// artifact stays well-formed.
+// full experiment: op errors are absorbed and the run completes.
 func TestRunChaosChurnFault(t *testing.T) {
 	if testing.Short() {
 		t.Skip("chaos run needs a real traffic window")
@@ -113,12 +98,5 @@ func TestRunChaosChurnFault(t *testing.T) {
 	}
 	if res.Agg.OpErrs == 0 {
 		t.Error("churn fault produced no ErrShardClosed results — did it fire?")
-	}
-	var buf bytes.Buffer
-	if err := WriteChaosReport(&buf, res); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ReadChaosReport(&buf); err != nil {
-		t.Fatal(err)
 	}
 }

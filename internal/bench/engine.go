@@ -28,15 +28,13 @@ type ThroughputConfig struct {
 	// Schedule names the op-mix schedule ("steady", "phased", "oversub");
 	// empty selects steady around Mix.
 	Schedule string
-	// WarmupOpsPerThread is the untimed warmup run before measurement: 0
-	// selects OpsPerThread/10, negative disables warmup entirely.
-	WarmupOpsPerThread int
-	// LatencySample times every n-th operation (default 5: sparse enough
-	// that clock reads don't dominate a fast structure, and coprime to the
-	// oversub schedule's yield period so post-yield ops aren't
-	// systematically over-sampled).
-	LatencySample int
 }
+
+// latencySample times every n-th operation: sparse enough that clock
+// reads don't dominate a fast structure, and coprime to the oversub
+// schedule's yield period so post-yield ops aren't systematically
+// over-sampled.
+const latencySample = 5
 
 // ThroughputRow is one measurement of the throughput experiment.
 type ThroughputRow struct {
@@ -118,15 +116,8 @@ func newEngine(scheme, structure string, cfg ThroughputConfig) (*engine, error) 
 	return &engine{cfg: cfg, arena: a, s: s, set: set, src: src}, nil
 }
 
-func warmupOps(cfg ThroughputConfig) int {
-	switch {
-	case cfg.WarmupOpsPerThread < 0:
-		return 0
-	case cfg.WarmupOpsPerThread == 0:
-		return cfg.OpsPerThread / 10
-	}
-	return cfg.WarmupOpsPerThread
-}
+// warmupOps is the untimed per-thread warmup run before measurement.
+func warmupOps(cfg ThroughputConfig) int { return cfg.OpsPerThread / 10 }
 
 // prefill inserts random keys until the set holds about half the key range,
 // so contains() hits about half the time.
@@ -141,13 +132,9 @@ func (e *engine) prefill() error {
 }
 
 // runPhase drives ops operations per thread from src, one stream per
-// thread. When lats is non-nil, thread tid records every sample-th
+// thread. When lats is non-nil, thread tid records every latencySample-th
 // operation's latency into lats[tid].
 func (e *engine) runPhase(src *workload.Source, ops int, lats []hist.Latency) error {
-	sample := e.cfg.LatencySample
-	if sample <= 0 {
-		sample = 5
-	}
 	var wg sync.WaitGroup
 	errs := make([]error, e.cfg.Threads)
 	for tid := 0; tid < e.cfg.Threads; tid++ {
@@ -161,7 +148,7 @@ func (e *engine) runPhase(src *workload.Source, ops int, lats []hist.Latency) er
 			}
 			for i := 0; i < ops; i++ {
 				op, key := stream.Next()
-				timed := lat != nil && i%sample == 0
+				timed := lat != nil && i%latencySample == 0
 				var t0 time.Time
 				if timed {
 					t0 = time.Now()

@@ -44,33 +44,6 @@ func TestThroughputRejectsUnknownWorkload(t *testing.T) {
 	}
 }
 
-// TestJSONReportRoundTrip: the machine-readable artifact preserves the rows.
-func TestJSONReportRoundTrip(t *testing.T) {
-	row, err := bench.Throughput("vbr", "michael", bench.ThroughputConfig{
-		Threads: 2, OpsPerThread: 1500, KeyRange: 128, Workload: "zipfian", Schedule: "phased", Seed: 3,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var sb strings.Builder
-	if err := bench.WriteJSONReport(&sb, "throughput", []bench.ThroughputRow{row}); err != nil {
-		t.Fatal(err)
-	}
-	out := sb.String()
-	for _, want := range []string{`"experiment": "throughput"`, `"workload": "zipfian"`, `"schedule": "phased"`, `"p99_ns"`} {
-		if !strings.Contains(out, want) {
-			t.Errorf("artifact missing %s:\n%s", want, out)
-		}
-	}
-	rep, err := bench.ReadJSONReport(strings.NewReader(out))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rep.Rows) != 1 || rep.Rows[0] != row {
-		t.Errorf("round trip changed the row:\n got %+v\nwant %+v", rep.Rows[0], row)
-	}
-}
-
 // TestThroughputLatencyPercentilesOrdered: percentile columns behave on the
 // classic path too (uniform/steady via the legacy config shape).
 func TestThroughputLatencyPercentilesOrdered(t *testing.T) {
@@ -87,7 +60,7 @@ func TestThroughputLatencyPercentilesOrdered(t *testing.T) {
 		t.Errorf("percentiles p50=%v p99=%v", r.P50, r.P99)
 	}
 	var sb strings.Builder
-	bench.WriteThroughputTable(&sb, []bench.ThroughputRow{r})
+	bench.ThroughputResult{Rows: []bench.ThroughputRow{r}}.WriteTable(&sb)
 	if !strings.Contains(sb.String(), "p99") || !strings.Contains(sb.String(), "uniform/steady") {
 		t.Errorf("table rendering lost workload/latency columns:\n%s", sb.String())
 	}

@@ -1,195 +1,72 @@
+// EXP-OBS: the observability experiment. An adaptive fleet under
+// staggered, self-healing delayed-release faults with the full plane
+// wired — flight recorder on every subsystem, SLO monitor on the request
+// path, optional live HTTP export — whose product is the causal timeline
+// (fault fired → backlog inflection → verdict flip → migration → heal)
+// with detection/reaction latencies, plus a recorder-on/off overhead A/B.
+
 package bench
 
 import (
 	"fmt"
+	"io"
 	"runtime"
+	"slices"
 	"time"
 
 	"repro/internal/adapt"
 	"repro/internal/chaos"
 	"repro/internal/obs"
 	"repro/internal/obs/rec"
-	"repro/internal/sched"
-	"repro/internal/smr/all"
 	"repro/internal/store"
 	"repro/internal/telemetry"
 	"repro/internal/workload"
 )
 
-// ObsConfig sizes the observability experiment (EXP-OBS): an adaptive
-// fleet under staggered, self-healing faults with the full plane wired —
-// flight recorder on every subsystem, SLO monitor on the request path,
-// optional live HTTP export — whose product is the causal timeline
-// (fault fired → backlog inflection → verdict flip → migration → heal)
-// with detection/reaction latencies, plus a recorder-on/off overhead A/B.
-type ObsConfig struct {
-	// Shards is the fleet size; 0 selects 2. Every shard starts on
-	// StartScheme and carries its own staggered fault.
-	Shards int
-	// StartScheme is the (deliberately non-robust) starting rung; empty
-	// selects the ladder's bottom.
-	StartScheme string
-	// Ladder is the controller's migration ladder; empty selects
-	// ebr → ibr → hp.
-	Ladder []string
-	// Structure is the per-shard set structure; empty selects "hashmap".
-	Structure string
-	// WorkersPerShard sizes each pool; 0 selects one survivor above the
-	// parking-fault count (min 2), as in EXP-CHAOS.
-	WorkersPerShard int
-	// Clients is the closed-loop client count; 0 selects 2 × Shards.
-	Clients int
-	// Batch is operations per service request; 0 selects 16.
-	Batch int
-	// KeyRange is the key universe; 0 selects 2048.
-	KeyRange int
-	// Threshold is the retire-scan threshold; 0 selects 16.
-	Threshold int
-	// SlotsPerShard sizes each shard heap; 0 selects 1<<18.
-	SlotsPerShard int
-	// Duration is the traffic window; 0 selects 1s — room for the last
-	// staggered fault's full chain to close.
-	Duration time.Duration
-	// FaultAfter delays shard 0's fault; 0 selects Duration/8.
-	FaultAfter time.Duration
-	// Stagger spaces consecutive shards' faults; 0 selects Duration/16.
-	Stagger time.Duration
-	// Hold is each fault's held window before it self-heals; 0 selects
-	// Duration/2 — the heal lands mid-run, so the chain closes on tape.
-	Hold time.Duration
-	// Faults names the chaos faults, one per shard each; empty selects
-	// ["delayed-release"].
-	Faults []string
-	// SampleInterval is the telemetry tick; 0 derives ~200 samples per
-	// window clamped to [200µs, 5ms].
-	SampleInterval time.Duration
-	// DecideInterval is the controller tick; 0 selects Duration/32
-	// clamped to [5ms, 25ms].
-	DecideInterval time.Duration
-	// Hysteresis is the controller's consecutive-verdict requirement;
-	// 0 selects 2.
-	Hysteresis int
-	// SLOTarget is the p99 service-request objective; 0 selects 50ms
-	// (breaches are informative, not required — "robust but slow" is a
-	// state the plane reports, not one the experiment engineers).
-	SLOTarget time.Duration
-	// RecorderCapacity is the per-stripe ring size; 0 selects 1<<15 —
-	// large enough that a one-second window's scan events cannot wrap
-	// the early fault fires out of the ring (the default rec capacity
-	// is sized for always-on deployments, where a wrapped suffix is the
-	// point; the experiment wants the whole tape).
-	RecorderCapacity int
-	// OverheadRounds is how many recorder-on/off round *pairs* the
-	// overhead A/B runs (each arm's best round is compared); 0 selects
-	// 3, negative disables the A/B.
-	OverheadRounds int
-	// OverheadRoundDuration is one A/B round's traffic window; 0 selects
-	// 120ms.
-	OverheadRoundDuration time.Duration
-	// ObsAddr, when non-empty, serves the live plane (/metrics, /timeline,
-	// pprof) on this address for the duration of the faulted run.
-	ObsAddr string
-	// Mix, Workload, Schedule name the traffic shape; zero values select
-	// balanced/uniform/steady.
-	Mix      Mix
-	Workload string
-	Schedule string
-	// Seed makes client streams deterministic.
-	Seed uint64
+// obsConfig is what EXP-OBS varies; the rest of its sizing is the shared
+// fleet sizing (fleet.go) and the constants below.
+type obsConfig struct {
+	// duration is the traffic window — room for the last staggered
+	// fault's full chain to close. Shard 0's fault fires duration/8 in,
+	// consecutive shards' faults are spaced duration/16 apart (so the
+	// incidents are separable on the tape), and each self-heals after
+	// duration/2 — mid-run, so the chain closes on tape.
+	duration time.Duration
+	// overheadRound is one recorder-on/off A/B round's traffic window.
+	overheadRound time.Duration
+	seed          uint64
+	obsAddr       string
 }
 
-func (cfg *ObsConfig) fill() {
-	if cfg.Shards <= 0 {
-		cfg.Shards = 2
+func (p Profile) obsConfig() obsConfig {
+	cfg := obsConfig{duration: time.Second, overheadRound: 120 * time.Millisecond, seed: p.Seed, obsAddr: p.ObsAddr}
+	if p.Short {
+		cfg.duration = 700 * time.Millisecond
+		cfg.overheadRound = 100 * time.Millisecond
 	}
-	if len(cfg.Ladder) == 0 {
-		cfg.Ladder = []string{"ebr", "ibr", "hp"}
-	}
-	if cfg.StartScheme == "" {
-		cfg.StartScheme = cfg.Ladder[0]
-	}
-	if cfg.Structure == "" {
-		cfg.Structure = "hashmap"
-	}
-	if len(cfg.Faults) == 0 {
-		cfg.Faults = []string{"delayed-release"}
-	}
-	if cfg.WorkersPerShard <= 0 {
-		parks := 0
-		for _, f := range cfg.Faults {
-			if chaos.ParksWorker(f) {
-				parks++
-			}
-		}
-		cfg.WorkersPerShard = parks + 1
-		if cfg.WorkersPerShard < 2 {
-			cfg.WorkersPerShard = 2
-		}
-	}
-	if cfg.Clients <= 0 {
-		cfg.Clients = 2 * cfg.Shards
-	}
-	if cfg.Batch <= 0 {
-		cfg.Batch = 16
-	}
-	if cfg.KeyRange <= 0 {
-		cfg.KeyRange = 2048
-	}
-	if cfg.Threshold <= 0 {
-		cfg.Threshold = 16
-	}
-	if cfg.SlotsPerShard <= 0 {
-		cfg.SlotsPerShard = 1 << 18
-	}
-	if cfg.Duration <= 0 {
-		cfg.Duration = time.Second
-	}
-	if cfg.FaultAfter <= 0 {
-		cfg.FaultAfter = cfg.Duration / 8
-	}
-	if cfg.Stagger <= 0 {
-		cfg.Stagger = cfg.Duration / 16
-	}
-	if cfg.Hold <= 0 {
-		cfg.Hold = cfg.Duration / 2
-	}
-	if cfg.SampleInterval <= 0 {
-		cfg.SampleInterval = sampleEvery(cfg.Duration)
-	}
-	if cfg.DecideInterval <= 0 {
-		cfg.DecideInterval = cfg.Duration / 32
-		if cfg.DecideInterval < 5*time.Millisecond {
-			cfg.DecideInterval = 5 * time.Millisecond
-		}
-		if cfg.DecideInterval > 25*time.Millisecond {
-			cfg.DecideInterval = 25 * time.Millisecond
-		}
-	}
-	if cfg.Hysteresis <= 0 {
-		cfg.Hysteresis = 2
-	}
-	if cfg.SLOTarget <= 0 {
-		cfg.SLOTarget = 50 * time.Millisecond
-	}
-	if cfg.RecorderCapacity <= 0 {
-		cfg.RecorderCapacity = 1 << 15
-	}
-	if cfg.OverheadRounds == 0 {
-		cfg.OverheadRounds = 3
-	}
-	if cfg.OverheadRoundDuration <= 0 {
-		cfg.OverheadRoundDuration = 120 * time.Millisecond
-	}
-	if cfg.Workload == "" {
-		cfg.Workload = "uniform"
-	}
-	if cfg.Schedule == "" {
-		cfg.Schedule = "steady"
-	}
-	if cfg.Mix == (Mix{}) {
-		cfg.Mix = MixBalanced
-	}
+	return cfg
 }
+
+const (
+	// obsShards is the fleet size: every shard starts on the ladder's
+	// bottom rung and carries its own staggered fault.
+	obsShards  = 2
+	obsClients = 2 * obsShards
+	obsFault   = "delayed-release"
+	// obsSLOTarget is the p99 service-request objective (breaches are
+	// informative, not required — "robust but slow" is a state the plane
+	// reports, not one the experiment engineers).
+	obsSLOTarget = 50 * time.Millisecond
+	// obsRecorderCapacity is the per-stripe ring size: large enough that
+	// a one-second window's scan events cannot wrap the early fault fires
+	// out of the ring (the default rec capacity is sized for always-on
+	// deployments, where a wrapped suffix is the point; the experiment
+	// wants the whole tape).
+	obsRecorderCapacity = 1 << 15
+	// obsOverheadRounds is how many recorder-on/off round *pairs* the
+	// overhead A/B runs (each arm's best round is compared).
+	obsOverheadRounds = 3
+)
 
 // ObsOverhead is the recorder-on vs recorder-off throughput A/B: the
 // plane's budget is ≤5% of throughput, and this is where the claim is
@@ -257,194 +134,115 @@ type ObsResult struct {
 	ServedAt string `json:"served_at,omitempty"`
 }
 
-// RunObs runs EXP-OBS: an adaptive fleet of Shards identical shards on
-// the ladder's bottom rung, one staggered self-healing fault per shard,
+// runObs runs EXP-OBS: an adaptive fleet of identical shards on the
+// ladder's bottom rung, one staggered self-healing fault per shard,
 // every subsystem stamping the shared flight recorder, the SLO monitor
 // fed from the live request path — then joins the tape into per-incident
 // causal chains and measures the recorder's own throughput cost.
-func RunObs(cfg ObsConfig) (ObsResult, error) {
-	cfg.fill()
-
+func runObs(p Profile) (Result, error) {
+	cfg := p.obsConfig()
 	clock := rec.NewClock()
-	recorder := rec.NewRecorder(clock, cfg.RecorderCapacity)
-
-	grace := cfg.Duration / 16
-	if grace < 10*time.Millisecond {
-		grace = 10 * time.Millisecond
+	recorder := rec.NewRecorder(clock, obsRecorderCapacity)
+	schemes := make([]string, obsShards)
+	for i := range schemes {
+		schemes[i] = fleetLadder[0]
 	}
-	gates := make([]*sched.Breakpoints, cfg.Shards)
-	specs := make([]store.ShardSpec, cfg.Shards)
-	for i := range specs {
-		gates[i] = sched.NewBreakpoints()
-		specs[i] = store.ShardSpec{
-			Scheme:    cfg.StartScheme,
-			Structure: cfg.Structure,
-			Workers:   cfg.WorkersPerShard,
-			Threshold: cfg.Threshold,
-			Slots:     cfg.SlotsPerShard,
-			Gate:      gates[i],
-		}
-	}
-	st, err := store.New(store.Config{
-		Shards:       specs,
-		KeyRange:     cfg.KeyRange,
-		MigrateGrace: grace,
-		Recorder:     recorder,
+	// controlled: the monitor (domain i = shard i) mirrors its verdict
+	// flips onto the tape — the detection half of every incident chain.
+	f, err := newFleet(fleetConfig{
+		schemes: schemes, structure: fleetStructure, workers: fleetWorkers,
+		clients: obsClients, batch: fleetBatch, keyRange: fleetKeyRange,
+		duration: cfg.duration, mix: MixBalanced, workload: fleetWorkload, schedule: fleetSchedule,
+		seed: cfg.seed, controlled: true, clock: clock, recorder: recorder,
 	})
 	if err != nil {
-		return ObsResult{}, err
+		return nil, err
 	}
-	defer st.Close()
-
-	src, err := workload.New(workload.Config{
-		Dist:     cfg.Workload,
-		Schedule: cfg.Schedule,
-		KeyRange: cfg.KeyRange,
-		Mix:      cfg.Mix,
-		Seed:     cfg.Seed,
-	})
-	if err != nil {
-		return ObsResult{}, err
-	}
-	if err := prefillHalf(st, cfg.KeyRange, cfg.Batch, cfg.Seed); err != nil {
-		return ObsResult{}, err
-	}
-
-	// The monitor: domain i = shard i, verdict flips mirrored onto the
-	// tape — the detection half of every incident chain.
-	startProps, err := all.Props(cfg.StartScheme)
-	if err != nil {
-		return ObsResult{}, err
-	}
-	budget := telemetry.Budget{Threads: cfg.WorkersPerShard, Threshold: cfg.Threshold}
-	domains := make([]telemetry.Domain, cfg.Shards)
-	for i := range domains {
-		domains[i] = telemetry.Domain{
-			Scheme:   cfg.StartScheme,
-			Declared: startProps.Robustness,
-			Budget:   budget,
-		}
-	}
-	mon := telemetry.NewMonitor(telemetry.MonitorConfig{
-		OnFlip: obs.VerdictHook(recorder),
-	}, domains)
-	sampler := telemetry.NewSampler(telemetry.Config{
-		Interval: cfg.SampleInterval,
-		Capacity: 4096,
-		OnSample: mon.Observe,
-		Clock:    clock,
-		Recorder: recorder,
-	}, storeProbe(st))
+	defer f.st.Close()
 
 	ctl, err := adapt.New(adapt.Config{
-		Ladder:     cfg.Ladder,
-		Interval:   cfg.DecideInterval,
-		Hysteresis: cfg.Hysteresis,
+		Ladder:     fleetLadder,
+		Interval:   decideEvery(cfg.duration),
+		Hysteresis: adaptiveHysteresis,
 		Clock:      clock,
 		Recorder:   recorder,
-	}, st, mon)
+	}, f.st, f.mon)
 	if err != nil {
-		return ObsResult{}, err
+		return nil, err
 	}
-
-	// One self-healing fault per shard, staggered so the incidents are
-	// separable on the tape.
-	target := &chaos.Target{Store: st, Gates: gates, KeyRange: cfg.KeyRange}
-	engine := chaos.NewEngine(target)
-	engine.SetObs(clock, recorder)
-	for s := 0; s < cfg.Shards; s++ {
-		fault := cfg.Faults[s%len(cfg.Faults)]
-		after := cfg.FaultAfter + time.Duration(s)*cfg.Stagger
-		if err := engine.Add(fault, chaos.Params{Shard: s}, chaos.Schedule{
-			After:    after,
-			Hold:     cfg.Hold,
+	faultAfter, stagger, hold := cfg.duration/8, cfg.duration/16, cfg.duration/2
+	for s := 0; s < obsShards; s++ {
+		if err := f.engine.Add(obsFault, chaos.Params{Shard: s}, chaos.Schedule{
+			After:    faultAfter + time.Duration(s)*stagger,
+			Hold:     hold,
 			Episodes: 1,
 		}); err != nil {
-			return ObsResult{}, err
+			return nil, err
 		}
 	}
 
-	slo := obs.NewSLO(cfg.SLOTarget, 512, clock, recorder)
-
+	slo := obs.NewSLO(obsSLOTarget, 512, clock, recorder)
 	var srv *obs.Server
-	if cfg.ObsAddr != "" {
-		srv, err = obs.Serve(cfg.ObsAddr, &obs.Registry{
-			Store:    st,
-			Sampler:  sampler,
-			Monitor:  mon,
+	if cfg.obsAddr != "" {
+		srv, err = obs.Serve(cfg.obsAddr, &obs.Registry{
+			Store:    f.st,
+			Sampler:  f.sampler,
+			Monitor:  f.mon,
 			Recorder: recorder,
 			SLO:      slo,
 		})
 		if err != nil {
-			return ObsResult{}, err
+			return nil, err
 		}
 		defer srv.Close()
 	}
 
-	sampler.Start()
-	engine.Start()
 	ctl.Start()
-	slo.Start(cfg.SampleInterval)
-	start := time.Now()
-	deadline := start.Add(cfg.Duration)
-
-	// Deadline watchdog, as in the chaos and adaptive runs: freeze the
-	// policy, snapshot the evidence, then stop the engine. The faults
-	// self-heal at Hold, so by the deadline the engine is normally idle.
-	series := make(map[int][]telemetry.Point, cfg.Shards)
-	healed := make(chan struct{})
-	go func() {
-		defer close(healed)
-		time.Sleep(time.Until(deadline))
+	slo.Start(sampleEvery(cfg.duration))
+	// At the deadline: freeze the policy, snapshot the evidence. The
+	// faults self-heal at hold, so by then the engine is normally idle.
+	series := make(map[int][]telemetry.Point, obsShards)
+	t, err := f.run(func() {
 		ctl.Stop()
-		for s := 0; s < cfg.Shards; s++ {
-			series[s] = sampler.Series(s).Points()
+		for s, pts := range f.series() {
+			series[s] = pts
 		}
-		engine.Stop()
-	}()
-	ops, opErrs, lat, err := runTimedClients(st, src, cfg.Clients, cfg.Batch, deadline, slo.Observe)
-	<-healed
-	elapsed := time.Since(start)
+	}, slo.Observe)
 	slo.Stop()
-	sampler.Stop()
 	if err != nil {
-		return ObsResult{}, err
-	}
-	if err := st.Close(); err != nil {
-		return ObsResult{}, err
+		return nil, err
 	}
 
 	events := recorder.Snapshot()
-	tl := obs.BuildTimeline(events, series, elapsed)
-
+	tl := obs.BuildTimeline(events, series, t.elapsed)
 	res := ObsResult{
 		Agg: ObsAggregate{
-			Shards:      cfg.Shards,
-			StartScheme: cfg.StartScheme,
-			Ladder:      cfg.Ladder,
-			Structure:   cfg.Structure,
-			Faults:      cfg.Faults,
-			Workers:     cfg.WorkersPerShard,
-			Clients:     cfg.Clients,
-			Batch:       cfg.Batch,
-			KeyRange:    cfg.KeyRange,
-			Duration:    cfg.Duration,
-			FaultAfter:  cfg.FaultAfter,
-			Stagger:     cfg.Stagger,
-			Hold:        cfg.Hold,
-			SLOTarget:   cfg.SLOTarget,
-			Seed:        cfg.Seed,
-			Elapsed:     elapsed,
-			Ops:         ops,
-			OpErrs:      opErrs,
-			MopsPerSec:  float64(ops) / elapsed.Seconds() / 1e6,
-			P50:         lat.Percentile(0.50),
-			P99:         lat.Percentile(0.99),
+			Shards:      obsShards,
+			StartScheme: fleetLadder[0],
+			Ladder:      fleetLadder,
+			Structure:   fleetStructure,
+			Faults:      []string{obsFault},
+			Workers:     fleetWorkers,
+			Clients:     obsClients,
+			Batch:       fleetBatch,
+			KeyRange:    fleetKeyRange,
+			Duration:    cfg.duration,
+			FaultAfter:  faultAfter,
+			Stagger:     stagger,
+			Hold:        hold,
+			SLOTarget:   obsSLOTarget,
+			Seed:        cfg.seed,
+			Elapsed:     t.elapsed,
+			Ops:         t.ops,
+			OpErrs:      t.opErrs,
+			MopsPerSec:  float64(t.ops) / t.elapsed.Seconds() / 1e6,
+			P50:         t.lat.Percentile(0.50),
+			P99:         t.lat.Percentile(0.99),
 		},
 		Timeline:      tl,
-		Complete:      tl.Complete() && len(tl.Incidents) == cfg.Shards,
+		Complete:      tl.Complete() && len(tl.Incidents) == obsShards,
 		SLO:           slo.Snapshot(),
-		Sampler:       sampler.Health(),
+		Sampler:       f.sampler.Health(),
 		RecorderTotal: recorder.Total(),
 		RecorderDrops: recorder.Drops(),
 		Episodes:      ctl.Episodes(),
@@ -454,13 +252,8 @@ func RunObs(cfg ObsConfig) (ObsResult, error) {
 	if srv != nil {
 		res.ServedAt = srv.URL
 	}
-
-	if cfg.OverheadRounds > 0 {
-		oh, err := measureObsOverhead(cfg)
-		if err != nil {
-			return ObsResult{}, err
-		}
-		res.Overhead = oh
+	if res.Overhead, err = measureObsOverhead(cfg); err != nil {
+		return nil, err
 	}
 	return res, nil
 }
@@ -473,47 +266,36 @@ func RunObs(cfg ObsConfig) (ObsResult, error) {
 // past the budget on small runners. Alternation (on, off, off, on, ...)
 // spreads thermal and scheduler drift across both arms instead of
 // donating it to whichever ran second.
-func measureObsOverhead(cfg ObsConfig) (ObsOverhead, error) {
+func measureObsOverhead(cfg obsConfig) (ObsOverhead, error) {
 	round := func(withRecorder bool, seed uint64) (float64, error) {
 		var recorder *rec.Recorder
 		if withRecorder {
-			recorder = rec.NewRecorder(nil, cfg.RecorderCapacity)
-		}
-		specs := make([]store.ShardSpec, cfg.Shards)
-		for i := range specs {
-			specs[i] = store.ShardSpec{
-				Scheme:    cfg.StartScheme,
-				Structure: cfg.Structure,
-				Workers:   cfg.WorkersPerShard,
-				Threshold: cfg.Threshold,
-				Slots:     cfg.SlotsPerShard,
-			}
+			recorder = rec.NewRecorder(nil, obsRecorderCapacity)
 		}
 		st, err := store.New(store.Config{
-			Shards:   specs,
-			KeyRange: cfg.KeyRange,
+			Shards: store.Uniform(obsShards, store.ShardSpec{
+				Scheme:    fleetLadder[0],
+				Structure: fleetStructure,
+				Workers:   fleetWorkers,
+				Threshold: fleetThreshold,
+				Slots:     fleetSlots,
+			}),
+			KeyRange: fleetKeyRange,
 			Recorder: recorder,
 		})
 		if err != nil {
 			return 0, err
 		}
 		defer st.Close()
-		src, err := workload.New(workload.Config{
-			Dist:     cfg.Workload,
-			Schedule: cfg.Schedule,
-			KeyRange: cfg.KeyRange,
-			Mix:      cfg.Mix,
-			Seed:     seed,
-		})
+		src, err := workload.New(workload.Config{KeyRange: fleetKeyRange, Mix: MixBalanced, Seed: seed})
 		if err != nil {
 			return 0, err
 		}
-		if err := prefillHalf(st, cfg.KeyRange, cfg.Batch, seed); err != nil {
+		if err := prefillHalf(st, fleetKeyRange, fleetBatch, seed); err != nil {
 			return 0, err
 		}
 		start := time.Now()
-		ops, _, _, err := runTimedClients(st, src, cfg.Clients, cfg.Batch,
-			start.Add(cfg.OverheadRoundDuration), nil)
+		ops, _, _, err := runTimedClients(st, src, obsClients, fleetBatch, start.Add(cfg.overheadRound), nil)
 		elapsed := time.Since(start)
 		if err != nil {
 			return 0, err
@@ -524,13 +306,13 @@ func measureObsOverhead(cfg ObsConfig) (ObsOverhead, error) {
 	// One discarded warmup round: the first round after the faulted run
 	// pays for cold caches and allocator growth, and whichever arm drew
 	// it would eat a systematic penalty.
-	if _, err := round(true, cfg.Seed^0xdead); err != nil {
+	if _, err := round(true, cfg.seed^0xdead); err != nil {
 		return ObsOverhead{}, err
 	}
 
 	var on, off []float64
-	for i := 0; i < cfg.OverheadRounds; i++ {
-		seed := cfg.Seed + uint64(i)*7919
+	for i := 0; i < obsOverheadRounds; i++ {
+		seed := cfg.seed + uint64(i)*7919
 		// Alternate within-pair order (on/off, off/on, ...): the process
 		// keeps warming as rounds run, so a fixed order would donate the
 		// warm-up to whichever arm always ran second.
@@ -552,9 +334,9 @@ func measureObsOverhead(cfg ObsConfig) (ObsOverhead, error) {
 		}
 	}
 	oh := ObsOverhead{
-		Rounds:          cfg.OverheadRounds,
-		RecorderOnMops:  best(on),
-		RecorderOffMops: best(off),
+		Rounds:          obsOverheadRounds,
+		RecorderOnMops:  slices.Max(on),
+		RecorderOffMops: slices.Max(off),
 	}
 	if oh.RecorderOffMops > 0 {
 		oh.DeltaPct = (oh.RecorderOffMops - oh.RecorderOnMops) / oh.RecorderOffMops * 100
@@ -566,34 +348,80 @@ func measureObsOverhead(cfg ObsConfig) (ObsOverhead, error) {
 	return oh, nil
 }
 
-func best(xs []float64) float64 {
-	var m float64
-	for _, x := range xs {
-		if x > m {
-			m = x
-		}
-	}
-	return m
-}
-
-// CheckObs returns an error when the result misses the acceptance bar:
-// an unclosed incident chain, a non-finite detection latency, or a
-// recorder overhead above budget. Drivers use it for -strict exits.
-func CheckObs(res ObsResult) error {
-	if len(res.Timeline.Incidents) == 0 {
-		return fmt.Errorf("obs: no incidents on the tape (expected %d)", res.Agg.Shards)
-	}
-	for _, in := range res.Timeline.Incidents {
+// Gates is the acceptance bar: every injected fault's incident chain
+// closed, every detection latency is finite, and the recorder's overhead
+// stayed within budget.
+func (res ObsResult) Gates() []Gate {
+	incidents := res.Timeline.Incidents
+	complete := Gate{Name: "complete", OK: res.Complete,
+		Detail: fmt.Sprintf("%d incident(s) on the tape, expected one per shard (%d)", len(incidents), res.Agg.Shards)}
+	detected := Gate{Name: "detection_latency_ns", OK: len(incidents) > 0, Detail: "no incidents on the tape"}
+	// Backwards, so the first offending incident's detail wins.
+	for i := len(incidents) - 1; i >= 0; i-- {
+		in := incidents[i]
 		if !in.Complete {
-			return fmt.Errorf("obs: shard %d incident chain did not close (fault %q: verdict=%v migration=%v/%v heal=%v)",
+			complete.Detail = fmt.Sprintf("shard %d incident chain did not close (fault %q: verdict=%v migration=%v/%v heal=%v)",
 				in.Shard, in.Fault, in.VerdictAt != 0, in.MigrationStartAt != 0, in.MigrationDoneAt != 0, in.HealedAt != 0)
 		}
 		if in.DetectionLatency < 0 {
-			return fmt.Errorf("obs: shard %d detection latency is not finite", in.Shard)
+			detected.OK = false
+			detected.Detail = fmt.Sprintf("shard %d detection latency is not finite", in.Shard)
 		}
 	}
-	if res.Overhead.Rounds > 0 && !res.Overhead.OK {
-		return fmt.Errorf("obs: recorder overhead %.1f%% exceeds the 5%% budget", res.Overhead.DeltaPct)
+	return []Gate{complete, detected, {
+		Name: "overhead_ok", OK: res.Overhead.OK,
+		Detail: fmt.Sprintf("recorder overhead %.1f%% exceeds the 5%% budget", res.Overhead.DeltaPct),
+	}}
+}
+
+// Artifacts adds the run's event tape and backlog series as a Chrome
+// trace-event file (chrome://tracing, ui.perfetto.dev).
+func (res ObsResult) Artifacts() []Artifact {
+	return []Artifact{{Suffix: "trace", Write: func(w io.Writer) error {
+		return obs.WriteChromeTrace(w, res.Events, res.Series)
+	}}}
+}
+
+// WriteTable renders EXP-OBS: one line per incident chain, the
+// controller's migration log, then the plane's own accounting.
+func (res ObsResult) WriteTable(w io.Writer) {
+	fmt.Fprintf(w, "%-5s %-16s %10s %10s %10s %10s %-14s %8s\n",
+		"shard", "fault", "fired", "detect", "react", "healed", "migration", "complete")
+	for _, in := range res.Timeline.Incidents {
+		det, rea := "-", "-"
+		if in.DetectionLatency >= 0 {
+			det = fmtLatency(in.DetectionLatency)
+		}
+		if in.ReactionLatency >= 0 {
+			rea = fmtLatency(in.ReactionLatency)
+		}
+		healed := "-"
+		if in.HealedAt > 0 {
+			healed = in.HealedAt.Round(time.Millisecond).String()
+		}
+		fmt.Fprintf(w, "%-5d %-16s %10s %10s %10s %10s %-14s %8v\n",
+			in.Shard, in.Fault, in.FiredAt.Round(time.Millisecond),
+			det, rea, healed, in.Migration, in.Complete)
 	}
-	return nil
+	writeEpisodes(w, res.Episodes)
+	fmt.Fprintf(w, "flap: %d ladder moves, %d reversals, %.2f moves/s over %s\n",
+		res.Timeline.LadderMoves, res.Timeline.Reversals,
+		res.Timeline.FlapRatePerSec, res.Timeline.Span.Round(time.Millisecond))
+	fmt.Fprintf(w, "slo: p99 %s vs target %s, breached=%v, %d breach transition(s), %d points\n",
+		fmtLatency(res.SLO.P99), fmtLatency(res.SLO.Target), res.SLO.Breached,
+		res.SLO.Breaches, len(res.SLO.Points))
+	fmt.Fprintf(w, "recorder: %d events (%d dropped); sampler: %d ticks (%d skipped, %d late)\n",
+		res.RecorderTotal, res.RecorderDrops,
+		res.Sampler.Ticks, res.Sampler.SkippedTicks, res.Sampler.LateSamples)
+	fmt.Fprintf(w, "overhead: recorder on %.3f Mops/s vs off %.3f Mops/s, delta %.1f%% (ok=%v)\n",
+		res.Overhead.RecorderOnMops, res.Overhead.RecorderOffMops,
+		res.Overhead.DeltaPct, res.Overhead.OK)
+	a := res.Agg
+	fmt.Fprintf(w, "aggregate: %d shards from %s on ladder %v, faults %v held %s, %s window, %d clients × batch %d, %d ops (%d errs), p99 %s\n",
+		a.Shards, a.StartScheme, a.Ladder, a.Faults, a.Hold.Round(time.Millisecond),
+		a.Duration, a.Clients, a.Batch, a.Ops, a.OpErrs, fmtLatency(a.P99))
+	if res.ServedAt != "" {
+		fmt.Fprintf(w, "           live plane served at %s\n", res.ServedAt)
+	}
+	fmt.Fprintf(w, "           all incident chains complete: %v\n", res.Complete)
 }

@@ -2,6 +2,7 @@ package bench
 
 import (
 	"fmt"
+	"io"
 	"sync"
 	"time"
 
@@ -10,105 +11,62 @@ import (
 	"repro/internal/hist"
 	"repro/internal/obs/rec"
 	"repro/internal/sched"
-	"repro/internal/smr/all"
 	"repro/internal/store"
 	"repro/internal/telemetry"
 	"repro/internal/workload"
 )
 
-// PipelineConfig sizes EXP-PIPELINE: the blocking-loop vs pipelined
+// pipelineConfig is what EXP-PIPELINE — the blocking-loop vs pipelined
 // scatter-gather A/B over a multi-key/range request mix, plus the
 // partial-failure campaign that stalls one shard under chaos and checks
-// the executor degrades it instead of the whole fan-out.
-type PipelineConfig struct {
-	// Shards is the shard count; 0 selects 4.
-	Shards int
-	// Schemes assigns reclamation schemes shard-by-shard (cycled); empty
-	// selects ["ebr"].
-	Schemes []string
-	// Structure is the per-shard set structure; empty selects "michael"
-	// (ordered iteration lets range legs early-stop at the upper bound).
-	Structure string
-	// WorkersPerShard sizes shard worker pools; 0 selects 1, so the
-	// campaign's stall fully parks its shard — the case where partial
-	// results and saturation shedding must carry the service.
-	WorkersPerShard int
-	// Clients is the closed-loop client count; 0 selects Shards.
-	Clients int
-	// Duration is each A/B arm's traffic window; 0 selects 1s.
-	Duration time.Duration
-	// ChaosDuration is the campaign window; 0 selects Duration.
-	ChaosDuration time.Duration
-	// Window is the pipelined arm's per-client in-flight budget; 0
-	// selects 8. The blocking arm is Window = 1 by construction.
-	Window int
-	// KeyRange is the key universe; 0 selects 4096.
-	KeyRange int
-	// ReqMix shapes the request stream; zero selects ReqMixFanout (every
-	// request scatters — the shape the executor exists for).
-	ReqMix workload.ReqMix
-	// Dist names the key distribution; empty selects "uniform".
-	Dist string
-	// MultiSize is the key count per multi-key request; 0 selects 8.
-	MultiSize int
-	// QueueDepth and DispatchersPerShard size the executor; 0 selects the
-	// executor's defaults (the campaign narrows QueueDepth to 8 so
-	// admission pressure is visible inside a short window).
-	QueueDepth          int
-	DispatchersPerShard int
-	// LegTimeout is the campaign's leg completion budget; 0 selects 25ms.
-	// The healthy A/B arms run with the executor default.
-	LegTimeout time.Duration
-	// FaultShard is the campaign's stalled shard; 0 selects 1.
-	FaultShard int
-	// Seed makes every request stream deterministic.
-	Seed uint64
+// the executor degrades it instead of the whole fan-out — varies between
+// its smoke and full scale.
+type pipelineConfig struct {
+	// duration is each A/B arm's traffic window; chaosDuration the
+	// campaign's — long enough for the stall to saturate the leg budget
+	// and shed.
+	duration      time.Duration
+	chaosDuration time.Duration
+	keyRange      int
+	// legTimeout is the campaign's leg completion budget. The healthy A/B
+	// arms run without one.
+	legTimeout time.Duration
+	seed       uint64
 }
 
-func (cfg *PipelineConfig) fill() {
-	if cfg.Shards <= 0 {
-		cfg.Shards = 4
+func (p Profile) pipelineConfig() pipelineConfig {
+	if p.Short {
+		return pipelineConfig{duration: 250 * time.Millisecond, chaosDuration: 400 * time.Millisecond,
+			keyRange: 1024, legTimeout: 20 * time.Millisecond, seed: p.Seed}
 	}
-	if len(cfg.Schemes) == 0 {
-		cfg.Schemes = []string{"ebr"}
-	}
-	if cfg.Structure == "" {
-		cfg.Structure = "michael"
-	}
-	if cfg.WorkersPerShard <= 0 {
-		cfg.WorkersPerShard = 1
-	}
-	if cfg.Clients <= 0 {
-		cfg.Clients = cfg.Shards
-	}
-	if cfg.Duration <= 0 {
-		cfg.Duration = time.Second
-	}
-	if cfg.ChaosDuration <= 0 {
-		cfg.ChaosDuration = cfg.Duration
-	}
-	if cfg.Window <= 0 {
-		cfg.Window = 8
-	}
-	if cfg.KeyRange <= 0 {
-		cfg.KeyRange = 4096
-	}
-	if cfg.ReqMix == (workload.ReqMix{}) {
-		cfg.ReqMix = workload.ReqMixFanout
-	}
-	if cfg.Dist == "" {
-		cfg.Dist = "uniform"
-	}
-	if cfg.MultiSize <= 0 {
-		cfg.MultiSize = 8
-	}
-	if cfg.LegTimeout <= 0 {
-		cfg.LegTimeout = 25 * time.Millisecond
-	}
-	if cfg.FaultShard <= 0 {
-		cfg.FaultShard = 1
-	}
+	return pipelineConfig{duration: time.Second, chaosDuration: time.Second,
+		keyRange: 4096, legTimeout: 25 * time.Millisecond, seed: p.Seed}
 }
+
+// The fan-out deployment EXP-PIPELINE and EXP-RESIL share: ebr shards of
+// Michael's list (ordered iteration lets range legs early-stop at the
+// upper bound) under a request mix where every request scatters — the
+// shape the executor exists for.
+const (
+	fanoutShards    = 4
+	fanoutScheme    = "ebr"
+	fanoutStructure = "michael"
+	fanoutMultiSize = 8 // keys per multi-key request
+)
+
+const (
+	pipelineClients = fanoutShards
+	// pipelineWindow is the pipelined arm's per-client in-flight budget.
+	// The blocking arm is window = 1 by construction.
+	pipelineWindow = 8
+	// pipelineFaultShard is the campaign's stalled shard. Its single
+	// worker means the stall fully parks it — the case where partial
+	// results and saturation shedding must carry the service.
+	pipelineFaultShard = 1
+	// pipelineChaosQueue narrows the campaign's executor queues so a
+	// stalled shard's admission pressure shows inside a short window.
+	pipelineChaosQueue = 8
+)
 
 // PipelineArmRow is one A/B arm's measurement. Requests are whole
 // cross-shard requests (a multiget, a range scan); P50/P99 are
@@ -175,43 +133,35 @@ type PipelineResult struct {
 	PartialChainsClosed    bool `json:"partial_chains_closed"`
 }
 
-// newPipelineStore builds the experiment store (gated when the campaign
+// newFanoutStore builds the fan-out deployment (gated when a campaign
 // needs chaos hooks) and prefills it to half occupancy.
-func newPipelineStore(cfg PipelineConfig, gated bool, recorder *rec.Recorder) (*store.Store, []*sched.Breakpoints, error) {
-	specs := make([]store.ShardSpec, cfg.Shards)
+func newFanoutStore(workers, keyRange int, seed uint64, gated bool, recorder *rec.Recorder) (*store.Store, []*sched.Breakpoints, error) {
+	specs := store.Uniform(fanoutShards, store.ShardSpec{
+		Scheme: fanoutScheme, Structure: fanoutStructure, Workers: workers,
+	})
 	var gates []*sched.Breakpoints
 	if gated {
-		gates = make([]*sched.Breakpoints, cfg.Shards)
-	}
-	for i := range specs {
-		specs[i] = store.ShardSpec{
-			Scheme:    cfg.Schemes[i%len(cfg.Schemes)],
-			Structure: cfg.Structure,
-			Workers:   cfg.WorkersPerShard,
-		}
-		if gated {
+		gates = make([]*sched.Breakpoints, fanoutShards)
+		for i := range specs {
 			gates[i] = sched.NewBreakpoints()
 			specs[i].Gate = gates[i]
 		}
 	}
-	st, err := store.New(store.Config{Shards: specs, KeyRange: cfg.KeyRange, Recorder: recorder})
+	st, err := store.New(store.Config{Shards: specs, KeyRange: keyRange, Recorder: recorder})
 	if err != nil {
 		return nil, nil, err
 	}
-	if err := prefillHalf(st, cfg.KeyRange, 64, cfg.Seed); err != nil {
+	if err := prefillHalf(st, keyRange, 64, seed); err != nil {
 		st.Close()
 		return nil, nil, err
 	}
 	return st, gates, nil
 }
 
-func (cfg PipelineConfig) reqSource() (*workload.ReqSource, error) {
+// fanoutReqSource builds the deployment's deterministic request stream.
+func fanoutReqSource(mix workload.ReqMix, keyRange int, seed uint64) (*workload.ReqSource, error) {
 	return workload.NewReqSource(workload.ReqConfig{
-		Dist:      cfg.Dist,
-		KeyRange:  cfg.KeyRange,
-		Mix:       cfg.ReqMix,
-		MultiSize: cfg.MultiSize,
-		Seed:      cfg.Seed,
+		Dist: "uniform", KeyRange: keyRange, Mix: mix, MultiSize: fanoutMultiSize, Seed: seed,
 	})
 }
 
@@ -219,12 +169,12 @@ func (cfg PipelineConfig) reqSource() (*workload.ReqSource, error) {
 // time against the store's native interface — a blocking Do for
 // point/multi requests, a sequential shard-by-shard loop for ranges —
 // and waits for the merged answer before drawing the next request.
-func runBlockingArm(st *store.Store, src *workload.ReqSource, cfg PipelineConfig, deadline time.Time) (uint64, hist.Latency, error) {
+func runBlockingArm(st *store.Store, src *workload.ReqSource, deadline time.Time) (uint64, hist.Latency, error) {
 	var wg sync.WaitGroup
-	reqs := make([]uint64, cfg.Clients)
-	lats := make([]hist.Latency, cfg.Clients)
-	fail := make([]error, cfg.Clients)
-	for c := 0; c < cfg.Clients; c++ {
+	reqs := make([]uint64, pipelineClients)
+	lats := make([]hist.Latency, pipelineClients)
+	fail := make([]error, pipelineClients)
+	for c := 0; c < pipelineClients; c++ {
 		wg.Add(1)
 		go func(c int) {
 			defer wg.Done()
@@ -244,7 +194,7 @@ func runBlockingArm(st *store.Store, src *workload.ReqSource, cfg PipelineConfig
 	wg.Wait()
 	var total uint64
 	var lat hist.Latency
-	for c := 0; c < cfg.Clients; c++ {
+	for c := 0; c < pipelineClients; c++ {
 		if fail[c] != nil {
 			return 0, lat, fail[c]
 		}
@@ -290,19 +240,19 @@ func blockingExecute(st *store.Store, req workload.Req) error {
 // oldest — the pipelining the exec layer buys. Returns requests
 // completed, partial-result count, completion latencies for all
 // requests, and for the fully-successful ("healthy") ones alone.
-func runPipelinedArm(ex *exec.Executor, src *workload.ReqSource, cfg PipelineConfig, deadline time.Time) (uint64, uint64, hist.Latency, hist.Latency, error) {
+func runPipelinedArm(ex *exec.Executor, src *workload.ReqSource, deadline time.Time) (uint64, uint64, hist.Latency, hist.Latency, error) {
 	var wg sync.WaitGroup
-	reqs := make([]uint64, cfg.Clients)
-	partials := make([]uint64, cfg.Clients)
-	lats := make([]hist.Latency, cfg.Clients)
-	healthy := make([]hist.Latency, cfg.Clients)
-	fail := make([]error, cfg.Clients)
-	for c := 0; c < cfg.Clients; c++ {
+	reqs := make([]uint64, pipelineClients)
+	partials := make([]uint64, pipelineClients)
+	lats := make([]hist.Latency, pipelineClients)
+	healthy := make([]hist.Latency, pipelineClients)
+	fail := make([]error, pipelineClients)
+	for c := 0; c < pipelineClients; c++ {
 		wg.Add(1)
 		go func(c int) {
 			defer wg.Done()
 			stream := src.Thread(c, 1<<20)
-			window := make([]*exec.Handle, 0, cfg.Window)
+			window := make([]*exec.Handle, 0, pipelineWindow)
 			retire := func(h *exec.Handle) {
 				res := h.Wait()
 				lats[c].Record(res.Elapsed)
@@ -320,7 +270,7 @@ func runPipelinedArm(ex *exec.Executor, src *workload.ReqSource, cfg PipelineCon
 					return
 				}
 				window = append(window, h)
-				if len(window) == cfg.Window {
+				if len(window) == pipelineWindow {
 					retire(window[0])
 					window = append(window[:0], window[1:]...)
 				}
@@ -333,7 +283,7 @@ func runPipelinedArm(ex *exec.Executor, src *workload.ReqSource, cfg PipelineCon
 	wg.Wait()
 	var total, partial uint64
 	var lat, healthyLat hist.Latency
-	for c := 0; c < cfg.Clients; c++ {
+	for c := 0; c < pipelineClients; c++ {
 		if fail[c] != nil {
 			return 0, 0, lat, healthyLat, fail[c]
 		}
@@ -345,41 +295,41 @@ func runPipelinedArm(ex *exec.Executor, src *workload.ReqSource, cfg PipelineCon
 	return total, partial, lat, healthyLat, nil
 }
 
-// RunPipeline runs EXP-PIPELINE: the blocking baseline arm, the
+// runPipeline runs EXP-PIPELINE: the blocking baseline arm, the
 // pipelined arm on an identical fresh store, then the partial-failure
 // campaign under a chaos stall with the verdict-driven admission loop
 // live. Each phase uses the same seed, so the arms draw identical
 // request streams.
-func RunPipeline(cfg PipelineConfig) (PipelineResult, error) {
-	cfg.fill()
+func runPipeline(p Profile) (Result, error) {
+	cfg := p.pipelineConfig()
 	res := PipelineResult{
-		Shards:    cfg.Shards,
-		Workers:   cfg.WorkersPerShard,
-		Clients:   cfg.Clients,
-		Window:    cfg.Window,
-		Structure: cfg.Structure,
-		ReqMix:    cfg.ReqMix,
+		Shards:    fanoutShards,
+		Workers:   1,
+		Clients:   pipelineClients,
+		Window:    pipelineWindow,
+		Structure: fanoutStructure,
+		ReqMix:    workload.ReqMixFanout,
 	}
 
 	// Arm A: blocking loop over the store's native interface.
 	{
-		st, _, err := newPipelineStore(cfg, false, nil)
+		st, _, err := newFanoutStore(1, cfg.keyRange, cfg.seed, false, nil)
 		if err != nil {
-			return res, err
+			return nil, err
 		}
-		src, err := cfg.reqSource()
+		src, err := fanoutReqSource(workload.ReqMixFanout, cfg.keyRange, cfg.seed)
 		if err != nil {
 			st.Close()
-			return res, err
+			return nil, err
 		}
 		start := time.Now()
-		n, lat, err := runBlockingArm(st, src, cfg, start.Add(cfg.Duration))
+		n, lat, err := runBlockingArm(st, src, start.Add(cfg.duration))
 		elapsed := time.Since(start)
 		if cerr := st.Close(); err == nil {
 			err = cerr
 		}
 		if err != nil {
-			return res, err
+			return nil, err
 		}
 		res.Blocking = PipelineArmRow{
 			Arm: "blocking", Requests: n, Elapsed: elapsed,
@@ -390,30 +340,26 @@ func RunPipeline(cfg PipelineConfig) (PipelineResult, error) {
 
 	// Arm B: pipelined scatter-gather on an identical fresh store.
 	{
-		st, _, err := newPipelineStore(cfg, false, nil)
+		st, _, err := newFanoutStore(1, cfg.keyRange, cfg.seed, false, nil)
 		if err != nil {
-			return res, err
+			return nil, err
 		}
 		// The healthy arm disables the leg budget: there is no fault to
 		// bound, and the budget's watchdog goroutine would tax every leg.
 		// The campaign re-enables it and pays for it there.
-		ex, err := exec.New(st, exec.Config{
-			QueueDepth:          cfg.QueueDepth,
-			DispatchersPerShard: cfg.DispatchersPerShard,
-			LegTimeout:          -1,
-		})
+		ex, err := exec.New(st, exec.Config{LegTimeout: -1})
 		if err != nil {
 			st.Close()
-			return res, err
+			return nil, err
 		}
-		src, err := cfg.reqSource()
+		src, err := fanoutReqSource(workload.ReqMixFanout, cfg.keyRange, cfg.seed)
 		if err != nil {
 			ex.Close()
 			st.Close()
-			return res, err
+			return nil, err
 		}
 		start := time.Now()
-		n, partial, lat, _, err := runPipelinedArm(ex, src, cfg, start.Add(cfg.Duration))
+		n, partial, lat, _, err := runPipelinedArm(ex, src, start.Add(cfg.duration))
 		elapsed := time.Since(start)
 		stats := ex.Stats()
 		if cerr := ex.Close(); err == nil {
@@ -423,13 +369,13 @@ func RunPipeline(cfg PipelineConfig) (PipelineResult, error) {
 			err = cerr
 		}
 		if err != nil {
-			return res, err
+			return nil, err
 		}
 		res.Pipelined = PipelineArmRow{
 			Arm: "pipelined", Requests: n, Elapsed: elapsed,
 			ReqPerSec: float64(n) / elapsed.Seconds(),
 			P50:       lat.Percentile(0.50), P99: lat.Percentile(0.99),
-			Partial:   partial, Sheds: stats.Sheds, Timeouts: stats.Timeouts,
+			Partial: partial, Sheds: stats.Sheds, Timeouts: stats.Timeouts,
 		}
 		if res.Blocking.ReqPerSec > 0 {
 			res.Pipelined.ReqPerSecX = res.Pipelined.ReqPerSec / res.Blocking.ReqPerSec
@@ -441,7 +387,7 @@ func RunPipeline(cfg PipelineConfig) (PipelineResult, error) {
 	// admission loop (sampler → monitor → verdict → degrade) attached.
 	chaosRow, err := runPipelineChaos(cfg)
 	if err != nil {
-		return res, err
+		return nil, err
 	}
 	res.Chaos = chaosRow
 	res.PartialChainsClosed = chaosRow.FaultFired && chaosRow.Partial > 0 &&
@@ -453,10 +399,10 @@ func RunPipeline(cfg PipelineConfig) (PipelineResult, error) {
 // verdict-driven admission loop live, one shard chaos-stalled for the
 // window, pipelined traffic throughout, then heal and a clean full-width
 // probe.
-func runPipelineChaos(cfg PipelineConfig) (PipelineChaosRow, error) {
-	row := PipelineChaosRow{FaultShard: cfg.FaultShard, Window: cfg.ChaosDuration}
+func runPipelineChaos(cfg pipelineConfig) (PipelineChaosRow, error) {
+	row := PipelineChaosRow{FaultShard: pipelineFaultShard, Window: cfg.chaosDuration}
 	recorder := rec.NewRecorder(nil, 0)
-	st, gates, err := newPipelineStore(cfg, true, recorder)
+	st, gates, err := newFanoutStore(1, cfg.keyRange, cfg.seed, true, recorder)
 	if err != nil {
 		return row, err
 	}
@@ -465,66 +411,47 @@ func runPipelineChaos(cfg PipelineConfig) (PipelineChaosRow, error) {
 	// The admission loop: gauge-tap sampler → online monitor →
 	// VerdictAdmission, the same classifier the adaptive controller
 	// trusts.
-	domains := make([]telemetry.Domain, st.Shards())
-	for s := range domains {
-		spec, err := st.Spec(s)
-		if err != nil {
-			return row, err
-		}
-		props, err := all.Props(spec.Scheme)
-		if err != nil {
-			return row, err
-		}
-		domains[s] = telemetry.Domain{
-			Scheme:   spec.Scheme,
-			Declared: props.Robustness,
-			Budget:   telemetry.Budget{Threads: spec.Workers, Threshold: spec.Threshold},
-		}
+	mon, err := adaptMonitor(st, nil)
+	if err != nil {
+		return row, err
 	}
-	mon := telemetry.NewMonitor(telemetry.MonitorConfig{}, domains)
 	sampler := telemetry.NewSampler(
-		telemetry.Config{Interval: sampleEvery(cfg.ChaosDuration), Capacity: 4096,
+		telemetry.Config{Interval: sampleEvery(cfg.chaosDuration), Capacity: 4096,
 			OnSample: mon.Observe, Recorder: recorder},
 		storeProbe(st))
 	sampler.Start()
 	defer sampler.Stop()
 
-	queueDepth := cfg.QueueDepth
-	if queueDepth <= 0 {
-		queueDepth = 8 // narrow enough that a stalled shard's pressure shows
-	}
 	ex, err := exec.New(st, exec.Config{
-		QueueDepth:          queueDepth,
-		DispatchersPerShard: cfg.DispatchersPerShard,
-		LegTimeout:          cfg.LegTimeout,
-		Admission:           exec.VerdictAdmission{Mon: mon},
-		Recorder:            recorder,
+		QueueDepth: pipelineChaosQueue,
+		LegTimeout: cfg.legTimeout,
+		Admission:  exec.VerdictAdmission{Mon: mon},
+		Recorder:   recorder,
 	})
 	if err != nil {
 		return row, err
 	}
 	defer ex.Close()
 
-	target := &chaos.Target{Store: st, Gates: gates, KeyRange: cfg.KeyRange}
-	engine := chaos.NewEngine(target)
+	engine := chaos.NewEngine(&chaos.Target{Store: st, Gates: gates, KeyRange: cfg.keyRange})
 	engine.SetObs(nil, recorder)
-	if err := engine.Add("stall", chaos.Params{Shard: cfg.FaultShard}, chaos.OneShot(0)); err != nil {
+	if err := engine.Add("stall", chaos.Params{Shard: pipelineFaultShard}, chaos.OneShot(0)); err != nil {
 		return row, err
 	}
 	engine.Start()
 
-	src, err := cfg.reqSource()
+	src, err := fanoutReqSource(workload.ReqMixFanout, cfg.keyRange, cfg.seed)
 	if err != nil {
 		engine.Stop()
 		return row, err
 	}
-	deadline := time.Now().Add(cfg.ChaosDuration)
+	deadline := time.Now().Add(cfg.chaosDuration)
 	degraded := make(chan bool, 1)
 	go func() {
 		// Watch for the verdict loop flipping the stalled shard while
 		// traffic runs; one observation is enough.
 		for time.Now().Before(deadline) {
-			if ex.Degraded(cfg.FaultShard) {
+			if ex.Degraded(pipelineFaultShard) {
 				degraded <- true
 				return
 			}
@@ -532,7 +459,7 @@ func runPipelineChaos(cfg PipelineConfig) (PipelineChaosRow, error) {
 		}
 		degraded <- false
 	}()
-	n, partial, _, healthyLat, err := runPipelinedArm(ex, src, cfg, deadline)
+	n, partial, _, healthyLat, err := runPipelinedArm(ex, src, deadline)
 	row.DegradedSeen = <-degraded
 	if err != nil {
 		engine.Stop()
@@ -561,7 +488,7 @@ func runPipelineChaos(cfg PipelineConfig) (PipelineChaosRow, error) {
 	}
 	cleanDeadline := time.Now().Add(5 * time.Second)
 	for time.Now().Before(cleanDeadline) {
-		h, err := ex.RangeCount(0, int64(cfg.KeyRange))
+		h, err := ex.RangeCount(0, int64(cfg.keyRange))
 		if err != nil {
 			return row, err
 		}
@@ -583,4 +510,41 @@ func runPipelineChaos(cfg PipelineConfig) (PipelineChaosRow, error) {
 		}
 	}
 	return row, nil
+}
+
+// Gates: the pipelined arm out-runs the blocking loop, and the
+// partial-failure chain closed (fault fired → typed partial results →
+// heal → clean full-width request).
+func (res PipelineResult) Gates() []Gate {
+	return []Gate{
+		{Name: "pipelined_beats_blocking", OK: res.PipelinedBeatsBlocking,
+			Detail: fmt.Sprintf("pipelined arm (%.0f req/s) did not beat blocking (%.0f req/s)",
+				res.Pipelined.ReqPerSec, res.Blocking.ReqPerSec)},
+		{Name: "partial_chains_closed", OK: res.PartialChainsClosed,
+			Detail: fmt.Sprintf("partial-failure chain open: fired=%v partial=%d healed=%v clean=%v",
+				res.Chaos.FaultFired, res.Chaos.Partial, res.Chaos.FaultHeals, res.Chaos.CleanAfterHeal)},
+	}
+}
+
+// WriteTable renders EXP-PIPELINE: one line per A/B arm, the
+// partial-failure campaign summary, then the two acceptance headlines.
+func (res PipelineResult) WriteTable(w io.Writer) {
+	fmt.Fprintf(w, "%-10s %10s %12s %10s %10s %8s %7s %8s\n",
+		"arm", "requests", "req/s", "p50", "p99", "partial", "sheds", "timeouts")
+	for _, a := range []PipelineArmRow{res.Blocking, res.Pipelined} {
+		fmt.Fprintf(w, "%-10s %10d %12.0f %10s %10s %8d %7d %8d\n",
+			a.Arm, a.Requests, a.ReqPerSec, fmtLatency(a.P50), fmtLatency(a.P99),
+			a.Partial, a.Sheds, a.Timeouts)
+	}
+	c := res.Chaos
+	fmt.Fprintf(w, "chaos: shard %d stalled %s — %d requests, %d partial, %d sheds, %d timeouts, degraded seen %v\n",
+		c.FaultShard, c.Window.Round(time.Millisecond), c.Requests, c.Partial, c.Sheds, c.Timeouts, c.DegradedSeen)
+	fmt.Fprintf(w, "       healthy-request p50 %s p99 %s; fault fired %v healed %v clean-after-heal %v\n",
+		fmtLatency(c.HealthyP50), fmtLatency(c.HealthyP99), c.FaultFired, c.FaultHeals, c.CleanAfterHeal)
+	fmt.Fprintf(w, "       recorder: %d scatter / %d merge / %d shed events\n",
+		c.ScatterEvents, c.MergeEvents, c.ShedEvents)
+	fmt.Fprintf(w, "aggregate: %d shards × %d workers, %d clients, window %d, %s mix %s\n",
+		res.Shards, res.Workers, res.Clients, res.Window, res.Structure, res.ReqMix)
+	fmt.Fprintf(w, "           pipelined beats blocking: %v (%.2fx); partial chains closed: %v\n",
+		res.PipelinedBeatsBlocking, res.Pipelined.ReqPerSecX, res.PartialChainsClosed)
 }

@@ -1,7 +1,6 @@
 package bench_test
 
 import (
-	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -29,12 +28,12 @@ func sampleRows() []bench.ThroughputRow {
 	}
 }
 
-// TestWriteThroughputTable checks the rendered table carries every row's
+// TestThroughputTable checks the rendered table carries every row's
 // load-bearing fields, and that unmeasured latencies render as "-" rather
 // than a misleading zero.
-func TestWriteThroughputTable(t *testing.T) {
+func TestThroughputTable(t *testing.T) {
 	var sb strings.Builder
-	bench.WriteThroughputTable(&sb, sampleRows())
+	bench.ThroughputResult{Rows: sampleRows()}.WriteTable(&sb)
 	out := sb.String()
 	lines := strings.Split(strings.TrimSpace(out), "\n")
 	if len(lines) != 3 {
@@ -50,40 +49,6 @@ func TestWriteThroughputTable(t *testing.T) {
 	// must show the placeholder.
 	if !strings.Contains(lines[2], " - ") {
 		t.Errorf("unmeasured latency not rendered as '-': %s", lines[2])
-	}
-}
-
-// TestJSONReportRoundTripStatic checks a BENCH_*.json artifact survives
-// write → read unchanged, on hand-built rows (engine_test covers the
-// measured path).
-func TestJSONReportRoundTripStatic(t *testing.T) {
-	rows := sampleRows()
-	var sb strings.Builder
-	if err := bench.WriteJSONReport(&sb, "throughput", rows); err != nil {
-		t.Fatal(err)
-	}
-	rep, err := bench.ReadJSONReport(strings.NewReader(sb.String()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Experiment != "throughput" {
-		t.Errorf("experiment: %q", rep.Experiment)
-	}
-	if len(rep.Rows) != len(rows) {
-		t.Fatalf("rows: %d want %d", len(rep.Rows), len(rows))
-	}
-	for i := range rows {
-		if rep.Rows[i] != rows[i] {
-			t.Errorf("row %d: got %+v want %+v", i, rep.Rows[i], rows[i])
-		}
-	}
-}
-
-// TestReadJSONReportRejectsGarbage checks the artifact reader reports
-// malformed input as such.
-func TestReadJSONReportRejectsGarbage(t *testing.T) {
-	if _, err := bench.ReadJSONReport(strings.NewReader("not json")); err == nil {
-		t.Fatal("garbage accepted")
 	}
 }
 
@@ -104,48 +69,17 @@ func sampleService() bench.ServiceResult {
 	}
 }
 
-// TestWriteServiceTable checks the per-shard rows and the aggregate lines
+// TestServiceTable checks the per-shard rows and the aggregate lines
 // both render.
-func TestWriteServiceTable(t *testing.T) {
+func TestServiceTable(t *testing.T) {
 	var sb strings.Builder
-	bench.WriteServiceTable(&sb, sampleService())
+	sampleService().WriteTable(&sb)
 	out := sb.String()
 	for _, want := range []string{"shard", "hp", "ebr", "aggregate:", "2 shards",
 		"4 clients", "zipfian/steady", "p50 95µs", "p99 480µs", "peak-retired 64"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("service table missing %q:\n%s", want, out)
 		}
-	}
-}
-
-// TestServiceReportRoundTrip checks the BENCH_service.json artifact
-// survives write → read unchanged.
-func TestServiceReportRoundTrip(t *testing.T) {
-	res := sampleService()
-	var sb strings.Builder
-	if err := bench.WriteServiceReport(&sb, res); err != nil {
-		t.Fatal(err)
-	}
-	rep, err := bench.ReadServiceReport(strings.NewReader(sb.String()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Experiment != "service" {
-		t.Errorf("experiment: %q", rep.Experiment)
-	}
-	if !reflect.DeepEqual(rep.Aggregate, res.Aggregate) {
-		t.Errorf("aggregate: got %+v want %+v", rep.Aggregate, res.Aggregate)
-	}
-	if len(rep.PerShard) != 2 {
-		t.Fatalf("per-shard: %d", len(rep.PerShard))
-	}
-	for i := range res.PerShard {
-		if rep.PerShard[i] != res.PerShard[i] {
-			t.Errorf("shard %d: got %+v want %+v", i, rep.PerShard[i], res.PerShard[i])
-		}
-	}
-	if _, err := bench.ReadServiceReport(strings.NewReader("{")); err == nil {
-		t.Error("truncated artifact accepted")
 	}
 }
 
@@ -179,11 +113,11 @@ func sampleAdaptive() bench.AdaptiveResult {
 	}
 }
 
-// TestWriteAdaptiveTable checks both arms, the migration log, and the
+// TestAdaptiveTable checks both arms, the migration log, and the
 // headline all render.
-func TestWriteAdaptiveTable(t *testing.T) {
+func TestAdaptiveTable(t *testing.T) {
 	var sb strings.Builder
-	bench.WriteAdaptiveTable(&sb, sampleAdaptive())
+	sampleAdaptive().WriteTable(&sb)
 	out := sb.String()
 	for _, want := range []string{"arm", "static", "adaptive", "ebr", "ibr",
 		"not-robust (unbounded)", "robust (bounded)",
@@ -191,34 +125,5 @@ func TestWriteAdaptiveTable(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Errorf("adaptive table missing %q:\n%s", want, out)
 		}
-	}
-}
-
-// TestAdaptiveReportRoundTrip checks the BENCH_adaptive.json artifact
-// survives write → read unchanged, migration episodes included.
-func TestAdaptiveReportRoundTrip(t *testing.T) {
-	res := sampleAdaptive()
-	var sb strings.Builder
-	if err := bench.WriteAdaptiveReport(&sb, res); err != nil {
-		t.Fatal(err)
-	}
-	rep, err := bench.ReadAdaptiveReport(strings.NewReader(sb.String()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Experiment != "adaptive" || !rep.Improved {
-		t.Fatalf("round-trip header: %+v", rep.Aggregate)
-	}
-	if !reflect.DeepEqual(rep.Static, res.Static) {
-		t.Errorf("static arm: got %+v want %+v", rep.Static, res.Static)
-	}
-	if !reflect.DeepEqual(rep.Adaptive, res.Adaptive) {
-		t.Errorf("adaptive arm: got %+v want %+v", rep.Adaptive, res.Adaptive)
-	}
-	if !reflect.DeepEqual(rep.Aggregate, res.Agg) {
-		t.Errorf("aggregate: got %+v want %+v", rep.Aggregate, res.Agg)
-	}
-	if _, err := bench.ReadAdaptiveReport(strings.NewReader("{")); err == nil {
-		t.Error("truncated artifact accepted")
 	}
 }

@@ -1,6 +1,8 @@
 package bench
 
 import (
+	"fmt"
+	"io"
 	"sync"
 	"time"
 
@@ -13,153 +15,64 @@ import (
 	"repro/internal/workload"
 )
 
-// ResilConfig sizes EXP-RESIL: the naive vs resilient goodput A/B under
-// staggered shard faults, the hedge tail-latency A/B under a one-slow-
-// worker fault, and the retry-amplification audit — the three gates the
-// resilience layer must clear.
-type ResilConfig struct {
-	// Shards is the shard count; 0 selects 4.
-	Shards int
-	// Schemes assigns reclamation schemes shard-by-shard (cycled); empty
-	// selects ["ebr"].
-	Schemes []string
-	// Structure is the per-shard set structure; empty selects "michael".
-	Structure string
-	// Clients is the open-loop client count of the goodput phase; 0
-	// selects 4. Clients are *paced*, not closed-loop: each submits on a
-	// fixed schedule regardless of completion, so a slow arm cannot shed
-	// offered load by being slow — the property goodput comparisons need.
-	Clients int
-	// Pace is the per-client submission interval; 0 selects 500µs.
-	Pace time.Duration
-	// Duration is each goodput arm's traffic window; 0 selects 800ms.
-	Duration time.Duration
-	// KeyRange is the key universe; 0 selects 4096.
-	KeyRange int
-	// ReqMix shapes the request stream; zero selects ReqMixFanout.
-	ReqMix workload.ReqMix
-	// MultiSize is the key count per multi-key request; 0 selects 8.
-	MultiSize int
-	// LegTimeout is the goodput phase's leg completion budget; 0 selects
-	// 6ms. Both arms run it — the naive arm sees the same typed failures,
-	// it just never retries them.
-	LegTimeout time.Duration
-	// MaxAttempts / RetryBase / RetryCap / RetryBudget shape the
-	// resilient arm's retry policy; 0 selects 3, 24ms, 48ms, 0.25. The
-	// backoff is sized so the second retry of a request that failed at
-	// any point inside a fault hold lands after the heal.
-	MaxAttempts int
-	RetryBase   time.Duration
-	RetryCap    time.Duration
-	RetryBudget float64
-	// StallShard and ReleaseShard take the goodput phase's staggered
-	// periodic faults (a worker-parking stall and a delayed-release
-	// storm); 0 selects shards 1 and 2.
-	StallShard   int
-	ReleaseShard int
-	// FaultPeriod and FaultHold pace the goodput faults; 0 selects 150ms
-	// periods holding 36ms, staggered half a period apart.
-	FaultPeriod time.Duration
-	FaultHold   time.Duration
-
-	// HedgeDuration is each hedge arm's traffic window; 0 selects 400ms.
-	HedgeDuration time.Duration
-	// HedgeClients and HedgePace pace the hedge phase; 0 selects 2
-	// clients at 1ms — few enough requests that the per-pulse victims
-	// clear the p99 mass.
-	HedgeClients int
-	HedgePace    time.Duration
-	// HedgeWorkers sizes the hedge phase's shard pools; 0 selects 2: the
-	// pulse parks one worker mid-call and the hedge's duplicate call must
-	// have a surviving worker to land on.
-	HedgeWorkers int
-	// HedgeHold and HedgeGap shape the park pulses; 0 selects 4ms / 3ms.
-	HedgeHold time.Duration
-	HedgeGap  time.Duration
-	// HedgeFaultShard is the pulsed shard; 0 selects 1.
-	HedgeFaultShard int
-
-	// Seed makes every request stream deterministic.
-	Seed uint64
+// resilConfig is what EXP-RESIL — the naive vs resilient goodput A/B
+// under staggered shard faults, the hedge tail-latency A/B under a
+// one-slow-worker fault, and the retry-amplification audit: the three
+// gates the resilience layer must clear — varies between its smoke and
+// full scale.
+type resilConfig struct {
+	// duration is each goodput arm's traffic window; hedgeDuration each
+	// hedge arm's.
+	duration      time.Duration
+	hedgeDuration time.Duration
+	keyRange      int
+	seed          uint64
 }
 
-func (cfg *ResilConfig) fill() {
-	if cfg.Shards <= 0 {
-		cfg.Shards = 4
+func (p Profile) resilConfig() resilConfig {
+	if p.Short {
+		return resilConfig{duration: 500 * time.Millisecond, hedgeDuration: 300 * time.Millisecond,
+			keyRange: 2048, seed: p.Seed}
 	}
-	if len(cfg.Schemes) == 0 {
-		cfg.Schemes = []string{"ebr"}
-	}
-	if cfg.Structure == "" {
-		cfg.Structure = "michael"
-	}
-	if cfg.Clients <= 0 {
-		cfg.Clients = 4
-	}
-	if cfg.Pace <= 0 {
-		cfg.Pace = 500 * time.Microsecond
-	}
-	if cfg.Duration <= 0 {
-		cfg.Duration = 800 * time.Millisecond
-	}
-	if cfg.KeyRange <= 0 {
-		cfg.KeyRange = 4096
-	}
-	if cfg.ReqMix == (workload.ReqMix{}) {
-		cfg.ReqMix = workload.ReqMixFanout
-	}
-	if cfg.MultiSize <= 0 {
-		cfg.MultiSize = 8
-	}
-	if cfg.LegTimeout <= 0 {
-		cfg.LegTimeout = 6 * time.Millisecond
-	}
-	if cfg.MaxAttempts <= 0 {
-		cfg.MaxAttempts = 3
-	}
-	if cfg.RetryBase <= 0 {
-		cfg.RetryBase = 24 * time.Millisecond
-	}
-	if cfg.RetryCap <= 0 {
-		cfg.RetryCap = 48 * time.Millisecond
-	}
-	if cfg.RetryBudget == 0 {
-		cfg.RetryBudget = 0.25
-	}
-	if cfg.StallShard <= 0 {
-		cfg.StallShard = 1
-	}
-	if cfg.ReleaseShard <= 0 {
-		cfg.ReleaseShard = 2
-	}
-	if cfg.FaultPeriod <= 0 {
-		cfg.FaultPeriod = 150 * time.Millisecond
-	}
-	if cfg.FaultHold <= 0 {
-		cfg.FaultHold = 36 * time.Millisecond
-	}
-	if cfg.HedgeDuration <= 0 {
-		cfg.HedgeDuration = 400 * time.Millisecond
-	}
-	if cfg.HedgeClients <= 0 {
-		cfg.HedgeClients = 2
-	}
-	if cfg.HedgePace <= 0 {
-		cfg.HedgePace = time.Millisecond
-	}
-	if cfg.HedgeWorkers <= 0 {
-		cfg.HedgeWorkers = 2
-	}
-	if cfg.HedgeHold <= 0 {
-		cfg.HedgeHold = 4 * time.Millisecond
-	}
-	if cfg.HedgeGap <= 0 {
-		cfg.HedgeGap = 3 * time.Millisecond
-	}
-	if cfg.HedgeFaultShard <= 0 {
-		cfg.HedgeFaultShard = 1
-	}
+	return resilConfig{duration: 800 * time.Millisecond, hedgeDuration: 400 * time.Millisecond,
+		keyRange: 4096, seed: p.Seed}
 }
+
+// The goodput phase. Clients are *paced*, not closed-loop: each submits
+// on a fixed schedule regardless of completion, so a slow arm cannot shed
+// offered load by being slow — the property goodput comparisons need.
+const (
+	resilClients = 4
+	resilPace    = 500 * time.Microsecond
+	// resilLegTimeout is the leg completion budget. Both arms run it — the
+	// naive arm sees the same typed failures, it just never retries them.
+	resilLegTimeout = 6 * time.Millisecond
+	// The resilient arm's retry policy. The backoff is sized so the second
+	// retry of a request that failed at any point inside a fault hold
+	// lands after the heal.
+	resilMaxAttempts = 3
+	resilRetryBase   = 24 * time.Millisecond
+	resilRetryCap    = 48 * time.Millisecond
+	resilRetryBudget = 0.25
+	// The staggered periodic faults: a worker-parking stall and a
+	// delayed-release storm, half a period apart.
+	resilStallShard   = 1
+	resilReleaseShard = 2
+	resilFaultPeriod  = 150 * time.Millisecond
+	resilFaultHold    = 36 * time.Millisecond
+)
+
+// The hedge phase: few enough requests that the per-pulse victims clear
+// the p99 mass, and pools of two — the pulse parks one worker mid-call
+// and the hedge's duplicate call must have a surviving worker to land on.
+const (
+	hedgeClients    = 2
+	hedgePace       = time.Millisecond
+	hedgeWorkers    = 2
+	hedgeHold       = 4 * time.Millisecond
+	hedgeGap        = 3 * time.Millisecond
+	hedgeFaultShard = 1
+)
 
 // ResilArmRow is one goodput arm's measurement. Clean counts requests
 // that completed with no per-shard error; the Window* pair restricts the
@@ -321,21 +234,10 @@ func foldSamples(row *ResilArmRow, samples []resilSample, events []chaos.Event, 
 	row.P99 = lat.Percentile(0.99)
 }
 
-// resilReqSource builds the phase's deterministic request stream.
-func (cfg ResilConfig) reqSource() (*workload.ReqSource, error) {
-	return workload.NewReqSource(workload.ReqConfig{
-		Dist:      "uniform",
-		KeyRange:  cfg.KeyRange,
-		Mix:       cfg.ReqMix,
-		MultiSize: cfg.MultiSize,
-		Seed:      cfg.Seed,
-	})
-}
-
 // runResilGoodputArm runs one goodput arm: a gated store under the two
 // staggered periodic faults, paced open-loop traffic, and either the
 // bare executor (naive) or the retrying client (resilient) serving it.
-func runResilGoodputArm(cfg ResilConfig, resilient bool) (ResilArmRow, error) {
+func runResilGoodputArm(cfg resilConfig, resilient bool) (ResilArmRow, error) {
 	arm := "naive"
 	if resilient {
 		arm = "resilient"
@@ -344,27 +246,23 @@ func runResilGoodputArm(cfg ResilConfig, resilient bool) (ResilArmRow, error) {
 
 	recorder := rec.NewRecorder(nil, 0)
 	clock := rec.NewClock()
-	pcfg := PipelineConfig{
-		Shards: cfg.Shards, Schemes: cfg.Schemes, Structure: cfg.Structure,
-		WorkersPerShard: 1, KeyRange: cfg.KeyRange, Seed: cfg.Seed,
-	}
-	st, gates, err := newPipelineStore(pcfg, true, recorder)
+	st, gates, err := newFanoutStore(1, cfg.keyRange, cfg.seed, true, recorder)
 	if err != nil {
 		return row, err
 	}
 	defer st.Close()
 
-	execCfg := exec.Config{LegTimeout: cfg.LegTimeout, Recorder: recorder}
+	execCfg := exec.Config{LegTimeout: resilLegTimeout, Recorder: recorder}
 	var do resilDoer
 	var client *resil.Client
 	if resilient {
 		client, err = resil.New(st, execCfg, resil.Config{
-			MaxAttempts: cfg.MaxAttempts,
-			RetryBase:   cfg.RetryBase,
-			RetryCap:    cfg.RetryCap,
-			RetryBudget: cfg.RetryBudget,
+			MaxAttempts: resilMaxAttempts,
+			RetryBase:   resilRetryBase,
+			RetryCap:    resilRetryCap,
+			RetryBudget: resilRetryBudget,
 			BudgetBurst: 512,
-			Seed:        cfg.Seed,
+			Seed:        cfg.seed,
 			Clock:       clock,
 			Recorder:    recorder,
 		})
@@ -379,43 +277,37 @@ func runResilGoodputArm(cfg ResilConfig, resilient bool) (ResilArmRow, error) {
 			return row, err
 		}
 		defer ex.Close()
-		do = func(req workload.Req) (*exec.Result, error) {
-			h, err := ex.Submit(req)
-			if err != nil {
-				return nil, err
-			}
-			return h.Wait(), nil
-		}
+		do = execDoer{ex}.Do
 	}
 
 	// Two staggered periodic faults: the stall parks the victim shard's
 	// only worker for each hold; the delayed-release pulse adds a retire
 	// storm on another shard half a period out of phase, so the fault
 	// surface moves under the retry policy instead of sitting still.
-	engine := chaos.NewEngine(&chaos.Target{Store: st, Gates: gates, KeyRange: cfg.KeyRange})
+	engine := chaos.NewEngine(&chaos.Target{Store: st, Gates: gates, KeyRange: cfg.keyRange})
 	engine.SetObs(clock, recorder)
-	stagger := cfg.FaultPeriod / 2
-	if err := engine.Add("stall", chaos.Params{Shard: cfg.StallShard},
-		chaos.Periodic(30*time.Millisecond, cfg.FaultPeriod, cfg.FaultHold)); err != nil {
+	stagger := resilFaultPeriod / 2
+	if err := engine.Add("stall", chaos.Params{Shard: resilStallShard},
+		chaos.Periodic(30*time.Millisecond, resilFaultPeriod, resilFaultHold)); err != nil {
 		return row, err
 	}
-	if err := engine.Add("delayed-release", chaos.Params{Shard: cfg.ReleaseShard},
-		chaos.Periodic(30*time.Millisecond+stagger, cfg.FaultPeriod, cfg.FaultHold)); err != nil {
+	if err := engine.Add("delayed-release", chaos.Params{Shard: resilReleaseShard},
+		chaos.Periodic(30*time.Millisecond+stagger, resilFaultPeriod, resilFaultHold)); err != nil {
 		return row, err
 	}
 	engine.Start()
 
-	src, err := cfg.reqSource()
+	src, err := fanoutReqSource(workload.ReqMixFanout, cfg.keyRange, cfg.seed)
 	if err != nil {
 		engine.Stop()
 		return row, err
 	}
-	samples, err := runPacedClients(do, src, cfg.Clients, cfg.Pace, cfg.Duration, clock)
+	samples, err := runPacedClients(do, src, resilClients, resilPace, cfg.duration, clock)
 	engine.Stop()
 	if err != nil {
 		return row, err
 	}
-	foldSamples(&row, samples, engine.Events(), cfg.FaultHold)
+	foldSamples(&row, samples, engine.Events(), resilFaultHold)
 
 	if resilient {
 		stats := client.Stats()
@@ -435,7 +327,7 @@ func runResilGoodputArm(cfg ResilConfig, resilient bool) (ResilArmRow, error) {
 // until release. Each pulse manufactures exactly the per-call bad luck
 // hedging exists for: one slow call on an otherwise healthy shard, with
 // a surviving worker free to serve the duplicate.
-func runResilHedgeArm(cfg ResilConfig, hedged bool) (ResilHedgeRow, error) {
+func runResilHedgeArm(cfg resilConfig, hedged bool) (ResilHedgeRow, error) {
 	arm := "unhedged"
 	if hedged {
 		arm = "hedged"
@@ -443,11 +335,7 @@ func runResilHedgeArm(cfg ResilConfig, hedged bool) (ResilHedgeRow, error) {
 	row := ResilHedgeRow{Arm: arm}
 
 	clock := rec.NewClock()
-	pcfg := PipelineConfig{
-		Shards: cfg.Shards, Schemes: cfg.Schemes, Structure: cfg.Structure,
-		WorkersPerShard: cfg.HedgeWorkers, KeyRange: cfg.KeyRange, Seed: cfg.Seed,
-	}
-	st, gates, err := newPipelineStore(pcfg, true, nil)
+	st, gates, err := newFanoutStore(hedgeWorkers, cfg.keyRange, cfg.seed, true, nil)
 	if err != nil {
 		return row, err
 	}
@@ -460,7 +348,7 @@ func runResilHedgeArm(cfg ResilConfig, hedged bool) (ResilHedgeRow, error) {
 		client, err = resil.New(st, execCfg, resil.Config{
 			MaxAttempts: 1, RetryBudget: -1,
 			Hedge: true, HedgeWindow: 32,
-			Seed: cfg.Seed,
+			Seed: cfg.seed,
 		})
 		if err != nil {
 			return row, err
@@ -473,18 +361,12 @@ func runResilHedgeArm(cfg ResilConfig, hedged bool) (ResilHedgeRow, error) {
 			return row, err
 		}
 		defer ex.Close()
-		do = func(req workload.Req) (*exec.Result, error) {
-			h, err := ex.Submit(req)
-			if err != nil {
-				return nil, err
-			}
-			return h.Wait(), nil
-		}
+		do = execDoer{ex}.Do
 	}
 
 	// The pulse loop. ArmIfFree on worker 0 of the victim shard, wait for
 	// a client call to park on it, hold, release, breathe, repeat.
-	gate := gates[cfg.HedgeFaultShard]
+	gate := gates[hedgeFaultShard]
 	stopPulse := make(chan struct{})
 	var pulseWG sync.WaitGroup
 	var pulses int
@@ -499,7 +381,7 @@ func runResilHedgeArm(cfg ResilConfig, hedged bool) (ResilHedgeRow, error) {
 			}
 			stall, ok := gate.ArmIfFree(0, ds.PointSearchHead, nil, 0)
 			if !ok {
-				time.Sleep(cfg.HedgeGap)
+				time.Sleep(hedgeGap)
 				continue
 			}
 			parked := false
@@ -511,31 +393,27 @@ func runResilHedgeArm(cfg ResilConfig, hedged bool) (ResilHedgeRow, error) {
 			}
 			if parked {
 				pulses++
-				time.Sleep(cfg.HedgeHold)
+				time.Sleep(hedgeHold)
 			}
 			gate.DisarmStall(0, stall)
 			stall.Release()
 			select {
 			case <-stopPulse:
 				return
-			case <-time.After(cfg.HedgeGap):
+			case <-time.After(hedgeGap):
 			}
 		}
 	}()
 
 	// MultiGet-only traffic: hedge duplicates re-execute their leg's
 	// operations, so the phase keeps them idempotent.
-	src, err := workload.NewReqSource(workload.ReqConfig{
-		Dist: "uniform", KeyRange: cfg.KeyRange,
-		Mix:       workload.ReqMix{MultiGetPct: 100},
-		MultiSize: cfg.MultiSize, Seed: cfg.Seed,
-	})
+	src, err := fanoutReqSource(workload.ReqMix{MultiGetPct: 100}, cfg.keyRange, cfg.seed)
 	if err != nil {
 		close(stopPulse)
 		pulseWG.Wait()
 		return row, err
 	}
-	samples, err := runPacedClients(do, src, cfg.HedgeClients, cfg.HedgePace, cfg.HedgeDuration, clock)
+	samples, err := runPacedClients(do, src, hedgeClients, hedgePace, cfg.hedgeDuration, clock)
 	close(stopPulse)
 	pulseWG.Wait()
 	if err != nil {
@@ -559,18 +437,18 @@ func runResilHedgeArm(cfg ResilConfig, hedged bool) (ResilHedgeRow, error) {
 	return row, nil
 }
 
-// RunResil runs EXP-RESIL: the goodput A/B under staggered faults, the
+// runResil runs EXP-RESIL: the goodput A/B under staggered faults, the
 // hedge tail A/B under park pulses, then the three gates.
-func RunResil(cfg ResilConfig) (ResilResult, error) {
-	cfg.fill()
-	res := ResilResult{Shards: cfg.Shards, Clients: cfg.Clients, ReqMix: cfg.ReqMix}
+func runResil(p Profile) (Result, error) {
+	cfg := p.resilConfig()
+	res := ResilResult{Shards: fanoutShards, Clients: resilClients, ReqMix: workload.ReqMixFanout}
 
 	var err error
 	if res.Naive, err = runResilGoodputArm(cfg, false); err != nil {
-		return res, err
+		return nil, err
 	}
 	if res.Resilient, err = runResilGoodputArm(cfg, true); err != nil {
-		return res, err
+		return nil, err
 	}
 	if res.Naive.WindowClean > 0 {
 		res.GoodputX = float64(res.Resilient.WindowClean) / float64(res.Naive.WindowClean)
@@ -587,10 +465,10 @@ func RunResil(cfg ResilConfig) (ResilResult, error) {
 	// twice.
 	for attempt := 0; attempt < 2; attempt++ {
 		if res.HedgeBase, err = runResilHedgeArm(cfg, false); err != nil {
-			return res, err
+			return nil, err
 		}
 		if res.Hedged, err = runResilHedgeArm(cfg, true); err != nil {
-			return res, err
+			return nil, err
 		}
 		if res.HedgeBase.P99 > 0 {
 			res.HedgeP99X = float64(res.Hedged.P99) / float64(res.HedgeBase.P99)
@@ -605,4 +483,45 @@ func RunResil(cfg ResilConfig) (ResilResult, error) {
 	res.AmplificationBounded = res.Resilient.Amplification > 0 &&
 		res.Resilient.Amplification <= 1.3
 	return res, nil
+}
+
+// Gates: typed retries recover fault-window goodput (≥1.5× the naive
+// arm), hedging bounds the fan-out p99 under a one-slow-worker fault, and
+// the retry budget keeps load amplification under 1.3× offered.
+func (res ResilResult) Gates() []Gate {
+	return []Gate{
+		{Name: "goodput_recovered", OK: res.GoodputRecovered,
+			Detail: fmt.Sprintf("resilient fault-window goodput %d vs naive %d (%.2fx < 1.5x)",
+				res.Resilient.WindowClean, res.Naive.WindowClean, res.GoodputX)},
+		{Name: "hedge_bounds_tail", OK: res.HedgeBoundsTail,
+			Detail: fmt.Sprintf("hedging did not bound the tail: p99 %s vs %s (%.2fx), %d hedges %d wins",
+				res.Hedged.P99, res.HedgeBase.P99, res.HedgeP99X, res.Hedged.Hedges, res.Hedged.HedgeWins)},
+		{Name: "amplification_bounded", OK: res.AmplificationBounded,
+			Detail: fmt.Sprintf("retry amplification %.3fx outside (0, 1.3]", res.Resilient.Amplification)},
+	}
+}
+
+// WriteTable renders EXP-RESIL: the goodput A/B rows, the hedge A/B rows,
+// then the three acceptance headlines.
+func (res ResilResult) WriteTable(w io.Writer) {
+	fmt.Fprintf(w, "%-10s %10s %10s %12s %12s %10s %10s\n",
+		"arm", "requests", "clean", "win-reqs", "win-clean", "p50", "p99")
+	for _, a := range []ResilArmRow{res.Naive, res.Resilient} {
+		fmt.Fprintf(w, "%-10s %10d %10d %12d %12d %10s %10s\n",
+			a.Arm, a.Requests, a.Clean, a.WindowRequests, a.WindowClean,
+			fmtLatency(a.P50), fmtLatency(a.P99))
+	}
+	r := res.Resilient
+	fmt.Fprintf(w, "retry:  %d retries, %d recovered, %d budget-exhausted, %d sheds, %d timeouts, amplification %.3fx\n",
+		r.Retries, r.Recovered, r.BudgetExhausted, r.Sheds, r.Timeouts, r.Amplification)
+	fmt.Fprintf(w, "%-10s %10s %8s %10s %10s %8s %8s %8s\n",
+		"arm", "requests", "pulses", "p50", "p99", "hedges", "wins", "waste")
+	for _, a := range []ResilHedgeRow{res.HedgeBase, res.Hedged} {
+		fmt.Fprintf(w, "%-10s %10d %8d %10s %10s %8d %8d %8d\n",
+			a.Arm, a.Requests, a.Pulses, fmtLatency(a.P50), fmtLatency(a.P99),
+			a.Hedges, a.HedgeWins, a.HedgeWaste)
+	}
+	fmt.Fprintf(w, "aggregate: %d shards, %d clients, mix %s\n", res.Shards, res.Clients, res.ReqMix)
+	fmt.Fprintf(w, "           goodput recovered: %v (%.2fx in fault windows); hedge bounds tail: %v (%.2fx p99); amplification bounded: %v\n",
+		res.GoodputRecovered, res.GoodputX, res.HedgeBoundsTail, res.HedgeP99X, res.AmplificationBounded)
 }

@@ -2,6 +2,7 @@ package bench
 
 import (
 	"fmt"
+	"io"
 
 	"repro/internal/ds"
 	"repro/internal/ds/harris"
@@ -89,9 +90,27 @@ func ScaleBound(scheme string, size int) (ScaleRow, error) {
 	}, nil
 }
 
+// ScaleRows is EXP-SCALE's result.
+type ScaleRows []ScaleRow
+
+// Gates: EXP-SCALE asserts nothing at run time (its shape is unit-tested).
+func (ScaleRows) Gates() []Gate { return nil }
+
+// WriteTable renders the scale experiment.
+func (rows ScaleRows) WriteTable(w io.Writer) {
+	fmt.Fprintf(w, "%-11s %8s %10s %9s\n", "scheme", "size", "backlog", "per-size")
+	for _, r := range rows {
+		fmt.Fprintf(w, "%-11s %8d %10d %9.3f\n", r.Scheme, r.Size, r.Backlog, r.PerSize)
+	}
+}
+
+func runScale(Profile) (Result, error) {
+	return ScaleSweep([]string{"hp", "he", "ibr", "vbr", "nbr", "rc"}, []int{128, 512, 2048})
+}
+
 // ScaleSweep measures schemes × sizes.
-func ScaleSweep(schemes []string, sizes []int) ([]ScaleRow, error) {
-	var rows []ScaleRow
+func ScaleSweep(schemes []string, sizes []int) (ScaleRows, error) {
+	var rows ScaleRows
 	for _, scheme := range schemes {
 		for _, size := range sizes {
 			r, err := ScaleBound(scheme, size)

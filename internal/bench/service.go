@@ -3,6 +3,7 @@ package bench
 import (
 	"errors"
 	"fmt"
+	"io"
 	"sync"
 	"time"
 
@@ -34,12 +35,9 @@ type ServiceConfig struct {
 	// Clients is the number of closed-loop client goroutines; 0 selects
 	// 2 × Shards.
 	Clients int
-	// OpsPerClient is the measured operation count per client; 0 selects
-	// 20000.
+	// OpsPerClient is the measured operation count per client (an untimed
+	// warmup of a tenth of it runs first); 0 selects 20000.
 	OpsPerClient int
-	// WarmupOpsPerClient is the untimed warmup: 0 selects
-	// OpsPerClient/10, negative disables.
-	WarmupOpsPerClient int
 	// Batch is how many operations a client packs into one service
 	// request; 0 selects 16.
 	Batch int
@@ -218,7 +216,8 @@ type ServiceRow struct {
 	FanoutHedgeWins uint64 `json:"fanout_hedge_wins,omitempty"`
 }
 
-// ServiceResult pairs the aggregate row with the per-shard breakdown.
+// ServiceResult pairs the aggregate row with the per-shard breakdown
+// (the BENCH_service.json artifact).
 type ServiceResult struct {
 	Aggregate ServiceRow        `json:"aggregate"`
 	PerShard  []ServiceShardRow `json:"per_shard"`
@@ -227,6 +226,74 @@ type ServiceResult struct {
 	Episodes []adapt.Episode `json:"episodes,omitempty"`
 	// ObsURL is the live plane's bound URL (ObsAddr runs only).
 	ObsURL string `json:"obs_url,omitempty"`
+}
+
+// Gates: the service measurement records shape, not a claim.
+func (ServiceResult) Gates() []Gate { return nil }
+
+// WriteTable renders the sharded-service measurement: the per-shard
+// breakdown (scheme = the shard's *current* scheme), the adaptive
+// migration log when there is one, then the aggregate lines.
+func (res ServiceResult) WriteTable(w io.Writer) {
+	fmt.Fprintf(w, "%-6s %-11s %12s %10s %10s %12s %8s %8s %9s %6s\n",
+		"shard", "scheme", "ops", "Mops/s", "retired", "peak-retired", "faults", "unsafe", "restarts", "moves")
+	for _, r := range res.PerShard {
+		fmt.Fprintf(w, "%-6d %-11s %12d %10.3f %10d %12d %8d %8d %9d %6d\n",
+			r.Shard, r.Scheme, r.Ops, r.MopsPerSec, r.Retired, r.MaxRetired,
+			r.Faults, r.UnsafeAccesses, r.Restarts, r.Migrations)
+	}
+	writeEpisodes(w, res.Episodes)
+	a := res.Aggregate
+	fmt.Fprintf(w, "aggregate: %d shards × %d workers, %d clients × batch %d, %s %s/%s mix %s\n",
+		a.Shards, a.Workers, a.Clients, a.Batch, a.Structure, a.Workload, a.Schedule, a.Mix)
+	fmt.Fprintf(w, "           %d ops in %s = %.3f Mops/s, request p50 %s p99 %s, peak-retired %d, faults %d, restarts %d\n",
+		a.Ops, a.Elapsed.Round(time.Millisecond), a.MopsPerSec,
+		fmtLatency(a.P50), fmtLatency(a.P99), a.PeakRetired, a.Faults, a.Restarts)
+	if a.OpErrs > 0 || a.Migrations > 0 {
+		fmt.Fprintf(w, "           op-errors %d, migrations %d\n", a.OpErrs, a.Migrations)
+	}
+	if a.FanoutPct > 0 {
+		fmt.Fprintf(w, "fan-out:   %d clients (%d%% of fleet) via pipelined executor: %d requests, p50 %s p99 %s\n",
+			a.FanoutClients, a.FanoutPct, a.FanoutReqs, fmtLatency(a.FanoutP50), fmtLatency(a.FanoutP99))
+		if a.FanoutPartial > 0 || a.FanoutErrs > 0 || a.FanoutSheds > 0 {
+			fmt.Fprintf(w, "           fan-out partials %d, fan-out op-errors %d, fan-out sheds %d\n",
+				a.FanoutPartial, a.FanoutErrs, a.FanoutSheds)
+		}
+		if a.FanoutRetries > 0 || a.FanoutHedges > 0 || a.FanoutRecovered > 0 {
+			fmt.Fprintf(w, "resil:     %d retries (%d requests recovered), %d hedges (%d races won)\n",
+				a.FanoutRetries, a.FanoutRecovered, a.FanoutHedges, a.FanoutHedgeWins)
+		}
+	}
+}
+
+// writeEpisodes renders a migration episode log, one line per decision,
+// shared by the service, adaptive and observability tables.
+func writeEpisodes(w io.Writer, eps []adapt.Episode) {
+	for _, ep := range eps {
+		line := fmt.Sprintf("migration: shard %d %s → %s at %s (%s)",
+			ep.Shard, ep.From, ep.To, ep.At.Round(time.Millisecond), ep.Reason)
+		if ep.Err != "" {
+			line += " FAILED: " + ep.Err
+		}
+		fmt.Fprintln(w, line)
+	}
+}
+
+// runServiceExperiment is the registry's canned deployment: EBR and HP
+// alternating across shards of the HP-compatible hashmap — the ERA
+// trade-off made per shard. eraserve exposes the full configuration
+// surface.
+func runServiceExperiment(p Profile) (Result, error) {
+	return RunService(ServiceConfig{
+		Shards:       p.Shards,
+		Schemes:      []string{"ebr", "hp"},
+		Structure:    "hashmap",
+		OpsPerClient: p.ops(),
+		KeyRange:     p.keyRange(),
+		Workload:     p.Workload,
+		Schedule:     p.Schedule,
+		Seed:         p.Seed,
+	})
 }
 
 // runClients drives every client through ops operations from src,
@@ -491,14 +558,7 @@ func attachAdapt(st *store.Store, acfg adapt.Config, interval time.Duration, mon
 // sampleEvery derives a telemetry tick from a traffic window: ~200
 // samples per run, clamped to [200µs, 5ms].
 func sampleEvery(d time.Duration) time.Duration {
-	iv := d / 200
-	if iv < 200*time.Microsecond {
-		iv = 200 * time.Microsecond
-	}
-	if iv > 5*time.Millisecond {
-		iv = 5 * time.Millisecond
-	}
-	return iv
+	return min(max(d/200, 200*time.Microsecond), 5*time.Millisecond)
 }
 
 // RunService builds the sharded store, prefills it to half the key range,
@@ -716,14 +776,7 @@ func RunService(cfg ServiceConfig) (ServiceResult, error) {
 		if err := serveObs(&obs.Registry{Store: st, Recorder: recorder, Resil: fanResil}); err != nil {
 			return ServiceResult{}, err
 		}
-		warmup := cfg.WarmupOpsPerClient
-		switch {
-		case warmup < 0:
-			warmup = 0
-		case warmup == 0:
-			warmup = cfg.OpsPerClient / 10
-		}
-		if warmup > 0 {
+		if warmup := cfg.OpsPerClient / 10; warmup > 0 {
 			if err := runClients(st, src.Steady(cfg.Seed^0xbadcafe), cfg, warmup, nil); err != nil {
 				return ServiceResult{}, err
 			}

@@ -96,7 +96,7 @@ func TestRunServiceFanoutLane(t *testing.T) {
 	}
 
 	var buf strings.Builder
-	bench.WriteServiceTable(&buf, res)
+	res.WriteTable(&buf)
 	if !strings.Contains(buf.String(), "fan-out:") {
 		t.Fatalf("service table missing fan-out row:\n%s", buf.String())
 	}

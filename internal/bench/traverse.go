@@ -1,5 +1,4 @@
-// EXP-TRAVERSE: the traversal hot-path experiment. Two sections, each an
-// A/B pair over the same workload:
+// EXP-TRAVERSE: the traversal hot-path experiment, in two sections.
 //
 // Section 1 (storm) reproduces the restart storm of ROADMAP item 5: a
 // single long-chain shard (Michael's list over the whole key range)
@@ -10,69 +9,51 @@
 // peak retired backlog — the quantity a storm balloons by pinning an
 // epoch inside one operation bracket.
 //
-// Section 2 (snapshot) measures MigrateShard's swap window at a large
-// key universe with few live keys, once with the legacy O(universe)
-// Contains scan (Config.SnapshotScan) and once with the O(live-keys)
-// iterator snapshot. Measured: membership probes, carried keys, and the
-// wall-clock swap window; the headline is the window improvement ratio
-// and the probes-track-live-keys bound CI asserts.
+// Section 2 (snapshot) measures MigrateShard's iterator snapshot at a
+// large key universe with few live keys: membership probes, carried keys,
+// and the wall-clock swap window. The gate is the O(live-keys) contract:
+// probes within 2x the live keys.
 
 package bench
 
 import (
 	"fmt"
+	"io"
 	"time"
 
 	"repro/internal/store"
 	"repro/internal/workload"
 )
 
-// TraverseConfig sizes EXP-TRAVERSE.
-type TraverseConfig struct {
-	// Workers is the storm shard's worker count; 0 selects 3.
-	Workers int
-	// Clients is the storm client count; 0 selects 4.
-	Clients int
-	// Duration is the storm window per arm; 0 selects 400ms.
-	Duration time.Duration
-	// Batch is the client batch size; 0 selects 16.
-	Batch int
-	// ChurnKeyRange is the storm key universe — the live chain is about
-	// half of it; 0 selects 4096.
-	ChurnKeyRange int
-	// SnapKeyRange is the snapshot section's key universe; 0 selects
-	// 1_000_000.
-	SnapKeyRange int
-	// SnapLiveKeys is how many live keys the snapshot section prefills,
-	// spread evenly over the universe; 0 selects 10_000.
-	SnapLiveKeys int
-	// Seed makes the client streams deterministic.
-	Seed uint64
+// traverseConfig is what EXP-TRAVERSE varies between its smoke and full
+// scale.
+type traverseConfig struct {
+	// duration is the storm window per arm.
+	duration time.Duration
+	// churnKeyRange is the storm key universe — the live chain is about
+	// half of it.
+	churnKeyRange int
+	// snapKeyRange is the snapshot section's key universe; snapLiveKeys is
+	// how many live keys it prefills, spread evenly over the universe.
+	snapKeyRange int
+	snapLiveKeys int
+	seed         uint64
 }
 
-func (cfg *TraverseConfig) fill() {
-	if cfg.Workers <= 0 {
-		cfg.Workers = 3
+func (p Profile) traverseConfig() traverseConfig {
+	if p.Short {
+		return traverseConfig{duration: 150 * time.Millisecond, churnKeyRange: 1024,
+			snapKeyRange: 100_000, snapLiveKeys: 2000, seed: p.Seed}
 	}
-	if cfg.Clients <= 0 {
-		cfg.Clients = 4
-	}
-	if cfg.Duration <= 0 {
-		cfg.Duration = 400 * time.Millisecond
-	}
-	if cfg.Batch <= 0 {
-		cfg.Batch = 16
-	}
-	if cfg.ChurnKeyRange <= 0 {
-		cfg.ChurnKeyRange = 4096
-	}
-	if cfg.SnapKeyRange <= 0 {
-		cfg.SnapKeyRange = 1_000_000
-	}
-	if cfg.SnapLiveKeys <= 0 {
-		cfg.SnapLiveKeys = 10_000
-	}
+	return traverseConfig{duration: 400 * time.Millisecond, churnKeyRange: 4096,
+		snapKeyRange: 1_000_000, snapLiveKeys: 10_000, seed: p.Seed}
 }
+
+const (
+	traverseWorkers = 3
+	traverseClients = 4
+	traverseBatch   = 16
+)
 
 // TraverseStormArm is one storm arm's measurement.
 type TraverseStormArm struct {
@@ -94,11 +75,8 @@ type TraverseStormArm struct {
 	PeakRetired    uint64  `json:"peak_retired"`
 }
 
-// TraverseSnapArm is one snapshot arm's measurement.
-type TraverseSnapArm struct {
-	// Mode is "scan" (baseline: O(universe) Contains probes) or
-	// "iterator" (O(live keys)).
-	Mode           string        `json:"mode"`
+// TraverseSnap is the snapshot section's measurement.
+type TraverseSnap struct {
 	SnapshotProbes uint64        `json:"snapshot_probes"`
 	SnapshotKeys   uint64        `json:"snapshot_keys"`
 	SwapWindow     time.Duration `json:"swap_window_ns"`
@@ -115,14 +93,10 @@ type TraverseResult struct {
 	Seed          uint64        `json:"seed"`
 
 	Storm []TraverseStormArm `json:"storm"`
-	Snap  []TraverseSnapArm  `json:"snapshot"`
+	Snap  TraverseSnap       `json:"snapshot"`
 
-	// SwapImprovement is the snapshot headline: scan-arm swap window over
-	// iterator-arm swap window (the acceptance bar is >= 10x at the full
-	// universe-to-live-keys ratio).
-	SwapImprovement float64 `json:"swap_improvement"`
-	// ProbesBounded is the CI assertion: the iterator arm's snapshot
-	// probes stayed within 2x its live keys.
+	// ProbesBounded is the O(live-keys) contract: the snapshot's probes
+	// stayed within 2x its live keys.
 	ProbesBounded bool `json:"snapshot_probes_bounded"`
 	// GuardClean reports that no operation in either storm arm hit the
 	// traversal step budget.
@@ -132,7 +106,7 @@ type TraverseResult struct {
 // runTraverseStorm runs one storm arm: a single Michael-list shard over
 // the whole churn key range, duration-boxed clients, traversal counters
 // read after close.
-func runTraverseStorm(cfg TraverseConfig, headRestart bool) (TraverseStormArm, error) {
+func runTraverseStorm(cfg traverseConfig, headRestart bool) (TraverseStormArm, error) {
 	mode := "bounded"
 	if headRestart {
 		mode = "head-restart"
@@ -141,28 +115,28 @@ func runTraverseStorm(cfg TraverseConfig, headRestart bool) (TraverseStormArm, e
 		Shards: []store.ShardSpec{{
 			Scheme:      "ebr",
 			Structure:   "michael",
-			Workers:     cfg.Workers,
+			Workers:     traverseWorkers,
 			HeadRestart: headRestart,
 		}},
-		KeyRange: cfg.ChurnKeyRange,
+		KeyRange: cfg.churnKeyRange,
 	})
 	if err != nil {
 		return TraverseStormArm{}, err
 	}
 	defer st.Close()
 	src, err := workload.New(workload.Config{
-		KeyRange: cfg.ChurnKeyRange,
+		KeyRange: cfg.churnKeyRange,
 		Mix:      MixBalanced,
-		Seed:     cfg.Seed,
+		Seed:     cfg.seed,
 	})
 	if err != nil {
 		return TraverseStormArm{}, err
 	}
-	if err := prefillHalf(st, cfg.ChurnKeyRange, cfg.Batch, cfg.Seed); err != nil {
+	if err := prefillHalf(st, cfg.churnKeyRange, traverseBatch, cfg.seed); err != nil {
 		return TraverseStormArm{}, err
 	}
 	start := time.Now()
-	ops, _, lat, err := runTimedClients(st, src, cfg.Clients, cfg.Batch, start.Add(cfg.Duration), nil)
+	ops, _, lat, err := runTimedClients(st, src, traverseClients, traverseBatch, start.Add(cfg.duration), nil)
 	if err != nil {
 		return TraverseStormArm{}, err
 	}
@@ -190,108 +164,112 @@ func runTraverseStorm(cfg TraverseConfig, headRestart bool) (TraverseStormArm, e
 	return arm, nil
 }
 
-// runTraverseSnap runs one snapshot arm: prefill SnapLiveKeys evenly
-// over SnapKeyRange on a hashmap shard sized for the live keys (not the
-// universe — the point), migrate it onto the same scheme, and read the
-// migration cost observables.
-func runTraverseSnap(cfg TraverseConfig, scan bool) (TraverseSnapArm, error) {
-	mode := "iterator"
-	if scan {
-		mode = "scan"
-	}
+// runTraverseSnap prefills snapLiveKeys evenly over snapKeyRange on a
+// hashmap shard sized for the live keys (not the universe — the point),
+// migrates it onto the same scheme, and reads the migration cost
+// observables.
+func runTraverseSnap(cfg traverseConfig) (TraverseSnap, error) {
 	st, err := store.New(store.Config{
 		Shards: []store.ShardSpec{{
 			Scheme:    "ebr",
 			Structure: "hashmap",
-			Slots:     4*cfg.SnapLiveKeys + 8192,
+			Slots:     4*cfg.snapLiveKeys + 8192,
 		}},
-		KeyRange:     cfg.SnapKeyRange,
-		SnapshotScan: scan,
+		KeyRange: cfg.snapKeyRange,
 	})
 	if err != nil {
-		return TraverseSnapArm{}, err
+		return TraverseSnap{}, err
 	}
 	defer st.Close()
-	stride := cfg.SnapKeyRange / cfg.SnapLiveKeys
-	if stride < 1 {
-		stride = 1
-	}
-	batch := make([]store.Op, 0, cfg.Batch)
-	flush := func() error {
-		if len(batch) == 0 {
-			return nil
+	stride := max(cfg.snapKeyRange/cfg.snapLiveKeys, 1)
+	batch := make([]store.Op, 0, traverseBatch)
+	for i := 0; i < cfg.snapLiveKeys; i++ {
+		batch = append(batch, store.Op{Kind: workload.OpInsert, Key: int64(i * stride)})
+		if len(batch) < traverseBatch && i < cfg.snapLiveKeys-1 {
+			continue
 		}
 		res, err := st.Do(batch)
 		if err != nil {
-			return err
+			return TraverseSnap{}, err
 		}
 		for _, r := range res {
 			if r.Err != nil {
-				return r.Err
+				return TraverseSnap{}, r.Err
 			}
 		}
 		batch = batch[:0]
-		return nil
-	}
-	for i := 0; i < cfg.SnapLiveKeys; i++ {
-		batch = append(batch, store.Op{Kind: workload.OpInsert, Key: int64(i * stride)})
-		if len(batch) == cfg.Batch {
-			if err := flush(); err != nil {
-				return TraverseSnapArm{}, err
-			}
-		}
-	}
-	if err := flush(); err != nil {
-		return TraverseSnapArm{}, err
 	}
 	if err := st.MigrateShard(0, "ebr"); err != nil {
-		return TraverseSnapArm{}, fmt.Errorf("bench: traverse snapshot (%s): %w", mode, err)
+		return TraverseSnap{}, fmt.Errorf("bench: traverse snapshot: %w", err)
 	}
 	ss := st.Stats().Shards[0]
-	return TraverseSnapArm{
-		Mode:           mode,
+	return TraverseSnap{
 		SnapshotProbes: ss.SnapshotProbes,
 		SnapshotKeys:   ss.SnapshotKeys,
 		SwapWindow:     time.Duration(ss.SwapWindowNanos),
 	}, nil
 }
 
-// RunTraverse runs both sections of EXP-TRAVERSE, baseline arm first.
-func RunTraverse(cfg TraverseConfig) (TraverseResult, error) {
-	cfg.fill()
+// runTraverse runs both sections of EXP-TRAVERSE, the storm's baseline
+// arm first.
+func runTraverse(p Profile) (Result, error) {
+	cfg := p.traverseConfig()
 	res := TraverseResult{
-		Workers:       cfg.Workers,
-		Clients:       cfg.Clients,
-		Duration:      cfg.Duration,
-		ChurnKeyRange: cfg.ChurnKeyRange,
-		SnapKeyRange:  cfg.SnapKeyRange,
-		SnapLiveKeys:  cfg.SnapLiveKeys,
-		Seed:          cfg.Seed,
+		Workers:       traverseWorkers,
+		Clients:       traverseClients,
+		Duration:      cfg.duration,
+		ChurnKeyRange: cfg.churnKeyRange,
+		SnapKeyRange:  cfg.snapKeyRange,
+		SnapLiveKeys:  cfg.snapLiveKeys,
+		Seed:          cfg.seed,
+		GuardClean:    true,
 	}
 	for _, headRestart := range []bool{true, false} {
 		arm, err := runTraverseStorm(cfg, headRestart)
 		if err != nil {
-			return TraverseResult{}, err
+			return nil, err
 		}
 		res.Storm = append(res.Storm, arm)
-	}
-	for _, scan := range []bool{true, false} {
-		arm, err := runTraverseSnap(cfg, scan)
-		if err != nil {
-			return TraverseResult{}, err
-		}
-		res.Snap = append(res.Snap, arm)
-	}
-	scanArm, iterArm := res.Snap[0], res.Snap[1]
-	if iterArm.SwapWindow > 0 {
-		res.SwapImprovement = float64(scanArm.SwapWindow) / float64(iterArm.SwapWindow)
-	}
-	res.ProbesBounded = iterArm.SnapshotProbes <= 2*iterArm.SnapshotKeys
-	res.GuardClean = true
-	for _, arm := range res.Storm {
 		if arm.GuardTrips != 0 {
 			res.GuardClean = false
 		}
 	}
+	var err error
+	if res.Snap, err = runTraverseSnap(cfg); err != nil {
+		return nil, err
+	}
+	res.ProbesBounded = res.Snap.SnapshotProbes <= 2*res.Snap.SnapshotKeys
 	return res, nil
+}
+
+// Gates: the snapshot's probes track its live keys, and no storm
+// operation tripped the traversal step-budget guard.
+func (res TraverseResult) Gates() []Gate {
+	var trips uint64
+	for _, arm := range res.Storm {
+		trips += arm.GuardTrips
+	}
+	return []Gate{
+		{Name: "snapshot_probes_bounded", OK: res.ProbesBounded,
+			Detail: fmt.Sprintf("snapshot probed %d for %d live keys, want <= 2x", res.Snap.SnapshotProbes, res.Snap.SnapshotKeys)},
+		{Name: "guard_clean", OK: res.GuardClean,
+			Detail: fmt.Sprintf("%d traversal guard trip(s) under the churn storm", trips)},
+	}
+}
+
+// WriteTable renders EXP-TRAVERSE: the storm arms, the snapshot, then the
+// headlines.
+func (res TraverseResult) WriteTable(w io.Writer) {
+	fmt.Fprintf(w, "%-13s %10s %10s %10s %10s %11s %8s %13s %11s %13s\n",
+		"storm-arm", "ops", "Mops/s", "p50", "p99", "restarts/kop", "head-rs", "max-op-steps", "guard-trips", "peak-retired")
+	for _, a := range res.Storm {
+		fmt.Fprintf(w, "%-13s %10d %10.3f %10s %10s %11.3f %8d %13d %11d %13d\n",
+			a.Mode, a.Ops, a.MopsPerSec, fmtLatency(a.P50), fmtLatency(a.P99),
+			a.RestartsPerKOp, a.TravHeadRestarts, a.MaxOpSteps, a.GuardTrips, a.PeakRetired)
+	}
+	fmt.Fprintf(w, "snapshot: %d probes for %d live keys, swap window %s\n",
+		res.Snap.SnapshotProbes, res.Snap.SnapshotKeys, res.Snap.SwapWindow.Round(time.Microsecond))
+	fmt.Fprintf(w, "aggregate: %d workers, %d clients, %s window, churn keyrange %d, snapshot %d universe / %d live, seed %d\n",
+		res.Workers, res.Clients, res.Duration, res.ChurnKeyRange, res.SnapKeyRange, res.SnapLiveKeys, res.Seed)
+	fmt.Fprintf(w, "           probes bounded: %v, guard clean: %v\n", res.ProbesBounded, res.GuardClean)
 }

@@ -19,7 +19,7 @@ import (
 // while retiring K nodes, scans run, and T1 resumes solo.
 //
 // The per-structure outcomes differ in instructive ways (measured by the
-// tests and EXPERIMENTS.md): the skip list reproduces Harris's trichotomy
+// tests and `erabench -exp structures`): the skip list reproduces Harris's trichotomy
 // exactly; the Natarajan-Mittal tree keeps protection-based schemes safe
 // under *this* script (each traversal step protects the node it lands on,
 // and the tree detaches small units rather than chains), while the

@@ -103,6 +103,23 @@ func TestInfoConsistency(t *testing.T) {
 	}
 }
 
+// TestEverySetIterates: every registered set implements ds.Iterator.
+// store.MigrateShard snapshots a shard through its iterator and has no
+// fallback, so a set without one could not be migrated.
+func TestEverySetIterates(t *testing.T) {
+	for _, name := range registry.SetNames() {
+		info := registry.MustGet(name)
+		env := dstest.NewEnv(t, "ebr", 1, 1<<10, info.PayloadWords, mem.Reuse)
+		set, err := info.NewSet(env.S, ds.Options{})
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if _, ok := set.(ds.Iterator); !ok {
+			t.Errorf("%s: set does not implement ds.Iterator", name)
+		}
+	}
+}
+
 // TestGetUnknown: unknown names report the available structures.
 func TestGetUnknown(t *testing.T) {
 	if _, err := registry.Get("nosuch"); err == nil {

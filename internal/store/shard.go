@@ -400,43 +400,29 @@ func (sh *shard) drain() {
 }
 
 // snapshot reads the shard's current set contents on the maintenance
-// tid. The default path walks the structure's iterator — O(live keys),
-// one probe per emitted key — so the cost no longer scales with the
-// store's key universe. scan forces the legacy fallback: a Contains
-// probe of every key in [0, keyRange) routed to this shard, O(universe)
-// — kept as the EXP-TRAVERSE baseline arm and for any future structure
-// without an iterator. Both paths go through guarded operations (never
-// raw structure walks), so the snapshot stays safe even when a faulted
-// worker never drained: a concurrent straggler and the snapshot are
-// just two lock-free operations. probes counts membership reads either
-// way — the observable the traverse bench and CI bound.
-func (sh *shard) snapshot(keyRange int, route func(int64) int, scan bool) (keys []int64, probes uint64, err error) {
+// tid by walking the structure's iterator — O(live keys), one probe per
+// emitted key, independent of the store's key universe. The walk goes
+// through guarded operations (never a raw structure walk), so the
+// snapshot stays safe even when a faulted worker never drained: a
+// concurrent straggler and the snapshot are just two lock-free
+// operations. probes counts membership reads — the observable the
+// traverse experiment and the store tests bound. A set without
+// ds.Iterator cannot be snapshotted: ErrNoIterator (every registered set
+// has one; the ds/registry tests pin that).
+func (sh *shard) snapshot(route func(int64) int) (keys []int64, probes uint64, err error) {
 	it, ok := sh.set.(ds.Iterator)
-	if !scan && ok {
-		err = it.Iterate(sh.maint, func(k int64) bool {
-			probes++
-			if route(k) == sh.id {
-				keys = append(keys, k)
-			}
-			return true
-		})
-		if err != nil {
-			return nil, probes, err
-		}
-		return keys, probes, nil
+	if !ok {
+		return nil, 0, fmt.Errorf("%w: %s", ErrNoIterator, sh.spec.Structure)
 	}
-	for k := int64(0); k < int64(keyRange); k++ {
-		if route(k) != sh.id {
-			continue
-		}
+	err = it.Iterate(sh.maint, func(k int64) bool {
 		probes++
-		ok, err := sh.set.Contains(sh.maint, k)
-		if err != nil {
-			return nil, probes, err
-		}
-		if ok {
+		if route(k) == sh.id {
 			keys = append(keys, k)
 		}
+		return true
+	})
+	if err != nil {
+		return nil, probes, err
 	}
 	return keys, probes, nil
 }

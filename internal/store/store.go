@@ -40,6 +40,10 @@ var (
 	ErrClosed = errors.New("store: closed")
 	// ErrShardClosed reports an operation routed to a drained shard.
 	ErrShardClosed = errors.New("store: shard closed")
+	// ErrNoIterator reports a migration of a shard whose set structure
+	// cannot enumerate its keys (no ds.Iterator), so there is nothing to
+	// carry its contents across the swap.
+	ErrNoIterator = errors.New("store: structure has no iterator to snapshot")
 )
 
 // ShardSpec configures one shard: which reclamation scheme guards it,
@@ -84,9 +88,7 @@ type Config struct {
 	// case. Must be non-empty.
 	Shards []ShardSpec
 	// KeyRange is the key universe [0, KeyRange) the store is expected to
-	// serve; it sizes the default per-shard heap, and it is the universe
-	// MigrateShard's snapshot scans — keys outside it survive a migration
-	// only by accident. 0 selects 1024.
+	// serve; it sizes the default per-shard heap. 0 selects 1024.
 	KeyRange int
 	// QueueDepth is the per-shard request-queue capacity (how many
 	// batches may wait on a busy shard before submitters block). 0
@@ -103,11 +105,6 @@ type Config struct {
 	// stall wait is what keeps migration a remedy that works *during*
 	// the fault it remedies. 0 selects 100ms.
 	MigrateGrace time.Duration
-	// SnapshotScan forces MigrateShard's snapshot back onto the legacy
-	// O(universe) Contains probe of [0, KeyRange) instead of the
-	// structures' O(live-keys) iterator. Kept as the traverse benchmark's
-	// baseline arm; leave false in deployments.
-	SnapshotScan bool
 	// Recorder, when non-nil, is the observability plane's flight
 	// recorder (internal/obs/rec): every shard's reclamation scans and
 	// traversal guard trips, and the store's migrations and reopens, are
@@ -170,8 +167,7 @@ type migrationRec struct {
 // Store is the sharded service frontend. All methods are safe for
 // concurrent use.
 type Store struct {
-	shards   []*shard
-	keyRange int
+	shards []*shard
 	// meta holds per-slot swap history (epochs, migration counts).
 	meta []shardMeta
 	// cfg is the defaults-filled construction config, kept so closed
@@ -201,7 +197,7 @@ func New(cfg Config) (*Store, error) {
 	if cfg.MigrateGrace <= 0 {
 		cfg.MigrateGrace = 100 * time.Millisecond
 	}
-	st := &Store{keyRange: cfg.KeyRange, cfg: cfg, meta: make([]shardMeta, len(cfg.Shards))}
+	st := &Store{cfg: cfg, meta: make([]shardMeta, len(cfg.Shards))}
 	for i, spec := range cfg.Shards {
 		sh, err := newShard(i, spec, cfg)
 		if err != nil {
@@ -806,7 +802,7 @@ func (st *Store) MigrateShard(s int, scheme string) error {
 		// heap is about to be orphaned wholesale anyway.
 		old.drain()
 	}
-	keys, probes, err := old.snapshot(st.keyRange, st.shardOf, st.cfg.SnapshotScan)
+	keys, probes, err := old.snapshot(st.shardOf)
 	if err != nil {
 		st.cfg.Recorder.Record(rec.KindMigrationFail, s, 0, 0, 0, "snapshot: "+err.Error())
 		return fmt.Errorf("store: migrate shard %d: snapshot: %w (shard left closed)", s, err)

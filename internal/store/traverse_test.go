@@ -8,53 +8,42 @@ import (
 	"repro/internal/workload"
 )
 
-// TestSnapshotProbesBounded pins MigrateShard's snapshot cost: with the
-// iterator path the membership probes must track the live keys (O(live
-// keys)), not the key universe, and the legacy scan arm must still probe
-// the whole universe share — the contrast the traverse benchmark
-// measures. Contents survive either way.
+// TestSnapshotProbesBounded pins MigrateShard's snapshot cost: the
+// membership probes must track the live keys (O(live keys)), not the key
+// universe, and the contents must survive the swap.
 func TestSnapshotProbesBounded(t *testing.T) {
 	const keyRange = 1 << 16
 	const live = 200
-	for _, scan := range []bool{false, true} {
-		st, err := store.New(store.Config{
-			Shards:       store.Uniform(1, store.ShardSpec{Scheme: "ebr", Structure: "michael"}),
-			KeyRange:     keyRange,
-			SnapshotScan: scan,
-		})
-		if err != nil {
-			t.Fatal(err)
+	st, err := store.New(store.Config{
+		Shards:   store.Uniform(1, store.ShardSpec{Scheme: "ebr", Structure: "michael"}),
+		KeyRange: keyRange,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	for k := int64(0); k < live; k++ {
+		if ok, err := st.Insert(k * 7); err != nil || !ok {
+			t.Fatalf("insert(%d): %v, %v", k*7, ok, err)
 		}
-		for k := int64(0); k < live; k++ {
-			if ok, err := st.Insert(k * 7); err != nil || !ok {
-				t.Fatalf("insert(%d): %v, %v", k*7, ok, err)
-			}
+	}
+	if err := st.MigrateShard(0, "ebr"); err != nil {
+		t.Fatalf("migrate: %v", err)
+	}
+	for k := int64(0); k < live; k++ {
+		if ok, err := st.Contains(k * 7); err != nil || !ok {
+			t.Fatalf("key %d lost across migration: %v, %v", k*7, ok, err)
 		}
-		if err := st.MigrateShard(0, "ebr"); err != nil {
-			t.Fatalf("migrate (scan=%v): %v", scan, err)
-		}
-		for k := int64(0); k < live; k++ {
-			if ok, err := st.Contains(k * 7); err != nil || !ok {
-				t.Fatalf("key %d lost across migration (scan=%v): %v, %v", k*7, scan, ok, err)
-			}
-		}
-		ss := st.Stats().Shards[0]
-		if ss.SnapshotKeys != live {
-			t.Fatalf("snapshot carried %d keys, want %d (scan=%v)", ss.SnapshotKeys, live, scan)
-		}
-		if ss.SwapWindowNanos <= 0 {
-			t.Fatalf("swap window not recorded (scan=%v): %+v", scan, ss)
-		}
-		if scan {
-			if ss.SnapshotProbes != keyRange {
-				t.Fatalf("legacy scan probed %d keys, want the full universe %d", ss.SnapshotProbes, keyRange)
-			}
-		} else if ss.SnapshotProbes > 2*ss.SnapshotKeys {
-			t.Fatalf("iterator snapshot probed %d for %d live keys, want <= 2x", ss.SnapshotProbes, ss.SnapshotKeys)
-		}
-		if err := st.Close(); err != nil {
-			t.Fatal(err)
-		}
+	}
+	ss := st.Stats().Shards[0]
+	if ss.SnapshotKeys != live {
+		t.Fatalf("snapshot carried %d keys, want %d", ss.SnapshotKeys, live)
+	}
+	if ss.SwapWindowNanos <= 0 {
+		t.Fatalf("swap window not recorded: %+v", ss)
+	}
+	if ss.SnapshotProbes > 2*ss.SnapshotKeys {
+		t.Fatalf("snapshot probed %d for %d live keys, want <= 2x", ss.SnapshotProbes, ss.SnapshotKeys)
 	}
 }
 
