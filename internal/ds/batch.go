@@ -11,9 +11,12 @@ import (
 // EndOps) instead of paying BeginOp+EndOp per op. The ordered list
 // structures additionally reuse their validated-predecessor cache
 // across consecutive ops, so a key-sorted batch of k ops becomes one
-// amortized sweep. Semantics are identical to running the ops one by
-// one in slice order on the same thread: same results, same per-op
-// errors, execution continues past a failed op.
+// amortized sweep; the hashmap gets the same sweep per bucket by running
+// each bucket's share of the batch as one chain under the shared window.
+// Results are identical to running the ops one by one in slice order on
+// the same thread: same results, same per-op errors, execution
+// continues past a failed op. A structure may execute ops on distinct
+// keys in another order — they commute — but never two ops on one key.
 
 // BatchKind is a point-op kind inside a batch. The values deliberately
 // mirror workload.Op (contains=0, insert=1, delete=2) so the store can
@@ -43,21 +46,19 @@ type BatchResult struct {
 // ErrBadBatchOp reports an op kind outside the Batch* set.
 var ErrBadBatchOp = errors.New("ds: invalid batch op kind")
 
-// BatchSet is the fused fast path. ApplyBatch executes ops in order on
-// thread tid, writing res[i] for ops[i] (res must have len >= len(ops)),
-// and returns the number of bracket renewals the fused window paid —
-// the caller's measure of how much amortization it got. Callers that
-// want key locality sort the batch first; ApplyBatch itself imposes no
-// order.
+// BatchSet is the fused fast path. ApplyBatch executes ops on thread
+// tid, writing res[i] for ops[i] as in-order execution would (res must
+// have len >= len(ops)), and returns the number of bracket renewals the
+// fused window paid — the caller's measure of how much amortization it
+// got. Callers that want key locality sort the batch first; ApplyBatch
+// itself needs no order and leaves ops as it found them.
 type BatchSet interface {
 	ApplyBatch(tid int, ops []BatchOp, res []BatchResult) (rebrackets uint64)
 }
 
-// StepSet is the unbracketed single-op surface backing fusion: StepOp
+// StepSet is the unbracketed single-op surface backing RunBatch: StepOp
 // runs one op assuming the caller already holds an open bracket for
-// tid (an smr.Window or a plain BeginOp). Structures that compose
-// other structures (the hashmap over its buckets) drive StepOp inside
-// their own fused window.
+// tid (an smr.Window or a plain BeginOp).
 type StepSet interface {
 	StepOp(tid int, kind BatchKind, key int64) (bool, error)
 }

@@ -21,8 +21,12 @@ func sortBatchOps(ops []ds.BatchOp) {
 // bracket per batch) and through b's public per-op methods in the same
 // order, and every single result must match bit for bit. Batches longer
 // than the fused window's K verify the mid-window re-bracket cadence
-// actually engages without perturbing results.
-func BatchEquivalenceSet(tb testing.TB, a, b ds.Set, batches, batchSize, keyRange int) {
+// actually engages without perturbing results. sorted key-sorts each
+// batch first, the store's arrangement; unsorted batches hold ApplyBatch
+// to its contract that it needs no order, and make a structure that
+// regroups the batch (the hashmap's bucket sweep) prove the regrouping
+// invisible.
+func BatchEquivalenceSet(tb testing.TB, a, b ds.Set, batches, batchSize, keyRange int, sorted bool) {
 	tb.Helper()
 	ab, ok := a.(ds.BatchSet)
 	if !ok {
@@ -36,7 +40,9 @@ func BatchEquivalenceSet(tb testing.TB, a, b ds.Set, batches, batchSize, keyRang
 		for i := range ops {
 			ops[i] = ds.BatchOp{Kind: ds.BatchKind(r.intn(3)), Key: int64(r.intn(keyRange))}
 		}
-		sortBatchOps(ops)
+		if sorted {
+			sortBatchOps(ops)
+		}
 		rebrackets += ab.ApplyBatch(0, ops, res)
 		for i, op := range ops {
 			if res[i].Err != nil {

@@ -9,10 +9,10 @@ import (
 	"repro/internal/smr/all"
 )
 
-// schemesFor returns every safe scheme applicable to structure per the
+// SchemesFor returns every safe scheme applicable to structure per the
 // paper's classification (the non-applicable pairs are exercised by the
 // deterministic adversary tests instead).
-func schemesFor(structure string) []string {
+func SchemesFor(structure string) []string {
 	var names []string
 	for _, s := range all.SafeNames() {
 		if registry.Applicable(s, structure) {
@@ -33,7 +33,7 @@ func suiteEnv(t *testing.T, scheme, structure string, n int) (*Env, registry.Inf
 // RunSetSuite runs the full conformance suite for a set structure across
 // every applicable scheme.
 func RunSetSuite(t *testing.T, structure string) {
-	for _, scheme := range schemesFor(structure) {
+	for _, scheme := range SchemesFor(structure) {
 		scheme := scheme
 		t.Run(scheme, func(t *testing.T) {
 			t.Run("sequential", func(t *testing.T) {
@@ -76,7 +76,7 @@ func RunSetSuite(t *testing.T, structure string) {
 				}
 				// 700-op batches overrun the K=512 fused window, so the
 				// mid-window re-bracket cadence runs under every scheme.
-				BatchEquivalenceSet(t, a, b, 6, 700, 96)
+				BatchEquivalenceSet(t, a, b, 6, 700, 96, true)
 				envA.AssertSafe(t)
 				envB.AssertSafe(t)
 			})
@@ -104,7 +104,7 @@ func RunSetSuite(t *testing.T, structure string) {
 
 // RunQueueSuite runs the full conformance suite for a queue structure.
 func RunQueueSuite(t *testing.T, structure string) {
-	for _, scheme := range schemesFor(structure) {
+	for _, scheme := range SchemesFor(structure) {
 		scheme := scheme
 		t.Run(scheme, func(t *testing.T) {
 			t.Run("sequential", func(t *testing.T) {
@@ -131,7 +131,7 @@ func RunQueueSuite(t *testing.T, structure string) {
 
 // RunStackSuite runs the full conformance suite for a stack structure.
 func RunStackSuite(t *testing.T, structure string) {
-	for _, scheme := range schemesFor(structure) {
+	for _, scheme := range SchemesFor(structure) {
 		scheme := scheme
 		t.Run(scheme, func(t *testing.T) {
 			t.Run("sequential", func(t *testing.T) {

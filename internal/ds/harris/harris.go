@@ -173,7 +173,6 @@ func (l *List) search(tid int, key int64, anchor mem.Ref, anchorKey int64, aslot
 // final validated pred back into it on success.
 func (l *List) find(tid int, key int64, cu *cursor) (pred, curr mem.Ref, err error) {
 	var steps, restarts, headRestarts uint64
-	defer func() { l.Trav.Record(steps, restarts, headRestarts) }()
 	anchor, anchorKey, aslot := l.head, int64(ds.KeyMin), 0
 	if cu != nil {
 		if cu.ok && cu.key < key {
@@ -197,14 +196,15 @@ func (l *List) find(tid int, key int64, cu *cursor) (pred, curr mem.Ref, err err
 	}
 	for {
 		if steps++; steps > maxSteps {
-			return mem.NilRef, mem.NilRef, l.GuardTrip("harris", "find", steps, restarts)
+			return mem.NilRef, mem.NilRef, l.guard("find", steps, restarts, headRestarts)
 		}
 		l.Phase(tid, ds.PhaseRead)
 		pred, predNext, curr, predKey, pslot, st := l.search(tid, key, anchor, anchorKey, aslot, &steps)
 		switch st {
 		case stGuard:
-			return mem.NilRef, mem.NilRef, l.GuardTrip("harris", "find", steps, restarts)
+			return mem.NilRef, mem.NilRef, l.guard("find", steps, restarts, headRestarts)
 		case stCorrupt:
+			l.Trav.Record(steps, restarts, headRestarts)
 			return mem.NilRef, mem.NilRef, ds.ErrCorrupted
 		case stRestart, stAnchor:
 			rewind()
@@ -240,8 +240,18 @@ func (l *List) find(tid int, key int64, cu *cursor) (pred, curr mem.Ref, err err
 		if cu != nil {
 			cu.pred, cu.key, cu.slot, cu.ok = pred, predKey, pslot, true
 		}
+		l.Trav.Record(steps, restarts, headRestarts)
 		return pred, curr, nil
 	}
+}
+
+// guard folds a tripped traversal's counters into the list's block and
+// builds the typed step-budget error. Traversals record their counters
+// at each return site; a deferred closure would put a closure and a
+// deferred call on every op's path.
+func (l *List) guard(op string, steps, restarts, headRestarts uint64) error {
+	l.Trav.Record(steps, restarts, headRestarts)
+	return l.GuardTrip("harris", op, steps, restarts)
 }
 
 // Contains implements ds.Set (paper lines 23-26).
@@ -290,10 +300,12 @@ func (l *List) insertAt(tid int, key int64, cu *cursor) (bool, error) {
 	l.s.Write(tid, n, ds.WKey, uint64(key))
 	for retries := uint64(0); ; retries++ {
 		if retries > maxSteps {
+			l.s.Retire(tid, n)
 			return false, l.GuardTrip("harris", "insert", retries, retries)
 		}
 		pred, curr, err := l.find(tid, key, cu)
 		if err != nil {
+			l.s.Retire(tid, n) // n never became reachable; do not leak it
 			return false, err
 		}
 		ckey, ok := l.s.Read(tid, curr, ds.WKey)
@@ -381,33 +393,31 @@ func (l *List) deleteAt(tid int, key int64, cu *cursor) (bool, error) {
 var (
 	_ ds.Iterator = (*List)(nil)
 	_ ds.BatchSet = (*List)(nil)
-	_ ds.StepSet  = (*List)(nil)
 )
 
-// StepOp implements ds.StepSet: one unbracketed op under a
-// caller-held bracket, without the cross-op predecessor cache.
-func (l *List) StepOp(tid int, kind ds.BatchKind, key int64) (bool, error) {
-	switch kind {
-	case ds.BatchContains:
-		return l.containsAt(tid, key, nil)
-	case ds.BatchInsert:
-		return l.insertAt(tid, key, nil)
-	case ds.BatchDelete:
-		return l.deleteAt(tid, key, nil)
-	}
-	return false, ds.ErrBadBatchOp
-}
-
 // ApplyBatch implements ds.BatchSet: one fused bracket window over the
-// whole batch, carrying the validated-predecessor cursor across
-// consecutive ops so a key-sorted batch walks the chain once. The
-// cursor drops at every bracket renewal, and the stAnchor rule already
-// guards against a cached pred going marked between ops.
+// whole batch, run as a single chain.
 func (l *List) ApplyBatch(tid int, ops []ds.BatchOp, res []ds.BatchResult) uint64 {
 	w := smr.BeginOps(l.s, tid, 0)
+	l.RunChain(tid, &w, ops, res, 0, nil)
+	w.EndOps()
+	return w.Rebrackets()
+}
+
+// RunChain executes one chain of a batch under the caller's open window
+// w: the ops at indices first, next[first], ... until a negative link,
+// or first..len(ops)-1 when next is nil. The hashmap hands each bucket
+// its share of a larger batch this way. The validated-predecessor
+// cursor is carried across the chain's consecutive ops, so a key-sorted
+// chain walks the list once; it starts dropped and drops again at every
+// bracket renewal (Step returning true), and the stAnchor rule already
+// guards against a cached pred going marked between ops. The window is
+// stepped between the chain's ops, not before its first: what separates
+// two chains is the caller's step.
+func (l *List) RunChain(tid int, w *smr.Window, ops []ds.BatchOp, res []ds.BatchResult, first int32, next []int32) {
 	var cu cursor
-	for i := range ops {
-		if i > 0 && w.Step() {
+	for i := first; i >= 0 && int(i) < len(ops); {
+		if i != first && w.Step() {
 			cu.ok = false
 		}
 		var ok bool
@@ -423,9 +433,12 @@ func (l *List) ApplyBatch(tid int, ops []ds.BatchOp, res []ds.BatchResult) uint6
 			err = ds.ErrBadBatchOp
 		}
 		res[i] = ds.BatchResult{OK: ok, Err: err}
+		if next == nil {
+			i++
+		} else {
+			i = next[i]
+		}
 	}
-	w.EndOps()
-	return w.Rebrackets()
 }
 
 // Iterate implements ds.Iterator: an ascending barrier-based scan that,
@@ -450,11 +463,10 @@ func (l *List) Iterate(tid int, fn func(key int64) bool) error {
 // one operation bracket; rollbacks rewind the walk to the head.
 func (l *List) iterChunk(tid int, after *int64, fn func(key int64) bool) (done bool, err error) {
 	var steps, restarts uint64
-	defer func() { l.Trav.Record(steps, restarts, restarts) }()
 	emitted := 0
 	for {
 		if steps++; steps > maxSteps {
-			return false, l.GuardTrip("harris", "iterate", steps, restarts)
+			return false, l.guard("iterate", steps, restarts, restarts)
 		}
 		l.Phase(tid, ds.PhaseRead)
 		sc := 1
@@ -467,9 +479,10 @@ func (l *List) iterChunk(tid int, after *int64, fn func(key int64) bool) (done b
 	walk:
 		for {
 			if steps++; steps > maxSteps {
-				return false, l.GuardTrip("harris", "iterate", steps, restarts)
+				return false, l.guard("iterate", steps, restarts, restarts)
 			}
 			if curr.IsNil() {
+				l.Trav.Record(steps, restarts, restarts)
 				return false, ds.ErrCorrupted
 			}
 			sn := 3 - sc // alternate over {1, 2}: curr in sc, next in sn
@@ -485,14 +498,17 @@ func (l *List) iterChunk(tid int, after *int64, fn func(key int64) bool) (done b
 			}
 			k := int64(ckey)
 			if k == ds.KeyMax {
+				l.Trav.Record(steps, restarts, restarts)
 				return true, nil // tail sentinel: sweep complete
 			}
 			if !cn.Marked() && k > *after {
 				*after = k
 				if !fn(k) {
+					l.Trav.Record(steps, restarts, restarts)
 					return true, nil
 				}
 				if emitted++; emitted >= iterBatch {
+					l.Trav.Record(steps, restarts, restarts)
 					return false, nil // re-bracket before continuing
 				}
 			}

@@ -9,6 +9,7 @@ import (
 	"repro/internal/ds/dstest"
 	"repro/internal/ds/harris"
 	"repro/internal/mem"
+	"repro/internal/smr"
 )
 
 func TestSuite(t *testing.T) { dstest.RunSetSuite(t, "harris") }
@@ -139,4 +140,12 @@ func TestHeapExhaustion(t *testing.T) {
 	if ok, err := l.Insert(0, 999); err != nil || !ok {
 		t.Fatalf("insert after reclamation = %v, %v", ok, err)
 	}
+}
+
+// TestGuardTrips: rollback storms end in typed guard errors, and a
+// failed Insert does not leak its node.
+func TestGuardTrips(t *testing.T) {
+	env := dstest.NewEnv(t, "ebr", 1, 1<<10, 2, mem.Reuse)
+	dstest.GuardTripSet(t, env, func(s smr.Scheme) (ds.Set, error) { return harris.New(s, ds.Options{}) })
+	env.AssertSafe(t)
 }

@@ -97,7 +97,6 @@ type cursor struct {
 // final validated pred back into it on success.
 func (l *List) find(tid int, key int64, cu *cursor) (pred, curr mem.Ref, err error) {
 	var steps, restarts, headRestarts uint64
-	defer func() { l.Trav.Record(steps, restarts, headRestarts) }()
 	sp, sc := 0, 1
 	pred = l.head
 	predKey := int64(ds.KeyMin)
@@ -116,7 +115,7 @@ func (l *List) find(tid int, key int64, cu *cursor) (pred, curr mem.Ref, err err
 retry:
 	for {
 		if steps++; steps > maxSteps {
-			return mem.NilRef, mem.NilRef, l.GuardTrip("michael", "find", steps, restarts)
+			return mem.NilRef, mem.NilRef, l.guard("find", steps, restarts, headRestarts)
 		}
 		l.Phase(tid, ds.PhaseRead)
 		pn, ok := l.s.ReadPtr(tid, sc, pred, ds.WNext)
@@ -135,9 +134,10 @@ retry:
 		curr = pn.WithoutMark()
 		for {
 			if steps++; steps > maxSteps {
-				return mem.NilRef, mem.NilRef, l.GuardTrip("michael", "find", steps, restarts)
+				return mem.NilRef, mem.NilRef, l.guard("find", steps, restarts, headRestarts)
 			}
 			if curr.IsNil() {
+				l.Trav.Record(steps, restarts, headRestarts)
 				return mem.NilRef, mem.NilRef, ds.ErrCorrupted
 			}
 			sn := 3 - sp - sc
@@ -184,6 +184,7 @@ retry:
 				if cu != nil {
 					cu.pred, cu.key, cu.slot, cu.ok = pred, predKey, sp, true
 				}
+				l.Trav.Record(steps, restarts, headRestarts)
 				return pred, curr, nil
 			}
 			pred = curr
@@ -194,6 +195,15 @@ retry:
 	}
 }
 
+// guard folds a tripped traversal's counters into the list's block and
+// builds the typed step-budget error. Traversals record their counters
+// at each return site; a deferred closure would put a closure and a
+// deferred call on every op's path.
+func (l *List) guard(op string, steps, restarts, headRestarts uint64) error {
+	l.Trav.Record(steps, restarts, headRestarts)
+	return l.GuardTrip("michael", op, steps, restarts)
+}
+
 // Contains implements ds.Set.
 func (l *List) Contains(tid int, key int64) (bool, error) {
 	l.s.BeginOp(tid)
@@ -202,9 +212,15 @@ func (l *List) Contains(tid int, key int64) (bool, error) {
 }
 
 // containsAt is Contains without the bracket: the caller holds an open
-// operation bracket for tid (per-op or a fused window).
+// operation bracket for tid (per-op or a fused window). Scheme rollbacks
+// rerun the op under the same maxSteps budget find has, so a rollback
+// ping-pong fails typed instead of spinning inside a window a whole
+// batch shares.
 func (l *List) containsAt(tid int, key int64, cu *cursor) (bool, error) {
-	for {
+	for retries := uint64(0); ; retries++ {
+		if retries > maxSteps {
+			return false, l.GuardTrip("michael", "contains", retries, retries)
+		}
 		_, curr, err := l.find(tid, key, cu)
 		if err != nil {
 			return false, err
@@ -235,9 +251,14 @@ func (l *List) insertAt(tid int, key int64, cu *cursor) (bool, error) {
 		return false, err
 	}
 	l.s.Write(tid, n, ds.WKey, uint64(key))
-	for {
+	for retries := uint64(0); ; retries++ {
+		if retries > maxSteps {
+			l.s.Retire(tid, n)
+			return false, l.GuardTrip("michael", "insert", retries, retries)
+		}
 		pred, curr, err := l.find(tid, key, cu)
 		if err != nil {
+			l.s.Retire(tid, n) // n never became reachable; do not leak it
 			return false, err
 		}
 		ckey, ok := l.s.Read(tid, curr, ds.WKey)
@@ -277,7 +298,10 @@ func (l *List) Delete(tid int, key int64) (bool, error) {
 
 // deleteAt is Delete without the bracket.
 func (l *List) deleteAt(tid int, key int64, cu *cursor) (bool, error) {
-	for {
+	for retries := uint64(0); ; retries++ {
+		if retries > maxSteps {
+			return false, l.GuardTrip("michael", "delete", retries, retries)
+		}
 		pred, curr, err := l.find(tid, key, cu)
 		if err != nil {
 			return false, err
@@ -319,34 +343,31 @@ func (l *List) deleteAt(tid int, key int64, cu *cursor) (bool, error) {
 var (
 	_ ds.Iterator = (*List)(nil)
 	_ ds.BatchSet = (*List)(nil)
-	_ ds.StepSet  = (*List)(nil)
 )
 
-// StepOp implements ds.StepSet: one unbracketed op under a
-// caller-held bracket, without the cross-op predecessor cache.
-func (l *List) StepOp(tid int, kind ds.BatchKind, key int64) (bool, error) {
-	switch kind {
-	case ds.BatchContains:
-		return l.containsAt(tid, key, nil)
-	case ds.BatchInsert:
-		return l.insertAt(tid, key, nil)
-	case ds.BatchDelete:
-		return l.deleteAt(tid, key, nil)
-	}
-	return false, ds.ErrBadBatchOp
-}
-
 // ApplyBatch implements ds.BatchSet: one fused bracket window over the
-// whole batch, with the validated-predecessor cursor carried across
-// consecutive ops so a key-sorted batch walks the chain once. The
-// cursor drops at every bracket renewal (Step returning true): the
-// renewal may clear hazard slots or release the pinned epoch, so the
-// cached pred is no longer certifiably protected.
+// whole batch, run as a single chain.
 func (l *List) ApplyBatch(tid int, ops []ds.BatchOp, res []ds.BatchResult) uint64 {
 	w := smr.BeginOps(l.s, tid, 0)
+	l.RunChain(tid, &w, ops, res, 0, nil)
+	w.EndOps()
+	return w.Rebrackets()
+}
+
+// RunChain executes one chain of a batch under the caller's open window
+// w: the ops at indices first, next[first], ... until a negative link,
+// or first..len(ops)-1 when next is nil. The hashmap hands each bucket
+// its share of a larger batch this way. The validated-predecessor
+// cursor is carried across the chain's consecutive ops, so a key-sorted
+// chain walks the list once; it starts dropped and drops again at every
+// bracket renewal (Step returning true), where hazard slots may be
+// cleared and the pinned epoch released, so the cached pred is no longer
+// certifiably protected. The window is stepped between the chain's ops,
+// not before its first: what separates two chains is the caller's step.
+func (l *List) RunChain(tid int, w *smr.Window, ops []ds.BatchOp, res []ds.BatchResult, first int32, next []int32) {
 	var cu cursor
-	for i := range ops {
-		if i > 0 && w.Step() {
+	for i := first; i >= 0 && int(i) < len(ops); {
+		if i != first && w.Step() {
 			cu.ok = false
 		}
 		var ok bool
@@ -362,9 +383,12 @@ func (l *List) ApplyBatch(tid int, ops []ds.BatchOp, res []ds.BatchResult) uint6
 			err = ds.ErrBadBatchOp
 		}
 		res[i] = ds.BatchResult{OK: ok, Err: err}
+		if next == nil {
+			i++
+		} else {
+			i = next[i]
+		}
 	}
-	w.EndOps()
-	return w.Rebrackets()
 }
 
 // Iterate implements ds.Iterator: an ascending barrier-based scan.
@@ -391,11 +415,10 @@ func (l *List) Iterate(tid int, fn func(key int64) bool) error {
 // because *after only moves forward.
 func (l *List) iterChunk(tid int, after *int64, fn func(key int64) bool) (done bool, err error) {
 	var steps, restarts uint64
-	defer func() { l.Trav.Record(steps, restarts, restarts) }()
 	emitted := 0
 	for {
 		if steps++; steps > maxSteps {
-			return false, l.GuardTrip("michael", "iterate", steps, restarts)
+			return false, l.guard("iterate", steps, restarts, restarts)
 		}
 		l.Phase(tid, ds.PhaseRead)
 		sp, sc := 0, 1
@@ -409,9 +432,10 @@ func (l *List) iterChunk(tid int, after *int64, fn func(key int64) bool) (done b
 	walk:
 		for {
 			if steps++; steps > maxSteps {
-				return false, l.GuardTrip("michael", "iterate", steps, restarts)
+				return false, l.guard("iterate", steps, restarts, restarts)
 			}
 			if curr.IsNil() {
+				l.Trav.Record(steps, restarts, restarts)
 				return false, ds.ErrCorrupted
 			}
 			sn := 3 - sp - sc
@@ -443,14 +467,17 @@ func (l *List) iterChunk(tid int, after *int64, fn func(key int64) bool) (done b
 			}
 			k := int64(ckey)
 			if k == ds.KeyMax {
+				l.Trav.Record(steps, restarts, restarts)
 				return true, nil // tail sentinel: sweep complete
 			}
 			if k > *after {
 				*after = k
 				if !fn(k) {
+					l.Trav.Record(steps, restarts, restarts)
 					return true, nil
 				}
 				if emitted++; emitted >= iterBatch {
+					l.Trav.Record(steps, restarts, restarts)
 					return false, nil // re-bracket before continuing
 				}
 			}

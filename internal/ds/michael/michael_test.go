@@ -8,6 +8,7 @@ import (
 	"repro/internal/ds/dstest"
 	"repro/internal/ds/michael"
 	"repro/internal/mem"
+	"repro/internal/smr"
 )
 
 func TestSuite(t *testing.T) { dstest.RunSetSuite(t, "michael") }
@@ -61,5 +62,14 @@ func TestHPCompatibility(t *testing.T) {
 	if f := env.A.Stats().Faults(); f != 0 {
 		t.Fatalf("HP on Michael's list took %d segfaults", f)
 	}
+	env.AssertSafe(t)
+}
+
+// TestGuardTrips: rollback storms end in typed guard errors — the
+// operations' own retry loops are budgeted like find's — and a failed
+// Insert does not leak its node.
+func TestGuardTrips(t *testing.T) {
+	env := dstest.NewEnv(t, "ebr", 1, 1<<10, 2, mem.Reuse)
+	dstest.GuardTripSet(t, env, func(s smr.Scheme) (ds.Set, error) { return michael.New(s, ds.Options{}) })
 	env.AssertSafe(t)
 }

@@ -43,7 +43,10 @@ type WindowCapper interface {
 
 // Window is one fused bracket covering a batch of operations on a
 // single thread. Zero-cost to create on the stack; not safe for
-// concurrent use (it is per-tid by construction).
+// concurrent use (it is per-tid by construction). A window shared with
+// code behind an interface (the hashmap handing it to its buckets) must
+// sit in memory the owner already has on the heap: a stack Window whose
+// address crosses an interface call escapes, one allocation per batch.
 type Window struct {
 	s  Scheme
 	rb Rebracketer

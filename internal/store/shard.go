@@ -185,37 +185,86 @@ type shard struct {
 // workerScratch is one worker's long-lived batch-conversion state:
 // the fused path copies each request into these buffers (so sorting
 // never mutates caller memory) and reuses them request after request —
-// the steady-state serving path allocates nothing.
+// the steady-state serving path allocates nothing. ops2/pos2 are the
+// sort's second buffer.
 type workerScratch struct {
-	ops []ds.BatchOp
-	pos []int
-	res []ds.BatchResult
+	ops, ops2 []ds.BatchOp
+	pos, pos2 []int
+	res       []ds.BatchResult
 }
 
 func (sc *workerScratch) size(n int) {
 	if cap(sc.ops) < n {
 		sc.ops = make([]ds.BatchOp, 0, 2*n)
+		sc.ops2 = make([]ds.BatchOp, 0, 2*n)
 		sc.pos = make([]int, 0, 2*n)
+		sc.pos2 = make([]int, 0, 2*n)
 		sc.res = make([]ds.BatchResult, 0, 2*n)
 	}
 }
 
-// sortBatch stable-insertion-sorts the batch by key in place, carrying
-// the result positions along. Stability preserves per-key op order,
-// which is what makes the sorted execution result-identical to the
-// serial loop (point ops on distinct keys commute). Service batches are
-// small and exec legs arrive pre-sorted, so insertion sort — the only
-// stable zero-alloc sort — is the right tool.
-func sortBatch(ops []ds.BatchOp, pos []int) {
-	for i := 1; i < len(ops); i++ {
-		op, p := ops[i], pos[i]
-		j := i
-		for j > 0 && ops[j-1].Key > op.Key {
-			ops[j], pos[j] = ops[j-1], pos[j-1]
-			j--
+// insertionSortMax is the longest batch sortBatch insertion-sorts: up to
+// here its ~n²/4 moves cost less than one radix pass's 256 counters.
+const insertionSortMax = 32
+
+// sortBatch stable-sorts the batch by key, carrying the result positions
+// along, and returns the sorted slices: ops/pos themselves, or tops/tpos
+// (same lengths, contents overwritten) when the last pass landed there.
+// Stability preserves per-key op order, which is what makes the sorted
+// execution result-identical to the serial loop (point ops on distinct
+// keys commute).
+//
+// Short batches are insertion-sorted in place. Longer ones take a
+// least-significant-byte-first radix sort — stable by construction,
+// zero-alloc over the second buffer — that only runs the passes for key
+// bytes in which the batch's keys differ: two for a 4096-key shard
+// range, 1.4 µs per 128-op batch where insertion sort's 4 k moves took
+// 6.1 µs and were the largest item of the worker's own time once the
+// structure walk became a sweep. A comparison merge sort was measured
+// too (5.7 µs): on uniform keys its cost is branch mispredictions, not
+// moves, so O(n log n) alone buys nothing at this size.
+func sortBatch(ops []ds.BatchOp, pos []int, tops []ds.BatchOp, tpos []int) ([]ds.BatchOp, []int) {
+	n := len(ops)
+	if n <= insertionSortMax {
+		for i := 1; i < n; i++ {
+			op, p := ops[i], pos[i]
+			j := i
+			for j > 0 && ops[j-1].Key > op.Key {
+				ops[j], pos[j] = ops[j-1], pos[j-1]
+				j--
+			}
+			ops[j], pos[j] = op, p
 		}
-		ops[j], pos[j] = op, p
+		return ops, pos
 	}
+	// Flipping the sign bit makes unsigned byte order the keys' order.
+	const sign = 1 << 63
+	first := uint64(ops[0].Key) ^ sign
+	var differ uint64
+	for i := 1; i < n; i++ {
+		differ |= uint64(ops[i].Key) ^ sign ^ first
+	}
+	tops, tpos = tops[:n], tpos[:n]
+	for shift := 0; shift < 64; shift += 8 {
+		if differ>>shift&0xff == 0 {
+			continue
+		}
+		var next [256]int32 // per byte value: where its next op goes
+		for i := range ops {
+			next[(uint64(ops[i].Key)^sign)>>shift&0xff]++
+		}
+		sum := int32(0)
+		for b := range next {
+			sum, next[b] = sum+next[b], sum
+		}
+		for i := range ops {
+			b := (uint64(ops[i].Key) ^ sign) >> shift & 0xff
+			tops[next[b]], tpos[next[b]] = ops[i], pos[i]
+			next[b]++
+		}
+		ops, tops, pos, tpos = tops, ops, tpos, pos
+	}
+	return ops, pos
 }
 
 // worker executes requests with scheme thread id tid. The tid doubles as
@@ -269,7 +318,7 @@ func (sh *shard) serve(tid int, stripe *opStripe, req *request, scratch *workerS
 			}
 		}
 		if !sorted {
-			sortBatch(bops, pos)
+			bops, pos = sortBatch(bops, pos, scratch.ops2[:n], scratch.pos2[:n])
 			stripe.batchSorts.Add(1)
 		}
 		rb := sh.batch.ApplyBatch(tid, bops, bres)
