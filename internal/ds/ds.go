@@ -85,9 +85,10 @@ type Set interface {
 // read a structure's live contents in O(live keys) by scanning the
 // structure itself, instead of probing a key universe through Contains.
 //
-// Iterate calls fn for each key until fn returns false or the scan
-// completes. The contract, shared by every implementation and verified by
-// the dstest suite:
+// IterateFrom calls fn for each key ≥ lo until fn returns false or the
+// scan completes; Iterate is IterateFrom(tid, KeyMin, fn). The contract,
+// shared by every implementation and verified by the dstest suite, holds
+// for the keys ≥ lo, and no key < lo is ever reported:
 //
 //   - Every key that is continuously present for the whole call is
 //     reported exactly once. On a quiescent structure that makes the scan
@@ -99,11 +100,28 @@ type Set interface {
 //     concurrent fallback.
 //   - Keys inserted or deleted during the call may or may not be reported.
 //
-// Iterate runs inside the scheme's operation brackets on the caller's tid
+// A scan runs inside the scheme's operation brackets on the caller's tid
 // (which must not be running another operation), re-bracketing in batches
 // so a long scan never pins a reclamation epoch for the whole structure.
+//
+// How much of the structure a scan from lo reads is the implementation's
+// business: the skip list seeks to lo through its tower, so a range leg
+// costs O(log n + keys in range); the lists, the hashmap and the tree walk
+// as a full scan does and suppress the keys below lo.
 type Iterator interface {
 	Iterate(tid int, fn func(key int64) bool) error
+	IterateFrom(tid int, lo int64, fn func(key int64) bool) error
+}
+
+// IterFloor is the emission cursor a scan from lo starts with. The
+// ordered iterators report only keys strictly above their cursor, so the
+// scan starts just below lo; KeyMin, the head sentinel's key, is never
+// reported.
+func IterFloor(lo int64) int64 {
+	if lo == KeyMin {
+		return KeyMin
+	}
+	return lo - 1
 }
 
 // TravReporter exposes a structure's traversal counters. Every structure

@@ -9,6 +9,7 @@
 package dstest
 
 import (
+	"sort"
 	"sync"
 	"testing"
 
@@ -202,23 +203,44 @@ func SequentialStack(tb testing.TB, st ds.Stack, steps int) {
 	}
 }
 
-// IterateSet verifies the ds.Iterator contract. Phase 1 (quiescent fast
-// path): after single-threaded churn, one Iterate pass must report exactly
-// the model contents, each key once, and an early-stopped pass must stop.
-// Phase 2 (concurrent fallback): while threads 1..N-1 churn a disjoint
-// upper key range, repeated passes on tid 0 must report every persistent
-// key and never report any key twice within a pass.
-func IterateSet(tb testing.TB, env *Env, set ds.Set, keyRange int) {
+// rebracketKeys is the iterators' per-bracket emission chunk: a scan over
+// more live keys than this crosses a re-bracket (on the skip list, a
+// re-seek).
+const rebracketKeys = 512
+
+// IterateSet verifies the ds.Iterator contract. newSet builds the
+// structure over the scheme it is given (a rollback-injecting wrapper of
+// env.S). ordered selects the globally-ascending checks.
+//
+//   - Quiescent fast path: after single-threaded churn, scans from
+//     KeyMin, a present key, an absent key and a key above the maximum
+//     report exactly the model's keys ≥ lo, each once, ascending on
+//     ordered structures; an early-stopped scan stops.
+//   - Rollbacks: the same scans while one protected read in
+//     rollbackOneIn demands a rollback, so walks restart (and the skip
+//     list re-seeks) mid-scan without skipping or repeating a key.
+//   - Concurrent fallback: while threads 1..N-1 churn a disjoint upper
+//     key range, repeated scans on tid 0 report no key below lo and none
+//     twice, and every persistent key ≥ lo exactly once.
+//
+// keyRange must leave more than rebracketKeys keys after the prefill's
+// random churn (about 58 % of keyRange), so every full scan re-brackets.
+func IterateSet(tb testing.TB, env *Env, newSet func(smr.Scheme) (ds.Set, error), keyRange int, ordered bool) {
 	tb.Helper()
+	rs := &rollbackScheme{Scheme: env.S, failRead: -1}
+	set, err := newSet(rs)
+	if err != nil {
+		tb.Fatal(err)
+	}
 	it, ok := set.(ds.Iterator)
 	if !ok {
 		tb.Fatalf("%s does not implement ds.Iterator", set.Name())
 	}
 	model := make(map[int64]bool)
 	r := newRNG(77)
-	for i := 0; i < keyRange*4; i++ {
+	for i := 0; i < keyRange*2; i++ {
 		key := int64(r.intn(keyRange))
-		if r.intn(2) == 0 {
+		if r.intn(3) != 0 {
 			if _, err := set.Insert(0, key); err != nil {
 				tb.Fatalf("prefill insert(%d): %v", key, err)
 			}
@@ -230,33 +252,41 @@ func IterateSet(tb testing.TB, env *Env, set ds.Set, keyRange int) {
 			delete(model, key)
 		}
 	}
-	seen := make(map[int64]int)
-	if err := it.Iterate(0, func(k int64) bool { seen[k]++; return true }); err != nil {
-		tb.Fatalf("quiescent iterate: %v", err)
+	if len(model) <= rebracketKeys {
+		tb.Fatalf("prefill left %d keys; a full scan must cross the %d-key re-bracket", len(model), rebracketKeys)
 	}
-	for k, c := range seen {
-		if c != 1 {
-			tb.Errorf("quiescent iterate reported key %d %d times", k, c)
-		}
-		if !model[k] {
-			tb.Errorf("quiescent iterate reported absent key %d", k)
-		}
+	sorted := make([]int64, 0, len(model))
+	for k := range model {
+		sorted = append(sorted, k)
 	}
-	if len(seen) != len(model) {
-		tb.Errorf("quiescent iterate saw %d keys, model has %d", len(seen), len(model))
+	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
+	absent := sorted[len(sorted)/2] + 1
+	for model[absent] {
+		absent++
+	}
+	los := []int64{ds.KeyMin, sorted[len(sorted)/3], absent, sorted[len(sorted)-1] + 1}
+	for _, lo := range los {
+		iterateQuiescent(tb, it, sorted, lo, ordered, "quiescent")
 	}
 	visited := 0
 	if err := it.Iterate(0, func(int64) bool { visited++; return false }); err != nil {
 		tb.Fatalf("early-stopped iterate: %v", err)
 	}
-	if len(model) > 0 && visited != 1 {
+	if visited != 1 {
 		tb.Errorf("early-stopped iterate visited %d keys, want 1", visited)
 	}
+
+	rs.flaky = newRNG(99)
+	for _, lo := range los {
+		iterateQuiescent(tb, it, sorted, lo, ordered, "rolled-back")
+	}
+	rs.flaky = nil
 	if env.N < 2 {
 		return
 	}
 	// Concurrent phase: the model keys stay untouched (persistent); each
-	// churner owns a disjoint slice of [keyRange, 2*keyRange).
+	// churner owns a disjoint slice of [keyRange, 2*keyRange). The scans'
+	// lower bounds fall below, inside and above the churned range.
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
 	for tid := 1; tid < env.N; tid++ {
@@ -284,25 +314,75 @@ func IterateSet(tb testing.TB, env *Env, set ds.Set, keyRange int) {
 			}
 		}(tid)
 	}
-	for pass := 0; pass < 4 && !tb.Failed(); pass++ {
+	churnLos := []int64{ds.KeyMin, sorted[len(sorted)/3], int64(keyRange + keyRange/2), int64(2 * keyRange)}
+	for pass, lo := range churnLos {
+		if tb.Failed() {
+			break
+		}
 		seen := make(map[int64]int)
-		if err := it.Iterate(0, func(k int64) bool { seen[k]++; return true }); err != nil {
-			tb.Errorf("concurrent iterate pass %d: %v", pass, err)
+		last, inOrder := int64(ds.KeyMin), true
+		if err := it.IterateFrom(0, lo, func(k int64) bool {
+			seen[k]++
+			inOrder = inOrder && k > last
+			last = k
+			return true
+		}); err != nil {
+			tb.Errorf("concurrent scan pass %d from %d: %v", pass, lo, err)
 			break
 		}
 		for k, c := range seen {
+			if k < lo {
+				tb.Errorf("pass %d from %d: key %d below the bound reported under mutation", pass, lo, k)
+			}
 			if c > 1 {
-				tb.Errorf("pass %d: key %d reported %d times under mutation", pass, k, c)
+				tb.Errorf("pass %d from %d: key %d reported %d times under mutation", pass, lo, k, c)
 			}
 		}
 		for k := range model {
-			if seen[k] == 0 {
-				tb.Errorf("pass %d: persistent key %d not reported", pass, k)
+			if k >= lo && seen[k] == 0 {
+				tb.Errorf("pass %d from %d: persistent key %d not reported", pass, lo, k)
 			}
+		}
+		if ordered && !inOrder {
+			tb.Errorf("pass %d from %d: ordered structure emitted out of order under mutation", pass, lo)
 		}
 	}
 	close(stop)
 	wg.Wait()
+}
+
+// iterateQuiescent checks one scan from lo on a quiescent structure
+// against the sorted model: exactly the keys ≥ lo, each once, ascending
+// when ordered; on ordered structures an early stop after the first key
+// yields the smallest key ≥ lo.
+func iterateQuiescent(tb testing.TB, it ds.Iterator, sorted []int64, lo int64, ordered bool, what string) {
+	tb.Helper()
+	want := sorted[sort.Search(len(sorted), func(i int) bool { return sorted[i] >= lo }):]
+	var got []int64
+	if err := it.IterateFrom(0, lo, func(k int64) bool { got = append(got, k); return true }); err != nil {
+		tb.Fatalf("%s scan from %d: %v", what, lo, err)
+	}
+	if !ordered {
+		sort.Slice(got, func(i, j int) bool { return got[i] < got[j] })
+	}
+	if len(got) != len(want) {
+		tb.Fatalf("%s scan from %d: %d keys, want the model's %d", what, lo, len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			tb.Fatalf("%s scan from %d: key #%d is %d, want %d", what, lo, i, got[i], want[i])
+		}
+	}
+	if !ordered || len(want) == 0 {
+		return
+	}
+	var first []int64
+	if err := it.IterateFrom(0, lo, func(k int64) bool { first = append(first, k); return false }); err != nil {
+		tb.Fatalf("%s early-stopped scan from %d: %v", what, lo, err)
+	}
+	if len(first) != 1 || first[0] != want[0] {
+		tb.Errorf("%s early-stopped scan from %d reported %v, want [%d]", what, lo, first, want[0])
+	}
 }
 
 // RestartStormSet reproduces the ROADMAP item 5 restart storm: a chain of

@@ -17,27 +17,41 @@ type rollbackScheme struct {
 	// failReadPtr fails every protected link read: no traversal gets
 	// past its first node, so find itself exhausts its budget.
 	failReadPtr bool
-	// failReadNext fails every plain Read of the next word — the
-	// validation after a traversal (Contains's in Michael's list, find's
-	// own in Harris's) — while the ReadPtr walk itself succeeds.
-	failReadNext bool
+	// failRead, when >= 0, fails every plain Read of that payload word —
+	// the validation after a traversal (of the next word: Contains's in
+	// Michael's list, find's own in Harris's; of the key word: the skip
+	// list's find) — while the ReadPtr walk itself succeeds.
+	failRead int
 	// failWritePtr fails every link write: an Insert rolls back after
 	// its find, while it owns a node no other thread can reach.
 	failWritePtr bool
 	// failReserve fails every reservation: a Delete rolls back before
 	// its marking CAS.
 	failReserve bool
+	// flaky, when non-nil, fails one protected link read in
+	// rollbackOneIn, drawn from it: walks keep restarting but still make
+	// progress.
+	flaky *rng
 }
 
+// rollbackOneIn is flaky's failure rate: rare enough that a list walk
+// rewound to its head still reaches a few hundred nodes in, frequent
+// enough that a scan of a few hundred keys restarts several times.
+const rollbackOneIn = 256
+
 func (r *rollbackScheme) ReadPtr(tid, idx int, src mem.Ref, w int) (mem.Ref, bool) {
-	if r.failReadPtr {
+	if r.failReadPtr || r.flaky != nil && r.flaky.intn(rollbackOneIn) == 0 {
 		return mem.NilRef, false
 	}
 	return r.Scheme.ReadPtr(tid, idx, src, w)
 }
 
+// SetLinkWords forwards link registration, so a link-tracking scheme
+// (reference counting) still learns the structure's link words.
+func (r *rollbackScheme) SetLinkWords(words []int) { ds.RegisterLinks(r.Scheme, words) }
+
 func (r *rollbackScheme) Read(tid int, ref mem.Ref, w int) (uint64, bool) {
-	if r.failReadNext && w == ds.WNext {
+	if w == r.failRead {
 		return 0, false
 	}
 	return r.Scheme.Read(tid, ref, w)
@@ -57,15 +71,17 @@ func (r *rollbackScheme) Reserve(tid int, refs ...mem.Ref) bool {
 	return r.Scheme.Reserve(tid, refs...)
 }
 
-// GuardTripSet checks a list-based set's behaviour under an endless
-// rollback storm: every retry loop — find's and each operation's own —
-// must end in a typed ds.GuardError (an unbudgeted loop hangs the test
-// instead), and an Insert that gives up must retire the node it
-// allocated, so the arena's active count is back at its pre-op value.
-// newSet builds the structure over the (wrapped) scheme it is given.
-func GuardTripSet(tb testing.TB, env *Env, newSet func(smr.Scheme) (ds.Set, error)) {
+// GuardTripSet checks a linked set's behaviour under an endless rollback
+// storm: every retry loop — find's and each operation's own — must end
+// in a typed ds.GuardError (an unbudgeted loop hangs the test instead),
+// and an Insert that gives up must retire the node it allocated, so the
+// arena's active count is back at its pre-op value. newSet builds the
+// structure over the (wrapped) scheme it is given; validate is the
+// payload word a Contains reads plainly after its walk (ds.WNext for the
+// lists, ds.WKey for the skip list).
+func GuardTripSet(tb testing.TB, env *Env, validate int, newSet func(smr.Scheme) (ds.Set, error)) {
 	tb.Helper()
-	rs := &rollbackScheme{Scheme: env.S}
+	rs := &rollbackScheme{Scheme: env.S, failRead: -1}
 	set, err := newSet(rs)
 	if err != nil {
 		tb.Fatal(err)
@@ -104,10 +120,10 @@ func GuardTripSet(tb testing.TB, env *Env, newSet func(smr.Scheme) (ds.Set, erro
 	wantActive("insert, link write rolling back")
 	rs.failWritePtr = false
 
-	rs.failReadNext = true
+	rs.failRead = validate
 	_, err = set.Contains(0, 1)
 	wantTrip("contains, validation rolling back", err)
-	rs.failReadNext = false
+	rs.failRead = -1
 
 	rs.failReserve = true
 	_, err = set.Delete(0, 1)

@@ -6,6 +6,7 @@ import (
 	"repro/internal/ds"
 	"repro/internal/ds/registry"
 	"repro/internal/mem"
+	"repro/internal/smr"
 	"repro/internal/smr/all"
 )
 
@@ -91,11 +92,8 @@ func RunSetSuite(t *testing.T, structure string) {
 			})
 			t.Run("iterate", func(t *testing.T) {
 				env, info := suiteEnv(t, scheme, structure, 4)
-				set, err := info.NewSet(env.S, ds.Options{})
-				if err != nil {
-					t.Fatal(err)
-				}
-				IterateSet(t, env, set, 48)
+				newSet := func(s smr.Scheme) (ds.Set, error) { return info.NewSet(s, ds.Options{}) }
+				IterateSet(t, env, newSet, 1000, !info.Partitioned)
 				env.AssertSafe(t)
 			})
 		})

@@ -441,14 +441,20 @@ func (l *List) RunChain(tid int, w *smr.Window, ops []ds.BatchOp, res []ds.Batch
 	}
 }
 
-// Iterate implements ds.Iterator: an ascending barrier-based scan that,
-// like search, traverses through marked runs without unlinking them.
-// Emission is monotonic (each chunk only reports keys greater than the
-// last emitted one), so interference rewinds the walk but never the
-// emission cursor — no key is reported twice, and a quiescent list is
-// swept in one pass.
+// Iterate implements ds.Iterator.
 func (l *List) Iterate(tid int, fn func(key int64) bool) error {
-	after := int64(ds.KeyMin)
+	return l.IterateFrom(tid, ds.KeyMin, fn)
+}
+
+// IterateFrom implements ds.Iterator: an ascending barrier-based scan
+// that, like search, traverses through marked runs without unlinking
+// them. Emission is monotonic (each chunk only reports keys greater than
+// the last emitted one), so interference rewinds the walk but never the
+// emission cursor — no key is reported twice, and a quiescent list is
+// swept in one pass. The walk starts at the head whatever lo is; the
+// cursor starting below lo is what keeps the smaller keys unreported.
+func (l *List) IterateFrom(tid int, lo int64, fn func(key int64) bool) error {
+	after := ds.IterFloor(lo)
 	for {
 		l.s.BeginOp(tid)
 		done, err := l.iterChunk(tid, &after, fn)

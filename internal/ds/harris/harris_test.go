@@ -146,6 +146,6 @@ func TestHeapExhaustion(t *testing.T) {
 // failed Insert does not leak its node.
 func TestGuardTrips(t *testing.T) {
 	env := dstest.NewEnv(t, "ebr", 1, 1<<10, 2, mem.Reuse)
-	dstest.GuardTripSet(t, env, func(s smr.Scheme) (ds.Set, error) { return harris.New(s, ds.Options{}) })
+	dstest.GuardTripSet(t, env, ds.WNext, func(s smr.Scheme) (ds.Set, error) { return harris.New(s, ds.Options{}) })
 	env.AssertSafe(t)
 }

@@ -171,14 +171,19 @@ func (m *Map) ApplyBatch(tid int, ops []ds.BatchOp, res []ds.BatchResult) uint64
 	return sw.w.Rebrackets()
 }
 
-// Iterate implements ds.Iterator by sweeping the buckets in index order.
-// Emission is monotonic per bucket rather than globally ascending; since a
-// key hashes to exactly one bucket, the no-duplicates and
-// every-persistent-key guarantees still hold map-wide.
+// Iterate implements ds.Iterator.
 func (m *Map) Iterate(tid int, fn func(key int64) bool) error {
+	return m.IterateFrom(tid, ds.KeyMin, fn)
+}
+
+// IterateFrom implements ds.Iterator by sweeping the buckets in index
+// order, each from lo. Emission is monotonic per bucket rather than
+// globally ascending; since a key hashes to exactly one bucket, the
+// no-duplicates and every-persistent-key guarantees still hold map-wide.
+func (m *Map) IterateFrom(tid int, lo int64, fn func(key int64) bool) error {
 	stopped := false
 	for _, b := range m.buckets {
-		err := b.Iterate(tid, func(k int64) bool {
+		err := b.IterateFrom(tid, lo, func(k int64) bool {
 			if !fn(k) {
 				stopped = true
 				return false

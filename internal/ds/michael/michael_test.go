@@ -70,6 +70,6 @@ func TestHPCompatibility(t *testing.T) {
 // Insert does not leak its node.
 func TestGuardTrips(t *testing.T) {
 	env := dstest.NewEnv(t, "ebr", 1, 1<<10, 2, mem.Reuse)
-	dstest.GuardTripSet(t, env, func(s smr.Scheme) (ds.Set, error) { return michael.New(s, ds.Options{}) })
+	dstest.GuardTripSet(t, env, ds.WNext, func(s smr.Scheme) (ds.Set, error) { return michael.New(s, ds.Options{}) })
 	env.AssertSafe(t)
 }

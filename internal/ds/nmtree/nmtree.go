@@ -589,13 +589,20 @@ func (t *Tree) ApplyBatch(tid int, ops []ds.BatchOp, res []ds.BatchResult) uint6
 	return ds.RunBatch(t.s, t, tid, ops, res)
 }
 
-// Iterate implements ds.Iterator: an in-order barrier-based DFS over the
-// leaves. Emission is monotonic — only leaf keys greater than the cursor
-// are reported, and left subtrees that cannot contain such keys are pruned
-// — so interference rewinds the DFS to the root but never the cursor: no
-// key is reported twice, and a quiescent tree is swept in one pass.
+// Iterate implements ds.Iterator.
 func (t *Tree) Iterate(tid int, fn func(key int64) bool) error {
-	after := int64(ds.KeyMin)
+	return t.IterateFrom(tid, ds.KeyMin, fn)
+}
+
+// IterateFrom implements ds.Iterator: an in-order barrier-based DFS over
+// the leaves. Emission is monotonic — only leaf keys greater than the
+// cursor are reported, and left subtrees that cannot contain such keys are
+// pruned — so interference rewinds the DFS to the root but never the
+// cursor: no key is reported twice, and a quiescent tree is swept in one
+// pass. The cursor starts below lo, which keeps the smaller keys
+// unreported.
+func (t *Tree) IterateFrom(tid int, lo int64, fn func(key int64) bool) error {
+	after := ds.IterFloor(lo)
 	for {
 		t.s.BeginOp(tid)
 		done, err := t.iterChunk(tid, &after, fn)

@@ -145,7 +145,6 @@ const maxNilRetries = 1 << 14
 // still rewind completely.
 func (l *List) find(tid int, key int64, preds, succs *[MaxHeight]mem.Ref) (found bool, st status, steps, restarts uint64) {
 	var headRestarts uint64
-	defer func() { l.Trav.Record(steps, restarts, headRestarts) }()
 	nilRetries := 0
 retry:
 	for retries := 0; ; retries++ {
@@ -154,7 +153,7 @@ retry:
 			headRestarts++
 		}
 		if retries > maxSteps || steps > maxSteps {
-			return false, stCorruptRetry, steps, restarts
+			return l.record(false, stCorruptRetry, steps, restarts, headRestarts)
 		}
 		pred := l.head
 		// Protection slots: 0 for pred, 1 for curr, 2 for succ, rotating
@@ -162,7 +161,7 @@ retry:
 		for lv := MaxHeight - 1; lv >= 0; lv-- {
 			curr, ok := l.s.ReadPtr(tid, 1, pred, WLevel0+lv)
 			if !ok {
-				return false, stRestart, steps, restarts
+				return l.record(false, stRestart, steps, restarts, headRestarts)
 			}
 			if lv == MaxHeight-1 {
 				l.Hit(tid, ds.PointSearchHead, uint64(key))
@@ -171,23 +170,23 @@ retry:
 		walk:
 			for inner := 0; ; inner++ {
 				if steps++; inner > maxSteps {
-					return false, stCorruptWalk, steps, restarts
+					return l.record(false, stCorruptWalk, steps, restarts, headRestarts)
 				}
 				if curr.IsNil() {
 					if nilRetries++; nilRetries > maxNilRetries {
-						return false, stCorruptNil, steps, restarts
+						return l.record(false, stCorruptNil, steps, restarts, headRestarts)
 					}
 					continue retry
 				}
 				succ, ok := l.s.ReadPtr(tid, 2, curr, WLevel0+lv)
 				if !ok {
-					return false, stRestart, steps, restarts
+					return l.record(false, stRestart, steps, restarts, headRestarts)
 				}
 				for succ.Marked() {
 					// curr is logically deleted at this level: snip it.
 					swapped, ok := l.s.CASPtr(tid, pred, WLevel0+lv, curr, succ.WithoutMark())
 					if !ok {
-						return false, stRestart, steps, restarts
+						return l.record(false, stRestart, steps, restarts, headRestarts)
 					}
 					if !swapped {
 						// Contention: pred's edge at this level moved. Re-read
@@ -200,7 +199,7 @@ retry:
 						}
 						pn, ok := l.s.ReadPtr(tid, 1, pred, WLevel0+lv)
 						if !ok {
-							return false, stRestart, steps, restarts
+							return l.record(false, stRestart, steps, restarts, headRestarts)
 						}
 						if pn.Marked() {
 							// pred itself is deleted at this level; the
@@ -214,17 +213,17 @@ retry:
 					curr = succ.WithoutMark()
 					if curr.IsNil() {
 						if nilRetries++; nilRetries > maxNilRetries {
-							return false, stCorruptNil, steps, restarts
+							return l.record(false, stCorruptNil, steps, restarts, headRestarts)
 						}
 						continue retry
 					}
 					if succ, ok = l.s.ReadPtr(tid, 2, curr, WLevel0+lv); !ok {
-						return false, stRestart, steps, restarts
+						return l.record(false, stRestart, steps, restarts, headRestarts)
 					}
 				}
 				ckey, ok := l.s.Read(tid, curr, ds.WKey)
 				if !ok {
-					return false, stRestart, steps, restarts
+					return l.record(false, stRestart, steps, restarts, headRestarts)
 				}
 				l.Hit(tid, ds.PointSearchVisit, ckey)
 				if int64(ckey) < key {
@@ -239,10 +238,25 @@ retry:
 		}
 		skey, ok := l.s.Read(tid, succs[0], ds.WKey)
 		if !ok {
-			return false, stRestart, steps, restarts
+			return l.record(false, stRestart, steps, restarts, headRestarts)
 		}
-		return int64(skey) == key, stOK, steps, restarts
+		return l.record(int64(skey) == key, stOK, steps, restarts, headRestarts)
 	}
+}
+
+// record folds one find's counters into the list's block and passes its
+// result through. Traversals record at each return site; a deferred
+// closure would put a closure and a deferred call on every op's path.
+func (l *List) record(found bool, st status, steps, restarts, headRestarts uint64) (bool, status, uint64, uint64) {
+	l.Trav.Record(steps, restarts, headRestarts)
+	return found, st, steps, restarts
+}
+
+// guard folds a tripped iterator walk's counters into the list's block
+// and builds the typed step-budget error.
+func (l *List) guard(op string, steps, restarts uint64) error {
+	l.Trav.Record(steps, restarts, restarts)
+	return l.GuardTrip("skiplist", op, steps, restarts)
 }
 
 // Contains implements ds.Set. It uses the same snipping find; a wait-free
@@ -255,10 +269,16 @@ func (l *List) Contains(tid int, key int64) (bool, error) {
 }
 
 // containsAt is Contains without the bracket: the caller holds an open
-// operation bracket for tid (per-op or a fused window).
+// operation bracket for tid (per-op or a fused window). Scheme rollbacks
+// rerun the op under the same maxSteps budget find has, so a rollback
+// ping-pong fails typed instead of spinning inside a window a whole
+// batch shares.
 func (l *List) containsAt(tid int, key int64) (bool, error) {
 	var preds, succs [MaxHeight]mem.Ref
-	for {
+	for retries := uint64(0); ; retries++ {
+		if retries > maxSteps {
+			return false, l.GuardTrip("skiplist", "contains", retries, retries)
+		}
 		l.Phase(tid, ds.PhaseRead)
 		found, st, steps, restarts := l.find(tid, key, &preds, &succs)
 		if corrupt(st) {
@@ -289,10 +309,15 @@ func (l *List) insertAt(tid int, key int64) (bool, error) {
 	l.s.Write(tid, n, ds.WKey, uint64(key))
 	l.s.Write(tid, n, WHeight, uint64(height))
 	var preds, succs [MaxHeight]mem.Ref
-	for {
+	for retries := uint64(0); ; retries++ {
+		if retries > maxSteps {
+			l.s.Retire(tid, n)
+			return false, l.GuardTrip("skiplist", "insert", retries, retries)
+		}
 		l.Phase(tid, ds.PhaseRead)
 		found, st, steps, restarts := l.find(tid, key, &preds, &succs)
 		if corrupt(st) {
+			l.s.Retire(tid, n) // n never became reachable; do not leak it
 			return false, l.corruptErr("insert", st, steps, restarts)
 		}
 		if st == stRestart {
@@ -302,10 +327,14 @@ func (l *List) insertAt(tid int, key int64) (bool, error) {
 			l.s.Retire(tid, n) // lost the race: key already present
 			return false, nil
 		}
-		for lv := 0; lv < height; lv++ {
-			if !l.s.WritePtr(tid, n, WLevel0+lv, succs[lv]) {
-				return false, ds.ErrCorrupted // n is local; cannot fail for a correct scheme
-			}
+		linked := true
+		for lv := 0; lv < height && linked; lv++ {
+			// n is still local, so a failed link write is a rollback the
+			// scheme demanded, not corruption: retry like any other.
+			linked = l.s.WritePtr(tid, n, WLevel0+lv, succs[lv])
+		}
+		if !linked {
+			continue
 		}
 		if !l.s.Reserve(tid, preds[0], succs[0]) {
 			continue
@@ -330,9 +359,16 @@ func (l *List) insertAt(tid int, key int64) (bool, error) {
 
 // linkUpper links node n into levels 1..height-1. Failures re-find; if n
 // becomes marked at level 0 the linking stops (the deleter owns it now).
+// Each level's retries share the ops' maxSteps budget; exhausting it is a
+// counted guard trip that abandons the level — and with it the rest of
+// the tower — since the insert itself has already linearized.
 func (l *List) linkUpper(tid int, key int64, n mem.Ref, height int, preds, succs *[MaxHeight]mem.Ref) {
 	for lv := 1; lv < height; lv++ {
-		for {
+		for retries := uint64(0); ; retries++ {
+			if retries > maxSteps {
+				_ = l.GuardTrip("skiplist", "link", retries, retries)
+				return
+			}
 			n0, ok := l.s.Read(tid, n, WLevel0)
 			if !ok {
 				return
@@ -394,7 +430,10 @@ func (l *List) Delete(tid int, key int64) (bool, error) {
 // deleteAt is Delete without the bracket.
 func (l *List) deleteAt(tid int, key int64) (bool, error) {
 	var preds, succs [MaxHeight]mem.Ref
-	for {
+	for retries := uint64(0); ; retries++ {
+		if retries > maxSteps {
+			return false, l.GuardTrip("skiplist", "delete", retries, retries)
+		}
 		l.Phase(tid, ds.PhaseRead)
 		found, st, steps, restarts := l.find(tid, key, &preds, &succs)
 		if corrupt(st) {
@@ -419,21 +458,33 @@ func (l *List) deleteAt(tid int, key int64) (bool, error) {
 			continue
 		}
 		l.Phase(tid, ds.PhaseWrite)
-		// Mark upper levels (best-effort; others may also be marking).
-		for lv := height - 1; lv >= 1; lv-- {
+		// Mark upper levels top-down; others may be marking too. A
+		// rollback restarts the delete: level 0 must not be marked while
+		// one of the victim's upper levels is unmarked, or the snipping
+		// find below would leave it linked there, retired.
+		rolledBack := false
+		for lv := height - 1; lv >= 1 && !rolledBack; lv-- {
 			for {
 				nxt, ok := l.s.Read(tid, victim, WLevel0+lv)
 				if !ok {
+					rolledBack = true
 					break
 				}
 				r := mem.Ref(nxt)
 				if r.Marked() {
 					break
 				}
-				if swapped, ok := l.s.CASPtr(tid, victim, WLevel0+lv, r, r.WithMark()); !ok || swapped {
+				swapped, ok := l.s.CASPtr(tid, victim, WLevel0+lv, r, r.WithMark())
+				if !ok {
+					rolledBack = true
+				}
+				if !ok || swapped {
 					break
 				}
 			}
+		}
+		if rolledBack {
+			continue
 		}
 		// Level 0: the owning CAS.
 		for {
@@ -451,9 +502,21 @@ func (l *List) deleteAt(tid int, key int64) (bool, error) {
 				break
 			}
 			if swapped {
-				// We own the deletion: snip everywhere, then retire.
-				if _, st, steps, restarts := l.find(tid, key, &preds, &succs); corrupt(st) {
-					return false, l.corruptErr("delete", st, steps, restarts)
+				// We own the deletion: snip everywhere, then retire. Only a
+				// find that completes has snipped every level; one that
+				// rolled back is rerun, and if none completes the victim
+				// is left unretired rather than retired while linked.
+				for snips := uint64(0); ; snips++ {
+					if snips > maxSteps {
+						return true, l.GuardTrip("skiplist", "delete", snips, snips)
+					}
+					_, st, steps, restarts := l.find(tid, key, &preds, &succs)
+					if corrupt(st) {
+						return false, l.corruptErr("delete", st, steps, restarts)
+					}
+					if st == stOK {
+						break
+					}
 				}
 				l.s.Retire(tid, victim)
 				return true, nil
@@ -491,13 +554,19 @@ func (l *List) ApplyBatch(tid int, ops []ds.BatchOp, res []ds.BatchResult) uint6
 	return ds.RunBatch(l.s, l, tid, ops, res)
 }
 
-// Iterate implements ds.Iterator: an ascending barrier-based walk along
-// level 0, skipping marked nodes without snipping them. Emission is
-// monotonic (each chunk only reports keys greater than the last emitted
-// one), so interference rewinds the walk but never the emission cursor —
-// no key is reported twice, and a quiescent list is swept in one pass.
+// Iterate implements ds.Iterator.
 func (l *List) Iterate(tid int, fn func(key int64) bool) error {
-	after := int64(ds.KeyMin)
+	return l.IterateFrom(tid, ds.KeyMin, fn)
+}
+
+// IterateFrom implements ds.Iterator: an ascending barrier-based walk along
+// level 0 that starts at a seek, not at the head. Emission is monotonic
+// (each chunk only reports keys greater than the last emitted one), so
+// interference rewinds the walk but never the emission cursor — no key is
+// reported twice, and a quiescent list is swept in one pass. A range leg
+// over [lo, hi) costs O(log n + keys in range).
+func (l *List) IterateFrom(tid int, lo int64, fn func(key int64) bool) error {
+	after := ds.IterFloor(lo)
 	for {
 		l.s.BeginOp(tid)
 		done, err := l.iterChunk(tid, &after, fn)
@@ -509,35 +578,48 @@ func (l *List) Iterate(tid int, fn func(key int64) bool) error {
 }
 
 // iterChunk emits up to iterBatch unmarked level-0 keys greater than
-// *after inside one operation bracket; rollbacks and nil glimpses rewind
-// the walk to the head.
+// *after inside one operation bracket. Every walk — the chunk's first, and
+// every restart after a rollback or a nil glimpse — starts at a seek: find
+// descends the tower to the level-0 window of *after+1 (snipping marked
+// nodes on the way, as every op's find does), so no walk re-reads keys
+// the scan has emitted or that lie below its lower bound. From there the
+// walk skips marked level-0 nodes without snipping them.
 func (l *List) iterChunk(tid int, after *int64, fn func(key int64) bool) (done bool, err error) {
+	var preds, succs [MaxHeight]mem.Ref
 	var steps, restarts uint64
-	defer func() { l.Trav.Record(steps, restarts, restarts) }()
 	emitted := 0
 	for {
 		if steps++; steps > maxSteps {
-			return false, l.GuardTrip("skiplist", "iterate", steps, restarts)
+			return false, l.guard("iterate", steps, restarts)
 		}
 		l.Phase(tid, ds.PhaseRead)
-		sc := 1
-		pn, ok := l.s.ReadPtr(tid, sc, l.head, WLevel0)
-		if !ok {
+		// *after never holds KeyMax (the walk does not emit it), so the
+		// seek key cannot overflow.
+		_, st, fsteps, frestarts := l.find(tid, *after+1, &preds, &succs)
+		if corrupt(st) {
+			l.Trav.Record(steps, restarts, restarts)
+			return false, l.corruptErr("iterate", st, fsteps, frestarts)
+		}
+		if st == stRestart {
 			restarts++
 			continue
 		}
-		curr := pn.WithoutMark()
+		// find leaves succs[0] in slot 1 when it is the first node it read
+		// at level 0; the walk reads the next node into the other slot.
+		sc := 1
+		curr := succs[0]
 	walk:
 		for {
 			if steps++; steps > maxSteps {
-				return false, l.GuardTrip("skiplist", "iterate", steps, restarts)
+				return false, l.guard("iterate", steps, restarts)
 			}
 			if curr.IsNil() {
-				// A transient wide-CAS glimpse (see find); rewind.
+				// A transient wide-CAS glimpse (see find); re-seek.
 				restarts++
 				break walk
 			}
 			if curr == l.tail {
+				l.Trav.Record(steps, restarts, restarts)
 				return true, nil // sweep complete
 			}
 			sn := 3 - sc // alternate over {1, 2}: curr in sc, next in sn
@@ -555,10 +637,12 @@ func (l *List) iterChunk(tid int, after *int64, fn func(key int64) bool) (done b
 			if !cn.Marked() && k > *after && k != ds.KeyMax {
 				*after = k
 				if !fn(k) {
+					l.Trav.Record(steps, restarts, restarts)
 					return true, nil
 				}
 				if emitted++; emitted >= iterBatch {
-					return false, nil // re-bracket before continuing
+					l.Trav.Record(steps, restarts, restarts)
+					return false, nil // re-bracket, then re-seek
 				}
 			}
 			curr = cn.WithoutMark()

@@ -9,6 +9,7 @@ import (
 	"repro/internal/ds/dstest"
 	"repro/internal/ds/skiplist"
 	"repro/internal/mem"
+	"repro/internal/smr"
 )
 
 func TestSuite(t *testing.T) { dstest.RunSetSuite(t, "skiplist") }
@@ -105,4 +106,50 @@ func TestTowerRetirement(t *testing.T) {
 		t.Fatalf("size = %d, want 128", got)
 	}
 	env.AssertSafe(t)
+}
+
+// TestGuardTrips: rollback storms end in typed guard errors — the ops'
+// own retry loops are budgeted like find's — and a failed Insert does not
+// leak its node.
+func TestGuardTrips(t *testing.T) {
+	env := dstest.NewEnv(t, "ebr", 1, 1<<10, skiplist.PayloadWords, mem.Reuse)
+	dstest.GuardTripSet(t, env, ds.WKey, func(s smr.Scheme) (ds.Set, error) { return skiplist.New(s, ds.Options{}) })
+	env.AssertSafe(t)
+}
+
+// TestIterateFromSeeks pins the range leg's cost: a scan from the middle
+// of a 2 048-key list descends the tower to its start instead of walking
+// the ~1 000 keys below it from the head, so 128 emissions cost the
+// descent plus 128 level-0 steps.
+func TestIterateFromSeeks(t *testing.T) {
+	env := dstest.NewEnv(t, "ebr", 1, 1<<13, skiplist.PayloadWords, mem.Reuse)
+	l, err := skiplist.New(env.S, ds.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n, emit = 2048, 128
+	for k := int64(0); k < n; k++ {
+		if ok, err := l.Insert(0, k); err != nil || !ok {
+			t.Fatalf("insert(%d) = %v, %v", k, ok, err)
+		}
+	}
+	before := l.TravSnapshot().Steps
+	var got []int64
+	if err := l.IterateFrom(0, n/2, func(k int64) bool {
+		got = append(got, k)
+		return len(got) < emit
+	}); err != nil {
+		t.Fatal(err)
+	}
+	for i, k := range got {
+		if k != n/2+int64(i) {
+			t.Fatalf("emission %d is %d, want %d", i, k, n/2+int64(i))
+		}
+	}
+	if len(got) != emit {
+		t.Fatalf("%d emissions, want %d", len(got), emit)
+	}
+	if steps := l.TravSnapshot().Steps - before; steps > 200 {
+		t.Fatalf("scan from the median took %d traversal steps for %d keys, want <= 200: the seek is not engaging", steps, emit)
+	}
 }

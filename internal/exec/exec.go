@@ -132,13 +132,14 @@ type Config struct {
 	Admission Admission
 	// AdmitEvery is the admission poll interval; 0 selects 1ms.
 	AdmitEvery time.Duration
-	// Hedge, when non-nil, enables hedged legs: a scatter leg still
-	// running past the policy's delay launches one speculative duplicate
-	// call against the same shard; the first completion wins the leg's
-	// latch and the loser is discarded through the late-call discard
-	// path, counted as wasted work. Hedges are refused while the shard is
-	// degraded or saturated — speculation must never amplify a struggling
-	// shard's load.
+	// Hedge, when non-nil, enables hedged legs: a read-only scatter leg
+	// still running past the policy's delay launches one speculative
+	// duplicate call against the same shard; the first completion wins
+	// the leg's latch and the loser is discarded through the late-call
+	// discard path, counted as wasted work. Legs that write are never
+	// hedged: both calls would apply. Hedges are refused while the shard
+	// is degraded or saturated — speculation must never amplify a
+	// struggling shard's load.
 	Hedge HedgePolicy
 	// Clock and Recorder, when set, stamp scatter/merge/shed events onto
 	// the observability plane's shared tape. Nil keeps the layer silent.
@@ -803,7 +804,8 @@ func (ex *Executor) submitCall(q *shardQueue, c *call) (bool, error) {
 // retried.
 func (ex *Executor) launch(q *shardQueue, l *leg) (bool, error) {
 	c := &call{l: l}
-	if !l.scan && (ex.cfg.LegTimeout >= 0 || ex.cfg.Hedge != nil) {
+	hedged := ex.cfg.Hedge != nil && l.readOnly()
+	if !l.scan && (ex.cfg.LegTimeout >= 0 || hedged) {
 		// A leg that can settle away from its call (budget) or carry two
 		// calls (hedge) needs a private buffer per call: the worker fills
 		// it, and finish copies it into the handle only after winning the
@@ -822,12 +824,32 @@ func (ex *Executor) launch(q *shardQueue, l *leg) (bool, error) {
 		// leaves a timer firing into a settled latch — a counted no-op.
 		l.timer.Store(time.AfterFunc(ex.cfg.LegTimeout, func() { ex.overdue(q, l) }))
 	}
-	if hp := ex.cfg.Hedge; hp != nil {
-		if d := hp.Delay(l.shard); d > 0 {
+	if hedged {
+		if d := ex.cfg.Hedge.Delay(l.shard); d > 0 {
 			l.hedgeTimer.Store(time.AfterFunc(d, func() { ex.hedge(q, l, d) }))
 		}
 	}
 	return true, nil
+}
+
+// readOnly reports that running the leg twice leaves the store as one
+// run would: MultiGet and range legs, and point legs whose ops are all
+// Contains. Only these legs are hedged. A duplicated insert or delete
+// applies twice, and whichever call loses the other's race answers as
+// if a second client had got there first.
+func (l *leg) readOnly() bool {
+	switch l.kind {
+	case workload.ReqMultiGet, workload.ReqRangeScan, workload.ReqRangeCount:
+		return true
+	case workload.ReqPoint:
+		for _, op := range l.ops {
+			if op.Kind != workload.OpContains {
+				return false
+			}
+		}
+		return true
+	}
+	return false
 }
 
 // hedge is the hedge delay firing: the leg's primary call has outlived

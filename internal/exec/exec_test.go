@@ -739,3 +739,52 @@ func TestHedgeLoserDiscardAccounting(t *testing.T) {
 		t.Fatalf("hedge policy observed %d completions for %d legs: losers leaked into the quantile", got, legs)
 	}
 }
+
+// TestHedgeSkipsWriteLegs runs inserts and deletes of fresh keys through
+// an executor that hedges almost every leg (1 ns delay, two workers per
+// shard, so a hedge can run beside its primary). Every answer is then
+// determined: an insert of an absent key and a delete of a present one
+// both return true. A hedged write leg would apply twice, and the losing
+// call's "already present" / "already gone" could win the leg's latch.
+func TestHedgeSkipsWriteLegs(t *testing.T) {
+	const rounds, width = 2000, 8
+	st, _, _ := newGatedStore(t, 4, 2, rounds*width)
+	hp := &fixedHedge{d: time.Nanosecond}
+	ex, err := exec.New(st, exec.Config{LegTimeout: -1, Hedge: hp})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ex.Close()
+	wrong, answers := 0, 0
+	keys := make([]int64, width)
+	for r := 0; r < rounds; r++ {
+		for j := range keys {
+			keys[j] = int64(r*width + j)
+		}
+		for _, kind := range []workload.ReqKind{workload.ReqMultiInsert, workload.ReqMultiDelete} {
+			h, err := ex.Submit(workload.Req{Kind: kind, Keys: keys})
+			if err != nil {
+				t.Fatal(err)
+			}
+			res := h.Wait()
+			if res.Partial() {
+				t.Fatalf("round %d %v: %v", r, kind, &res.ShardErrs[0])
+			}
+			for _, x := range res.Results {
+				answers++
+				if x.Err != nil || !x.OK {
+					wrong++
+				}
+			}
+		}
+	}
+	if answers != 2*rounds*width {
+		t.Fatalf("%d answers, want %d", answers, 2*rounds*width)
+	}
+	if wrong != 0 {
+		t.Fatalf("%d of %d write answers wrong: a write leg was hedged and applied twice", wrong, answers)
+	}
+	if s := ex.Stats(); s.Hedges != 0 {
+		t.Fatalf("%d hedges launched for write-only traffic", s.Hedges)
+	}
+}

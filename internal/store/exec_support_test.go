@@ -115,6 +115,70 @@ func TestScanShardRangeLeg(t *testing.T) {
 	}
 }
 
+// TestScanShardMatchesModel checks range legs against a set model on
+// the structures whose iterators start a scan at lo differently — the
+// skip list seeks through its tower, the tree prunes its DFS, the hashmap
+// filters every bucket — over random [lo, hi), including intervals that
+// start below, inside and past the populated keys.
+func TestScanShardMatchesModel(t *testing.T) {
+	const keyRange = 2048
+	for _, structure := range []string{"skiplist", "nmtree", "hashmap"} {
+		t.Run(structure, func(t *testing.T) {
+			st, err := store.New(store.Config{
+				Shards:   store.Uniform(2, store.ShardSpec{Scheme: "ebr", Structure: structure}),
+				KeyRange: keyRange,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer st.Close()
+			model := map[int64]bool{}
+			rng := workload.RNG(5)
+			for i := 0; i < 3*keyRange; i++ {
+				k := int64(rng.Next() % keyRange)
+				if rng.Next()%3 == 0 {
+					if _, err := st.Delete(k); err != nil {
+						t.Fatal(err)
+					}
+					delete(model, k)
+				} else {
+					if _, err := st.Insert(k); err != nil {
+						t.Fatal(err)
+					}
+					model[k] = true
+				}
+			}
+			for i := 0; i < 60; i++ {
+				lo := int64(rng.Next()%(keyRange+64)) - 32
+				hi := lo + int64(rng.Next()%1200)
+				for s := 0; s < st.Shards(); s++ {
+					var want []int64
+					for k := range model {
+						if k >= lo && k < hi && st.ShardFor(k) == s {
+							want = append(want, k)
+						}
+					}
+					sort.Slice(want, func(i, j int) bool { return want[i] < want[j] })
+					keys, count, err := st.ScanShard(s, lo, hi, 0, false)
+					if err != nil {
+						t.Fatal(err)
+					}
+					sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
+					if int(count) != len(want) || len(keys) != len(want) {
+						t.Fatalf("shard %d [%d, %d): %d keys (count %d), model has %d", s, lo, hi, len(keys), count, len(want))
+					}
+					for j := range want {
+						if keys[j] != want[j] {
+							t.Fatalf("shard %d [%d, %d) key #%d: got %d, model %d", s, lo, hi, j, keys[j], want[j])
+						}
+					}
+					store.RecycleScanKeys(keys)
+				}
+			}
+		})
+	}
+}
+
 // TestDoPartialOpErrors pins the blocking path's partial-failure
 // contract: a batch spanning a drained shard still executes its other
 // operations, the drained shard's operations report ErrShardClosed in

@@ -100,11 +100,13 @@ type scanRequest struct {
 }
 
 // run executes the range leg on worker tid. The walk goes through the
-// structure's guarded iterator (O(live keys), epoch re-bracketing), never
-// a raw memory sweep, so it is safe against concurrent mutation and a
-// never-draining faulted neighbour alike. On ordered structures emission
-// is globally ascending, so the walk stops at the first key ≥ hi instead
-// of sweeping the whole structure; partitioned structures are only
+// structure's guarded iterator (epoch re-bracketing), never a raw memory
+// sweep, so it is safe against concurrent mutation and a never-draining
+// faulted neighbour alike. The iterator starts at lo: the skip list seeks
+// there through its tower, the other structures suppress the smaller keys
+// themselves. On ordered structures emission is globally ascending, so
+// the walk also stops at the first key ≥ hi — a skip-list leg costs
+// O(log n + keys in range); partitioned structures are only
 // bucket-ordered and must complete the sweep.
 func (sc *scanRequest) run(sh *shard, tid int) {
 	it, ok := sh.set.(ds.Iterator)
@@ -115,14 +117,11 @@ func (sc *scanRequest) run(sh *shard, tid int) {
 	if !sc.countOnly && sc.keys == nil {
 		sc.keys = (*scanKeyPool.Get().(*[]int64))[:0]
 	}
-	sc.err = it.Iterate(tid, func(k int64) bool {
+	sc.err = it.IterateFrom(tid, sc.lo, func(k int64) bool {
 		if k >= sc.hi {
 			// Ascending emission: no later key can fall back inside the
-			// interval, so an ordered structure's leg is O(keys ≤ hi).
+			// interval.
 			return !sh.ordered
-		}
-		if k < sc.lo {
-			return true
 		}
 		sc.count++
 		if !sc.countOnly {
@@ -164,8 +163,10 @@ type shard struct {
 	maint int
 	// ordered reports that the structure's iterator emits keys in global
 	// ascending order (ordered structures), which lets range legs stop at
-	// the interval's upper bound; partitioned structures are only ordered
-	// per bucket and must sweep fully.
+	// the interval's upper bound: with the skip list's seek to lo, a leg
+	// costs O(log n + keys in range) there, and O(keys < hi) on the lists.
+	// Partitioned structures are only ordered per bucket and must sweep
+	// fully.
 	ordered bool
 	// batch is the structure's fused fast path, nil when the structure
 	// does not implement ds.BatchSet or the spec set NoFuse.
