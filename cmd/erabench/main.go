@@ -15,7 +15,7 @@
 // with equal flags replay identical operation sequences.
 //
 //	erabench -exp throughput -workload zipfian -mix phased -out .
-//	erabench -exp batch -profile short -out . -check
+//	erabench -exp chaos -profile short -out . -check
 package main
 
 import (
@@ -43,7 +43,6 @@ var (
 		fmt.Sprintf("key distribution for the throughput-shaped experiments %v", workload.DistNames()))
 	mix = flag.String("mix", "steady",
 		fmt.Sprintf("op-mix schedule for the throughput-shaped experiments %v", workload.ScheduleNames()))
-	shards  = flag.Int("shards", 4, "shard count for the service experiment")
 	obsAddr = flag.String("obs-addr", "",
 		"serve the live observability plane on this address during the obs experiment (e.g. :8080)")
 )
@@ -83,7 +82,7 @@ func main() {
 	}
 	p := bench.Profile{
 		Short: *profile == "short", Seed: *seed, ObsAddr: *obsAddr,
-		K: *k, Ops: *ops, KeyRange: *keyRange, Shards: *shards,
+		K: *k, Ops: *ops, KeyRange: *keyRange,
 		Structure: *structure, Workload: *wl, Schedule: *mix,
 	}
 

@@ -13,8 +13,8 @@ import (
 // its own.
 func TestFlagsNameNoExperiment(t *testing.T) {
 	// -obs-addr is the observability plane's listen address (a deployment
-	// setting named after internal/obs, as erachaos/eraserve's -obs is),
-	// not a knob of the obs experiment.
+	// setting named after internal/obs, as eraserve's -obs is), not a
+	// knob of the obs experiment.
 	exempt := map[string]bool{"obs-addr": true}
 	n := 0
 	flag.VisitAll(func(f *flag.Flag) {
@@ -28,7 +28,7 @@ func TestFlagsNameNoExperiment(t *testing.T) {
 			}
 		}
 	})
-	if n > 14 {
-		t.Errorf("erabench registers %d flags, want at most 14", n)
+	if n > 12 {
+		t.Errorf("erabench registers %d flags, want at most 12", n)
 	}
 }

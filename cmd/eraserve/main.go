@@ -1,35 +1,38 @@
-// Command eraserve drives the sharded multi-tenant store with a
-// closed-loop client fleet and reports service-level results: per-shard
-// throughput and backlog, aggregate rate, and request p50/p99.
+// Command eraserve runs a deployment of the sharded multi-tenant store:
+// reclamation schemes cycled across shards, a closed-loop client fleet
+// for a wall-clock window, optional fault injection, and a live audit of
+// each shard's declared robustness class (Definitions 5.1–5.2) against
+// the backlog growth its telemetry shows. It reports per-shard
+// throughput, backlog, safety counters and verdicts, the fault and
+// migration logs, and request p50/p99.
 //
-//	eraserve -shards 8 -scheme hp -ds hashmap -workload zipfian
-//	eraserve -shards 4 -scheme hp,ebr -clients 16 -batch 32
-//	eraserve -shards 4 -duration 2s            # duration-boxed window
-//	eraserve -shards 4 -scheme ebr -adapt      # adaptive reclamation live
+//	eraserve                                   # healthy ebr/ibr/hp, one shard each
+//	eraserve -shards 8 -scheme hp,ebr -workload zipfian -clients 16 -batch 32
+//	eraserve -faults stall -strict             # stall audit; exit 1 on a violation
+//	eraserve -faults stall,delayed-release -scheme ebr,qsbr,he,hp,vbr
+//	eraserve -scheme ebr -adapt                # adaptive reclamation live
 //	eraserve -duration 10s -adapt -obs :8080   # live /metrics + /timeline + pprof
-//	eraserve -shards 4 -fanout 25              # 25% of fleet on cross-shard fan-out
-//	eraserve -fanout 25 -retry -hedge -breaker # resilient fan-out lane
+//	eraserve -fanout 25 -retry -hedge -breaker # resilient cross-shard fan-out lane
 //
-// -scheme takes a comma-separated list cycled across shards, so
-// heterogeneous deployments (the ERA trade-off made per shard: robust HP
-// where the backlog bound matters, cheap EBR elsewhere) are one flag
-// away. -duration switches from op-boxed to a wall-clock window (the
-// long-lived demo shape); -adapt additionally runs the adaptive
-// reclamation controller over the store, escalating/de-escalating each
-// shard along -ladder as its live robustness verdicts demand. -fanout
-// dedicates a share of the fleet to cross-shard multi-key and range
-// requests served by the pipelined scatter-gather executor
-// (internal/exec); their latency reports as separate p50/p99 rows
-// beside the point-op request percentiles. -retry, -hedge and -breaker
-// (each requiring -fanout) route that lane through the resilience
-// client (internal/resil) — typed-error-aware retries, p99-delay
-// hedged legs, and per-shard circuit breakers — whose counters land in
-// the service table and, with -obs, on /metrics as era_resil_*. -obs
-// serves the observability plane for the duration of the run: Prometheus
-// text on /metrics, the flight-recorder event stream on /timeline, and
-// live profiling under /debug/pprof/. The measurement is written as a
-// machine-readable artifact (BENCH_service.json by default; -json ""
-// disables).
+// -scheme takes a comma-separated list cycled across -shards (default:
+// one shard per scheme), so heterogeneous deployments — the ERA
+// trade-off made per shard: robust HP where the backlog bound matters,
+// cheap EBR elsewhere — are one flag away. -faults injects the named
+// chaos faults into every shard an eighth of the way into the window;
+// the stall audit shows the EBR shard's backlog growing without bound
+// while the HP shard's stays flat. -adapt runs the adaptive reclamation
+// controller over the store, escalating/de-escalating each shard along
+// -ladder as its live robustness verdicts demand. -fanout dedicates a
+// share of the fleet to cross-shard multi-key and range requests served
+// through the resilience client (internal/resil) over the pipelined
+// executor (internal/exec); -retry, -hedge and -breaker switch on its
+// typed-error-aware retries, p99-delay hedged legs and per-shard circuit
+// breakers. -obs serves the observability plane for the run: Prometheus
+// text on /metrics, the flight-recorder tape on /timeline, and live
+// profiling under /debug/pprof/. The run is written as a machine-readable
+// artifact (BENCH_service.json by default; -json "" disables), verdict
+// series included; -strict exits 1 when any audit contradicts its
+// scheme's declared class.
 package main
 
 import (
@@ -41,124 +44,71 @@ import (
 
 	"repro/internal/adapt"
 	"repro/internal/bench"
-	"repro/internal/ds/registry"
+	"repro/internal/chaos"
 	"repro/internal/smr/all"
 	"repro/internal/workload"
 )
 
 func main() {
-	shards := flag.Int("shards", 8, "shard count")
-	scheme := flag.String("scheme", "ebr",
+	shards := flag.Int("shards", 0, "shard count (0 = one per scheme)")
+	scheme := flag.String("scheme", "ebr,ibr,hp",
 		fmt.Sprintf("comma-separated reclamation schemes, cycled across shards %v", all.SafeNames()))
 	dsName := flag.String("ds", "hashmap", "set structure per shard (ds/registry name)")
-	workers := flag.Int("workers", 1, "worker goroutines per shard")
+	workers := flag.Int("workers", 0, "worker goroutines per shard (0 = one survivor above the stall-family fault count)")
 	clients := flag.Int("clients", 0, "closed-loop client goroutines (0 = 2×shards)")
-	ops := flag.Int("ops", 20000, "measured operations per client (op-boxed mode)")
 	batch := flag.Int("batch", 16, "operations per service request (>= 2 engages the fused shard hot path)")
-	nofuse := flag.Bool("nofuse", false,
-		"serve every op under its own SMR bracket instead of fusing batches (the A/B baseline for -batch sweeps)")
 	keyRange := flag.Int("keyrange", 8192, "key universe size")
-	duration := flag.Duration("duration", 0,
-		"duration-boxed traffic window (0 = op-boxed via -ops; -adapt defaults this to 2s)")
+	duration := flag.Duration("duration", 2*time.Second, "traffic window")
+	faults := flag.String("faults", "",
+		fmt.Sprintf("comma-separated faults injected into every shard %v (empty = healthy)", chaos.Names()))
 	adaptOn := flag.Bool("adapt", false, "run the adaptive-reclamation controller over the store")
-	ladder := flag.String("ladder", "ebr,ibr,hp",
-		"adaptive migration ladder, cheapest first (with -adapt)")
-	wl := flag.String("workload", "zipfian",
-		fmt.Sprintf("key distribution %v", workload.DistNames()))
-	mix := flag.String("mix", "steady",
-		fmt.Sprintf("op-mix schedule %v", workload.ScheduleNames()))
+	ladder := flag.String("ladder", "ebr,ibr,hp", "adaptive migration ladder, cheapest first (with -adapt)")
+	wl := flag.String("workload", "zipfian", fmt.Sprintf("key distribution %v", workload.DistNames()))
+	mix := flag.String("mix", "steady", fmt.Sprintf("op-mix schedule %v", workload.ScheduleNames()))
 	opmix := flag.String("opmix", "50/25/25", "base contains/insert/delete percentages")
-	seed := flag.Uint64("seed", 42, "workload seed")
+	seed := flag.Uint64("seed", 42, "workload seed: equal seeds draw identical client streams")
 	fanout := flag.Int("fanout", 0,
-		"dedicate this percentage of the client fleet (min one goroutine) to cross-shard fan-out traffic through the pipelined executor (0 disables)")
+		"dedicate this percentage of the client fleet (min one goroutine) to cross-shard fan-out traffic (0 disables)")
 	fanoutKeys := flag.Int("fanout-keys", 8, "keys per multi-key fan-out request (with -fanout)")
-	retry := flag.Bool("retry", false,
-		"route the fan-out lane through the resilience client with typed-error retries (with -fanout)")
-	hedge := flag.Bool("hedge", false,
-		"hedge slow fan-out legs at the tracked p99 delay (with -fanout)")
-	breaker := flag.Bool("breaker", false,
-		"run per-shard circuit breakers over the fan-out lane (with -fanout)")
+	retry := flag.Bool("retry", false, "retry failed fan-out legs on typed errors (with -fanout)")
+	hedge := flag.Bool("hedge", false, "hedge slow read-only fan-out legs at the tracked p99 delay (with -fanout)")
+	breaker := flag.Bool("breaker", false, "run per-shard circuit breakers over the fan-out lane (with -fanout)")
 	fanoutSLO := flag.Duration("fanout-slo", 0,
-		"per-shard p99 objective over the resilient fan-out lane's leg latencies; with -adapt, breaches feed the verdict plane's SLO dimension (needs -duration and one of -retry/-hedge/-breaker)")
+		"per-shard p99 objective over the fan-out lane's leg latencies; with -adapt, breaches feed the verdict plane's SLO dimension (with -fanout)")
 	obsAddr := flag.String("obs", "",
 		"serve the live observability plane (/metrics, /timeline, /debug/pprof/) on this address during the run, e.g. :8080")
-	jsonPath := flag.String("json", "BENCH_service.json", "service artifact path (empty disables)")
+	jsonPath := flag.String("json", "BENCH_service.json", "artifact path (empty disables)")
+	strict := flag.Bool("strict", false, "exit 1 when any audited verdict violates its declared class")
 	flag.Parse()
 
-	fail := func(err error) {
+	fail := func(code int, err error) {
 		fmt.Fprintf(os.Stderr, "eraserve: %v\n", err)
-		os.Exit(2)
+		os.Exit(code)
 	}
-	// Validate selections up front: a typo must not surface after a long
-	// prefill, and an unwritable artifact path not after the run.
-	schemes := strings.Split(*scheme, ",")
-	for _, s := range schemes {
-		if _, err := all.Props(s); err != nil {
-			fail(err)
+	list := func(s string) []string {
+		if s == "" {
+			return nil
 		}
-	}
-	info, err := registry.Get(*dsName)
-	if err != nil {
-		fail(err)
-	}
-	for _, s := range schemes {
-		if !registry.Applicable(s, info.Name) {
-			fail(fmt.Errorf("scheme %s is not applicable to %s (Appendix E)", s, info.Name))
-		}
-	}
-	if _, err := workload.NewDist(*wl, 2); err != nil {
-		fail(err)
-	}
-	if _, err := workload.NewSchedule(*mix, workload.MixBalanced); err != nil {
-		fail(err)
+		return strings.Split(s, ",")
 	}
 	baseMix, err := workload.ParseMix(*opmix)
 	if err != nil {
-		fail(err)
+		fail(2, err)
 	}
-	// -adapt implies a duration window (the controller needs a deadline
-	// to live inside) and validates its ladder up front.
-	var adaptCfg *adapt.Config
-	if *adaptOn {
-		if *duration <= 0 {
-			*duration = 2 * time.Second
-		}
-		rungs := strings.Split(*ladder, ",")
-		for _, r := range rungs {
-			if _, err := all.Props(r); err != nil {
-				fail(err)
-			}
-			if !registry.Applicable(r, info.Name) {
-				fail(fmt.Errorf("ladder rung %s is not applicable to %s (Appendix E)", r, info.Name))
-			}
-		}
-		adaptCfg = &adapt.Config{Ladder: rungs}
-	}
-	var jsonFile *os.File
-	if *jsonPath != "" {
-		f, err := os.Create(*jsonPath)
-		if err != nil {
-			fail(err)
-		}
-		jsonFile = f
-	}
-
 	cfg := bench.ServiceConfig{
 		Shards:          *shards,
-		Schemes:         schemes,
+		Schemes:         list(*scheme),
 		Structure:       *dsName,
 		WorkersPerShard: *workers,
 		Clients:         *clients,
-		OpsPerClient:    *ops,
 		Batch:           *batch,
-		NoFuse:          *nofuse,
 		KeyRange:        *keyRange,
+		Duration:        *duration,
+		Faults:          list(*faults),
 		Mix:             baseMix,
 		Workload:        *wl,
 		Schedule:        *mix,
 		Seed:            *seed,
-		Duration:        *duration,
-		Adapt:           adaptCfg,
 		FanoutPct:       *fanout,
 		FanoutKeys:      *fanoutKeys,
 		Retry:           *retry,
@@ -167,28 +117,29 @@ func main() {
 		FanoutSLO:       *fanoutSLO,
 		ObsAddr:         *obsAddr,
 	}
-	if (*retry || *hedge || *breaker) && *fanout <= 0 {
-		fail(fmt.Errorf("-retry/-hedge/-breaker shape the fan-out lane; set -fanout > 0"))
+	if *adaptOn {
+		cfg.Adapt = &adapt.Config{Ladder: list(*ladder)}
 	}
-	if *fanoutSLO > 0 && (*duration <= 0 || !(*retry || *hedge || *breaker)) {
-		fail(fmt.Errorf("-fanout-slo needs -duration and a resilient lane (-retry/-hedge/-breaker)"))
+	// Validate up front: a typo must not surface after the prefill, and
+	// an unwritable artifact path not after the run.
+	if err := cfg.Validate(); err != nil {
+		fail(2, err)
 	}
+	var jsonFile *os.File
+	if *jsonPath != "" {
+		if jsonFile, err = os.Create(*jsonPath); err != nil {
+			fail(2, err)
+		}
+	}
+
+	fmt.Printf("eraserve: schemes %s × %s, faults %v, %s window, workload %s/%s\n",
+		*scheme, *dsName, cfg.Faults, *duration, *wl, *mix)
 	if *obsAddr != "" {
 		fmt.Printf("eraserve: observability plane will serve on %s (/metrics, /timeline, /debug/pprof/)\n", *obsAddr)
 	}
-	mode := fmt.Sprintf("%d ops/client", *ops)
-	if *duration > 0 {
-		mode = fmt.Sprintf("%s window", *duration)
-		if adaptCfg != nil {
-			mode += fmt.Sprintf(", adaptive ladder %s", *ladder)
-		}
-	}
-	fmt.Printf("eraserve: %d shards (%s) × %s, workload %s/%s, %s\n",
-		*shards, strings.Join(schemes, ","), info.Name, *wl, *mix, mode)
 	res, err := bench.RunService(cfg)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "eraserve: %v\n", err)
-		os.Exit(1)
+		fail(1, err)
 	}
 	res.WriteTable(os.Stdout)
 	if res.ObsURL != "" {
@@ -196,9 +147,13 @@ func main() {
 	}
 	if jsonFile != nil {
 		if err := bench.WriteArtifactFile(jsonFile, "service", res); err != nil {
-			fmt.Fprintf(os.Stderr, "eraserve: %v\n", err)
-			os.Exit(1)
+			fail(1, err)
 		}
 		fmt.Printf("wrote %s\n", *jsonPath)
+	}
+	if *strict {
+		if err := bench.Check(res); err != nil {
+			fail(1, err)
+		}
 	}
 }

@@ -176,7 +176,7 @@ func runAdaptiveArm(cfg adaptiveConfig, adaptive bool) (arm AdaptiveArm, class s
 		stats = f.st.Stats()
 		series = f.series()[0]
 		finalVerdict = f.mon.Verdict(0)
-	}, nil)
+	}, nil, nil)
 	if err != nil {
 		return arm, 0, false, err
 	}

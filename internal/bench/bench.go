@@ -15,7 +15,8 @@
 //     untimed warmup and a timed measurement phase with per-thread op
 //     loops driven by a workload.Source, and samples operation latencies;
 //   - the fleet (fleet.go) is the faulted sharded-store scaffold the
-//     chaos, adaptive and observability experiments share.
+//     deployment run (RunService: eraserve and EXP-CHAOS), the adaptive
+//     and the observability experiments share.
 //
 // The paper itself is a theory paper with two proof illustrations and no
 // measurement section; the harness therefore regenerates (a) the paper's
@@ -62,12 +63,11 @@ type Profile struct {
 	// address for the duration of EXP-OBS's faulted run.
 	ObsAddr string
 
-	// Sizing of the classic sweeps (erabench -k -ops -keyrange -shards);
-	// zero selects the profile's default.
+	// Sizing of the classic sweeps (erabench -k -ops -keyrange); zero
+	// selects the profile's default.
 	K        int // churn length: matrix, space, structures
-	Ops      int // operations per thread/client: throughput, michael, service
-	KeyRange int // key universe: throughput, michael, service
-	Shards   int // shard count: service
+	Ops      int // operations per thread: throughput, michael
+	KeyRange int // key universe: throughput, michael
 	// Structure, Workload and Schedule name the throughput sweep's set
 	// structure and the throughput-shaped experiments' key distribution
 	// and op-mix schedule (registry names); empty selects
@@ -143,11 +143,9 @@ var experiments = []Experiment{
 	{Name: "throughput", Title: "EXP-THRU: scheme × mix × threads throughput sweep", Run: runThroughput},
 	{Name: "structures", Title: "EXP-EXT: stalled traversal across structures (§6 open question)", TableOnly: true, Run: runStructures},
 	{Name: "michael", Title: "EXP-MICHAEL: Harris+EBR vs Michael+HP (delete-heavy)", Run: runMichael},
-	{Name: "service", Title: "EXP-SERVICE: sharded store, heterogeneous SMR (ebr+hp)", Run: runServiceExperiment},
 	{Name: "chaos", Title: "EXP-CHAOS: live robustness audit under stall injection (ebr/ibr/hp)", Run: runChaosExperiment},
 	{Name: "adaptive", Title: "EXP-ADAPT: static vs adaptive reclamation under a delayed-release storm", Run: runAdaptive},
 	{Name: "traverse", Title: "EXP-TRAVERSE: bounded-restart finds + O(live-keys) migration snapshot", Run: runTraverse},
-	{Name: "batch", Title: "EXP-BATCH: fused vs per-op SMR brackets, zero-alloc spine, parked-worker backlog", Run: runBatch},
 	{Name: "obs", Title: "EXP-OBS: flight recorder + causal fault→verdict→migration timelines", Run: runObs},
 	{Name: "pipeline", Title: "EXP-PIPELINE: blocking vs pipelined scatter-gather + partial-failure chaos", Run: runPipeline},
 	{Name: "resil", Title: "EXP-RESIL: typed retries, hedged legs, retry-budget amplification bound", Run: runResil},

@@ -6,14 +6,16 @@ import (
 
 	"repro/internal/chaos"
 	"repro/internal/hist"
+	"repro/internal/obs"
 	"repro/internal/obs/rec"
 	"repro/internal/sched"
+	"repro/internal/smr/all"
 	"repro/internal/store"
 	"repro/internal/telemetry"
 	"repro/internal/workload"
 )
 
-// Sizing shared by the faulted-fleet experiments (EXP-CHAOS, EXP-ADAPT,
+// Sizing shared by the fleet runs (RunService and so EXP-CHAOS, EXP-ADAPT,
 // EXP-OBS). The threshold is fixed, rather than left to per-scheme
 // defaults, because it fixes the audits' bounded-backlog budget; the heap
 // is generous enough that only a genuinely unbounded backlog can exhaust
@@ -74,7 +76,10 @@ type fleet struct {
 	src     *workload.Source
 	mon     *telemetry.Monitor // nil unless controlled
 	sampler *telemetry.Sampler
-	engine  *chaos.Engine
+	// probe is what the sampler reads: the store's gauges, which a run
+	// may wrap (a resilience client's counters) before it starts.
+	probe  telemetry.Probe
+	engine *chaos.Engine
 }
 
 func newFleet(cfg fleetConfig) (*fleet, error) {
@@ -123,7 +128,8 @@ func newFleet(cfg fleetConfig) (*fleet, error) {
 		}
 		tcfg.OnSample = f.mon.Observe
 	}
-	f.sampler = telemetry.NewSampler(tcfg, storeProbe(st))
+	f.probe = storeProbe(st)
+	f.sampler = telemetry.NewSampler(tcfg, func() []telemetry.Point { return f.probe() })
 	f.engine = chaos.NewEngine(&chaos.Target{Store: st, Gates: gates, KeyRange: cfg.keyRange})
 	f.engine.SetObs(cfg.clock, cfg.recorder)
 	return f, nil
@@ -152,7 +158,10 @@ type traffic struct {
 
 // run drives the window: sampler and engine start, closed-loop clients
 // batch until the deadline (each, when non-nil, sees every request
-// latency live), then the sampler stops and the store drains.
+// latency live), then the sampler stops and the store drains. beside,
+// when non-nil, runs concurrently with the clients — a second traffic
+// lane that must also be done by the deadline — and the store drains
+// only after it returns.
 //
 // The engine is stopped at the deadline from a watchdog, independent of
 // client progress: clients blocked on a stalled worker only come back
@@ -162,7 +171,7 @@ type traffic struct {
 // counters, and a stall heal lets the resumed worker collapse the
 // backlog, either of which would contaminate the faulted window if read
 // afterwards.
-func (f *fleet) run(atDeadline func(), each func(time.Duration)) (traffic, error) {
+func (f *fleet) run(atDeadline func(), each func(time.Duration), beside func(deadline time.Time)) (traffic, error) {
 	f.sampler.Start()
 	f.engine.Start()
 	start := time.Now()
@@ -174,7 +183,16 @@ func (f *fleet) run(atDeadline func(), each func(time.Duration)) (traffic, error
 		atDeadline()
 		f.engine.Stop()
 	}()
+	var lane sync.WaitGroup
+	if beside != nil {
+		lane.Add(1)
+		go func() {
+			defer lane.Done()
+			beside(deadline)
+		}()
+	}
 	ops, opErrs, lat, err := runTimedClients(f.st, f.src, f.cfg.clients, f.cfg.batch, deadline, each)
+	lane.Wait()
 	<-healed
 	t := traffic{ops: ops, opErrs: opErrs, lat: lat, elapsed: time.Since(start)}
 	f.sampler.Stop()
@@ -243,4 +261,92 @@ func runTimedClients(st *store.Store, src *workload.Source, clients, batchSize i
 		lat.Merge(&lats[c])
 	}
 	return totalOps, totalErrs, lat, nil
+}
+
+// prefillHalf inserts exactly ⌊keyRange/2⌋ distinct keys through the
+// service — a seeded sample without replacement, drawn by a partial
+// Fisher–Yates shuffle — so contains() hits half the time. Shared by
+// every store-driving experiment.
+func prefillHalf(st *store.Store, keyRange, batchSize int, seed uint64) error {
+	rng := workload.RNG(seed ^ 0xf00d)
+	keys := make([]int64, keyRange)
+	for i := range keys {
+		keys[i] = int64(i)
+	}
+	n := keyRange / 2
+	batch := make([]store.Op, 0, batchSize)
+	for i := 0; i < n; i++ {
+		j := i + int(rng.Next()%uint64(keyRange-i))
+		keys[i], keys[j] = keys[j], keys[i]
+		batch = append(batch, store.Op{Kind: workload.OpInsert, Key: keys[i]})
+		if len(batch) == batchSize || i == n-1 {
+			res, err := st.Do(batch)
+			if err != nil {
+				return err
+			}
+			for _, r := range res {
+				if r.Err != nil {
+					return r.Err
+				}
+			}
+			batch = batch[:0]
+		}
+	}
+	return nil
+}
+
+// storeProbe adapts a store's gauge tap into the telemetry sampler's
+// probe shape: point i is shard i — the domain-order convention the
+// Monitor and the adapt controller both rely on.
+func storeProbe(st *store.Store) telemetry.Probe {
+	return func() []telemetry.Point {
+		gs := st.Gauges()
+		pts := make([]telemetry.Point, len(gs))
+		for i, g := range gs {
+			pts[i] = telemetry.Point{
+				Ops:          g.Ops,
+				Retired:      g.Retired,
+				MaxRetired:   g.MaxRetired,
+				Active:       g.Active,
+				MaxActive:    g.MaxActive,
+				TravSteps:    g.TravSteps,
+				TravRestarts: g.TravRestarts,
+				GuardTrips:   g.GuardTrips,
+			}
+		}
+		return pts
+	}
+}
+
+// adaptMonitor builds the verdict monitor over the store's resolved
+// shard specs: domain i is shard i, with the shard's declared robustness
+// class and worker/threshold budget.
+func adaptMonitor(st *store.Store, recorder *rec.Recorder) (*telemetry.Monitor, error) {
+	domains := make([]telemetry.Domain, st.Shards())
+	for s := range domains {
+		spec, err := st.Spec(s)
+		if err != nil {
+			return nil, err
+		}
+		props, err := all.Props(spec.Scheme)
+		if err != nil {
+			return nil, err
+		}
+		domains[s] = telemetry.Domain{
+			Scheme:   spec.Scheme,
+			Declared: props.Robustness,
+			Budget:   telemetry.Budget{Threads: spec.Workers, Threshold: spec.Threshold},
+		}
+	}
+	mcfg := telemetry.MonitorConfig{}
+	if recorder != nil {
+		mcfg.OnFlip = obs.VerdictHook(recorder)
+	}
+	return telemetry.NewMonitor(mcfg, domains), nil
+}
+
+// sampleEvery derives a telemetry tick from a traffic window: ~200
+// samples per run, clamped to [200µs, 5ms].
+func sampleEvery(d time.Duration) time.Duration {
+	return min(max(d/200, 200*time.Microsecond), 5*time.Millisecond)
 }

@@ -4,9 +4,11 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/store"
 )
 
-// TestRunChaosSeparatesClasses is the subsystem's acceptance shape in
+// TestRunChaosSeparatesClasses is the chaos audit's acceptance shape in
 // miniature: a short stall-injection run over the three robustness
 // classes must audit EBR as not-robust and HP as robust — the paper's
 // prediction, read off live telemetry instead of declared metadata.
@@ -20,8 +22,9 @@ func TestRunChaosSeparatesClasses(t *testing.T) {
 		// window with enough work in it to separate the classes.
 		dur = 1200 * time.Millisecond
 	}
-	res, err := RunChaos(ChaosConfig{
+	res, err := RunService(ServiceConfig{
 		Schemes:  []string{"ebr", "ibr", "hp"},
+		Faults:   []string{"stall"},
 		Duration: dur,
 		Seed:     42,
 	})
@@ -31,7 +34,7 @@ func TestRunChaosSeparatesClasses(t *testing.T) {
 	if len(res.Rows) != 3 {
 		t.Fatalf("rows = %d, want 3", len(res.Rows))
 	}
-	byScheme := map[string]ChaosRow{}
+	byScheme := map[string]ServiceShardRow{}
 	for _, r := range res.Rows {
 		byScheme[r.Scheme] = r
 	}
@@ -64,7 +67,7 @@ func TestRunChaosSeparatesClasses(t *testing.T) {
 			t.Errorf("fault %s on shard %d never healed", ev.Fault, ev.Shard)
 		}
 	}
-	if res.Agg.Ops == 0 {
+	if res.Aggregate.Ops == 0 {
 		t.Error("clients made no progress under chaos")
 	}
 	if err := Check(res); err != nil {
@@ -82,12 +85,12 @@ func TestRunChaosSeparatesClasses(t *testing.T) {
 }
 
 // TestRunChaosChurnFault exercises the close/reopen fault through the
-// full experiment: op errors are absorbed and the run completes.
+// full run: op errors are absorbed and the run completes.
 func TestRunChaosChurnFault(t *testing.T) {
 	if testing.Short() {
 		t.Skip("chaos run needs a real traffic window")
 	}
-	res, err := RunChaos(ChaosConfig{
+	res, err := RunService(ServiceConfig{
 		Schemes:  []string{"ebr", "hp"},
 		Faults:   []string{"churn"},
 		Duration: 150 * time.Millisecond,
@@ -96,7 +99,43 @@ func TestRunChaosChurnFault(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Agg.OpErrs == 0 {
+	if res.Aggregate.OpErrs == 0 {
 		t.Error("churn fault produced no ErrShardClosed results — did it fire?")
+	}
+}
+
+// TestPrefillHalfExact pins the prefill's occupancy: exactly
+// ⌊keyRange/2⌋ distinct keys per seed, odd ranges included (a sample
+// with replacement would leave about 39 % of the range filled).
+func TestPrefillHalfExact(t *testing.T) {
+	for _, keyRange := range []int{2048, 1001} {
+		for _, seed := range []uint64{1, 42} {
+			st, err := store.New(store.Config{
+				Shards:   store.Uniform(2, store.ShardSpec{Scheme: "ebr", Structure: "hashmap"}),
+				KeyRange: keyRange,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := prefillHalf(st, keyRange, 16, seed); err != nil {
+				t.Fatal(err)
+			}
+			present := 0
+			for k := 0; k < keyRange; k++ {
+				ok, err := st.Contains(int64(k))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if ok {
+					present++
+				}
+			}
+			if present != keyRange/2 {
+				t.Errorf("keyRange %d seed %d: %d keys present, want %d", keyRange, seed, present, keyRange/2)
+			}
+			if err := st.Close(); err != nil {
+				t.Fatal(err)
+			}
+		}
 	}
 }

@@ -207,7 +207,7 @@ func runObs(p Profile) (Result, error) {
 		for s, pts := range f.series() {
 			series[s] = pts
 		}
-	}, slo.Observe)
+	}, slo.Observe, nil)
 	slo.Stop()
 	if err != nil {
 		return nil, err

@@ -20,7 +20,6 @@ var wantGates = map[string][]string{
 	"chaos":    {"consistent"},
 	"adaptive": {"improved"},
 	"traverse": {"snapshot_probes_bounded", "guard_clean"},
-	"batch":    {"fused_beats_serial", "zero_alloc", "backlog_bounded"},
 	"obs":      {"complete", "detection_latency_ns", "overhead_ok"},
 	"pipeline": {"pipelined_beats_blocking", "partial_chains_closed"},
 	"resil":    {"goodput_recovered", "hedge_bounds_tail", "amplification_bounded"},
@@ -35,8 +34,8 @@ var nestedGates = map[string]bool{"detection_latency_ns": true, "overhead_ok": t
 var wantTable = map[string]string{
 	"matrix": "holds=true", "space": "per-churn", "scale": "per-size", "stall": "step",
 	"throughput": "Mops/s", "structures": "-- harris --", "michael": "Mops/s",
-	"service": "aggregate:", "chaos": "declared", "adaptive": "faulted-audited",
-	"traverse": "storm-arm", "batch": "allocs:", "obs": "recorder:",
+	"chaos": "declared", "adaptive": "faulted-audited",
+	"traverse": "storm-arm", "obs": "recorder:",
 	"pipeline": "chaos:", "resil": "retry:",
 }
 
@@ -45,7 +44,7 @@ var wantTable = map[string]string{
 func TestRegistry(t *testing.T) {
 	names := bench.Names()
 	want := []string{"matrix", "space", "scale", "stall", "throughput", "structures", "michael",
-		"service", "chaos", "adaptive", "traverse", "batch", "obs", "pipeline", "resil"}
+		"chaos", "adaptive", "traverse", "obs", "pipeline", "resil"}
 	if !reflect.DeepEqual(names, want) {
 		t.Fatalf("registry order:\n got %v\nwant %v", names, want)
 	}
@@ -162,12 +161,10 @@ func checkStructure(t *testing.T, res bench.Result) {
 			t.Error("no throughput rows")
 		}
 	case bench.ServiceResult:
-		if len(r.PerShard) != r.Aggregate.Shards || r.Aggregate.Ops == 0 {
-			t.Errorf("service: %d shard rows for %d shards, %d ops", len(r.PerShard), r.Aggregate.Shards, r.Aggregate.Ops)
-		}
-	case bench.ChaosResult:
-		if len(r.Rows) != 3 || len(r.Events) != 3 || r.Agg.Ops == 0 {
-			t.Errorf("chaos: %d rows, %d events, %d ops", len(r.Rows), len(r.Events), r.Agg.Ops)
+		a := r.Aggregate
+		if len(r.Rows) != a.Shards || len(r.Events) != a.Shards*len(a.Faults) || a.Ops == 0 {
+			t.Errorf("service: %d rows and %d fault events for %d shards × %v, %d ops",
+				len(r.Rows), len(r.Events), a.Shards, a.Faults, a.Ops)
 		}
 	case bench.AdaptiveResult:
 		if r.Static.Arm != "static" || r.Adaptive.Arm != "adaptive" || r.Static.Ops == 0 || r.Adaptive.Ops == 0 {
@@ -183,14 +180,11 @@ func checkStructure(t *testing.T, res bench.Result) {
 		if r.Snap.SnapshotKeys == 0 || r.Snap.SwapWindow <= 0 {
 			t.Errorf("traverse snapshot: %+v", r.Snap)
 		}
-	case bench.BatchResult:
-		if len(r.Pairs) == 0 || len(r.Backlog) == 0 || r.Allocs.Rounds == 0 {
-			t.Errorf("batch sections: %d pairs, %d backlog pairs, %d alloc rounds", len(r.Pairs), len(r.Backlog), r.Allocs.Rounds)
-		}
 	case bench.ObsResult:
-		if len(r.Timeline.Incidents) != r.Agg.Shards || len(r.Events) == 0 || r.Sampler.Ticks == 0 {
-			t.Errorf("obs: %d incidents for %d shards, %d events, %d ticks",
-				len(r.Timeline.Incidents), r.Agg.Shards, len(r.Events), r.Sampler.Ticks)
+		// How many incidents reach the tape depends on what the recorder
+		// dropped; the complete gate holds that claim under -check.
+		if len(r.Events) == 0 || r.Sampler.Ticks == 0 {
+			t.Errorf("obs: %d events, %d ticks", len(r.Events), r.Sampler.Ticks)
 		}
 		if r.Overhead.Rounds == 0 || r.Overhead.RecorderOnMops <= 0 || r.Overhead.RecorderOffMops <= 0 {
 			t.Errorf("obs overhead A/B did not run: %+v", r.Overhead)
@@ -227,16 +221,12 @@ func checkStructure(t *testing.T, res bench.Result) {
 // all hold.
 func passing() map[string]bench.Result {
 	return map[string]bench.Result{
-		"chaos": bench.ChaosResult{
-			Rows:       []bench.ChaosRow{{Scheme: "ebr", Consistent: true}, {Scheme: "hp", Consistent: true}},
+		"chaos": bench.ServiceResult{
+			Rows:       []bench.ServiceShardRow{{Scheme: "ebr", Consistent: true}, {Scheme: "hp", Consistent: true}},
 			Consistent: true,
 		},
 		"adaptive": sampleAdaptive(),
 		"traverse": bench.TraverseResult{ProbesBounded: true, GuardClean: true},
-		"batch": bench.BatchResult{
-			BestRatio: 2, FusedBeatsSerial: true, ZeroAlloc: true, BacklogBounded: true,
-			Backlog: []bench.BatchBacklogPair{{Scheme: "ebr", Bounded: true}},
-		},
 		"obs": bench.ObsResult{
 			Agg:      bench.ObsAggregate{Shards: 1},
 			Timeline: obs.Timeline{Incidents: []obs.Incident{{Fault: "delayed-release", DetectionLatency: time.Millisecond, Complete: true}}},
@@ -252,7 +242,7 @@ func passing() map[string]bench.Result {
 func failing(t *testing.T, name, gate string) bench.Result {
 	t.Helper()
 	switch r := passing()[name].(type) {
-	case bench.ChaosResult:
+	case bench.ServiceResult:
 		r.Rows[1].Consistent, r.Consistent = false, false
 		return r
 	case bench.AdaptiveResult:
@@ -263,16 +253,6 @@ func failing(t *testing.T, name, gate string) bench.Result {
 			r.GuardClean = false
 		} else {
 			r.ProbesBounded = false
-		}
-		return r
-	case bench.BatchResult:
-		switch gate {
-		case "fused_beats_serial":
-			r.FusedBeatsSerial = false
-		case "zero_alloc":
-			r.ZeroAlloc = false
-		default:
-			r.BacklogBounded, r.Backlog[0].Bounded = false, false
 		}
 		return r
 	case bench.ObsResult:
@@ -310,7 +290,7 @@ func failing(t *testing.T, name, gate string) bench.Result {
 // TestCheckGates is the gate logic on synthetic results: Check passes
 // when every gate holds, and for each gate of each experiment, breaking
 // that one claim makes Check fail naming it and its detail — which is what `erabench
-// -check` and `erachaos -strict` turn into the exit status. The artifact
+// -check` and `eraserve -strict` turn into the exit status. The artifact
 // carries the same booleans.
 func TestCheckGates(t *testing.T) {
 	for name, gates := range wantGates {

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/adapt"
 	"repro/internal/bench"
+	"repro/internal/chaos"
 	"repro/internal/workload"
 )
 
@@ -54,29 +55,34 @@ func TestThroughputTable(t *testing.T) {
 
 func sampleService() bench.ServiceResult {
 	return bench.ServiceResult{
+		Rows: []bench.ServiceShardRow{
+			{Shard: 0, Scheme: "hp", Ops: 41000, MopsPerSec: 0.195, PeakRetired: 16,
+				Declared: "robust", Audited: "robust", Growth: "bounded", Outcome: "confirmed", Consistent: true},
+			{Shard: 1, Scheme: "ebr", Ops: 39000, MopsPerSec: 0.185, PeakRetired: 48, Restarts: 3,
+				Declared: "not-robust", Audited: "not-robust", Growth: "unbounded", Slope: 0.25,
+				Outcome: "confirmed", Consistent: true},
+		},
+		Events: []chaos.Event{{Fault: "stall", Shard: 1, Episode: 1, At: 26 * time.Millisecond, Healed: 210 * time.Millisecond}},
 		Aggregate: bench.ServiceRow{
-			Shards: 2, Schemes: []string{"hp", "ebr"}, Structure: "hashmap",
-			Clients: 4, Batch: 16, Workers: 1, Mix: workload.MixBalanced,
+			Shards: 2, Schemes: []string{"hp", "ebr"}, Structure: "hashmap", Faults: []string{"stall"},
+			Clients: 4, Batch: 16, Workers: 2, Mix: workload.MixBalanced,
 			Workload: "zipfian", Schedule: "steady", KeyRange: 4096,
 			Ops: 80000, Elapsed: 210 * time.Millisecond, MopsPerSec: 0.38,
-			P50: 95 * time.Microsecond, P99: 480 * time.Microsecond,
-			PeakRetired: 64, Faults: 0, Restarts: 3,
+			P50: 95 * time.Microsecond, P99: 480 * time.Microsecond, PeakRetired: 64,
 		},
-		PerShard: []bench.ServiceShardRow{
-			{Shard: 0, Scheme: "hp", Ops: 41000, MopsPerSec: 0.195, MaxRetired: 16},
-			{Shard: 1, Scheme: "ebr", Ops: 39000, MopsPerSec: 0.185, MaxRetired: 48, Restarts: 3},
-		},
+		Consistent: true,
 	}
 }
 
-// TestServiceTable checks the per-shard rows and the aggregate lines
-// both render.
+// TestServiceTable checks the per-shard rows, the fault log and the
+// aggregate lines all render.
 func TestServiceTable(t *testing.T) {
 	var sb strings.Builder
 	sampleService().WriteTable(&sb)
 	out := sb.String()
-	for _, want := range []string{"shard", "hp", "ebr", "aggregate:", "2 shards",
-		"4 clients", "zipfian/steady", "p50 95µs", "p99 480µs", "peak-retired 64"} {
+	for _, want := range []string{"shard", "hp", "ebr", "not-robust", "unbounded", "confirmed",
+		"fault: stall", "healed at 210ms", "aggregate:", "2 shards", "4 clients", "zipfian/steady",
+		"p50 95µs", "p99 480µs", "peak-retired 64", "verdicts consistent: true"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("service table missing %q:\n%s", want, out)
 		}

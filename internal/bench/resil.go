@@ -139,6 +139,18 @@ type ResilResult struct {
 // resilDoer is one arm's request path: submit, block, merged result.
 type resilDoer func(req workload.Req) (*exec.Result, error)
 
+// execDoer is the naive and unhedged arms' request path: the bare
+// executor, adapted to the blocking doer shape.
+type execDoer struct{ ex *exec.Executor }
+
+func (d execDoer) Do(req workload.Req) (*exec.Result, error) {
+	h, err := d.ex.Submit(req)
+	if err != nil {
+		return nil, err
+	}
+	return h.Wait(), nil
+}
+
 // resilSample is one completed request: when it was submitted (shared
 // run clock), whether it came back clean, and how long it took.
 type resilSample struct {

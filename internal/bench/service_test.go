@@ -2,48 +2,45 @@ package bench_test
 
 import (
 	"strings"
+	"testing"
 	"time"
 
 	"repro/internal/adapt"
-	"testing"
-
 	"repro/internal/bench"
 )
 
-// TestRunServiceHeterogeneous runs a small sharded-service experiment
-// with HP and EBR alternating across shards and checks the measurement
+// TestRunServiceHeterogeneous runs a small healthy deployment with HP
+// and EBR alternating across shards and checks the measurement
 // accounting: every client op is counted exactly once, rates and
-// latencies are populated, and no shard observed a safety event.
+// latencies are populated, no fault was injected, and no shard observed
+// a safety event.
 func TestRunServiceHeterogeneous(t *testing.T) {
 	res, err := bench.RunService(bench.ServiceConfig{
-		Shards:       4,
-		Schemes:      []string{"hp", "ebr"},
-		Structure:    "hashmap",
-		Clients:      4,
-		OpsPerClient: 800,
-		Batch:        8,
-		KeyRange:     512,
-		Workload:     "zipfian",
-		Seed:         1,
+		Shards:    4,
+		Schemes:   []string{"hp", "ebr"},
+		Structure: "hashmap",
+		Clients:   4,
+		Batch:     8,
+		KeyRange:  512,
+		Workload:  "zipfian",
+		Duration:  100 * time.Millisecond,
+		Seed:      1,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	a := res.Aggregate
-	if a.Ops != 4*800 {
-		t.Fatalf("ops: %d", a.Ops)
-	}
-	if a.MopsPerSec <= 0 || a.Elapsed <= 0 {
-		t.Fatalf("rate: %v over %v", a.MopsPerSec, a.Elapsed)
+	if a.Ops == 0 || a.MopsPerSec <= 0 || a.Elapsed <= 0 {
+		t.Fatalf("rate: %d ops, %v Mops/s over %v", a.Ops, a.MopsPerSec, a.Elapsed)
 	}
 	if a.P50 == 0 || a.P99 == 0 || a.P99 < a.P50 {
 		t.Fatalf("latency: p50=%v p99=%v", a.P50, a.P99)
 	}
-	if len(res.PerShard) != 4 {
-		t.Fatalf("per-shard rows: %d", len(res.PerShard))
+	if len(res.Rows) != 4 || len(res.Events) != 0 {
+		t.Fatalf("%d shard rows, %d fault events; want 4, 0", len(res.Rows), len(res.Events))
 	}
 	var shardOps uint64
-	for i, r := range res.PerShard {
+	for i, r := range res.Rows {
 		want := []string{"hp", "ebr"}[i%2]
 		if r.Scheme != want {
 			t.Fatalf("shard %d scheme %s, want %s", i, r.Scheme, want)
@@ -53,34 +50,34 @@ func TestRunServiceHeterogeneous(t *testing.T) {
 		}
 		shardOps += r.Ops
 	}
-	if shardOps != uint64(a.Ops) {
+	if shardOps != a.Ops {
 		t.Fatalf("shard ops sum %d != aggregate %d", shardOps, a.Ops)
 	}
 }
 
-// TestRunServiceFanoutLane runs the service experiment with a fan-out
-// lane beside the point-op fleet: the executor-served requests must be
-// counted into their own histogram (separate p50/p99), the lane must be
-// clean on a healthy store (no partials, no op errors), and the
-// point-op accounting must stay exactly as it is without the lane.
+// TestRunServiceFanoutLane runs a deployment with a fan-out lane beside
+// the point-op clients: the lane's requests (through the resilience
+// client with no policy set) must be counted into their own histogram
+// (separate p50/p99) and be clean on a healthy store (no partials, no
+// errors), and the table must carry the lane's row.
 func TestRunServiceFanoutLane(t *testing.T) {
 	res, err := bench.RunService(bench.ServiceConfig{
-		Shards:       4,
-		Schemes:      []string{"ebr"},
-		Structure:    "michael", // ordered: range legs exercise the iterator
-		Clients:      4,
-		OpsPerClient: 600,
-		Batch:        8,
-		KeyRange:     512,
-		FanoutPct:    50,
-		Seed:         9,
+		Shards:    4,
+		Schemes:   []string{"ebr"},
+		Structure: "michael", // ordered: range legs exercise the iterator
+		Clients:   4,
+		Batch:     8,
+		KeyRange:  512,
+		Duration:  100 * time.Millisecond,
+		FanoutPct: 50,
+		Seed:      9,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	a := res.Aggregate
-	if a.Ops != 4*600 {
-		t.Fatalf("point ops: %d", a.Ops)
+	if a.Ops == 0 {
+		t.Fatal("point-op clients made no progress")
 	}
 	if a.FanoutClients != 2 {
 		t.Fatalf("fan-out clients: %d, want 2 (50%% of 4)", a.FanoutClients)
@@ -91,8 +88,9 @@ func TestRunServiceFanoutLane(t *testing.T) {
 	if a.FanoutP50 == 0 || a.FanoutP99 < a.FanoutP50 {
 		t.Fatalf("fan-out latency: p50=%v p99=%v", a.FanoutP50, a.FanoutP99)
 	}
-	if a.FanoutPartial != 0 || a.FanoutErrs != 0 {
-		t.Fatalf("healthy fan-out lane: partial=%d errs=%d", a.FanoutPartial, a.FanoutErrs)
+	if a.FanoutPartial != 0 || a.FanoutErrs != 0 || a.FanoutRetries != 0 || a.FanoutHedges != 0 {
+		t.Fatalf("healthy single-attempt fan-out lane: partial=%d errs=%d retries=%d hedges=%d",
+			a.FanoutPartial, a.FanoutErrs, a.FanoutRetries, a.FanoutHedges)
 	}
 
 	var buf strings.Builder
@@ -102,16 +100,27 @@ func TestRunServiceFanoutLane(t *testing.T) {
 	}
 }
 
-// TestRunServiceRejectsBadScheme checks constructor errors surface.
+// TestRunServiceRejectsBadScheme checks bad selections surface before
+// anything runs, each naming its registry: an unknown scheme, an unknown
+// fault, and lane policies without a lane.
 func TestRunServiceRejectsBadScheme(t *testing.T) {
-	if _, err := bench.RunService(bench.ServiceConfig{Schemes: []string{"nope"}}); err == nil {
-		t.Fatal("unknown scheme accepted")
+	for _, tc := range []struct {
+		cfg  bench.ServiceConfig
+		want string
+	}{
+		{bench.ServiceConfig{Schemes: []string{"nope"}}, "nope"},
+		{bench.ServiceConfig{Faults: []string{"nosuch"}}, "stall"},
+		{bench.ServiceConfig{Retry: true}, "fan-out"},
+	} {
+		if _, err := bench.RunService(tc.cfg); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("RunService(%+v) = %v, want an error mentioning %q", tc.cfg, err, tc.want)
+		}
 	}
 }
 
-// TestRunServiceDurationBoxed checks the -duration mode: clients run
-// until the deadline (no warmup, op errors tolerated), the elapsed time
-// tracks the window, and accounting stays coherent.
+// TestRunServiceDurationBoxed checks the window: clients run until the
+// deadline, the elapsed time tracks it, a healthy static run absorbs no
+// op errors and swaps no shard, and the accounting stays coherent.
 func TestRunServiceDurationBoxed(t *testing.T) {
 	if testing.Short() {
 		t.Skip("duration-boxed run needs a real traffic window")
@@ -140,29 +149,20 @@ func TestRunServiceDurationBoxed(t *testing.T) {
 		t.Fatalf("healthy duration run produced %d op errors", a.OpErrs)
 	}
 	var shardOps uint64
-	for _, r := range res.PerShard {
+	for _, r := range res.Rows {
 		shardOps += r.Ops
 		if r.Migrations != 0 || r.Epoch != 0 {
 			t.Fatalf("static duration run migrated: %+v", r)
 		}
 	}
-	if shardOps != uint64(a.Ops) {
+	if shardOps != a.Ops {
 		t.Fatalf("shard ops sum %d != aggregate %d", shardOps, a.Ops)
 	}
 }
 
-// TestRunServiceAdaptRequiresDuration checks the guard: the adaptive
-// controller needs a deadline to live inside.
-func TestRunServiceAdaptRequiresDuration(t *testing.T) {
-	_, err := bench.RunService(bench.ServiceConfig{Adapt: &adapt.Config{}})
-	if err == nil {
-		t.Fatal("op-boxed adaptive run accepted")
-	}
-}
-
-// TestRunServiceAdaptiveHealthy runs the adaptive service mode over
-// healthy traffic: the controller must hold position (no pressure, no
-// migrations) while the run completes and reports normally.
+// TestRunServiceAdaptiveHealthy runs the adaptive controller over
+// healthy traffic: it must hold position (no pressure, no migrations)
+// while the run completes and reports normally.
 func TestRunServiceAdaptiveHealthy(t *testing.T) {
 	if testing.Short() {
 		t.Skip("duration-boxed run needs a real traffic window")
@@ -187,8 +187,8 @@ func TestRunServiceAdaptiveHealthy(t *testing.T) {
 	if len(res.Episodes) != 0 || res.Aggregate.Migrations != 0 {
 		t.Fatalf("healthy traffic triggered migrations: %+v", res.Episodes)
 	}
-	for _, r := range res.PerShard {
-		if r.Scheme != "ebr" {
+	for _, r := range res.Rows {
+		if r.Migrations != 0 || r.Epoch != 0 {
 			t.Fatalf("healthy shard moved off ebr: %+v", r)
 		}
 	}

@@ -9,11 +9,11 @@ import (
 
 // benchStore builds a warmed single-shard store and a contains-only
 // batch for the steady-state spine benchmarks.
-func benchStore(b *testing.B, nofuse bool, batch int) (*store.Store, []store.Op, []store.Result) {
+func benchStore(b *testing.B, batch int) (*store.Store, []store.Op, []store.Result) {
 	b.Helper()
 	const keyRange = 4096
 	st, err := store.New(store.Config{
-		Shards:   []store.ShardSpec{{Scheme: "ebr", Structure: "michael", Workers: 2, NoFuse: nofuse}},
+		Shards:   []store.ShardSpec{{Scheme: "ebr", Structure: "michael", Workers: 2}},
 		KeyRange: keyRange,
 	})
 	if err != nil {
@@ -42,30 +42,26 @@ func benchStore(b *testing.B, nofuse bool, batch int) (*store.Store, []store.Op,
 }
 
 // BenchmarkDoInto measures the steady-state request spine: allocs/op is
-// the headline (the fused arm's bar is zero — the pooled envelopes,
-// spine, and worker scratch must absorb the whole round trip).
+// the headline, and its bar is zero — the pooled envelopes, spine, and
+// worker scratch must absorb the whole fused round trip (CI greps the
+// fused line for 0 allocs/op).
 func BenchmarkDoInto(b *testing.B) {
-	for _, arm := range []struct {
-		name   string
-		nofuse bool
-	}{{"fused", false}, {"per-op", true}} {
-		b.Run(arm.name, func(b *testing.B) {
-			st, ops, res := benchStore(b, arm.nofuse, 64)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if err := st.DoInto(ops, res); err != nil {
-					b.Fatal(err)
-				}
+	b.Run("fused", func(b *testing.B) {
+		st, ops, res := benchStore(b, 64)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if err := st.DoInto(ops, res); err != nil {
+				b.Fatal(err)
 			}
-		})
-	}
+		}
+	})
 }
 
 // BenchmarkDo measures the allocating convenience wrapper for contrast:
 // one result-slice allocation per call is its expected floor.
 func BenchmarkDo(b *testing.B) {
-	st, ops, _ := benchStore(b, false, 64)
+	st, ops, _ := benchStore(b, 64)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

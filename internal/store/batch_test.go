@@ -12,15 +12,15 @@ import (
 
 // TestFusedBatchStats checks the fused hot path engages and its counters
 // move: multi-op point batches must fuse (and key-sort when unsorted),
-// single ops and NoFuse shards must not.
+// single-op requests — the per-op-bracket path — must not.
 func TestFusedBatchStats(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
-		nofuse bool
-	}{{"fused", false}, {"nofuse", true}} {
+		perReq int // ops per request
+	}{{"fused", 16}, {"single-op", 1}} {
 		t.Run(tc.name, func(t *testing.T) {
 			st, err := store.New(store.Config{
-				Shards:   []store.ShardSpec{{Scheme: "ebr", Structure: "michael", NoFuse: tc.nofuse}},
+				Shards:   []store.ShardSpec{{Scheme: "ebr", Structure: "michael"}},
 				KeyRange: 256,
 			})
 			if err != nil {
@@ -32,13 +32,15 @@ func TestFusedBatchStats(t *testing.T) {
 			for i := range ops {
 				ops[i] = store.Op{Kind: workload.OpInsert, Key: int64(len(ops) - i)}
 			}
-			res, err := st.Do(ops)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for i, r := range res {
-				if r.Err != nil || !r.OK {
-					t.Fatalf("insert %d: ok=%v err=%v", i, r.OK, r.Err)
+			for lo := 0; lo < len(ops); lo += tc.perReq {
+				res, err := st.Do(ops[lo : lo+tc.perReq])
+				if err != nil {
+					t.Fatal(err)
+				}
+				for i, r := range res {
+					if r.Err != nil || !r.OK {
+						t.Fatalf("insert %d: ok=%v err=%v", lo+i, r.OK, r.Err)
+					}
 				}
 			}
 			// A single-op batch never fuses.
@@ -46,9 +48,10 @@ func TestFusedBatchStats(t *testing.T) {
 				t.Fatal(err)
 			}
 			s := st.Stats()
-			if tc.nofuse {
-				if s.FusedBatches != 0 || s.FusedOps != 0 {
-					t.Fatalf("NoFuse shard fused anyway: %d batches, %d ops", s.FusedBatches, s.FusedOps)
+			if tc.perReq == 1 {
+				if s.FusedBatches != 0 || s.FusedOps != 0 || s.Ops != 17 {
+					t.Fatalf("single-op requests: %d fused batches, %d fused ops, %d ops; want 0, 0, 17",
+						s.FusedBatches, s.FusedOps, s.Ops)
 				}
 				return
 			}
@@ -115,13 +118,13 @@ func TestDoIntoEquivalence(t *testing.T) {
 	}
 }
 
-// runParkedBacklog serves a fixed volume of batched churn through a
-// two-worker shard whose worker 0 is parked at the traversal head
-// breakpoint the whole time, and returns the peak retired backlog. Fixed
-// work (not fixed time) makes the fused/per-op comparison fair: both
-// arms retire the same node volume, so any widening of the peak is the
-// bracket cadence's doing.
-func runParkedBacklog(t *testing.T, scheme string, nofuse bool) uint64 {
+// runParkedBacklog serves a fixed volume of churn through a two-worker
+// shard whose worker 0 is parked at the traversal head breakpoint the
+// whole time, perReq ops per request, and returns the peak retired
+// backlog. Fixed work (not fixed time) makes the fused/per-op comparison
+// fair: both arms retire the same node volume, so any widening of the
+// peak is the bracket cadence's doing.
+func runParkedBacklog(t *testing.T, scheme string, perReq int) uint64 {
 	t.Helper()
 	bp := sched.NewBreakpoints()
 	st, err := store.New(store.Config{
@@ -130,7 +133,6 @@ func runParkedBacklog(t *testing.T, scheme string, nofuse bool) uint64 {
 			Structure: "michael",
 			Workers:   2,
 			Gate:      bp,
-			NoFuse:    nofuse,
 		}},
 		KeyRange: 512,
 	})
@@ -172,8 +174,10 @@ func runParkedBacklog(t *testing.T, scheme string, nofuse bool) uint64 {
 			}
 			ops[i] = store.Op{Kind: kind, Key: int64(rng.Next() % 512)}
 		}
-		if err := st.DoInto(ops, res); err != nil {
-			t.Fatal(err)
+		for lo := 0; lo < len(ops); lo += perReq {
+			if err := st.DoInto(ops[lo:lo+perReq], res[lo:lo+perReq]); err != nil {
+				t.Fatal(err)
+			}
 		}
 		for i := range res {
 			if res[i].Err != nil {
@@ -193,15 +197,16 @@ func runParkedBacklog(t *testing.T, scheme string, nofuse bool) uint64 {
 // TestBatchBacklogParkedNeighbor is the robustness guard on bracket
 // amortization: with a neighbour worker parked mid-operation, the fused
 // arm's peak retired backlog must stay within 2x of the per-op-bracket
-// arm's over identical work — the K-op re-bracket cadence, not the
-// batch length, bounds how long a fused window pins reclamation.
+// reference's — the same churn issued as 1-op requests — over identical
+// work: the K-op re-bracket cadence, not the batch length, bounds how
+// long a fused window pins reclamation.
 func TestBatchBacklogParkedNeighbor(t *testing.T) {
 	// One scheme per reclamation family: epoch (ebr), pointer (hp),
 	// version (vbr).
 	for _, scheme := range []string{"ebr", "hp", "vbr"} {
 		t.Run(scheme, func(t *testing.T) {
-			fused := runParkedBacklog(t, scheme, false)
-			serial := runParkedBacklog(t, scheme, true)
+			fused := runParkedBacklog(t, scheme, 32)
+			serial := runParkedBacklog(t, scheme, 1)
 			// The small additive floor absorbs retire-list jitter when the
 			// baseline peak is a handful of nodes.
 			if fused > 2*serial+64 {

@@ -169,7 +169,7 @@ type shard struct {
 	// fully.
 	ordered bool
 	// batch is the structure's fused fast path, nil when the structure
-	// does not implement ds.BatchSet or the spec set NoFuse.
+	// does not implement ds.BatchSet.
 	batch ds.BatchSet
 	// rec is the flight recorder (nil-safe), for sparse fused-window
 	// events.

@@ -75,11 +75,6 @@ type ShardSpec struct {
 	// head-restart finds (ds.Options.HeadRestart) — the restart-storm
 	// baseline arm of the traverse benchmark. Leave false in deployments.
 	HeadRestart bool
-	// NoFuse disables the batch-fused execution path (one amortized SMR
-	// bracket per request batch) and serves every op under its own
-	// BeginOp/EndOp bracket — the per-op-bracket baseline arm of the
-	// batch benchmark. Leave false in deployments.
-	NoFuse bool
 }
 
 // Config assembles a store.
@@ -285,9 +280,7 @@ func newShard(id int, spec ShardSpec, cfg Config) (*shard, error) {
 		reqs:    make(chan *request, cfg.QueueDepth),
 		stripes: make([]opStripe, spec.Workers),
 	}
-	if !spec.NoFuse {
-		sh.batch, _ = set.(ds.BatchSet)
-	}
+	sh.batch, _ = set.(ds.BatchSet)
 	for w := 0; w < spec.Workers; w++ {
 		sh.wg.Add(1)
 		go sh.worker(w)
