@@ -408,9 +408,9 @@ func runPipelineChaos(cfg pipelineConfig) (PipelineChaosRow, error) {
 	}
 	defer st.Close()
 
-	// The admission loop: gauge-tap sampler → online monitor →
-	// VerdictAdmission, the same classifier the adaptive controller
-	// trusts.
+	// The admission loop: gauge-tap sampler → online monitor → the
+	// executor's per-shard health, the same classifier the adaptive
+	// controller trusts.
 	mon, err := adaptMonitor(st, nil)
 	if err != nil {
 		return row, err
@@ -425,7 +425,7 @@ func runPipelineChaos(cfg pipelineConfig) (PipelineChaosRow, error) {
 	ex, err := exec.New(st, exec.Config{
 		QueueDepth: pipelineChaosQueue,
 		LegTimeout: cfg.legTimeout,
-		Admission:  exec.VerdictAdmission{Mon: mon},
+		Verdicts:   mon,
 		Recorder:   recorder,
 	})
 	if err != nil {
@@ -451,7 +451,7 @@ func runPipelineChaos(cfg pipelineConfig) (PipelineChaosRow, error) {
 		// Watch for the verdict loop flipping the stalled shard while
 		// traffic runs; one observation is enough.
 		for time.Now().Before(deadline) {
-			if ex.Degraded(pipelineFaultShard) {
+			if ex.Health(pipelineFaultShard) != exec.Healthy {
 				degraded <- true
 				return
 			}

@@ -413,12 +413,12 @@ func newFanoutLane(f *fleet, cfg ServiceConfig) (*fanoutLane, error) {
 	// leg budget and the watchdog it puts on every leg; a faulted one keeps
 	// the default budget, so stalled legs fail typed (and retry, and trip
 	// breakers) instead of blocking until the heal.
-	ecfg := exec.Config{Clock: clock, Recorder: recorder}
+	ecfg := exec.Config{Verdicts: f.mon, Clock: clock, Recorder: recorder}
 	if len(cfg.Faults) == 0 {
 		ecfg.LegTimeout = -1
 	}
 	rcfg := resil.Config{
-		Hedge: cfg.Hedge, Breaker: cfg.Breaker, Verdicts: f.mon,
+		Hedge: cfg.Hedge, Breaker: cfg.Breaker,
 		Seed: cfg.Seed ^ 0x5e111e5, Clock: clock, Recorder: recorder,
 	}
 	if !cfg.Retry {
@@ -534,9 +534,9 @@ func RunService(cfg ServiceConfig) (ServiceResult, error) {
 		defer lane.client.Close()
 		// The sampler carries the lane's resilience counters beside the
 		// store gauges, so the timeline join sees retries, hedges and
-		// breaker positions as first-class points.
+		// shard health as first-class points.
 		f.probe = lane.client.AugmentProbe(f.probe)
-		reg.Resil = lane.client
+		reg.Exec, reg.Resil = lane.client.Executor(), lane.client
 		beside = lane.run
 	}
 	var obsURL string

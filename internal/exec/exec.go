@@ -27,14 +27,13 @@
 //
 // Admission control is what keeps fan-out traffic from amplifying a
 // single-shard stall into a fleet-wide pileup: every shard has a bounded
-// leg queue, and when the shard's live backlog verdict degrades
-// (Admission, typically VerdictAdmission over the telemetry monitor) the
-// executor stops blocking on that queue — new legs are queued only if
-// there is room and shed with a typed error otherwise, counted and
-// stamped onto the flight recorder. A shard whose stalled-call budget is
-// exhausted (Config.MaxStalled) sheds outright — the admission signal
-// for a fully-parked shard the verdict cannot see. Healthy shards keep
-// classic backpressure: a full queue blocks the submitter.
+// leg queue and one health state (Health, health.go) combining the
+// monitor's verdict, the stalled-call gauge and an explicit word the
+// breaker writes. Healthy shards keep classic backpressure: a full queue
+// blocks the submitter. A shard in any other state stops blocking — new
+// legs are queued only if there is room and shed with a typed error
+// otherwise, counted and stamped onto the flight recorder with the state
+// that caused them — and a Parked shard sheds outright.
 package exec
 
 import (
@@ -47,6 +46,7 @@ import (
 
 	"repro/internal/obs/rec"
 	"repro/internal/store"
+	"repro/internal/telemetry"
 	"repro/internal/workload"
 )
 
@@ -55,7 +55,7 @@ var (
 	// ErrClosed reports a submission to a closed executor.
 	ErrClosed = errors.New("exec: executor closed")
 	// ErrShed reports a scatter leg refused by admission control: the
-	// shard's backlog verdict is degraded and its leg queue is full.
+	// shard is Parked, or not Healthy and its leg queue is full.
 	ErrShed = errors.New("exec: scatter leg shed by admission control")
 	// ErrLegStalled reports a scatter leg that exceeded its completion
 	// budget — the fan-out shape a fault-parked shard worker produces.
@@ -69,6 +69,10 @@ var (
 type ShardError struct {
 	Shard  int
 	Reason error
+	// NotExecuted marks a leg the store never ran: shed, refused or
+	// closed at hand-off, or out of budget before hand-off. Only such a
+	// write leg is safe to re-submit; a stalled one's call still applies.
+	NotExecuted bool
 }
 
 func (e *ShardError) Error() string {
@@ -76,16 +80,6 @@ func (e *ShardError) Error() string {
 }
 
 func (e *ShardError) Unwrap() error { return e.Reason }
-
-// Admission is the executor's live degradation signal: Degraded(s)
-// reports that shard s's backlog verdict has worsened and its scatter
-// legs must stop applying blocking backpressure (queue if room, shed
-// otherwise). Implementations must be cheap and safe for concurrent use;
-// the executor polls on Config.AdmitEvery and caches the answer on the
-// submission path.
-type Admission interface {
-	Degraded(shard int) bool
-}
 
 // HedgePolicy is the executor's tail-latency speculation signal,
 // supplied by the resilience layer. Delay(s) returns how long shard s's
@@ -117,29 +111,19 @@ type Config struct {
 	// store call finishes (and is discarded) in the background. 0 selects
 	// 1s; negative disables the budget (legs wait indefinitely).
 	LegTimeout time.Duration
-	// MaxStalled bounds how many timed-out store calls may linger per
-	// shard; 0 selects 8. A shard at the bound is *saturated*: admission
-	// refuses its new legs outright (typed ErrShed) and dispatchers fail
-	// queued ones fast, so a never-healing fault neither accumulates
-	// unbounded blocked goroutines nor keeps burning a leg budget per
-	// request. Saturation is the admission signal for a fully-parked
-	// shard, whose frozen ops counter keeps the backlog verdict
-	// inconclusive forever.
-	MaxStalled int
-	// Admission, when non-nil, supplies the per-shard degradation signal
-	// (see VerdictAdmission). Nil keeps every shard on blocking
-	// backpressure; SetDegraded still works for manual control.
-	Admission Admission
-	// AdmitEvery is the admission poll interval; 0 selects 1ms.
-	AdmitEvery time.Duration
+	// Verdicts, when set, degrades shard i while monitor domain i's latest
+	// conclusive audited class is NotRobust — the same evidence that makes
+	// the adaptive controller climb the reclamation ladder. The monitor
+	// publishes it on every sample; admission reads it lock-free.
+	Verdicts *telemetry.Monitor
 	// Hedge, when non-nil, enables hedged legs: a read-only scatter leg
 	// still running past the policy's delay launches one speculative
 	// duplicate call against the same shard; the first completion wins
 	// the leg's latch and the loser is discarded through the late-call
 	// discard path, counted as wasted work. Legs that write are never
-	// hedged: both calls would apply. Hedges are refused while the shard
-	// is degraded or saturated — speculation must never amplify a
-	// struggling shard's load.
+	// hedged: both calls would apply. Hedges are refused unless the shard
+	// is Healthy — speculation must never amplify a struggling shard's
+	// load.
 	Hedge HedgePolicy
 	// Clock and Recorder, when set, stamp scatter/merge/shed events onto
 	// the observability plane's shared tape. Nil keeps the layer silent.
@@ -156,12 +140,6 @@ func (cfg *Config) fill() {
 	}
 	if cfg.LegTimeout == 0 {
 		cfg.LegTimeout = time.Second
-	}
-	if cfg.MaxStalled <= 0 {
-		cfg.MaxStalled = 8
-	}
-	if cfg.AdmitEvery <= 0 {
-		cfg.AdmitEvery = time.Millisecond
 	}
 }
 
@@ -318,8 +296,10 @@ func (h *Handle) Result() (*Result, bool) {
 // shardQueue is one shard's admission-controlled leg queue plus its
 // execution accounting.
 type shardQueue struct {
-	legs     chan *leg
-	degraded atomic.Bool
+	legs chan *leg
+	// health is the shard's explicit Health word: Healthy, or what the
+	// breaker (Transition) or SetDegraded last wrote.
+	health atomic.Uint32
 	// stalled counts store calls that outlived their leg's budget and are
 	// still running — the fail-fast valve's gauge.
 	stalled atomic.Int32
@@ -348,7 +328,6 @@ type Executor struct {
 
 	queues []*shardQueue
 	wg     sync.WaitGroup
-	stop   chan struct{}
 
 	// mu orders submissions against Close the way the store orders
 	// submissions against shard close.
@@ -360,14 +339,13 @@ type Executor struct {
 	partial   atomic.Uint64
 }
 
-// New builds an executor over st and starts its dispatcher pools (and,
-// with Config.Admission set, its admission poller).
+// New builds an executor over st and starts its dispatcher pools.
 func New(st *store.Store, cfg Config) (*Executor, error) {
 	if st == nil {
 		return nil, errors.New("exec: executor needs a store")
 	}
 	cfg.fill()
-	ex := &Executor{st: st, cfg: cfg, stop: make(chan struct{})}
+	ex := &Executor{st: st, cfg: cfg}
 	for s := 0; s < st.Shards(); s++ {
 		q := &shardQueue{legs: make(chan *leg, cfg.QueueDepth)}
 		ex.queues = append(ex.queues, q)
@@ -376,61 +354,11 @@ func New(st *store.Store, cfg Config) (*Executor, error) {
 			go ex.dispatch(q)
 		}
 	}
-	if cfg.Admission != nil {
-		ex.wg.Add(1)
-		go ex.pollAdmission()
-	}
 	return ex, nil
 }
 
 // Store returns the store the executor serves.
 func (ex *Executor) Store() *store.Store { return ex.st }
-
-// SetDegraded manually flips shard s's admission state — the test hook,
-// and the override for deployments without a telemetry monitor. A
-// configured Admission re-polls on its own interval and will overwrite
-// manual state.
-func (ex *Executor) SetDegraded(s int, degraded bool) {
-	if s >= 0 && s < len(ex.queues) {
-		ex.queues[s].degraded.Store(degraded)
-	}
-}
-
-// Degraded reports shard s's *effective* admission state: the verdict
-// (or manual) degradation flag, or saturation of the stalled-call
-// budget.
-func (ex *Executor) Degraded(s int) bool {
-	if s < 0 || s >= len(ex.queues) {
-		return false
-	}
-	q := ex.queues[s]
-	return q.degraded.Load() || ex.saturated(q)
-}
-
-// saturated reports that the shard has exhausted its stalled-call
-// budget (only meaningful while a leg budget is configured).
-func (ex *Executor) saturated(q *shardQueue) bool {
-	return ex.cfg.LegTimeout >= 0 && int(q.stalled.Load()) >= ex.cfg.MaxStalled
-}
-
-// pollAdmission copies the Admission signal into the per-shard flags the
-// submission hot path reads, so Degraded() never takes the monitor's
-// locks per leg.
-func (ex *Executor) pollAdmission() {
-	defer ex.wg.Done()
-	t := time.NewTicker(ex.cfg.AdmitEvery)
-	defer t.Stop()
-	for {
-		select {
-		case <-ex.stop:
-			return
-		case <-t.C:
-			for s, q := range ex.queues {
-				q.degraded.Store(ex.cfg.Admission.Degraded(s))
-			}
-		}
-	}
-}
 
 // Compile groups a request into its per-shard scatter plan without
 // submitting it.
@@ -503,8 +431,7 @@ func (ex *Executor) RangeCount(lo, hi int64) (*Handle, error) {
 
 // Submit compiles req into scatter legs, enqueues them under admission
 // control, and returns the completion handle. The call blocks only for
-// backpressure on healthy shards; degraded shards shed instead of
-// blocking.
+// backpressure on healthy shards; other shards shed instead of blocking.
 func (ex *Executor) Submit(req workload.Req) (*Handle, error) {
 	return ex.SubmitCallback(req, nil)
 }
@@ -656,20 +583,20 @@ func multiOpKind(k workload.ReqKind) workload.Op {
 	}
 }
 
-// enqueue places one leg on its shard's queue under the admission
-// policy: healthy shards apply blocking backpressure (re-checking the
-// degradation flag while waiting, so a mid-wait verdict flip converts
-// the wait into a shed), degraded shards queue without blocking and shed
-// on overflow.
+// enqueue places one leg on its shard's queue under the shard's Health:
+// Healthy shards apply blocking backpressure (re-reading the state while
+// waiting, so a mid-wait flip converts the wait into a shed), Parked
+// shards shed outright, and any other state queues without blocking and
+// sheds on overflow.
 func (ex *Executor) enqueue(l *leg) {
 	q := ex.queues[l.shard]
 	// Fast path: healthy shard, no queued backlog — hand the leg straight
 	// to the store from the submitter, skipping the pump hop entirely.
-	if len(q.legs) == 0 && !q.degraded.Load() && !ex.saturated(q) {
+	if len(q.legs) == 0 && ex.Health(l.shard) == Healthy {
 		ok, err := ex.launch(q, l)
 		if err != nil {
 			q.legErrs.Add(1)
-			l.fail(&ShardError{Shard: l.shard, Reason: err})
+			l.fail(&ShardError{Shard: l.shard, Reason: err, NotExecuted: true})
 			return
 		}
 		if ok {
@@ -680,39 +607,40 @@ func (ex *Executor) enqueue(l *leg) {
 		// queued path and let a pump wait the backpressure out.
 	}
 	for {
-		if ex.saturated(q) {
-			// The shard's stalled-call budget is gone: every leg already
-			// dispatched is stuck in the store. Executing this one could
-			// only grow the pile, so admission refuses it outright.
-			ex.shed(q, l)
+		switch h := ex.Health(l.shard); h {
+		case Healthy:
+			select {
+			case q.legs <- l:
+				q.legsTotal.Add(1)
+				return
+			case <-time.After(time.Millisecond):
+				// Full healthy queue: keep blocking, but stay responsive to
+				// a health flip — that is exactly the moment backpressure
+				// must turn into shedding.
+			}
+		case Parked:
+			// Every leg already dispatched is stuck in the store; executing
+			// this one could only grow the pile.
+			ex.shed(q, l, h)
 			return
-		}
-		if q.degraded.Load() {
+		default:
 			select {
 			case q.legs <- l:
 				q.legsTotal.Add(1)
 			default:
-				ex.shed(q, l)
+				ex.shed(q, l, h)
 			}
 			return
-		}
-		select {
-		case q.legs <- l:
-			q.legsTotal.Add(1)
-			return
-		case <-time.After(time.Millisecond):
-			// Full healthy queue: keep blocking, but stay responsive to a
-			// degradation flip — that is exactly the moment backpressure
-			// must turn into shedding.
 		}
 	}
 }
 
-// shed refuses one leg with the typed admission error and completes it.
-func (ex *Executor) shed(q *shardQueue, l *leg) {
+// shed refuses one leg with the typed admission error, naming the health
+// state that refused it on the flight recorder, and completes it.
+func (ex *Executor) shed(q *shardQueue, l *leg, h Health) {
 	q.sheds.Add(1)
-	ex.cfg.Recorder.Record(rec.KindExecShed, l.shard, 0, uint64(len(q.legs)), uint64(cap(q.legs)), l.kind.String())
-	l.fail(&ShardError{Shard: l.shard, Reason: ErrShed})
+	ex.cfg.Recorder.Record(rec.KindExecShed, l.shard, 0, uint64(len(q.legs)), uint64(h), l.kind.String())
+	l.fail(&ShardError{Shard: l.shard, Reason: ErrShed, NotExecuted: true})
 }
 
 // dispatch is one pump's loop: drive queued legs to hand-off until
@@ -745,18 +673,17 @@ func (ex *Executor) pump(q *shardQueue, l *leg) {
 		deadline = time.Now().Add(ex.cfg.LegTimeout)
 	}
 	for {
-		if budget && int(q.stalled.Load()) >= ex.cfg.MaxStalled {
-			// The shard has eaten its stalled-call budget; launching
-			// another leg would just grow the pile. Fail fast with the
-			// same typed error a fresh stall would produce.
+		if ex.Health(l.shard) == Parked {
+			// Launching another leg would just grow the pile. Fail fast
+			// with the same typed error a fresh stall would produce.
 			q.timeouts.Add(1)
-			l.fail(&ShardError{Shard: l.shard, Reason: ErrLegStalled})
+			l.fail(&ShardError{Shard: l.shard, Reason: ErrLegStalled, NotExecuted: true})
 			return
 		}
 		ok, err := ex.launch(q, l)
 		if err != nil {
 			q.legErrs.Add(1)
-			l.fail(&ShardError{Shard: l.shard, Reason: err})
+			l.fail(&ShardError{Shard: l.shard, Reason: err, NotExecuted: true})
 			return
 		}
 		if ok {
@@ -766,7 +693,7 @@ func (ex *Executor) pump(q *shardQueue, l *leg) {
 		// bounded by the completion budget.
 		if budget && !time.Now().Before(deadline) {
 			q.timeouts.Add(1)
-			l.fail(&ShardError{Shard: l.shard, Reason: ErrLegStalled})
+			l.fail(&ShardError{Shard: l.shard, Reason: ErrLegStalled, NotExecuted: true})
 			return
 		}
 		time.Sleep(100 * time.Microsecond)
@@ -855,12 +782,12 @@ func (l *leg) readOnly() bool {
 // hedge is the hedge delay firing: the leg's primary call has outlived
 // the policy's quantile, so one speculative duplicate is offered to the
 // same shard. The offer is best-effort and strictly bounded — refused
-// without retry when the leg already settled, the shard is degraded or
-// saturated, or the shard's request queue is full — because speculation
-// against a shard that is struggling (rather than merely unlucky) would
-// amplify exactly the load admission control exists to shed.
+// without retry when the leg already settled, the shard is not Healthy,
+// or the shard's request queue is full — because speculation against a
+// shard that is struggling (rather than merely unlucky) would amplify
+// exactly the load admission control exists to shed.
 func (ex *Executor) hedge(q *shardQueue, l *leg, delay time.Duration) {
-	if l.state.Load() != legPending || q.degraded.Load() || ex.saturated(q) {
+	if l.state.Load() != legPending || ex.Health(l.shard) != Healthy {
 		return
 	}
 	c := &call{l: l, hedge: true}
@@ -1046,7 +973,6 @@ func (ex *Executor) Close() error {
 	}
 	ex.closed = true
 	ex.mu.Unlock()
-	close(ex.stop)
 	for _, q := range ex.queues {
 		close(q.legs)
 	}

@@ -81,6 +81,66 @@ func awaitParked(t *testing.T, st *store.Store, key int64) {
 	t.Fatal("stall fault never parked the shard worker")
 }
 
+// parkShard stalls shard s's only worker and waits until it is parked.
+// The returned heal is idempotent and also runs at cleanup, before the
+// cleanups registered earlier (an executor with no leg budget cannot
+// close while a pump retries into the parked shard).
+func parkShard(t *testing.T, st *store.Store, gates []*sched.Breakpoints, keyRange, s int) func() {
+	t.Helper()
+	fault, err := chaos.New("stall", chaos.Params{Shard: s})
+	if err != nil {
+		t.Fatal(err)
+	}
+	release, err := fault.Inject(&chaos.Target{Store: st, Gates: gates, KeyRange: keyRange}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	heal := sync.OnceFunc(release)
+	t.Cleanup(heal)
+	awaitParked(t, st, keysOnShard(t, st, s, keyRange, 1)[0])
+	return heal
+}
+
+// wedge fills parked shard s's request queue through the async path until
+// the store refuses: the parking op may or may not have left the buffer
+// occupied, so filling is the deterministic way to a full queue.
+func wedge(t *testing.T, st *store.Store, s int, key int64) {
+	t.Helper()
+	for {
+		accepted, err := st.DoShardAsync(s,
+			[]store.Op{{Kind: workload.OpContains, Key: key}},
+			make([]store.Result, 1), nil, func() {})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !accepted {
+			return
+		}
+	}
+}
+
+// feed pushes n samples into monitor domain d, its ops counter restarting
+// from zero (so an earlier window resets): a backlog growing with every
+// operation audits NotRobust, one hovering at a few nodes does not.
+func feed(m *telemetry.Monitor, d int, growing bool, n int) {
+	for i := 0; i < n; i++ {
+		p := telemetry.Point{Elapsed: time.Duration(i) * time.Millisecond, Ops: uint64(i) * 100, Retired: uint64(4 + i%5)}
+		if growing {
+			p.Retired = uint64(i) * 100
+		}
+		m.Observe(d, p)
+	}
+}
+
+// newMonitor builds a monitor with one domain per shard.
+func newMonitor(shards int) *telemetry.Monitor {
+	domains := make([]telemetry.Domain, shards)
+	for i := range domains {
+		domains[i] = telemetry.Domain{Scheme: "ebr", Declared: smr.NotRobust, Budget: telemetry.Budget{Threads: 2, Threshold: 16}}
+	}
+	return telemetry.NewMonitor(telemetry.MonitorConfig{Window: 64}, domains)
+}
+
 func TestCompileGroupsByShard(t *testing.T) {
 	st, _, _ := newGatedStore(t, 4, 2, 256)
 	ex, err := exec.New(st, exec.Config{})
@@ -341,40 +401,9 @@ func TestShedAndQueueAccounting(t *testing.T) {
 	}
 	defer ex.Close()
 
-	target := &chaos.Target{Store: st, Gates: gates, KeyRange: keyRange}
-	fault, err := chaos.New("stall", chaos.Params{Shard: 0})
-	if err != nil {
-		t.Fatal(err)
-	}
-	heal, err := fault.Inject(target, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	healed := false
-	defer func() {
-		if !healed {
-			heal()
-		}
-	}()
-
+	heal := parkShard(t, st, gates, keyRange, 0)
 	keys := keysOnShard(t, st, 0, keyRange, 5)
-	awaitParked(t, st, keys[0])
-
-	// Wedge the shard's depth-1 request queue deterministically: the
-	// parked worker may or may not have left the buffer occupied (the
-	// parking op could have been any probe), so fill it through the async
-	// path until the store reports refusal.
-	for {
-		accepted, err := st.DoShardAsync(0,
-			[]store.Op{{Kind: workload.OpContains, Key: keys[0]}},
-			make([]store.Result, 1), nil, func() {})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !accepted {
-			break
-		}
-	}
+	wedge(t, st, 0, keys[0])
 
 	// Leg A: pulled by the lone pump, which retries hand-off against the
 	// wedged shard queue.
@@ -402,8 +431,8 @@ func TestShedAndQueueAccounting(t *testing.T) {
 
 	// Degrade: the full queue now sheds instead of blocking.
 	ex.SetDegraded(0, true)
-	if !ex.Degraded(0) {
-		t.Fatal("SetDegraded did not stick")
+	if h := ex.Health(0); h != exec.Degraded {
+		t.Fatalf("SetDegraded left the shard %v", h)
 	}
 	for i := 3; i < 5; i++ {
 		res := w.wait(ex.MultiGet(keys[i : i+1])) // completes immediately: shed
@@ -421,7 +450,7 @@ func TestShedAndQueueAccounting(t *testing.T) {
 
 	stats := ex.Stats()
 	sh := stats.Shards[0]
-	if sh.Sheds != 2 || sh.Legs != 3 || sh.Timeouts != 0 || sh.Queued != 2 || sh.QueueCap != 2 || !sh.Degraded {
+	if sh.Sheds != 2 || sh.Legs != 3 || sh.Timeouts != 0 || sh.Queued != 2 || sh.QueueCap != 2 || sh.Health != exec.Degraded {
 		t.Fatalf("shard 0 ledger: %+v, want 2 sheds / 3 legs / full 2-cap queue", sh)
 	}
 	if stats.Sheds != 2 || stats.Partial != 2 {
@@ -431,7 +460,7 @@ func TestShedAndQueueAccounting(t *testing.T) {
 	for _, ev := range recorder.Snapshot() {
 		if ev.Kind == rec.KindExecShed {
 			sheds++
-			if ev.Shard != 0 || ev.B != 2 {
+			if ev.Shard != 0 || ev.A != 2 || ev.B != uint64(exec.Degraded) {
 				t.Fatalf("shed event misdescribed: %+v", ev)
 			}
 		}
@@ -442,7 +471,6 @@ func TestShedAndQueueAccounting(t *testing.T) {
 
 	// Heal: the parked worker resumes, A–C complete successfully.
 	heal()
-	healed = true
 	ex.SetDegraded(0, false)
 	for i, h := range []*exec.Handle{hA, hB, hC} {
 		res := h.Wait()
@@ -594,47 +622,224 @@ func TestPartialResultsUnderChaosStall(t *testing.T) {
 	}
 }
 
-// TestVerdictAdmission checks the monitor adapter and its polling loop:
-// a domain whose live verdict audits NotRobust degrades its shard, a
-// bounded domain does not, and the executor's poller copies the signal
-// into the submission path.
+// TestVerdictAdmission checks the monitor's path into admission with no
+// poller in between: the sample that concludes a domain NotRobust
+// degrades its shard, a bounded domain stays healthy, and the shard is
+// healthy again once its verdict clears or its domain is rebound.
 func TestVerdictAdmission(t *testing.T) {
-	budget := telemetry.Budget{Threads: 2, Threshold: 16}
-	m := telemetry.NewMonitor(telemetry.MonitorConfig{Window: 64}, []telemetry.Domain{
-		{Scheme: "ebr", Declared: smr.NotRobust, Budget: budget},
-		{Scheme: "hp", Declared: smr.Robust, Budget: budget},
-	})
-	adm := exec.VerdictAdmission{Mon: m}
-	if adm.Degraded(0) || adm.Degraded(1) {
-		t.Fatal("fresh (inconclusive) monitor must not degrade anything")
-	}
-	for i := 0; i < 20; i++ {
-		el := time.Duration(i) * time.Millisecond
-		m.Observe(0, telemetry.Point{Elapsed: el, Ops: uint64(i) * 100, Retired: uint64(i) * 100})
-		m.Observe(1, telemetry.Point{Elapsed: el, Ops: uint64(i) * 100, Retired: uint64(4 + i%5)})
-	}
-	if !adm.Degraded(0) {
-		t.Fatal("unbounded-growth domain not degraded")
-	}
-	if adm.Degraded(1) {
-		t.Fatal("bounded domain degraded")
-	}
-	if adm.Degraded(-1) || adm.Degraded(7) {
-		t.Fatal("out-of-range shard degraded")
-	}
-	if (exec.VerdictAdmission{}).Degraded(0) {
-		t.Fatal("nil monitor degraded a shard")
-	}
-
+	m := newMonitor(2)
 	st, _, _ := newGatedStore(t, 2, 2, 256)
-	ex, err := exec.New(st, exec.Config{Admission: adm, AdmitEvery: time.Millisecond})
+	ex, err := exec.New(st, exec.Config{Verdicts: m})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer ex.Close()
-	waitFor(t, "admission poller to copy the verdicts", func() bool {
-		return ex.Degraded(0) && !ex.Degraded(1)
-	})
+	if ex.Health(0) != exec.Healthy || ex.Health(1) != exec.Healthy {
+		t.Fatal("fresh (inconclusive) monitor degraded a shard")
+	}
+	feed(m, 0, true, 20)
+	feed(m, 1, false, 20)
+	if h := ex.Health(0); h != exec.Degraded {
+		t.Fatalf("unbounded-growth shard is %v, want degraded", h)
+	}
+	if h := ex.Health(1); h != exec.Healthy {
+		t.Fatalf("bounded shard is %v, want healthy", h)
+	}
+	if ex.Health(-1) != exec.Healthy || ex.Health(7) != exec.Healthy {
+		t.Fatal("out-of-range shard not healthy")
+	}
+	feed(m, 0, false, 20)
+	if h := ex.Health(0); h != exec.Healthy {
+		t.Fatalf("shard is %v after its verdict cleared, want healthy", h)
+	}
+	feed(m, 1, true, 20)
+	m.SetDomain(1, "hp", smr.Robust)
+	if h := ex.Health(1); h != exec.Healthy {
+		t.Fatalf("rebound shard is %v, want healthy", h)
+	}
+}
+
+// TestShardHealth drives each input of a shard's health — the monitor's
+// verdict, SetDegraded, the breaker's transition API and the
+// stalled-call bound — against a parked shard, and checks what admission
+// makes of the state: healthy blocks on a full leg queue and hedges;
+// degraded, open and probing queue while there is room, shed on overflow
+// and hedge nothing; parked sheds with the queue empty. Every shed and
+// every move of the health word lands on the recorder naming the state.
+func TestShardHealth(t *testing.T) {
+	const keyRange = 256
+	trip := func(t *testing.T, ex *exec.Executor, moves ...exec.Health) {
+		for i := 1; i < len(moves); i++ {
+			if !ex.Transition(0, moves[i-1], moves[i], "test "+moves[i].String()) {
+				t.Fatalf("transition %v→%v refused", moves[i-1], moves[i])
+			}
+		}
+		if ex.Transition(0, exec.Healthy, exec.Open, "stale") {
+			t.Fatal("transition from a state the word no longer holds")
+		}
+	}
+	cases := []struct {
+		name  string
+		drive func(t *testing.T, ex *exec.Executor, m *telemetry.Monitor, key int64)
+		want  exec.Health
+		// reason is the KindHealth label drive stamps ("" = none).
+		reason string
+	}{
+		{"none", func(*testing.T, *exec.Executor, *telemetry.Monitor, int64) {}, exec.Healthy, ""},
+		{"verdict", func(_ *testing.T, _ *exec.Executor, m *telemetry.Monitor, _ int64) {
+			feed(m, 0, true, 20)
+		}, exec.Degraded, ""},
+		{"manual", func(_ *testing.T, ex *exec.Executor, _ *telemetry.Monitor, _ int64) {
+			ex.SetDegraded(0, true)
+		}, exec.Degraded, "manual"},
+		{"breaker-open", func(t *testing.T, ex *exec.Executor, _ *telemetry.Monitor, _ int64) {
+			trip(t, ex, exec.Healthy, exec.Open)
+		}, exec.Open, "test open"},
+		{"breaker-probing", func(t *testing.T, ex *exec.Executor, _ *telemetry.Monitor, _ int64) {
+			trip(t, ex, exec.Healthy, exec.Open, exec.Probing)
+		}, exec.Probing, "test probing"},
+		{"stalled-bound", func(t *testing.T, ex *exec.Executor, _ *telemetry.Monitor, key int64) {
+			// Each leg (and its hedge) is accepted by the parked shard and
+			// outlives the budget: its calls pile onto the stalled gauge.
+			for i := 0; ex.Health(0) != exec.Parked; i++ {
+				if i == 16 {
+					t.Fatalf("shard not parked after %d stalled legs: %+v", i, ex.Stats().Shards[0])
+				}
+				res := waiter{t}.wait(ex.MultiGet([]int64{key}))
+				if len(res.ShardErrs) != 1 || !errors.Is(&res.ShardErrs[0], exec.ErrLegStalled) || res.ShardErrs[0].NotExecuted {
+					t.Fatalf("leg into the parked shard: %+v, want a stalled leg that ran", res.ShardErrs)
+				}
+			}
+		}, exec.Parked, ""},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			st, gates, recorder := newGatedStore(t, 2, 1, keyRange)
+			cfg := exec.Config{
+				QueueDepth: 1, DispatchersPerShard: 1, LegTimeout: -1,
+				Verdicts: newMonitor(2), Hedge: &fixedHedge{d: time.Nanosecond}, Recorder: recorder,
+			}
+			if tc.want == exec.Parked {
+				cfg.LegTimeout = 5 * time.Millisecond
+			}
+			ex, err := exec.New(st, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { ex.Close() })
+			heal := parkShard(t, st, gates, keyRange, 0)
+			keys := keysOnShard(t, st, 0, keyRange, 5)
+
+			tc.drive(t, ex, cfg.Verdicts, keys[0])
+			if h := ex.Health(0); h != tc.want {
+				t.Fatalf("shard is %v, want %v", h, tc.want)
+			}
+			var handles []*exec.Handle
+			submit := func(k int64) *exec.Handle {
+				h, err := ex.MultiGet([]int64{k})
+				if err != nil {
+					t.Fatal(err)
+				}
+				handles = append(handles, h)
+				return h
+			}
+			if tc.want == exec.Parked {
+				if q := ex.Stats().Shards[0].Queued; q != 0 {
+					t.Fatalf("%d legs queued", q)
+				}
+				expectShed(t, submit(keys[1]))
+			} else {
+				// Hedge: the leg's call sits in the parked shard's request
+				// queue, so a hedge finds room there — and only a healthy
+				// shard may take it.
+				submit(keys[1])
+				waitFor(t, "the leg to leave the queue", func() bool { return ex.Stats().Shards[0].Queued == 0 })
+				if tc.want == exec.Healthy {
+					waitFor(t, "a hedge on the healthy shard", func() bool { return ex.Stats().Hedges == 1 })
+				} else {
+					time.Sleep(20 * time.Millisecond)
+					if n := ex.Stats().Hedges; n != 0 {
+						t.Fatalf("%d hedges launched against a %v shard", n, tc.want)
+					}
+				}
+				// Admission: a pump holds leg A in a hand-off retry against
+				// the wedged shard, B takes the queue's one slot, and C finds
+				// it full.
+				wedge(t, st, 0, keys[0])
+				submit(keys[2])
+				waitFor(t, "the pump to pull leg A", func() bool {
+					s := ex.Stats().Shards[0]
+					return s.Legs == 2 && s.Queued == 0
+				})
+				submit(keys[3])
+				if tc.want == exec.Healthy {
+					blocked := make(chan *exec.Handle, 1)
+					go func() {
+						h, err := ex.MultiGet(keys[4:5])
+						if err != nil {
+							t.Error(err)
+						}
+						blocked <- h
+					}()
+					select {
+					case <-blocked:
+						t.Fatal("healthy shard returned instead of blocking on a full queue")
+					case <-time.After(20 * time.Millisecond):
+					}
+					heal()
+					if h := <-blocked; h != nil {
+						handles = append(handles, h)
+					}
+				} else {
+					expectShed(t, submit(keys[4]))
+				}
+			}
+			heal()
+			for i, h := range handles {
+				if res := h.Wait(); res.Partial() != errors.Is(res.Results[0].Err, exec.ErrShed) {
+					t.Fatalf("leg %d after heal: %+v", i, res.ShardErrs)
+				}
+			}
+
+			var sheds, moves []rec.Event
+			for _, ev := range recorder.Snapshot() {
+				switch ev.Kind {
+				case rec.KindExecShed:
+					sheds = append(sheds, ev)
+				case rec.KindHealth:
+					moves = append(moves, ev)
+				}
+			}
+			if wantSheds := min(int(tc.want), 1); len(sheds) != wantSheds {
+				t.Fatalf("%d shed events, want %d", len(sheds), wantSheds)
+			}
+			for _, ev := range sheds {
+				if ev.Shard != 0 || ev.B != uint64(tc.want) {
+					t.Fatalf("shed event %+v does not name %v", ev, tc.want)
+				}
+			}
+			if tc.reason == "" {
+				if len(moves) != 0 {
+					t.Fatalf("unexpected health moves: %+v", moves)
+				}
+			} else if len(moves) == 0 || moves[len(moves)-1].Label != tc.reason || moves[len(moves)-1].A != uint64(tc.want) {
+				t.Fatalf("health moves %+v, want the last %q into %v", moves, tc.reason, tc.want)
+			}
+		})
+	}
+}
+
+// expectShed checks that h completed at submission with the typed shed:
+// a partial result whose one shard error never ran.
+func expectShed(t *testing.T, h *exec.Handle) {
+	t.Helper()
+	res, ok := h.Result()
+	if !ok {
+		t.Fatal("leg was not shed at submission")
+	}
+	if len(res.ShardErrs) != 1 || !errors.Is(&res.ShardErrs[0], exec.ErrShed) || !res.ShardErrs[0].NotExecuted {
+		t.Fatalf("shed leg: %+v, want one not-executed ErrShed", res.ShardErrs)
+	}
 }
 
 // fixedHedge is a stub hedge policy with a constant delay — every leg

@@ -239,8 +239,8 @@ func (r *Registry) WriteMetrics(w io.Writer) error {
 	}
 
 	// Execution-layer ledgers: the scatter-gather request mix, and the
-	// per-shard admission picture (queue pressure, degradation, sheds,
-	// stalled legs) that explains why fan-out latency moved.
+	// per-shard admission picture (queue pressure, health, sheds, stalled
+	// legs) that explains why fan-out latency moved.
 	if r.Exec != nil {
 		es := r.Exec.Stats()
 		req := r.family(w, "era_exec_requests_total", "counter",
@@ -280,8 +280,8 @@ func (r *Registry) WriteMetrics(w io.Writer) error {
 				func(s exec.ShardExecStats) float64 { return float64(s.Queued) }},
 			{"era_exec_queue_cap", "gauge", "The shard's leg-queue capacity.",
 				func(s exec.ShardExecStats) float64 { return float64(s.QueueCap) }},
-			{"era_exec_degraded", "gauge", "1 while admission control has the shard degraded.",
-				func(s exec.ShardExecStats) float64 { return b2f(s.Degraded) }},
+			{"era_shard_health", "gauge", "Shard admission state (0 healthy, 1 degraded, 2 parked, 3 open, 4 probing).",
+				func(s exec.ShardExecStats) float64 { return float64(s.Health) }},
 			{"era_exec_stalled_calls", "gauge", "Store calls still running past their leg's budget.",
 				func(s exec.ShardExecStats) float64 { return float64(s.Stalled) }},
 		} {
@@ -296,7 +296,7 @@ func (r *Registry) WriteMetrics(w io.Writer) error {
 	}
 
 	// Resilience-layer ledgers: retry rounds and their budget, the hedge
-	// race outcome split, and the per-shard breaker position — the "what
+	// race outcome split, and the per-shard breaker ledger — the "what
 	// did the policy layer do about it" companion to the era_exec block.
 	if r.Resil != nil {
 		rs := r.Resil.Stats()
@@ -328,8 +328,6 @@ func (r *Registry) WriteMetrics(w io.Writer) error {
 				name, typ, help string
 				val             func(resil.BreakerStats) float64
 			}{
-				{"era_resil_breaker_state", "gauge", "Circuit breaker position (0 closed, 1 open, 2 half-open).",
-					func(b resil.BreakerStats) float64 { return float64(b.State) }},
 				{"era_resil_breaker_opens_total", "counter", "Transitions into the open state.",
 					func(b resil.BreakerStats) float64 { return float64(b.Opens) }},
 				{"era_resil_breaker_failure_ewma", "gauge", "Smoothed recent leg-failure rate feeding the breaker.",

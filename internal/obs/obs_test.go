@@ -408,7 +408,7 @@ func TestExecMetricsFamilies(t *testing.T) {
 		h.Wait()
 	}
 	// Shed accounting itself is pinned by the exec package's own tests;
-	// here only the degradation gauge needs to move.
+	// here only the health gauge needs to move.
 	ex.SetDegraded(0, true)
 
 	var buf bytes.Buffer
@@ -426,8 +426,8 @@ func TestExecMetricsFamilies(t *testing.T) {
 		`era_exec_sheds_total{shard="1"} 0`,
 		`era_exec_leg_timeouts_total{shard="0"} 0`,
 		`era_exec_queue_cap{shard="0"} 1`,
-		`era_exec_degraded{shard="0"} 1`,
-		`era_exec_degraded{shard="1"} 0`,
+		`era_shard_health{shard="0"} 1`,
+		`era_shard_health{shard="1"} 0`,
 		`era_exec_stalled_calls{shard="0"} 0`,
 	} {
 		if !strings.Contains(out, want) {

@@ -107,7 +107,8 @@ const (
 	// Label = request kind. Shard is -1 (the merge spans shards).
 	KindExecMerge
 	// KindExecShed records one scatter leg refused by admission control:
-	// A = the shard's queued legs at the shed, B = that queue's capacity,
+	// A = the shard's queued legs at the shed, B = the exec.Health state
+	// that refused it (1 degraded, 2 parked, 3 open, 4 probing),
 	// Label = request kind.
 	KindExecShed
 	// KindHedge records one hedge leg launched against a shard whose
@@ -120,11 +121,11 @@ const (
 	// retry), B = the keys (or shards, for range requests) being retried,
 	// Label = request kind.
 	KindRetry
-	// KindBreaker records a per-shard circuit-breaker transition:
-	// A = new state, B = previous state (0 closed, 1 open, 2 half-open),
-	// Label = the transition's reason ("verdict not-robust",
-	// "failure ewma 0.83", "probes ok", ...).
-	KindBreaker
+	// KindHealth records a move of a shard's exec.Health word: A = new
+	// state, B = previous state (0 healthy, 1 degraded, 3 open,
+	// 4 probing), Label = the move's reason ("failure ewma 0.83",
+	// "probes ok", "manual", ...).
+	KindHealth
 	// KindBatchWindow records one fused batch window executed by a shard
 	// worker: A = operations served under the window's amortized SMR
 	// bracket, B = mid-window re-brackets (epoch/slot renewals) the
@@ -153,7 +154,7 @@ var kindNames = [kindCount]string{
 	KindExecShed:       "exec-shed",
 	KindHedge:          "hedge",
 	KindRetry:          "retry",
-	KindBreaker:        "breaker",
+	KindHealth:         "health",
 	KindBatchWindow:    "batch-window",
 }
 

@@ -6,132 +6,105 @@ import (
 	"time"
 
 	"repro/internal/exec"
-	"repro/internal/obs/rec"
-	"repro/internal/smr"
 )
 
-// BreakerState is a per-shard circuit breaker's position.
-type BreakerState uint8
-
+// The breaker's tuning.
 const (
-	// BreakerClosed admits traffic and watches the failure EWMA.
-	BreakerClosed BreakerState = iota
-	// BreakerOpen fast-fails the shard's keys locally and marks the
-	// shard degraded for the executor's admission control.
-	BreakerOpen
-	// BreakerHalfOpen admits a bounded number of probe requests whose
-	// outcomes decide between closing and re-opening.
-	BreakerHalfOpen
+	// breakerEWMA is the failure-rate smoothing factor.
+	breakerEWMA = 0.2
+	// breakerOpenAt is the smoothed failure rate that trips a healthy
+	// shard open, once breakerMinObs leg outcomes back it.
+	breakerOpenAt = 0.5
+	breakerMinObs = 8
+	// openFor is how long an open breaker fast-fails before probing.
+	openFor = 50 * time.Millisecond
+	// halfOpenProbes is how many probes a probing shard admits, and how
+	// many consecutive successes heal it.
+	halfOpenProbes = 3
 )
 
-// String returns the state's metric/event name.
-func (s BreakerState) String() string {
-	switch s {
-	case BreakerClosed:
-		return "closed"
-	case BreakerOpen:
-		return "open"
-	case BreakerHalfOpen:
-		return "half-open"
-	default:
-		return fmt.Sprintf("state(%d)", uint8(s))
-	}
-}
-
-// breaker is one shard's circuit-breaker state machine. Two signals
-// open it: the recent-failure EWMA crossing its threshold, and the live
-// telemetry verdict auditing the shard NotRobust (the poller re-stamps
-// the open window while the verdict holds, so a not-robust shard cannot
-// half-open early). All fields are guarded by mu; the state machine is
-// far off the hot path (one transition per fault episode, one mutex op
-// per touched shard per attempt).
+// breaker is one shard's circuit-breaker ledger: the failure EWMA and the
+// probe ledger. Its position is not here but in the executor's health
+// word (exec.Healthy → exec.Open → exec.Probing → exec.Healthy), moved by
+// CAS through exec.Executor.Transition; mu orders the ledger against
+// those moves. Nothing here is on the healthy path: allowShard reads the
+// word and returns.
 type breaker struct {
 	mu       sync.Mutex
-	state    BreakerState
 	ewma     float64
 	obs      int
 	openedAt time.Time
-	// verdictHeld marks an open forced by the NotRobust verdict; it
-	// clears when the verdict does, releasing the OpenFor countdown.
-	verdictHeld bool
-	// probes / okProbes track half-open admission grants and their
-	// successes.
+	// probes / okProbes track probe grants and their successes.
 	probes   int
 	okProbes int
-
-	opens       uint64
-	transitions uint64
+	opens    uint64
 }
 
-// BreakerStats is one shard's breaker snapshot.
+// BreakerStats is one shard's breaker snapshot; the breaker's position is
+// the shard's exec.Health.
 type BreakerStats struct {
-	Shard int          `json:"shard"`
-	State BreakerState `json:"state"`
+	Shard int `json:"shard"`
 	// EWMA is the smoothed recent failure rate in [0,1].
 	EWMA float64 `json:"ewma"`
-	// Opens counts transitions into BreakerOpen; Transitions all state
-	// changes.
-	Opens       uint64 `json:"opens"`
-	Transitions uint64 `json:"transitions"`
+	// Opens counts trips into exec.Open.
+	Opens uint64 `json:"opens"`
 }
 
-// transition moves b (locked) to next, stamping the flight recorder.
-func (c *Client) transition(shard int, b *breaker, next BreakerState, reason string) {
-	if b.state == next {
-		return
+// transition moves shard s's health word from → to (b locked) and resets
+// the ledger for the new position; it reports whether the word moved.
+func (c *Client) transition(s int, b *breaker, from, to exec.Health, reason string) bool {
+	if !c.ex.Transition(s, from, to, reason) {
+		return false
 	}
-	prev := b.state
-	b.state = next
-	b.transitions++
-	switch next {
-	case BreakerOpen:
+	b.probes, b.okProbes = 0, 0
+	switch to {
+	case exec.Open:
 		b.opens++
 		b.openedAt = time.Now()
-		b.probes, b.okProbes = 0, 0
-	case BreakerHalfOpen:
-		b.probes, b.okProbes = 0, 0
-	case BreakerClosed:
+	case exec.Healthy:
 		b.ewma, b.obs = 0, 0
 	}
-	c.cfg.Recorder.Record(rec.KindBreaker, shard, 0, uint64(next), uint64(prev), reason)
+	return true
 }
 
-// allowShard asks shard s's breaker whether this attempt may touch the
-// shard; probe reports that the grant is a half-open probe whose
-// outcome must feed the probe ledger. Without breakers every shard
-// admits.
+// allowShard decides from shard s's health whether this attempt may touch
+// the shard; probe reports that the grant is a probe whose outcome must
+// feed the probe ledger. Healthy and Parked shards admit (exec sheds
+// what a parked shard cannot take); a Degraded shard — the verdict, or a
+// manual override — fast-fails until the state clears; an Open one until
+// openFor has passed, when it starts Probing. Without breakers every
+// shard admits.
 func (c *Client) allowShard(s int) (admit, probe bool) {
-	if c.breakers == nil || s < 0 || s >= len(c.breakers) {
+	if c.breakers == nil {
 		return true, false
+	}
+	switch c.ex.Health(s) {
+	case exec.Healthy, exec.Parked:
+		return true, false
+	case exec.Degraded:
+		return false, false
 	}
 	b := &c.breakers[s]
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	switch b.state {
-	case BreakerClosed:
-		return true, false
-	case BreakerOpen:
-		if !b.verdictHeld && time.Since(b.openedAt) >= c.cfg.OpenFor {
-			c.transition(s, b, BreakerHalfOpen, "open window elapsed")
-			b.probes++
-			return true, true
-		}
-		return false, false
-	default: // BreakerHalfOpen
-		if b.probes < c.cfg.HalfOpenProbes {
-			b.probes++
-			return true, true
-		}
+	h := c.ex.Health(s)
+	if h == exec.Open && time.Since(b.openedAt) >= openFor &&
+		c.transition(s, b, exec.Open, exec.Probing, "open window elapsed") {
+		h = exec.Probing
+	}
+	if h != exec.Probing || b.probes >= halfOpenProbes {
 		return false, false
 	}
+	b.probes++
+	return true, true
 }
 
 // observeBreaker feeds one shard-touch outcome back into the shard's
-// breaker: probes drive the half-open ledger, every outcome drives the
-// failure EWMA, and a closed breaker trips once the smoothed rate
-// crosses the threshold with enough evidence behind it.
+// breaker: every outcome drives the failure EWMA, probes drive the probe
+// ledger, and a healthy shard trips open once the smoothed rate crosses
+// the threshold with enough evidence behind it.
 func (c *Client) observeBreaker(s int, ok, probe bool) {
-	if c.breakers == nil || s < 0 || s >= len(c.breakers) {
+	if c.breakers == nil {
 		return
 	}
 	b := &c.breakers[s]
@@ -141,37 +114,18 @@ func (c *Client) observeBreaker(s int, ok, probe bool) {
 	if ok {
 		x = 0
 	}
-	b.ewma += c.cfg.BreakerEWMA * (x - b.ewma)
+	b.ewma += breakerEWMA * (x - b.ewma)
 	b.obs++
-	switch b.state {
-	case BreakerClosed:
-		if b.obs >= c.cfg.BreakerMinObs && b.ewma > c.cfg.BreakerOpenAt {
-			c.transition(s, b, BreakerOpen, fmt.Sprintf("failure ewma %.2f", b.ewma))
+	switch {
+	case probe && !ok:
+		c.transition(s, b, exec.Probing, exec.Open, "probe failed")
+	case probe:
+		if b.okProbes++; b.okProbes >= halfOpenProbes {
+			c.transition(s, b, exec.Probing, exec.Healthy, "probes ok")
 		}
-	case BreakerHalfOpen:
-		if !probe {
-			return
-		}
-		if !ok {
-			c.transition(s, b, BreakerOpen, "probe failed")
-			return
-		}
-		b.okProbes++
-		if b.okProbes >= c.cfg.HalfOpenProbes {
-			c.transition(s, b, BreakerClosed, "probes ok")
-		}
+	case b.obs >= breakerMinObs && b.ewma > breakerOpenAt:
+		c.transition(s, b, exec.Healthy, exec.Open, fmt.Sprintf("failure ewma %.2f", b.ewma))
 	}
-}
-
-// breakerState returns shard s's current breaker position.
-func (c *Client) breakerState(s int) BreakerState {
-	if c.breakers == nil || s < 0 || s >= len(c.breakers) {
-		return BreakerClosed
-	}
-	b := &c.breakers[s]
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.state
 }
 
 // breakerStats snapshots shard s's breaker.
@@ -179,59 +133,5 @@ func (c *Client) breakerStats(s int) BreakerStats {
 	b := &c.breakers[s]
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	return BreakerStats{Shard: s, State: b.state, EWMA: b.ewma, Opens: b.opens, Transitions: b.transitions}
-}
-
-// pollVerdicts is the breaker's telemetry feed: a conclusive NotRobust
-// audit on a shard's domain forces its breaker open and holds it there
-// (re-stamping the open window) until the verdict clears.
-func (c *Client) pollVerdicts() {
-	defer c.wg.Done()
-	mon := c.cfg.Verdicts
-	t := time.NewTicker(c.cfg.VerdictEvery)
-	defer t.Stop()
-	for {
-		select {
-		case <-c.stop:
-			return
-		case <-t.C:
-			n := mon.Domains()
-			if n > len(c.breakers) {
-				n = len(c.breakers)
-			}
-			for s := 0; s < n; s++ {
-				v := mon.Verdict(s)
-				notRobust := !v.Inconclusive() && v.AuditedClass() == smr.NotRobust
-				b := &c.breakers[s]
-				b.mu.Lock()
-				if notRobust {
-					if b.state != BreakerOpen {
-						c.transition(s, b, BreakerOpen, "verdict not-robust")
-					}
-					b.verdictHeld = true
-					b.openedAt = time.Now()
-				} else if b.verdictHeld {
-					b.verdictHeld = false
-					b.openedAt = time.Now() // OpenFor counts from the clear
-				}
-				b.mu.Unlock()
-			}
-		}
-	}
-}
-
-// breakerAdmission fuses the breaker state into the executor's
-// admission signal: a shard with an open breaker is degraded (its range
-// legs queue-or-shed instead of blocking), on top of whatever inner
-// signal — typically the verdict admission — already reports.
-type breakerAdmission struct {
-	c     *Client
-	inner exec.Admission
-}
-
-func (a breakerAdmission) Degraded(shard int) bool {
-	if a.inner != nil && a.inner.Degraded(shard) {
-		return true
-	}
-	return a.c.breakerState(shard) == BreakerOpen
+	return BreakerStats{Shard: s, EWMA: b.ewma, Opens: b.opens}
 }

@@ -8,9 +8,16 @@ import (
 	"repro/internal/hist"
 )
 
+// The hedge delay is the hedgeQuantile of settled call latencies, floored
+// at hedgeMin so a microsecond-fast store cannot hedge every leg.
+const (
+	hedgeQuantile = 0.99
+	hedgeMin      = 200 * time.Microsecond
+)
+
 // hedgePolicy is the client's exec.HedgePolicy: a log-bucketed latency
 // histogram of every landed store call, refreshed into a hedge delay at
-// the configured quantile every HedgeWindow observations. Until the
+// hedgeQuantile every HedgeWindow observations. Until the
 // first refresh the delay is zero and the executor hedges nothing — the
 // cold-start guard that keeps a fresh client from hedging every leg.
 //
@@ -18,11 +25,9 @@ import (
 // SLO verdict dimension (onLat), so deployments that only want SLO
 // observation run the policy with hedging disabled.
 type hedgePolicy struct {
-	enabled  bool
-	quantile float64
-	min      time.Duration
-	every    uint64
-	onLat    func(shard int, d time.Duration)
+	enabled bool
+	every   uint64
+	onLat   func(shard int, d time.Duration)
 
 	mu sync.Mutex
 	h  hist.Latency
@@ -54,11 +59,7 @@ func (p *hedgePolicy) Observe(shard int, d time.Duration) {
 	p.h.Record(d)
 	p.n++
 	if p.n%p.every == 0 {
-		q := p.h.Percentile(p.quantile)
-		if q < p.min {
-			q = p.min
-		}
-		p.delay.Store(int64(q))
+		p.delay.Store(int64(max(p.h.Percentile(hedgeQuantile), hedgeMin)))
 	}
 	p.mu.Unlock()
 }

@@ -12,7 +12,9 @@
 //     stalled past the leg budget (exec.ErrLegStalled), or landing on a
 //     closed/migrating shard (store.ErrShardClosed) — are retried, and
 //     only the failed keys are re-submitted; results already merged are
-//     never re-executed. Backoff is exponential with deterministic
+//     never re-executed. A write is retried only when its leg never ran
+//     (exec.ShardError.NotExecuted): a stalled write's call still
+//     applies. Backoff is exponential with deterministic
 //     per-request jitter, capped by a per-request attempt limit and a
 //     store-wide retry *budget* (token bucket denominated in operation
 //     units), so a retry storm cannot amplify a degraded shard's load.
@@ -23,14 +25,15 @@
 //     the delay; first completion wins, the loser is discarded through
 //     the executor's late-call discard path and counted as wasted work.
 //
-//   - Per-shard circuit breakers. A closed/open/half-open state machine
-//     fed by a recent-failure EWMA and by the live telemetry verdict
-//     (a conclusive NotRobust audit forces the breaker open). While a
-//     shard's breaker is open, its keys fail fast with ErrBreakerOpen
-//     before touching the executor, and the executor's admission sees
-//     the shard as degraded (range legs queue-or-shed instead of
-//     blocking). Half-open admits a bounded number of probe requests;
-//     probe successes close the breaker, a probe failure re-opens it.
+//   - Per-shard circuit breakers. A recent-failure EWMA trips the
+//     shard's exec.Health word to Open; after openFor it moves to
+//     Probing, where a bounded number of probe requests decide between
+//     Healthy and Open again. While a shard is Open, Probing without a
+//     probe grant, or Degraded by its verdict, its keys fail fast with
+//     ErrBreakerOpen before touching the executor; the executor's own
+//     admission reads the same word, so range legs queue-or-shed instead
+//     of blocking. A verdict-degraded shard admits again as soon as the
+//     verdict clears.
 //
 // The package deliberately does not import internal/obs: the
 // observability plane imports *it* to render era_resil_* metric
@@ -77,9 +80,17 @@ func (e *RetryError) Error() string {
 func (e *RetryError) Unwrap() error { return e.Err }
 
 // retryable reports whether err is a transient, shard-side failure the
-// retry policy may re-submit. Guard trips, unknown errors and executor
-// shutdown are terminal.
-func retryable(err error) bool {
+// retry policy may re-submit. A write is re-submitted only if its leg
+// never ran (a stalled leg's call still applies, so a retry would apply
+// it twice). Guard trips, unknown errors and executor shutdown are
+// terminal.
+func retryable(err error, write bool) bool {
+	if write {
+		var serr *exec.ShardError
+		if !errors.As(err, &serr) || !serr.NotExecuted {
+			return false
+		}
+	}
 	return errors.Is(err, exec.ErrShed) ||
 		errors.Is(err, exec.ErrLegStalled) ||
 		errors.Is(err, store.ErrShardClosed) ||
@@ -110,42 +121,17 @@ type Config struct {
 	// internally, so one seed yields one deterministic schedule.
 	Seed uint64
 
-	// Hedge enables hedged legs through the executor.
+	// Hedge enables hedged legs through the executor, delayed by the p99
+	// of settled call latencies (at least 200µs).
 	Hedge bool
-	// HedgeQuantile is the tracked latency quantile that sets the hedge
-	// delay; 0 selects 0.99.
-	HedgeQuantile float64
-	// HedgeMin floors the hedge delay so a microsecond-fast store cannot
-	// hedge every leg; 0 selects 200µs.
-	HedgeMin time.Duration
 	// HedgeWindow is how many landed calls pass between quantile
 	// refreshes; hedging stays disabled until the first refresh (cold
 	// start). 0 selects 64.
 	HedgeWindow int
 
-	// Breaker enables per-shard circuit breakers.
+	// Breaker enables per-shard circuit breakers (breaker.go); the
+	// verdict they fast-fail on is the executor's (exec.Config.Verdicts).
 	Breaker bool
-	// BreakerEWMA is the failure-rate smoothing factor; 0 selects 0.2.
-	BreakerEWMA float64
-	// BreakerOpenAt is the smoothed failure rate that opens a closed
-	// breaker; 0 selects 0.5, >1 disables EWMA trips (verdict-only).
-	BreakerOpenAt float64
-	// BreakerMinObs is the leg-outcome count a shard must accumulate
-	// before its EWMA may trip; 0 selects 8.
-	BreakerMinObs int
-	// OpenFor is how long an open breaker waits before admitting
-	// half-open probes; 0 selects 50ms.
-	OpenFor time.Duration
-	// HalfOpenProbes is how many consecutive probe successes close a
-	// half-open breaker (and how many probes may be in flight); 0
-	// selects 3.
-	HalfOpenProbes int
-	// Verdicts, when set with Breaker, feeds the breaker from the live
-	// telemetry monitor: a conclusive NotRobust audit on a shard's
-	// domain forces its breaker open for as long as the verdict holds.
-	Verdicts *telemetry.Monitor
-	// VerdictEvery is the verdict poll interval; 0 selects 2ms.
-	VerdictEvery time.Duration
 
 	// OnLegLatency, when set, receives the (shard, latency) of every
 	// store call that settled its scatter leg — the per-shard feed the
@@ -153,8 +139,9 @@ type Config struct {
 	// calls are excluded. Works with or without hedging enabled.
 	OnLegLatency func(shard int, d time.Duration)
 
-	// Clock and Recorder stamp retry and breaker events onto the
-	// observability plane's shared tape. Nil keeps the layer silent.
+	// Clock and Recorder stamp retry events onto the observability
+	// plane's shared tape; breaker moves land on the executor's. Nil keeps
+	// the layer silent.
 	Clock    *rec.Clock
 	Recorder *rec.Recorder
 }
@@ -178,32 +165,8 @@ func (cfg *Config) fill() {
 	if cfg.BudgetBurst <= 0 {
 		cfg.BudgetBurst = 256
 	}
-	if cfg.HedgeQuantile <= 0 || cfg.HedgeQuantile >= 1 {
-		cfg.HedgeQuantile = 0.99
-	}
-	if cfg.HedgeMin <= 0 {
-		cfg.HedgeMin = 200 * time.Microsecond
-	}
 	if cfg.HedgeWindow <= 0 {
 		cfg.HedgeWindow = 64
-	}
-	if cfg.BreakerEWMA <= 0 {
-		cfg.BreakerEWMA = 0.2
-	}
-	if cfg.BreakerOpenAt <= 0 {
-		cfg.BreakerOpenAt = 0.5
-	}
-	if cfg.BreakerMinObs <= 0 {
-		cfg.BreakerMinObs = 8
-	}
-	if cfg.OpenFor <= 0 {
-		cfg.OpenFor = 50 * time.Millisecond
-	}
-	if cfg.HalfOpenProbes <= 0 {
-		cfg.HalfOpenProbes = 3
-	}
-	if cfg.VerdictEvery <= 0 {
-		cfg.VerdictEvery = 2 * time.Millisecond
 	}
 }
 
@@ -230,23 +193,17 @@ type Client struct {
 	offeredUnits    atomic.Uint64
 	attemptUnits    atomic.Uint64
 	retriesByShard  []atomic.Uint64
-
-	stop      chan struct{}
-	wg        sync.WaitGroup
-	closeOnce sync.Once
-	closeErr  error
 }
 
-// New builds a resilience client over st: it wires the hedge policy and
-// (with Breaker set) the breaker's degradation signal into execCfg, then
-// starts the executor and, when a verdict monitor is configured, the
-// breaker's verdict poller. Close stops both.
+// New builds a resilience client over st: it wires the hedge policy into
+// execCfg and starts the executor, whose per-shard health the breakers
+// move and read. Close stops the executor.
 func New(st *store.Store, execCfg exec.Config, cfg Config) (*Client, error) {
 	if st == nil {
 		return nil, errors.New("resil: client needs a store")
 	}
 	cfg.fill()
-	c := &Client{st: st, cfg: cfg, stop: make(chan struct{})}
+	c := &Client{st: st, cfg: cfg}
 	c.bud.fill = cfg.RetryBudget
 	if cfg.RetryBudget > 0 {
 		c.bud.cap = float64(cfg.BudgetBurst)
@@ -254,28 +211,17 @@ func New(st *store.Store, execCfg exec.Config, cfg Config) (*Client, error) {
 	}
 	c.retriesByShard = make([]atomic.Uint64, st.Shards())
 	if cfg.Hedge || cfg.OnLegLatency != nil {
-		c.hp = &hedgePolicy{
-			enabled:  cfg.Hedge,
-			quantile: cfg.HedgeQuantile,
-			min:      cfg.HedgeMin,
-			every:    uint64(cfg.HedgeWindow),
-			onLat:    cfg.OnLegLatency,
-		}
+		c.hp = &hedgePolicy{enabled: cfg.Hedge, every: uint64(cfg.HedgeWindow), onLat: cfg.OnLegLatency}
 		execCfg.Hedge = c.hp
 	}
 	if cfg.Breaker {
 		c.breakers = make([]breaker, st.Shards())
-		execCfg.Admission = breakerAdmission{c: c, inner: execCfg.Admission}
 	}
 	ex, err := exec.New(st, execCfg)
 	if err != nil {
 		return nil, err
 	}
 	c.ex = ex
-	if cfg.Breaker && cfg.Verdicts != nil {
-		c.wg.Add(1)
-		go c.pollVerdicts()
-	}
 	return c, nil
 }
 
@@ -283,14 +229,12 @@ func New(st *store.Store, execCfg exec.Config, cfg Config) (*Client, error) {
 // traffic and stats).
 func (c *Client) Executor() *exec.Executor { return c.ex }
 
-// Close stops the verdict poller and the executor.
+// Close closes the executor; closing twice is a no-op.
 func (c *Client) Close() error {
-	c.closeOnce.Do(func() {
-		close(c.stop)
-		c.wg.Wait()
-		c.closeErr = c.ex.Close()
-	})
-	return c.closeErr
+	if err := c.ex.Close(); !errors.Is(err, exec.ErrClosed) {
+		return err
+	}
+	return nil
 }
 
 // reqUnits weighs a request for the retry budget and the amplification
@@ -357,10 +301,10 @@ func (c *Client) doKeyed(req workload.Req, rng *workload.RNG) (*exec.Result, err
 		attempt++
 		sub, blocked, probes := c.buildAttempt(req, pending)
 		for s := range blocked.shards {
-			failing[s] = exec.ShardError{Shard: s, Reason: ErrBreakerOpen}
+			failing[s] = exec.ShardError{Shard: s, Reason: ErrBreakerOpen, NotExecuted: true}
 		}
 		for _, i := range blocked.pos {
-			master.Results[i] = store.Result{Err: &exec.ShardError{Shard: c.st.ShardFor(req.Keys[i]), Reason: ErrBreakerOpen}}
+			master.Results[i] = store.Result{Err: &exec.ShardError{Shard: c.st.ShardFor(req.Keys[i]), Reason: ErrBreakerOpen, NotExecuted: true}}
 		}
 		c.fastFails.Add(uint64(len(blocked.pos)))
 		if len(sub.pos) > 0 {
@@ -392,11 +336,7 @@ func (c *Client) doKeyed(req workload.Req, rng *workload.RNG) (*exec.Result, err
 		// Decide what (if anything) to retry.
 		next := pending[:0]
 		for _, i := range pending {
-			err := master.Results[i].Err
-			if err == nil {
-				continue
-			}
-			if retryable(err) {
+			if err := master.Results[i].Err; err != nil && retryable(err, writes(req, i)) {
 				next = append(next, i)
 			}
 		}
@@ -480,7 +420,7 @@ func (c *Client) doRange(req workload.Req, rng *workload.RNG) (*exec.Result, err
 		retry := false
 		for _, serr := range last.ShardErrs {
 			errShards[serr.Shard] = true
-			if retryable(serr.Reason) {
+			if retryable(serr.Reason, false) {
 				retry = true
 			}
 		}
@@ -513,6 +453,18 @@ func (c *Client) doRange(req workload.Req, rng *workload.RNG) (*exec.Result, err
 	return last, nil
 }
 
+// writes reports that key i of req is an insert or delete: retrying it is
+// safe only if its leg never ran.
+func writes(req workload.Req, i int) bool {
+	switch req.Kind {
+	case workload.ReqMultiInsert, workload.ReqMultiDelete:
+		return true
+	case workload.ReqPoint:
+		return req.Ops[i] != workload.OpContains
+	}
+	return false
+}
+
 // subRequest is one attempt's submitted subset of a keyed request: the
 // master positions it carries and the shards it touches.
 type subRequest struct {
@@ -534,11 +486,11 @@ type blockedSet struct {
 }
 
 // buildAttempt partitions the pending master positions by breaker
-// admission: keys on shards whose breaker admits (or grants a half-open
-// probe to) this attempt go into the sub-request; keys on open shards
-// are blocked for local fast-failure. probes marks the shards whose
-// admission was a half-open probe grant, so the outcome feeds the probe
-// ledger rather than the EWMA alone.
+// admission: keys on shards that admit (or grant a probe to) this
+// attempt go into the sub-request; the rest are blocked for local
+// fast-failure. probes marks the shards whose admission was a probe
+// grant, so the outcome feeds the probe ledger rather than the EWMA
+// alone.
 func (c *Client) buildAttempt(req workload.Req, pending []int) (subRequest, blockedSet, map[int]bool) {
 	sub := subRequest{kind: req.Kind, shards: map[int]bool{}}
 	blocked := blockedSet{shards: map[int]bool{}}
@@ -612,7 +564,7 @@ type Stats struct {
 	Retries   uint64 `json:"retries"`
 	Recovered uint64 `json:"recovered"`
 	// BudgetExhausted counts retry rounds refused by the token bucket;
-	// FastFails keys refused locally by an open breaker.
+	// FastFails keys refused locally by the breaker.
 	BudgetExhausted uint64 `json:"budget_exhausted"`
 	FastFails       uint64 `json:"fast_fails"`
 	// OfferedUnits and AttemptUnits are the amplification ledger:
@@ -684,7 +636,7 @@ func (c *Client) RetriesByShard() []uint64 {
 
 // AugmentProbe wraps a telemetry probe (typically the store-gauges
 // probe) so every domain's point also carries the shard's resilience
-// counters — sheds, retries, hedges, breaker position — making
+// counters — sheds, retries, hedges, health — making
 // resilience activity itself, not just its symptoms, visible to the
 // Monitor and the timeline join.
 func (c *Client) AugmentProbe(p telemetry.Probe) telemetry.Probe {
@@ -696,11 +648,11 @@ func (c *Client) AugmentProbe(p telemetry.Probe) telemetry.Probe {
 			if s < len(es.Shards) {
 				pts[s].Sheds = es.Shards[s].Sheds
 				pts[s].Hedges = es.Shards[s].Hedges
+				pts[s].Health = uint8(es.Shards[s].Health)
 			}
 			if s < len(retries) {
 				pts[s].Retries = retries[s]
 			}
-			pts[s].BreakerState = uint8(c.breakerState(s))
 		}
 		return pts
 	}

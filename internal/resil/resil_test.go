@@ -2,6 +2,8 @@ package resil_test
 
 import (
 	"errors"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -9,6 +11,7 @@ import (
 	"repro/internal/obs/rec"
 	"repro/internal/resil"
 	"repro/internal/store"
+	"repro/internal/telemetry"
 	"repro/internal/workload"
 )
 
@@ -199,38 +202,40 @@ func TestRetryBudgetExhaustion(t *testing.T) {
 }
 
 // TestBreakerLifecycle drives one shard's breaker around the full loop
-// — closed, tripped open by the failure EWMA, half-open probes after
-// the heal, closed again — against a deterministically wedged shard,
-// and checks the transitions landed on the flight recorder.
+// on its built-in tuning — healthy, tripped open by the failure EWMA,
+// probing after the heal, healthy again — against a deterministically
+// wedged shard, and checks the health moves landed on the flight
+// recorder. A second shard, degraded by its monitor verdict, fast-fails
+// its keys and admits again on the sample that clears the verdict.
 func TestBreakerLifecycle(t *testing.T) {
 	st := newStore(t, 4, 1, 256)
 	clock := rec.NewClock()
 	recorder := rec.NewRecorder(clock, 0)
-	cl, err := resil.New(st, exec.Config{}, resil.Config{
-		MaxAttempts:    1, // isolate the breaker: no retries
-		RetryBudget:    -1,
-		Breaker:        true,
-		BreakerEWMA:    0.5,
-		BreakerMinObs:  2,
-		BreakerOpenAt:  0.6,
-		OpenFor:        10 * time.Millisecond,
-		HalfOpenProbes: 2,
-		Clock:          clock,
-		Recorder:       recorder,
+	budget := telemetry.Budget{Threads: 2, Threshold: 16}
+	mon := telemetry.NewMonitor(telemetry.MonitorConfig{Window: 64}, []telemetry.Domain{
+		{Budget: budget}, {Budget: budget}, {Budget: budget}, {Budget: budget},
+	})
+	cl, err := resil.New(st, exec.Config{Verdicts: mon, Recorder: recorder}, resil.Config{
+		MaxAttempts: 1, // isolate the breaker: no retries
+		RetryBudget: -1,
+		Breaker:     true,
+		Clock:       clock,
+		Recorder:    recorder,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer cl.Close()
+	ex := cl.Executor()
 	if err := st.CloseShard(1); err != nil {
 		t.Fatal(err)
 	}
 	keys := keysOnShard(t, st, 1, 256, 2)
 	req := workload.Req{Kind: workload.ReqMultiGet, Keys: keys}
 
-	// Failures accumulate EWMA 0.5 → 0.75 → trips past 0.6 with obs ≥ 2.
+	// Failures accumulate in the EWMA until it trips.
 	deadline := time.Now().Add(2 * time.Second)
-	for cl.Stats().Breakers[1].State != resil.BreakerOpen {
+	for ex.Health(1) != exec.Open {
 		if time.Now().After(deadline) {
 			t.Fatalf("breaker never opened: %+v", cl.Stats().Breakers[1])
 		}
@@ -239,50 +244,39 @@ func TestBreakerLifecycle(t *testing.T) {
 		}
 	}
 
-	// Open breaker fast-fails locally with the typed sentinel.
-	res, err := cl.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !errors.Is(&res.ShardErrs[0], resil.ErrBreakerOpen) {
-		t.Fatalf("open breaker did not fast-fail: %v", &res.ShardErrs[0])
-	}
-	if cl.Stats().FastFails == 0 {
-		t.Fatal("fast-fail ledger empty with an open breaker")
-	}
+	// The open shard fast-fails locally with the typed sentinel.
+	expectFastFail(t, cl, req)
 
-	// Heal the shard; after OpenFor the next requests are half-open
-	// probes, and HalfOpenProbes successes close the breaker.
+	// Heal the shard; once the open window passes, the next requests are
+	// probes, and enough probe successes heal the shard.
 	if err := st.ReopenShard(1); err != nil {
 		t.Fatal(err)
 	}
 	deadline = time.Now().Add(2 * time.Second)
-	for cl.Stats().Breakers[1].State != resil.BreakerClosed {
+	for ex.Health(1) != exec.Healthy {
 		if time.Now().After(deadline) {
-			t.Fatalf("breaker never closed after heal: %+v", cl.Stats().Breakers[1])
+			t.Fatalf("breaker never closed after heal: %v %+v", ex.Health(1), cl.Stats().Breakers[1])
 		}
 		if _, err := cl.Do(req); err != nil {
 			t.Fatal(err)
 		}
 		time.Sleep(2 * time.Millisecond)
 	}
-	bs := cl.Stats().Breakers[1]
-	if bs.Opens != 1 {
+	if bs := cl.Stats().Breakers[1]; bs.Opens != 1 {
 		t.Fatalf("breaker opened %d times, want exactly 1", bs.Opens)
 	}
 
-	// The recorder holds the transition walk for shard 1, in order:
-	// closed→open, open→half-open, half-open→closed.
+	// The recorder holds the walk for shard 1, in order.
 	var walk [][2]uint64
 	for _, ev := range recorder.Snapshot() {
-		if ev.Kind == rec.KindBreaker && ev.Shard == 1 {
+		if ev.Kind == rec.KindHealth && ev.Shard == 1 {
 			walk = append(walk, [2]uint64{ev.B, ev.A}) // prev → next
 		}
 	}
 	want := [][2]uint64{
-		{uint64(resil.BreakerClosed), uint64(resil.BreakerOpen)},
-		{uint64(resil.BreakerOpen), uint64(resil.BreakerHalfOpen)},
-		{uint64(resil.BreakerHalfOpen), uint64(resil.BreakerClosed)},
+		{uint64(exec.Healthy), uint64(exec.Open)},
+		{uint64(exec.Open), uint64(exec.Probing)},
+		{uint64(exec.Probing), uint64(exec.Healthy)},
 	}
 	if len(walk) != len(want) {
 		t.Fatalf("breaker stamped %d transitions, want %d: %v", len(walk), len(want), walk)
@@ -291,5 +285,112 @@ func TestBreakerLifecycle(t *testing.T) {
 		if walk[i] != want[i] {
 			t.Fatalf("transition %d = %v, want %v", i, walk[i], want[i])
 		}
+	}
+
+	// A verdict-degraded shard fast-fails, and admits as soon as the
+	// verdict clears: no open window, no probes.
+	req = workload.Req{Kind: workload.ReqMultiGet, Keys: keysOnShard(t, st, 2, 256, 2)}
+	feed := func(growing bool) {
+		for i := 0; i < 20; i++ {
+			p := telemetry.Point{Ops: uint64(i) * 100, Retired: uint64(4 + i%5)}
+			if growing {
+				p.Retired = uint64(i) * 100
+			}
+			mon.Observe(2, p)
+		}
+	}
+	feed(true)
+	if h := ex.Health(2); h != exec.Degraded {
+		t.Fatalf("not-robust shard is %v, want degraded", h)
+	}
+	expectFastFail(t, cl, req)
+	feed(false)
+	res, err := cl.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Partial() {
+		t.Fatalf("shard still refused after its verdict cleared: %+v", res.ShardErrs)
+	}
+}
+
+// expectFastFail checks that req's one shard is refused locally.
+func expectFastFail(t *testing.T, cl *resil.Client, req workload.Req) {
+	t.Helper()
+	before := cl.Stats().FastFails
+	res, err := cl.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.ShardErrs) != 1 || !errors.Is(&res.ShardErrs[0], resil.ErrBreakerOpen) || !res.ShardErrs[0].NotExecuted {
+		t.Fatalf("shard did not fast-fail: %+v", res.ShardErrs)
+	}
+	if got := cl.Stats().FastFails - before; got != uint64(len(req.Keys)) {
+		t.Fatalf("fast-fail ledger moved by %d, want %d", got, len(req.Keys))
+	}
+}
+
+// TestStalledWriteNotRetried issues fresh-key inserts then deletes
+// through a client whose 20µs leg budget stalls many write legs. A
+// stalled leg's call still applies, so re-submitting it would apply the
+// write twice and answer "already present" / "already gone" for a key
+// the caller wrote once. Only legs that never ran may be retried: every
+// answered insert must be true, and so must every answered delete of a
+// key whose insert answered.
+func TestStalledWriteNotRetried(t *testing.T) {
+	const clients, rounds, width = 8, 500, 8
+	st := newStore(t, 4, 1, clients*rounds*width)
+	cl, err := resil.New(st, exec.Config{LegTimeout: 20 * time.Microsecond}, resil.Config{
+		MaxAttempts: 4, RetryBase: 20 * time.Microsecond, RetryCap: 100 * time.Microsecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	var wrong, answered atomic.Int64
+	var wg sync.WaitGroup
+	for c := 0; c < clients; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			keys := make([]int64, width)
+			for r := 0; r < rounds; r++ {
+				for j := range keys {
+					keys[j] = int64((c*rounds+r)*width + j)
+				}
+				ins, err := cl.Do(workload.Req{Kind: workload.ReqMultiInsert, Keys: keys})
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				del, err := cl.Do(workload.Req{Kind: workload.ReqMultiDelete, Keys: keys})
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				for j := range keys {
+					if ins.Results[j].Err != nil {
+						continue
+					}
+					answered.Add(1)
+					if !ins.Results[j].OK {
+						wrong.Add(1)
+					}
+					if del.Results[j].Err == nil {
+						answered.Add(1)
+						if !del.Results[j].OK {
+							wrong.Add(1)
+						}
+					}
+				}
+			}
+		}(c)
+	}
+	wg.Wait()
+	if answered.Load() == 0 {
+		t.Fatal("no write answered")
+	}
+	if n := wrong.Load(); n != 0 {
+		t.Fatalf("%d of %d answered writes wrong: a stalled write leg was retried and applied twice", n, answered.Load())
 	}
 }

@@ -2,6 +2,7 @@ package telemetry
 
 import (
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/smr"
 )
@@ -48,11 +49,11 @@ type Monitor struct {
 	mu      sync.Mutex
 	domains []Domain
 	fits    []*WindowFit
-	// lastClass/lastValid track each domain's previous conclusive audited
-	// class, the flip detector's memory. SetDomain clears them: a fresh
-	// incarnation re-baselines.
-	lastClass []smr.RobustnessClass
-	lastValid []bool
+	// class publishes each domain's latest conclusive audited class, plus
+	// one (0 = no conclusive reading yet). Observe writes it under mu, so
+	// it is also the flip detector's memory; Class reads it lock-free.
+	// SetDomain clears it: a fresh incarnation re-baselines.
+	class []atomic.Int32
 	// slo marks domains whose tail-latency SLO is currently breached —
 	// the orthogonal verdict dimension that distinguishes "robust but
 	// slow" from "not robust". Fed by SetSLO (typically from an
@@ -69,8 +70,7 @@ func NewMonitor(cfg MonitorConfig, domains []Domain) *Monitor {
 	}
 	m := &Monitor{window: cfg.Window, onFlip: cfg.OnFlip, domains: append([]Domain(nil), domains...)}
 	m.fits = make([]*WindowFit, len(m.domains))
-	m.lastClass = make([]smr.RobustnessClass, len(m.domains))
-	m.lastValid = make([]bool, len(m.domains))
+	m.class = make([]atomic.Int32, len(m.domains))
 	m.slo = make([]bool, len(m.domains))
 	for i := range m.fits {
 		m.fits[i] = NewWindowFit(cfg.Window)
@@ -82,36 +82,41 @@ func NewMonitor(cfg MonitorConfig, domains []Domain) *Monitor {
 func (m *Monitor) Domains() int { return len(m.domains) }
 
 // Observe feeds one sampled point into domain i's window. Its signature
-// matches the Sampler's OnSample hook. When an OnFlip hook is installed,
-// the window is re-fitted after the push (O(1), window.go) and a changed
-// conclusive audited class fires the hook.
+// matches the Sampler's OnSample hook. Every push re-fits the window
+// (O(1), window.go) and publishes a conclusive audited class for Class;
+// a changed conclusive class fires the OnFlip hook.
 func (m *Monitor) Observe(domain int, p Point) {
 	if domain < 0 || domain >= len(m.fits) {
 		return
 	}
 	m.mu.Lock()
 	m.fits[domain].Push(p)
-	if m.onFlip == nil {
-		m.mu.Unlock()
-		return
-	}
 	d := m.domains[domain]
 	fit := m.fits[domain].Fit(d.Budget)
 	fit.Sanitize()
 	v := NewVerdict(d.Scheme, d.Declared, fit)
-	fire := false
-	var old, cls smr.RobustnessClass
-	if !v.Inconclusive() {
-		cls = v.AuditedClass()
-		if m.lastValid[domain] && m.lastClass[domain] != cls {
-			fire, old = true, m.lastClass[domain]
-		}
-		m.lastClass[domain], m.lastValid[domain] = cls, true
+	if v.Inconclusive() {
+		m.mu.Unlock()
+		return
 	}
+	cls := v.AuditedClass()
+	prev := m.class[domain].Swap(int32(cls) + 1)
 	m.mu.Unlock()
-	if fire {
-		m.onFlip(domain, old, cls, v)
+	if m.onFlip != nil && prev != 0 && prev != int32(cls)+1 {
+		m.onFlip(domain, smr.RobustnessClass(prev-1), cls, v)
 	}
+}
+
+// Class returns domain i's latest conclusive audited class, and false
+// while the domain has none (a fresh or rebound window). It takes no
+// lock, so admission paths may read it per request; a nil monitor has
+// no classes.
+func (m *Monitor) Class(domain int) (smr.RobustnessClass, bool) {
+	if m == nil || domain < 0 || domain >= len(m.class) {
+		return 0, false
+	}
+	c := m.class[domain].Load()
+	return smr.RobustnessClass(c - 1), c != 0
 }
 
 // SetDomain rebinds domain i to a new scheme — called after a live
@@ -125,7 +130,7 @@ func (m *Monitor) SetDomain(domain int, scheme string, declared smr.RobustnessCl
 	m.domains[domain].Scheme = scheme
 	m.domains[domain].Declared = declared
 	m.fits[domain].Reset()
-	m.lastValid[domain] = false
+	m.class[domain].Store(0)
 	m.mu.Unlock()
 }
 

@@ -51,14 +51,14 @@ type Point struct {
 	GuardTrips   uint64 `json:"guard_trips"`
 	// Resilience activity on the domain, when an exec/resil layer serves
 	// it: cumulative scatter legs shed by admission control, retry legs
-	// re-submitted, hedge calls launched, and the shard breaker's current
-	// position (BreakerState values; 0 = closed/none). These make
+	// re-submitted, hedge calls launched, and the shard's current
+	// admission state (exec.Health values; 0 = healthy). These make
 	// resilience *activity* — not just its symptoms — visible to the
 	// Monitor and the timeline join.
-	Sheds        uint64 `json:"sheds,omitempty"`
-	Retries      uint64 `json:"retries,omitempty"`
-	Hedges       uint64 `json:"hedges,omitempty"`
-	BreakerState uint8  `json:"breaker_state,omitempty"`
+	Sheds   uint64 `json:"sheds,omitempty"`
+	Retries uint64 `json:"retries,omitempty"`
+	Hedges  uint64 `json:"hedges,omitempty"`
+	Health  uint8  `json:"health,omitempty"`
 }
 
 // Series is a fixed-capacity ring buffer of Points: the sampler pushes,
