@@ -145,7 +145,6 @@ var experiments = []Experiment{
 	{Name: "michael", Title: "EXP-MICHAEL: Harris+EBR vs Michael+HP (delete-heavy)", Run: runMichael},
 	{Name: "chaos", Title: "EXP-CHAOS: live robustness audit under stall injection (ebr/ibr/hp)", Run: runChaosExperiment},
 	{Name: "adaptive", Title: "EXP-ADAPT: static vs adaptive reclamation under a delayed-release storm", Run: runAdaptive},
-	{Name: "traverse", Title: "EXP-TRAVERSE: bounded-restart finds + O(live-keys) migration snapshot", Run: runTraverse},
 	{Name: "obs", Title: "EXP-OBS: flight recorder + causal fault→verdict→migration timelines", Run: runObs},
 	{Name: "pipeline", Title: "EXP-PIPELINE: blocking vs pipelined scatter-gather + partial-failure chaos", Run: runPipeline},
 	{Name: "resil", Title: "EXP-RESIL: typed retries, hedged legs, retry-budget amplification bound", Run: runResil},

@@ -19,7 +19,6 @@ import (
 var wantGates = map[string][]string{
 	"chaos":    {"consistent"},
 	"adaptive": {"improved"},
-	"traverse": {"snapshot_probes_bounded", "guard_clean"},
 	"obs":      {"complete", "detection_latency_ns", "overhead_ok"},
 	"pipeline": {"pipelined_beats_blocking", "partial_chains_closed"},
 	"resil":    {"goodput_recovered", "hedge_bounds_tail", "amplification_bounded"},
@@ -34,8 +33,7 @@ var nestedGates = map[string]bool{"detection_latency_ns": true, "overhead_ok": t
 var wantTable = map[string]string{
 	"matrix": "holds=true", "space": "per-churn", "scale": "per-size", "stall": "step",
 	"throughput": "Mops/s", "structures": "-- harris --", "michael": "Mops/s",
-	"chaos": "declared", "adaptive": "faulted-audited",
-	"traverse": "storm-arm", "obs": "recorder:",
+	"chaos": "declared", "adaptive": "faulted-audited", "obs": "recorder:",
 	"pipeline": "chaos:", "resil": "retry:",
 }
 
@@ -44,7 +42,7 @@ var wantTable = map[string]string{
 func TestRegistry(t *testing.T) {
 	names := bench.Names()
 	want := []string{"matrix", "space", "scale", "stall", "throughput", "structures", "michael",
-		"chaos", "adaptive", "traverse", "obs", "pipeline", "resil"}
+		"chaos", "adaptive", "obs", "pipeline", "resil"}
 	if !reflect.DeepEqual(names, want) {
 		t.Fatalf("registry order:\n got %v\nwant %v", names, want)
 	}
@@ -173,13 +171,6 @@ func checkStructure(t *testing.T, res bench.Result) {
 		if len(r.Static.Events) == 0 || len(r.Adaptive.Series) == 0 {
 			t.Error("adaptive: no fault events or no evidence series")
 		}
-	case bench.TraverseResult:
-		if len(r.Storm) != 2 || r.Storm[0].Mode != "head-restart" || r.Storm[1].Mode != "bounded" {
-			t.Errorf("traverse storm arms: %+v", r.Storm)
-		}
-		if r.Snap.SnapshotKeys == 0 || r.Snap.SwapWindow <= 0 {
-			t.Errorf("traverse snapshot: %+v", r.Snap)
-		}
 	case bench.ObsResult:
 		// How many incidents reach the tape depends on what the recorder
 		// dropped; the complete gate holds that claim under -check.
@@ -226,7 +217,6 @@ func passing() map[string]bench.Result {
 			Consistent: true,
 		},
 		"adaptive": sampleAdaptive(),
-		"traverse": bench.TraverseResult{ProbesBounded: true, GuardClean: true},
 		"obs": bench.ObsResult{
 			Agg:      bench.ObsAggregate{Shards: 1},
 			Timeline: obs.Timeline{Incidents: []obs.Incident{{Fault: "delayed-release", DetectionLatency: time.Millisecond, Complete: true}}},
@@ -247,13 +237,6 @@ func failing(t *testing.T, name, gate string) bench.Result {
 		return r
 	case bench.AdaptiveResult:
 		r.Improved = false
-		return r
-	case bench.TraverseResult:
-		if gate == "guard_clean" {
-			r.GuardClean = false
-		} else {
-			r.ProbesBounded = false
-		}
 		return r
 	case bench.ObsResult:
 		switch gate {

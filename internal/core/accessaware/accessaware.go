@@ -17,6 +17,32 @@
 //
 // Retirements are not shared accesses and are exempt (Appendix C).
 //
+// The resume rule. A read phase annotated ds.PhaseResume instead of
+// ds.PhaseRead starts with the permissions the thread held when its last
+// phase ended, instead of none: after a read phase that is the phase's
+// permitted set; after a write phase it is the sealed set plus the write
+// phase's own allocations. A resume never reaches further back than the
+// phase just ended, and a node this thread reclaimed since stays void.
+// The lists use it to start a read phase at a cached predecessor — after
+// losing an unlink CAS, at the fused batch's cursor, or (Michael) at the
+// successor of a node just unlinked — instead of at the head. The rule is
+// sound for the schemes the class is defined for because the structures
+// keep three invariants around every resume:
+//
+//   - The anchor is re-validated before the walk goes on: its next
+//     pointer must read back unmarked (or was just CASed from an unmarked
+//     value), otherwise the find rewinds to the head under PhaseRead.
+//   - No EndOp comes between the two phases: the batch cursor is dropped
+//     at every bracket renewal, and an op's own resumes never cross its
+//     bracket.
+//   - No scheme rollback comes between them: every ok == false rewinds to
+//     the head under a plain PhaseRead and drops the batch cursor.
+//
+// So whatever protected the anchor when the previous phase ended still
+// protects it — a hazard slot, an epoch pin, an NBR reservation or, for
+// an unreserved anchor, NBR's neutralization flag, which the first read
+// of the resumed phase polls.
+//
 // Appendix D proves Harris's linked-list access-aware; the test suite
 // replays that proof mechanically by tracing every operation and running
 // this verifier, and shows a discipline-violating trace is rejected.
@@ -96,6 +122,11 @@ func VerifyThread(tid int, events []mem.TraceEvent, cfg Config) []Violation {
 			case ds.PhaseRead:
 				ph = phaseRead
 				permitted = make(map[int]bool)
+			case ds.PhaseResume:
+				// The resume rule: permitted already holds what the last
+				// phase ended with — a write phase only adds its
+				// allocations to the sealed copy — so it carries over.
+				ph = phaseRead
 			case ds.PhaseWrite:
 				ph = phaseWrite
 				sealed = make(map[int]bool, len(permitted))

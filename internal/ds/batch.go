@@ -3,6 +3,7 @@ package ds
 import (
 	"errors"
 
+	"repro/internal/mem"
 	"repro/internal/smr"
 )
 
@@ -54,6 +55,46 @@ var ErrBadBatchOp = errors.New("ds: invalid batch op kind")
 // itself needs no order and leaves ops as it found them.
 type BatchSet interface {
 	ApplyBatch(tid int, ops []BatchOp, res []BatchResult) (rebrackets uint64)
+}
+
+// Cursor is the lists' validated-predecessor cache across the
+// consecutive ops of one fused chain: each find records the pred of its
+// window, and the next op's find starts from it — a PhaseResume read
+// phase — when it strictly precedes the new key. That is sound only
+// while nothing voided the pred's protection, so the cursor is dropped
+// at every bracket renewal (Window.Step returning true) and after every
+// scheme rollback (ok == false). Every method accepts a nil cursor: the
+// single-op path has none.
+type Cursor struct {
+	pred mem.Ref
+	key  int64 // pred's key
+	slot int   // scheme slot still protecting pred
+	ok   bool
+}
+
+// Take hands a find the cached pred, its key and its protecting slot
+// when the cursor holds one below key, and empties the cursor either
+// way: the find records its own pred when it succeeds.
+func (c *Cursor) Take(key int64) (pred mem.Ref, predKey int64, slot int, ok bool) {
+	if c == nil {
+		return mem.NilRef, 0, 0, false
+	}
+	ok, c.ok = c.ok && c.key < key, false
+	return c.pred, c.key, c.slot, ok
+}
+
+// Keep records the validated pred a find's window starts at.
+func (c *Cursor) Keep(pred mem.Ref, key int64, slot int) {
+	if c != nil {
+		*c = Cursor{pred: pred, key: key, slot: slot, ok: true}
+	}
+}
+
+// Drop empties the cursor.
+func (c *Cursor) Drop() {
+	if c != nil {
+		c.ok = false
+	}
 }
 
 // StepSet is the unbracketed single-op surface backing RunBatch: StepOp

@@ -40,12 +40,10 @@ const (
 var ErrCorrupted = errors.New("ds: structure corrupted")
 
 // ErrTraversalGuard reports that one operation exhausted its traversal
-// step budget. Before the bounded-restart overhaul this condition was a
-// silent near-stall — the op burned toward maxSteps restarting from the
-// head, pinning its reclamation epoch for the whole walk (ROADMAP item
-// 5); now it surfaces as a typed, counted error. Guard errors also match
-// ErrCorrupted under errors.Is, so callers that already escalate
-// corruption escalate guard trips too.
+// step budget — a typed, counted error rather than a silent near-stall
+// that pins the op's reclamation epoch for the whole walk. Guard errors
+// also match ErrCorrupted under errors.Is, so callers that already
+// escalate corruption escalate guard trips too.
 var ErrTraversalGuard = errors.New("ds: traversal step budget exhausted")
 
 // GuardError is the typed maxSteps-exhaustion error: which structure and
@@ -154,12 +152,6 @@ type Options struct {
 	// Phases, when true and the arena traces, annotates read/write phase
 	// boundaries into the trace for the access-aware verifier.
 	Phases bool
-	// HeadRestart restores the pre-overhaul traversal behavior: every
-	// contention restart rewinds to the structure's entry point instead of
-	// resuming from the validated cached pred. It exists as the baseline
-	// arm of EXP-TRAVERSE and for bisecting traversal regressions; leave
-	// it false in production configurations.
-	HeadRestart bool
 	// OnGuardTrip, when non-nil, receives every step-budget exhaustion
 	// right after it is counted — the observability plane's flight
 	// recorder hook. Called on the tripping operation's goroutine; must
@@ -193,28 +185,24 @@ const (
 )
 
 // TravStats is the per-structure traversal counter block: total steps
-// (node visits), restarts split into bounded (resume-from-pred) and head
-// rewinds, guard trips, and the worst single-operation step count. All
-// fields are atomics; operations accumulate locally and fold in once per
-// traversal, so the hot path stays off shared cache lines.
+// (node visits), restarts, guard trips, and the worst single-operation
+// step count. All fields are atomics; operations accumulate locally and
+// fold in once per traversal, so the hot path stays off shared cache
+// lines.
 type TravStats struct {
-	Steps        atomic.Uint64
-	Restarts     atomic.Uint64
-	HeadRestarts atomic.Uint64
-	GuardTrips   atomic.Uint64
-	MaxOpSteps   atomic.Uint64
+	Steps      atomic.Uint64
+	Restarts   atomic.Uint64
+	GuardTrips atomic.Uint64
+	MaxOpSteps atomic.Uint64
 }
 
 // Record folds one traversal's local counters into the shared block.
-func (t *TravStats) Record(steps, restarts, headRestarts uint64) {
+func (t *TravStats) Record(steps, restarts uint64) {
 	if steps != 0 {
 		t.Steps.Add(steps)
 	}
 	if restarts != 0 {
 		t.Restarts.Add(restarts)
-	}
-	if headRestarts != 0 {
-		t.HeadRestarts.Add(headRestarts)
 	}
 	for {
 		cur := t.MaxOpSteps.Load()
@@ -226,21 +214,19 @@ func (t *TravStats) Record(steps, restarts, headRestarts uint64) {
 
 // TravSnapshot is a point-in-time copy of TravStats.
 type TravSnapshot struct {
-	Steps        uint64 `json:"steps"`
-	Restarts     uint64 `json:"restarts"`
-	HeadRestarts uint64 `json:"head_restarts"`
-	GuardTrips   uint64 `json:"guard_trips"`
-	MaxOpSteps   uint64 `json:"max_op_steps"`
+	Steps      uint64 `json:"steps"`
+	Restarts   uint64 `json:"restarts"`
+	GuardTrips uint64 `json:"guard_trips"`
+	MaxOpSteps uint64 `json:"max_op_steps"`
 }
 
 // Snapshot copies the counters.
 func (t *TravStats) Snapshot() TravSnapshot {
 	return TravSnapshot{
-		Steps:        t.Steps.Load(),
-		Restarts:     t.Restarts.Load(),
-		HeadRestarts: t.HeadRestarts.Load(),
-		GuardTrips:   t.GuardTrips.Load(),
-		MaxOpSteps:   t.MaxOpSteps.Load(),
+		Steps:      t.Steps.Load(),
+		Restarts:   t.Restarts.Load(),
+		GuardTrips: t.GuardTrips.Load(),
+		MaxOpSteps: t.MaxOpSteps.Load(),
 	}
 }
 
@@ -249,7 +235,6 @@ func (t *TravStats) Snapshot() TravSnapshot {
 func (s TravSnapshot) Merge(o TravSnapshot) TravSnapshot {
 	s.Steps += o.Steps
 	s.Restarts += o.Restarts
-	s.HeadRestarts += o.HeadRestarts
 	s.GuardTrips += o.GuardTrips
 	if o.MaxOpSteps > s.MaxOpSteps {
 		s.MaxOpSteps = o.MaxOpSteps
@@ -291,9 +276,14 @@ func (in *Instr) Phase(tid int, phase string) {
 }
 
 // Phase annotation strings consumed by the access-aware verifier.
+// PhaseRead opens a read phase at an entry point; PhaseResume opens one at
+// a node the thread still holds from its previous phase (a re-validated
+// cached pred, the batch cursor, the node after an unlink) — the resume
+// rule in package accessaware says when that is legal.
 const (
-	PhaseRead  = "phase:read"
-	PhaseWrite = "phase:write"
+	PhaseRead   = "phase:read"
+	PhaseResume = "phase:resume"
+	PhaseWrite  = "phase:write"
 )
 
 // RegisterLinks tells link-tracking schemes (reference counting) which

@@ -385,15 +385,16 @@ func iterateQuiescent(tb testing.TB, it ds.Iterator, sorted []int64, lo int64, o
 	}
 }
 
-// RestartStormSet reproduces the ROADMAP item 5 restart storm: a chain of
-// live keys, every thread churning its own partition while also running
+// RestartStormSet drives a restart storm: a chain of live keys, every
+// thread inserting and deleting shared keys while also running
 // full-chain searches, so unlink contention lands on long traversal
-// paths. With head-restart finds one operation could burn toward the
-// maxSteps guard (~millions of steps) inside a single epoch-pinning
-// bracket; with bounded restarts the worst operation must stay within a
-// small multiple of the chain length. backlogBudget, when non-zero, also
-// bounds the heap's peak retired backlog (the EBR symptom of the storm:
-// a pinned epoch balloons the backlog with no fault injected).
+// paths. A find that rewound to the head on every lost unlink could burn
+// toward the maxSteps guard (~millions of steps) inside a single
+// epoch-pinning bracket; finds that resume from their validated
+// predecessor must keep the worst operation within a small multiple of
+// the chain length, with no guard trip. backlogBudget, when non-zero,
+// also bounds the heap's peak retired backlog (the EBR symptom of the
+// storm: a pinned epoch balloons the backlog with no fault injected).
 func RestartStormSet(tb testing.TB, env *Env, set ds.Set, chain, opsPerThread int, backlogBudget uint64) {
 	tb.Helper()
 	tr, ok := set.(ds.TravReporter)

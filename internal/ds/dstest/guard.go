@@ -20,7 +20,8 @@ type rollbackScheme struct {
 	// failRead, when >= 0, fails every plain Read of that payload word —
 	// the validation after a traversal (of the next word: Contains's in
 	// Michael's list, find's own in Harris's; of the key word: the skip
-	// list's find) — while the ReadPtr walk itself succeeds.
+	// list's find and the tree's seek) — while the ReadPtr walk itself
+	// succeeds.
 	failRead int
 	// failWritePtr fails every link write: an Insert rolls back after
 	// its find, while it owns a node no other thread can reach.
@@ -71,14 +72,14 @@ func (r *rollbackScheme) Reserve(tid int, refs ...mem.Ref) bool {
 	return r.Scheme.Reserve(tid, refs...)
 }
 
-// GuardTripSet checks a linked set's behaviour under an endless rollback
-// storm: every retry loop — find's and each operation's own — must end
+// GuardTripSet checks a set's behaviour under an endless rollback storm:
+// every retry loop — the traversal's and each operation's own — must end
 // in a typed ds.GuardError (an unbudgeted loop hangs the test instead),
-// and an Insert that gives up must retire the node it allocated, so the
+// and an Insert that gives up must retire the nodes it allocated, so the
 // arena's active count is back at its pre-op value. newSet builds the
 // structure over the (wrapped) scheme it is given; validate is the
-// payload word a Contains reads plainly after its walk (ds.WNext for the
-// lists, ds.WKey for the skip list).
+// payload word a Contains reads plainly during or after its walk
+// (ds.WNext for the lists, ds.WKey for the skip list and the tree).
 func GuardTripSet(tb testing.TB, env *Env, validate int, newSet func(smr.Scheme) (ds.Set, error)) {
 	tb.Helper()
 	rs := &rollbackScheme{Scheme: env.S, failRead: -1}
@@ -86,9 +87,13 @@ func GuardTripSet(tb testing.TB, env *Env, validate int, newSet func(smr.Scheme)
 	if err != nil {
 		tb.Fatal(err)
 	}
+	// perInsert is how many nodes one successful insert keeps: one for
+	// the lists, a leaf and a routing node for the external tree.
+	before := env.A.Stats().Active()
 	if ok, err := set.Insert(0, 1); err != nil || !ok {
 		tb.Fatalf("insert(1) = %v, %v", ok, err)
 	}
+	perInsert := env.A.Stats().Active() - before
 	wantTrip := func(what string, err error) {
 		tb.Helper()
 		var ge *ds.GuardError
@@ -138,6 +143,6 @@ func GuardTripSet(tb testing.TB, env *Env, validate int, newSet func(smr.Scheme)
 	if ok, err := set.Insert(0, 2); err != nil || !ok {
 		tb.Fatalf("insert(2) after the storm = %v, %v", ok, err)
 	}
-	active++
+	active += perInsert
 	wantActive("insert after the storm")
 }

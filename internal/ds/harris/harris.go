@@ -67,18 +67,6 @@ const maxSteps = 1 << 22
 // iterBatch bounds how many keys one Iterate operation bracket emits.
 const iterBatch = 512
 
-// cursor caches the last validated predecessor across the ops of a
-// fused batch (ds.BatchSet), exactly like the in-op bounded-restart
-// anchor: within one smr bracket window the cached pred stays
-// protected, so the next op of a key-sorted batch starts its search
-// from it instead of the head. Invalidated at every bracket renewal.
-type cursor struct {
-	pred mem.Ref
-	key  int64 // pred's key, for the cu.key < key resume check
-	slot int   // scheme slot still protecting pred
-	ok   bool
-}
-
 type status uint8
 
 const (
@@ -171,40 +159,40 @@ func (l *List) search(tid int, key int64, anchor mem.Ref, anchorKey int64, aslot
 // operation entry point is the rollback checkpoint.
 // A non-nil cu resumes from the batch cursor when valid and records the
 // final validated pred back into it on success.
-func (l *List) find(tid int, key int64, cu *cursor) (pred, curr mem.Ref, err error) {
-	var steps, restarts, headRestarts uint64
+//
+// A read phase that starts at a non-head anchor is annotated PhaseResume:
+// the anchor was reached in the thread's previous phase, is still
+// protected, and search re-validates it before walking on (the resume rule
+// of package accessaware).
+func (l *List) find(tid int, key int64, cu *ds.Cursor) (pred, curr mem.Ref, err error) {
+	var steps, restarts uint64
 	anchor, anchorKey, aslot := l.head, int64(ds.KeyMin), 0
-	if cu != nil {
-		if cu.ok && cu.key < key {
-			anchor, anchorKey, aslot = cu.pred, cu.key, cu.slot
-		}
-		cu.ok = false
+	if p, k, s, ok := cu.Take(key); ok {
+		anchor, anchorKey, aslot = p, k, s
 	}
 	rewind := func() {
 		anchor, anchorKey, aslot = l.head, int64(ds.KeyMin), 0
 		restarts++
-		headRestarts++
 	}
 	resume := func(pred mem.Ref, predKey int64, pslot int) {
-		restarts++
-		if l.Opt.HeadRestart {
-			anchor, anchorKey, aslot = l.head, int64(ds.KeyMin), 0
-			headRestarts++
-			return
-		}
 		anchor, anchorKey, aslot = pred, predKey, pslot
+		restarts++
 	}
 	for {
 		if steps++; steps > maxSteps {
-			return mem.NilRef, mem.NilRef, l.guard("find", steps, restarts, headRestarts)
+			return mem.NilRef, mem.NilRef, l.guard("find", steps, restarts)
 		}
-		l.Phase(tid, ds.PhaseRead)
+		if anchor == l.head {
+			l.Phase(tid, ds.PhaseRead)
+		} else {
+			l.Phase(tid, ds.PhaseResume)
+		}
 		pred, predNext, curr, predKey, pslot, st := l.search(tid, key, anchor, anchorKey, aslot, &steps)
 		switch st {
 		case stGuard:
-			return mem.NilRef, mem.NilRef, l.guard("find", steps, restarts, headRestarts)
+			return mem.NilRef, mem.NilRef, l.guard("find", steps, restarts)
 		case stCorrupt:
-			l.Trav.Record(steps, restarts, headRestarts)
+			l.Trav.Record(steps, restarts)
 			return mem.NilRef, mem.NilRef, ds.ErrCorrupted
 		case stRestart, stAnchor:
 			rewind()
@@ -237,10 +225,8 @@ func (l *List) find(tid int, key int64, cu *cursor) (pred, curr mem.Ref, err err
 			resume(pred, predKey, pslot)
 			continue
 		}
-		if cu != nil {
-			cu.pred, cu.key, cu.slot, cu.ok = pred, predKey, pslot, true
-		}
-		l.Trav.Record(steps, restarts, headRestarts)
+		cu.Keep(pred, predKey, pslot)
+		l.Trav.Record(steps, restarts)
 		return pred, curr, nil
 	}
 }
@@ -249,8 +235,8 @@ func (l *List) find(tid int, key int64, cu *cursor) (pred, curr mem.Ref, err err
 // builds the typed step-budget error. Traversals record their counters
 // at each return site; a deferred closure would put a closure and a
 // deferred call on every op's path.
-func (l *List) guard(op string, steps, restarts, headRestarts uint64) error {
-	l.Trav.Record(steps, restarts, headRestarts)
+func (l *List) guard(op string, steps, restarts uint64) error {
+	l.Trav.Record(steps, restarts)
 	return l.GuardTrip("harris", op, steps, restarts)
 }
 
@@ -263,7 +249,7 @@ func (l *List) Contains(tid int, key int64) (bool, error) {
 
 // containsAt is Contains without the bracket: the caller holds an open
 // operation bracket for tid (per-op or a fused window).
-func (l *List) containsAt(tid int, key int64, cu *cursor) (bool, error) {
+func (l *List) containsAt(tid int, key int64, cu *ds.Cursor) (bool, error) {
 	for retries := uint64(0); ; retries++ {
 		if retries > maxSteps {
 			return false, l.GuardTrip("harris", "contains", retries, retries)
@@ -274,10 +260,12 @@ func (l *List) containsAt(tid int, key int64, cu *cursor) (bool, error) {
 		}
 		cn, ok := l.s.Read(tid, curr, ds.WNext)
 		if !ok {
+			cu.Drop()
 			continue
 		}
 		ckey, ok := l.s.Read(tid, curr, ds.WKey)
 		if !ok {
+			cu.Drop()
 			continue
 		}
 		return !mem.Ref(cn).Marked() && int64(ckey) == key, nil
@@ -292,7 +280,7 @@ func (l *List) Insert(tid int, key int64) (bool, error) {
 }
 
 // insertAt is Insert without the bracket.
-func (l *List) insertAt(tid int, key int64, cu *cursor) (bool, error) {
+func (l *List) insertAt(tid int, key int64, cu *ds.Cursor) (bool, error) {
 	n, err := l.s.Alloc(tid)
 	if err != nil {
 		return false, err
@@ -310,6 +298,7 @@ func (l *List) insertAt(tid int, key int64, cu *cursor) (bool, error) {
 		}
 		ckey, ok := l.s.Read(tid, curr, ds.WKey)
 		if !ok {
+			cu.Drop()
 			continue
 		}
 		if int64(ckey) == key {
@@ -317,9 +306,11 @@ func (l *List) insertAt(tid int, key int64, cu *cursor) (bool, error) {
 			return false, nil
 		}
 		if !l.s.WritePtr(tid, n, ds.WNext, curr) { // paper line 36
+			cu.Drop()
 			continue
 		}
 		if !l.s.Reserve(tid, pred, curr) {
+			cu.Drop()
 			continue
 		}
 		l.Phase(tid, ds.PhaseWrite)
@@ -328,6 +319,7 @@ func (l *List) insertAt(tid int, key int64, cu *cursor) (bool, error) {
 		}
 		swapped, ok := l.s.CASPtr(tid, pred, ds.WNext, curr, n) // paper line 37
 		if !ok {
+			cu.Drop()
 			continue
 		}
 		if swapped {
@@ -344,7 +336,7 @@ func (l *List) Delete(tid int, key int64) (bool, error) {
 }
 
 // deleteAt is Delete without the bracket.
-func (l *List) deleteAt(tid int, key int64, cu *cursor) (bool, error) {
+func (l *List) deleteAt(tid int, key int64, cu *ds.Cursor) (bool, error) {
 	for retries := uint64(0); ; retries++ {
 		if retries > maxSteps {
 			return false, l.GuardTrip("harris", "delete", retries, retries)
@@ -355,6 +347,7 @@ func (l *List) deleteAt(tid int, key int64, cu *cursor) (bool, error) {
 		}
 		ckey, ok := l.s.Read(tid, curr, ds.WKey)
 		if !ok {
+			cu.Drop()
 			continue
 		}
 		if int64(ckey) != key { // paper line 44
@@ -362,6 +355,7 @@ func (l *List) deleteAt(tid int, key int64, cu *cursor) (bool, error) {
 		}
 		cn, ok := l.s.ReadPtr(tid, 3, curr, ds.WNext) // paper line 46
 		if !ok {
+			cu.Drop()
 			continue
 		}
 		if cn.Marked() {
@@ -369,10 +363,14 @@ func (l *List) deleteAt(tid int, key int64, cu *cursor) (bool, error) {
 		}
 		succ := cn
 		if !l.s.Reserve(tid, pred, curr, succ.WithoutMark()) {
+			cu.Drop()
 			continue
 		}
 		l.Phase(tid, ds.PhaseWrite)
 		swapped, ok := l.s.CASPtr(tid, curr, ds.WNext, succ, succ.WithMark()) // paper line 48
+		if !ok {
+			cu.Drop()
+		}
 		if !ok || !swapped {
 			continue
 		}
@@ -380,7 +378,10 @@ func (l *List) deleteAt(tid int, key int64, cu *cursor) (bool, error) {
 		// The delete is now linearized: curr is logically deleted and
 		// this thread owns its retirement. Unlink it (paper line 50), or
 		// let a search do it (line 51), then retire (line 52).
-		if swapped, _ := l.s.CASPtr(tid, pred, ds.WNext, curr, succ); !swapped {
+		if swapped, ok := l.s.CASPtr(tid, pred, ds.WNext, curr, succ); !swapped {
+			if !ok {
+				cu.Drop()
+			}
 			if _, _, err := l.find(tid, key, cu); err != nil {
 				return false, err
 			}
@@ -415,10 +416,10 @@ func (l *List) ApplyBatch(tid int, ops []ds.BatchOp, res []ds.BatchResult) uint6
 // stepped between the chain's ops, not before its first: what separates
 // two chains is the caller's step.
 func (l *List) RunChain(tid int, w *smr.Window, ops []ds.BatchOp, res []ds.BatchResult, first int32, next []int32) {
-	var cu cursor
+	var cu ds.Cursor
 	for i := first; i >= 0 && int(i) < len(ops); {
 		if i != first && w.Step() {
-			cu.ok = false
+			cu.Drop()
 		}
 		var ok bool
 		var err error
@@ -472,7 +473,7 @@ func (l *List) iterChunk(tid int, after *int64, fn func(key int64) bool) (done b
 	emitted := 0
 	for {
 		if steps++; steps > maxSteps {
-			return false, l.guard("iterate", steps, restarts, restarts)
+			return false, l.guard("iterate", steps, restarts)
 		}
 		l.Phase(tid, ds.PhaseRead)
 		sc := 1
@@ -485,10 +486,10 @@ func (l *List) iterChunk(tid int, after *int64, fn func(key int64) bool) (done b
 	walk:
 		for {
 			if steps++; steps > maxSteps {
-				return false, l.guard("iterate", steps, restarts, restarts)
+				return false, l.guard("iterate", steps, restarts)
 			}
 			if curr.IsNil() {
-				l.Trav.Record(steps, restarts, restarts)
+				l.Trav.Record(steps, restarts)
 				return false, ds.ErrCorrupted
 			}
 			sn := 3 - sc // alternate over {1, 2}: curr in sc, next in sn
@@ -504,17 +505,17 @@ func (l *List) iterChunk(tid int, after *int64, fn func(key int64) bool) (done b
 			}
 			k := int64(ckey)
 			if k == ds.KeyMax {
-				l.Trav.Record(steps, restarts, restarts)
+				l.Trav.Record(steps, restarts)
 				return true, nil // tail sentinel: sweep complete
 			}
 			if !cn.Marked() && k > *after {
 				*after = k
 				if !fn(k) {
-					l.Trav.Record(steps, restarts, restarts)
+					l.Trav.Record(steps, restarts)
 					return true, nil
 				}
 				if emitted++; emitted >= iterBatch {
-					l.Trav.Record(steps, restarts, restarts)
+					l.Trav.Record(steps, restarts)
 					return false, nil // re-bracket before continuing
 				}
 			}

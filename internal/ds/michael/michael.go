@@ -60,21 +60,6 @@ const maxSteps = 1 << 22
 // epoch for the whole structure.
 const iterBatch = 512
 
-// cursor caches the last validated predecessor across the ops of a
-// fused batch (ds.BatchSet). Within one smr bracket window the cached
-// pred stays protected — no EndOp ran since it was read — so the next
-// op of a key-sorted batch resumes its traversal from it instead of
-// from the head, turning k ops into one amortized sweep. The cache is
-// only consulted when cu.key < key (pred strictly precedes the new
-// target) and is invalidated at every bracket renewal, where hazard
-// slots may be cleared and the pinned epoch released.
-type cursor struct {
-	pred mem.Ref
-	key  int64 // pred's key, for the cu.key < key resume check
-	slot int   // scheme slot still protecting pred
-	ok   bool
-}
-
 // find locates the window (pred, curr) for key: curr is the first unmarked
 // node with key >= key and pred directly precedes it. Marked nodes are
 // unlinked one at a time as they are met — never traversed through (the
@@ -95,29 +80,33 @@ type cursor struct {
 // its entry point.
 // A non-nil cu resumes from the batch cursor when valid and records the
 // final validated pred back into it on success.
-func (l *List) find(tid int, key int64, cu *cursor) (pred, curr mem.Ref, err error) {
-	var steps, restarts, headRestarts uint64
+//
+// Every read phase that starts anywhere but the head — at the cursor, at
+// pred after a lost unlink, or at the unlinked node's successor after a
+// won one — is annotated PhaseResume (the resume rule of package
+// accessaware).
+func (l *List) find(tid int, key int64, cu *ds.Cursor) (pred, curr mem.Ref, err error) {
+	var steps, restarts uint64
 	sp, sc := 0, 1
 	pred = l.head
 	predKey := int64(ds.KeyMin)
-	if cu != nil {
-		if cu.ok && cu.key < key {
-			pred, predKey, sp = cu.pred, cu.key, cu.slot
-			sc = (sp + 1) % 3
-		}
-		cu.ok = false
+	if p, k, s, ok := cu.Take(key); ok {
+		pred, predKey, sp, sc = p, k, s, (s+1)%3
 	}
 	rewind := func() {
 		pred, predKey, sp, sc = l.head, int64(ds.KeyMin), 0, 1
 		restarts++
-		headRestarts++
 	}
 retry:
 	for {
 		if steps++; steps > maxSteps {
-			return mem.NilRef, mem.NilRef, l.guard("find", steps, restarts, headRestarts)
+			return mem.NilRef, mem.NilRef, l.guard("find", steps, restarts)
 		}
-		l.Phase(tid, ds.PhaseRead)
+		if pred == l.head {
+			l.Phase(tid, ds.PhaseRead)
+		} else {
+			l.Phase(tid, ds.PhaseResume)
+		}
 		pn, ok := l.s.ReadPtr(tid, sc, pred, ds.WNext)
 		if !ok {
 			rewind()
@@ -134,10 +123,10 @@ retry:
 		curr = pn.WithoutMark()
 		for {
 			if steps++; steps > maxSteps {
-				return mem.NilRef, mem.NilRef, l.guard("find", steps, restarts, headRestarts)
+				return mem.NilRef, mem.NilRef, l.guard("find", steps, restarts)
 			}
 			if curr.IsNil() {
-				l.Trav.Record(steps, restarts, headRestarts)
+				l.Trav.Record(steps, restarts)
 				return mem.NilRef, mem.NilRef, ds.ErrCorrupted
 			}
 			sn := 3 - sp - sc
@@ -163,13 +152,9 @@ retry:
 					// in slot sp. Resume from it (re-validating at the
 					// top) instead of rewinding the whole chain.
 					restarts++
-					if l.Opt.HeadRestart {
-						pred, predKey, sp, sc = l.head, int64(ds.KeyMin), 0, 1
-						headRestarts++
-					}
 					continue retry
 				}
-				l.Phase(tid, ds.PhaseRead)
+				l.Phase(tid, ds.PhaseResume)
 				curr = cn.WithoutMark()
 				sc = sn
 				continue
@@ -181,10 +166,8 @@ retry:
 			}
 			l.Hit(tid, ds.PointSearchVisit, ckey)
 			if int64(ckey) >= key {
-				if cu != nil {
-					cu.pred, cu.key, cu.slot, cu.ok = pred, predKey, sp, true
-				}
-				l.Trav.Record(steps, restarts, headRestarts)
+				cu.Keep(pred, predKey, sp)
+				l.Trav.Record(steps, restarts)
 				return pred, curr, nil
 			}
 			pred = curr
@@ -199,8 +182,8 @@ retry:
 // builds the typed step-budget error. Traversals record their counters
 // at each return site; a deferred closure would put a closure and a
 // deferred call on every op's path.
-func (l *List) guard(op string, steps, restarts, headRestarts uint64) error {
-	l.Trav.Record(steps, restarts, headRestarts)
+func (l *List) guard(op string, steps, restarts uint64) error {
+	l.Trav.Record(steps, restarts)
 	return l.GuardTrip("michael", op, steps, restarts)
 }
 
@@ -216,7 +199,7 @@ func (l *List) Contains(tid int, key int64) (bool, error) {
 // rerun the op under the same maxSteps budget find has, so a rollback
 // ping-pong fails typed instead of spinning inside a window a whole
 // batch shares.
-func (l *List) containsAt(tid int, key int64, cu *cursor) (bool, error) {
+func (l *List) containsAt(tid int, key int64, cu *ds.Cursor) (bool, error) {
 	for retries := uint64(0); ; retries++ {
 		if retries > maxSteps {
 			return false, l.GuardTrip("michael", "contains", retries, retries)
@@ -227,10 +210,12 @@ func (l *List) containsAt(tid int, key int64, cu *cursor) (bool, error) {
 		}
 		cn, ok := l.s.Read(tid, curr, ds.WNext)
 		if !ok {
+			cu.Drop()
 			continue
 		}
 		ckey, ok := l.s.Read(tid, curr, ds.WKey)
 		if !ok {
+			cu.Drop()
 			continue
 		}
 		return !mem.Ref(cn).Marked() && int64(ckey) == key, nil
@@ -245,7 +230,7 @@ func (l *List) Insert(tid int, key int64) (bool, error) {
 }
 
 // insertAt is Insert without the bracket.
-func (l *List) insertAt(tid int, key int64, cu *cursor) (bool, error) {
+func (l *List) insertAt(tid int, key int64, cu *ds.Cursor) (bool, error) {
 	n, err := l.s.Alloc(tid)
 	if err != nil {
 		return false, err
@@ -263,6 +248,7 @@ func (l *List) insertAt(tid int, key int64, cu *cursor) (bool, error) {
 		}
 		ckey, ok := l.s.Read(tid, curr, ds.WKey)
 		if !ok {
+			cu.Drop()
 			continue
 		}
 		if int64(ckey) == key {
@@ -270,9 +256,11 @@ func (l *List) insertAt(tid int, key int64, cu *cursor) (bool, error) {
 			return false, nil
 		}
 		if !l.s.WritePtr(tid, n, ds.WNext, curr) {
+			cu.Drop()
 			continue
 		}
 		if !l.s.Reserve(tid, pred, curr) {
+			cu.Drop()
 			continue
 		}
 		l.Phase(tid, ds.PhaseWrite)
@@ -281,6 +269,7 @@ func (l *List) insertAt(tid int, key int64, cu *cursor) (bool, error) {
 		}
 		swapped, ok := l.s.CASPtr(tid, pred, ds.WNext, curr, n)
 		if !ok {
+			cu.Drop()
 			continue
 		}
 		if swapped {
@@ -297,7 +286,7 @@ func (l *List) Delete(tid int, key int64) (bool, error) {
 }
 
 // deleteAt is Delete without the bracket.
-func (l *List) deleteAt(tid int, key int64, cu *cursor) (bool, error) {
+func (l *List) deleteAt(tid int, key int64, cu *ds.Cursor) (bool, error) {
 	for retries := uint64(0); ; retries++ {
 		if retries > maxSteps {
 			return false, l.GuardTrip("michael", "delete", retries, retries)
@@ -308,6 +297,7 @@ func (l *List) deleteAt(tid int, key int64, cu *cursor) (bool, error) {
 		}
 		ckey, ok := l.s.Read(tid, curr, ds.WKey)
 		if !ok {
+			cu.Drop()
 			continue
 		}
 		if int64(ckey) != key {
@@ -315,6 +305,7 @@ func (l *List) deleteAt(tid int, key int64, cu *cursor) (bool, error) {
 		}
 		cn, ok := l.s.ReadPtr(tid, 3, curr, ds.WNext)
 		if !ok {
+			cu.Drop()
 			continue
 		}
 		if cn.Marked() {
@@ -322,15 +313,22 @@ func (l *List) deleteAt(tid int, key int64, cu *cursor) (bool, error) {
 		}
 		succ := cn
 		if !l.s.Reserve(tid, pred, curr, succ.WithoutMark()) {
+			cu.Drop()
 			continue
 		}
 		l.Phase(tid, ds.PhaseWrite)
 		swapped, ok := l.s.CASPtr(tid, curr, ds.WNext, succ, succ.WithMark())
+		if !ok {
+			cu.Drop()
+		}
 		if !ok || !swapped {
 			continue
 		}
 		// Linearized. Unlink (or let a traversal do it), then retire.
-		if swapped, _ := l.s.CASPtr(tid, pred, ds.WNext, curr, succ); !swapped {
+		if swapped, ok := l.s.CASPtr(tid, pred, ds.WNext, curr, succ); !swapped {
+			if !ok {
+				cu.Drop()
+			}
 			if _, _, err := l.find(tid, key, cu); err != nil {
 				return false, err
 			}
@@ -365,10 +363,10 @@ func (l *List) ApplyBatch(tid int, ops []ds.BatchOp, res []ds.BatchResult) uint6
 // certifiably protected. The window is stepped between the chain's ops,
 // not before its first: what separates two chains is the caller's step.
 func (l *List) RunChain(tid int, w *smr.Window, ops []ds.BatchOp, res []ds.BatchResult, first int32, next []int32) {
-	var cu cursor
+	var cu ds.Cursor
 	for i := first; i >= 0 && int(i) < len(ops); {
 		if i != first && w.Step() {
-			cu.ok = false
+			cu.Drop()
 		}
 		var ok bool
 		var err error
@@ -425,7 +423,7 @@ func (l *List) iterChunk(tid int, after *int64, fn func(key int64) bool) (done b
 	emitted := 0
 	for {
 		if steps++; steps > maxSteps {
-			return false, l.guard("iterate", steps, restarts, restarts)
+			return false, l.guard("iterate", steps, restarts)
 		}
 		l.Phase(tid, ds.PhaseRead)
 		sp, sc := 0, 1
@@ -439,10 +437,10 @@ func (l *List) iterChunk(tid int, after *int64, fn func(key int64) bool) (done b
 	walk:
 		for {
 			if steps++; steps > maxSteps {
-				return false, l.guard("iterate", steps, restarts, restarts)
+				return false, l.guard("iterate", steps, restarts)
 			}
 			if curr.IsNil() {
-				l.Trav.Record(steps, restarts, restarts)
+				l.Trav.Record(steps, restarts)
 				return false, ds.ErrCorrupted
 			}
 			sn := 3 - sp - sc
@@ -462,7 +460,7 @@ func (l *List) iterChunk(tid int, after *int64, fn func(key int64) bool) (done b
 					restarts++
 					break walk
 				}
-				l.Phase(tid, ds.PhaseRead)
+				l.Phase(tid, ds.PhaseResume)
 				curr = cn.WithoutMark()
 				sc = sn
 				continue
@@ -474,17 +472,17 @@ func (l *List) iterChunk(tid int, after *int64, fn func(key int64) bool) (done b
 			}
 			k := int64(ckey)
 			if k == ds.KeyMax {
-				l.Trav.Record(steps, restarts, restarts)
+				l.Trav.Record(steps, restarts)
 				return true, nil // tail sentinel: sweep complete
 			}
 			if k > *after {
 				*after = k
 				if !fn(k) {
-					l.Trav.Record(steps, restarts, restarts)
+					l.Trav.Record(steps, restarts)
 					return true, nil
 				}
 				if emitted++; emitted >= iterBatch {
-					l.Trav.Record(steps, restarts, restarts)
+					l.Trav.Record(steps, restarts)
 					return false, nil // re-bracket before continuing
 				}
 			}

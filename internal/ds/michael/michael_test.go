@@ -28,12 +28,12 @@ func TestSortedInvariant(t *testing.T) {
 	env.AssertSafe(t)
 }
 
-// TestRestartStorm is the regression test for ROADMAP item 5: long-chain
-// churn under EBR. With head-restart finds a single operation could spin
-// through millions of steps inside one epoch-pinning bracket, ballooning
-// the retired backlog with no fault injected. Bounded restarts must keep
-// the worst op within a small multiple of the chain length and the
-// backlog near the scan threshold.
+// TestRestartStorm: long-chain churn under EBR. A find that rewound to
+// the head on every lost unlink could spin through millions of steps
+// inside one epoch-pinning bracket, ballooning the retired backlog with
+// no fault injected. Resuming from the validated pred must keep the
+// worst op within a small multiple of the chain length and the backlog
+// near the scan threshold.
 func TestRestartStorm(t *testing.T) {
 	env := dstest.NewEnv(t, "ebr", 4, 1<<16, 2, mem.Reuse)
 	l, err := michael.New(env.S, ds.Options{})

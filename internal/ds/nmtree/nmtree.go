@@ -370,21 +370,48 @@ func (t *Tree) Contains(tid int, key int64) (bool, error) {
 func (t *Tree) containsAt(tid int, key int64) (bool, error) {
 	var r seekRec
 	var steps, restarts uint64
-	defer func() { t.Trav.Record(steps, restarts, restarts) }()
+	if err := t.reseek(tid, "contains", key, &r, &steps, &restarts); err != nil {
+		return false, err
+	}
+	t.Trav.Record(steps, restarts)
+	return r.leafKey == key, nil
+}
+
+// reseek runs an operation's next seek: it retries the seek's rollbacks,
+// counted as restarts, until one reaches a leaf, and returns the typed
+// guard error once the op's step budget is spent. Every attempt costs a
+// step, so a rollback storm that fails before the seek's first node
+// still exhausts the budget.
+func (t *Tree) reseek(tid int, op string, key int64, r *seekRec, steps, restarts *uint64) error {
 	for {
-		if steps > maxSteps {
-			return false, t.GuardTrip("nmtree", "contains", steps, restarts)
+		if *steps++; *steps > maxSteps {
+			return t.guard(op, *steps, *restarts)
 		}
 		t.Phase(tid, ds.PhaseRead)
-		switch t.seek(tid, key, &r, &steps) {
+		switch t.seek(tid, key, r, steps) {
+		case stOK:
+			return nil
 		case stCorrupt:
-			return false, t.GuardTrip("nmtree", "contains", steps, restarts)
-		case stRestart:
-			restarts++
-			continue
+			return t.guard(op, *steps, *restarts)
 		}
-		return r.leafKey == key, nil
+		*restarts++
 	}
+}
+
+// guard folds a tripped operation's counters into the tree's block and
+// builds the typed step-budget error. Operations record their counters at
+// each return site; a deferred closure would put a closure and a deferred
+// call on every op's path.
+func (t *Tree) guard(op string, steps, restarts uint64) error {
+	t.Trav.Record(steps, restarts)
+	return t.GuardTrip("nmtree", op, steps, restarts)
+}
+
+// discard retires the two nodes of an insert that gives up: no other
+// thread ever reached them.
+func (t *Tree) discard(tid int, leaf, internal mem.Ref) {
+	t.s.Retire(tid, leaf)
+	t.s.Retire(tid, internal)
 }
 
 // Insert implements ds.Set: replace the reached leaf with a fresh internal
@@ -408,28 +435,21 @@ func (t *Tree) insertAt(tid int, key int64) (bool, error) {
 	t.s.Write(tid, newLeaf, WIsLeaf, 1)
 	newInt, err := t.s.Alloc(tid)
 	if err != nil {
+		t.s.Retire(tid, newLeaf)
 		return false, err
 	}
 	t.s.Write(tid, newInt, WIsLeaf, 0)
 
 	var r seekRec
 	var steps, restarts uint64
-	defer func() { t.Trav.Record(steps, restarts, restarts) }()
 	for {
-		if steps > maxSteps {
-			return false, t.GuardTrip("nmtree", "insert", steps, restarts)
-		}
-		t.Phase(tid, ds.PhaseRead)
-		switch t.seek(tid, key, &r, &steps) {
-		case stCorrupt:
-			return false, t.GuardTrip("nmtree", "insert", steps, restarts)
-		case stRestart:
-			restarts++
-			continue
+		if err := t.reseek(tid, "insert", key, &r, &steps, &restarts); err != nil {
+			t.discard(tid, newLeaf, newInt)
+			return false, err
 		}
 		if r.leafKey == key {
-			t.s.Retire(tid, newLeaf)
-			t.s.Retire(tid, newInt)
+			t.discard(tid, newLeaf, newInt)
+			t.Trav.Record(steps, restarts)
 			return false, nil
 		}
 		// Route: internal key is the larger of the two; smaller goes left.
@@ -460,6 +480,7 @@ func (t *Tree) insertAt(tid int, key int64) (bool, error) {
 			continue
 		}
 		if swapped {
+			t.Trav.Record(steps, restarts)
 			return true, nil
 		}
 		// Failed: if a deletion is pending at this edge, help it.
@@ -490,21 +511,13 @@ func (t *Tree) deleteAt(tid int, key int64) (bool, error) {
 	injected := false
 	var victim mem.Ref
 	var steps, restarts uint64
-	defer func() { t.Trav.Record(steps, restarts, restarts) }()
 	for {
-		if steps > maxSteps {
-			return false, t.GuardTrip("nmtree", "delete", steps, restarts)
-		}
-		t.Phase(tid, ds.PhaseRead)
-		switch t.seek(tid, key, &r, &steps) {
-		case stCorrupt:
-			return false, t.GuardTrip("nmtree", "delete", steps, restarts)
-		case stRestart:
-			restarts++
-			continue
+		if err := t.reseek(tid, "delete", key, &r, &steps, &restarts); err != nil {
+			return false, err
 		}
 		if !injected {
 			if r.leafKey != key {
+				t.Trav.Record(steps, restarts)
 				return false, nil
 			}
 			leafWord := childWord(key, keyOf(t, tid, r.parent))
@@ -533,8 +546,8 @@ func (t *Tree) deleteAt(tid int, key int64) (bool, error) {
 			t.Hit(tid, ds.PointDeleteMarked, uint64(key))
 			injected = true
 			victim = r.leaf
-			done, ok := t.cleanup(tid, key, &r)
-			if ok && done {
+			if done, ok := t.cleanup(tid, key, &r); ok && done {
+				t.Trav.Record(steps, restarts)
 				return true, nil
 			}
 			continue
@@ -542,10 +555,11 @@ func (t *Tree) deleteAt(tid int, key int64) (bool, error) {
 		// CLEANUP mode: if our flagged victim is gone, someone else's
 		// splice completed our deletion.
 		if !r.leaf.SameNode(victim) {
+			t.Trav.Record(steps, restarts)
 			return true, nil
 		}
-		done, ok := t.cleanup(tid, key, &r)
-		if ok && done {
+		if done, ok := t.cleanup(tid, key, &r); ok && done {
+			t.Trav.Record(steps, restarts)
 			return true, nil
 		}
 	}
@@ -617,20 +631,21 @@ func (t *Tree) IterateFrom(tid int, lo int64, fn func(key int64) bool) error {
 // operation bracket.
 func (t *Tree) iterChunk(tid int, after *int64, fn func(key int64) bool) (done bool, err error) {
 	var steps, restarts uint64
-	defer func() { t.Trav.Record(steps, restarts, restarts) }()
 	emitted := 0
 	for {
 		if steps++; steps > maxSteps {
-			return false, t.GuardTrip("nmtree", "iterate", steps, restarts)
+			return false, t.guard("iterate", steps, restarts)
 		}
 		t.Phase(tid, ds.PhaseRead)
 		switch t.iterWalk(tid, t.root, after, fn, &steps, &emitted) {
 		case itOK, itStop:
+			t.Trav.Record(steps, restarts)
 			return true, nil
 		case itPause:
+			t.Trav.Record(steps, restarts)
 			return false, nil
 		case itGuard:
-			return false, t.GuardTrip("nmtree", "iterate", steps, restarts)
+			return false, t.guard("iterate", steps, restarts)
 		case itRestart:
 			restarts++
 		}

@@ -9,6 +9,7 @@ import (
 	"repro/internal/ds/dstest"
 	"repro/internal/ds/nmtree"
 	"repro/internal/mem"
+	"repro/internal/smr"
 )
 
 func TestSuite(t *testing.T) { dstest.RunSetSuite(t, "nmtree") }
@@ -118,6 +119,15 @@ func TestSentinelKeySpaceGuard(t *testing.T) {
 	if _, err := tr.Insert(0, ds.KeyMax); err == nil {
 		t.Fatal("sentinel-range key accepted")
 	}
+}
+
+// TestGuardTrips: rollback storms end in typed guard errors — a seek that
+// rolls back before its first node still spends the op's step budget —
+// and an Insert that gives up retires both of its nodes.
+func TestGuardTrips(t *testing.T) {
+	env := dstest.NewEnv(t, "ebr", 1, 1<<10, nmtree.PayloadWords, mem.Reuse)
+	dstest.GuardTripSet(t, env, nmtree.WKey, func(s smr.Scheme) (ds.Set, error) { return nmtree.New(s, ds.Options{}) })
+	env.AssertSafe(t)
 }
 
 // TestCompoundedDeletes drives the multi-deletion stacking path: delete

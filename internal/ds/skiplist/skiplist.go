@@ -144,16 +144,14 @@ const maxNilRetries = 1 << 14
 // there, resumes the level walk from pred. Rollbacks and nil glimpses
 // still rewind completely.
 func (l *List) find(tid int, key int64, preds, succs *[MaxHeight]mem.Ref) (found bool, st status, steps, restarts uint64) {
-	var headRestarts uint64
 	nilRetries := 0
 retry:
 	for retries := 0; ; retries++ {
 		if retries > 0 {
 			restarts++
-			headRestarts++
 		}
 		if retries > maxSteps || steps > maxSteps {
-			return l.record(false, stCorruptRetry, steps, restarts, headRestarts)
+			return l.record(false, stCorruptRetry, steps, restarts)
 		}
 		pred := l.head
 		// Protection slots: 0 for pred, 1 for curr, 2 for succ, rotating
@@ -161,7 +159,7 @@ retry:
 		for lv := MaxHeight - 1; lv >= 0; lv-- {
 			curr, ok := l.s.ReadPtr(tid, 1, pred, WLevel0+lv)
 			if !ok {
-				return l.record(false, stRestart, steps, restarts, headRestarts)
+				return l.record(false, stRestart, steps, restarts)
 			}
 			if lv == MaxHeight-1 {
 				l.Hit(tid, ds.PointSearchHead, uint64(key))
@@ -170,41 +168,36 @@ retry:
 		walk:
 			for inner := 0; ; inner++ {
 				if steps++; inner > maxSteps {
-					return l.record(false, stCorruptWalk, steps, restarts, headRestarts)
+					return l.record(false, stCorruptWalk, steps, restarts)
 				}
 				if curr.IsNil() {
 					if nilRetries++; nilRetries > maxNilRetries {
-						return l.record(false, stCorruptNil, steps, restarts, headRestarts)
+						return l.record(false, stCorruptNil, steps, restarts)
 					}
 					continue retry
 				}
 				succ, ok := l.s.ReadPtr(tid, 2, curr, WLevel0+lv)
 				if !ok {
-					return l.record(false, stRestart, steps, restarts, headRestarts)
+					return l.record(false, stRestart, steps, restarts)
 				}
 				for succ.Marked() {
 					// curr is logically deleted at this level: snip it.
 					swapped, ok := l.s.CASPtr(tid, pred, WLevel0+lv, curr, succ.WithoutMark())
 					if !ok {
-						return l.record(false, stRestart, steps, restarts, headRestarts)
+						return l.record(false, stRestart, steps, restarts)
 					}
 					if !swapped {
 						// Contention: pred's edge at this level moved. Re-read
 						// it; if pred is still unmarked here, resume the walk
 						// at this level instead of redescending from the head.
 						restarts++
-						if l.Opt.HeadRestart {
-							headRestarts++
-							continue retry
-						}
 						pn, ok := l.s.ReadPtr(tid, 1, pred, WLevel0+lv)
 						if !ok {
-							return l.record(false, stRestart, steps, restarts, headRestarts)
+							return l.record(false, stRestart, steps, restarts)
 						}
 						if pn.Marked() {
 							// pred itself is deleted at this level; the
 							// descent that chose it is stale.
-							headRestarts++
 							continue retry
 						}
 						curr = pn.WithoutMark()
@@ -213,17 +206,17 @@ retry:
 					curr = succ.WithoutMark()
 					if curr.IsNil() {
 						if nilRetries++; nilRetries > maxNilRetries {
-							return l.record(false, stCorruptNil, steps, restarts, headRestarts)
+							return l.record(false, stCorruptNil, steps, restarts)
 						}
 						continue retry
 					}
 					if succ, ok = l.s.ReadPtr(tid, 2, curr, WLevel0+lv); !ok {
-						return l.record(false, stRestart, steps, restarts, headRestarts)
+						return l.record(false, stRestart, steps, restarts)
 					}
 				}
 				ckey, ok := l.s.Read(tid, curr, ds.WKey)
 				if !ok {
-					return l.record(false, stRestart, steps, restarts, headRestarts)
+					return l.record(false, stRestart, steps, restarts)
 				}
 				l.Hit(tid, ds.PointSearchVisit, ckey)
 				if int64(ckey) < key {
@@ -238,24 +231,24 @@ retry:
 		}
 		skey, ok := l.s.Read(tid, succs[0], ds.WKey)
 		if !ok {
-			return l.record(false, stRestart, steps, restarts, headRestarts)
+			return l.record(false, stRestart, steps, restarts)
 		}
-		return l.record(int64(skey) == key, stOK, steps, restarts, headRestarts)
+		return l.record(int64(skey) == key, stOK, steps, restarts)
 	}
 }
 
 // record folds one find's counters into the list's block and passes its
 // result through. Traversals record at each return site; a deferred
 // closure would put a closure and a deferred call on every op's path.
-func (l *List) record(found bool, st status, steps, restarts, headRestarts uint64) (bool, status, uint64, uint64) {
-	l.Trav.Record(steps, restarts, headRestarts)
+func (l *List) record(found bool, st status, steps, restarts uint64) (bool, status, uint64, uint64) {
+	l.Trav.Record(steps, restarts)
 	return found, st, steps, restarts
 }
 
 // guard folds a tripped iterator walk's counters into the list's block
 // and builds the typed step-budget error.
 func (l *List) guard(op string, steps, restarts uint64) error {
-	l.Trav.Record(steps, restarts, restarts)
+	l.Trav.Record(steps, restarts)
 	return l.GuardTrip("skiplist", op, steps, restarts)
 }
 
@@ -597,7 +590,7 @@ func (l *List) iterChunk(tid int, after *int64, fn func(key int64) bool) (done b
 		// seek key cannot overflow.
 		_, st, fsteps, frestarts := l.find(tid, *after+1, &preds, &succs)
 		if corrupt(st) {
-			l.Trav.Record(steps, restarts, restarts)
+			l.Trav.Record(steps, restarts)
 			return false, l.corruptErr("iterate", st, fsteps, frestarts)
 		}
 		if st == stRestart {
@@ -619,7 +612,7 @@ func (l *List) iterChunk(tid int, after *int64, fn func(key int64) bool) (done b
 				break walk
 			}
 			if curr == l.tail {
-				l.Trav.Record(steps, restarts, restarts)
+				l.Trav.Record(steps, restarts)
 				return true, nil // sweep complete
 			}
 			sn := 3 - sc // alternate over {1, 2}: curr in sc, next in sn
@@ -637,11 +630,11 @@ func (l *List) iterChunk(tid int, after *int64, fn func(key int64) bool) (done b
 			if !cn.Marked() && k > *after && k != ds.KeyMax {
 				*after = k
 				if !fn(k) {
-					l.Trav.Record(steps, restarts, restarts)
+					l.Trav.Record(steps, restarts)
 					return true, nil
 				}
 				if emitted++; emitted >= iterBatch {
-					l.Trav.Record(steps, restarts, restarts)
+					l.Trav.Record(steps, restarts)
 					return false, nil // re-bracket, then re-seek
 				}
 			}

@@ -134,8 +134,7 @@ func (r *Registry) WriteMetrics(w io.Writer) error {
 	}
 
 	// The slower ShardStats-only counters: faults, safety, incarnation
-	// history and the full traversal block (head restarts and worst-op
-	// steps are not in the gauge tap).
+	// history and the worst-op traversal steps (not in the gauge tap).
 	for _, g := range []struct {
 		name, typ, help string
 		val             func(store.ShardStats) float64
@@ -152,8 +151,6 @@ func (r *Registry) WriteMetrics(w io.Writer) error {
 			func(s store.ShardStats) float64 { return float64(s.UnsafeAccesses) }},
 		{"era_shard_ooms_total", "counter", "Failed allocations - the backlog exhausting the shard heap.",
 			func(s store.ShardStats) float64 { return float64(s.OOMs) }},
-		{"era_shard_trav_head_restarts_total", "counter", "Traversal restarts that rewound to the head.",
-			func(s store.ShardStats) float64 { return float64(s.TravHeadRestarts) }},
 		{"era_shard_trav_max_op_steps", "gauge", "Worst single-operation traversal step count.",
 			func(s store.ShardStats) float64 { return float64(s.MaxOpSteps) }},
 		{"era_shard_swap_window_ns", "gauge", "Last migration's admission-stop-to-attach window.",

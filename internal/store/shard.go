@@ -455,8 +455,8 @@ func (sh *shard) drain() {
 // through guarded operations (never a raw structure walk), so the
 // snapshot stays safe even when a faulted worker never drained: a
 // concurrent straggler and the snapshot are just two lock-free
-// operations. probes counts membership reads — the observable the
-// traverse experiment and the store tests bound. A set without
+// operations. probes counts membership reads — the observable
+// TestSnapshotProbesBounded bounds. A set without
 // ds.Iterator cannot be snapshotted: ErrNoIterator (every registered set
 // has one; the ds/registry tests pin that).
 func (sh *shard) snapshot(route func(int64) int) (keys []int64, probes uint64, err error) {
@@ -546,7 +546,6 @@ func (sh *shard) stats() ShardStats {
 		tv := tr.TravSnapshot()
 		s.TravSteps = tv.Steps
 		s.TravRestarts = tv.Restarts
-		s.TravHeadRestarts = tv.HeadRestarts
 		s.GuardTrips = tv.GuardTrips
 		s.MaxOpSteps = tv.MaxOpSteps
 	}

@@ -55,16 +55,13 @@ type ShardStats struct {
 
 	// Traversal counters (ds.TravSnapshot): the hot-path observables the
 	// bounded-restart overhaul adds. TravRestarts counts every traversal
-	// restart, TravHeadRestarts the subset that rewound to the head;
-	// bounded finds keep the latter near zero under pure contention.
-	// GuardTrips counts operations aborted at the maxSteps budget, and
-	// MaxOpSteps is the worst single-operation traversal — the p99 proxy
-	// the restart-storm regression bounds.
-	TravSteps        uint64 `json:"trav_steps"`
-	TravRestarts     uint64 `json:"trav_restarts"`
-	TravHeadRestarts uint64 `json:"trav_head_restarts"`
-	GuardTrips       uint64 `json:"guard_trips"`
-	MaxOpSteps       uint64 `json:"max_op_steps"`
+	// restart, GuardTrips the operations aborted at the maxSteps budget,
+	// and MaxOpSteps is the worst single-operation traversal — the p99
+	// proxy the restart-storm regression bounds.
+	TravSteps    uint64 `json:"trav_steps"`
+	TravRestarts uint64 `json:"trav_restarts"`
+	GuardTrips   uint64 `json:"guard_trips"`
+	MaxOpSteps   uint64 `json:"max_op_steps"`
 
 	// Last completed migration's cost observables (zero until the slot
 	// migrates): membership probes the snapshot issued, live keys it
@@ -102,11 +99,10 @@ type Stats struct {
 
 	// Traversal aggregate: sums across shards, except MaxOpSteps which is
 	// the store-wide worst single operation.
-	TravSteps        uint64 `json:"trav_steps"`
-	TravRestarts     uint64 `json:"trav_restarts"`
-	TravHeadRestarts uint64 `json:"trav_head_restarts"`
-	GuardTrips       uint64 `json:"guard_trips"`
-	MaxOpSteps       uint64 `json:"max_op_steps"`
+	TravSteps    uint64 `json:"trav_steps"`
+	TravRestarts uint64 `json:"trav_restarts"`
+	GuardTrips   uint64 `json:"guard_trips"`
+	MaxOpSteps   uint64 `json:"max_op_steps"`
 }
 
 // Stats aggregates every shard's counters on read. Safe to call while
@@ -148,7 +144,6 @@ func (st *Store) Stats() Stats {
 		s.Migrations += ss.Migrations
 		s.TravSteps += ss.TravSteps
 		s.TravRestarts += ss.TravRestarts
-		s.TravHeadRestarts += ss.TravHeadRestarts
 		s.GuardTrips += ss.GuardTrips
 		if ss.MaxOpSteps > s.MaxOpSteps {
 			s.MaxOpSteps = ss.MaxOpSteps

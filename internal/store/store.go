@@ -71,10 +71,6 @@ type ShardSpec struct {
 	// internal/chaos arms breakpoints on it to park shard workers at
 	// reclamation-critical moments. Nil costs nothing on the serving path.
 	Gate sched.Gate
-	// HeadRestart forces the shard's structure back onto unbounded
-	// head-restart finds (ds.Options.HeadRestart) — the restart-storm
-	// baseline arm of the traverse benchmark. Leave false in deployments.
-	HeadRestart bool
 }
 
 // Config assembles a store.
@@ -252,7 +248,7 @@ func newShard(id int, spec ShardSpec, cfg Config) (*shard, error) {
 	if err != nil {
 		return nil, err
 	}
-	opts := ds.Options{Gate: spec.Gate, HeadRestart: spec.HeadRestart}
+	opts := ds.Options{Gate: spec.Gate}
 	if r := cfg.Recorder; r != nil {
 		// Guard trips and reclamation scans flow into the flight recorder
 		// tagged with this slot id. Both hooks are installed before the
