@@ -20,8 +20,8 @@ import (
 	"repro/internal/smr/all"
 )
 
-// BenchmarkERAMatrix regenerates EXP-ERA: the full matrix assembly,
-// including both adversary executions and the robustness sweep per scheme.
+// BenchmarkERAMatrix regenerates EXP-ERA: the full matrix assembly — per
+// scheme, the audited stalled-reader run and both adversary executions.
 func BenchmarkERAMatrix(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		m, err := core.BuildMatrix(400)
@@ -68,60 +68,6 @@ func BenchmarkFigure2(b *testing.B) {
 				}
 			}
 			b.ReportMetric(float64(o.Faults+o.StaleUses), "violations")
-		})
-	}
-}
-
-// BenchmarkSpaceBound regenerates EXP-SPACE: the stalled-reader space
-// bound per scheme.
-func BenchmarkSpaceBound(b *testing.B) {
-	for _, scheme := range all.SafeNames() {
-		b.Run(scheme, func(b *testing.B) {
-			var row bench.SpaceRow
-			var err error
-			for i := 0; i < b.N; i++ {
-				row, err = bench.SpaceBound(scheme, 800)
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(row.PerChurn, "retired/churn")
-		})
-	}
-}
-
-// BenchmarkScaleBound regenerates EXP-SCALE: the stalled-reader backlog as
-// a function of structure size — the Definition 5.1 vs 5.2 separation.
-func BenchmarkScaleBound(b *testing.B) {
-	for _, scheme := range []string{"hp", "he", "ibr", "vbr", "nbr", "rc"} {
-		b.Run(scheme, func(b *testing.B) {
-			var row bench.ScaleRow
-			var err error
-			for i := 0; i < b.N; i++ {
-				row, err = bench.ScaleBound(scheme, 1024)
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(row.PerSize, "retired/size")
-		})
-	}
-}
-
-// BenchmarkStallGrowth regenerates EXP-STALL: the backlog-over-time curve;
-// the metric is the final backlog after 1000 churn steps under a stall.
-func BenchmarkStallGrowth(b *testing.B) {
-	for _, scheme := range []string{"ebr", "qsbr", "hp", "ibr", "he", "vbr", "nbr", "rc"} {
-		b.Run(scheme, func(b *testing.B) {
-			var series []bench.StallSample
-			var err error
-			for i := 0; i < b.N; i++ {
-				series, err = bench.StallSeries(scheme, 1000, 250)
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(float64(series[len(series)-1].Retired), "final-backlog")
 		})
 	}
 }

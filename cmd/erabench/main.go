@@ -35,7 +35,7 @@ var (
 	out       = flag.String("out", "", "directory for BENCH_<name>.json artifacts (empty writes none)")
 	check     = flag.Bool("check", false, "exit 1 when any of an experiment's gates does not hold")
 	seed      = flag.Uint64("seed", 42, "workload seed: runs with equal seeds draw identical operation streams")
-	k         = flag.Int("k", 0, "churn length for the matrix/space/structures experiments (0 = the profile's default)")
+	k         = flag.Int("k", 0, "Figure 1 churn length for the matrix's Harris witness and the structures experiment (0 = the profile's default)")
 	ops       = flag.Int("ops", 0, "operations per thread for the throughput-shaped experiments (0 = the profile's default)")
 	keyRange  = flag.Int("keyrange", 0, "key universe for the throughput-shaped experiments (0 = the profile's default)")
 	structure = flag.String("structure", "harris", "set structure for the throughput sweep")

@@ -16,10 +16,9 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/ds"
-	"repro/internal/ds/harris"
+	"repro/internal/ds/registry"
 	"repro/internal/hist"
 	"repro/internal/mem"
-	"repro/internal/sched"
 	"repro/internal/smr"
 )
 
@@ -33,7 +32,9 @@ type Deferred struct {
 
 var _ smr.Scheme = (*Deferred)(nil)
 
-// NewDeferred builds the scheme over arena a for n threads.
+// NewDeferred builds the scheme over arena a for n threads with a ring of
+// depth retired nodes per thread (the scheme's scan threshold; <= 0
+// selects 64).
 func NewDeferred(a *mem.Arena, n, depth int) *Deferred {
 	if depth <= 0 {
 		depth = 64
@@ -118,19 +119,13 @@ func (d *Deferred) CASPtr(tid int, r mem.Ref, w int, old, new mem.Ref) (bool, bo
 func (d *Deferred) Reserve(tid int, refs ...mem.Ref) bool { return true }
 
 func main() {
-	// 1. Classify integration from the property sheet (Definition 5.3).
-	props := (&Deferred{}).Props()
-	integ := core.ClassifyIntegration("deferred", props)
-	fmt.Printf("integration: easy=%v (rollbacks=%v, phases=%v)\n",
-		integ.Easy, !integ.WellFormed, integ.PhaseDiscipline)
-
-	// 2. Sequential + concurrent correctness on Harris's list, with a
+	// 1. Sequential + concurrent correctness on Harris's list, with a
 	//    linearizability check over barrier-separated rounds.
 	arena := mem.NewArena(mem.Config{
 		Slots: 1 << 14, PayloadWords: 2, MetaWords: smr.MetaWords, Threads: 4, Mode: mem.Reuse,
 	})
 	scheme := NewDeferred(arena, 4, 64)
-	list, err := harris.New(scheme, ds.Options{})
+	list, err := registry.MustGet("harris").NewSet(scheme, ds.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -185,52 +180,23 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("linearizable under light concurrency: %v\n", lin)
-	fmt.Printf("safety so far: %s\n", core.Safety(arena, scheme))
+	fmt.Printf("safety so far: %s\n\n", core.Safety(arena, scheme))
 
-	// 3. The Theorem 6.1 stress: stall a traversal, churn past the ring
-	//    depth, resume. The ring rotates the stalled thread's path out of
-	//    existence — the "robust + easy" corner cannot be safe here.
-	arena2 := mem.NewArena(mem.Config{
-		Slots: 1 << 14, PayloadWords: 2, MetaWords: smr.MetaWords, Threads: 2, Mode: mem.Unmap,
-	})
-	scheme2 := NewDeferred(arena2, 2, 64)
-	bp := sched.NewBreakpoints()
-	list2, err := harris.New(scheme2, ds.Options{Gate: bp})
+	// 2. The scheme's ERA row, from the same scripts the matrix runs on
+	//    every registered scheme: a stalled reader's audited backlog, and
+	//    Figures 1 and 2 on Harris's list. The ring rotates the stalled
+	//    thread's path out of existence — the "robust + easy" corner
+	//    cannot be safe there.
+	const figureK = 600
+	row, err := core.Classify(func(a *mem.Arena, n, threshold int) smr.Scheme {
+		return NewDeferred(a, n, threshold)
+	}, figureK)
 	if err != nil {
 		log.Fatal(err)
 	}
-	for _, k := range []int64{1, 2} {
-		if _, err := list2.Insert(1, k); err != nil {
-			log.Fatal(err)
-		}
-	}
-	stallPoint := bp.Arm(0, ds.PointSearchHead, nil, 0)
-	t1 := sched.Go(func() error {
-		_, err := list2.Delete(0, 3)
-		return err
-	})
-	<-stallPoint.Reached()
-	if _, err := list2.Delete(1, 1); err != nil {
-		log.Fatal(err)
-	}
-	for n := int64(2); n <= 400; n++ {
-		if _, err := list2.Insert(1, n+1); err != nil {
-			log.Fatal(err)
-		}
-		if _, err := list2.Delete(1, n); err != nil {
-			log.Fatal(err)
-		}
-	}
-	peak := arena2.Stats().MaxRetired()
-	stallPoint.Release()
-	_ = t1.Wait()
-
-	rep := core.Safety(arena2, scheme2)
-	fmt.Printf("stalled-reader stress: peak backlog %d (ring depth 64) — bounded\n", peak)
-	fmt.Printf("stalled-reader safety: %s\n", rep)
-	fmt.Println()
-	if integ.Easy && peak < 200 && !rep.Safe() {
-		fmt.Println("verdict: easy + robust, and therefore (per the ERA theorem) NOT widely applicable —")
+	fmt.Print(core.Matrix{Rows: []core.MatrixRow{row}, FigureK: figureK})
+	if row.Easy && row.Robust && !row.Wide {
+		fmt.Println("\nverdict: easy + robust, and therefore (per the ERA theorem) NOT widely applicable —")
 		fmt.Println("the stalled traversal dereferenced memory the ring had already rotated out.")
 	}
 }

@@ -29,7 +29,8 @@ func main() {
 	})
 
 	// Epoch-based reclamation: the easiest scheme to integrate, and
-	// strongly applicable — but not robust (see examples/stallrobustness).
+	// strongly applicable — but not robust (see the audited-R column of
+	// `go run ./cmd/eramatrix`).
 	scheme, err := all.New("ebr", arena, 2, 0)
 	if err != nil {
 		log.Fatal(err)

@@ -22,8 +22,9 @@
 // measurement section; the harness therefore regenerates (a) the paper's
 // two figures as deterministic executions (internal/core/adversary), and
 // (b) the standard evaluation shape of the SMR literature the paper builds
-// on — throughput under operation mixes, space bounds under stalls, and
-// the Harris-vs-Michael comparison the Section 6 discussion cites.
+// on — throughput under operation mixes, backlog audits under stalls (the
+// matrix's R column, EXP-CHAOS), and the Harris-vs-Michael comparison the
+// Section 6 discussion cites.
 package bench
 
 import (
@@ -65,7 +66,7 @@ type Profile struct {
 
 	// Sizing of the classic sweeps (erabench -k -ops -keyrange); zero
 	// selects the profile's default.
-	K        int // churn length: matrix, space, structures
+	K        int // Figure 1 churn length: matrix, structures
 	Ops      int // operations per thread: throughput, michael
 	KeyRange int // key universe: throughput, michael
 	// Structure, Workload and Schedule name the throughput sweep's set
@@ -137,9 +138,6 @@ type Experiment struct {
 // experiments is the registry, in the order "all" runs it.
 var experiments = []Experiment{
 	{Name: "matrix", Title: "EXP-ERA: the ERA matrix (Theorem 6.1)", TableOnly: true, Run: runMatrix},
-	{Name: "space", Title: "EXP-SPACE: stalled-reader space bounds", TableOnly: true, Run: runSpace},
-	{Name: "scale", Title: "EXP-SCALE: stalled-reader backlog vs structure size (Def 5.1 vs 5.2)", TableOnly: true, Run: runScale},
-	{Name: "stall", Title: "EXP-STALL: retired backlog over time with one stalled reader", TableOnly: true, Run: runStall},
 	{Name: "throughput", Title: "EXP-THRU: scheme × mix × threads throughput sweep", Run: runThroughput},
 	{Name: "structures", Title: "EXP-EXT: stalled traversal across structures (§6 open question)", TableOnly: true, Run: runStructures},
 	{Name: "michael", Title: "EXP-MICHAEL: Harris+EBR vs Michael+HP (delete-heavy)", Run: runMichael},

@@ -1,6 +1,7 @@
 package bench_test
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -34,58 +35,35 @@ func TestThroughputRejectsNonSets(t *testing.T) {
 	}
 }
 
-// TestSpaceSweepShape checks the experiment separates the robustness
-// classes: per-churn backlog near 1 for EBR, near 0 for VBR.
+// TestSpaceSweepShape checks EXP-ERA's audited-R column separates the
+// robustness classes by the stalled reader's backlog growth: one retired
+// node per churn step (two operations) for EBR and the leaky baseline,
+// none for VBR.
 func TestSpaceSweepShape(t *testing.T) {
-	rows, err := bench.SpaceSweep(800)
-	if err != nil {
-		t.Fatal(err)
+	rows := eraRows(t)
+	for _, s := range []string{"ebr", "none"} {
+		if r := rows[s]; r.audited != "not-robust" || r.slope < 0.4 {
+			t.Errorf("%s: audited %q, slope %.3f per op — want not-robust near 0.5 (unbounded backlog)", s, r.audited, r.slope)
+		}
 	}
-	byScheme := map[string]bench.SpaceRow{}
-	for _, r := range rows {
-		byScheme[r.Scheme] = r
-	}
-	if r := byScheme["ebr"]; r.PerChurn < 0.8 {
-		t.Errorf("ebr per-churn = %.3f, want near 1 (unbounded backlog)", r.PerChurn)
-	}
-	if r := byScheme["vbr"]; r.PerChurn > 0.1 {
-		t.Errorf("vbr per-churn = %.3f, want near 0 (robust)", r.PerChurn)
-	}
-	if r := byScheme["none"]; r.PerChurn < 0.8 {
-		t.Errorf("none per-churn = %.3f, want near 1", r.PerChurn)
-	}
-	var sb strings.Builder
-	rows.WriteTable(&sb)
-	if !strings.Contains(sb.String(), "ebr") {
-		t.Error("table rendering lost rows")
+	if r := rows["vbr"]; r.audited != "robust" || r.slope > 0.05 {
+		t.Errorf("vbr: audited %q, slope %.3f per op — want robust near 0", r.audited, r.slope)
 	}
 }
 
-// TestStallSeriesShape: the backlog curve grows for EBR and stays flat
-// for VBR.
+// TestStallSeriesShape: in EXP-EXT's stalled traversals the backlog grows
+// with the churn for EBR and stays flat for VBR, on every structure.
 func TestStallSeriesShape(t *testing.T) {
-	ebr, err := bench.StallSeries("ebr", 1000, 100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	vbr, err := bench.StallSeries("vbr", 1000, 100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ebr) != len(vbr) || len(ebr) == 0 {
-		t.Fatalf("series lengths: ebr %d, vbr %d", len(ebr), len(vbr))
-	}
-	if last := ebr[len(ebr)-1]; last.Retired < uint64(last.Step)-64 {
-		t.Errorf("ebr backlog %d at step %d — should track the churn", last.Retired, last.Step)
-	}
-	first, last := vbr[0], vbr[len(vbr)-1]
-	if last.Retired > first.Retired+32 {
-		t.Errorf("vbr backlog grew from %d to %d — should stay flat", first.Retired, last.Retired)
-	}
-	var sb strings.Builder
-	bench.StallCurves{"ebr": ebr, "vbr": vbr}.WriteTable(&sb)
-	if !strings.Contains(sb.String(), "step") {
-		t.Error("series rendering lost header")
+	const k = 1000
+	stalls := stallRows(t, k)
+	for _, structure := range []string{"harris", "nmtree", "skiplist"} {
+		ebr, vbr := stalls[structure+"/ebr"], stalls[structure+"/vbr"]
+		if ebr.audited != "not-robust" || ebr.final < k-64 {
+			t.Errorf("%s: ebr backlog %s, final %d after %d churn steps — should track the churn", structure, ebr.audited, ebr.final, k)
+		}
+		if vbr.audited != "robust" || vbr.peak > 32 {
+			t.Errorf("%s: vbr backlog %s, peak %d — should stay flat", structure, vbr.audited, vbr.peak)
+		}
 	}
 }
 
@@ -135,38 +113,94 @@ func TestThroughputSweep(t *testing.T) {
 	}
 }
 
-// TestScaleSweepShape is the Definition 5.1 vs 5.2 separation: a robust
-// scheme's stalled-reader backlog must be independent of the structure
-// size; a weakly robust scheme's is linear in it.
+// TestScaleSweepShape is the Definition 5.1 vs 5.2 separation at EXP-ERA's
+// 128-key prefix: a robust scheme's stalled-reader backlog stays a few
+// nodes, a weakly robust one's plateaus at the structure size (the
+// stalled era/interval pins the whole structure alive at the stall).
 func TestScaleSweepShape(t *testing.T) {
-	rows, err := bench.ScaleSweep([]string{"hp", "he", "ibr", "vbr", "nbr"}, []int{128, 1024})
+	rows := eraRows(t)
+	for _, s := range []string{"hp", "vbr", "nbr"} {
+		if r := rows[s]; r.audited != "robust" || r.plateau > 32 {
+			t.Errorf("%s: audited %q, plateau %.0f — want robust, independent of the structure size", s, r.audited, r.plateau)
+		}
+	}
+	for _, s := range []string{"he", "ibr"} {
+		if r := rows[s]; r.audited != "weakly-robust" || r.plateau < 100 {
+			t.Errorf("%s: audited %q, plateau %.0f — want weakly-robust, tracking the structure size", s, r.audited, r.plateau)
+		}
+	}
+}
+
+// runTable runs the named experiment's short profile with churn k (0 for
+// the profile's own) and returns its rendered table.
+func runTable(t *testing.T, name string, k int) string {
+	t.Helper()
+	e, err := bench.Lookup(name)
 	if err != nil {
 		t.Fatal(err)
 	}
-	backlog := map[string]map[int]uint64{}
-	for _, r := range rows {
-		if backlog[r.Scheme] == nil {
-			backlog[r.Scheme] = map[int]uint64{}
-		}
-		backlog[r.Scheme][r.Size] = r.Backlog
-	}
-	// Robust: flat in size.
-	for _, s := range []string{"hp", "vbr", "nbr"} {
-		if b := backlog[s]; b[1024] > b[128]+32 {
-			t.Errorf("%s: backlog grew with size (%d -> %d) — not o(max_active)", s, b[128], b[1024])
-		}
-	}
-	// Weakly robust: linear in size (the stalled era/interval pins the
-	// whole structure alive at the stall).
-	for _, s := range []string{"he", "ibr"} {
-		b := backlog[s]
-		if b[128] < 100 || b[1024] < 900 {
-			t.Errorf("%s: backlog %v does not track structure size — expected weak robustness", s, b)
-		}
+	res, err := e.Run(bench.Profile{Short: true, Seed: 42, K: k})
+	if err != nil {
+		t.Fatal(err)
 	}
 	var sb strings.Builder
-	rows.WriteTable(&sb)
-	if !strings.Contains(sb.String(), "per-size") {
-		t.Error("table rendering lost header")
+	res.WriteTable(&sb)
+	return sb.String()
+}
+
+// eraRow is one scheme's robustness evidence as EXP-ERA prints it.
+type eraRow struct {
+	audited        string
+	slope, plateau float64
+}
+
+// eraRows parses EXP-ERA's audited-R column and its slope/plateau
+// evidence per scheme.
+func eraRows(t *testing.T) map[string]eraRow {
+	t.Helper()
+	rows := map[string]eraRow{}
+	for _, line := range strings.Split(runTable(t, "matrix", 0), "\n") {
+		f := strings.Fields(line)
+		if len(f) < 8 || !strings.HasPrefix(f[6], "slope=") {
+			continue
+		}
+		r := eraRow{audited: f[3]}
+		if _, err := fmt.Sscanf(f[6]+" "+f[7], "slope=%g plateau=%g", &r.slope, &r.plateau); err != nil {
+			t.Fatalf("evidence %q: %v", line, err)
+		}
+		rows[f[0]] = r
 	}
+	if len(rows) != len(all.SafeNames()) {
+		t.Fatalf("matrix table has %d scheme rows, want %d", len(rows), len(all.SafeNames()))
+	}
+	return rows
+}
+
+// stallRow is one stalled traversal's backlog as EXP-EXT prints it.
+type stallRow struct {
+	audited     string
+	peak, final int
+}
+
+// stallRows parses EXP-EXT's outcomes at churn k, keyed "structure/scheme".
+func stallRows(t *testing.T, k int) map[string]stallRow {
+	t.Helper()
+	rows := map[string]stallRow{}
+	structure := ""
+	for _, line := range strings.Split(runTable(t, "structures", k), "\n") {
+		if _, err := fmt.Sscanf(line, "-- %s --", &structure); err == nil {
+			continue
+		}
+		scheme, rest, ok := strings.Cut(line, " ")
+		_, backlog, found := strings.Cut(rest, "backlog ")
+		if !ok || !found {
+			continue
+		}
+		var r stallRow
+		if _, err := fmt.Sscanf(backlog, "%s (peak %d, final %d,", &r.audited, &r.peak, &r.final); err != nil {
+			t.Fatalf("outcome %q: %v", line, err)
+		}
+		rows[structure+"/"+scheme] = r
+	}
+	return rows
 }

@@ -3,186 +3,14 @@ package bench
 import (
 	"fmt"
 	"io"
-	"sort"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/core/adversary"
-	"repro/internal/ds"
-	"repro/internal/ds/harris"
 	"repro/internal/ds/registry"
 	"repro/internal/mem"
-	"repro/internal/sched"
-	"repro/internal/smr"
 	"repro/internal/smr/all"
 )
-
-// SpaceRow is one line of the space-bound experiment (EXP-SPACE): the peak
-// retired backlog under the Figure 1 stalled-reader workload, related to
-// the robustness definitions' max_active·N budget.
-type SpaceRow struct {
-	Scheme      string
-	K           int
-	PeakRetired uint64
-	MaxActive   uint64
-	// PerChurn is PeakRetired/K — near 1 for the non-robust schemes,
-	// near 0 for the (weakly) robust ones.
-	PerChurn float64
-	Safe     bool
-}
-
-// SpaceBound measures the stalled-reader backlog for one scheme.
-func SpaceBound(scheme string, k int) (SpaceRow, error) {
-	o, err := adversary.Figure1(scheme, k, mem.Reuse)
-	if err != nil {
-		return SpaceRow{}, err
-	}
-	return SpaceRow{
-		Scheme:      scheme,
-		K:           k,
-		PeakRetired: o.PeakRetired,
-		MaxActive:   o.MaxActive,
-		PerChurn:    float64(o.PeakRetired) / float64(k),
-		Safe:        o.Safe,
-	}, nil
-}
-
-// SpaceRows is EXP-SPACE's result.
-type SpaceRows []SpaceRow
-
-// Gates: EXP-SPACE asserts nothing at run time (its shape is unit-tested).
-func (SpaceRows) Gates() []Gate { return nil }
-
-// WriteTable renders the space experiment.
-func (rows SpaceRows) WriteTable(w io.Writer) {
-	fmt.Fprintf(w, "%-11s %8s %13s %11s %9s %s\n", "scheme", "K", "peak-retired", "max-active", "per-churn", "safe")
-	for _, r := range rows {
-		fmt.Fprintf(w, "%-11s %8d %13d %11d %9.3f %v\n",
-			r.Scheme, r.K, r.PeakRetired, r.MaxActive, r.PerChurn, r.Safe)
-	}
-}
-
-func runSpace(p Profile) (Result, error) { return SpaceSweep(p.k()) }
-
-// SpaceSweep runs SpaceBound for every safe scheme.
-func SpaceSweep(k int) (SpaceRows, error) {
-	var rows SpaceRows
-	for _, scheme := range all.SafeNames() {
-		r, err := SpaceBound(scheme, k)
-		if err != nil {
-			return nil, err
-		}
-		rows = append(rows, r)
-	}
-	return rows, nil
-}
-
-// StallSample is one point of the backlog-over-time series (EXP-STALL).
-type StallSample struct {
-	// Step is the churn progress (operations completed by the live thread).
-	Step int
-	// Retired is the backlog at that point.
-	Retired uint64
-}
-
-// StallSeries drives the Figure 1 workload for one scheme and samples the
-// retired backlog every sampleEvery churn steps, producing the
-// backlog-over-time curve that separates EBR/QSBR from the robust family.
-func StallSeries(scheme string, steps, sampleEvery int) ([]StallSample, error) {
-	if steps <= 0 {
-		steps = 2000
-	}
-	if sampleEvery <= 0 {
-		sampleEvery = steps / 20
-	}
-	a := mem.NewArena(mem.Config{
-		Slots: 2*steps + 128, PayloadWords: 2, MetaWords: smr.MetaWords, Threads: 2, Mode: mem.Reuse,
-	})
-	s, err := all.New(scheme, a, 2, 16)
-	if err != nil {
-		return nil, err
-	}
-	bp := sched.NewBreakpoints()
-	l, err := harris.New(s, ds.Options{Gate: bp})
-	if err != nil {
-		return nil, err
-	}
-	for _, k := range []int64{1, 2} {
-		if ok, err := l.Insert(1, k); err != nil || !ok {
-			return nil, fmt.Errorf("bench: stall setup insert(%d) = %v, %v", k, ok, err)
-		}
-	}
-	stall := bp.Arm(0, ds.PointSearchHead, nil, 0)
-	t1 := sched.Go(func() error {
-		_, err := l.Delete(0, 3)
-		return err
-	})
-	<-stall.Reached()
-	defer func() {
-		stall.Release()
-		_ = t1.Wait()
-	}()
-
-	var series []StallSample
-	if ok, err := l.Delete(1, 1); err != nil || !ok {
-		return nil, fmt.Errorf("bench: stall delete(1) = %v, %v", ok, err)
-	}
-	for n := int64(2); n <= int64(steps); n++ {
-		if ok, err := l.Insert(1, n+1); err != nil || !ok {
-			return nil, fmt.Errorf("bench: stall insert(%d) = %v, %v", n+1, ok, err)
-		}
-		if ok, err := l.Delete(1, n); err != nil || !ok {
-			return nil, fmt.Errorf("bench: stall delete(%d) = %v, %v", n, ok, err)
-		}
-		if int(n)%sampleEvery == 0 {
-			series = append(series, StallSample{Step: int(n), Retired: a.Stats().Retired()})
-		}
-	}
-	return series, nil
-}
-
-// StallCurves is EXP-STALL's result: one backlog-over-time series per
-// scheme, sampled at the same steps.
-type StallCurves map[string][]StallSample
-
-// Gates: EXP-STALL asserts nothing at run time (its shape is unit-tested).
-func (StallCurves) Gates() []Gate { return nil }
-
-// WriteTable renders the curves side by side, one column per scheme.
-func (series StallCurves) WriteTable(w io.Writer) {
-	schemes := make([]string, 0, len(series))
-	for s := range series {
-		schemes = append(schemes, s)
-	}
-	sort.Strings(schemes)
-	fmt.Fprintf(w, "%-8s", "step")
-	for _, s := range schemes {
-		fmt.Fprintf(w, " %12s", s)
-	}
-	fmt.Fprintln(w)
-	if len(schemes) == 0 {
-		return
-	}
-	for i := range series[schemes[0]] {
-		fmt.Fprintf(w, "%-8d", series[schemes[0]][i].Step)
-		for _, s := range schemes {
-			fmt.Fprintf(w, " %12d", series[s][i].Retired)
-		}
-		fmt.Fprintln(w)
-	}
-}
-
-func runStall(Profile) (Result, error) {
-	series := StallCurves{}
-	for _, scheme := range []string{"ebr", "qsbr", "hp", "ibr", "vbr", "nbr"} {
-		s, err := StallSeries(scheme, 2000, 200)
-		if err != nil {
-			return nil, err
-		}
-		series[scheme] = s
-	}
-	return series, nil
-}
 
 // ThroughputResult is the result of the throughput-shaped experiments
 // (EXP-THRU, EXP-MICHAEL, the workloads example): measured rows.

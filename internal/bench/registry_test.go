@@ -31,8 +31,7 @@ var nestedGates = map[string]bool{"detection_latency_ns": true, "overhead_ok": t
 
 // wantTable is one header token each experiment's table must carry.
 var wantTable = map[string]string{
-	"matrix": "holds=true", "space": "per-churn", "scale": "per-size", "stall": "step",
-	"throughput": "Mops/s", "structures": "-- harris --", "michael": "Mops/s",
+	"matrix": "holds=true", "throughput": "Mops/s", "structures": "-- harris --", "michael": "Mops/s",
 	"chaos": "declared", "adaptive": "faulted-audited", "obs": "recorder:",
 	"pipeline": "chaos:", "resil": "retry:",
 }
@@ -41,7 +40,7 @@ var wantTable = map[string]string{
 // listed — in run order — by the unknown-name error.
 func TestRegistry(t *testing.T) {
 	names := bench.Names()
-	want := []string{"matrix", "space", "scale", "stall", "throughput", "structures", "michael",
+	want := []string{"matrix", "throughput", "structures", "michael",
 		"chaos", "adaptive", "obs", "pipeline", "resil"}
 	if !reflect.DeepEqual(names, want) {
 		t.Fatalf("registry order:\n got %v\nwant %v", names, want)

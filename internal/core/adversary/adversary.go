@@ -30,15 +30,18 @@ import (
 	"repro/internal/sched"
 	"repro/internal/smr"
 	"repro/internal/smr/all"
+	"repro/internal/telemetry"
 )
 
 // Outcome is the structured result of one adversarial execution.
 type Outcome struct {
 	// Scheme is the reclamation scheme under test.
 	Scheme string
-	// Scenario is "figure1" or "figure2".
+	// Scenario is "figure1" (with a "/prefill=N" suffix past the
+	// paper's prefix), "stall-<structure>" or "figure2".
 	Scenario string
-	// K is the churn length (figure1 only).
+	// K is the churn length: the nodes T2 retires under the stall (the
+	// stalled-reader scripts only).
 	K int
 
 	// MaxActive is the arena's max_active_E — the paper pins it at 4 for
@@ -69,8 +72,12 @@ type Outcome struct {
 	// Safe reports Definition 4.2 compliance: no faults, no stale uses,
 	// no life-cycle violations.
 	Safe bool
-	// Bounded reports that the final backlog did not track the churn
-	// length (figure1; always true for figure2).
+	// Audit is telemetry's growth fit of the backlog series T2 sampled
+	// under the stall, related to the scheme's declared class (the
+	// stalled-reader scripts only; zero for figure2).
+	Audit telemetry.Verdict
+	// Bounded reports that the audited class is at least weakly robust:
+	// the backlog did not track the churn (always true for figure2).
 	Bounded bool
 }
 
@@ -80,12 +87,12 @@ func (o *Outcome) String() string {
 	if !o.Safe {
 		verdict = "UNSAFE"
 	}
-	growth := "bounded"
-	if !o.Bounded {
-		growth = "UNBOUNDED"
+	audited := o.Audit.Audited
+	if audited == "" {
+		audited = "unaudited"
 	}
 	return fmt.Sprintf("%-10s %s: %s, backlog %s (peak %d, final %d, max_active %d), faults=%d staleUses=%d restarts=%d neut=%d",
-		o.Scheme, o.Scenario, verdict, growth, o.PeakRetired, o.FinalRetired, o.MaxActive,
+		o.Scheme, o.Scenario, verdict, audited, o.PeakRetired, o.FinalRetired, o.MaxActive,
 		o.Faults, o.StaleUses, o.Restarts, o.Neutralizations)
 }
 
@@ -107,11 +114,26 @@ func fill(o *Outcome, a *mem.Arena, s smr.Scheme) {
 // effectiveMode honours a scheme's type-preservation requirement: the
 // optimistic schemes (VBR, NBR) are only defined over program-space
 // reclamation — their discarded stale reads must not hit system space.
-func effectiveMode(scheme string, mode mem.ReclaimMode) mem.ReclaimMode {
-	if p, err := all.Props(scheme); err == nil && p.TypePreserving {
+func effectiveMode(p smr.Props, mode mem.ReclaimMode) mem.ReclaimMode {
+	if p.TypePreserving {
 		return mem.Reuse
 	}
 	return mode
+}
+
+// registered returns the registry's factory for the named scheme.
+func registered(scheme string) (all.Factory, error) {
+	if _, err := all.Props(scheme); err != nil {
+		return nil, err
+	}
+	return func(a *mem.Arena, n, t int) smr.Scheme { return all.MustNew(scheme, a, n, t) }, nil
+}
+
+// probe builds the scheme f makes over a throwaway arena, for its name and
+// property sheet before the script's arena (whose mode depends on them)
+// exists.
+func probe(f all.Factory) smr.Scheme {
+	return f(mem.NewArena(mem.Config{Slots: 1, PayloadWords: 1, MetaWords: smr.MetaWords, Threads: 1}), 1, 0)
 }
 
 func mustOp(name string, ok bool, want bool, err error) error {
@@ -129,70 +151,27 @@ func mustOp(name string, ok bool, want bool, err error) error {
 // reproduces the segmentation-fault reading; Reuse the read-another-node
 // reading — both are unsafe per Definition 4.1).
 func Figure1(scheme string, K int, mode mem.ReclaimMode) (*Outcome, error) {
-	if K < 2 {
-		return nil, errors.New("adversary: K must be at least 2")
-	}
-	mode = effectiveMode(scheme, mode)
-	slots := 2*K + 64
-	a := mem.NewArena(mem.Config{
-		Slots: slots, PayloadWords: 2, MetaWords: smr.MetaWords, Threads: 2, Mode: mode,
-	})
-	s, err := all.New(scheme, a, 2, 16)
+	f, err := registered(scheme)
 	if err != nil {
 		return nil, err
 	}
-	bp := sched.NewBreakpoints()
-	l, err := harris.New(s, ds.Options{Gate: bp})
-	if err != nil {
-		return nil, err
+	return Figure1Of(f, 1, K, mode)
+}
+
+// Figure1Of runs the Figure 1 execution against the scheme f builds, so an
+// unregistered scheme runs the same script. Harris's list holds keys
+// 1..prefill+1 when T1 parks right after reading head's next pointer; T2
+// deletes the prefix, then alternates insert(n+1)/delete(n) up to key K,
+// keeping the list at prefill+1 keys while retiring K nodes. Prefill 1 is
+// the paper's execution (max_active 4); a longer prefix is what separates
+// weak robustness from robustness, since a stalled era reservation pins
+// every node alive when T1 parked.
+func Figure1Of(f all.Factory, prefill, K int, mode mem.ReclaimMode) (*Outcome, error) {
+	scenario := "figure1"
+	if prefill != 1 {
+		scenario = fmt.Sprintf("figure1/prefill=%d", prefill)
 	}
-
-	// Stage a: two reachable nodes besides the sentinels.
-	const t1, t2 = 0, 1
-	for _, k := range []int64{1, 2} {
-		ok, err := l.Insert(t2, k)
-		if err := mustOp(fmt.Sprintf("insert(%d)", k), ok, true, err); err != nil {
-			return nil, err
-		}
-	}
-
-	// T1 starts delete(3) and parks right after reading head's next
-	// pointer (its local pointer references node 1).
-	stall := bp.Arm(t1, ds.PointSearchHead, nil, 0)
-	t1Task := sched.Go(func() error {
-		_, err := l.Delete(t1, 3)
-		return err
-	})
-	<-stall.Reached()
-
-	// Stages b-f: T2 deletes 1, then alternates insert(n+1)/delete(n).
-	if ok, err := l.Delete(t2, 1); err != nil || !ok {
-		return nil, fmt.Errorf("adversary: delete(1) = %v, %v", ok, err)
-	}
-	for n := int64(2); n <= int64(K); n++ {
-		if ok, err := l.Insert(t2, n+1); err != nil || !ok {
-			return nil, fmt.Errorf("adversary: insert(%d) = %v, %v", n+1, ok, err)
-		}
-		if ok, err := l.Delete(t2, n); err != nil || !ok {
-			return nil, fmt.Errorf("adversary: delete(%d) = %v, %v", n, ok, err)
-		}
-	}
-	s.Flush(t2)
-
-	o := &Outcome{Scheme: scheme, Scenario: "figure1", K: K}
-	backlogAtResume := a.Stats().Retired()
-
-	// Solo-run: T1 resumes and traverses its (possibly reclaimed) path.
-	stall.Release()
-	o.StalledOpErr = t1Task.Wait()
-
-	fill(o, a, s)
-	// Bounded: the backlog at C_in did not track the churn length. The
-	// paper's bound is f(i)*N with f = o(max_active); with max_active
-	// pinned at 4 any backlog growing with K is unbounded. K/4 separates
-	// the two regimes cleanly (robust schemes stay below ~threshold+N*K_hp).
-	o.Bounded = backlogAtResume < uint64(K)/4
-	return o, nil
+	return run(f, script{scenario: scenario, structure: "harris", prefill: prefill, K: K, mode: mode})
 }
 
 // Figure2Keys are the keys of the Appendix E scenario, exported for the
@@ -205,14 +184,20 @@ var Figure2Keys = struct {
 
 // Figure2 runs the Appendix E execution for the named scheme.
 func Figure2(scheme string, mode mem.ReclaimMode) (*Outcome, error) {
-	mode = effectiveMode(scheme, mode)
-	a := mem.NewArena(mem.Config{
-		Slots: 4096, PayloadWords: 2, MetaWords: smr.MetaWords, Threads: 4, Mode: mode,
-	})
-	s, err := all.New(scheme, a, 4, 8)
+	f, err := registered(scheme)
 	if err != nil {
 		return nil, err
 	}
+	return Figure2Of(f, mode)
+}
+
+// Figure2Of runs the Appendix E execution against the scheme f builds.
+func Figure2Of(f all.Factory, mode mem.ReclaimMode) (*Outcome, error) {
+	a := mem.NewArena(mem.Config{
+		Slots: 4096, PayloadWords: 2, MetaWords: smr.MetaWords, Threads: 4,
+		Mode: effectiveMode(probe(f).Props(), mode),
+	})
+	s := f(a, 4, 8)
 	bp := sched.NewBreakpoints()
 	l, err := harris.New(s, ds.Options{Gate: bp})
 	if err != nil {
@@ -309,7 +294,7 @@ func Figure2(scheme string, mode mem.ReclaimMode) (*Outcome, error) {
 		}
 	}
 
-	o := &Outcome{Scheme: scheme, Scenario: "figure2"}
+	o := &Outcome{Scheme: s.Name(), Scenario: "figure2"}
 
 	// T1 resumes: it re-reads 15's next pointer (perfectly stable: a
 	// marked reference to node 43), protects 43, validates, and

@@ -104,6 +104,33 @@ func runStallTable(t *testing.T, structure string, want map[string]expectation) 
 	}
 }
 
+// TestStallScriptsShortChurn runs both stalled-reader scripts at the
+// shortest churns: the backlog is sampled after every churn step when the
+// churn is under 20 steps (never at a zero cadence), plus once after the
+// final flush, and K=2's two points are too few for a conclusive audit.
+func TestStallScriptsShortChurn(t *testing.T) {
+	for _, K := range []int{2, 19} {
+		for _, structure := range []string{"figure1", "harris", "skiplist", "nmtree"} {
+			var o *adversary.Outcome
+			var err error
+			if structure == "figure1" {
+				o, err = adversary.Figure1("ebr", K, mem.Unmap)
+			} else {
+				o, err = adversary.StallTraversal("ebr", structure, K, mem.Unmap)
+			}
+			if err != nil {
+				t.Fatalf("%s K=%d: %v", structure, K, err)
+			}
+			if o.K != K || o.Audit.Fit.Samples != K {
+				t.Errorf("%s K=%d: K %d, %d samples, want %d", structure, K, o.K, o.Audit.Fit.Samples, K)
+			}
+			if o.Audit.Inconclusive() != (K == 2) {
+				t.Errorf("%s K=%d: audit %s", structure, K, o.Audit)
+			}
+		}
+	}
+}
+
 // TestStallTraversalBadInputs covers the error paths.
 func TestStallTraversalBadInputs(t *testing.T) {
 	if _, err := adversary.StallTraversal("ebr", "msqueue", 100, mem.Unmap); err == nil {

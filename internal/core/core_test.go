@@ -5,7 +5,9 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/core/adversary"
 	"repro/internal/ds/registry"
+	"repro/internal/mem"
 	"repro/internal/smr"
 	"repro/internal/smr/all"
 )
@@ -59,25 +61,48 @@ func TestSafetyReport(t *testing.T) {
 	}
 }
 
-// TestMeasureRobustness checks the measured class against the claims for
-// one scheme of each class.
+// TestMeasureRobustness pins, per safe scheme, the robustness class
+// telemetry's growth fit audits from a stalled reader's backlog on
+// Harris's list. At the matrix's 128-key prefix it is the declared class.
+// At Figure 1's one-key prefix the stalled era reservation pins almost
+// nothing, so HE and IBR read robust: stronger than declared.
 func TestMeasureRobustness(t *testing.T) {
-	for scheme, wantBounded := range map[string]bool{
-		"ebr": false, // not robust
-		"ibr": true,  // weakly robust
-		"vbr": true,  // robust
-		"rc":  false, // chain pinning
-	} {
-		r, err := core.MeasureRobustness(scheme, []int{200, 800})
-		if err != nil {
-			t.Fatalf("%s: %v", scheme, err)
-		}
-		if r.Bounded != wantBounded {
-			t.Errorf("%s: bounded = %v, want %v (%s)", scheme, r.Bounded, wantBounded, r)
-		}
-		if !r.MatchesClaim {
-			t.Errorf("%s: measurement contradicts claimed class (%s)", scheme, r)
-		}
+	atFigure1 := map[string]smr.RobustnessClass{
+		"ebr": smr.NotRobust, "qsbr": smr.NotRobust, "none": smr.NotRobust, "rc": smr.NotRobust,
+		"he": smr.Robust, "ibr": smr.Robust,
+		"hp": smr.Robust, "vbr": smr.Robust, "nbr": smr.Robust, "pebr": smr.Robust,
+	}
+	for _, scheme := range all.SafeNames() {
+		t.Run(scheme, func(t *testing.T) {
+			p, err := all.Props(scheme)
+			if err != nil {
+				t.Fatal(err)
+			}
+			row, err := core.Classify(func(a *mem.Arena, n, th int) smr.Scheme {
+				return all.MustNew(scheme, a, n, th)
+			}, 300)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := row.Robustness.AuditedClass(); got != p.Robustness || !row.Consistent {
+				t.Errorf("prefill 128: audited %v, declared %v, consistent %v (%s)",
+					got, p.Robustness, row.Consistent, row.Robustness)
+			}
+			o, err := adversary.Figure1(scheme, 600, mem.Unmap)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, ok := atFigure1[scheme]
+			if !ok {
+				t.Fatalf("no expectation recorded for scheme %q", scheme)
+			}
+			if got := o.Audit.AuditedClass(); got != want {
+				t.Errorf("prefill 1: audited %v, want %v (%s)", got, want, o.Audit)
+			}
+			if stronger := o.Audit.Outcome == "stronger"; stronger != (want > p.Robustness) {
+				t.Errorf("prefill 1: outcome %s against declared %v", o.Audit.Outcome, p.Robustness)
+			}
+		})
 	}
 }
 
@@ -160,9 +185,9 @@ func TestERAMatrix(t *testing.T) {
 		seen[combo{row.Easy, row.Robust, row.Wide}] = row.Scheme
 	}
 	for _, c := range []combo{
-		{true, false, true},  // EBR: easy + widely applicable
-		{true, true, false},  // HP: easy + robust
-		{false, true, true},  // NBR/VBR: robust + widely applicable
+		{true, false, true}, // EBR: easy + widely applicable
+		{true, true, false}, // HP: easy + robust
+		{false, true, true}, // NBR/VBR: robust + widely applicable
 	} {
 		if _, ok := seen[c]; !ok {
 			t.Errorf("missing two-of-three witness %+v; have %v", c, seen)

@@ -10,9 +10,10 @@
 // rotation per level is still visible in the ReadPtr idx discipline.
 //
 // retire() placement: the thread whose CAS marks level 0 of a victim owns
-// the deletion; it re-runs find, which physically snips the victim from
-// every level it is still linked at, and only then retires it — nodes are
-// always unreachable before they are retired (Section 4.1 of the paper).
+// the deletion. It waits for the victim's tower to be built (see handOff),
+// then re-runs find, which physically snips the victim from every level it
+// is still linked at, and only then retires it — nodes are always
+// unreachable before they are retired (Section 4.1 of the paper).
 package skiplist
 
 import (
@@ -34,6 +35,14 @@ const (
 	WLevel0 = 2
 	// PayloadWords is the arena payload size this structure requires.
 	PayloadWords = WLevel0 + MaxHeight
+)
+
+// The height word's bits above the height carry the tower hand-off
+// between a node's inserter and the thread that owns its deletion.
+const (
+	heightMask = 0xff
+	towerBuilt = 1 << 8 // the inserter's linkUpper has returned
+	towerDead  = 1 << 9 // the owning deleter has marked level 0
 )
 
 // List is the lock-free skip list set.
@@ -346,7 +355,57 @@ func (l *List) insertAt(tid int, key int64) (bool, error) {
 		// Linearized. Link the upper levels; abandon a level when the
 		// window moved or the node got deleted meanwhile.
 		l.linkUpper(tid, key, n, height, &preds, &succs)
-		return true, nil
+		if !l.handOff(tid, n, towerBuilt) {
+			return true, nil
+		}
+		return true, l.unlinkAndRetire(tid, key, n)
+	}
+}
+
+// handOff sets bit in n's height word unless the other party of the tower
+// hand-off already set its own, and reports whether the caller came second
+// and so must unlink and retire n. linkUpper checks that n is unmarked and
+// then links a level in two steps, so it can link n at a level after its
+// deleter marked n and snipped it everywhere; a deleter that retired n
+// without waiting for the tower would leave n reachable there after its
+// reclamation. The last of the two to finish retires n after a snipping
+// find, which then sees every level n was ever linked at. If the budget
+// runs out (endless rollbacks) n is left unretired rather than retired
+// while linked.
+func (l *List) handOff(tid int, n mem.Ref, bit uint64) (last bool) {
+	for tries := 0; tries <= maxSteps; tries++ {
+		h, ok := l.s.Read(tid, n, WHeight)
+		if !ok {
+			continue
+		}
+		if h&(towerBuilt|towerDead) != 0 {
+			return true
+		}
+		if swapped, ok := l.s.CAS(tid, n, WHeight, h, h|bit); ok && swapped {
+			return false
+		}
+	}
+	return false
+}
+
+// unlinkAndRetire snips n, holding key and marked at every level, from the
+// levels it is still linked at, then retires it. Only a find that
+// completes has snipped every level; one that rolled back is rerun, and if
+// none completes n is left unretired rather than retired while linked.
+func (l *List) unlinkAndRetire(tid int, key int64, n mem.Ref) error {
+	var preds, succs [MaxHeight]mem.Ref
+	for snips := uint64(0); ; snips++ {
+		if snips > maxSteps {
+			return l.GuardTrip("skiplist", "delete", snips, snips)
+		}
+		_, st, steps, restarts := l.find(tid, key, &preds, &succs)
+		if corrupt(st) {
+			return l.corruptErr("delete", st, steps, restarts)
+		}
+		if st == stOK {
+			l.s.Retire(tid, n)
+			return nil
+		}
 	}
 }
 
@@ -381,6 +440,15 @@ func (l *List) linkUpper(tid int, key int64, n mem.Ref, height int, preds, succs
 				// (a CAS we believed failed, or a helper's view of the
 				// window); linking n to itself would create a cycle of
 				// valid nodes that no validation catches.
+				return
+			}
+			// Nor may n land in front of another node holding key (a
+			// re-insert racing a delete whose snips are pending, or the
+			// other way round): the deleter's find stops at the first
+			// unmarked node holding key, so a victim linked behind n at
+			// this level would be retired while still linked there.
+			skey, ok := l.s.Read(tid, succs[lv], ds.WKey)
+			if !ok || int64(skey) == key {
 				return
 			}
 			if mem.Ref(cur) != succs[lv] {
@@ -443,7 +511,7 @@ func (l *List) deleteAt(tid int, key int64) (bool, error) {
 		if !ok {
 			continue
 		}
-		height := int(h)
+		height := int(h & heightMask)
 		if height < 1 || height > MaxHeight {
 			return false, ds.ErrCorrupted
 		}
@@ -495,24 +563,12 @@ func (l *List) deleteAt(tid int, key int64) (bool, error) {
 				break
 			}
 			if swapped {
-				// We own the deletion: snip everywhere, then retire. Only a
-				// find that completes has snipped every level; one that
-				// rolled back is rerun, and if none completes the victim
-				// is left unretired rather than retired while linked.
-				for snips := uint64(0); ; snips++ {
-					if snips > maxSteps {
-						return true, l.GuardTrip("skiplist", "delete", snips, snips)
-					}
-					_, st, steps, restarts := l.find(tid, key, &preds, &succs)
-					if corrupt(st) {
-						return false, l.corruptErr("delete", st, steps, restarts)
-					}
-					if st == stOK {
-						break
-					}
+				// We own the deletion: snip everywhere and retire once the
+				// inserter's tower is built, or leave both to the inserter.
+				if !l.handOff(tid, victim, towerDead) {
+					return true, nil
 				}
-				l.s.Retire(tid, victim)
-				return true, nil
+				return true, l.unlinkAndRetire(tid, key, victim)
 			}
 		}
 		// Lost the marking race (or rolled back): re-find; if the key is

@@ -74,8 +74,8 @@ func (h *HE) Props() smr.Props {
 		// Weakly robust, not robust: a published era pins every node whose
 		// lifetime contains it — up to the whole structure alive at that
 		// era, i.e. linear in max_active (the paper's §2 calls this a
-		// "liberal bound"). The EXP-SCALE experiment measures exactly
-		// that: backlog == structure size under a stalled reader.
+		// "liberal bound"). The ERA matrix's audited R measures exactly
+		// that: a stalled reader's backlog plateaus at the structure size.
 		Robustness:    smr.WeaklyRobust,
 		Applicability: smr.Restricted,
 	}
