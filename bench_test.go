@@ -7,13 +7,13 @@ package repro_test
 
 import (
 	"fmt"
-	"io"
 	"testing"
 
 	"repro/internal/bench"
 	"repro/internal/core"
 	"repro/internal/core/adversary"
 	"repro/internal/ds"
+	"repro/internal/ds/drive"
 	"repro/internal/ds/registry"
 	"repro/internal/mem"
 	"repro/internal/smr"
@@ -149,9 +149,9 @@ func BenchmarkHarrisVsMichael(b *testing.B) {
 // itself (randomized workload + chained linearizability check).
 func BenchmarkApplicabilityHarness(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rep, err := core.CheckApplicability("ebr", "harris", core.WorkloadConfig{
-			Seed: uint64(i), StressOps: 500,
-		})
+		stress, rounds := core.ApplicabilityScripts(uint64(i))
+		stress.Ops = 500
+		rep, err := core.CheckApplicability("ebr", "harris", stress, rounds)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -239,19 +239,14 @@ func BenchmarkSchemeReadPtr(b *testing.B) {
 	}
 }
 
-// BenchmarkLinearizabilityChecker measures the exhaustive checker on a
-// 16-operation window (io.Discard swallows the rendering).
+// BenchmarkLinearizabilityChecker measures the applicability check with
+// no stress: four recorded 12-operation rounds and the chained exhaustive
+// check over them.
 func BenchmarkLinearizabilityChecker(b *testing.B) {
-	rep, err := core.CheckApplicability("none", "michael", core.WorkloadConfig{StressOps: -1})
-	if err != nil || !rep.Applicable {
-		b.Fatalf("setup: %v %v", err, rep.Detail)
-	}
-	_ = io.Discard
-	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rep, err := core.CheckApplicability("none", "michael", core.WorkloadConfig{
-			Seed: uint64(i), StressOps: -1, Rounds: 4,
-		})
+		_, rounds := core.ApplicabilityScripts(uint64(i))
+		rounds.Rounds = 4
+		rep, err := core.CheckApplicability("none", "michael", drive.Script{}, rounds)
 		if err != nil {
 			b.Fatal(err)
 		}

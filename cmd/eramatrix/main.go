@@ -1,7 +1,8 @@
 // Command eramatrix builds and prints the ERA matrix: for every
 // reclamation scheme in the repository, the claimed Ease-of-integration /
-// Robustness / Applicability classes and their empirical validation, and
-// the Theorem 6.1 verdict that no row achieves all three.
+// Robustness / Applicability classes and their empirical validation, the
+// Theorem 6.1 verdict that no row achieves all three, and the cells the
+// randomized concurrent checks have seen failing (registry.KnownRed).
 //
 // It exits 1 when any row's measurements contradict its claims and 2 when
 // some row achieves all three properties.
@@ -17,6 +18,7 @@ import (
 	"os"
 
 	"repro/internal/core"
+	"repro/internal/ds/registry"
 )
 
 func main() {
@@ -32,6 +34,10 @@ func main() {
 		"slope in retired nodes per op; Harris witness: Figures 1 and 2, Figure 1 churn K=%d;\n"+
 		"* = audited class differs from declared, ! = unsafe on Harris)\n\n", m.FigureK)
 	fmt.Print(m.String())
+	fmt.Println("\nknown red cells (randomized concurrent checks; \"*\" = every structure):")
+	for _, r := range registry.KnownRed {
+		fmt.Printf("  %-5s × %-8s since %s: %s\n", r.Scheme, r.Structure, r.Since, r.Symptom)
+	}
 	if !m.TheoremHolds() {
 		os.Exit(2)
 	}

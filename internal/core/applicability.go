@@ -3,57 +3,12 @@ package core
 import (
 	"errors"
 	"fmt"
-	"sync"
 
 	"repro/internal/ds"
+	"repro/internal/ds/drive"
 	"repro/internal/ds/registry"
-	"repro/internal/hist"
 	"repro/internal/mem"
-	"repro/internal/smr"
-	"repro/internal/smr/all"
 )
-
-// WorkloadConfig sizes the randomized applicability workload.
-type WorkloadConfig struct {
-	// Threads is the concurrency level (default 4).
-	Threads int
-	// Rounds is the number of barrier-separated rounds (default 8).
-	Rounds int
-	// OpsPerThread is the operation count per thread per round
-	// (default 3; Threads*OpsPerThread must stay within the
-	// linearizability checker's window limit).
-	OpsPerThread int
-	// KeyRange is the key universe for set workloads (default 8).
-	KeyRange int
-	// Mode is the reclamation mode (type-preserving schemes force Reuse).
-	Mode mem.ReclaimMode
-	// Seed perturbs the workload.
-	Seed uint64
-	// StressOps is the per-thread length of the unrecorded high-contention
-	// stress phase that precedes the linearizability-checked rounds. The
-	// stress phase is what surfaces safety violations (condition 1 of
-	// Definition 5.4) — use-after-free needs sustained concurrency, not
-	// barrier-separated bursts. Default 4000; negative disables.
-	StressOps int
-}
-
-func (c *WorkloadConfig) fill() {
-	if c.Threads <= 0 {
-		c.Threads = 4
-	}
-	if c.Rounds <= 0 {
-		c.Rounds = 8
-	}
-	if c.OpsPerThread <= 0 {
-		c.OpsPerThread = 3
-	}
-	if c.KeyRange <= 0 {
-		c.KeyRange = 8
-	}
-	if c.StressOps == 0 {
-		c.StressOps = 4000
-	}
-}
 
 // ApplicabilityReport is the Definition 5.4 verdict for one
 // (scheme, structure) pair on one randomized concurrent run.
@@ -77,264 +32,68 @@ type ApplicabilityReport struct {
 	Detail string
 }
 
-// String renders the report.
-func (r ApplicabilityReport) String() string {
-	verdict := "applicable"
-	if !r.Applicable {
-		verdict = "NOT applicable"
-	}
-	s := fmt.Sprintf("%s × %s: %s", r.Scheme, r.Structure, verdict)
-	if r.Detail != "" {
-		s += " (" + r.Detail + ")"
-	}
-	return s
+// ApplicabilityScripts returns CheckApplicability's scripts for seed: an
+// unrecorded stress of 4 threads × 4000 ops over 8 keys, which is what
+// surfaces safety violations (condition 1 of Definition 5.4: use-after-free
+// needs sustained concurrency, not barrier-separated bursts), then 8
+// recorded rounds of 4 threads × 3 ops for the linearizability check.
+func ApplicabilityScripts(seed uint64) (stress, rounds drive.Script) {
+	return drive.Script{Threads: 4, Ops: 4000, KeyRange: 8, Seed: seed},
+		drive.Script{Threads: 4, Ops: 3, Rounds: 8, KeyRange: 8, Seed: seed}
 }
 
-type workRNG uint64
-
-func (r *workRNG) next() uint64 {
-	*r += 0x9e3779b97f4a7c15
-	z := uint64(*r)
-	z = (z ^ z>>30) * 0xbf58476d1ce4e5b9
-	z = (z ^ z>>27) * 0x94d049bb133111eb
-	return z ^ z>>31
-}
-
-// CheckApplicability runs the randomized concurrent workload for the pair
-// and evaluates Definition 5.4. It validates the positive direction
-// (Appendix A: EBR is applicable to everything); the negative direction
-// for the protection-based schemes is deterministic only under the
-// adversary executions, which the ERA matrix combines with this check.
-func CheckApplicability(scheme, structure string, cfg WorkloadConfig) (ApplicabilityReport, error) {
-	cfg.fill()
+// CheckApplicability evaluates Definition 5.4 for the pair on one
+// structure instance: it runs stress, then drains the structure on one
+// thread (one delete, dequeue or pop per stress op, which walks whatever
+// the stress left, damage included), then runs rounds from the empty
+// state. A stress with no ops skips both. It validates the positive
+// direction (Appendix A: EBR is applicable to everything); the negative
+// direction for the protection-based schemes is deterministic only under
+// the adversary executions, which the ERA matrix combines with this check.
+// A failing report's Detail ends with both scripts.
+func CheckApplicability(scheme, structure string, stress, rounds drive.Script) (ApplicabilityReport, error) {
 	info, err := registry.Get(structure)
 	if err != nil {
 		return ApplicabilityReport{}, err
 	}
-	props, err := all.Props(scheme)
+	env, err := drive.NewEnv(scheme, max(stress.Threads, rounds.Threads, 1), 1<<15, info.PayloadWords, mem.Reuse)
 	if err != nil {
 		return ApplicabilityReport{}, err
 	}
-	mode := cfg.Mode
-	if props.TypePreserving {
-		mode = mem.Reuse
-	}
-	a := mem.NewArena(mem.Config{
-		Slots:        1 << 15,
-		PayloadWords: info.PayloadWords,
-		MetaWords:    smr.MetaWords,
-		Threads:      cfg.Threads,
-		Mode:         mode,
-	})
-	s, err := all.New(scheme, a, cfg.Threads, 0)
+	target, err := drive.NewTarget(structure, env.S)
 	if err != nil {
 		return ApplicabilityReport{}, err
 	}
-
-	rep := ApplicabilityReport{Scheme: scheme, Structure: structure, Completed: true}
-	var spec hist.Spec
-	var run func(tid int, r *workRNG, rec *hist.Recorder) error
-	// quiesce empties the structure single-threaded so the checked rounds
-	// start from the empty abstract state after the stress phase.
-	var quiesce func() error
-
-	switch info.Kind {
-	case registry.KindSet:
-		set, err := info.NewSet(s, ds.Options{})
+	rep := ApplicabilityReport{Scheme: scheme, Structure: structure, Completed: true, Linearizable: true}
+	drain := drive.Script{Threads: 1, Ops: stress.Threads * stress.Ops, KeyRange: stress.KeyRange, Mix: drive.Mix{Delete: 1}}
+	for _, s := range []drive.Script{stress, drain, rounds} {
+		if s.Ops == 0 {
+			continue
+		}
+		res, err := drive.Run(env, target, s)
 		if err != nil {
-			return rep, err
-		}
-		spec = hist.SetSpec{}
-		run = func(tid int, r *workRNG, rec *hist.Recorder) error {
-			key := int64(r.next() % uint64(cfg.KeyRange))
-			switch r.next() % 3 {
-			case 0:
-				p := rec.Begin(tid, hist.OpInsert, key)
-				ok, err := set.Insert(tid, key)
-				if err != nil {
-					return err
-				}
-				rec.End(tid, p, ok, 0)
-			case 1:
-				p := rec.Begin(tid, hist.OpDelete, key)
-				ok, err := set.Delete(tid, key)
-				if err != nil {
-					return err
-				}
-				rec.End(tid, p, ok, 0)
-			default:
-				p := rec.Begin(tid, hist.OpContains, key)
-				ok, err := set.Contains(tid, key)
-				if err != nil {
-					return err
-				}
-				rec.End(tid, p, ok, 0)
+			rep.Completed, rep.Linearizable = false, false
+			rep.Detail = "operation failed: " + err.Error()
+			if errors.Is(err, ds.ErrCorrupted) {
+				rep.Detail = "structure corrupted (livelock or recycled-memory cycle)"
 			}
-			return nil
+			break
 		}
-		quiesce = func() error {
-			for key := int64(0); key < int64(cfg.KeyRange); key++ {
-				if _, err := set.Delete(0, key); err != nil {
-					return err
-				}
+		if err := res.Linearizable(); err != nil {
+			if !errors.Is(err, drive.ErrNotLinearizable) {
+				return rep, err
 			}
-			return nil
-		}
-	case registry.KindQueue:
-		q, err := info.NewQueue(s, ds.Options{})
-		if err != nil {
-			return rep, err
-		}
-		spec = hist.QueueSpec{}
-		run = func(tid int, r *workRNG, rec *hist.Recorder) error {
-			if r.next()%2 == 0 {
-				v := int64(r.next() % 1 << 16)
-				p := rec.Begin(tid, hist.OpEnqueue, v)
-				if err := q.Enqueue(tid, v); err != nil {
-					return err
-				}
-				rec.End(tid, p, true, 0)
-			} else {
-				p := rec.Begin(tid, hist.OpDequeue, 0)
-				v, ok, err := q.Dequeue(tid)
-				if err != nil {
-					return err
-				}
-				rec.End(tid, p, ok, v)
-			}
-			return nil
-		}
-		quiesce = func() error {
-			for {
-				_, ok, err := q.Dequeue(0)
-				if err != nil {
-					return err
-				}
-				if !ok {
-					return nil
-				}
-			}
-		}
-	case registry.KindStack:
-		st, err := info.NewStack(s, ds.Options{})
-		if err != nil {
-			return rep, err
-		}
-		spec = hist.StackSpec{}
-		run = func(tid int, r *workRNG, rec *hist.Recorder) error {
-			if r.next()%2 == 0 {
-				v := int64(r.next() % 1 << 16)
-				p := rec.Begin(tid, hist.OpPush, v)
-				if err := st.Push(tid, v); err != nil {
-					return err
-				}
-				rec.End(tid, p, true, 0)
-			} else {
-				p := rec.Begin(tid, hist.OpPop, 0)
-				v, ok, err := st.Pop(tid)
-				if err != nil {
-					return err
-				}
-				rec.End(tid, p, ok, v)
-			}
-			return nil
-		}
-		quiesce = func() error {
-			for {
-				_, ok, err := st.Pop(0)
-				if err != nil {
-					return err
-				}
-				if !ok {
-					return nil
-				}
-			}
-		}
-	default:
-		return rep, fmt.Errorf("core: unknown structure kind %v", info.Kind)
-	}
-
-	rec := hist.NewRecorder(cfg.Threads)
-	var windows [][]hist.Op
-	var mu sync.Mutex
-	var firstErr error
-
-	// Phase 1: unrecorded stress. A throwaway recorder absorbs the
-	// history; only safety and completion are evaluated.
-	if cfg.StressOps > 0 {
-		sink := hist.NewRecorder(cfg.Threads)
-		var wg sync.WaitGroup
-		for tid := 0; tid < cfg.Threads; tid++ {
-			wg.Add(1)
-			go func(tid int) {
-				defer wg.Done()
-				r := workRNG(cfg.Seed ^ 0xabcdef ^ uint64(tid)<<48)
-				for i := 0; i < cfg.StressOps; i++ {
-					if err := run(tid, &r, sink); err != nil {
-						mu.Lock()
-						if firstErr == nil {
-							firstErr = err
-						}
-						mu.Unlock()
-						return
-					}
-				}
-			}(tid)
-		}
-		wg.Wait()
-		if firstErr == nil {
-			if err := quiesce(); err != nil && firstErr == nil {
-				firstErr = err
-			}
+			rep.Linearizable, rep.Detail = false, err.Error()
+			break
 		}
 	}
-
-	// Phase 2: barrier-separated rounds with full history recording.
-	for round := 0; firstErr == nil && round < cfg.Rounds; round++ {
-		var wg sync.WaitGroup
-		for tid := 0; tid < cfg.Threads; tid++ {
-			wg.Add(1)
-			go func(tid, round int) {
-				defer wg.Done()
-				r := workRNG(cfg.Seed + uint64(tid)<<40 + uint64(round)<<20)
-				for i := 0; i < cfg.OpsPerThread; i++ {
-					if err := run(tid, &r, rec); err != nil {
-						mu.Lock()
-						if firstErr == nil {
-							firstErr = err
-						}
-						mu.Unlock()
-						return
-					}
-				}
-			}(tid, round)
-		}
-		wg.Wait()
-		windows = append(windows, rec.History())
-		rec.Reset()
-	}
-
-	if firstErr != nil {
-		rep.Completed = false
-		rep.Detail = "operation failed: " + firstErr.Error()
-		if errors.Is(firstErr, ds.ErrCorrupted) {
-			rep.Detail = "structure corrupted (livelock or recycled-memory cycle)"
-		}
-	}
-	rep.Safety = Safety(a, s)
-	if rep.Completed {
-		ok, err := hist.CheckChained(spec, windows)
-		if err != nil {
-			return rep, err
-		}
-		rep.Linearizable = ok
-		if !ok && rep.Detail == "" {
-			rep.Detail = "history not linearizable"
-		}
-	}
+	rep.Safety = Safety(env.A, env.S)
 	if !rep.Safety.Safe() && rep.Detail == "" {
 		rep.Detail = rep.Safety.String()
 	}
 	rep.Applicable = rep.Safety.Safe() && rep.Linearizable && rep.Completed
+	if !rep.Applicable {
+		rep.Detail += fmt.Sprintf(" after %v then %v", stress, rounds)
+	}
 	return rep, nil
 }

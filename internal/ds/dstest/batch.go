@@ -2,19 +2,12 @@ package dstest
 
 import (
 	"sort"
-	"sync"
 	"testing"
 
 	"repro/internal/ds"
+	"repro/internal/ds/drive"
 	"repro/internal/smr"
 )
-
-// sortBatchOps stable-sorts a batch by key, the order the store's fused
-// worker feeds ApplyBatch — the arrangement that exercises the cross-op
-// predecessor cache, duplicate-key handoffs included.
-func sortBatchOps(ops []ds.BatchOp) {
-	sort.SliceStable(ops, func(i, j int) bool { return ops[i].Key < ops[j].Key })
-}
 
 // BatchEquivalenceSet checks the fused batch path against a serial twin:
 // the same op sequence runs through a's ApplyBatch (one amortized SMR
@@ -32,16 +25,19 @@ func BatchEquivalenceSet(tb testing.TB, a, b ds.Set, batches, batchSize, keyRang
 	if !ok {
 		tb.Fatalf("%s does not implement ds.BatchSet", a.Name())
 	}
-	r := newRNG(77)
+	r := drive.NewRNG(77)
 	ops := make([]ds.BatchOp, batchSize)
 	res := make([]ds.BatchResult, batchSize)
 	var rebrackets uint64
 	for bi := 0; bi < batches; bi++ {
 		for i := range ops {
-			ops[i] = ds.BatchOp{Kind: ds.BatchKind(r.intn(3)), Key: int64(r.intn(keyRange))}
+			ops[i] = ds.BatchOp{Kind: ds.BatchKind(r.Intn(3)), Key: int64(r.Intn(keyRange))}
 		}
 		if sorted {
-			sortBatchOps(ops)
+			// The store's fused worker feeds ApplyBatch stable-sorted by
+			// key: the arrangement that exercises the cross-op predecessor
+			// cache, duplicate-key handoffs included.
+			sort.SliceStable(ops, func(i, j int) bool { return ops[i].Key < ops[j].Key })
 		}
 		rebrackets += ab.ApplyBatch(0, ops, res)
 		for i, op := range ops {
@@ -87,59 +83,4 @@ func BatchEquivalenceSet(tb testing.TB, a, b ds.Set, batches, batchSize, keyRang
 			}
 		}
 	}
-}
-
-// ConcurrentBatchSet drives fused batches from every thread at once over
-// per-thread disjoint key partitions (thread t owns [t*keysPerThread,
-// (t+1)*keysPerThread)), so each thread's results check exactly against
-// its private model despite full structural concurrency — the -race
-// exercise for windows interleaving on one structure and one SMR domain.
-func ConcurrentBatchSet(tb testing.TB, env *Env, set ds.Set, batches, batchSize, keysPerThread int) {
-	tb.Helper()
-	bs, ok := set.(ds.BatchSet)
-	if !ok {
-		tb.Fatalf("%s does not implement ds.BatchSet", set.Name())
-	}
-	var wg sync.WaitGroup
-	for tid := 0; tid < env.N; tid++ {
-		wg.Add(1)
-		go func(tid int) {
-			defer wg.Done()
-			r := newRNG(uint64(tid) + 909)
-			base := int64(tid * keysPerThread)
-			model := make(map[int64]bool)
-			ops := make([]ds.BatchOp, batchSize)
-			res := make([]ds.BatchResult, batchSize)
-			for bi := 0; bi < batches; bi++ {
-				for i := range ops {
-					ops[i] = ds.BatchOp{Kind: ds.BatchKind(r.intn(3)), Key: base + int64(r.intn(keysPerThread))}
-				}
-				sortBatchOps(ops)
-				bs.ApplyBatch(tid, ops, res)
-				for i, op := range ops {
-					if res[i].Err != nil {
-						tb.Errorf("T%d batch %d op %d: %v", tid, bi, i, res[i].Err)
-						return
-					}
-					var want bool
-					switch op.Kind {
-					case ds.BatchContains:
-						want = model[op.Key]
-					case ds.BatchInsert:
-						want = !model[op.Key]
-						model[op.Key] = true
-					case ds.BatchDelete:
-						want = model[op.Key]
-						delete(model, op.Key)
-					}
-					if res[i].OK != want {
-						tb.Errorf("T%d batch %d op %d (kind %d, key %d) = %v, model says %v",
-							tid, bi, i, op.Kind, op.Key, res[i].OK, want)
-						return
-					}
-				}
-			}
-		}(tid)
-	}
-	wg.Wait()
 }

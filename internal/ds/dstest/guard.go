@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/ds"
+	"repro/internal/ds/drive"
 	"repro/internal/mem"
 	"repro/internal/smr"
 )
@@ -32,7 +33,7 @@ type rollbackScheme struct {
 	// flaky, when non-nil, fails one protected link read in
 	// rollbackOneIn, drawn from it: walks keep restarting but still make
 	// progress.
-	flaky *rng
+	flaky *drive.RNG
 }
 
 // rollbackOneIn is flaky's failure rate: rare enough that a list walk
@@ -41,7 +42,7 @@ type rollbackScheme struct {
 const rollbackOneIn = 256
 
 func (r *rollbackScheme) ReadPtr(tid, idx int, src mem.Ref, w int) (mem.Ref, bool) {
-	if r.failReadPtr || r.flaky != nil && r.flaky.intn(rollbackOneIn) == 0 {
+	if r.failReadPtr || r.flaky != nil && r.flaky.Intn(rollbackOneIn) == 0 {
 		return mem.NilRef, false
 	}
 	return r.Scheme.ReadPtr(tid, idx, src, w)

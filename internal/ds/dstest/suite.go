@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/ds"
+	"repro/internal/ds/drive"
 	"repro/internal/ds/registry"
 	"repro/internal/mem"
 	"repro/internal/smr"
@@ -23,131 +24,63 @@ func SchemesFor(structure string) []string {
 	return names
 }
 
-// suiteEnv builds an env and structure instance for one subtest.
-func suiteEnv(t *testing.T, scheme, structure string, n int) (*Env, registry.Info) {
-	t.Helper()
-	info := registry.MustGet(structure)
-	env := NewEnv(t, scheme, n, 1<<16, info.PayloadWords, mem.Reuse)
-	return env, info
-}
+// bagLinearizable is the queue and stack suites' concurrent script.
+var bagLinearizable = drive.Script{Threads: 4, Ops: 3, Rounds: 10}
 
 // RunSetSuite runs the full conformance suite for a set structure across
 // every applicable scheme.
-func RunSetSuite(t *testing.T, structure string) {
+func RunSetSuite(t *testing.T, structure string) { runSuite(t, structure) }
+
+// RunQueueSuite runs the full conformance suite for a queue structure.
+func RunQueueSuite(t *testing.T, structure string) { runSuite(t, structure) }
+
+// RunStackSuite runs the full conformance suite for a stack structure.
+func RunStackSuite(t *testing.T, structure string) { runSuite(t, structure) }
+
+func runSuite(t *testing.T, structure string) {
+	info := registry.MustGet(structure)
+	build := func(t *testing.T, scheme string, n int) (*Env, drive.Target) {
+		env := NewEnv(t, scheme, n, 1<<16, info.PayloadWords, mem.Reuse)
+		target, err := drive.NewTarget(structure, env.S)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return env, target
+	}
 	for _, scheme := range SchemesFor(structure) {
-		scheme := scheme
 		t.Run(scheme, func(t *testing.T) {
-			t.Run("sequential", func(t *testing.T) {
-				env, info := suiteEnv(t, scheme, structure, 1)
-				set, err := info.NewSet(env.S, ds.Options{})
-				if err != nil {
-					t.Fatal(err)
-				}
-				SequentialSet(t, set, 64, 4000)
-				env.AssertSafe(t)
-			})
-			t.Run("linearizable", func(t *testing.T) {
-				env, info := suiteEnv(t, scheme, structure, 4)
-				set, err := info.NewSet(env.S, ds.Options{})
-				if err != nil {
-					t.Fatal(err)
-				}
-				ConcurrentSet(t, env, set, 10, 3, 8)
-				env.AssertSafe(t)
-			})
-			t.Run("churn", func(t *testing.T) {
-				env, info := suiteEnv(t, scheme, structure, 4)
-				set, err := info.NewSet(env.S, ds.Options{})
-				if err != nil {
-					t.Fatal(err)
-				}
-				DisjointChurnSet(t, env, set, 2500, 48)
-				env.AssertSafe(t)
-			})
+			check := func(name string, s drive.Script) {
+				t.Run(name, func(t *testing.T) {
+					env, target := build(t, scheme, s.Threads)
+					Check(t, env, target, s)
+				})
+			}
+			// A sequential script is one thread checked against its model
+			// (sets) or its recorded history (queues and stacks, whose
+			// windows stay within hist.MaxCheckOps).
+			if info.Kind != registry.KindSet {
+				check("sequential", drive.Script{Threads: 1, Ops: 50, Rounds: 80})
+				check("linearizable", bagLinearizable)
+				return
+			}
+			check("sequential", drive.Script{Threads: 1, Ops: 4000, KeyRange: 64, Disjoint: true})
+			check("linearizable", drive.Script{Threads: 4, Ops: 3, Rounds: 10, KeyRange: 8})
+			check("churn", drive.Script{Threads: 4, Ops: 2500, KeyRange: 48, Disjoint: true})
 			t.Run("batch", func(t *testing.T) {
-				envA, info := suiteEnv(t, scheme, structure, 1)
-				a, err := info.NewSet(envA.S, ds.Options{})
-				if err != nil {
-					t.Fatal(err)
-				}
-				envB, _ := suiteEnv(t, scheme, structure, 1)
-				b, err := info.NewSet(envB.S, ds.Options{})
-				if err != nil {
-					t.Fatal(err)
-				}
+				envA, a := build(t, scheme, 1)
+				envB, b := build(t, scheme, 1)
 				// 700-op batches overrun the K=512 fused window, so the
 				// mid-window re-bracket cadence runs under every scheme.
-				BatchEquivalenceSet(t, a, b, 6, 700, 96, true)
+				BatchEquivalenceSet(t, a.(ds.Set), b.(ds.Set), 6, 700, 96, true)
 				envA.AssertSafe(t)
 				envB.AssertSafe(t)
 			})
-			t.Run("batch-concurrent", func(t *testing.T) {
-				env, info := suiteEnv(t, scheme, structure, 4)
-				set, err := info.NewSet(env.S, ds.Options{})
-				if err != nil {
-					t.Fatal(err)
-				}
-				ConcurrentBatchSet(t, env, set, 6, 600, 48)
-				env.AssertSafe(t)
-			})
+			// 600-op batches from four threads at once: windows interleave
+			// on one structure and one SMR domain.
+			check("batch-concurrent", drive.Script{Threads: 4, Ops: 3600, KeyRange: 48, Batch: 600, Disjoint: true})
 			t.Run("iterate", func(t *testing.T) {
-				env, info := suiteEnv(t, scheme, structure, 4)
-				newSet := func(s smr.Scheme) (ds.Set, error) { return info.NewSet(s, ds.Options{}) }
-				IterateSet(t, env, newSet, 1000, !info.Partitioned)
-				env.AssertSafe(t)
-			})
-		})
-	}
-}
-
-// RunQueueSuite runs the full conformance suite for a queue structure.
-func RunQueueSuite(t *testing.T, structure string) {
-	for _, scheme := range SchemesFor(structure) {
-		scheme := scheme
-		t.Run(scheme, func(t *testing.T) {
-			t.Run("sequential", func(t *testing.T) {
-				env, info := suiteEnv(t, scheme, structure, 1)
-				q, err := info.NewQueue(env.S, ds.Options{})
-				if err != nil {
-					t.Fatal(err)
-				}
-				SequentialQueue(t, q, 4000)
-				env.AssertSafe(t)
-			})
-			t.Run("linearizable", func(t *testing.T) {
-				env, info := suiteEnv(t, scheme, structure, 4)
-				q, err := info.NewQueue(env.S, ds.Options{})
-				if err != nil {
-					t.Fatal(err)
-				}
-				ConcurrentQueue(t, env, q, 10, 3)
-				env.AssertSafe(t)
-			})
-		})
-	}
-}
-
-// RunStackSuite runs the full conformance suite for a stack structure.
-func RunStackSuite(t *testing.T, structure string) {
-	for _, scheme := range SchemesFor(structure) {
-		scheme := scheme
-		t.Run(scheme, func(t *testing.T) {
-			t.Run("sequential", func(t *testing.T) {
-				env, info := suiteEnv(t, scheme, structure, 1)
-				st, err := info.NewStack(env.S, ds.Options{})
-				if err != nil {
-					t.Fatal(err)
-				}
-				SequentialStack(t, st, 4000)
-				env.AssertSafe(t)
-			})
-			t.Run("linearizable", func(t *testing.T) {
-				env, info := suiteEnv(t, scheme, structure, 4)
-				st, err := info.NewStack(env.S, ds.Options{})
-				if err != nil {
-					t.Fatal(err)
-				}
-				ConcurrentStack(t, env, st, 10, 3)
+				env := NewEnv(t, scheme, 4, 1<<16, info.PayloadWords, mem.Reuse)
+				IterateSet(t, env, func(s smr.Scheme) (ds.Set, error) { return info.NewSet(s, ds.Options{}) }, 1000, !info.Partitioned)
 				env.AssertSafe(t)
 			})
 		})

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/ds"
+	"repro/internal/ds/drive"
 	"repro/internal/ds/dstest"
 	"repro/internal/ds/hashmap"
 	"repro/internal/mem"
@@ -84,8 +85,7 @@ func TestSweepConcurrent(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				dstest.ConcurrentBatchSet(t, env, m, 12, 128, 512)
-				env.AssertSafe(t)
+				dstest.Check(t, env, m, drive.Script{Ops: 12 * 128, KeyRange: 512, Batch: 128, Disjoint: true})
 			})
 		}
 	}

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/ds"
+	"repro/internal/ds/drive"
 	"repro/internal/ds/dstest"
 	"repro/internal/ds/michael"
 	"repro/internal/mem"
@@ -20,7 +21,7 @@ func TestSortedInvariant(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dstest.DisjointChurnSet(t, env, l, 2000, 64)
+	dstest.Check(t, env, l, drive.Script{Ops: 2000, KeyRange: 64, Disjoint: true})
 	keys := l.Keys()
 	if !sort.SliceIsSorted(keys, func(i, j int) bool { return keys[i] < keys[j] }) {
 		t.Fatalf("keys not sorted: %v", keys)
@@ -58,7 +59,7 @@ func TestHPCompatibility(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dstest.DisjointChurnSet(t, env, l, 1500, 32)
+	dstest.Check(t, env, l, drive.Script{Ops: 1500, KeyRange: 32, Disjoint: true})
 	if f := env.A.Stats().Faults(); f != 0 {
 		t.Fatalf("HP on Michael's list took %d segfaults", f)
 	}

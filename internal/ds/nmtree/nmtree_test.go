@@ -6,6 +6,7 @@ import (
 	"testing/quick"
 
 	"repro/internal/ds"
+	"repro/internal/ds/drive"
 	"repro/internal/ds/dstest"
 	"repro/internal/ds/nmtree"
 	"repro/internal/mem"
@@ -65,7 +66,7 @@ func TestInOrderInvariant(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dstest.DisjointChurnSet(t, env, tr, 2000, 48)
+	dstest.Check(t, env, tr, drive.Script{Ops: 2000, KeyRange: 48, Disjoint: true})
 	keys := tr.Keys()
 	if !sort.SliceIsSorted(keys, func(i, j int) bool { return keys[i] < keys[j] }) {
 		t.Fatalf("in-order walk not sorted: %v", keys)

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/ds"
+	"repro/internal/ds/drive"
 	"repro/internal/ds/dstest"
 	"repro/internal/ds/registry"
 	"repro/internal/mem"
@@ -37,7 +38,7 @@ func TestEverySchemeConstructsEveryStructure(t *testing.T) {
 	}
 }
 
-// TestRegistrySmoke: every structure passes a short sequential dstest pass
+// TestRegistrySmoke: every structure passes a short single-threaded script
 // under every applicable safe scheme.
 func TestRegistrySmoke(t *testing.T) {
 	for _, structure := range registry.Names() {
@@ -48,27 +49,15 @@ func TestRegistrySmoke(t *testing.T) {
 			}
 			t.Run(structure+"/"+scheme, func(t *testing.T) {
 				env := dstest.NewEnv(t, scheme, 1, 1<<12, info.PayloadWords, mem.Reuse)
-				switch info.Kind {
-				case registry.KindSet:
-					set, err := info.NewSet(env.S, ds.Options{})
-					if err != nil {
-						t.Fatal(err)
-					}
-					dstest.SequentialSet(t, set, 32, 600)
-				case registry.KindQueue:
-					q, err := info.NewQueue(env.S, ds.Options{})
-					if err != nil {
-						t.Fatal(err)
-					}
-					dstest.SequentialQueue(t, q, 600)
-				case registry.KindStack:
-					st, err := info.NewStack(env.S, ds.Options{})
-					if err != nil {
-						t.Fatal(err)
-					}
-					dstest.SequentialStack(t, st, 600)
+				target, err := drive.NewTarget(structure, env.S)
+				if err != nil {
+					t.Fatal(err)
 				}
-				env.AssertSafe(t)
+				s := drive.Script{Threads: 1, Ops: 50, Rounds: 12}
+				if info.Kind == registry.KindSet {
+					s = drive.Script{Threads: 1, Ops: 600, KeyRange: 32, Disjoint: true}
+				}
+				dstest.Check(t, env, target, s)
 			})
 		}
 	}

@@ -6,6 +6,7 @@ import (
 	"testing/quick"
 
 	"repro/internal/ds"
+	"repro/internal/ds/drive"
 	"repro/internal/ds/dstest"
 	"repro/internal/ds/skiplist"
 	"repro/internal/mem"
@@ -21,7 +22,7 @@ func TestSortedInvariant(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dstest.DisjointChurnSet(t, env, l, 1500, 64)
+	dstest.Check(t, env, l, drive.Script{Ops: 1500, KeyRange: 64, Disjoint: true})
 	keys := l.Keys()
 	if !sort.SliceIsSorted(keys, func(i, j int) bool { return keys[i] < keys[j] }) {
 		t.Fatalf("keys not sorted: %v", keys)
