@@ -144,10 +144,6 @@ type Script struct {
 	Iterate int
 	// Seed selects the op sequences.
 	Seed uint64
-	// Yield, when non-nil, is called on thread tid before each of its ops,
-	// batches and scans: the point where a controlled scheduler takes the
-	// baton. String omits it.
-	Yield func(tid int)
 }
 
 // String renders s as a Go literal that can be pasted into a test.
@@ -155,7 +151,7 @@ func (s Script) String() string {
 	var b strings.Builder
 	v := reflect.ValueOf(s)
 	for i := 0; i < v.NumField(); i++ {
-		if f := v.Field(i); !f.IsZero() && f.Kind() != reflect.Func {
+		if f := v.Field(i); !f.IsZero() {
 			fmt.Fprintf(&b, ", %s: %#v", v.Type().Field(i).Name, f.Interface())
 		}
 	}
@@ -326,9 +322,6 @@ func (d *driver) thread(tid, round int) error {
 		for j := i; j < min(i+step, s.Ops); j++ {
 			ops = append(ops, d.op(tid, round, j))
 		}
-		if s.Yield != nil {
-			s.Yield(tid)
-		}
 		var err error
 		if s.Batch > 0 {
 			sort.SliceStable(ops, func(a, b int) bool { return ops[a].Key < ops[b].Key })
@@ -418,9 +411,6 @@ func (d *driver) scan(round int) error {
 		sc := Scan{Lo: ds.KeyMin}
 		if i > 0 {
 			sc.Lo = int64(NewRNG(d.s.Seed + uint64(round)<<32 + uint64(i)).Intn(d.s.KeyRange*d.s.Threads + 1))
-		}
-		if d.s.Yield != nil {
-			d.s.Yield(0)
 		}
 		if err := it.IterateFrom(0, sc.Lo, func(k int64) bool { sc.Keys = append(sc.Keys, k); return true }); err != nil {
 			return fmt.Errorf("T0 round %d scan from %d: %w", round, sc.Lo, err)

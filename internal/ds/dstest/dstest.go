@@ -47,8 +47,9 @@ func (e *Env) AssertSafe(tb testing.TB) {
 // Check runs s against target on env and fails tb unless every op
 // completed and agreed with its thread's model, the run was safe, the
 // recorded windows are linearizable and every check passes on the Result.
-// A failure of a cell registry.KnownRed lists is logged and skipped
-// instead. Either way the message prints the Script.
+// A failure of a concurrent script on a cell registry.KnownRed lists is
+// logged and skipped instead; a one-thread script has no interleaving, so
+// its failure always fails. Either way the message prints the Script.
 func Check(tb testing.TB, env *Env, target drive.Target, s drive.Script, checks ...func(drive.Result) error) drive.Result {
 	tb.Helper()
 	res, err := drive.Run(env.Env, target, s)
@@ -62,7 +63,7 @@ func Check(tb testing.TB, env *Env, target drive.Target, s drive.Script, checks 
 		return res
 	}
 	scheme, structure := env.S.Name(), target.Name()
-	if red, ok := registry.IsKnownRed(scheme, structure); ok {
+	if red, ok := registry.IsKnownRed(scheme, structure); ok && res.Script.Threads > 1 {
 		tb.Skipf("known red %s × %s (%s, since %s): %v\n%v", scheme, structure, red.Symptom, red.Since, err, res.Script)
 	}
 	tb.Fatalf("%s × %s: %v\n%v", scheme, structure, err, res.Script)

@@ -44,3 +44,46 @@ func TestQueueScriptCatchesLIFO(t *testing.T) {
 		t.Errorf("with every value 0 the LIFO history checks %v, %v; want linearizable", ok, err)
 	}
 }
+
+// outcomeTB records whether Check skipped or failed, and ends Check there
+// as testing.T would.
+type outcomeTB struct {
+	testing.TB
+	skipped, failed bool
+}
+
+func (o *outcomeTB) Helper()               {}
+func (o *outcomeTB) Skipf(string, ...any)  { o.skipped = true; panic(o) }
+func (o *outcomeTB) Fatalf(string, ...any) { o.failed = true; panic(o) }
+
+// TestCheckSkipsOnlyConcurrentKnownRed: on a cell registry.KnownRed lists
+// (pebr × every structure), Check skips a failing multi-threaded script,
+// but a failing one-thread script, which has no interleaving to blame,
+// still fails.
+func TestCheckSkipsOnlyConcurrentKnownRed(t *testing.T) {
+	for _, c := range []struct {
+		s    drive.Script
+		skip bool
+	}{
+		{drive.Script{Threads: 1, Ops: 50, Rounds: 4}, false},
+		{bagLinearizable, true},
+	} {
+		env := NewEnv(t, "pebr", 4, 1<<12, 2, mem.Reuse)
+		st, err := treiber.New(env.S, ds.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		o := &outcomeTB{TB: t}
+		func() {
+			defer func() {
+				if r := recover(); r != nil && r != o {
+					panic(r)
+				}
+			}()
+			Check(o, env, lifo{st}, c.s)
+		}()
+		if o.skipped != c.skip || o.failed == c.skip {
+			t.Errorf("%v over a LIFO queue under pebr: skipped %v, failed %v; want skipped %v", c.s, o.skipped, o.failed, c.skip)
+		}
+	}
+}

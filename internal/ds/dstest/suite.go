@@ -27,17 +27,9 @@ func SchemesFor(structure string) []string {
 // bagLinearizable is the queue and stack suites' concurrent script.
 var bagLinearizable = drive.Script{Threads: 4, Ops: 3, Rounds: 10}
 
-// RunSetSuite runs the full conformance suite for a set structure across
-// every applicable scheme.
-func RunSetSuite(t *testing.T, structure string) { runSuite(t, structure) }
-
-// RunQueueSuite runs the full conformance suite for a queue structure.
-func RunQueueSuite(t *testing.T, structure string) { runSuite(t, structure) }
-
-// RunStackSuite runs the full conformance suite for a stack structure.
-func RunStackSuite(t *testing.T, structure string) { runSuite(t, structure) }
-
-func runSuite(t *testing.T, structure string) {
+// RunSuite runs the full conformance suite for the named registry
+// structure, a set, a queue or a stack, across every applicable scheme.
+func RunSuite(t *testing.T, structure string) {
 	info := registry.MustGet(structure)
 	build := func(t *testing.T, scheme string, n int) (*Env, drive.Target) {
 		env := NewEnv(t, scheme, n, 1<<16, info.PayloadWords, mem.Reuse)

@@ -13,7 +13,7 @@ import (
 	"repro/internal/smr"
 )
 
-func TestSuite(t *testing.T) { dstest.RunSetSuite(t, "harris") }
+func TestSuite(t *testing.T) { dstest.RunSuite(t, "harris") }
 
 // TestSortedInvariant checks the core list invariant after heavy churn:
 // unmarked keys appear in strictly increasing order.

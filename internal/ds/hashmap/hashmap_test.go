@@ -12,8 +12,8 @@ import (
 	"repro/internal/smr"
 )
 
-func TestSuiteHarrisBuckets(t *testing.T)  { dstest.RunSetSuite(t, "hashmap-harris") }
-func TestSuiteMichaelBuckets(t *testing.T) { dstest.RunSetSuite(t, "hashmap-michael") }
+func TestSuiteHarrisBuckets(t *testing.T)  { dstest.RunSuite(t, "hashmap-harris") }
+func TestSuiteMichaelBuckets(t *testing.T) { dstest.RunSuite(t, "hashmap-michael") }
 
 // TestBucketKind rejects unknown bucket kinds.
 func TestBucketKind(t *testing.T) {

@@ -12,7 +12,7 @@ import (
 	"repro/internal/smr"
 )
 
-func TestSuite(t *testing.T) { dstest.RunSetSuite(t, "michael") }
+func TestSuite(t *testing.T) { dstest.RunSuite(t, "michael") }
 
 // TestSortedInvariant checks ordering after heavy churn.
 func TestSortedInvariant(t *testing.T) {

@@ -9,7 +9,7 @@ import (
 	"repro/internal/mem"
 )
 
-func TestSuite(t *testing.T) { dstest.RunQueueSuite(t, "msqueue") }
+func TestSuite(t *testing.T) { dstest.RunSuite(t, "msqueue") }
 
 // TestFIFOOrder checks strict FIFO delivery under a single producer and a
 // single consumer running concurrently.

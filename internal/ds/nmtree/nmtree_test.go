@@ -13,7 +13,7 @@ import (
 	"repro/internal/smr"
 )
 
-func TestSuite(t *testing.T) { dstest.RunSetSuite(t, "nmtree") }
+func TestSuite(t *testing.T) { dstest.RunSuite(t, "nmtree") }
 
 // TestSetSemantics property-checks the abstract set behaviour against a
 // map model for arbitrary operation sequences.

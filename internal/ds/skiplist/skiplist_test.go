@@ -13,7 +13,7 @@ import (
 	"repro/internal/smr"
 )
 
-func TestSuite(t *testing.T) { dstest.RunSetSuite(t, "skiplist") }
+func TestSuite(t *testing.T) { dstest.RunSuite(t, "skiplist") }
 
 // TestSortedInvariant checks level-0 ordering after heavy churn.
 func TestSortedInvariant(t *testing.T) {

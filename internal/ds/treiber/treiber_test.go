@@ -10,7 +10,7 @@ import (
 	"repro/internal/mem"
 )
 
-func TestSuite(t *testing.T) { dstest.RunStackSuite(t, "treiber") }
+func TestSuite(t *testing.T) { dstest.RunSuite(t, "treiber") }
 
 // TestConservation checks that every pushed value is popped exactly once
 // under full concurrency (4 pushers, 4 poppers).
