@@ -72,7 +72,13 @@ func TestControllerEscalatesUnderStall(t *testing.T) {
 	const keyRange = 256
 	bp := sched.NewBreakpoints()
 	st, err := store.New(store.Config{
-		Shards:       []store.ShardSpec{{Scheme: "ebr", Structure: "michael", Workers: 2, Threshold: 16, Gate: bp}},
+		// The heap must outlast the monitor's first not-robust window: the
+		// churn below retires at memory speed, and the default heap
+		// (about 4 700 slots) runs dry in ~10 ms, so the controller would
+		// see the OOM branch, not the audit this test is about.
+		Shards: []store.ShardSpec{{
+			Scheme: "ebr", Structure: "michael", Workers: 2, Threshold: 16, Gate: bp, Slots: 1 << 16,
+		}},
 		KeyRange:     keyRange,
 		MigrateGrace: 50 * time.Millisecond,
 	})

@@ -37,9 +37,10 @@
 package exec
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -374,7 +375,7 @@ func (ex *Executor) Compile(req workload.Req) (Plan, error) {
 		for s := range perShard {
 			shards = append(shards, s)
 		}
-		sort.Ints(shards)
+		slices.Sort(shards)
 		for _, s := range shards {
 			p.Legs = append(p.Legs, PlanLeg{Shard: s, Ops: perShard[s]})
 			p.Ops += perShard[s]
@@ -931,7 +932,7 @@ func (h *Handle) merge() {
 	r := h.res
 	if r.Kind == workload.ReqRangeScan {
 		if len(r.Keys) > 1 {
-			sort.Slice(r.Keys, func(i, j int) bool { return r.Keys[i] < r.Keys[j] })
+			slices.Sort(r.Keys)
 		}
 		if h.limit > 0 && len(r.Keys) > h.limit {
 			r.Keys = r.Keys[:h.limit]
@@ -939,7 +940,7 @@ func (h *Handle) merge() {
 		r.Count = uint64(len(r.Keys))
 	}
 	if len(r.ShardErrs) > 1 {
-		sort.Slice(r.ShardErrs, func(i, j int) bool { return r.ShardErrs[i].Shard < r.ShardErrs[j].Shard })
+		slices.SortFunc(r.ShardErrs, func(a, b ShardError) int { return cmp.Compare(a.Shard, b.Shard) })
 	}
 	r.Elapsed = time.Since(h.start)
 	ex := h.ex

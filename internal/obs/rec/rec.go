@@ -63,7 +63,8 @@ const (
 	// KindMark is a free-form annotation (harness phase boundaries etc.).
 	KindMark Kind = iota
 	// KindSMRScan is one reclamation scan: A = retired nodes examined,
-	// B = nodes reclaimed.
+	// B = nodes reclaimed. A is not the retire-list length: the epoch
+	// schemes stop at the first node too young to free, so A <= B+1.
 	KindSMRScan
 	// KindGuardTrip is one traversal aborted at its step budget:
 	// A = steps walked, B = restarts taken, Label = "structure.op".

@@ -43,9 +43,10 @@
 package resil
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -380,8 +381,8 @@ func (c *Client) finalizeKeyed(master *exec.Result, failing map[int]exec.ShardEr
 		wrapped[s] = &out
 		master.ShardErrs = append(master.ShardErrs, out)
 	}
-	sort.Slice(master.ShardErrs, func(i, j int) bool {
-		return master.ShardErrs[i].Shard < master.ShardErrs[j].Shard
+	slices.SortFunc(master.ShardErrs, func(a, b exec.ShardError) int {
+		return cmp.Compare(a.Shard, b.Shard)
 	})
 	// Point slots carrying a stale per-attempt error get the final
 	// wrapped one, so result slots and ShardErrs tell the same story.

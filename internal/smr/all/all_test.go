@@ -6,6 +6,7 @@ import (
 	"repro/internal/mem"
 	"repro/internal/smr"
 	"repro/internal/smr/all"
+	"repro/internal/smr/smrtest"
 )
 
 func newArena(n int) *mem.Arena {
@@ -79,5 +80,32 @@ func TestClaimedPropertiesMatchERA(t *testing.T) {
 		if easy && robust && wide {
 			t.Errorf("%s claims all three ERA properties — contradicts Theorem 6.1", name)
 		}
+	}
+}
+
+// TestScansAllocateNothing: every scheme's retire path, reclamation scans
+// included, works in per-thread scratch, so a steady stream of bracketed
+// alloc→retire rounds allocates no Go memory.
+func TestScansAllocateNothing(t *testing.T) {
+	const threads, threshold, rounds = 2, 32, 64
+	for _, name := range all.Names() {
+		t.Run(name, func(t *testing.T) {
+			s, err := all.New(name, smrtest.NewArena(threads, 1<<12, mem.Reuse), threads, threshold)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var churnErr error
+			allocs := testing.AllocsPerRun(10, func() {
+				if err := smrtest.Churn(s, 0, rounds); err != nil && churnErr == nil {
+					churnErr = err
+				}
+			})
+			if churnErr != nil {
+				t.Fatal(churnErr)
+			}
+			if allocs != 0 {
+				t.Errorf("%.0f allocs per %d alloc→retire rounds, want 0", allocs, rounds)
+			}
+		})
 	}
 }

@@ -72,11 +72,41 @@ func (b *Base) Heap() *mem.Arena { return b.Arena }
 // pinning epoch-style reclamation meanwhile, and the eager re-scan is
 // what collapses the accumulated backlog the instant the pin lifts. An
 // amortized trigger was tried and measured: it lets the backlog of such
-// an episode run a shard heap dry before the next scan comes due.
+// an episode run a shard heap dry before the next scan comes due. For
+// the epoch schemes (EBR, PEBR) the re-scan under a pin is O(1): it
+// examines the list's oldest node only (see ReclaimExpired).
 func (b *Base) PushRetired(tid int, r mem.Ref) bool {
 	l := &b.Lists[tid]
 	l.Refs = append(l.Refs, r)
 	return len(l.Refs) >= b.Threshold
+}
+
+// ReclaimExpired is the epoch schemes' scan: it reclaims every node of
+// tid's retire list whose MetaRetire stamp is at least two epochs older
+// than epoch, in list order, and reports the scan.
+//
+// The expired nodes are a prefix of the list. The scheme stamps each node
+// with the current epoch just before pushing it, the global epoch never
+// decreases, and nothing else appends to or reorders the list, so the
+// list is sorted by stamp. The walk therefore stops at the first node too
+// young to free: a scan examines one node more than it reclaims, however
+// long the backlog a pinned epoch has piled up.
+func (b *Base) ReclaimExpired(tid int, epoch uint64) {
+	l := &b.Lists[tid].Refs
+	refs := *l
+	n := 0
+	for n < len(refs) && b.Arena.MetaLoad(refs[n].Slot(), MetaRetire)+2 <= epoch {
+		_ = b.Arena.Reclaim(tid, refs[n])
+		n++
+	}
+	examined := n
+	if n < len(refs) {
+		examined++ // the first node too young to free
+	}
+	if n > 0 {
+		*l = refs[:copy(refs, refs[n:])]
+	}
+	b.NoteScan(tid, examined, n)
 }
 
 // TransparentRead is the guarded load used by schemes that claim all

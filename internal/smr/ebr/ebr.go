@@ -10,6 +10,7 @@
 package ebr
 
 import (
+	"errors"
 	"sync/atomic"
 
 	"repro/internal/mem"
@@ -98,8 +99,18 @@ func (e *EBR) tryAdvance() {
 	e.epoch.CompareAndSwap(cur, cur+1)
 }
 
-// Alloc implements smr.Scheme.
-func (e *EBR) Alloc(tid int) (mem.Ref, error) { return e.Arena.Alloc(tid) }
+// Alloc implements smr.Scheme. On an exhausted heap it flushes tid's
+// retire list and tries once more: scans run only on retire, and a thread
+// whose allocations fail may retire nothing, so a backlog that filled the
+// heap while the epoch was pinned would otherwise outlive the pin.
+func (e *EBR) Alloc(tid int) (mem.Ref, error) {
+	r, err := e.Arena.Alloc(tid)
+	if errors.Is(err, mem.ErrOOM) {
+		e.Flush(tid)
+		r, err = e.Arena.Alloc(tid)
+	}
+	return r, err
+}
 
 // Retire stamps the node with the current epoch and appends it to the
 // thread's retire list; full lists trigger an advance attempt and a scan.
@@ -116,22 +127,9 @@ func (e *EBR) Retire(tid int, r mem.Ref) {
 
 // scan reclaims every node in tid's retire list whose retire epoch is at
 // least two epochs old: every thread active then has since announced a
-// newer epoch or quiescence, so no reference to the node survives.
-func (e *EBR) scan(tid int) {
-	cur := e.epoch.Load()
-	l := &e.Lists[tid].Refs
-	scanned := len(*l)
-	kept := (*l)[:0]
-	for _, r := range *l {
-		if e.Arena.MetaLoad(r.Slot(), smr.MetaRetire)+2 <= cur {
-			_ = e.Arena.Reclaim(tid, r)
-		} else {
-			kept = append(kept, r)
-		}
-	}
-	*l = kept
-	e.NoteScan(tid, scanned, scanned-len(kept))
-}
+// newer epoch or quiescence, so no reference to the node survives. The
+// list is in retire-epoch order, so those nodes are its front.
+func (e *EBR) scan(tid int) { e.ReclaimExpired(tid, e.epoch.Load()) }
 
 // Flush attempts an epoch advance and a scan regardless of list length.
 func (e *EBR) Flush(tid int) {

@@ -43,6 +43,7 @@ type HE struct {
 	era     atomic.Uint64
 	slots   []eraSlot // N*K row-major
 	retires []retireCounter
+	eras    [][]uint64 // per-thread scan scratch, capacity N*K
 }
 
 type retireCounter struct {
@@ -58,8 +59,12 @@ func New(a *mem.Arena, n, threshold int) *HE {
 		Base:    smr.NewBase(a, n, threshold),
 		slots:   make([]eraSlot, n*K),
 		retires: make([]retireCounter, n),
+		eras:    make([][]uint64, n),
 	}
 	h.era.Store(1)
+	for t := range h.eras {
+		h.eras[t] = make([]uint64, 0, n*K)
+	}
 	return h
 }
 
@@ -120,7 +125,7 @@ func (h *HE) Retire(tid int, r mem.Ref) {
 
 // scan reclaims retired nodes whose lifetime contains no published era.
 func (h *HE) scan(tid int) {
-	eras := make([]uint64, 0, len(h.slots))
+	eras := h.eras[tid][:0]
 	for i := range h.slots {
 		if e := h.slots[i].era.Load(); e != noEra {
 			eras = append(eras, e)

@@ -33,17 +33,23 @@ const K = 8
 // HP is the hazard-pointers scheme.
 type HP struct {
 	smr.Base
-	hazards []hazard // N*K, row-major by thread
+	hazards   []hazard               // N*K, row-major by thread
+	protected []map[mem.Ref]struct{} // per-thread scan scratch
 }
 
 var _ smr.Scheme = (*HP)(nil)
 
 // New builds an HP instance over arena a for n threads.
 func New(a *mem.Arena, n, threshold int) *HP {
-	return &HP{
-		Base:    smr.NewBase(a, n, threshold),
-		hazards: make([]hazard, n*K),
+	h := &HP{
+		Base:      smr.NewBase(a, n, threshold),
+		hazards:   make([]hazard, n*K),
+		protected: make([]map[mem.Ref]struct{}, n),
 	}
+	for t := range h.protected {
+		h.protected[t] = make(map[mem.Ref]struct{}, n*K)
+	}
+	return h
 }
 
 // Name implements smr.Scheme.
@@ -86,7 +92,8 @@ func (h *HP) Retire(tid int, r mem.Ref) {
 // protects. At most N*K nodes survive a scan, which is the robustness
 // bound of the scheme.
 func (h *HP) scan(tid int) {
-	protected := make(map[mem.Ref]struct{}, len(h.hazards))
+	protected := h.protected[tid]
+	clear(protected)
 	for i := range h.hazards {
 		if v := h.hazards[i].ref.Load(); v != 0 {
 			protected[mem.Ref(v)] = struct{}{}

@@ -43,7 +43,11 @@ type IBR struct {
 	era    atomic.Uint64
 	resv   []reservation
 	allocs []allocCounter
+	snaps  [][]interval // per-thread scan scratch: every reservation
 }
+
+// interval is a reservation as one scan read it.
+type interval struct{ lower, upper uint64 }
 
 type allocCounter struct {
 	n uint64
@@ -58,8 +62,12 @@ func New(a *mem.Arena, n, threshold int) *IBR {
 		Base:   smr.NewBase(a, n, threshold),
 		resv:   make([]reservation, n),
 		allocs: make([]allocCounter, n),
+		snaps:  make([][]interval, n),
 	}
 	i.era.Store(1)
+	for t := range i.snaps {
+		i.snaps[t] = make([]interval, n)
+	}
 	for t := range i.resv {
 		i.resv[t].lower.Store(noReservation)
 		i.resv[t].upper.Store(noReservation)
@@ -134,11 +142,9 @@ func (i *IBR) Retire(tid int, r mem.Ref) {
 // scan reclaims retired nodes whose [birth, retire] interval intersects no
 // thread's reservation interval.
 func (i *IBR) scan(tid int) {
-	lowers := make([]uint64, i.N)
-	uppers := make([]uint64, i.N)
-	for t := 0; t < i.N; t++ {
-		lowers[t] = i.resv[t].lower.Load()
-		uppers[t] = i.resv[t].upper.Load()
+	snap := i.snaps[tid]
+	for t := range snap {
+		snap[t] = interval{i.resv[t].lower.Load(), i.resv[t].upper.Load()}
 	}
 	l := &i.Lists[tid].Refs
 	scanned := len(*l)
@@ -147,11 +153,11 @@ func (i *IBR) scan(tid int) {
 		birth := i.Arena.MetaLoad(r.Slot(), smr.MetaBirth)
 		retire := i.Arena.MetaLoad(r.Slot(), smr.MetaRetire)
 		conflict := false
-		for t := 0; t < i.N; t++ {
-			if lowers[t] == noReservation {
+		for _, v := range snap {
+			if v.lower == noReservation {
 				continue
 			}
-			if birth <= uppers[t] && lowers[t] <= retire {
+			if birth <= v.upper && v.lower <= retire {
 				conflict = true
 				break
 			}

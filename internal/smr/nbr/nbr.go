@@ -43,19 +43,25 @@ type reservation struct {
 // NBR is the neutralization-based reclamation scheme.
 type NBR struct {
 	smr.Base
-	flags []flag
-	resv  []reservation
+	flags    []flag
+	resv     []reservation
+	reserved []map[mem.Ref]struct{} // per-thread scan scratch
 }
 
 var _ smr.Scheme = (*NBR)(nil)
 
 // New builds an NBR instance over arena a for n threads.
 func New(a *mem.Arena, n, threshold int) *NBR {
-	return &NBR{
-		Base:  smr.NewBase(a, n, threshold),
-		flags: make([]flag, n),
-		resv:  make([]reservation, n),
+	s := &NBR{
+		Base:     smr.NewBase(a, n, threshold),
+		flags:    make([]flag, n),
+		resv:     make([]reservation, n),
+		reserved: make([]map[mem.Ref]struct{}, n),
 	}
+	for t := range s.reserved {
+		s.reserved[t] = make(map[mem.Ref]struct{}, n*K)
+	}
+	return s
 }
 
 // Name implements smr.Scheme.
@@ -132,7 +138,8 @@ func (s *NBR) scan(tid int) {
 			s.flags[t].raised.Store(true)
 		}
 	}
-	reserved := make(map[mem.Ref]struct{}, s.N*K)
+	reserved := s.reserved[tid]
+	clear(reserved)
 	for t := range s.resv {
 		for i := 0; i < K; i++ {
 			if v := s.resv[t].refs[i].Load(); v != 0 {

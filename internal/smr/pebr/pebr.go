@@ -21,6 +21,7 @@
 package pebr
 
 import (
+	"errors"
 	"sync/atomic"
 
 	"repro/internal/mem"
@@ -146,8 +147,17 @@ func (p *PEBR) ejected(tid int) bool {
 	return false
 }
 
-// Alloc implements smr.Scheme.
-func (p *PEBR) Alloc(tid int) (mem.Ref, error) { return p.Arena.Alloc(tid) }
+// Alloc implements smr.Scheme. On an exhausted heap it flushes tid's
+// retire list and tries once more, as EBR does: scans run only on retire,
+// and a thread whose allocations fail may retire nothing.
+func (p *PEBR) Alloc(tid int) (mem.Ref, error) {
+	r, err := p.Arena.Alloc(tid)
+	if errors.Is(err, mem.ErrOOM) {
+		p.Flush(tid)
+		r, err = p.Arena.Alloc(tid)
+	}
+	return r, err
+}
 
 // Retire stamps the retire epoch; full lists advance and scan.
 func (p *PEBR) Retire(tid int, r mem.Ref) {
@@ -162,22 +172,9 @@ func (p *PEBR) Retire(tid int, r mem.Ref) {
 }
 
 // scan reclaims nodes at least two epochs old (ejection guarantees the
-// epoch keeps moving).
-func (p *PEBR) scan(tid int) {
-	cur := p.epoch.Load()
-	l := &p.Lists[tid].Refs
-	scanned := len(*l)
-	kept := (*l)[:0]
-	for _, r := range *l {
-		if p.Arena.MetaLoad(r.Slot(), smr.MetaRetire)+2 <= cur {
-			_ = p.Arena.Reclaim(tid, r)
-		} else {
-			kept = append(kept, r)
-		}
-	}
-	*l = kept
-	p.NoteScan(tid, scanned, scanned-len(kept))
-}
+// epoch keeps moving). The list is in retire-epoch order, so those nodes
+// are its front.
+func (p *PEBR) scan(tid int) { p.ReclaimExpired(tid, p.epoch.Load()) }
 
 // Flush implements smr.Scheme.
 func (p *PEBR) Flush(tid int) {

@@ -56,6 +56,51 @@ func BenchmarkDoInto(b *testing.B) {
 			}
 		}
 	})
+	// fused-update is the write-heavy deployment in one process: an ebr
+	// hashmap shard with one worker serving 256-op 10/45/45 batches, each
+	// in one fused window. Its CPU profile shows what the retire path and
+	// the reclamation scans cost per batch.
+	b.Run("fused-update", func(b *testing.B) {
+		const keyRange, batch, batches = 4096, 256, 64
+		st, err := store.New(store.Config{
+			Shards:   []store.ShardSpec{{Scheme: "ebr", Structure: "hashmap", Workers: 1}},
+			KeyRange: keyRange,
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Cleanup(func() { st.Close() })
+		src, err := workload.New(workload.Config{
+			KeyRange: keyRange, Seed: 1,
+			Mix: workload.Mix{ContainsPct: 10, InsertPct: 45, DeletePct: 45},
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+		stream := src.Thread(0, batch*batches)
+		ring := make([][]store.Op, batches)
+		for i := range ring {
+			ring[i] = make([]store.Op, batch)
+			for j := range ring[i] {
+				ring[i][j].Kind, ring[i][j].Key = stream.Next()
+			}
+		}
+		res := make([]store.Result, batch)
+		// Run the ring once to reach the mix's steady occupancy and warm
+		// the pools and the retire lists past growth.
+		for _, ops := range ring {
+			if err := st.DoInto(ops, res); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if err := st.DoInto(ring[i%batches], res); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }
 
 // BenchmarkDo measures the allocating convenience wrapper for contrast:

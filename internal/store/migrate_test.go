@@ -151,7 +151,12 @@ func TestMigrateShardErrors(t *testing.T) {
 func TestMigrateShardRacingClients(t *testing.T) {
 	const keyRange = 512
 	st, err := store.New(store.Config{
-		Shards:   store.Uniform(2, store.ShardSpec{Scheme: "ebr", Structure: "michael", Workers: 2}),
+		// A worker descheduled mid-window pins its ebr shard's epoch, and
+		// the clients below retire at memory speed meanwhile: the default
+		// heap (about 4 700 slots) can run dry before the worker runs
+		// again on a loaded box. This test is about migration, not that
+		// stall, so the heap leaves room for it.
+		Shards:   store.Uniform(2, store.ShardSpec{Scheme: "ebr", Structure: "michael", Workers: 2, Slots: 1 << 15}),
 		KeyRange: keyRange,
 	})
 	if err != nil {
