@@ -7,6 +7,7 @@ package repro_test
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/bench"
@@ -14,7 +15,6 @@ import (
 	"repro/internal/core/adversary"
 	"repro/internal/ds"
 	"repro/internal/ds/drive"
-	"repro/internal/ds/registry"
 	"repro/internal/mem"
 	"repro/internal/smr"
 	"repro/internal/smr/all"
@@ -94,53 +94,22 @@ func BenchmarkStallTraversal(b *testing.B) {
 	}
 }
 
-// BenchmarkThroughput regenerates EXP-THRU: scheme × structure × mix at a
-// fixed thread count (the machine is single-core; thread scaling curves
-// carry no signal here, mix and structure shape do).
+// BenchmarkThroughput regenerates EXP-THRU cell by cell, the Section 6
+// comparison's three cells (EXP-MICHAEL) last. A failed known-red cell
+// skips with its symptom and the drive.Script that replays it.
 func BenchmarkThroughput(b *testing.B) {
-	mixes := map[string]bench.Mix{
-		"read90": bench.MixReadHeavy,
-		"mixed":  bench.MixBalanced,
-		"update": bench.MixUpdateOnly,
-	}
-	for _, structure := range []string{"harris", "michael", "skiplist", "nmtree", "hashmap-harris"} {
-		for mixName, mix := range mixes {
-			for _, scheme := range all.SafeNames() {
-				if !registry.Applicable(scheme, structure) {
-					continue
-				}
-				b.Run(fmt.Sprintf("%s/%s/%s", structure, mixName, scheme), func(b *testing.B) {
-					row, err := bench.Throughput(scheme, structure, bench.ThroughputConfig{
-						Threads: 2, OpsPerThread: b.N/2 + 1000, KeyRange: 512, Mix: mix, Seed: 42,
-					})
-					if err != nil {
-						b.Fatal(err)
-					}
-					b.ReportMetric(row.MopsPerSec, "Mops/s")
-					b.ReportMetric(float64(row.PeakRetired), "peak-retired")
-				})
-			}
-		}
-	}
-}
-
-// BenchmarkHarrisVsMichael regenerates EXP-MICHAEL: the Section 6
-// discussion comparison on a delete-heavy mix.
-func BenchmarkHarrisVsMichael(b *testing.B) {
-	for _, pair := range []struct{ scheme, structure string }{
-		{"ebr", "harris"},
-		{"hp", "michael"},
-		{"ebr", "michael"},
-	} {
-		b.Run(pair.scheme+"-"+pair.structure, func(b *testing.B) {
-			row, err := bench.Throughput(pair.scheme, pair.structure, bench.ThroughputConfig{
-				Threads: 2, OpsPerThread: b.N/2 + 2000, KeyRange: 512,
-				Mix: bench.MixUpdateOnly, Seed: 42,
-			})
+	for _, c := range bench.ThroughputCells("harris") {
+		mix := strings.ReplaceAll(c.Mix.String(), "/", "-")
+		b.Run(fmt.Sprintf("%s/%s/%s/%dT", c.Structure, c.Scheme, mix, c.Threads), func(b *testing.B) {
+			row, err := bench.RunCell(c, bench.Profile{Ops: b.N/c.Threads + 1000, KeyRange: 512, Seed: 42})
 			if err != nil {
 				b.Fatal(err)
 			}
+			if row.Symptom != "" {
+				b.Skipf("%s\n%s", row.Symptom, row.Script)
+			}
 			b.ReportMetric(row.MopsPerSec, "Mops/s")
+			b.ReportMetric(float64(row.PeakRetired), "peak-retired")
 		})
 	}
 }

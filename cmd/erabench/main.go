@@ -9,8 +9,8 @@
 // DIR/BENCH_<name>.json; nothing is written without it. -check turns the
 // experiment's gates into the exit status.
 //
-// The throughput-shaped experiments are workload-driven: -workload names
-// the key distribution and -mix the op-mix schedule, both resolved through
+// The throughput sweep is workload-driven: -workload names the key
+// distribution and -mix the op-mix schedule, both resolved through
 // the internal/workload registries. -seed fixes every stream, so two runs
 // with equal flags replay identical operation sequences.
 //
@@ -36,13 +36,13 @@ var (
 	check     = flag.Bool("check", false, "exit 1 when any of an experiment's gates does not hold")
 	seed      = flag.Uint64("seed", 42, "workload seed: runs with equal seeds draw identical operation streams")
 	k         = flag.Int("k", 0, "Figure 1 churn length for the matrix's Harris witness and the structures experiment (0 = the profile's default)")
-	ops       = flag.Int("ops", 0, "operations per thread for the throughput-shaped experiments (0 = the profile's default)")
-	keyRange  = flag.Int("keyrange", 0, "key universe for the throughput-shaped experiments (0 = the profile's default)")
+	ops       = flag.Int("ops", 0, "operations per thread for the throughput sweep (0 = the profile's default)")
+	keyRange  = flag.Int("keyrange", 0, "key universe for the throughput sweep (0 = the profile's default)")
 	structure = flag.String("structure", "harris", "set structure for the throughput sweep")
 	wl        = flag.String("workload", "uniform",
-		fmt.Sprintf("key distribution for the throughput-shaped experiments %v", workload.DistNames()))
+		fmt.Sprintf("key distribution for the throughput sweep %v", workload.DistNames()))
 	mix = flag.String("mix", "steady",
-		fmt.Sprintf("op-mix schedule for the throughput-shaped experiments %v", workload.ScheduleNames()))
+		fmt.Sprintf("op-mix schedule for the throughput sweep %v", workload.ScheduleNames()))
 	obsAddr = flag.String("obs-addr", "",
 		"serve the live observability plane on this address during the obs experiment (e.g. :8080)")
 )

@@ -15,9 +15,7 @@ import (
 	"log"
 
 	"repro/internal/core"
-	"repro/internal/ds"
-	"repro/internal/ds/registry"
-	"repro/internal/hist"
+	"repro/internal/ds/drive"
 	"repro/internal/mem"
 	"repro/internal/smr"
 )
@@ -119,68 +117,28 @@ func (d *Deferred) CASPtr(tid int, r mem.Ref, w int, old, new mem.Ref) (bool, bo
 func (d *Deferred) Reserve(tid int, refs ...mem.Ref) bool { return true }
 
 func main() {
-	// 1. Sequential + concurrent correctness on Harris's list, with a
-	//    linearizability check over barrier-separated rounds.
+	// 1. Concurrent correctness on Harris's list through the seeded
+	//    driver: six barrier-separated rounds checked for
+	//    linearizability, then the run's safety (Definition 4.2).
 	arena := mem.NewArena(mem.Config{
 		Slots: 1 << 14, PayloadWords: 2, MetaWords: smr.MetaWords, Threads: 4, Mode: mem.Reuse,
 	})
 	scheme := NewDeferred(arena, 4, 64)
-	list, err := registry.MustGet("harris").NewSet(scheme, ds.Options{})
+	env := &drive.Env{A: arena, S: scheme, N: 4}
+	list, err := drive.NewTarget("harris", scheme)
 	if err != nil {
 		log.Fatal(err)
 	}
-	rec := hist.NewRecorder(4)
-	var windows [][]hist.Op
-	for round := 0; round < 6; round++ {
-		done := make(chan error, 4)
-		for tid := 0; tid < 4; tid++ {
-			go func(tid, round int) {
-				for i := 0; i < 3; i++ {
-					key := int64((tid*7 + round*3 + i) % 8)
-					switch (tid + i) % 3 {
-					case 0:
-						p := rec.Begin(tid, hist.OpInsert, key)
-						ok, err := list.Insert(tid, key)
-						if err != nil {
-							done <- err
-							return
-						}
-						rec.End(tid, p, ok, 0)
-					case 1:
-						p := rec.Begin(tid, hist.OpDelete, key)
-						ok, err := list.Delete(tid, key)
-						if err != nil {
-							done <- err
-							return
-						}
-						rec.End(tid, p, ok, 0)
-					default:
-						p := rec.Begin(tid, hist.OpContains, key)
-						ok, err := list.Contains(tid, key)
-						if err != nil {
-							done <- err
-							return
-						}
-						rec.End(tid, p, ok, 0)
-					}
-				}
-				done <- nil
-			}(tid, round)
-		}
-		for i := 0; i < 4; i++ {
-			if err := <-done; err != nil {
-				log.Fatal(err)
-			}
-		}
-		windows = append(windows, rec.History())
-		rec.Reset()
-	}
-	lin, err := hist.CheckChained(hist.SetSpec{}, windows)
+	res, err := drive.Run(env, list, drive.Script{Threads: 4, Ops: 3, Rounds: 6, KeyRange: 8})
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("linearizable under light concurrency: %v\n", lin)
-	fmt.Printf("safety so far: %s\n\n", core.Safety(arena, scheme))
+	fmt.Printf("linearizable under light concurrency: %v\n", res.Linearizable() == nil)
+	safety := "safe"
+	if err := env.Safe(); err != nil {
+		safety = err.Error()
+	}
+	fmt.Printf("safety so far: %s\n\n", safety)
 
 	// 2. The scheme's ERA row, from the same scripts the matrix runs on
 	//    every registered scheme: a stalled reader's audited backlog, and

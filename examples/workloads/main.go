@@ -1,8 +1,10 @@
-// Workloads: the layered benchmark engine in one page. A scenario is two
+// Workloads: the throughput cell runner in one page. A scenario is two
 // registry names — a key distribution and an op-mix schedule — so sweeping
-// scenarios is a loop over strings, not new harness code. The run prints
-// the human table and writes the same rows as a machine-readable JSON
-// benchmark artifact with throughput and p50/p99 latency.
+// scenarios is a loop over strings, not new harness code. Each row is one
+// EXP-THRU cell (bench.RunCell) on the seeded driver, internal/ds/drive.
+// The run prints the human table and writes the same rows as a
+// machine-readable JSON benchmark artifact with throughput, retired
+// backlog and restarts.
 //
 //	go run ./examples/workloads [-out BENCH_workloads.json]
 package main
@@ -28,15 +30,9 @@ func main() {
 	for _, dist := range workload.DistNames() {
 		for _, sched := range workload.ScheduleNames() {
 			for _, scheme := range []string{"ebr", "vbr"} {
-				row, err := bench.Throughput(scheme, "michael", bench.ThroughputConfig{
-					Threads:      2,
-					OpsPerThread: 8000,
-					KeyRange:     512,
-					Mix:          bench.MixBalanced,
-					Workload:     dist,
-					Schedule:     sched,
-					Seed:         42,
-				})
+				row, err := bench.RunCell(
+					bench.ThroughputCell{Scheme: scheme, Structure: "michael", Mix: workload.MixBalanced, Threads: 2},
+					bench.Profile{Ops: 8000, KeyRange: 512, Workload: dist, Schedule: sched, Seed: 42})
 				if err != nil {
 					log.Fatal(err)
 				}
@@ -62,6 +58,6 @@ func main() {
 	fmt.Println("Reading the table: zipfian/hotset concentrate traffic on few keys, so")
 	fmt.Println("contention (and VBR's rollback restarts) rises; shifting churns the")
 	fmt.Println("working set, so every scheme pays cold-traversal costs; the oversub")
-	fmt.Println("schedule yields the processor mid-quantum, which stretches p99 for")
-	fmt.Println("epoch-based schemes whose reclamation waits on every thread's progress.")
+	fmt.Println("schedule yields the processor mid-quantum, which grows the retired backlog")
+	fmt.Println("of epoch-based schemes whose reclamation waits on every thread's progress.")
 }

@@ -23,6 +23,7 @@ import (
 	"repro/internal/smr/all"
 	"repro/internal/store"
 	"repro/internal/telemetry"
+	"repro/internal/workload"
 )
 
 // adaptiveConfig is what EXP-ADAPT varies; the rest of its sizing is the
@@ -108,7 +109,7 @@ type AdaptiveAggregate struct {
 	KeyRange    int           `json:"key_range"`
 	Duration    time.Duration `json:"duration_ns"`
 	FaultAfter  time.Duration `json:"fault_after_ns"`
-	Mix         Mix           `json:"mix"`
+	Mix         workload.Mix  `json:"mix"`
 	Workload    string        `json:"workload"`
 	Schedule    string        `json:"schedule"`
 	Seed        uint64        `json:"seed"`
@@ -141,7 +142,7 @@ func runAdaptiveArm(cfg adaptiveConfig, adaptive bool) (arm AdaptiveArm, class s
 	f, err := newFleet(fleetConfig{
 		schemes: []string{start}, structure: fleetStructure, workers: fleetWorkers,
 		clients: adaptiveClients, batch: fleetBatch, keyRange: fleetKeyRange,
-		duration: cfg.duration, mix: MixBalanced, workload: fleetWorkload, schedule: fleetSchedule,
+		duration: cfg.duration, mix: workload.MixBalanced, workload: fleetWorkload, schedule: fleetSchedule,
 		seed: cfg.seed, controlled: true,
 	})
 	if err != nil {
@@ -208,8 +209,8 @@ func runAdaptiveArm(cfg adaptiveConfig, adaptive bool) (arm AdaptiveArm, class s
 	arm.FinalAudited = finalVerdict.Audited
 	arm.FinalGrowth = finalFit.GrowthName
 	arm.FinalFit = finalFit
-	arm.Ops = t.ops
-	arm.OpErrs = t.opErrs
+	arm.Ops = t.n
+	arm.OpErrs = t.errs
 	arm.OOMs = stats.Shards[0].OOMs
 	arm.PeakRetired = stats.Shards[0].MaxRetired
 	arm.P50 = t.lat.Percentile(0.50)
@@ -268,7 +269,7 @@ func runAdaptive(p Profile) (Result, error) {
 			KeyRange:    fleetKeyRange,
 			Duration:    cfg.duration,
 			FaultAfter:  cfg.duration / 8,
-			Mix:         MixBalanced,
+			Mix:         workload.MixBalanced,
 			Workload:    fleetWorkload,
 			Schedule:    fleetSchedule,
 			Seed:        cfg.seed,

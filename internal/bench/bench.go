@@ -11,12 +11,16 @@
 //
 //   - internal/workload supplies the scenarios: key distributions and
 //     op-mix schedules selected by name;
-//   - the engine (engine.go) assembles arena + scheme + structure, runs an
-//     untimed warmup and a timed measurement phase with per-thread op
-//     loops driven by a workload.Source, and samples operation latencies;
+//   - EXP-THRU's cells (experiments.go) run on the seeded driver
+//     (internal/ds/drive): per cell a fresh heap, a prefill script, an
+//     untimed warmup script and a timed one, each thread's ops drawn from
+//     a workload stream — a failure prints the drive.Script that replays
+//     it;
 //   - the fleet (fleet.go) is the faulted sharded-store scaffold the
 //     deployment run (RunService: eraserve and EXP-CHAOS), the adaptive
-//     and the observability experiments share.
+//     and the observability experiments share; its runClients is the one
+//     closed-loop client pool, behind the fleet's clients, the fan-out
+//     lane and EXP-PIPELINE's arms.
 //
 // The paper itself is a theory paper with two proof illustrations and no
 // measurement section; the harness therefore regenerates (a) the paper's
@@ -33,21 +37,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-
-	"repro/internal/workload"
-)
-
-// Mix is an operation mix in percent; the three fields must sum to 100.
-// It is an alias of workload.Mix — the schedules in internal/workload
-// modulate it over a run.
-type Mix = workload.Mix
-
-// Standard mixes used across the experiments (read-heavy, mixed,
-// update-only), matching the sweeps in the IBR/NBR/VBR evaluations.
-var (
-	MixReadHeavy  = workload.MixReadHeavy
-	MixBalanced   = workload.MixBalanced
-	MixUpdateOnly = workload.MixUpdateOnly
 )
 
 // Profile is everything a run of the registry can vary. What differs
@@ -67,12 +56,11 @@ type Profile struct {
 	// Sizing of the classic sweeps (erabench -k -ops -keyrange); zero
 	// selects the profile's default.
 	K        int // Figure 1 churn length: matrix, structures
-	Ops      int // operations per thread: throughput, michael
-	KeyRange int // key universe: throughput, michael
+	Ops      int // operations per thread: throughput
+	KeyRange int // key universe: throughput
 	// Structure, Workload and Schedule name the throughput sweep's set
-	// structure and the throughput-shaped experiments' key distribution
-	// and op-mix schedule (registry names); empty selects
-	// harris/uniform/steady.
+	// structure, key distribution and op-mix schedule (registry names);
+	// empty selects harris/uniform/steady.
 	Structure string
 	Workload  string
 	Schedule  string
@@ -138,9 +126,8 @@ type Experiment struct {
 // experiments is the registry, in the order "all" runs it.
 var experiments = []Experiment{
 	{Name: "matrix", Title: "EXP-ERA: the ERA matrix (Theorem 6.1)", TableOnly: true, Run: runMatrix},
-	{Name: "throughput", Title: "EXP-THRU: scheme × mix × threads throughput sweep", Run: runThroughput},
+	{Name: "throughput", Title: "EXP-THRU: scheme × mix × threads throughput cells, then EXP-MICHAEL's Harris+EBR vs Michael+HP", Run: runThroughput},
 	{Name: "structures", Title: "EXP-EXT: stalled traversal across structures (§6 open question)", TableOnly: true, Run: runStructures},
-	{Name: "michael", Title: "EXP-MICHAEL: Harris+EBR vs Michael+HP (delete-heavy)", Run: runMichael},
 	{Name: "chaos", Title: "EXP-CHAOS: live robustness audit under stall injection (ebr/ibr/hp)", Run: runChaosExperiment},
 	{Name: "adaptive", Title: "EXP-ADAPT: static vs adaptive reclamation under a delayed-release storm", Run: runAdaptive},
 	{Name: "obs", Title: "EXP-OBS: flight recorder + causal fault→verdict→migration timelines", Run: runObs},

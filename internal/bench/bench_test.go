@@ -2,44 +2,111 @@ package bench_test
 
 import (
 	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 
 	"repro/internal/bench"
+	"repro/internal/ds/registry"
 	"repro/internal/smr/all"
+	"repro/internal/workload"
 )
 
-// TestThroughputRuns smoke-tests the runner for one scheme per family.
+// TestThroughputRuns smoke-tests one cell per scheme family, at the
+// profile's default workload names.
 func TestThroughputRuns(t *testing.T) {
 	for _, scheme := range []string{"ebr", "hp", "vbr", "none"} {
-		structure := "michael"
-		r, err := bench.Throughput(scheme, structure, bench.ThroughputConfig{
-			Threads: 2, OpsPerThread: 3000, KeyRange: 128, Mix: bench.MixBalanced, Seed: 1,
-		})
+		r, err := bench.RunCell(bench.ThroughputCell{Scheme: scheme, Structure: "michael", Mix: workload.MixBalanced, Threads: 2},
+			bench.Profile{Ops: 3000, KeyRange: 128, Seed: 1})
 		if err != nil {
 			t.Fatalf("%s: %v", scheme, err)
 		}
-		if r.Ops != 6000 || r.MopsPerSec <= 0 {
+		if r.Ops != 6000 || r.Symptom == "" && r.MopsPerSec <= 0 {
 			t.Errorf("%s: row = %+v", scheme, r)
+		}
+		if r.Workload != "uniform" || r.Schedule != "steady" {
+			t.Errorf("%s: defaults %s/%s", scheme, r.Workload, r.Schedule)
 		}
 	}
 }
 
 // TestThroughputRejectsNonSets: the runner only accepts set structures.
 func TestThroughputRejectsNonSets(t *testing.T) {
-	if _, err := bench.Throughput("ebr", "msqueue", bench.ThroughputConfig{}); err == nil {
-		t.Fatal("expected an error for a queue structure")
-	}
-	if _, err := bench.Throughput("ebr", "nosuch", bench.ThroughputConfig{}); err == nil {
-		t.Fatal("expected an error for an unknown structure")
+	for _, structure := range []string{"msqueue", "nosuch"} {
+		if _, err := bench.RunCell(bench.ThroughputCell{Scheme: "ebr", Structure: structure, Threads: 2}, bench.Profile{}); err == nil {
+			t.Errorf("%s: expected an error", structure)
+		}
 	}
 }
 
-// TestSpaceSweepShape checks EXP-ERA's audited-R column separates the
-// robustness classes by the stalled reader's backlog growth: one retired
-// node per churn step (two operations) for EBR and the leaky baseline,
-// none for VBR.
-func TestSpaceSweepShape(t *testing.T) {
+// TestThroughputWorkloadMatrix drives one cell through every registered
+// key distribution × op-mix schedule.
+func TestThroughputWorkloadMatrix(t *testing.T) {
+	for _, dist := range workload.DistNames() {
+		for _, sched := range workload.ScheduleNames() {
+			r, err := bench.RunCell(bench.ThroughputCell{Scheme: "ebr", Structure: "michael", Mix: workload.MixBalanced, Threads: 2},
+				bench.Profile{Ops: 1500, KeyRange: 128, Workload: dist, Schedule: sched, Seed: 11})
+			if err != nil {
+				t.Fatalf("%s/%s: %v", dist, sched, err)
+			}
+			if r.Workload != dist || r.Schedule != sched {
+				t.Errorf("row names %s/%s, want %s/%s", r.Workload, r.Schedule, dist, sched)
+			}
+			if r.MopsPerSec <= 0 || r.Ops != 3000 {
+				t.Errorf("%s/%s: row = %+v", dist, sched, r)
+			}
+		}
+	}
+}
+
+// TestThroughputRejectsUnknownWorkload: bad registry names surface as
+// errors, not silent fallbacks — also on a known-red cell.
+func TestThroughputRejectsUnknownWorkload(t *testing.T) {
+	for _, scheme := range []string{"ebr", "pebr"} {
+		c := bench.ThroughputCell{Scheme: scheme, Structure: "michael", Threads: 2}
+		if _, err := bench.RunCell(c, bench.Profile{Workload: "nosuch"}); err == nil {
+			t.Errorf("%s: unknown distribution must error", scheme)
+		}
+		if _, err := bench.RunCell(c, bench.Profile{Schedule: "nosuch"}); err == nil {
+			t.Errorf("%s: unknown schedule must error", scheme)
+		}
+	}
+}
+
+// TestRunCellKnownRed: a cell that fails every time — the unsafe
+// immediate-free scheme under real parallelism — yields a row carrying
+// its symptom and script while registry.KnownRed lists it, and an error
+// carrying the script while it does not.
+func TestRunCellKnownRed(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	c := bench.ThroughputCell{Scheme: "unsafefree", Structure: "harris", Mix: workload.MixUpdateOnly, Threads: 4}
+	p := bench.Profile{Ops: 40000, KeyRange: 8, Seed: 3}
+	_, err := bench.RunCell(c, p)
+	if err == nil || !strings.Contains(err.Error(), "unsafefree × harris") || !strings.Contains(err.Error(), "drive.Script{Threads: 4") {
+		t.Fatalf("unlisted failing cell: err = %v, want the failure and its script", err)
+	}
+	saved := registry.KnownRed
+	t.Cleanup(func() { registry.KnownRed = saved })
+	registry.KnownRed = append(saved[:len(saved):len(saved)], registry.Red{Scheme: "unsafefree", Structure: "harris", Symptom: "frees on retire"})
+	r, err := bench.RunCell(c, p)
+	if err != nil {
+		t.Fatalf("listed failing cell returned an error: %v", err)
+	}
+	if !strings.Contains(r.Symptom, "frees on retire") || !strings.HasPrefix(r.Script, "drive.Script{Threads: 4") {
+		t.Fatalf("listed failing cell: symptom %q, script %q", r.Symptom, r.Script)
+	}
+	var sb strings.Builder
+	bench.ThroughputResult{Rows: []bench.ThroughputRow{r}}.WriteTable(&sb)
+	if !strings.Contains(sb.String(), r.Script) {
+		t.Errorf("table lost the failing cell's script:\n%s", sb.String())
+	}
+}
+
+// TestERASlopeSeparatesNotRobust checks EXP-ERA's audited-R column
+// separates the robustness classes by the stalled reader's backlog slope:
+// one retired node per churn step (two operations) for EBR and the leaky
+// baseline, none for VBR.
+func TestERASlopeSeparatesNotRobust(t *testing.T) {
 	rows := eraRows(t)
 	for _, s := range []string{"ebr", "none"} {
 		if r := rows[s]; r.audited != "not-robust" || r.slope < 0.4 {
@@ -67,41 +134,44 @@ func TestStallSeriesShape(t *testing.T) {
 	}
 }
 
-// TestMichaelComparisonShape: the Section 6 comparison runs its three
-// (scheme, structure) pairs in the documented order. Which pair is faster
-// is a measurement, not a unit-test fact.
+// TestMichaelComparisonShape: the Section 6 comparison is the sweep's last
+// three cells, in the documented order. Which pair is faster is a
+// measurement, not a unit-test fact.
 func TestMichaelComparisonShape(t *testing.T) {
-	rows, err := bench.MichaelComparison(bench.ThroughputConfig{
-		Threads: 2, OpsPerThread: 4000, KeyRange: 256, Seed: 5,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 3 {
-		t.Fatalf("rows = %d, want 3", len(rows))
-	}
+	cells := bench.ThroughputCells("skiplist")
+	cells = cells[len(cells)-3:]
 	for i, want := range [][2]string{{"ebr", "harris"}, {"hp", "michael"}, {"ebr", "michael"}} {
-		if rows[i].Scheme != want[0] || rows[i].Structure != want[1] {
-			t.Fatalf("row %d = %s × %s, want %s × %s", i, rows[i].Scheme, rows[i].Structure, want[0], want[1])
+		c := cells[i]
+		if c.Scheme != want[0] || c.Structure != want[1] || c.Mix != workload.MixUpdateOnly || c.Threads != 2 {
+			t.Fatalf("cell %d = %+v, want %s × %s update-only at 2 threads", i, c, want[0], want[1])
 		}
-		if rows[i].Mix != bench.MixUpdateOnly || rows[i].MopsPerSec <= 0 {
-			t.Errorf("row %d: mix %s, %.3f Mops/s", i, rows[i].Mix, rows[i].MopsPerSec)
+		r, err := bench.RunCell(c, bench.Profile{Ops: 4000, KeyRange: 256, Seed: 5})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r.MopsPerSec <= 0 {
+			t.Errorf("cell %d: %.3f Mops/s", i, r.MopsPerSec)
 		}
 	}
 }
 
-// TestThroughputSweep covers the sweep driver and the applicability
-// filter (hp must be skipped on harris).
+// TestThroughputSweep covers the cell list's applicability filter (hp,
+// ibr and he must not run on harris) and renders a slice of the sweep.
 func TestThroughputSweep(t *testing.T) {
-	rows, err := bench.ThroughputSweep("harris", all.SafeNames(), []bench.Mix{bench.MixReadHeavy},
-		[]int{2}, bench.ThroughputConfig{OpsPerThread: 1500, KeyRange: 128, Seed: 9})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, r := range rows {
-		if r.Scheme == "hp" || r.Scheme == "ibr" || r.Scheme == "he" {
-			t.Errorf("non-applicable scheme %s ran on harris", r.Scheme)
+	var rows []bench.ThroughputRow
+	cells := bench.ThroughputCells("harris")
+	for _, c := range cells[:len(cells)-3] {
+		if c.Scheme == "hp" || c.Scheme == "ibr" || c.Scheme == "he" {
+			t.Errorf("non-applicable scheme %s runs on harris", c.Scheme)
 		}
+		if c.Mix != workload.MixReadHeavy || c.Threads != 2 {
+			continue
+		}
+		r, err := bench.RunCell(c, bench.Profile{Ops: 1500, KeyRange: 128, Seed: 9})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rows = append(rows, r)
 	}
 	if len(rows) == 0 {
 		t.Fatal("sweep produced no rows")
@@ -113,11 +183,12 @@ func TestThroughputSweep(t *testing.T) {
 	}
 }
 
-// TestScaleSweepShape is the Definition 5.1 vs 5.2 separation at EXP-ERA's
-// 128-key prefix: a robust scheme's stalled-reader backlog stays a few
-// nodes, a weakly robust one's plateaus at the structure size (the
-// stalled era/interval pins the whole structure alive at the stall).
-func TestScaleSweepShape(t *testing.T) {
+// TestERAPlateauSeparatesWeaklyRobust is the Definition 5.1 vs 5.2
+// separation at EXP-ERA's 128-key prefix: a robust scheme's stalled-reader
+// backlog plateaus at a few nodes, a weakly robust one's at the structure
+// size (the stalled era/interval pins the whole structure alive at the
+// stall).
+func TestERAPlateauSeparatesWeaklyRobust(t *testing.T) {
 	rows := eraRows(t)
 	for _, s := range []string{"hp", "vbr", "nbr"} {
 		if r := rows[s]; r.audited != "robust" || r.plateau > 32 {

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"cmp"
 	"sync"
 	"time"
 
@@ -53,7 +54,7 @@ type fleetConfig struct {
 	batch     int
 	keyRange  int
 	duration  time.Duration
-	mix       Mix
+	mix       workload.Mix
 	workload  string
 	schedule  string
 	seed      uint64
@@ -151,9 +152,8 @@ func (f *fleet) series() [][]telemetry.Point {
 
 // traffic is what the clients of one window experienced.
 type traffic struct {
-	ops, opErrs uint64
-	lat         hist.Latency
-	elapsed     time.Duration
+	tally
+	elapsed time.Duration
 }
 
 // run drives the window: sampler and engine start, closed-loop clients
@@ -191,76 +191,92 @@ func (f *fleet) run(atDeadline func(), each func(time.Duration), beside func(dea
 			beside(deadline)
 		}()
 	}
-	ops, opErrs, lat, err := runTimedClients(f.st, f.src, f.cfg.clients, f.cfg.batch, deadline, each)
+	t := traffic{tally: runTimedClients(f.st, f.src, f.cfg.clients, f.cfg.batch, deadline, each)}
 	lane.Wait()
 	<-healed
-	t := traffic{ops: ops, opErrs: opErrs, lat: lat, elapsed: time.Since(start)}
+	t.elapsed = time.Since(start)
 	f.sampler.Stop()
-	if err != nil {
-		return t, err
+	if t.err != nil {
+		return t, t.err
 	}
 	return t, f.st.Close()
 }
 
-// runTimedClients drives closed-loop clients until deadline, tolerating
-// per-operation errors (they are what faults — and migration windows —
-// look like from outside). Returns total ops, op errors, and merged
-// request latencies. Shared by every duration-boxed experiment. each,
-// when non-nil, receives every request latency live (the SLO monitor's
-// feed); it is called from every client goroutine concurrently and must
-// be cheap and thread-safe.
-func runTimedClients(st *store.Store, src *workload.Source, clients, batchSize int, deadline time.Time, each func(time.Duration)) (uint64, uint64, hist.Latency, error) {
+// tally is what closed-loop clients measured: one client's while it
+// runs, the run's once runClients merges them.
+type tally struct {
+	// n counts the client's units of work: ops or requests.
+	n, partial, errs, sheds uint64
+	// lat holds every completion's latency, healthy the fully successful
+	// ones'.
+	lat, healthy hist.Latency
+	// err is a harness failure (a closed store, a rejected submit): it
+	// ends the client, and the merged tally keeps the first.
+	err error
+}
+
+// runClients runs client(c, t) for c < n, each on its own goroutine with
+// its own tally, waits for them all and returns the merged tally.
+func runClients(n int, client func(c int, t *tally)) tally {
+	tallies := make([]tally, n)
 	var wg sync.WaitGroup
-	ops := make([]uint64, clients)
-	errs := make([]uint64, clients)
-	lats := make([]hist.Latency, clients)
-	fail := make([]error, clients)
-	for c := 0; c < clients; c++ {
+	for c := range tallies {
 		wg.Add(1)
-		go func(c int) {
+		go func() {
 			defer wg.Done()
-			stream := src.Thread(c, 1<<20)
-			batch := make([]store.Op, 0, batchSize)
-			for time.Now().Before(deadline) {
-				batch = batch[:0]
-				for len(batch) < batchSize {
-					kind, key := stream.Next()
-					batch = append(batch, store.Op{Kind: kind, Key: key})
-				}
-				t0 := time.Now()
-				res, err := st.Do(batch)
-				if err != nil {
-					// Store-level failure (closed store): a harness bug,
-					// not a fault outcome.
-					fail[c] = err
-					return
-				}
-				d := time.Since(t0)
-				lats[c].Record(d)
-				if each != nil {
-					each(d)
-				}
-				ops[c] += uint64(len(batch))
-				for _, r := range res {
-					if r.Err != nil {
-						errs[c]++
-					}
-				}
-			}
-		}(c)
+			client(c, &tallies[c])
+		}()
 	}
 	wg.Wait()
-	var lat hist.Latency
-	var totalOps, totalErrs uint64
-	for c := 0; c < clients; c++ {
-		if fail[c] != nil {
-			return 0, 0, lat, fail[c]
-		}
-		totalOps += ops[c]
-		totalErrs += errs[c]
-		lat.Merge(&lats[c])
+	var all tally
+	for i := range tallies {
+		t := &tallies[i]
+		all.n += t.n
+		all.partial += t.partial
+		all.errs += t.errs
+		all.sheds += t.sheds
+		all.lat.Merge(&t.lat)
+		all.healthy.Merge(&t.healthy)
+		all.err = cmp.Or(all.err, t.err)
 	}
-	return totalOps, totalErrs, lat, nil
+	return all
+}
+
+// runTimedClients drives closed-loop clients until deadline, tolerating
+// per-operation errors (they are what faults — and migration windows —
+// look like from outside): n counts ops, errs the failed ones. Shared by
+// every duration-boxed experiment. each, when non-nil, receives every
+// request latency live (the SLO monitor's feed); it is called from every
+// client goroutine concurrently and must be cheap and thread-safe.
+func runTimedClients(st *store.Store, src *workload.Source, clients, batchSize int, deadline time.Time, each func(time.Duration)) tally {
+	return runClients(clients, func(c int, t *tally) {
+		stream := src.Thread(c, 1<<20)
+		batch := make([]store.Op, 0, batchSize)
+		for time.Now().Before(deadline) {
+			batch = batch[:0]
+			for len(batch) < batchSize {
+				kind, key := stream.Next()
+				batch = append(batch, store.Op{Kind: kind, Key: key})
+			}
+			t0 := time.Now()
+			res, err := st.Do(batch)
+			if err != nil {
+				t.err = err
+				return
+			}
+			d := time.Since(t0)
+			t.lat.Record(d)
+			if each != nil {
+				each(d)
+			}
+			t.n += uint64(len(batch))
+			for _, r := range res {
+				if r.Err != nil {
+					t.errs++
+				}
+			}
+		}
+	})
 }
 
 // prefillHalf inserts exactly ⌊keyRange/2⌋ distinct keys through the

@@ -152,7 +152,7 @@ func runObs(p Profile) (Result, error) {
 	f, err := newFleet(fleetConfig{
 		schemes: schemes, structure: fleetStructure, workers: fleetWorkers,
 		clients: obsClients, batch: fleetBatch, keyRange: fleetKeyRange,
-		duration: cfg.duration, mix: MixBalanced, workload: fleetWorkload, schedule: fleetSchedule,
+		duration: cfg.duration, mix: workload.MixBalanced, workload: fleetWorkload, schedule: fleetSchedule,
 		seed: cfg.seed, controlled: true, clock: clock, recorder: recorder,
 	})
 	if err != nil {
@@ -233,9 +233,9 @@ func runObs(p Profile) (Result, error) {
 			SLOTarget:   obsSLOTarget,
 			Seed:        cfg.seed,
 			Elapsed:     t.elapsed,
-			Ops:         t.ops,
-			OpErrs:      t.opErrs,
-			MopsPerSec:  float64(t.ops) / t.elapsed.Seconds() / 1e6,
+			Ops:         t.n,
+			OpErrs:      t.errs,
+			MopsPerSec:  float64(t.n) / t.elapsed.Seconds() / 1e6,
 			P50:         t.lat.Percentile(0.50),
 			P99:         t.lat.Percentile(0.99),
 		},
@@ -287,7 +287,7 @@ func measureObsOverhead(cfg obsConfig) (ObsOverhead, error) {
 			return 0, err
 		}
 		defer st.Close()
-		src, err := workload.New(workload.Config{KeyRange: fleetKeyRange, Mix: MixBalanced, Seed: seed})
+		src, err := workload.New(workload.Config{KeyRange: fleetKeyRange, Mix: workload.MixBalanced, Seed: seed})
 		if err != nil {
 			return 0, err
 		}
@@ -295,12 +295,8 @@ func measureObsOverhead(cfg obsConfig) (ObsOverhead, error) {
 			return 0, err
 		}
 		start := time.Now()
-		ops, _, _, err := runTimedClients(st, src, obsClients, fleetBatch, start.Add(cfg.overheadRound), nil)
-		elapsed := time.Since(start)
-		if err != nil {
-			return 0, err
-		}
-		return float64(ops) / elapsed.Seconds() / 1e6, nil
+		t := runTimedClients(st, src, obsClients, fleetBatch, start.Add(cfg.overheadRound), nil)
+		return float64(t.n) / time.Since(start).Seconds() / 1e6, t.err
 	}
 
 	// One discarded warmup round: the first round after the faulted run

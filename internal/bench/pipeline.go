@@ -1,14 +1,13 @@
 package bench
 
 import (
+	"cmp"
 	"fmt"
 	"io"
-	"sync"
 	"time"
 
 	"repro/internal/chaos"
 	"repro/internal/exec"
-	"repro/internal/hist"
 	"repro/internal/obs/rec"
 	"repro/internal/sched"
 	"repro/internal/store"
@@ -169,39 +168,19 @@ func fanoutReqSource(mix workload.ReqMix, keyRange int, seed uint64) (*workload.
 // time against the store's native interface — a blocking Do for
 // point/multi requests, a sequential shard-by-shard loop for ranges —
 // and waits for the merged answer before drawing the next request.
-func runBlockingArm(st *store.Store, src *workload.ReqSource, deadline time.Time) (uint64, hist.Latency, error) {
-	var wg sync.WaitGroup
-	reqs := make([]uint64, pipelineClients)
-	lats := make([]hist.Latency, pipelineClients)
-	fail := make([]error, pipelineClients)
-	for c := 0; c < pipelineClients; c++ {
-		wg.Add(1)
-		go func(c int) {
-			defer wg.Done()
-			stream := src.Thread(c, 1<<20)
-			for time.Now().Before(deadline) {
-				req := stream.Next()
-				t0 := time.Now()
-				if err := blockingExecute(st, req); err != nil {
-					fail[c] = err
-					return
-				}
-				lats[c].Record(time.Since(t0))
-				reqs[c]++
+func runBlockingArm(st *store.Store, src *workload.ReqSource, deadline time.Time) tally {
+	return runClients(pipelineClients, func(c int, t *tally) {
+		stream := src.Thread(c, 1<<20)
+		for time.Now().Before(deadline) {
+			req := stream.Next()
+			t0 := time.Now()
+			if t.err = blockingExecute(st, req); t.err != nil {
+				return
 			}
-		}(c)
-	}
-	wg.Wait()
-	var total uint64
-	var lat hist.Latency
-	for c := 0; c < pipelineClients; c++ {
-		if fail[c] != nil {
-			return 0, lat, fail[c]
+			t.lat.Record(time.Since(t0))
+			t.n++
 		}
-		total += reqs[c]
-		lat.Merge(&lats[c])
-	}
-	return total, lat, nil
+	})
 }
 
 // blockingExecute serves one request the pre-exec way. Per-op errors are
@@ -237,62 +216,39 @@ func blockingExecute(st *store.Store, req workload.Req) error {
 
 // runPipelinedArm drives the executor with a per-client window of
 // asynchronous handles: submit until the window is full, then retire the
-// oldest — the pipelining the exec layer buys. Returns requests
-// completed, partial-result count, completion latencies for all
-// requests, and for the fully-successful ("healthy") ones alone.
-func runPipelinedArm(ex *exec.Executor, src *workload.ReqSource, deadline time.Time) (uint64, uint64, hist.Latency, hist.Latency, error) {
-	var wg sync.WaitGroup
-	reqs := make([]uint64, pipelineClients)
-	partials := make([]uint64, pipelineClients)
-	lats := make([]hist.Latency, pipelineClients)
-	healthy := make([]hist.Latency, pipelineClients)
-	fail := make([]error, pipelineClients)
-	for c := 0; c < pipelineClients; c++ {
-		wg.Add(1)
-		go func(c int) {
-			defer wg.Done()
-			stream := src.Thread(c, 1<<20)
-			window := make([]*exec.Handle, 0, pipelineWindow)
-			retire := func(h *exec.Handle) {
-				res := h.Wait()
-				lats[c].Record(res.Elapsed)
-				reqs[c]++
-				if res.Partial() {
-					partials[c]++
-				} else {
-					healthy[c].Record(res.Elapsed)
-				}
+// oldest — the pipelining the exec layer buys. The tally counts requests
+// completed and partial results, with completion latencies for all
+// requests and for the fully-successful ("healthy") ones alone.
+func runPipelinedArm(ex *exec.Executor, src *workload.ReqSource, deadline time.Time) tally {
+	return runClients(pipelineClients, func(c int, t *tally) {
+		stream := src.Thread(c, 1<<20)
+		window := make([]*exec.Handle, 0, pipelineWindow)
+		retire := func(h *exec.Handle) {
+			res := h.Wait()
+			t.lat.Record(res.Elapsed)
+			t.n++
+			if res.Partial() {
+				t.partial++
+			} else {
+				t.healthy.Record(res.Elapsed)
 			}
-			for time.Now().Before(deadline) {
-				h, err := ex.Submit(stream.Next())
-				if err != nil {
-					fail[c] = err
-					return
-				}
-				window = append(window, h)
-				if len(window) == pipelineWindow {
-					retire(window[0])
-					window = append(window[:0], window[1:]...)
-				}
-			}
-			for _, h := range window {
-				retire(h)
-			}
-		}(c)
-	}
-	wg.Wait()
-	var total, partial uint64
-	var lat, healthyLat hist.Latency
-	for c := 0; c < pipelineClients; c++ {
-		if fail[c] != nil {
-			return 0, 0, lat, healthyLat, fail[c]
 		}
-		total += reqs[c]
-		partial += partials[c]
-		lat.Merge(&lats[c])
-		healthyLat.Merge(&healthy[c])
-	}
-	return total, partial, lat, healthyLat, nil
+		for time.Now().Before(deadline) {
+			h, err := ex.Submit(stream.Next())
+			if err != nil {
+				t.err = err
+				return
+			}
+			window = append(window, h)
+			if len(window) == pipelineWindow {
+				retire(window[0])
+				window = append(window[:0], window[1:]...)
+			}
+		}
+		for _, h := range window {
+			retire(h)
+		}
+	})
 }
 
 // runPipeline runs EXP-PIPELINE: the blocking baseline arm, the
@@ -311,30 +267,29 @@ func runPipeline(p Profile) (Result, error) {
 		ReqMix:    workload.ReqMixFanout,
 	}
 
+	// Both arms draw the same request streams: a source's per-client
+	// stream is a function of its seed and the client alone.
+	src, err := fanoutReqSource(workload.ReqMixFanout, cfg.keyRange, cfg.seed)
+	if err != nil {
+		return nil, err
+	}
+
 	// Arm A: blocking loop over the store's native interface.
 	{
 		st, _, err := newFanoutStore(1, cfg.keyRange, cfg.seed, false, nil)
 		if err != nil {
 			return nil, err
 		}
-		src, err := fanoutReqSource(workload.ReqMixFanout, cfg.keyRange, cfg.seed)
-		if err != nil {
-			st.Close()
-			return nil, err
-		}
 		start := time.Now()
-		n, lat, err := runBlockingArm(st, src, start.Add(cfg.duration))
+		t := runBlockingArm(st, src, start.Add(cfg.duration))
 		elapsed := time.Since(start)
-		if cerr := st.Close(); err == nil {
-			err = cerr
-		}
-		if err != nil {
+		if err := cmp.Or(t.err, st.Close()); err != nil {
 			return nil, err
 		}
 		res.Blocking = PipelineArmRow{
-			Arm: "blocking", Requests: n, Elapsed: elapsed,
-			ReqPerSec: float64(n) / elapsed.Seconds(),
-			P50:       lat.Percentile(0.50), P99: lat.Percentile(0.99),
+			Arm: "blocking", Requests: t.n, Elapsed: elapsed,
+			ReqPerSec: float64(t.n) / elapsed.Seconds(),
+			P50:       t.lat.Percentile(0.50), P99: t.lat.Percentile(0.99),
 		}
 	}
 
@@ -352,30 +307,18 @@ func runPipeline(p Profile) (Result, error) {
 			st.Close()
 			return nil, err
 		}
-		src, err := fanoutReqSource(workload.ReqMixFanout, cfg.keyRange, cfg.seed)
-		if err != nil {
-			ex.Close()
-			st.Close()
-			return nil, err
-		}
 		start := time.Now()
-		n, partial, lat, _, err := runPipelinedArm(ex, src, start.Add(cfg.duration))
+		t := runPipelinedArm(ex, src, start.Add(cfg.duration))
 		elapsed := time.Since(start)
 		stats := ex.Stats()
-		if cerr := ex.Close(); err == nil {
-			err = cerr
-		}
-		if cerr := st.Close(); err == nil {
-			err = cerr
-		}
-		if err != nil {
+		if err := cmp.Or(t.err, ex.Close(), st.Close()); err != nil {
 			return nil, err
 		}
 		res.Pipelined = PipelineArmRow{
-			Arm: "pipelined", Requests: n, Elapsed: elapsed,
-			ReqPerSec: float64(n) / elapsed.Seconds(),
-			P50:       lat.Percentile(0.50), P99: lat.Percentile(0.99),
-			Partial: partial, Sheds: stats.Sheds, Timeouts: stats.Timeouts,
+			Arm: "pipelined", Requests: t.n, Elapsed: elapsed,
+			ReqPerSec: float64(t.n) / elapsed.Seconds(),
+			P50:       t.lat.Percentile(0.50), P99: t.lat.Percentile(0.99),
+			Partial: t.partial, Sheds: stats.Sheds, Timeouts: stats.Timeouts,
 		}
 		if res.Blocking.ReqPerSec > 0 {
 			res.Pipelined.ReqPerSecX = res.Pipelined.ReqPerSec / res.Blocking.ReqPerSec
@@ -459,19 +402,19 @@ func runPipelineChaos(cfg pipelineConfig) (PipelineChaosRow, error) {
 		}
 		degraded <- false
 	}()
-	n, partial, _, healthyLat, err := runPipelinedArm(ex, src, deadline)
+	t := runPipelinedArm(ex, src, deadline)
 	row.DegradedSeen = <-degraded
-	if err != nil {
+	if t.err != nil {
 		engine.Stop()
-		return row, err
+		return row, t.err
 	}
 	stats := ex.Stats()
-	row.Requests = n
-	row.Partial = partial
+	row.Requests = t.n
+	row.Partial = t.partial
 	row.Sheds = stats.Sheds
 	row.Timeouts = stats.Timeouts
-	row.HealthyP50 = healthyLat.Percentile(0.50)
-	row.HealthyP99 = healthyLat.Percentile(0.99)
+	row.HealthyP50 = t.healthy.Percentile(0.50)
+	row.HealthyP99 = t.healthy.Percentile(0.99)
 
 	for _, ev := range engine.Events() {
 		if ev.Fault == "stall" {

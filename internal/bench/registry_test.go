@@ -31,7 +31,7 @@ var nestedGates = map[string]bool{"detection_latency_ns": true, "overhead_ok": t
 
 // wantTable is one header token each experiment's table must carry.
 var wantTable = map[string]string{
-	"matrix": "holds=true", "throughput": "Mops/s", "structures": "-- harris --", "michael": "Mops/s",
+	"matrix": "holds=true", "throughput": "Mops/s", "structures": "-- harris --",
 	"chaos": "declared", "adaptive": "faulted-audited", "obs": "recorder:",
 	"pipeline": "chaos:", "resil": "retry:",
 }
@@ -40,7 +40,7 @@ var wantTable = map[string]string{
 // listed — in run order — by the unknown-name error.
 func TestRegistry(t *testing.T) {
 	names := bench.Names()
-	want := []string{"matrix", "throughput", "structures", "michael",
+	want := []string{"matrix", "throughput", "structures",
 		"chaos", "adaptive", "obs", "pipeline", "resil"}
 	if !reflect.DeepEqual(names, want) {
 		t.Fatalf("registry order:\n got %v\nwant %v", names, want)
@@ -314,7 +314,7 @@ func TestArtifactKeepsRows(t *testing.T) {
 	if err := bench.WriteArtifact(&buf, "throughput", bench.ThroughputResult{Rows: rows}); err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{`"experiment": "throughput"`, `"gates": {}`, `"workload": "zipfian"`, `"p99_ns"`} {
+	for _, want := range []string{`"experiment": "throughput"`, `"gates": {}`, `"workload": "zipfian"`, `"peak_retired"`, `"script"`} {
 		if !strings.Contains(buf.String(), want) {
 			t.Errorf("artifact missing %s:\n%s", want, buf.String())
 		}

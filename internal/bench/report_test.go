@@ -17,8 +17,7 @@ func sampleRows() []bench.ThroughputRow {
 			Scheme: "ebr", Structure: "harris", Threads: 4,
 			Mix: workload.MixReadHeavy, Workload: "zipfian", Schedule: "phased",
 			KeyRange: 1024, Ops: 80000, Elapsed: 125 * time.Millisecond,
-			MopsPerSec: 0.64, P50: 310 * time.Nanosecond, P99: 2150 * time.Nanosecond,
-			PeakRetired: 96, Restarts: 0,
+			MopsPerSec: 0.64, PeakRetired: 96, Restarts: 0,
 		},
 		{
 			Scheme: "vbr", Structure: "skiplist", Threads: 2,
@@ -26,30 +25,36 @@ func sampleRows() []bench.ThroughputRow {
 			KeyRange: 512, Ops: 40000, Elapsed: 90 * time.Millisecond,
 			MopsPerSec: 0.44, PeakRetired: 31, Restarts: 17,
 		},
+		{
+			Scheme: "pebr", Structure: "harris", Threads: 2,
+			Mix: workload.MixBalanced, Workload: "uniform", Schedule: "oversub",
+			KeyRange: 256, Ops: 4000, Elapsed: 3 * time.Millisecond,
+			Symptom: "known red (post-swap CAS undo, since 2026-10-16): T1 round 0 op 17: corrupted",
+			Script:  "drive.Script{Threads: 2, Ops: 2000, KeyRange: 256, Schedule: \"oversub\", Seed: 42}",
+		},
 	}
 }
 
 // TestThroughputTable checks the rendered table carries every row's
-// load-bearing fields, and that unmeasured latencies render as "-" rather
-// than a misleading zero.
+// load-bearing fields, and a failed known-red cell its symptom and script
+// on the lines below its row.
 func TestThroughputTable(t *testing.T) {
 	var sb strings.Builder
-	bench.ThroughputResult{Rows: sampleRows()}.WriteTable(&sb)
+	rows := sampleRows()
+	bench.ThroughputResult{Rows: rows}.WriteTable(&sb)
 	out := sb.String()
 	lines := strings.Split(strings.TrimSpace(out), "\n")
-	if len(lines) != 3 {
-		t.Fatalf("want header + 2 rows, got %d lines:\n%s", len(lines), out)
+	if len(lines) != 6 {
+		t.Fatalf("want header + 3 rows + the red row's 2 lines, got %d lines:\n%s", len(lines), out)
 	}
 	for _, want := range []string{"scheme", "Mops/s", "peak-retired", "ebr", "harris", "90/5/5",
-		"zipfian/phased", "0.640", "310ns", "vbr", "skiplist"} {
+		"zipfian/phased", "0.640", "vbr", "skiplist"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("table missing %q:\n%s", want, out)
 		}
 	}
-	// The second row recorded no latency samples; its percentile cells
-	// must show the placeholder.
-	if !strings.Contains(lines[2], " - ") {
-		t.Errorf("unmeasured latency not rendered as '-': %s", lines[2])
+	if !strings.Contains(lines[4], rows[2].Symptom) || !strings.Contains(lines[5], rows[2].Script) {
+		t.Errorf("red row's symptom and script not below it:\n%s", out)
 	}
 }
 

@@ -12,6 +12,7 @@ import (
 	"repro/internal/hist"
 	"repro/internal/obs/rec"
 	"repro/internal/resil"
+	"repro/internal/store"
 	"repro/internal/workload"
 )
 
@@ -139,16 +140,28 @@ type ResilResult struct {
 // resilDoer is one arm's request path: submit, block, merged result.
 type resilDoer func(req workload.Req) (*exec.Result, error)
 
-// execDoer is the naive and unhedged arms' request path: the bare
-// executor, adapted to the blocking doer shape.
-type execDoer struct{ ex *exec.Executor }
-
-func (d execDoer) Do(req workload.Req) (*exec.Result, error) {
-	h, err := d.ex.Submit(req)
-	if err != nil {
-		return nil, err
+// newDoer builds one arm's request path: a resil.Client from rcfg, or,
+// with rcfg nil, the bare executor adapted to the blocking doer shape (the
+// naive and unhedged arms, whose client is nil). closeDoer releases
+// either.
+func newDoer(st *store.Store, ecfg exec.Config, rcfg *resil.Config) (do resilDoer, client *resil.Client, closeDoer func() error, err error) {
+	if rcfg != nil {
+		if client, err = resil.New(st, ecfg, *rcfg); err != nil {
+			return nil, nil, nil, err
+		}
+		return client.Do, client, client.Close, nil
 	}
-	return h.Wait(), nil
+	ex, err := exec.New(st, ecfg)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	return func(req workload.Req) (*exec.Result, error) {
+		h, err := ex.Submit(req)
+		if err != nil {
+			return nil, err
+		}
+		return h.Wait(), nil
+	}, nil, ex.Close, nil
 }
 
 // resilSample is one completed request: when it was submitted (shared
@@ -264,11 +277,9 @@ func runResilGoodputArm(cfg resilConfig, resilient bool) (ResilArmRow, error) {
 	}
 	defer st.Close()
 
-	execCfg := exec.Config{LegTimeout: resilLegTimeout, Recorder: recorder}
-	var do resilDoer
-	var client *resil.Client
+	var rcfg *resil.Config
 	if resilient {
-		client, err = resil.New(st, execCfg, resil.Config{
+		rcfg = &resil.Config{
 			MaxAttempts: resilMaxAttempts,
 			RetryBase:   resilRetryBase,
 			RetryCap:    resilRetryCap,
@@ -277,19 +288,16 @@ func runResilGoodputArm(cfg resilConfig, resilient bool) (ResilArmRow, error) {
 			Seed:        cfg.seed,
 			Clock:       clock,
 			Recorder:    recorder,
-		})
-		if err != nil {
-			return row, err
 		}
-		defer client.Close()
-		do = client.Do
-	} else {
-		ex, err := exec.New(st, execCfg)
-		if err != nil {
-			return row, err
-		}
-		defer ex.Close()
-		do = execDoer{ex}.Do
+	}
+	do, client, closeDoer, err := newDoer(st, exec.Config{LegTimeout: resilLegTimeout, Recorder: recorder}, rcfg)
+	if err != nil {
+		return row, err
+	}
+	defer closeDoer()
+	src, err := fanoutReqSource(workload.ReqMixFanout, cfg.keyRange, cfg.seed)
+	if err != nil {
+		return row, err
 	}
 
 	// Two staggered periodic faults: the stall parks the victim shard's
@@ -308,12 +316,6 @@ func runResilGoodputArm(cfg resilConfig, resilient bool) (ResilArmRow, error) {
 		return row, err
 	}
 	engine.Start()
-
-	src, err := fanoutReqSource(workload.ReqMixFanout, cfg.keyRange, cfg.seed)
-	if err != nil {
-		engine.Stop()
-		return row, err
-	}
 	samples, err := runPacedClients(do, src, resilClients, resilPace, cfg.duration, clock)
 	engine.Stop()
 	if err != nil {
@@ -353,27 +355,24 @@ func runResilHedgeArm(cfg resilConfig, hedged bool) (ResilHedgeRow, error) {
 	}
 	defer st.Close()
 
-	execCfg := exec.Config{LegTimeout: -1}
-	var do resilDoer
-	var client *resil.Client
+	var rcfg *resil.Config
 	if hedged {
-		client, err = resil.New(st, execCfg, resil.Config{
+		rcfg = &resil.Config{
 			MaxAttempts: 1, RetryBudget: -1,
 			Hedge: true, HedgeWindow: 32,
 			Seed: cfg.seed,
-		})
-		if err != nil {
-			return row, err
 		}
-		defer client.Close()
-		do = client.Do
-	} else {
-		ex, err := exec.New(st, execCfg)
-		if err != nil {
-			return row, err
-		}
-		defer ex.Close()
-		do = execDoer{ex}.Do
+	}
+	do, client, closeDoer, err := newDoer(st, exec.Config{LegTimeout: -1}, rcfg)
+	if err != nil {
+		return row, err
+	}
+	defer closeDoer()
+	// MultiGet-only traffic: hedge duplicates re-execute their leg's
+	// operations, so the phase keeps them idempotent.
+	src, err := fanoutReqSource(workload.ReqMix{MultiGetPct: 100}, cfg.keyRange, cfg.seed)
+	if err != nil {
+		return row, err
 	}
 
 	// The pulse loop. ArmIfFree on worker 0 of the victim shard, wait for
@@ -417,14 +416,6 @@ func runResilHedgeArm(cfg resilConfig, hedged bool) (ResilHedgeRow, error) {
 		}
 	}()
 
-	// MultiGet-only traffic: hedge duplicates re-execute their leg's
-	// operations, so the phase keeps them idempotent.
-	src, err := fanoutReqSource(workload.ReqMix{MultiGetPct: 100}, cfg.keyRange, cfg.seed)
-	if err != nil {
-		close(stopPulse)
-		pulseWG.Wait()
-		return row, err
-	}
 	samples, err := runPacedClients(do, src, hedgeClients, hedgePace, cfg.hedgeDuration, clock)
 	close(stopPulse)
 	pulseWG.Wait()

@@ -5,14 +5,12 @@ import (
 	"fmt"
 	"io"
 	"slices"
-	"sync"
 	"time"
 
 	"repro/internal/adapt"
 	"repro/internal/chaos"
 	"repro/internal/ds/registry"
 	"repro/internal/exec"
-	"repro/internal/hist"
 	"repro/internal/obs"
 	"repro/internal/obs/rec"
 	"repro/internal/resil"
@@ -64,7 +62,7 @@ type ServiceConfig struct {
 	Faults []string
 	// Mix, Workload, Schedule name the traffic shape (workload
 	// registries); zero values select balanced/uniform/steady.
-	Mix      Mix
+	Mix      workload.Mix
 	Workload string
 	Schedule string
 	// Seed makes every client stream deterministic.
@@ -135,8 +133,8 @@ func (cfg *ServiceConfig) fill() {
 	if cfg.Duration <= 0 {
 		cfg.Duration = 400 * time.Millisecond
 	}
-	if cfg.Mix == (Mix{}) {
-		cfg.Mix = MixBalanced
+	if cfg.Mix == (workload.Mix{}) {
+		cfg.Mix = workload.MixBalanced
 	}
 	if cfg.Workload == "" {
 		cfg.Workload = fleetWorkload
@@ -246,7 +244,7 @@ type ServiceRow struct {
 	Clients    int           `json:"clients"`
 	Batch      int           `json:"batch"`
 	KeyRange   int           `json:"key_range"`
-	Mix        Mix           `json:"mix"`
+	Mix        workload.Mix  `json:"mix"`
 	Workload   string        `json:"workload"`
 	Schedule   string        `json:"schedule"`
 	Seed       uint64        `json:"seed"`
@@ -382,14 +380,8 @@ type fanoutLane struct {
 	src     *workload.ReqSource
 	clients int
 	tick    time.Duration
-	laneTally
+	tally
 	closeErr error
-}
-
-// laneTally is one lane client's (or, merged, the lane's) measurement.
-type laneTally struct {
-	reqs, partial, errs, sheds uint64
-	lat                        hist.Latency
 }
 
 func newFanoutLane(f *fleet, cfg ServiceConfig) (*fanoutLane, error) {
@@ -437,50 +429,36 @@ func newFanoutLane(f *fleet, cfg ServiceConfig) (*fanoutLane, error) {
 // the fleet drains the store underneath it.
 func (l *fanoutLane) run(deadline time.Time) {
 	l.slo.Start(l.tick)
-	tallies := make([]laneTally, l.clients)
-	var wg sync.WaitGroup
-	for c := range tallies {
-		wg.Add(1)
-		go func(o *laneTally) {
-			defer wg.Done()
-			stream := l.src.Thread(c, 1<<20)
-			for time.Now().Before(deadline) {
-				t0 := time.Now()
-				res, err := l.client.Do(stream.Next())
-				if err != nil {
-					if errors.Is(err, exec.ErrShed) {
-						o.sheds++
-					}
-					o.errs++
-					continue
+	l.tally = runClients(l.clients, func(c int, t *tally) {
+		stream := l.src.Thread(c, 1<<20)
+		for time.Now().Before(deadline) {
+			t0 := time.Now()
+			res, err := l.client.Do(stream.Next())
+			if err != nil {
+				if errors.Is(err, exec.ErrShed) {
+					t.sheds++
 				}
-				o.lat.Record(time.Since(t0))
-				o.reqs++
-				if res.Partial() {
-					o.partial++
-				}
-				for _, serr := range res.ShardErrs {
-					if errors.Is(serr.Reason, exec.ErrShed) {
-						o.sheds++
-					}
-				}
-				for _, r := range res.Results {
-					if r.Err != nil {
-						o.errs++
-					}
+				t.errs++
+				continue
+			}
+			t.lat.Record(time.Since(t0))
+			t.n++
+			if res.Partial() {
+				t.partial++
+			}
+			for _, serr := range res.ShardErrs {
+				if errors.Is(serr.Reason, exec.ErrShed) {
+					t.sheds++
 				}
 			}
-		}(&tallies[c])
-	}
-	wg.Wait()
+			for _, r := range res.Results {
+				if r.Err != nil {
+					t.errs++
+				}
+			}
+		}
+	})
 	l.slo.Stop()
-	for i := range tallies {
-		l.reqs += tallies[i].reqs
-		l.partial += tallies[i].partial
-		l.errs += tallies[i].errs
-		l.sheds += tallies[i].sheds
-		l.lat.Merge(&tallies[i].lat)
-	}
 	l.closeErr = l.client.Close()
 }
 
@@ -586,7 +564,7 @@ func RunService(cfg ServiceConfig) (ServiceResult, error) {
 			Shards: cfg.Shards, Schemes: cfg.Schemes, Structure: cfg.Structure, Faults: cfg.Faults,
 			Workers: cfg.WorkersPerShard, Clients: cfg.Clients, Batch: cfg.Batch, KeyRange: cfg.KeyRange,
 			Mix: srcCfg.Mix, Workload: srcCfg.Dist, Schedule: srcCfg.Schedule, Seed: cfg.Seed,
-			Elapsed: t.elapsed, Ops: t.ops, MopsPerSec: rate(t.ops), OpErrs: t.opErrs,
+			Elapsed: t.elapsed, Ops: t.n, MopsPerSec: rate(t.n), OpErrs: t.errs,
 			P50: t.lat.Percentile(0.50), P99: t.lat.Percentile(0.99),
 			PeakRetired: stats.MaxRetired, Migrations: after.Migrations,
 		},
@@ -596,7 +574,7 @@ func RunService(cfg ServiceConfig) (ServiceResult, error) {
 	}
 	if lane != nil {
 		a, rs := &res.Aggregate, lane.client.Stats()
-		a.FanoutPct, a.FanoutClients, a.FanoutReqs = cfg.FanoutPct, lane.clients, lane.reqs
+		a.FanoutPct, a.FanoutClients, a.FanoutReqs = cfg.FanoutPct, lane.clients, lane.n
 		a.FanoutP50, a.FanoutP99 = lane.lat.Percentile(0.50), lane.lat.Percentile(0.99)
 		a.FanoutPartial, a.FanoutErrs, a.FanoutSheds = lane.partial, lane.errs, lane.sheds
 		a.FanoutRetries, a.FanoutRecovered = rs.Retries, rs.Recovered

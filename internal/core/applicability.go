@@ -8,6 +8,7 @@ import (
 	"repro/internal/ds/drive"
 	"repro/internal/ds/registry"
 	"repro/internal/mem"
+	"repro/internal/workload"
 )
 
 // ApplicabilityReport is the Definition 5.4 verdict for one
@@ -65,7 +66,7 @@ func CheckApplicability(scheme, structure string, stress, rounds drive.Script) (
 		return ApplicabilityReport{}, err
 	}
 	rep := ApplicabilityReport{Scheme: scheme, Structure: structure, Completed: true, Linearizable: true}
-	drain := drive.Script{Threads: 1, Ops: stress.Threads * stress.Ops, KeyRange: stress.KeyRange, Mix: drive.Mix{Delete: 1}}
+	drain := drive.Script{Threads: 1, Ops: stress.Threads * stress.Ops, KeyRange: stress.KeyRange, Mix: workload.Mix{DeletePct: 100}}
 	for _, s := range []drive.Script{stress, drain, rounds} {
 		if s.Ops == 0 {
 			continue

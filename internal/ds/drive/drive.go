@@ -3,11 +3,14 @@
 // structure test (ds/dstest) and the applicability check of Definition 5.4
 // (core.CheckApplicability).
 //
-// A Script fixes the shape of a run. Each thread's op sequence (kind, key,
-// value) is a pure function of (Seed, tid, round, i), so the scheduler
-// decides only the interleaving, and a Script printed by a failing test
-// replays the same per-thread sequences when pasted back into one. The
-// package does not import testing, so the ERA matrix can link it.
+// A Script fixes the shape of a run. Thread tid's ops in round r are the
+// internal/workload stream Source.Thread(tid+r*Threads, Ops) of the
+// Script's distribution, schedule, mix and seed, so each thread's op
+// sequence (kind, key, value) is a pure function of (Script, tid, round):
+// the scheduler decides only the interleaving, and a Script printed by a
+// failing test replays the same per-thread sequences when pasted back into
+// one. The package does not import testing, so the ERA matrix and the
+// throughput experiment can link it.
 package drive
 
 import (
@@ -24,6 +27,7 @@ import (
 	"repro/internal/mem"
 	"repro/internal/smr"
 	"repro/internal/smr/all"
+	"repro/internal/workload"
 )
 
 // Env bundles an arena and a scheme instance for N threads over it.
@@ -88,30 +92,6 @@ func (e *Env) Safe() error {
 		e.S.Name(), unsafe, sn.UnsafeLoads, sn.UnsafeStores, sn.Faults, sn.Violations, stale)
 }
 
-// RNG is a splitmix64 pseudo-random generator: the one random source of
-// the scripted and the single-threaded structure tests.
-type RNG uint64
-
-// NewRNG seeds a generator.
-func NewRNG(seed uint64) *RNG { r := RNG(seed*2685821657736338717 + 1); return &r }
-
-// Next returns the next 64 random bits.
-func (r *RNG) Next() uint64 {
-	*r += 0x9e3779b97f4a7c15
-	z := uint64(*r)
-	z = (z ^ z>>30) * 0xbf58476d1ce4e5b9
-	z = (z ^ z>>27) * 0x94d049bb133111eb
-	return z ^ z>>31
-}
-
-// Intn returns a value in [0, n).
-func (r *RNG) Intn(n int) int { return int(r.Next() % uint64(n)) }
-
-// Mix weighs a thread's op kinds. On a queue or a stack Insert weighs the
-// enqueue or push, and Delete plus Contains the dequeue or pop. The zero
-// Mix is uniform over the target's kinds.
-type Mix struct{ Insert, Delete, Contains int }
-
 // Script is the shape of one run.
 type Script struct {
 	// Threads is the number of goroutines, tids 0..Threads-1 (0: the
@@ -127,8 +107,15 @@ type Script struct {
 	// KeyRange bounds a set's keys to [0, KeyRange); with Disjoint it is
 	// the number of keys each thread owns.
 	KeyRange int
-	// Mix weighs the op kinds.
-	Mix Mix
+	// Mix is the base op mix the schedule modulates. On a queue or a stack
+	// an insert is an enqueue or a push and the other two kinds a dequeue
+	// or a pop. The zero Mix is workload.MixBalanced on a set and
+	// workload.MixUpdateOnly on a queue or a stack.
+	Mix workload.Mix
+	// Dist and Schedule name the key distribution and the op-mix schedule
+	// (internal/workload registry names); empty means uniform and steady.
+	Dist     string
+	Schedule string
 	// Batch > 0 issues each thread's ops through ds.BatchSet as key-sorted
 	// batches of that size, the arrangement the store's fused worker uses.
 	Batch int
@@ -164,7 +151,8 @@ func (s Script) String() string {
 // keys still reach every bucket of a hash set with a power-of-two bucket
 // count (tid itself as the offset would give each thread its own buckets).
 func (s Script) Key(tid, k int) int64 {
-	return int64(k*s.Threads + (tid+int(NewRNG(uint64(k)).Next()%uint64(s.Threads)))%s.Threads)
+	r := workload.RNG(k)
+	return int64(k*s.Threads + (tid+r.Intn(s.Threads))%s.Threads)
 }
 
 // Op is one scripted operation. Key is a set op's key, or an enqueue's or
@@ -221,10 +209,11 @@ func (r Result) Linearizable() error {
 
 type driver struct {
 	s     Script
+	src   *workload.Source
 	set   ds.Set
 	put   func(tid int, v int64) error
 	take  func(tid int) (int64, bool, error)
-	kinds [3]hist.OpKind
+	kinds [3]hist.OpKind // indexed by workload.Op
 	rec   *hist.Recorder
 	res   Result
 }
@@ -237,33 +226,40 @@ func Run(env *Env, target Target, s Script) (Result, error) {
 	d := &driver{}
 	switch t := target.(type) {
 	case ds.Set:
-		d.set, d.kinds, d.res.spec = t, [3]hist.OpKind{hist.OpInsert, hist.OpDelete, hist.OpContains}, hist.SetSpec{}
+		d.set, d.kinds, d.res.spec = t, [3]hist.OpKind{hist.OpContains, hist.OpInsert, hist.OpDelete}, hist.SetSpec{}
 	case ds.Queue:
 		d.put, d.take, d.res.spec = t.Enqueue, t.Dequeue, hist.QueueSpec{}
-		d.kinds = [3]hist.OpKind{hist.OpEnqueue, hist.OpDequeue, hist.OpDequeue}
+		d.kinds = [3]hist.OpKind{hist.OpDequeue, hist.OpEnqueue, hist.OpDequeue}
 	case ds.Stack:
 		d.put, d.take, d.res.spec = t.Push, t.Pop, hist.StackSpec{}
-		d.kinds = [3]hist.OpKind{hist.OpPush, hist.OpPop, hist.OpPop}
+		d.kinds = [3]hist.OpKind{hist.OpPop, hist.OpPush, hist.OpPop}
 	default:
 		return d.res, fmt.Errorf("drive: %T is not a set, a queue or a stack", target)
 	}
 	if s.Threads <= 0 {
 		s.Threads = env.N
 	}
-	if s.Mix == (Mix{}) {
-		s.Mix = Mix{1, 1, 0}
+	if s.Mix == (workload.Mix{}) {
+		s.Mix = workload.MixUpdateOnly
 		if d.set != nil {
-			s.Mix.Contains = 1
+			s.Mix = workload.MixBalanced
 		}
 	}
-	d.s, d.res.Script, d.res.Ops = s, s, make([][]Op, s.Threads)
+	src, err := workload.New(workload.Config{Dist: s.Dist, Schedule: s.Schedule, KeyRange: s.KeyRange, Mix: s.Mix, Seed: s.Seed})
+	if err != nil {
+		return d.res, err
+	}
+	d.s, d.src, d.res.Script, d.res.Ops = s, src, s, make([][]Op, s.Threads)
+	for tid := range d.res.Ops {
+		d.res.Ops[tid] = make([]Op, 0, s.Ops*max(s.Rounds, 1))
+	}
 	if s.Disjoint {
 		d.res.Models = make([]map[int64]bool, s.Threads)
 		for tid := min(s.Iterate, 1); tid < s.Threads; tid++ {
 			d.res.Models[tid] = make(map[int64]bool)
 		}
 	}
-	d.rec = hist.NewRecorder(s.Threads)
+	d.rec = hist.NewRecorder(s.Threads, s.Ops)
 	errs := make([]error, s.Threads)
 	for round := 0; round < max(s.Rounds, 1); round++ {
 		var wg sync.WaitGroup
@@ -287,25 +283,17 @@ func Run(env *Env, target Target, s Script) (Result, error) {
 	return d.res, d.final()
 }
 
-// op is thread tid's i-th op of round: a pure function of the script.
-func (d *driver) op(tid, round, i int) Op {
-	s := d.s
-	r := NewRNG(s.Seed + uint64(tid)<<48 + uint64(round)<<32 + uint64(i))
-	x, k := r.Intn(s.Mix.Insert+s.Mix.Delete+s.Mix.Contains), 0
-	if x >= s.Mix.Insert {
-		k = 1
-	}
-	if x >= s.Mix.Insert+s.Mix.Delete {
-		k = 2
-	}
-	op := Op{Kind: d.kinds[k]}
+// op draws thread tid's i-th op of round from its stream.
+func (d *driver) op(st *workload.Stream, tid, round, i int) Op {
+	kind, key := st.Next()
+	op := Op{Kind: d.kinds[kind]}
 	switch {
 	case op.Kind == hist.OpEnqueue || op.Kind == hist.OpPush:
-		op.Key = int64(tid)<<32 | int64(round*s.Ops+i+1)
+		op.Key = int64(tid)<<32 | int64(round*d.s.Ops+i+1)
 	case d.set != nil:
-		op.Key = int64(r.Intn(max(s.KeyRange, 1)))
-		if s.Disjoint {
-			op.Key = s.Key(tid, int(op.Key))
+		op.Key = key
+		if d.s.Disjoint {
+			op.Key = d.s.Key(tid, int(key))
 		}
 	}
 	return op
@@ -316,12 +304,18 @@ func (d *driver) thread(tid, round int) error {
 	if s.Iterate > 0 && tid == 0 {
 		return d.scan(round)
 	}
+	st := d.src.Thread(tid+round*s.Threads, s.Ops)
+	// Appending to a local header keeps the threads off each other's cache
+	// line in d.res.Ops.
+	issued := d.res.Ops[tid]
+	defer func() { d.res.Ops[tid] = issued }()
 	step := max(s.Batch, 1)
 	for i := 0; i < s.Ops; i += step {
-		ops := make([]Op, 0, step)
+		from := len(issued)
 		for j := i; j < min(i+step, s.Ops); j++ {
-			ops = append(ops, d.op(tid, round, j))
+			issued = append(issued, d.op(st, tid, round, j))
 		}
+		ops := issued[from:]
 		var err error
 		if s.Batch > 0 {
 			sort.SliceStable(ops, func(a, b int) bool { return ops[a].Key < ops[b].Key })
@@ -329,7 +323,6 @@ func (d *driver) thread(tid, round int) error {
 		} else {
 			err = d.one(tid, ops[0])
 		}
-		d.res.Ops[tid] = append(d.res.Ops[tid], ops...)
 		if err != nil {
 			return fmt.Errorf("T%d round %d op %d: %w", tid, round, i, err)
 		}
@@ -410,7 +403,8 @@ func (d *driver) scan(round int) error {
 	for i := 0; i < d.s.Iterate; i++ {
 		sc := Scan{Lo: ds.KeyMin}
 		if i > 0 {
-			sc.Lo = int64(NewRNG(d.s.Seed + uint64(round)<<32 + uint64(i)).Intn(d.s.KeyRange*d.s.Threads + 1))
+			r := workload.RNG(d.s.Seed + uint64(round)<<32 + uint64(i))
+			sc.Lo = int64(r.Intn(d.s.KeyRange*d.s.Threads + 1))
 		}
 		if err := it.IterateFrom(0, sc.Lo, func(k int64) bool { sc.Keys = append(sc.Keys, k); return true }); err != nil {
 			return fmt.Errorf("T0 round %d scan from %d: %w", round, sc.Lo, err)

@@ -3,6 +3,7 @@ package drive_test
 import (
 	"go/ast"
 	"go/parser"
+	"go/token"
 	"reflect"
 	"runtime"
 	"strconv"
@@ -11,6 +12,7 @@ import (
 	"repro/internal/ds/drive"
 	"repro/internal/ds/registry"
 	"repro/internal/mem"
+	"repro/internal/workload"
 )
 
 // run builds a fresh ebr env and structure and runs s on them.
@@ -42,7 +44,7 @@ func TestReplay(t *testing.T) {
 	}{
 		{"harris", drive.Script{Threads: 4, Ops: 500, KeyRange: 32, Disjoint: true, Seed: 3}},
 		{"hashmap-michael", drive.Script{Threads: 4, Ops: 512, KeyRange: 64, Batch: 64, Disjoint: true, Seed: 4}},
-		{"michael", drive.Script{Threads: 4, Ops: 3, Rounds: 6, KeyRange: 8, Mix: drive.Mix{Insert: 2, Delete: 1, Contains: 1}, Seed: 5}},
+		{"michael", drive.Script{Threads: 4, Ops: 3, Rounds: 6, KeyRange: 8, Mix: workload.Mix{ContainsPct: 25, InsertPct: 50, DeletePct: 25}, Seed: 5}},
 		{"msqueue", drive.Script{Threads: 4, Ops: 3, Rounds: 6, Seed: 6}},
 	} {
 		t.Run(c.structure, func(t *testing.T) {
@@ -65,11 +67,41 @@ func TestReplay(t *testing.T) {
 	}
 }
 
+// TestReplayWorkloads: two runs of one script issue the same per-thread
+// sequences under every key distribution × op-mix schedule, free-running,
+// in barrier-separated rounds, through fused batches and on disjoint keys.
+func TestReplayWorkloads(t *testing.T) {
+	for _, dist := range workload.DistNames() {
+		for _, sched := range workload.ScheduleNames() {
+			t.Run(dist+"/"+sched, func(t *testing.T) {
+				for _, c := range []struct {
+					structure string
+					s         drive.Script
+				}{
+					{"michael", drive.Script{Threads: 3, Ops: 300, KeyRange: 64, Seed: 7}},
+					{"harris", drive.Script{Threads: 3, Ops: 4, Rounds: 5, KeyRange: 8, Seed: 8}},
+					{"hashmap-michael", drive.Script{Threads: 3, Ops: 256, KeyRange: 64, Batch: 32, Disjoint: true, Seed: 9}},
+					{"treiber", drive.Script{Threads: 3, Ops: 100, Seed: 10}},
+				} {
+					c.s.Dist, c.s.Schedule = dist, sched
+					one, two := run(t, c.structure, c.s), run(t, c.structure, c.s)
+					if n := len(one.Ops[2]); n != c.s.Ops*max(c.s.Rounds, 1) {
+						t.Fatalf("%s: T2 issued %d ops\n%v", c.structure, n, c.s)
+					}
+					if !reflect.DeepEqual(one.Ops, two.Ops) {
+						t.Fatalf("%s: two runs issued different sequences\n%v", c.structure, c.s)
+					}
+				}
+			})
+		}
+	}
+}
+
 // TestScriptString: String prints a Go literal that parses back into the
 // same script, field by field.
 func TestScriptString(t *testing.T) {
-	want := drive.Script{Threads: 3, Ops: 7, Rounds: 2, KeyRange: 9, Mix: drive.Mix{Insert: 1, Delete: 2, Contains: 3},
-		Batch: 5, Disjoint: true, Iterate: 4, Seed: 1<<63 + 11}
+	want := drive.Script{Threads: 3, Ops: 7, Rounds: 2, KeyRange: 9, Mix: workload.Mix{ContainsPct: 50, InsertPct: 17, DeletePct: 33},
+		Dist: "zipfian", Schedule: "phased", Batch: 5, Disjoint: true, Iterate: 4, Seed: 1<<63 + 11}
 	src := want.String()
 	e, err := parser.ParseExpr(src)
 	if err != nil {
@@ -86,7 +118,7 @@ func TestScriptString(t *testing.T) {
 }
 
 // literal sets v's fields from a keyed composite literal of integer,
-// boolean and nested composite values.
+// string, boolean and nested composite values.
 func literal(t *testing.T, lit *ast.CompositeLit, v reflect.Value) {
 	t.Helper()
 	for _, el := range lit.Elts {
@@ -98,6 +130,14 @@ func literal(t *testing.T, lit *ast.CompositeLit, v reflect.Value) {
 		case *ast.Ident:
 			f.SetBool(x.Name == "true")
 		case *ast.BasicLit:
+			if x.Kind == token.STRING {
+				str, err := strconv.Unquote(x.Value)
+				if err != nil {
+					t.Fatal(err)
+				}
+				f.SetString(str)
+				continue
+			}
 			n, err := strconv.ParseUint(x.Value, 0, 64)
 			if err != nil {
 				t.Fatal(err)

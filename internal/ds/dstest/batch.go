@@ -5,8 +5,8 @@ import (
 	"testing"
 
 	"repro/internal/ds"
-	"repro/internal/ds/drive"
 	"repro/internal/smr"
+	"repro/internal/workload"
 )
 
 // BatchEquivalenceSet checks the fused batch path against a serial twin:
@@ -25,7 +25,7 @@ func BatchEquivalenceSet(tb testing.TB, a, b ds.Set, batches, batchSize, keyRang
 	if !ok {
 		tb.Fatalf("%s does not implement ds.BatchSet", a.Name())
 	}
-	r := drive.NewRNG(77)
+	r := workload.RNG(77)
 	ops := make([]ds.BatchOp, batchSize)
 	res := make([]ds.BatchResult, batchSize)
 	var rebrackets uint64

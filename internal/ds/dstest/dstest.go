@@ -19,6 +19,7 @@ import (
 	"repro/internal/ds/registry"
 	"repro/internal/mem"
 	"repro/internal/smr"
+	"repro/internal/workload"
 )
 
 // Env bundles an arena and a scheme instance for one test.
@@ -106,9 +107,9 @@ func IterateSet(tb testing.TB, env *Env, newSet func(smr.Scheme) (ds.Set, error)
 	}
 	// The churners own keys below 100*N, the bottom of the prefill's
 	// range; the scans start from KeyMin and from keys in that range.
-	s := drive.Script{Threads: env.N, Ops: 500, KeyRange: 100, Mix: drive.Mix{Insert: 1, Delete: 1}, Disjoint: true, Iterate: 8}
+	s := drive.Script{Threads: env.N, Ops: 500, KeyRange: 100, Mix: workload.MixUpdateOnly, Disjoint: true, Iterate: 8}
 	model := make(map[int64]bool)
-	r := drive.NewRNG(77)
+	r := workload.RNG(77)
 	for i := 0; i < keyRange*2; i++ {
 		key := s.Key(0, r.Intn(keyRange))
 		if r.Intn(3) != 0 {
@@ -147,7 +148,8 @@ func IterateSet(tb testing.TB, env *Env, newSet func(smr.Scheme) (ds.Set, error)
 		tb.Errorf("early-stopped iterate visited %d keys, want 1", visited)
 	}
 
-	rs.flaky = drive.NewRNG(99)
+	flaky := workload.RNG(99)
+	rs.flaky = &flaky
 	for _, lo := range los {
 		iterateQuiescent(tb, it, sorted, lo, ordered, "rolled-back")
 	}
@@ -236,7 +238,7 @@ func RestartStormSet(tb testing.TB, env *Env, set ds.Set, chain, opsPerThread in
 	}
 	// Shared (not disjoint) keys: colliding unlink CASes on the same
 	// marked nodes are what force restarts.
-	s := drive.Script{Ops: opsPerThread, KeyRange: chain, Mix: drive.Mix{Insert: 1, Delete: 1, Contains: 2}, Seed: 555}
+	s := drive.Script{Ops: opsPerThread, KeyRange: chain, Mix: workload.MixBalanced, Seed: 555}
 	Check(tb, env, set, s, func(res drive.Result) error {
 		tv := tr.TravSnapshot()
 		if tv.GuardTrips != 0 {

@@ -5,9 +5,9 @@ import (
 	"testing"
 
 	"repro/internal/ds"
-	"repro/internal/ds/drive"
 	"repro/internal/mem"
 	"repro/internal/smr"
+	"repro/internal/workload"
 )
 
 // rollbackScheme wraps a scheme so a single-threaded test can make one
@@ -33,7 +33,7 @@ type rollbackScheme struct {
 	// flaky, when non-nil, fails one protected link read in
 	// rollbackOneIn, drawn from it: walks keep restarting but still make
 	// progress.
-	flaky *drive.RNG
+	flaky *workload.RNG
 }
 
 // rollbackOneIn is flaky's failure rate: rare enough that a list walk

@@ -212,7 +212,7 @@ func TestQuickRandomSequentialSet(t *testing.T) {
 }
 
 func TestRecorder(t *testing.T) {
-	r := NewRecorder(2)
+	r := NewRecorder(2, 0)
 	p := r.Begin(0, OpInsert, 9)
 	q := r.Begin(1, OpContains, 9)
 	r.End(1, q, false, 0)

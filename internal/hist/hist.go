@@ -1,7 +1,7 @@
 // Package hist records operation histories and checks them for
 // linearizability against sequential specifications; it also provides the
-// log-bucketed latency histogram (Latency) the benchmark engine samples
-// operation timings into.
+// log-bucketed latency histogram (Latency) the experiments' closed-loop
+// clients record request timings into.
 //
 // It implements the formalism of Section 3 of the paper: an execution is
 // modelled by its history (the sub-sequence of operation invocation and
@@ -79,12 +79,24 @@ func (o Op) String() string {
 // recording is then synchronization-free apart from the timestamp counter.
 type Recorder struct {
 	clock     atomic.Int64
-	perThread [][]Op
+	perThread []threadLog
 }
 
-// NewRecorder builds a recorder for n threads.
-func NewRecorder(n int) *Recorder {
-	return &Recorder{perThread: make([][]Op, n)}
+// threadLog is one thread's records, padded to a cache line so threads
+// appending side by side do not contend on each other's slice header.
+type threadLog struct {
+	ops []Op
+	_   [40]byte
+}
+
+// NewRecorder builds a recorder for n threads, each with room for
+// capacity operations before its record grows.
+func NewRecorder(n, capacity int) *Recorder {
+	r := &Recorder{perThread: make([]threadLog, n)}
+	for tid := range r.perThread {
+		r.perThread[tid].ops = make([]Op, 0, capacity)
+	}
+	return r
 }
 
 // PendingOp is a started-but-unfinished operation.
@@ -104,14 +116,14 @@ func (r *Recorder) End(tid int, p PendingOp, ok bool, val int64) {
 	p.op.Ok = ok
 	p.op.Val = val
 	p.op.Res = r.clock.Add(1)
-	r.perThread[tid] = append(r.perThread[tid], p.op)
+	r.perThread[tid].ops = append(r.perThread[tid].ops, p.op)
 }
 
 // History returns all complete operations of all threads.
 func (r *Recorder) History() []Op {
 	var all []Op
-	for _, ops := range r.perThread {
-		all = append(all, ops...)
+	for _, l := range r.perThread {
+		all = append(all, l.ops...)
 	}
 	return all
 }
@@ -119,7 +131,7 @@ func (r *Recorder) History() []Op {
 // Reset clears the recorder (the clock keeps advancing, which is harmless).
 func (r *Recorder) Reset() {
 	for i := range r.perThread {
-		r.perThread[i] = r.perThread[i][:0]
+		r.perThread[i].ops = r.perThread[i].ops[:0]
 	}
 }
 

@@ -13,9 +13,9 @@ const latencySubBits = 4
 const latencyBuckets = 64 * (1 << latencySubBits)
 
 // Latency is a log-scaled histogram of operation latencies. It is built
-// for the benchmark engine's hot loop: Record is a shift, a mask and an
+// for a measuring client's hot loop: Record is a shift, a mask and an
 // increment on a plain (unsynchronized) counter array, so each measuring
-// thread owns a Latency and the engine merges them once the run is over.
+// client owns a Latency and the run merges them once it is over.
 // The zero value is ready to use.
 type Latency struct {
 	count   uint64

@@ -14,6 +14,9 @@ func (r *RNG) Next() uint64 {
 	return v
 }
 
+// Intn returns a value in [0, n).
+func (r *RNG) Intn(n int) int { return int(r.Next() % uint64(n)) }
+
 // Float64 returns a uniform float in [0, 1).
 func (r *RNG) Float64() float64 {
 	return float64(r.Next()>>11) / (1 << 53)

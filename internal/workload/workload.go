@@ -1,9 +1,10 @@
 // Package workload composes benchmark scenarios from two orthogonal,
 // by-name-selectable parts: a key distribution (which keys an operation
 // stream touches) and an op-mix schedule (which operations it performs,
-// possibly changing over the run). The benchmark engine asks a Source for
-// one Stream per thread and drives its data structure from the stream, so
-// a new scenario is a registry entry — data, not harness code.
+// possibly changing over the run). The seeded driver (internal/ds/drive)
+// asks a Source for one Stream per thread and round and drives its data
+// structure from the stream, so a new scenario is a registry entry — data,
+// not harness code.
 //
 // The built-in distributions are uniform, zipfian (YCSB-style scrambled
 // zipf, theta 0.99), hotset (90% of operations on 10% of the keys), and
@@ -156,17 +157,6 @@ func New(cfg Config) (*Source, error) {
 
 // Config returns the resolved configuration.
 func (s *Source) Config() Config { return s.cfg }
-
-// Steady derives a source sharing this source's key distribution but with
-// a steady schedule around the base mix and its own seed — the benchmark
-// engine's warmup shape. Sharing the distribution avoids repeating its
-// construction cost (zipfian's zeta sum is O(KeyRange)).
-func (s *Source) Steady(seed uint64) *Source {
-	cfg := s.cfg
-	cfg.Schedule = "steady"
-	cfg.Seed = seed
-	return &Source{dist: s.dist, sched: steady{base: cfg.Mix}, cfg: cfg}
-}
 
 // Name renders the workload as "dist/schedule".
 func (s *Source) Name() string { return s.dist.Name() + "/" + s.sched.Name() }
