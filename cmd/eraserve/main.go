@@ -18,16 +18,20 @@
 // one shard per scheme), so heterogeneous deployments — the ERA
 // trade-off made per shard: robust HP where the backlog bound matters,
 // cheap EBR elsewhere — are one flag away. -faults injects the named
-// chaos faults into every shard an eighth of the way into the window;
+// chaos faults into every shard an eighth of the way into the window and
+// holds them to its end (bench.FaultsInEveryShard — the same entries
+// EXP-CHAOS's audit injects);
 // the stall audit shows the EBR shard's backlog growing without bound
 // while the HP shard's stays flat. -adapt runs the adaptive reclamation
 // controller over the store, escalating/de-escalating each shard along
-// -ladder as its live robustness verdicts demand. -fanout dedicates a
-// share of the fleet to cross-shard multi-key and range requests served
-// through the resilience client (internal/resil) over the pipelined
-// executor (internal/exec); -retry, -hedge and -breaker switch on its
-// typed-error-aware retries, p99-delay hedged legs and per-shard circuit
-// breakers. -obs serves the observability plane for the run: Prometheus
+// -ladder as its live robustness verdicts demand. -fanout gives that
+// percentage of the -clients to cross-shard multi-key and range requests
+// served through the resilience client (internal/resil) over the
+// pipelined executor (internal/exec) — the rest stay point-op clients,
+// and -fanout 100 runs the lane alone; after a faulted run the lane sends
+// one full-width request that must come back clean. -retry, -hedge and
+// -breaker switch on its typed-error-aware retries, p99-delay hedged legs
+// and per-shard circuit breakers. -obs serves the observability plane for the run: Prometheus
 // text on /metrics, the flight-recorder tape on /timeline, and live
 // profiling under /debug/pprof/. The run is written as a machine-readable
 // artifact (BENCH_service.json by default; -json "" disables), verdict
@@ -55,7 +59,7 @@ func main() {
 		fmt.Sprintf("comma-separated reclamation schemes, cycled across shards %v", all.SafeNames()))
 	dsName := flag.String("ds", "hashmap", "set structure per shard (ds/registry name)")
 	workers := flag.Int("workers", 0, "worker goroutines per shard (0 = one survivor above the stall-family fault count)")
-	clients := flag.Int("clients", 0, "closed-loop client goroutines (0 = 2×shards)")
+	clients := flag.Int("clients", 0, "client goroutines, the fan-out lane's share included (0 = 2×shards)")
 	batch := flag.Int("batch", 16, "operations per service request (>= 2 engages the fused shard hot path)")
 	keyRange := flag.Int("keyrange", 8192, "key universe size")
 	duration := flag.Duration("duration", 2*time.Second, "traffic window")
@@ -68,7 +72,7 @@ func main() {
 	opmix := flag.String("opmix", "50/25/25", "base contains/insert/delete percentages")
 	seed := flag.Uint64("seed", 42, "workload seed: equal seeds draw identical client streams")
 	fanout := flag.Int("fanout", 0,
-		"dedicate this percentage of the client fleet (min one goroutine) to cross-shard fan-out traffic (0 disables)")
+		"dedicate this percentage of the client fleet (min one client) to cross-shard fan-out traffic (0 disables, 100 runs the lane alone)")
 	fanoutKeys := flag.Int("fanout-keys", 8, "keys per multi-key fan-out request (with -fanout)")
 	retry := flag.Bool("retry", false, "retry failed fan-out legs on typed errors (with -fanout)")
 	hedge := flag.Bool("hedge", false, "hedge slow read-only fan-out legs at the tracked p99 delay (with -fanout)")
@@ -104,7 +108,7 @@ func main() {
 		Batch:           *batch,
 		KeyRange:        *keyRange,
 		Duration:        *duration,
-		Faults:          list(*faults),
+		Faults:          bench.FaultsInEveryShard(*duration, list(*faults)...),
 		Mix:             baseMix,
 		Workload:        *wl,
 		Schedule:        *mix,
@@ -133,7 +137,7 @@ func main() {
 	}
 
 	fmt.Printf("eraserve: schemes %s × %s, faults %v, %s window, workload %s/%s\n",
-		*scheme, *dsName, cfg.Faults, *duration, *wl, *mix)
+		*scheme, *dsName, list(*faults), *duration, *wl, *mix)
 	if *obsAddr != "" {
 		fmt.Printf("eraserve: observability plane will serve on %s (/metrics, /timeline, /debug/pprof/)\n", *obsAddr)
 	}

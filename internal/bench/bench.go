@@ -16,11 +16,15 @@
 //     untimed warmup script and a timed one, each thread's ops drawn from
 //     a workload stream — a failure prints the drive.Script that replays
 //     it;
-//   - the fleet (fleet.go) is the faulted sharded-store scaffold the
-//     deployment run (RunService: eraserve and EXP-CHAOS), the adaptive
-//     and the observability experiments share; its runClients is the one
-//     closed-loop client pool, behind the fleet's clients, the fan-out
-//     lane and EXP-PIPELINE's arms.
+//   - RunService (service.go) is the one deployment run: eraserve's, and
+//     every service experiment's — EXP-CHAOS, EXP-ADAPT, EXP-OBS and
+//     EXP-RESIL are one or two ServiceConfig literals each plus gates over
+//     ServiceResult, and an A/B is two calls whose configs differ in one
+//     field;
+//   - the fleet (fleet.go) is the scaffold under it and the only place
+//     the package builds a store: gated shards, prefill, sampler, verdict
+//     monitor, chaos engine, run clock; its runClients is the one client
+//     pool, behind the point-op clients and the fan-out lane.
 //
 // The paper itself is a theory paper with two proof illustrations and no
 // measurement section; the harness therefore regenerates (a) the paper's
@@ -128,10 +132,9 @@ var experiments = []Experiment{
 	{Name: "matrix", Title: "EXP-ERA: the ERA matrix (Theorem 6.1)", TableOnly: true, Run: runMatrix},
 	{Name: "throughput", Title: "EXP-THRU: scheme × mix × threads throughput cells, then EXP-MICHAEL's Harris+EBR vs Michael+HP", Run: runThroughput},
 	{Name: "structures", Title: "EXP-EXT: stalled traversal across structures (§6 open question)", TableOnly: true, Run: runStructures},
-	{Name: "chaos", Title: "EXP-CHAOS: live robustness audit under stall injection (ebr/ibr/hp)", Run: runChaosExperiment},
+	{Name: "chaos", Title: "EXP-CHAOS: live robustness audit under stall injection (ebr/ibr/hp) + partial-failure campaign", Run: runChaos},
 	{Name: "adaptive", Title: "EXP-ADAPT: static vs adaptive reclamation under a delayed-release storm", Run: runAdaptive},
 	{Name: "obs", Title: "EXP-OBS: flight recorder + causal fault→verdict→migration timelines", Run: runObs},
-	{Name: "pipeline", Title: "EXP-PIPELINE: blocking vs pipelined scatter-gather + partial-failure chaos", Run: runPipeline},
 	{Name: "resil", Title: "EXP-RESIL: typed retries, hedged legs, retry-budget amplification bound", Run: runResil},
 }
 

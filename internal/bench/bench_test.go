@@ -134,10 +134,10 @@ func TestStallSeriesShape(t *testing.T) {
 	}
 }
 
-// TestMichaelComparisonShape: the Section 6 comparison is the sweep's last
-// three cells, in the documented order. Which pair is faster is a
-// measurement, not a unit-test fact.
-func TestMichaelComparisonShape(t *testing.T) {
+// TestSweepEndsWithSectionSixCells: the sweep ends with the Section 6
+// comparison's three cells, in the documented order, and each runs.
+// Which pair is faster is a measurement, not a unit-test fact.
+func TestSweepEndsWithSectionSixCells(t *testing.T) {
 	cells := bench.ThroughputCells("skiplist")
 	cells = cells[len(cells)-3:]
 	for i, want := range [][2]string{{"ebr", "harris"}, {"hp", "michael"}, {"ebr", "michael"}} {

@@ -16,12 +16,11 @@ import (
 	"repro/internal/workload"
 )
 
-// Sizing shared by the fleet runs (RunService and so EXP-CHAOS, EXP-ADAPT,
-// EXP-OBS). The threshold is fixed, rather than left to per-scheme
-// defaults, because it fixes the audits' bounded-backlog budget; the heap
-// is generous enough that only a genuinely unbounded backlog can exhaust
-// it — and if one does, the OOM is reported as audit evidence, not a
-// crash.
+// Sizing shared by every deployment (RunService). The threshold is fixed,
+// rather than left to per-scheme defaults, because it fixes the audits'
+// bounded-backlog budget; the heap is generous enough that only a
+// genuinely unbounded backlog can exhaust it — and if one does, the OOM
+// is reported as audit evidence, not a crash.
 const (
 	fleetStructure = "hashmap" // HP-compatible, so the widest scheme set applies
 	fleetWorkload  = "uniform"
@@ -30,52 +29,30 @@ const (
 	fleetKeyRange  = 2048
 	fleetThreshold = 16
 	fleetSlots     = 1 << 18
-	// fleetWorkers is one survivor above the worker a stall-family fault
-	// parks: the shard's churn (and telemetry progress) must stay alive.
-	fleetWorkers = 2
+	// recorderCapacity is a recorded run's per-stripe ring size: large
+	// enough that a one-second window's scan events cannot wrap the early
+	// fault fires out of the ring.
+	recorderCapacity = 1 << 15
 )
 
 // fleetLadder is the adaptive controller's migration ladder, cheapest
 // first: it walks the paper's robustness classes.
 var fleetLadder = []string{"ebr", "ibr", "hp"}
 
-// fleetConfig sizes one faulted fleet: a gated shard per scheme,
-// closed-loop clients for a wall-clock window, a telemetry sampler, and a
-// chaos engine aimed at the shards.
-//
-// The window is duration-boxed, not op-boxed: a client whose batch lands
-// on a stalled worker blocks until the fault heals (that is the fault
-// working), so "run until every client did N ops" could never terminate.
-type fleetConfig struct {
-	schemes   []string
-	structure string
-	workers   int
-	clients   int
-	batch     int
-	keyRange  int
-	duration  time.Duration
-	mix       workload.Mix
-	workload  string
-	schedule  string
-	seed      uint64
-	// controlled fleets migrate under an adapt controller: they carry the
-	// verdict monitor the sampler feeds, and their migration grace scales
-	// with the window — a parked worker never drains anyway, and every ms
-	// spent waiting is a ms the shard serves nothing but ErrShardClosed.
-	controlled bool
-	// clock and recorder, when non-nil, put the store, the sampler, the
-	// monitor's verdict flips and the engine's fire/heal events on one
-	// flight-recorder tape.
-	clock    *rec.Clock
-	recorder *rec.Recorder
-}
-
-// fleet is an assembled, prefilled, not yet started faulted fleet.
+// fleet is an assembled, prefilled, not yet started deployment of a
+// filled ServiceConfig: a shard per scheme slot, a telemetry
+// sampler, a chaos engine aimed at the shards, and the run clock they
+// all stamp. It is the only place internal/bench builds a store.
 type fleet struct {
-	cfg     fleetConfig
-	st      *store.Store
-	src     *workload.Source
-	mon     *telemetry.Monitor // nil unless controlled
+	cfg      ServiceConfig
+	st       *store.Store
+	src      *workload.Source
+	clock    *rec.Clock
+	recorder *rec.Recorder // nil unless Record or ObsAddr
+	// mon is the verdict monitor the sampler feeds (faulted or adaptive
+	// runs): the controller's classifier, the lane's admission signal, and
+	// the source of each row's final verdict.
+	mon     *telemetry.Monitor
 	sampler *telemetry.Sampler
 	// probe is what the sampler reads: the store's gauges, which a run
 	// may wrap (a resilience client's counters) before it starts.
@@ -83,47 +60,58 @@ type fleet struct {
 	engine *chaos.Engine
 }
 
-func newFleet(cfg fleetConfig) (*fleet, error) {
-	gates := make([]*sched.Breakpoints, len(cfg.schemes))
-	specs := make([]store.ShardSpec, len(cfg.schemes))
-	for i, scheme := range cfg.schemes {
-		gates[i] = sched.NewBreakpoints()
+func newFleet(cfg ServiceConfig) (*fleet, error) {
+	gates := make([]*sched.Breakpoints, cfg.Shards)
+	specs := make([]store.ShardSpec, cfg.Shards)
+	for i := range specs {
 		specs[i] = store.ShardSpec{
-			Scheme:    scheme,
-			Structure: cfg.structure,
-			Workers:   cfg.workers,
+			Scheme:    cfg.scheme(i),
+			Structure: cfg.Structure,
+			Workers:   cfg.WorkersPerShard,
 			Threshold: fleetThreshold,
 			Slots:     fleetSlots,
-			Gate:      gates[i],
+		}
+		// Only a faulted run gets injection gates: a gate costs every
+		// yield point of every operation a lock round trip, armed or not.
+		if len(cfg.Faults) > 0 {
+			gates[i] = sched.NewBreakpoints()
+			specs[i].Gate = gates[i]
 		}
 	}
+	f := &fleet{cfg: cfg, clock: rec.NewClock()}
+	if cfg.Record || cfg.ObsAddr != "" {
+		f.recorder = rec.NewRecorder(f.clock, recorderCapacity)
+	}
+	// A migrating fleet's grace scales with the window: a parked worker
+	// never drains anyway, and every ms spent waiting is a ms the shard
+	// serves nothing but ErrShardClosed.
 	var grace time.Duration
-	if cfg.controlled {
-		grace = max(cfg.duration/16, 10*time.Millisecond)
+	if cfg.Adapt != nil {
+		grace = max(cfg.Duration/16, 10*time.Millisecond)
 	}
 	st, err := store.New(store.Config{
-		Shards: specs, KeyRange: cfg.keyRange, MigrateGrace: grace, Recorder: cfg.recorder,
+		Shards: specs, KeyRange: cfg.KeyRange, MigrateGrace: grace, Recorder: f.recorder,
 	})
 	if err != nil {
 		return nil, err
 	}
-	f := &fleet{cfg: cfg, st: st}
+	f.st = st
 	if f.src, err = workload.New(workload.Config{
-		Dist: cfg.workload, Schedule: cfg.schedule, KeyRange: cfg.keyRange, Mix: cfg.mix, Seed: cfg.seed,
+		Dist: cfg.Workload, Schedule: cfg.Schedule, KeyRange: cfg.KeyRange, Mix: cfg.Mix, Seed: cfg.Seed,
 	}); err != nil {
 		st.Close()
 		return nil, err
 	}
 	// Prefill to half occupancy through the service, like any traffic.
-	if err := prefillHalf(st, cfg.keyRange, cfg.batch, cfg.seed); err != nil {
+	if err := prefillHalf(st, cfg.KeyRange, cfg.Batch, cfg.Seed); err != nil {
 		st.Close()
 		return nil, err
 	}
 	tcfg := telemetry.Config{
-		Interval: sampleEvery(cfg.duration), Capacity: 4096, Clock: cfg.clock, Recorder: cfg.recorder,
+		Interval: sampleEvery(cfg.Duration), Capacity: 4096, Clock: f.clock, Recorder: f.recorder,
 	}
-	if cfg.controlled {
-		if f.mon, err = adaptMonitor(st, cfg.recorder); err != nil {
+	if cfg.Adapt != nil || len(cfg.Faults) > 0 {
+		if f.mon, err = verdictMonitor(st, f.recorder); err != nil {
 			st.Close()
 			return nil, err
 		}
@@ -131,19 +119,19 @@ func newFleet(cfg fleetConfig) (*fleet, error) {
 	}
 	f.probe = storeProbe(st)
 	f.sampler = telemetry.NewSampler(tcfg, func() []telemetry.Point { return f.probe() })
-	f.engine = chaos.NewEngine(&chaos.Target{Store: st, Gates: gates, KeyRange: cfg.keyRange})
-	f.engine.SetObs(cfg.clock, cfg.recorder)
+	f.engine = chaos.NewEngine(&chaos.Target{Store: st, Gates: gates, KeyRange: cfg.KeyRange})
+	f.engine.SetObs(f.clock, f.recorder)
 	return f, nil
 }
 
 // budget is the per-shard backlog budget the audits fit against.
 func (f *fleet) budget() telemetry.Budget {
-	return telemetry.Budget{Threads: f.cfg.workers, Threshold: fleetThreshold}
+	return telemetry.Budget{Threads: f.cfg.WorkersPerShard, Threshold: fleetThreshold}
 }
 
 // series snapshots every shard's sampled backlog trajectory.
 func (f *fleet) series() [][]telemetry.Point {
-	out := make([][]telemetry.Point, len(f.cfg.schemes))
+	out := make([][]telemetry.Point, f.cfg.Shards)
 	for s := range out {
 		out[s] = f.sampler.Series(s).Points()
 	}
@@ -156,12 +144,11 @@ type traffic struct {
 	elapsed time.Duration
 }
 
-// run drives the window: sampler and engine start, closed-loop clients
-// batch until the deadline (each, when non-nil, sees every request
-// latency live), then the sampler stops and the store drains. beside,
-// when non-nil, runs concurrently with the clients — a second traffic
-// lane that must also be done by the deadline — and the store drains
-// only after it returns.
+// run drives the window: sampler and engine start, the point-op clients
+// batch until the deadline, then the sampler stops. beside, when non-nil,
+// runs concurrently with them — the fan-out lane, which must also be done
+// by the deadline — and run returns only after it does. Draining the
+// store is the caller's.
 //
 // The engine is stopped at the deadline from a watchdog, independent of
 // client progress: clients blocked on a stalled worker only come back
@@ -171,11 +158,11 @@ type traffic struct {
 // counters, and a stall heal lets the resumed worker collapse the
 // backlog, either of which would contaminate the faulted window if read
 // afterwards.
-func (f *fleet) run(atDeadline func(), each func(time.Duration), beside func(deadline time.Time)) (traffic, error) {
+func (f *fleet) run(atDeadline func(), beside func(deadline time.Time)) (traffic, error) {
 	f.sampler.Start()
 	f.engine.Start()
 	start := time.Now()
-	deadline := start.Add(f.cfg.duration)
+	deadline := start.Add(f.cfg.Duration)
 	healed := make(chan struct{})
 	go func() {
 		defer close(healed)
@@ -191,28 +178,37 @@ func (f *fleet) run(atDeadline func(), each func(time.Duration), beside func(dea
 			beside(deadline)
 		}()
 	}
-	t := traffic{tally: runTimedClients(f.st, f.src, f.cfg.clients, f.cfg.batch, deadline, each)}
+	clients := f.cfg.Clients - f.cfg.laneClients()
+	t := traffic{tally: runTimedClients(f.st, f.src, clients, f.cfg.Batch, deadline)}
 	lane.Wait()
 	<-healed
 	t.elapsed = time.Since(start)
 	f.sampler.Stop()
-	if t.err != nil {
-		return t, t.err
-	}
-	return t, f.st.Close()
+	return t, t.err
 }
 
-// tally is what closed-loop clients measured: one client's while it
-// runs, the run's once runClients merges them.
+// tally is what clients measured: one client's while it runs, the run's
+// once runClients merges them.
 type tally struct {
+	// clients is how many clients the merged tally covers.
+	clients int
 	// n counts the client's units of work: ops or requests.
 	n, partial, errs, sheds uint64
-	// lat holds every completion's latency, healthy the fully successful
-	// ones'.
-	lat, healthy hist.Latency
+	// lat holds every completion's latency.
+	lat hist.Latency
+	// submitted holds the fan-out lane's completed requests: when each
+	// went in and whether it came back clean.
+	submitted []submission
 	// err is a harness failure (a closed store, a rejected submit): it
 	// ends the client, and the merged tally keeps the first.
 	err error
+}
+
+// submission is one completed lane request: its submit time on the run
+// clock, and whether every leg succeeded.
+type submission struct {
+	at    time.Duration
+	clean bool
 }
 
 // runClients runs client(c, t) for c < n, each on its own goroutine with
@@ -228,7 +224,7 @@ func runClients(n int, client func(c int, t *tally)) tally {
 		}()
 	}
 	wg.Wait()
-	var all tally
+	all := tally{clients: n}
 	for i := range tallies {
 		t := &tallies[i]
 		all.n += t.n
@@ -236,7 +232,7 @@ func runClients(n int, client func(c int, t *tally)) tally {
 		all.errs += t.errs
 		all.sheds += t.sheds
 		all.lat.Merge(&t.lat)
-		all.healthy.Merge(&t.healthy)
+		all.submitted = append(all.submitted, t.submitted...)
 		all.err = cmp.Or(all.err, t.err)
 	}
 	return all
@@ -244,11 +240,8 @@ func runClients(n int, client func(c int, t *tally)) tally {
 
 // runTimedClients drives closed-loop clients until deadline, tolerating
 // per-operation errors (they are what faults — and migration windows —
-// look like from outside): n counts ops, errs the failed ones. Shared by
-// every duration-boxed experiment. each, when non-nil, receives every
-// request latency live (the SLO monitor's feed); it is called from every
-// client goroutine concurrently and must be cheap and thread-safe.
-func runTimedClients(st *store.Store, src *workload.Source, clients, batchSize int, deadline time.Time, each func(time.Duration)) tally {
+// look like from outside): n counts ops, errs the failed ones.
+func runTimedClients(st *store.Store, src *workload.Source, clients, batchSize int, deadline time.Time) tally {
 	return runClients(clients, func(c int, t *tally) {
 		stream := src.Thread(c, 1<<20)
 		batch := make([]store.Op, 0, batchSize)
@@ -264,11 +257,7 @@ func runTimedClients(st *store.Store, src *workload.Source, clients, batchSize i
 				t.err = err
 				return
 			}
-			d := time.Since(t0)
-			t.lat.Record(d)
-			if each != nil {
-				each(d)
-			}
+			t.lat.Record(time.Since(t0))
 			t.n += uint64(len(batch))
 			for _, r := range res {
 				if r.Err != nil {
@@ -281,8 +270,7 @@ func runTimedClients(st *store.Store, src *workload.Source, clients, batchSize i
 
 // prefillHalf inserts exactly ⌊keyRange/2⌋ distinct keys through the
 // service — a seeded sample without replacement, drawn by a partial
-// Fisher–Yates shuffle — so contains() hits half the time. Shared by
-// every store-driving experiment.
+// Fisher–Yates shuffle — so contains() hits half the time.
 func prefillHalf(st *store.Store, keyRange, batchSize int, seed uint64) error {
 	rng := workload.RNG(seed ^ 0xf00d)
 	keys := make([]int64, keyRange)
@@ -334,10 +322,10 @@ func storeProbe(st *store.Store) telemetry.Probe {
 	}
 }
 
-// adaptMonitor builds the verdict monitor over the store's resolved
+// verdictMonitor builds the verdict monitor over the store's resolved
 // shard specs: domain i is shard i, with the shard's declared robustness
 // class and worker/threshold budget.
-func adaptMonitor(st *store.Store, recorder *rec.Recorder) (*telemetry.Monitor, error) {
+func verdictMonitor(st *store.Store, recorder *rec.Recorder) (*telemetry.Monitor, error) {
 	domains := make([]telemetry.Domain, st.Shards())
 	for s := range domains {
 		spec, err := st.Spec(s)

@@ -24,7 +24,7 @@ func TestRunChaosSeparatesClasses(t *testing.T) {
 	}
 	res, err := RunService(ServiceConfig{
 		Schemes:  []string{"ebr", "ibr", "hp"},
-		Faults:   []string{"stall"},
+		Faults:   FaultsInEveryShard(dur, "stall"),
 		Duration: dur,
 		Seed:     42,
 	})
@@ -92,7 +92,7 @@ func TestRunChaosChurnFault(t *testing.T) {
 	}
 	res, err := RunService(ServiceConfig{
 		Schemes:  []string{"ebr", "hp"},
-		Faults:   []string{"churn"},
+		Faults:   FaultsInEveryShard(150*time.Millisecond, "churn"),
 		Duration: 150 * time.Millisecond,
 		Seed:     7,
 	})

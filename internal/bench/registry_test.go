@@ -17,10 +17,9 @@ import (
 // experiment's third gate is the recorder-overhead budget its old
 // CheckObs enforced; the others are the booleans CI has always asserted.
 var wantGates = map[string][]string{
-	"chaos":    {"consistent"},
+	"chaos":    {"consistent", "partial_chains_closed"},
 	"adaptive": {"improved"},
 	"obs":      {"complete", "detection_latency_ns", "overhead_ok"},
-	"pipeline": {"pipelined_beats_blocking", "partial_chains_closed"},
 	"resil":    {"goodput_recovered", "hedge_bounds_tail", "amplification_bounded"},
 }
 
@@ -32,8 +31,8 @@ var nestedGates = map[string]bool{"detection_latency_ns": true, "overhead_ok": t
 // wantTable is one header token each experiment's table must carry.
 var wantTable = map[string]string{
 	"matrix": "holds=true", "throughput": "Mops/s", "structures": "-- harris --",
-	"chaos": "declared", "adaptive": "faulted-audited", "obs": "recorder:",
-	"pipeline": "chaos:", "resil": "retry:",
+	"chaos": "partial-failure campaign", "adaptive": "faulted-audited", "obs": "recorder:",
+	"resil": "retry:",
 }
 
 // TestRegistry pins the registry's shape: names unique, resolvable, and
@@ -41,7 +40,7 @@ var wantTable = map[string]string{
 func TestRegistry(t *testing.T) {
 	names := bench.Names()
 	want := []string{"matrix", "throughput", "structures",
-		"chaos", "adaptive", "obs", "pipeline", "resil"}
+		"chaos", "adaptive", "obs", "resil"}
 	if !reflect.DeepEqual(names, want) {
 		t.Fatalf("registry order:\n got %v\nwant %v", names, want)
 	}
@@ -157,24 +156,30 @@ func checkStructure(t *testing.T, res bench.Result) {
 		if len(r.Rows) == 0 {
 			t.Error("no throughput rows")
 		}
-	case bench.ServiceResult:
+	case bench.ChaosResult:
 		a := r.Aggregate
 		if len(r.Rows) != a.Shards || len(r.Events) != a.Shards*len(a.Faults) || a.Ops == 0 {
-			t.Errorf("service: %d rows and %d fault events for %d shards × %v, %d ops",
+			t.Errorf("chaos audit: %d rows and %d fault events for %d shards × %v, %d ops",
 				len(r.Rows), len(r.Events), a.Shards, a.Faults, a.Ops)
 		}
-	case bench.AdaptiveResult:
-		if r.Static.Arm != "static" || r.Adaptive.Arm != "adaptive" || r.Static.Ops == 0 || r.Adaptive.Ops == 0 {
-			t.Errorf("adaptive arms: %+v / %+v", r.Static.Arm, r.Adaptive.Arm)
+		c := r.Campaign.Aggregate
+		if len(r.Campaign.Events) != 1 || r.Campaign.Events[0].Shard != 1 || c.FanoutReqs == 0 || c.PointClients != 0 {
+			t.Errorf("chaos campaign: events %+v, %d lane requests, %d point-op clients", r.Campaign.Events, c.FanoutReqs, c.PointClients)
 		}
-		if len(r.Static.Events) == 0 || len(r.Adaptive.Series) == 0 {
-			t.Error("adaptive: no fault events or no evidence series")
+	case bench.AdaptiveResult:
+		for _, arm := range []bench.ServiceResult{r.Static, r.Adaptive} {
+			if len(arm.Rows) != 1 || arm.Aggregate.Ops == 0 || len(arm.Events) == 0 || len(arm.Rows[0].Series) == 0 {
+				t.Errorf("adaptive arm: %d rows, %d ops, %d fault events", len(arm.Rows), arm.Aggregate.Ops, len(arm.Events))
+			}
+		}
+		if r.Static.Rows[0].Verdict == "" || r.Adaptive.Rows[0].Verdict == "" {
+			t.Errorf("adaptive: no final verdict: %q / %q", r.Static.Rows[0].Verdict, r.Adaptive.Rows[0].Verdict)
 		}
 	case bench.ObsResult:
 		// How many incidents reach the tape depends on what the recorder
 		// dropped; the complete gate holds that claim under -check.
-		if len(r.Events) == 0 || r.Sampler.Ticks == 0 {
-			t.Errorf("obs: %d events, %d ticks", len(r.Events), r.Sampler.Ticks)
+		if len(r.Run.Tape) == 0 || len(r.Run.Rows) == 0 || len(r.Run.Rows[0].Series) == 0 {
+			t.Errorf("obs: %d tape events, %d rows", len(r.Run.Tape), len(r.Run.Rows))
 		}
 		if r.Overhead.Rounds == 0 || r.Overhead.RecorderOnMops <= 0 || r.Overhead.RecorderOffMops <= 0 {
 			t.Errorf("obs overhead A/B did not run: %+v", r.Overhead)
@@ -193,16 +198,15 @@ func checkStructure(t *testing.T, res bench.Result) {
 		if err := json.Unmarshal(trace.Bytes(), &tf); err != nil || len(tf.TraceEvents) == 0 {
 			t.Errorf("chrome trace: %d events, %v", len(tf.TraceEvents), err)
 		}
-	case bench.PipelineResult:
-		if r.Blocking.Requests == 0 || r.Pipelined.Requests == 0 || r.Chaos.Requests == 0 {
-			t.Errorf("pipeline: empty arm: %d / %d / %d", r.Blocking.Requests, r.Pipelined.Requests, r.Chaos.Requests)
-		}
-		if r.Chaos.ScatterEvents == 0 || r.Chaos.MergeEvents == 0 {
-			t.Errorf("pipeline: recorder missing exec events: %+v", r.Chaos)
-		}
 	case bench.ResilResult:
-		if r.Naive.Requests == 0 || r.Resilient.Requests == 0 || r.HedgeBase.Requests == 0 || r.Hedged.Requests == 0 {
-			t.Errorf("resil: empty arm: %+v", r)
+		for _, arm := range []bench.ServiceResult{r.Naive, r.Resilient, r.Unhedged, r.Hedged} {
+			if a := arm.Aggregate; a.FanoutReqs == 0 || a.PointClients != 0 || len(arm.Events) == 0 {
+				t.Errorf("resil: arm with %d lane requests, %d point-op clients, %d fault events",
+					a.FanoutReqs, a.PointClients, len(arm.Events))
+			}
+		}
+		if r.Naive.Aggregate.FanoutWindowReqs == 0 || r.Resilient.Aggregate.FanoutWindowReqs == 0 {
+			t.Error("resil: no goodput request was submitted inside a fault window")
 		}
 	}
 }
@@ -211,19 +215,21 @@ func checkStructure(t *testing.T, res bench.Result) {
 // all hold.
 func passing() map[string]bench.Result {
 	return map[string]bench.Result{
-		"chaos": bench.ServiceResult{
-			Rows:       []bench.ServiceShardRow{{Scheme: "ebr", Consistent: true}, {Scheme: "hp", Consistent: true}},
-			Consistent: true,
+		"chaos": bench.ChaosResult{
+			ServiceResult: bench.ServiceResult{
+				Rows:       []bench.ServiceShardRow{{Scheme: "ebr", Consistent: true}, {Scheme: "hp", Consistent: true}},
+				Consistent: true,
+			},
+			PartialChainsClosed: true,
 		},
 		"adaptive": sampleAdaptive(),
 		"obs": bench.ObsResult{
-			Agg:      bench.ObsAggregate{Shards: 1},
+			Run:      bench.ServiceResult{Aggregate: bench.ServiceRow{Shards: 1}},
 			Timeline: obs.Timeline{Incidents: []obs.Incident{{Fault: "delayed-release", DetectionLatency: time.Millisecond, Complete: true}}},
 			Complete: true,
 			Overhead: bench.ObsOverhead{Rounds: 3, OK: true},
 		},
-		"pipeline": bench.PipelineResult{PipelinedBeatsBlocking: true, PartialChainsClosed: true},
-		"resil":    bench.ResilResult{GoodputRecovered: true, HedgeBoundsTail: true, AmplificationBounded: true},
+		"resil": bench.ResilResult{GoodputRecovered: true, HedgeBoundsTail: true, AmplificationBounded: true},
 	}
 }
 
@@ -231,8 +237,12 @@ func passing() map[string]bench.Result {
 func failing(t *testing.T, name, gate string) bench.Result {
 	t.Helper()
 	switch r := passing()[name].(type) {
-	case bench.ServiceResult:
-		r.Rows[1].Consistent, r.Consistent = false, false
+	case bench.ChaosResult:
+		if gate == "consistent" {
+			r.Rows[1].Consistent, r.Consistent = false, false
+		} else {
+			r.PartialChainsClosed = false
+		}
 		return r
 	case bench.AdaptiveResult:
 		r.Improved = false
@@ -245,13 +255,6 @@ func failing(t *testing.T, name, gate string) bench.Result {
 			r.Timeline.Incidents[0].DetectionLatency = -1
 		default:
 			r.Overhead.OK = false
-		}
-		return r
-	case bench.PipelineResult:
-		if gate == "pipelined_beats_blocking" {
-			r.PipelinedBeatsBlocking = false
-		} else {
-			r.PartialChainsClosed = false
 		}
 		return r
 	case bench.ResilResult:

@@ -69,7 +69,7 @@ func sampleService() bench.ServiceResult {
 		},
 		Events: []chaos.Event{{Fault: "stall", Shard: 1, Episode: 1, At: 26 * time.Millisecond, Healed: 210 * time.Millisecond}},
 		Aggregate: bench.ServiceRow{
-			Shards: 2, Schemes: []string{"hp", "ebr"}, Structure: "hashmap", Faults: []string{"stall"},
+			Shards: 2, Schemes: []string{"hp", "ebr"}, Structure: "hashmap", Faults: bench.FaultsInEveryShard(210*time.Millisecond, "stall"),
 			Clients: 4, Batch: 16, Workers: 2, Mix: workload.MixBalanced,
 			Workload: "zipfian", Schedule: "steady", KeyRange: 4096,
 			Ops: 80000, Elapsed: 210 * time.Millisecond, MopsPerSec: 0.38,
@@ -95,33 +95,32 @@ func TestServiceTable(t *testing.T) {
 }
 
 func sampleAdaptive() bench.AdaptiveResult {
-	return bench.AdaptiveResult{
-		Static: bench.AdaptiveArm{
-			Arm: "static", StartScheme: "ebr", FinalScheme: "ebr",
-			FaultedAudited: "not-robust", FaultedGrowth: "unbounded",
-			FinalAudited: "not-robust", FinalGrowth: "unbounded",
-			Migrations: []adapt.Episode{}, PeakRetired: 48211, Ops: 120000,
-		},
-		Adaptive: bench.AdaptiveArm{
-			Arm: "adaptive", StartScheme: "ebr", FinalScheme: "ibr",
-			FaultedAudited: "not-robust", FaultedGrowth: "unbounded",
-			FinalAudited: "robust", FinalGrowth: "bounded",
-			Migrations: []adapt.Episode{{
-				Shard: 0, From: "ebr", To: "ibr", At: 190 * time.Millisecond,
-				Audited: "not-robust", Reason: "escalate: audited not-robust over 2 windows",
-			}},
-			PeakRetired: 910, Ops: 310000, OpErrs: 4200,
-			P99: 55 * time.Microsecond,
-		},
-		Agg: bench.AdaptiveAggregate{
-			Ladder: []string{"ebr", "ibr", "hp"}, StartScheme: "ebr",
-			Structure: "hashmap", Faults: []string{"delayed-release"},
-			Workers: 2, Clients: 4, Batch: 16, KeyRange: 2048,
-			Duration: 800 * time.Millisecond, Mix: workload.MixBalanced,
-			Workload: "uniform", Schedule: "steady", Seed: 42,
-		},
-		Improved: true,
+	arm := func(ops uint64, row bench.ServiceShardRow) bench.ServiceResult {
+		return bench.ServiceResult{
+			Rows: []bench.ServiceShardRow{row},
+			Aggregate: bench.ServiceRow{
+				Shards: 1, Schemes: []string{"ebr"}, Structure: "hashmap",
+				Faults:  []bench.Fault{{Name: "delayed-release", Schedule: chaos.OneShot(100 * time.Millisecond)}},
+				Workers: 2, Clients: 4, Batch: 16, KeyRange: 2048, Elapsed: 800 * time.Millisecond,
+				Mix: workload.MixBalanced, Workload: "uniform", Schedule: "steady", Seed: 42, Ops: ops,
+			},
+			Consistent: true,
+		}
 	}
+	static := arm(120000, bench.ServiceShardRow{
+		Scheme: "ebr", Audited: "not-robust", Growth: "unbounded",
+		Verdict: "not-robust", VerdictGrowth: "unbounded", PeakRetired: 48211,
+	})
+	adaptive := arm(310000, bench.ServiceShardRow{
+		Scheme: "ebr", Audited: "not-robust", Growth: "unbounded",
+		Verdict: "robust", VerdictGrowth: "bounded", PeakRetired: 910, Migrations: 1, Epoch: 1,
+	})
+	adaptive.Episodes = []adapt.Episode{{
+		Shard: 0, From: "ebr", To: "ibr", At: 190 * time.Millisecond,
+		Audited: "not-robust", Reason: "escalate: audited not-robust over 2 windows",
+	}}
+	adaptive.Aggregate.OpErrs, adaptive.Aggregate.P99 = 4200, 55*time.Microsecond
+	return bench.AdaptiveResult{Static: static, Adaptive: adaptive, Improved: true}
 }
 
 // TestAdaptiveTable checks both arms, the migration log, and the

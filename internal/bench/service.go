@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"slices"
+	"sync"
 	"time"
 
 	"repro/internal/adapt"
@@ -14,20 +15,21 @@ import (
 	"repro/internal/obs"
 	"repro/internal/obs/rec"
 	"repro/internal/resil"
+	"repro/internal/smr"
 	"repro/internal/smr/all"
 	"repro/internal/store"
 	"repro/internal/telemetry"
 	"repro/internal/workload"
 )
 
-// ServiceConfig sizes one deployment run (eraserve; EXP-CHAOS is its
-// canned call): a sharded store whose shards cycle through Schemes,
-// closed-loop clients batching operations for a wall-clock window, the
-// named faults injected into every shard an eighth of the way in (early,
-// so most of the window is faulted — the growth fit reads the faulted
-// tail), and each shard's declared robustness class (Definitions
-// 5.1–5.2) audited against the backlog growth its sampled telemetry
-// shows. An empty fault list is a healthy deployment.
+// ServiceConfig sizes one deployment run — eraserve's, and every gated
+// service experiment's (EXP-CHAOS, EXP-ADAPT, EXP-OBS, EXP-RESIL are one
+// or two ServiceConfig literals each): a sharded store whose shards cycle
+// through Schemes, clients batching operations for a wall-clock window,
+// the Faults injected as their entries say, and each shard's declared
+// robustness class (Definitions 5.1–5.2) audited against the backlog
+// growth its sampled telemetry shows. An empty fault list is a healthy
+// deployment.
 //
 // The window is duration-boxed: a client whose batch lands on a stalled
 // worker blocks until the fault heals, and per-operation errors (a churn
@@ -44,11 +46,12 @@ type ServiceConfig struct {
 	// (HP-compatible, so the widest scheme set applies).
 	Structure string
 	// WorkersPerShard sizes each shard's pool; 0 selects one more than
-	// the number of worker-parking faults: every parking fault claims a
-	// worker, and the audit needs a survivor to keep the shard's churn
-	// (and telemetry progress) alive.
+	// the number of worker-parking fault entries: every parking fault
+	// claims a worker, and the audit needs a survivor to keep the shard's
+	// churn (and telemetry progress) alive.
 	WorkersPerShard int
-	// Clients is the closed-loop client count; 0 selects 2 × Shards.
+	// Clients is the client count, the fan-out lane's share included; 0
+	// selects 2 × Shards.
 	Clients int
 	// Batch is operations per service request (≥ 2 engages the fused
 	// shard path); 0 selects 16.
@@ -57,9 +60,9 @@ type ServiceConfig struct {
 	KeyRange int
 	// Duration is the traffic window; 0 selects 400ms.
 	Duration time.Duration
-	// Faults names the faults injected (chaos registry names), each into
-	// every shard.
-	Faults []string
+	// Faults are the fault entries RunService injects, each exactly as
+	// written.
+	Faults []Fault
 	// Mix, Workload, Schedule name the traffic shape (workload
 	// registries); zero values select balanced/uniform/steady.
 	Mix      workload.Mix
@@ -72,16 +75,23 @@ type ServiceConfig struct {
 	// the online classifier, and shards whose scheme sits on the
 	// controller's ladder are escalated/de-escalated live.
 	Adapt *adapt.Config
-	// FanoutPct, when positive, adds a fan-out lane beside the point-op
-	// clients: FanoutPct percent of Clients (at least one goroutine)
-	// drive cross-shard requests — multi-key gets, inserts, deletes plus
-	// range scans and counts, workload.ReqMixFanout — through the
-	// resilience client over the pipelined executor, with their own
-	// p50/p99.
+	// FanoutPct, when positive, gives FanoutPct percent of Clients (at
+	// least one) to a fan-out lane: cross-shard requests — FanoutMix's
+	// multi-key gets, inserts, deletes, range scans and counts — through
+	// the resilience client over the pipelined executor, with their own
+	// p50/p99. The rest stay point-op clients; 100 runs the lane alone.
 	FanoutPct int
 	// FanoutKeys is the key count per multi-key fan-out request; 0
 	// selects 8.
 	FanoutKeys int
+	// FanoutMix is the lane's request mix; zero selects
+	// workload.ReqMixFanout.
+	FanoutMix workload.ReqMix
+	// FanoutPace, when positive, runs the lane open-loop: each lane client
+	// submits one request per FanoutPace whether or not the last one
+	// completed, so a slow policy cannot shed offered load by being slow.
+	// Zero runs it closed-loop.
+	FanoutPace time.Duration
 	// Retry, Hedge and Breaker switch on the lane's resilience policies
 	// (internal/resil): typed-error-aware retries, p99-delay hedged
 	// legs, per-shard circuit breakers. With none set the lane submits
@@ -91,16 +101,60 @@ type ServiceConfig struct {
 	Breaker bool
 	// FanoutSLO, when positive, runs a per-shard tail-latency objective
 	// over the lane's settled leg latencies. Breach/clear transitions
-	// land on the flight recorder and — with Adapt — in the telemetry
-	// verdict's SLO dimension, so the controller can tell "robust but
-	// slow" from "not robust".
+	// land on the flight recorder and — with a verdict monitor — in the
+	// telemetry verdict's SLO dimension, so the controller can tell
+	// "robust but slow" from "not robust".
 	FanoutSLO time.Duration
-	// ObsAddr, when non-empty, serves the live observability plane
-	// (/metrics, /timeline, /debug/pprof/) on this address for the run:
-	// shard scans, guard trips, fault fire/heal, verdict flips and
-	// migrations land on one flight recorder. The bound URL is reported
-	// in the result.
+	// Record puts the run on one flight-recorder tape — shard scans, guard
+	// trips, fault fire/heal, verdict flips, migrations, the lane's exec
+	// and retry events — returned in ServiceResult.Tape.
+	Record bool
+	// ObsAddr, when non-empty, records the run and serves the live
+	// observability plane (/metrics, /timeline, /debug/pprof/) on this
+	// address for it. The bound URL is reported in the result.
 	ObsAddr string
+}
+
+// Fault is one fault entry: a chaos registry name, the shards it targets
+// (empty: every shard) and the schedule each targeted shard's episodes
+// follow.
+type Fault struct {
+	Name     string         `json:"name"`
+	Shards   []int          `json:"shards,omitempty"`
+	Schedule chaos.Schedule `json:"schedule"`
+}
+
+// FaultsInEveryShard is one entry per name, each fired into every shard
+// an eighth of the way into a window of d — early, so most of the window
+// is faulted (the growth fit reads the faulted tail), and held to the
+// deadline. eraserve's -faults and EXP-CHAOS's audit inject these.
+func FaultsInEveryShard(d time.Duration, names ...string) []Fault {
+	faults := make([]Fault, len(names))
+	for i, name := range names {
+		faults[i] = Fault{Name: name, Schedule: chaos.OneShot(d / 8)}
+	}
+	return faults
+}
+
+// targets lists the shards the entry fires into.
+func (f Fault) targets(shards int) []int {
+	if len(f.Shards) > 0 {
+		return f.Shards
+	}
+	all := make([]int, shards)
+	for s := range all {
+		all[s] = s
+	}
+	return all
+}
+
+// faultNames lists the entries' fault names.
+func faultNames(faults []Fault) []string {
+	names := make([]string, len(faults))
+	for i, f := range faults {
+		names[i] = f.Name
+	}
+	return names
 }
 
 func (cfg *ServiceConfig) fill() {
@@ -116,7 +170,7 @@ func (cfg *ServiceConfig) fill() {
 	if cfg.WorkersPerShard <= 0 {
 		cfg.WorkersPerShard = 1
 		for _, f := range cfg.Faults {
-			if chaos.ParksWorker(f) {
+			if chaos.ParksWorker(f.Name) {
 				cfg.WorkersPerShard++
 			}
 		}
@@ -146,13 +200,27 @@ func (cfg *ServiceConfig) fill() {
 	if cfg.FanoutKeys <= 0 {
 		cfg.FanoutKeys = 8
 	}
+	if cfg.FanoutMix == (workload.ReqMix{}) {
+		cfg.FanoutMix = workload.ReqMixFanout
+	}
+}
+
+// scheme is shard s's scheme: Schemes cycled across the shards.
+func (cfg ServiceConfig) scheme(s int) string { return cfg.Schemes[s%len(cfg.Schemes)] }
+
+// laneClients is the fan-out lane's share of Clients.
+func (cfg ServiceConfig) laneClients() int {
+	if cfg.FanoutPct <= 0 {
+		return 0
+	}
+	return max(cfg.Clients*cfg.FanoutPct/100, 1)
 }
 
 // Validate rejects bad selections before anything is built, each with
 // its registry's listing: schemes and ladder rungs the structure cannot
-// host (Appendix E), unknown faults, key distributions and schedules,
-// and lane policies without a lane. RunService calls it first; a CLI
-// calls it before creating its artifact.
+// host (Appendix E), unknown faults or target shards, key distributions,
+// schedules and request mixes, and lane settings without a lane.
+// RunService calls it first; a CLI calls it before creating its artifact.
 func (cfg ServiceConfig) Validate() error {
 	cfg.fill()
 	info, err := registry.Get(cfg.Structure)
@@ -172,8 +240,13 @@ func (cfg ServiceConfig) Validate() error {
 		}
 	}
 	for _, f := range cfg.Faults {
-		if _, err := chaos.New(f, chaos.Params{}); err != nil {
+		if _, err := chaos.New(f.Name, chaos.Params{}); err != nil {
 			return err
+		}
+		for _, s := range f.Shards {
+			if s < 0 || s >= cfg.Shards {
+				return fmt.Errorf("bench: fault %s targets shard %d of %d", f.Name, s, cfg.Shards)
+			}
 		}
 	}
 	if _, err := workload.NewDist(cfg.Workload, 2); err != nil {
@@ -182,8 +255,11 @@ func (cfg ServiceConfig) Validate() error {
 	if _, err := workload.NewSchedule(cfg.Schedule, cfg.Mix); err != nil {
 		return err
 	}
-	if cfg.FanoutPct <= 0 && (cfg.Retry || cfg.Hedge || cfg.Breaker || cfg.FanoutSLO > 0) {
-		return errors.New("bench: retry/hedge/breaker/fanout-slo shape the fan-out lane; set FanoutPct > 0")
+	if err := cfg.FanoutMix.Validate(); err != nil {
+		return err
+	}
+	if cfg.FanoutPct <= 0 && (cfg.Retry || cfg.Hedge || cfg.Breaker || cfg.FanoutSLO > 0 || cfg.FanoutPace > 0) {
+		return errors.New("bench: retry/hedge/breaker/fanout-slo/pace shape the fan-out lane; set FanoutPct > 0")
 	}
 	return nil
 }
@@ -228,31 +304,41 @@ type ServiceShardRow struct {
 	// or inconclusive; Consistent is false exactly when it is VIOLATED.
 	Outcome    string `json:"outcome"`
 	Consistent bool   `json:"consistent"`
+	// Verdict is the verdict monitor's live windowed class at the
+	// deadline, VerdictGrowth its fitted shape (runs with faults or Adapt,
+	// which build the monitor): for a shard that migrated, the class of
+	// its last incarnation; "inconclusive" when the window held too little
+	// evidence to classify.
+	Verdict       string `json:"verdict,omitempty"`
+	VerdictGrowth string `json:"verdict_growth,omitempty"`
 	// Series is the shard's sampled backlog trajectory (the evidence).
 	Series []telemetry.Point `json:"series,omitempty"`
 }
 
 // ServiceRow is the run's client-side summary. P50/P99 are
-// *service-request* latencies — one batched Do as seen by a client,
-// queueing and live faults included.
+// *service-request* latencies — one batched Do as seen by a point-op
+// client, queueing and live faults included.
 type ServiceRow struct {
-	Shards     int           `json:"shards"`
-	Schemes    []string      `json:"schemes"`
-	Structure  string        `json:"structure"`
-	Faults     []string      `json:"faults"`
-	Workers    int           `json:"workers_per_shard"`
-	Clients    int           `json:"clients"`
-	Batch      int           `json:"batch"`
-	KeyRange   int           `json:"key_range"`
-	Mix        workload.Mix  `json:"mix"`
-	Workload   string        `json:"workload"`
-	Schedule   string        `json:"schedule"`
-	Seed       uint64        `json:"seed"`
-	Elapsed    time.Duration `json:"elapsed_ns"`
-	Ops        uint64        `json:"ops"`
-	MopsPerSec float64       `json:"mops_per_sec"`
-	P50        time.Duration `json:"p50_ns"`
-	P99        time.Duration `json:"p99_ns"`
+	Shards    int          `json:"shards"`
+	Schemes   []string     `json:"schemes"`
+	Structure string       `json:"structure"`
+	Faults    []Fault      `json:"faults"`
+	Workers   int          `json:"workers_per_shard"`
+	Clients   int          `json:"clients"`
+	Batch     int          `json:"batch"`
+	KeyRange  int          `json:"key_range"`
+	Mix       workload.Mix `json:"mix"`
+	Workload  string       `json:"workload"`
+	Schedule  string       `json:"schedule"`
+	Seed      uint64       `json:"seed"`
+	// PointClients counts the point-op clients that ran; the fan-out
+	// lane's FanoutClients make up the rest of Clients.
+	PointClients int           `json:"point_clients"`
+	Elapsed      time.Duration `json:"elapsed_ns"`
+	Ops          uint64        `json:"ops"`
+	MopsPerSec   float64       `json:"mops_per_sec"`
+	P50          time.Duration `json:"p50_ns"`
+	P99          time.Duration `json:"p99_ns"`
 	// OpErrs counts per-operation errors clients absorbed (shard closed
 	// during churn faults or a migration swap, OOM on an exhausted shard).
 	OpErrs uint64 `json:"op_errs"`
@@ -262,30 +348,41 @@ type ServiceRow struct {
 	Migrations  uint64 `json:"migrations,omitempty"`
 
 	// Fan-out lane measurement (FanoutPct runs only), with its own
-	// percentiles. FanoutPartial counts requests that completed with at
-	// least one failed leg, FanoutErrs failed requests plus per-key
-	// errors inside completed ones, FanoutSheds legs rejected under
-	// saturation (exec.ErrShed anywhere in a result's error chain). The
-	// resilience counters: retries re-submitted, requests recovered clean
-	// by a retry, hedges launched, hedge races won by the duplicate.
-	FanoutPct       int           `json:"fanout_pct,omitempty"`
-	FanoutClients   int           `json:"fanout_clients,omitempty"`
-	FanoutReqs      uint64        `json:"fanout_reqs,omitempty"`
-	FanoutP50       time.Duration `json:"fanout_p50_ns,omitempty"`
-	FanoutP99       time.Duration `json:"fanout_p99_ns,omitempty"`
-	FanoutPartial   uint64        `json:"fanout_partial,omitempty"`
-	FanoutErrs      uint64        `json:"fanout_errs,omitempty"`
-	FanoutSheds     uint64        `json:"fanout_sheds,omitempty"`
-	FanoutRetries   uint64        `json:"fanout_retries,omitempty"`
-	FanoutRecovered uint64        `json:"fanout_recovered,omitempty"`
-	FanoutHedges    uint64        `json:"fanout_hedges,omitempty"`
-	FanoutHedgeWins uint64        `json:"fanout_hedge_wins,omitempty"`
+	// percentiles. FanoutClean counts requests that completed with no
+	// failed leg, FanoutPartial those with at least one; FanoutWindow*
+	// restrict both counts to requests submitted while a fault episode
+	// was held. FanoutErrs counts failed requests plus per-key errors
+	// inside completed ones, FanoutSheds legs rejected under saturation
+	// (exec.ErrShed anywhere in a result's error chain). The resilience
+	// counters: retries re-submitted, requests recovered clean by a retry,
+	// hedges launched, hedge races won by the duplicate, and the retry
+	// load amplification over offered load. CleanAfterHeal reports that a
+	// full-width request after a faulted run's heal came back clean.
+	FanoutPct           int           `json:"fanout_pct,omitempty"`
+	FanoutClients       int           `json:"fanout_clients,omitempty"`
+	FanoutMix           string        `json:"fanout_mix,omitempty"`
+	FanoutPace          time.Duration `json:"fanout_pace_ns,omitempty"`
+	FanoutReqs          uint64        `json:"fanout_reqs,omitempty"`
+	FanoutP50           time.Duration `json:"fanout_p50_ns,omitempty"`
+	FanoutP99           time.Duration `json:"fanout_p99_ns,omitempty"`
+	FanoutClean         uint64        `json:"fanout_clean,omitempty"`
+	FanoutPartial       uint64        `json:"fanout_partial,omitempty"`
+	FanoutWindowReqs    uint64        `json:"fanout_window_reqs,omitempty"`
+	FanoutWindowClean   uint64        `json:"fanout_window_clean,omitempty"`
+	FanoutErrs          uint64        `json:"fanout_errs,omitempty"`
+	FanoutSheds         uint64        `json:"fanout_sheds,omitempty"`
+	FanoutRetries       uint64        `json:"fanout_retries,omitempty"`
+	FanoutRecovered     uint64        `json:"fanout_recovered,omitempty"`
+	FanoutHedges        uint64        `json:"fanout_hedges,omitempty"`
+	FanoutHedgeWins     uint64        `json:"fanout_hedge_wins,omitempty"`
+	FanoutAmplification float64       `json:"fanout_amplification,omitempty"`
+	CleanAfterHeal      bool          `json:"clean_after_heal,omitempty"`
 }
 
 // ServiceResult is one deployment run (BENCH_service.json from eraserve,
-// BENCH_chaos.json from EXP-CHAOS): a row per shard, the fault episode
-// log, the adaptive controller's migration log, and the client-side
-// aggregate.
+// and the arms of the service experiments): a row per shard, the fault
+// episode log, the adaptive controller's migration log, the client-side
+// aggregate and — for recorded runs — the flight-recorder tape.
 type ServiceResult struct {
 	Rows      []ServiceShardRow `json:"rows"`
 	Events    []chaos.Event     `json:"events"`
@@ -295,6 +392,11 @@ type ServiceResult struct {
 	Consistent bool `json:"consistent"`
 	// ObsURL is the live plane's bound URL (ObsAddr runs only).
 	ObsURL string `json:"obs_url,omitempty"`
+	// Tape is the flight recorder's stamp-ordered events and TapeDrops the
+	// events its rings overwrote (Record and ObsAddr runs only): nonzero
+	// drops mean the tape holds a suffix of the run.
+	Tape      []rec.Event `json:"tape,omitempty"`
+	TapeDrops uint64      `json:"tape_drops,omitempty"`
 }
 
 // Gates is the -strict criterion: no audit contradicted a declared
@@ -335,16 +437,21 @@ func (res ServiceResult) WriteTable(w io.Writer) {
 	writeEpisodes(w, res.Episodes)
 	a := res.Aggregate
 	fmt.Fprintf(w, "aggregate: %d shards × %d workers (%s), %d clients × batch %d, faults %v, %s/%s mix %s seed %d\n",
-		a.Shards, a.Workers, a.Structure, a.Clients, a.Batch, a.Faults, a.Workload, a.Schedule, a.Mix, a.Seed)
+		a.Shards, a.Workers, a.Structure, a.Clients, a.Batch, faultNames(a.Faults), a.Workload, a.Schedule, a.Mix, a.Seed)
 	fmt.Fprintf(w, "           %d ops (%d op-errors) in %s = %.3f Mops/s, request p50 %s p99 %s, peak-retired %d, migrations %d, verdicts consistent: %v\n",
 		a.Ops, a.OpErrs, a.Elapsed.Round(time.Millisecond), a.MopsPerSec, fmtLatency(a.P50), fmtLatency(a.P99),
 		a.PeakRetired, a.Migrations, res.Consistent)
 	if a.FanoutPct > 0 {
-		fmt.Fprintf(w, "fan-out:   %d clients (%d%% of fleet): %d requests, p50 %s p99 %s, %d partial, %d op-errors, %d sheds\n",
-			a.FanoutClients, a.FanoutPct, a.FanoutReqs, fmtLatency(a.FanoutP50), fmtLatency(a.FanoutP99),
-			a.FanoutPartial, a.FanoutErrs, a.FanoutSheds)
-		fmt.Fprintf(w, "resil:     %d retries (%d requests recovered), %d hedges (%d races won)\n",
-			a.FanoutRetries, a.FanoutRecovered, a.FanoutHedges, a.FanoutHedgeWins)
+		fmt.Fprintf(w, "fan-out:   %d clients (%d%% of fleet), mix %s: %d requests, p50 %s p99 %s, %d clean, %d partial, %d op-errors, %d sheds\n",
+			a.FanoutClients, a.FanoutPct, a.FanoutMix, a.FanoutReqs, fmtLatency(a.FanoutP50), fmtLatency(a.FanoutP99),
+			a.FanoutClean, a.FanoutPartial, a.FanoutErrs, a.FanoutSheds)
+		fmt.Fprintf(w, "           fault windows: %d requests, %d clean; clean after heal: %v\n",
+			a.FanoutWindowReqs, a.FanoutWindowClean, a.CleanAfterHeal)
+		fmt.Fprintf(w, "resil:     %d retries (%d requests recovered, amplification %.3fx), %d hedges (%d races won)\n",
+			a.FanoutRetries, a.FanoutRecovered, a.FanoutAmplification, a.FanoutHedges, a.FanoutHedgeWins)
+	}
+	if len(res.Tape) > 0 {
+		fmt.Fprintf(w, "recorder:  %d events on the tape (%d dropped)\n", len(res.Tape), res.TapeDrops)
 	}
 }
 
@@ -361,58 +468,71 @@ func writeEpisodes(w io.Writer, eps []adapt.Episode) {
 	}
 }
 
-// runChaosExperiment is the registry's canned audit (EXP-CHAOS): one
-// shard per robustness class, a stall in each, verdicts from the faulted
-// telemetry. eraserve exposes the full deployment surface.
-func runChaosExperiment(p Profile) (Result, error) {
-	return RunService(ServiceConfig{Faults: []string{"stall"}, Seed: p.Seed})
+// faultedLegBudget is a faulted lane's leg budget: far above a healthy
+// leg's service time, and short enough that a leg stalled in a fault
+// hold fails typed (and retries, and trips breakers) instead of blocking
+// until the heal.
+const faultedLegBudget = 6 * time.Millisecond
+
+// retryBackoff sizes the lane's retry backoff from the longest fault hold
+// that heals on its own: base 2/3 and cap 4/3 of it, so — with jitter in
+// [d/2, d) — the second retry of a request that failed anywhere inside a
+// hold lands after the heal. Faults held to the deadline cannot be
+// outlasted; with no hold it returns zero, resil's defaults.
+func retryBackoff(faults []Fault) (base, capped time.Duration) {
+	var hold time.Duration
+	for _, f := range faults {
+		hold = max(hold, f.Schedule.Hold)
+	}
+	return hold * 2 / 3, hold * 4 / 3
 }
 
-// fanoutLane is the run's cross-shard traffic: dedicated clients drive
-// ReqMixFanout requests through the resilience client until the
-// deadline, beside the point-op clients on the same store — so the
-// lane's tail includes cross-traffic queueing, which is what a
-// service's fan-out tail means. Failed requests, partial completions and
-// per-key errors are counted, never fatal.
+// fanoutLane is the run's cross-shard traffic: the lane's clients drive
+// FanoutMix requests through the resilience client until the deadline,
+// beside the point-op clients on the same store — so the lane's tail
+// includes cross-traffic queueing, which is what a service's fan-out tail
+// means. Failed requests, partial completions and per-key errors are
+// counted, never fatal.
 type fanoutLane struct {
-	client  *resil.Client
-	slo     *obs.SLOSet // nil without FanoutSLO
-	src     *workload.ReqSource
-	clients int
-	tick    time.Duration
+	client *resil.Client
+	slo    *obs.SLOSet // nil without FanoutSLO
+	src    *workload.ReqSource
+	clock  *rec.Clock
+	size   int
+	pace   time.Duration
+	tick   time.Duration
 	tally
-	closeErr error
 }
 
 func newFanoutLane(f *fleet, cfg ServiceConfig) (*fanoutLane, error) {
 	src, err := workload.NewReqSource(workload.ReqConfig{
-		Dist: cfg.Workload, KeyRange: cfg.KeyRange, Mix: workload.ReqMixFanout,
+		Dist: cfg.Workload, KeyRange: cfg.KeyRange, Mix: cfg.FanoutMix,
 		MultiSize: cfg.FanoutKeys, Seed: cfg.Seed ^ 0xfa0fa0,
 	})
 	if err != nil {
 		return nil, err
 	}
-	l := &fanoutLane{src: src, clients: max(cfg.Clients*cfg.FanoutPct/100, 1), tick: sampleEvery(cfg.Duration)}
-	clock, recorder := f.cfg.clock, f.cfg.recorder
+	l := &fanoutLane{
+		src: src, clock: f.clock, size: cfg.laneClients(), pace: cfg.FanoutPace, tick: sampleEvery(cfg.Duration),
+	}
 	if cfg.FanoutSLO > 0 {
 		var hook func(shard int, breached bool)
 		if f.mon != nil {
 			hook = f.mon.SetSLO
 		}
-		l.slo = obs.NewSLOSet(f.st.Shards(), cfg.FanoutSLO, 0, clock, recorder, hook)
+		l.slo = obs.NewSLOSet(f.st.Shards(), cfg.FanoutSLO, 0, f.clock, f.recorder, hook)
 	}
 	// A healthy deployment has no fault to bound, so its lane skips the
-	// leg budget and the watchdog it puts on every leg; a faulted one keeps
-	// the default budget, so stalled legs fail typed (and retry, and trip
-	// breakers) instead of blocking until the heal.
-	ecfg := exec.Config{Verdicts: f.mon, Clock: clock, Recorder: recorder}
+	// leg budget and the watchdog it puts on every leg.
+	ecfg := exec.Config{Verdicts: f.mon, Clock: f.clock, Recorder: f.recorder, LegTimeout: faultedLegBudget}
 	if len(cfg.Faults) == 0 {
 		ecfg.LegTimeout = -1
 	}
 	rcfg := resil.Config{
 		Hedge: cfg.Hedge, Breaker: cfg.Breaker,
-		Seed: cfg.Seed ^ 0x5e111e5, Clock: clock, Recorder: recorder,
+		Seed: cfg.Seed ^ 0x5e111e5, Clock: f.clock, Recorder: f.recorder,
 	}
+	rcfg.RetryBase, rcfg.RetryCap = retryBackoff(cfg.Faults)
 	if !cfg.Retry {
 		rcfg.MaxAttempts, rcfg.RetryBudget = 1, -1
 	}
@@ -425,84 +545,112 @@ func newFanoutLane(f *fleet, cfg ServiceConfig) (*fanoutLane, error) {
 	return l, nil
 }
 
-// run drives the lane until deadline, then closes its client — before
-// the fleet drains the store underneath it.
+// run drives the lane until deadline: closed-loop, or open-loop at the
+// pace with each request on its own goroutine (a retrying Do blocks
+// through its backoff), waiting for the stragglers before it returns.
 func (l *fanoutLane) run(deadline time.Time) {
 	l.slo.Start(l.tick)
-	l.tally = runClients(l.clients, func(c int, t *tally) {
+	l.tally = runClients(l.size, func(c int, t *tally) {
 		stream := l.src.Thread(c, 1<<20)
+		var mu sync.Mutex
+		var inflight sync.WaitGroup
+		do := func(req workload.Req) {
+			at, t0 := l.clock.Now(), time.Now()
+			res, err := l.client.Do(req)
+			lat := time.Since(t0)
+			mu.Lock()
+			defer mu.Unlock()
+			t.settle(at, lat, res, err)
+		}
+		next := time.Now()
 		for time.Now().Before(deadline) {
-			t0 := time.Now()
-			res, err := l.client.Do(stream.Next())
-			if err != nil {
-				if errors.Is(err, exec.ErrShed) {
-					t.sheds++
-				}
-				t.errs++
+			req := stream.Next()
+			if l.pace <= 0 {
+				do(req)
 				continue
 			}
-			t.lat.Record(time.Since(t0))
-			t.n++
-			if res.Partial() {
-				t.partial++
-			}
-			for _, serr := range res.ShardErrs {
-				if errors.Is(serr.Reason, exec.ErrShed) {
-					t.sheds++
-				}
-			}
-			for _, r := range res.Results {
-				if r.Err != nil {
-					t.errs++
-				}
-			}
+			time.Sleep(time.Until(next))
+			next = next.Add(l.pace)
+			inflight.Add(1)
+			go func() {
+				defer inflight.Done()
+				do(req)
+			}()
 		}
+		inflight.Wait()
 	})
 	l.slo.Stop()
-	l.closeErr = l.client.Close()
 }
 
-// RunService builds a gated store with Schemes cycled across Shards,
-// prefills it to half the key range, runs closed-loop traffic (and the
-// fan-out lane) for the window while the chaos engine injects Faults
-// into every shard and — with Adapt — the controller migrates shards
-// live, samples per-shard backlog telemetry throughout, then drains the
-// store and assembles one row per shard: its traffic, safety counters,
-// and the audit of its declared robustness class against the fitted
-// growth of its faulted window.
+// settle folds one lane request, submitted at at on the run clock, into
+// the client's tally.
+func (t *tally) settle(at, lat time.Duration, res *exec.Result, err error) {
+	if err != nil {
+		if errors.Is(err, exec.ErrShed) {
+			t.sheds++
+		}
+		t.errs++
+		return
+	}
+	t.lat.Record(lat)
+	t.n++
+	if res.Partial() {
+		t.partial++
+	}
+	t.submitted = append(t.submitted, submission{at: at, clean: !res.Partial()})
+	for _, serr := range res.ShardErrs {
+		if errors.Is(serr.Reason, exec.ErrShed) {
+			t.sheds++
+		}
+	}
+	for _, r := range res.Results {
+		if r.Err != nil {
+			t.errs++
+		}
+	}
+}
+
+// probeClean closes a faulted run's chain after the heal: full-width
+// range counts until one comes back with no failed leg — a parked
+// shard's timed-out calls drain first — for at most five seconds.
+func (l *fanoutLane) probeClean(keyRange int) bool {
+	for end := time.Now().Add(5 * time.Second); time.Now().Before(end); time.Sleep(5 * time.Millisecond) {
+		res, err := l.client.Do(workload.Req{Kind: workload.ReqRangeCount, Hi: int64(keyRange)})
+		if err == nil && !res.Partial() {
+			return true
+		}
+	}
+	return false
+}
+
+// RunService builds a store with Schemes cycled across Shards (gated for
+// injection when the run has faults),
+// prefills it to half the key range, runs the point-op clients (and the
+// fan-out lane) for the window while the chaos engine injects the fault
+// entries and — with Adapt — the controller migrates shards live,
+// samples per-shard backlog telemetry throughout, then drains the store
+// and assembles one row per shard: its traffic, safety counters, the
+// audit of its declared robustness class against the fitted growth of
+// its faulted window, and the monitor's final verdict.
 func RunService(cfg ServiceConfig) (ServiceResult, error) {
 	cfg.fill()
 	if err := cfg.Validate(); err != nil {
 		return ServiceResult{}, err
 	}
-	schemes := make([]string, cfg.Shards)
-	for i := range schemes {
-		schemes[i] = cfg.Schemes[i%len(cfg.Schemes)]
-	}
-	fc := fleetConfig{
-		schemes: schemes, structure: cfg.Structure, workers: cfg.WorkersPerShard,
-		clients: cfg.Clients, batch: cfg.Batch, keyRange: cfg.KeyRange, duration: cfg.Duration,
-		mix: cfg.Mix, workload: cfg.Workload, schedule: cfg.Schedule, seed: cfg.Seed,
-		controlled: cfg.Adapt != nil,
-	}
-	if cfg.ObsAddr != "" {
-		fc.clock = rec.NewClock()
-		fc.recorder = rec.NewRecorder(fc.clock, 0)
-	}
-	f, err := newFleet(fc)
+	f, err := newFleet(cfg)
 	if err != nil {
 		return ServiceResult{}, err
 	}
 	defer f.st.Close()
-	for _, name := range cfg.Faults {
-		for s := range schemes {
-			if err := f.engine.Add(name, chaos.Params{Shard: s}, chaos.OneShot(cfg.Duration/8)); err != nil {
+	for _, fault := range cfg.Faults {
+		for _, s := range fault.targets(cfg.Shards) {
+			if err := f.engine.Add(fault.Name, chaos.Params{Shard: s}, fault.Schedule); err != nil {
 				return ServiceResult{}, err
 			}
 		}
 	}
 
-	reg := &obs.Registry{Store: f.st, Sampler: f.sampler, Monitor: f.mon, Recorder: fc.recorder}
+	reg := &obs.Registry{Store: f.st, Sampler: f.sampler, Monitor: f.mon, Recorder: f.recorder}
 	var lane *fanoutLane
 	var beside func(time.Time)
 	if cfg.FanoutPct > 0 {
@@ -529,7 +677,7 @@ func RunService(cfg ServiceConfig) (ServiceResult, error) {
 	var ctl *adapt.Controller
 	if cfg.Adapt != nil {
 		acfg := *cfg.Adapt
-		acfg.Clock, acfg.Recorder = fc.clock, fc.recorder
+		acfg.Clock, acfg.Recorder = f.clock, f.recorder
 		if ctl, err = adapt.New(acfg, f.st, f.mon); err != nil {
 			return ServiceResult{}, err
 		}
@@ -539,20 +687,20 @@ func RunService(cfg ServiceConfig) (ServiceResult, error) {
 	before := f.st.Stats()
 	var stats store.Stats
 	var series [][]telemetry.Point
+	var verdicts []telemetry.Verdict
 	t, err := f.run(func() {
 		if ctl != nil {
 			ctl.Stop()
 		}
 		stats = f.st.Stats()
 		series = f.series()
-	}, nil, beside)
-	if err == nil && lane != nil {
-		err = lane.closeErr
-	}
+		if f.mon != nil {
+			verdicts = f.mon.Verdicts()
+		}
+	}, beside)
 	if err != nil {
 		return ServiceResult{}, err
 	}
-	after := f.st.Stats()
 
 	srcCfg := f.src.Config()
 	rate := func(ops uint64) float64 { return float64(ops) / t.elapsed.Seconds() / 1e6 }
@@ -564,9 +712,9 @@ func RunService(cfg ServiceConfig) (ServiceResult, error) {
 			Shards: cfg.Shards, Schemes: cfg.Schemes, Structure: cfg.Structure, Faults: cfg.Faults,
 			Workers: cfg.WorkersPerShard, Clients: cfg.Clients, Batch: cfg.Batch, KeyRange: cfg.KeyRange,
 			Mix: srcCfg.Mix, Workload: srcCfg.Dist, Schedule: srcCfg.Schedule, Seed: cfg.Seed,
-			Elapsed: t.elapsed, Ops: t.n, MopsPerSec: rate(t.n), OpErrs: t.errs,
+			PointClients: t.clients, Elapsed: t.elapsed, Ops: t.n, MopsPerSec: rate(t.n), OpErrs: t.errs,
 			P50: t.lat.Percentile(0.50), P99: t.lat.Percentile(0.99),
-			PeakRetired: stats.MaxRetired, Migrations: after.Migrations,
+			PeakRetired: stats.MaxRetired,
 		},
 	}
 	if ctl != nil {
@@ -574,13 +722,37 @@ func RunService(cfg ServiceConfig) (ServiceResult, error) {
 	}
 	if lane != nil {
 		a, rs := &res.Aggregate, lane.client.Stats()
-		a.FanoutPct, a.FanoutClients, a.FanoutReqs = cfg.FanoutPct, lane.clients, lane.n
+		a.FanoutPct, a.FanoutClients, a.FanoutMix, a.FanoutPace = cfg.FanoutPct, lane.tally.clients, cfg.FanoutMix.String(), cfg.FanoutPace
+		a.FanoutReqs, a.FanoutClean, a.FanoutPartial = lane.n, lane.n-lane.partial, lane.partial
 		a.FanoutP50, a.FanoutP99 = lane.lat.Percentile(0.50), lane.lat.Percentile(0.99)
-		a.FanoutPartial, a.FanoutErrs, a.FanoutSheds = lane.partial, lane.errs, lane.sheds
-		a.FanoutRetries, a.FanoutRecovered = rs.Retries, rs.Recovered
+		a.FanoutErrs, a.FanoutSheds = lane.errs, lane.sheds
+		a.FanoutRetries, a.FanoutRecovered, a.FanoutAmplification = rs.Retries, rs.Recovered, rs.Amplification()
 		a.FanoutHedges, a.FanoutHedgeWins = rs.Hedges, rs.HedgeWins
+		for _, sub := range lane.submitted {
+			if inFaultWindow(res.Events, sub.at) {
+				a.FanoutWindowReqs++
+				if sub.clean {
+					a.FanoutWindowClean++
+				}
+			}
+		}
+		if len(cfg.Faults) > 0 {
+			a.CleanAfterHeal = lane.probeClean(cfg.KeyRange)
+		}
+		if err := lane.client.Close(); err != nil {
+			return ServiceResult{}, err
+		}
 	}
-	for s, scheme := range schemes {
+	if err := f.st.Close(); err != nil {
+		return ServiceResult{}, err
+	}
+	after := f.st.Stats()
+	res.Aggregate.Migrations = after.Migrations
+	if f.recorder != nil {
+		res.Tape, res.TapeDrops = f.recorder.Snapshot(), f.recorder.Drops()
+	}
+	for s := range cfg.Shards {
+		scheme := cfg.scheme(s)
 		props, err := all.Props(scheme)
 		if err != nil {
 			return ServiceResult{}, err
@@ -612,11 +784,20 @@ func RunService(cfg ServiceConfig) (ServiceResult, error) {
 			Slope: v.Fit.Slope, Plateau: v.Fit.Plateau, Outcome: v.Outcome,
 			Consistent: v.Consistent(), Series: series[s],
 		}
+		if verdicts != nil {
+			row.Verdict, row.VerdictGrowth = verdicts[s].Audited, verdicts[s].Fit.GrowthName
+			if verdicts[s].Inconclusive() {
+				row.Verdict = "inconclusive"
+			}
+		}
 		// Heap exhaustion is stronger evidence than any fit: the backlog
 		// literally ran the shard out of memory.
 		if row.OOMs > 0 {
-			row.Audited, row.Growth = "not-robust", "unbounded"
-			row.Consistent = row.Declared == "not-robust"
+			row.Audited, row.Growth = smr.NotRobust.String(), telemetry.GrowthUnbounded.String()
+			if verdicts != nil {
+				row.Verdict, row.VerdictGrowth = row.Audited, row.Growth
+			}
+			row.Consistent = row.Declared == row.Audited
 			row.Outcome = "VIOLATED"
 			if row.Consistent {
 				row.Outcome = "confirmed"
@@ -626,4 +807,15 @@ func RunService(cfg ServiceConfig) (ServiceResult, error) {
 		res.Rows = append(res.Rows, row)
 	}
 	return res, nil
+}
+
+// inFaultWindow reports whether a request submitted at at (run clock)
+// went in while some fault episode was held.
+func inFaultWindow(events []chaos.Event, at time.Duration) bool {
+	for _, ev := range events {
+		if ev.Err == "" && at >= ev.At && (ev.Healed == 0 || at <= ev.Healed) {
+			return true
+		}
+	}
+	return false
 }

@@ -7,6 +7,8 @@ import (
 
 	"repro/internal/adapt"
 	"repro/internal/bench"
+	"repro/internal/chaos"
+	"repro/internal/obs/rec"
 )
 
 // TestRunServiceHeterogeneous runs a small healthy deployment with HP
@@ -56,10 +58,11 @@ func TestRunServiceHeterogeneous(t *testing.T) {
 }
 
 // TestRunServiceFanoutLane runs a deployment with a fan-out lane beside
-// the point-op clients: the lane's requests (through the resilience
-// client with no policy set) must be counted into their own histogram
-// (separate p50/p99) and be clean on a healthy store (no partials, no
-// errors), and the table must carry the lane's row.
+// the point-op clients: the lane's clients come out of Clients, its
+// requests (through the resilience client with no policy set) must be
+// counted into their own histogram (separate p50/p99) and be clean on a
+// healthy store (no partials, no errors), and the table must carry the
+// lane's row.
 func TestRunServiceFanoutLane(t *testing.T) {
 	res, err := bench.RunService(bench.ServiceConfig{
 		Shards:    4,
@@ -79,8 +82,8 @@ func TestRunServiceFanoutLane(t *testing.T) {
 	if a.Ops == 0 {
 		t.Fatal("point-op clients made no progress")
 	}
-	if a.FanoutClients != 2 {
-		t.Fatalf("fan-out clients: %d, want 2 (50%% of 4)", a.FanoutClients)
+	if a.FanoutClients != 2 || a.PointClients != 2 || a.PointClients+a.FanoutClients != a.Clients {
+		t.Fatalf("%d fan-out + %d point-op clients ran, want 2 + 2 (50%% of %d each)", a.FanoutClients, a.PointClients, a.Clients)
 	}
 	if a.FanoutReqs == 0 {
 		t.Fatal("fan-out lane served no requests")
@@ -88,7 +91,7 @@ func TestRunServiceFanoutLane(t *testing.T) {
 	if a.FanoutP50 == 0 || a.FanoutP99 < a.FanoutP50 {
 		t.Fatalf("fan-out latency: p50=%v p99=%v", a.FanoutP50, a.FanoutP99)
 	}
-	if a.FanoutPartial != 0 || a.FanoutErrs != 0 || a.FanoutRetries != 0 || a.FanoutHedges != 0 {
+	if a.FanoutClean != a.FanoutReqs || a.FanoutPartial != 0 || a.FanoutErrs != 0 || a.FanoutRetries != 0 || a.FanoutHedges != 0 {
 		t.Fatalf("healthy single-attempt fan-out lane: partial=%d errs=%d retries=%d hedges=%d",
 			a.FanoutPartial, a.FanoutErrs, a.FanoutRetries, a.FanoutHedges)
 	}
@@ -100,16 +103,58 @@ func TestRunServiceFanoutLane(t *testing.T) {
 	}
 }
 
+// TestRunServiceFaultTargets: a fault entry aimed at one shard, with a
+// hold shorter than the window, fires there only and heals on its own
+// schedule, before the deadline's stop would have healed it; a recorded
+// run without a live plane carries that fire and heal on its tape.
+func TestRunServiceFaultTargets(t *testing.T) {
+	const after, hold, window = 20 * time.Millisecond, 40 * time.Millisecond, 200 * time.Millisecond
+	res, err := bench.RunService(bench.ServiceConfig{
+		Shards: 3, Schemes: []string{"ebr"}, Clients: 3, Batch: 8, KeyRange: 512, Duration: window,
+		Faults: []bench.Fault{{Name: "stall", Shards: []int{1},
+			Schedule: chaos.Schedule{After: after, Hold: hold, Episodes: 1}}},
+		Record: true, Seed: 4,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Events) != 1 {
+		t.Fatalf("fault events %+v, want one on shard 1", res.Events)
+	}
+	ev := res.Events[0]
+	if ev.Shard != 1 || ev.Err != "" || ev.Healed == 0 || ev.Healed-ev.At >= window-after-hold {
+		t.Fatalf("fault event %+v: want shard 1, fired, healed about %v after firing (the stop heals at %v)",
+			ev, hold, window-after)
+	}
+	if len(res.Tape) == 0 || res.ObsURL != "" {
+		t.Fatalf("recorded run without a plane: %d tape events, plane %q", len(res.Tape), res.ObsURL)
+	}
+	seen := map[rec.Kind]int{}
+	for _, e := range res.Tape {
+		if e.Kind == rec.KindFaultFire || e.Kind == rec.KindFaultHeal {
+			if e.Shard != 1 || e.Label != "stall" {
+				t.Errorf("fault event on the tape off target: %+v", e)
+			}
+			seen[e.Kind]++
+		}
+	}
+	if seen[rec.KindFaultFire] != 1 || seen[rec.KindFaultHeal] != 1 {
+		t.Errorf("tape holds %d fires and %d heals, want one of each", seen[rec.KindFaultFire], seen[rec.KindFaultHeal])
+	}
+}
+
 // TestRunServiceRejectsBadScheme checks bad selections surface before
 // anything runs, each naming its registry: an unknown scheme, an unknown
-// fault, and lane policies without a lane.
+// fault, a fault aimed past the last shard, and lane policies without a
+// lane.
 func TestRunServiceRejectsBadScheme(t *testing.T) {
 	for _, tc := range []struct {
 		cfg  bench.ServiceConfig
 		want string
 	}{
 		{bench.ServiceConfig{Schemes: []string{"nope"}}, "nope"},
-		{bench.ServiceConfig{Faults: []string{"nosuch"}}, "stall"},
+		{bench.ServiceConfig{Faults: []bench.Fault{{Name: "nosuch"}}}, "stall"},
+		{bench.ServiceConfig{Faults: []bench.Fault{{Name: "stall", Shards: []int{3}}}}, "shard 3"},
 		{bench.ServiceConfig{Retry: true}, "fan-out"},
 	} {
 		if _, err := bench.RunService(tc.cfg); err == nil || !strings.Contains(err.Error(), tc.want) {

@@ -23,7 +23,10 @@
 //   - "churn": closes a shard mid-run and reopens it cold (restart
 //     semantics — the cache-miss storm included);
 //   - "delayed-release": a stall pulse combined with an update storm, so a
-//     retire burst lands exactly while protection release is delayed.
+//     retire burst lands exactly while protection release is delayed;
+//   - "pulse": a stall that sends no probe of its own, so it parks the
+//     next client call one worker picks up — one slow call on an
+//     otherwise healthy shard.
 package chaos
 
 import (
@@ -127,6 +130,7 @@ var factories = map[string]Factory{
 	"hotspot":         newHotspot,
 	"churn":           newChurn,
 	"delayed-release": newDelayedRelease,
+	"pulse":           newPulse,
 }
 
 // Names returns every registered fault name, sorted — the listing is
@@ -155,7 +159,7 @@ func New(name string, p Params) (Fault, error) {
 // or the shard freezes entirely and the audit reads a vacuous flat line.
 func ParksWorker(name string) bool {
 	switch name {
-	case "stall", "delayed-release":
+	case "stall", "delayed-release", "pulse":
 		return true
 	}
 	return false

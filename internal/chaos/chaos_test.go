@@ -37,8 +37,8 @@ func TestNamesSortedAndComplete(t *testing.T) {
 	if !sort.StringsAreSorted(names) {
 		t.Fatalf("fault names not sorted: %v", names)
 	}
-	if len(names) != 5 {
-		t.Fatalf("fault registry has %d entries, want 5: %v", len(names), names)
+	if len(names) != 6 {
+		t.Fatalf("fault registry has %d entries, want 6: %v", len(names), names)
 	}
 	for _, n := range names {
 		if _, err := New(n, Params{}); err != nil {
@@ -325,12 +325,12 @@ func TestStallFaultsCoexistOnOneShard(t *testing.T) {
 	t.Cleanup(func() { st.Close() })
 	tg := &Target{Store: st, Gates: []*sched.Breakpoints{gate}, KeyRange: 256}
 
-	p1, err := parkWorker(tg, 0, ds.PointSearchHead)
+	p1, err := parkWorker(tg, 0, ds.PointSearchHead, true)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer p1.release()
-	p2, err := parkWorker(tg, 0, ds.PointSearchHead)
+	p2, err := parkWorker(tg, 0, ds.PointSearchHead, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -357,9 +357,60 @@ func TestStallFaultsCoexistOnOneShard(t *testing.T) {
 	p1.release()
 	p2.release()
 	// The heals disarmed cleanly: a fresh park claims a worker again.
-	p3, err := parkWorker(tg, 0, ds.PointSearchHead)
+	p3, err := parkWorker(tg, 0, ds.PointSearchHead, true)
 	if err != nil {
 		t.Fatalf("post-heal park refused: %v", err)
 	}
 	p3.release()
+}
+
+// TestPulseParksNextClientCall: the pulse arms a worker but sends no
+// probe, so nothing parks until a client call reaches that worker — and
+// that call is the one held until heal.
+func TestPulseParksNextClientCall(t *testing.T) {
+	gate := sched.NewBreakpoints()
+	st, err := store.New(store.Config{
+		Shards: []store.ShardSpec{{
+			Scheme: "ebr", Structure: "michael", Workers: 1, Threshold: 16,
+			Slots: 4096, Gate: gate,
+		}},
+		KeyRange: 256,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { st.Close() })
+	tg := &Target{Store: st, Gates: []*sched.Breakpoints{gate}, KeyRange: 256}
+
+	p, err := parkWorker(tg, 0, ds.PointSearchHead, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.release()
+	select {
+	case <-p.stall.Reached():
+		t.Fatal("pulse parked a worker with no client traffic")
+	case <-time.After(20 * time.Millisecond):
+	}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		st.Insert(7)
+	}()
+	select {
+	case <-p.stall.Reached():
+	case <-time.After(10 * time.Second):
+		t.Fatal("the client call never reached the armed worker")
+	}
+	select {
+	case <-done:
+		t.Fatal("the parked client call returned before heal")
+	case <-time.After(20 * time.Millisecond):
+	}
+	p.release()
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the parked client call did not return after heal")
+	}
 }

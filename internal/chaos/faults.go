@@ -45,15 +45,16 @@ type park struct {
 }
 
 // parkWorker claims a free worker thread on the shard's gate, arms its
-// breakpoint, and pumps single-op probes at the shard until that worker
-// picks one up and parks. Claiming (ArmIfFree) rather than arming tid 0
+// breakpoint, and — with probe — pumps single-op probes at the shard until
+// that worker picks one up and parks; without probe the park waits for
+// the next call traffic hands that worker. Claiming (ArmIfFree) rather than arming tid 0
 // outright lets several stall-family faults coexist on one shard — each
 // parks its own worker instead of silently replacing the other's
 // breakpoint. The release disarms and unparks; it is safe to call even
 // if the park never happened. Note parkWorker returns as soon as the
 // breakpoint is armed — the park itself lands when worker traffic next
 // hits it (await p.stall.Reached() to observe it).
-func parkWorker(t *Target, shard int, point string) (*park, error) {
+func parkWorker(t *Target, shard int, point string, probe bool) (*park, error) {
 	gate, err := t.Gate(shard)
 	if err != nil {
 		return nil, err
@@ -82,7 +83,7 @@ func parkWorker(t *Target, shard int, point string) (*park, error) {
 	pump.Add(1)
 	go func() {
 		defer pump.Done()
-		for {
+		for probe {
 			select {
 			case <-stall.Reached():
 				return
@@ -117,7 +118,29 @@ func parkWorker(t *Target, shard int, point string) (*park, error) {
 }
 
 func (f *stallFault) Inject(t *Target, intensity float64) (func(), error) {
-	p, err := parkWorker(t, f.p.Shard, f.point)
+	p, err := parkWorker(t, f.p.Shard, f.point, true)
+	if err != nil {
+		return nil, err
+	}
+	return p.release, nil
+}
+
+// --- pulse ---------------------------------------------------------------
+
+// pulseFault is stall without the probe: it arms a free worker of the
+// shard and parks whichever client call that worker picks up next, until
+// heal. On a short periodic schedule it is one slow call per episode on
+// an otherwise healthy shard, with the shard's other workers free — the
+// per-call bad luck hedged legs exist for.
+type pulseFault struct{ p Params }
+
+func newPulse(p Params) (Fault, error) { return &pulseFault{p: p}, nil }
+
+func (f *pulseFault) Name() string { return "pulse" }
+func (f *pulseFault) Shard() int   { return f.p.Shard }
+
+func (f *pulseFault) Inject(t *Target, intensity float64) (func(), error) {
+	p, err := parkWorker(t, f.p.Shard, ds.PointSearchHead, false)
 	if err != nil {
 		return nil, err
 	}
@@ -262,7 +285,7 @@ func (f *delayedReleaseFault) Name() string { return "delayed-release" }
 func (f *delayedReleaseFault) Shard() int   { return f.p.Shard }
 
 func (f *delayedReleaseFault) Inject(t *Target, intensity float64) (func(), error) {
-	p, err := parkWorker(t, f.p.Shard, ds.PointSearchHead)
+	p, err := parkWorker(t, f.p.Shard, ds.PointSearchHead, true)
 	if err != nil {
 		return nil, err
 	}
