@@ -73,12 +73,9 @@ func main() {
 	seed := flag.Uint64("seed", 42, "workload seed: equal seeds draw identical client streams")
 	fanout := flag.Int("fanout", 0,
 		"dedicate this percentage of the client fleet (min one client) to cross-shard fan-out traffic (0 disables, 100 runs the lane alone)")
-	fanoutKeys := flag.Int("fanout-keys", 8, "keys per multi-key fan-out request (with -fanout)")
 	retry := flag.Bool("retry", false, "retry failed fan-out legs on typed errors (with -fanout)")
 	hedge := flag.Bool("hedge", false, "hedge slow read-only fan-out legs at the tracked p99 delay (with -fanout)")
 	breaker := flag.Bool("breaker", false, "run per-shard circuit breakers over the fan-out lane (with -fanout)")
-	fanoutSLO := flag.Duration("fanout-slo", 0,
-		"per-shard p99 objective over the fan-out lane's leg latencies; with -adapt, breaches feed the verdict plane's SLO dimension (with -fanout)")
 	obsAddr := flag.String("obs", "",
 		"serve the live observability plane (/metrics, /timeline, /debug/pprof/) on this address during the run, e.g. :8080")
 	jsonPath := flag.String("json", "BENCH_service.json", "artifact path (empty disables)")
@@ -114,11 +111,9 @@ func main() {
 		Schedule:        *mix,
 		Seed:            *seed,
 		FanoutPct:       *fanout,
-		FanoutKeys:      *fanoutKeys,
 		Retry:           *retry,
 		Hedge:           *hedge,
 		Breaker:         *breaker,
-		FanoutSLO:       *fanoutSLO,
 		ObsAddr:         *obsAddr,
 	}
 	if *adaptOn {

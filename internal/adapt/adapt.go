@@ -48,34 +48,6 @@ type Config struct {
 	Ladder []string
 	// Interval is the decision tick; 0 selects 25ms.
 	Interval time.Duration
-	// Hysteresis is how many consecutive pressure verdicts a shard needs
-	// before it escalates — one bad window must not trigger a drain.
-	// 0 selects 2. Heap exhaustion bypasses it: an OOM'd shard has no
-	// budget left to be patient with.
-	Hysteresis int
-	// Calm is how many consecutive bounded (robust-looking) verdicts a
-	// shard needs before it de-escalates one rung. De-escalation is
-	// deliberately much slower than escalation: a migration is a drain,
-	// and flapping costs more than a rung of robustness. 0 selects 40.
-	Calm int
-	// SLOCalm is the fast de-escalation threshold used instead of Calm
-	// while a robust shard's verdict carries a breached tail-latency SLO
-	// ("robust but slow"): the ladder's upper rungs buy robustness with
-	// latency, so a shard that is demonstrably over-protected *and* over
-	// its latency objective walks down sooner. 0 selects 8.
-	SLOCalm int
-	// Cooldown is how many decision ticks a freshly migrated shard is
-	// left alone while its new incarnation accumulates evidence; 0
-	// selects 4.
-	Cooldown int
-	// EscalateOnLinear widens the pressure definition: by default only an
-	// audited not-robust class (unbounded growth, or OOM) escalates;
-	// with EscalateOnLinear a linear-in-threads plateau does too, buying
-	// the Definition 5.2 bound at the price of extra migrations.
-	EscalateOnLinear bool
-	// MaxMigrations caps migrations per shard (a flapping valve); 0
-	// selects 16, negative removes the cap.
-	MaxMigrations int
 	// Clock, when non-nil, is the shared run clock episode timestamps
 	// are stamped on (the controller used to keep a private time.Since
 	// zero, which skewed its log against the sampler's and the chaos
@@ -93,22 +65,26 @@ func (cfg *Config) fill() {
 	if cfg.Interval <= 0 {
 		cfg.Interval = 25 * time.Millisecond
 	}
-	if cfg.Hysteresis <= 0 {
-		cfg.Hysteresis = 2
-	}
-	if cfg.Calm <= 0 {
-		cfg.Calm = 40
-	}
-	if cfg.SLOCalm <= 0 {
-		cfg.SLOCalm = 8
-	}
-	if cfg.Cooldown <= 0 {
-		cfg.Cooldown = 4
-	}
-	if cfg.MaxMigrations == 0 {
-		cfg.MaxMigrations = 16
-	}
 }
+
+// The controller's policy, in decision ticks.
+const (
+	// hysteresis is how many consecutive pressure verdicts a shard needs
+	// before it escalates — one bad window must not trigger a drain.
+	// Heap exhaustion bypasses it: an OOM'd shard has no budget left to
+	// be patient with.
+	hysteresis = 2
+	// calm is how many consecutive robust verdicts a shard needs before
+	// it de-escalates one rung. De-escalation is deliberately much slower
+	// than escalation: a migration is a drain, and flapping costs more
+	// than a rung of robustness.
+	calm = 40
+	// cooldown is how many ticks a freshly migrated shard is left alone
+	// while its new incarnation accumulates evidence.
+	cooldown = 4
+	// maxMigrations caps migration attempts per shard: the flap valve.
+	maxMigrations = 16
+)
 
 // Episode records one migration decision for the run report: which
 // shard moved where, when, and on what evidence. Failed migrations are
@@ -132,7 +108,7 @@ type shardState struct {
 	calm     int
 	cooldown int
 	// migrations counts attempts, failed ones included — together with
-	// MaxMigrations it is the flap valve, and a rung that always fails
+	// maxMigrations it is the flap valve, and a rung that always fails
 	// must not retry (and grow the episode log) forever.
 	migrations int
 	lastOOMs   uint64
@@ -295,7 +271,7 @@ func (c *Controller) decideShard(s int, ss store.ShardStats) {
 	if !managed {
 		return
 	}
-	if c.cfg.MaxMigrations >= 0 && st.migrations >= c.cfg.MaxMigrations {
+	if st.migrations >= maxMigrations {
 		return
 	}
 	v := c.mon.Verdict(s)
@@ -305,9 +281,7 @@ func (c *Controller) decideShard(s int, ss store.ShardStats) {
 		return
 	}
 	audited := v.AuditedClass()
-	pressure := ooms > 0 ||
-		audited == smr.NotRobust ||
-		(c.cfg.EscalateOnLinear && audited == smr.WeaklyRobust)
+	pressure := ooms > 0 || audited == smr.NotRobust
 	switch {
 	case pressure:
 		st.calm = 0
@@ -315,9 +289,9 @@ func (c *Controller) decideShard(s int, ss store.ShardStats) {
 		if ooms > 0 {
 			// The backlog already ate the heap; there is nothing left to
 			// wait for.
-			st.pressure = c.cfg.Hysteresis
+			st.pressure = hysteresis
 		}
-		if st.pressure < c.cfg.Hysteresis {
+		if st.pressure < hysteresis {
 			return
 		}
 		target := c.escalation(cur, audited)
@@ -333,18 +307,11 @@ func (c *Controller) decideShard(s int, ss store.ShardStats) {
 	case audited == smr.Robust && cur > 0:
 		st.pressure = 0
 		st.calm++
-		// "Robust but slow" — the SLO verdict dimension — de-escalates on
-		// the fast threshold: the shard provably doesn't need this rung's
-		// protection and is paying for it in tail latency.
-		need, reason := c.cfg.Calm, "audited robust"
-		if v.SLOBreached {
-			need, reason = c.cfg.SLOCalm, "audited robust but SLO-breached (robust but slow)"
-		}
-		if st.calm < need {
+		if st.calm < calm {
 			return
 		}
 		c.migrate(s, cur, cur-1, v,
-			fmt.Sprintf("de-escalate: %s for %d windows", reason, st.calm))
+			fmt.Sprintf("de-escalate: audited robust for %d windows", st.calm))
 	default:
 		// Tolerated middle ground (a weakly-robust plateau, or robust at
 		// the bottom rung): reset both streaks.
@@ -384,9 +351,9 @@ func (c *Controller) migrate(s, from, to int, v telemetry.Verdict, reason string
 		ep.From+"→"+ep.To+": "+reason)
 	// Attempts count either way, and either way the shard cools down:
 	// a migration that keeps failing must back off and eventually stop
-	// (MaxMigrations), not retry on every tick forever.
+	// (maxMigrations), not retry on every tick forever.
 	st.migrations++
-	st.cooldown = c.cfg.Cooldown
+	st.cooldown = cooldown
 	if err := c.st.MigrateShard(s, c.cfg.Ladder[to]); err != nil {
 		ep.Err = err.Error()
 		// A snapshot/rebuild/replay failure leaves the shard closed —

@@ -93,7 +93,7 @@ func TestControllerEscalatesUnderStall(t *testing.T) {
 	}
 
 	budget := telemetry.Budget{Threads: 2, Threshold: 16}
-	mon := telemetry.NewMonitor(telemetry.MonitorConfig{Window: 128}, []telemetry.Domain{
+	mon := telemetry.NewMonitor(telemetry.MonitorConfig{}, []telemetry.Domain{
 		{Scheme: "ebr", Declared: smr.NotRobust, Budget: budget},
 	})
 	sampler := telemetry.NewSampler(
@@ -107,10 +107,7 @@ func TestControllerEscalatesUnderStall(t *testing.T) {
 			}
 			return pts
 		})
-	ctl, err := adapt.New(adapt.Config{
-		Interval:   5 * time.Millisecond,
-		Hysteresis: 2,
-	}, st, mon)
+	ctl, err := adapt.New(adapt.Config{Interval: 5 * time.Millisecond}, st, mon)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -23,9 +23,6 @@ import (
 	"repro/internal/smr"
 )
 
-// adaptiveHysteresis is the controller's consecutive-verdict requirement.
-const adaptiveHysteresis = 2
-
 // decideEvery derives the controller tick from a traffic window: 32
 // decisions per run, clamped to [5ms, 25ms].
 func decideEvery(d time.Duration) time.Duration {
@@ -34,7 +31,7 @@ func decideEvery(d time.Duration) time.Duration {
 
 // ladderConfig is the controller both adaptive experiments run.
 func ladderConfig(d time.Duration) *adapt.Config {
-	return &adapt.Config{Ladder: fleetLadder, Interval: decideEvery(d), Hysteresis: adaptiveHysteresis}
+	return &adapt.Config{Ladder: fleetLadder, Interval: decideEvery(d)}
 }
 
 // adaptiveScenario is one arm: a single shard on the ladder's bottom

@@ -29,6 +29,8 @@ const (
 	fleetKeyRange  = 2048
 	fleetThreshold = 16
 	fleetSlots     = 1 << 18
+	// fanoutKeys is the key count of each multi-key fan-out request.
+	fanoutKeys = 8
 	// recorderCapacity is a recorded run's per-stripe ring size: large
 	// enough that a one-second window's scan events cannot wrap the early
 	// fault fires out of the ring.

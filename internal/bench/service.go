@@ -81,9 +81,6 @@ type ServiceConfig struct {
 	// the resilience client over the pipelined executor, with their own
 	// p50/p99. The rest stay point-op clients; 100 runs the lane alone.
 	FanoutPct int
-	// FanoutKeys is the key count per multi-key fan-out request; 0
-	// selects 8.
-	FanoutKeys int
 	// FanoutMix is the lane's request mix; zero selects
 	// workload.ReqMixFanout.
 	FanoutMix workload.ReqMix
@@ -99,12 +96,6 @@ type ServiceConfig struct {
 	Retry   bool
 	Hedge   bool
 	Breaker bool
-	// FanoutSLO, when positive, runs a per-shard tail-latency objective
-	// over the lane's settled leg latencies. Breach/clear transitions
-	// land on the flight recorder and — with a verdict monitor — in the
-	// telemetry verdict's SLO dimension, so the controller can tell
-	// "robust but slow" from "not robust".
-	FanoutSLO time.Duration
 	// Record puts the run on one flight-recorder tape — shard scans, guard
 	// trips, fault fire/heal, verdict flips, migrations, the lane's exec
 	// and retry events — returned in ServiceResult.Tape.
@@ -197,9 +188,6 @@ func (cfg *ServiceConfig) fill() {
 		cfg.Schedule = fleetSchedule
 	}
 	cfg.FanoutPct = min(cfg.FanoutPct, 100)
-	if cfg.FanoutKeys <= 0 {
-		cfg.FanoutKeys = 8
-	}
 	if cfg.FanoutMix == (workload.ReqMix{}) {
 		cfg.FanoutMix = workload.ReqMixFanout
 	}
@@ -258,8 +246,8 @@ func (cfg ServiceConfig) Validate() error {
 	if err := cfg.FanoutMix.Validate(); err != nil {
 		return err
 	}
-	if cfg.FanoutPct <= 0 && (cfg.Retry || cfg.Hedge || cfg.Breaker || cfg.FanoutSLO > 0 || cfg.FanoutPace > 0) {
-		return errors.New("bench: retry/hedge/breaker/fanout-slo/pace shape the fan-out lane; set FanoutPct > 0")
+	if cfg.FanoutPct <= 0 && (cfg.Retry || cfg.Hedge || cfg.Breaker || cfg.FanoutPace > 0) {
+		return errors.New("bench: retry/hedge/breaker/pace shape the fan-out lane; set FanoutPct > 0")
 	}
 	return nil
 }
@@ -495,32 +483,23 @@ func retryBackoff(faults []Fault) (base, capped time.Duration) {
 // counted, never fatal.
 type fanoutLane struct {
 	client *resil.Client
-	slo    *obs.SLOSet // nil without FanoutSLO
 	src    *workload.ReqSource
 	clock  *rec.Clock
 	size   int
 	pace   time.Duration
-	tick   time.Duration
 	tally
 }
 
 func newFanoutLane(f *fleet, cfg ServiceConfig) (*fanoutLane, error) {
 	src, err := workload.NewReqSource(workload.ReqConfig{
 		Dist: cfg.Workload, KeyRange: cfg.KeyRange, Mix: cfg.FanoutMix,
-		MultiSize: cfg.FanoutKeys, Seed: cfg.Seed ^ 0xfa0fa0,
+		MultiSize: fanoutKeys, Seed: cfg.Seed ^ 0xfa0fa0,
 	})
 	if err != nil {
 		return nil, err
 	}
 	l := &fanoutLane{
-		src: src, clock: f.clock, size: cfg.laneClients(), pace: cfg.FanoutPace, tick: sampleEvery(cfg.Duration),
-	}
-	if cfg.FanoutSLO > 0 {
-		var hook func(shard int, breached bool)
-		if f.mon != nil {
-			hook = f.mon.SetSLO
-		}
-		l.slo = obs.NewSLOSet(f.st.Shards(), cfg.FanoutSLO, 0, f.clock, f.recorder, hook)
+		src: src, clock: f.clock, size: cfg.laneClients(), pace: cfg.FanoutPace,
 	}
 	// A healthy deployment has no fault to bound, so its lane skips the
 	// leg budget and the watchdog it puts on every leg.
@@ -536,9 +515,6 @@ func newFanoutLane(f *fleet, cfg ServiceConfig) (*fanoutLane, error) {
 	if !cfg.Retry {
 		rcfg.MaxAttempts, rcfg.RetryBudget = 1, -1
 	}
-	if l.slo != nil {
-		rcfg.OnLegLatency = l.slo.Observe
-	}
 	if l.client, err = resil.New(f.st, ecfg, rcfg); err != nil {
 		return nil, err
 	}
@@ -549,7 +525,6 @@ func newFanoutLane(f *fleet, cfg ServiceConfig) (*fanoutLane, error) {
 // pace with each request on its own goroutine (a retrying Do blocks
 // through its backoff), waiting for the stragglers before it returns.
 func (l *fanoutLane) run(deadline time.Time) {
-	l.slo.Start(l.tick)
 	l.tally = runClients(l.size, func(c int, t *tally) {
 		stream := l.src.Thread(c, 1<<20)
 		var mu sync.Mutex
@@ -579,7 +554,6 @@ func (l *fanoutLane) run(deadline time.Time) {
 		}
 		inflight.Wait()
 	})
-	l.slo.Stop()
 }
 
 // settle folds one lane request, submitted at at on the run clock, into

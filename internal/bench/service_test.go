@@ -9,13 +9,14 @@ import (
 	"repro/internal/bench"
 	"repro/internal/chaos"
 	"repro/internal/obs/rec"
+	"repro/internal/workload"
 )
 
-// TestRunServiceHeterogeneous runs a small healthy deployment with HP
-// and EBR alternating across shards and checks the measurement
+// TestRunServiceHeterogeneous runs a small healthy read-only deployment
+// with HP and EBR alternating across shards and checks the measurement
 // accounting: every client op is counted exactly once, rates and
-// latencies are populated, no fault was injected, and no shard observed
-// a safety event.
+// latencies are populated, no fault was injected, no shard observed a
+// safety event, and — the mix reaching the clients — nothing was retired.
 func TestRunServiceHeterogeneous(t *testing.T) {
 	res, err := bench.RunService(bench.ServiceConfig{
 		Shards:    4,
@@ -24,6 +25,7 @@ func TestRunServiceHeterogeneous(t *testing.T) {
 		Clients:   4,
 		Batch:     8,
 		KeyRange:  512,
+		Mix:       workload.Mix{ContainsPct: 100},
 		Workload:  "zipfian",
 		Duration:  100 * time.Millisecond,
 		Seed:      1,
@@ -49,6 +51,9 @@ func TestRunServiceHeterogeneous(t *testing.T) {
 		}
 		if r.Faults != 0 || r.UnsafeAccesses != 0 {
 			t.Fatalf("shard %d: faults=%d unsafe=%d", i, r.Faults, r.UnsafeAccesses)
+		}
+		if r.PeakRetired != 0 {
+			t.Fatalf("shard %d retired %d nodes under a read-only mix", i, r.PeakRetired)
 		}
 		shardOps += r.Ops
 	}
@@ -144,15 +149,16 @@ func TestRunServiceFaultTargets(t *testing.T) {
 }
 
 // TestRunServiceRejectsBadScheme checks bad selections surface before
-// anything runs, each naming its registry: an unknown scheme, an unknown
-// fault, a fault aimed past the last shard, and lane policies without a
-// lane.
+// anything runs, each naming its registry: an unknown scheme, a scheme
+// the structure cannot host, an unknown fault, a fault aimed past the
+// last shard, and lane policies without a lane.
 func TestRunServiceRejectsBadScheme(t *testing.T) {
 	for _, tc := range []struct {
 		cfg  bench.ServiceConfig
 		want string
 	}{
 		{bench.ServiceConfig{Schemes: []string{"nope"}}, "nope"},
+		{bench.ServiceConfig{Schemes: []string{"hp"}, Structure: "harris"}, "Appendix E"},
 		{bench.ServiceConfig{Faults: []bench.Fault{{Name: "nosuch"}}}, "stall"},
 		{bench.ServiceConfig{Faults: []bench.Fault{{Name: "stall", Shards: []int{3}}}}, "shard 3"},
 		{bench.ServiceConfig{Retry: true}, "fan-out"},

@@ -97,17 +97,10 @@ func (t *Target) KeysFor(s, n int) []int64 {
 	return keys
 }
 
-// Params configures one fault instance. Faults read the fields they need
-// and default the rest; unknown combinations are not an error.
+// Params configures one fault instance.
 type Params struct {
 	// Shard is the target shard.
 	Shard int
-	// Amount is the fault's magnitude in fault-specific units (operations
-	// per storm, keys in the hot set); 0 selects the fault's default.
-	Amount int
-	// IntervalNs is the pacing of drip-style faults in nanoseconds
-	// between operations; 0 selects the fault's default.
-	IntervalNs int64
 }
 
 // Fault is one named failure mode. Inject applies one episode against the

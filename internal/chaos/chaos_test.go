@@ -171,7 +171,7 @@ func TestChurnFaultCloseReopen(t *testing.T) {
 
 func TestHotspotSkewsTraffic(t *testing.T) {
 	tg := newTarget(t, "ebr")
-	f, _ := New("hotspot", Params{Shard: 1, Amount: 8})
+	f, _ := New("hotspot", Params{Shard: 1})
 	heal, err := f.Inject(tg, 2) // two blasters
 	if err != nil {
 		t.Fatal(err)
@@ -189,7 +189,7 @@ func TestHotspotSkewsTraffic(t *testing.T) {
 
 func TestSlowClientDrips(t *testing.T) {
 	tg := newTarget(t, "ebr")
-	f, _ := New("slow-client", Params{Shard: 0, IntervalNs: int64(time.Millisecond)})
+	f, _ := New("slow-client", Params{Shard: 0})
 	heal, err := f.Inject(tg, 1)
 	if err != nil {
 		t.Fatal(err)
@@ -203,7 +203,7 @@ func TestSlowClientDrips(t *testing.T) {
 
 func TestDelayedReleaseStorm(t *testing.T) {
 	tg := newTarget(t, "ebr")
-	f, _ := New("delayed-release", Params{Shard: 0, Amount: 200})
+	f, _ := New("delayed-release", Params{Shard: 0})
 	heal, err := f.Inject(tg, 1)
 	if err != nil {
 		t.Fatal(err)
@@ -225,7 +225,7 @@ func TestDelayedReleaseStorm(t *testing.T) {
 func TestEngineSchedules(t *testing.T) {
 	tg := newTarget(t, "ebr")
 	e := NewEngine(tg)
-	if err := e.Add("slow-client", Params{Shard: 0, IntervalNs: int64(500 * time.Microsecond)},
+	if err := e.Add("slow-client", Params{Shard: 0},
 		Ramp(0, 10*time.Millisecond, 5*time.Millisecond, 1)); err != nil {
 		t.Fatal(err)
 	}

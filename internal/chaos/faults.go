@@ -154,16 +154,17 @@ func (f *pulseFault) Inject(t *Target, intensity float64) (func(), error) {
 // intensity speeds the drip.
 type slowClientFault struct{ p Params }
 
+// dripInterval is the slow client's pause between operations at
+// intensity 1.
+const dripInterval = 2 * time.Millisecond
+
 func newSlowClient(p Params) (Fault, error) { return &slowClientFault{p: p}, nil }
 
 func (f *slowClientFault) Name() string { return "slow-client" }
 func (f *slowClientFault) Shard() int   { return f.p.Shard }
 
 func (f *slowClientFault) Inject(t *Target, intensity float64) (func(), error) {
-	interval := time.Duration(f.p.IntervalNs)
-	if interval <= 0 {
-		interval = 2 * time.Millisecond
-	}
+	interval := dripInterval
 	if intensity > 1 {
 		interval = time.Duration(float64(interval) / intensity)
 	}
@@ -197,17 +198,16 @@ func (f *slowClientFault) Inject(t *Target, intensity float64) (func(), error) {
 // shard saturates (queueing, retire churn) while its neighbours idle.
 type hotspotFault struct{ p Params }
 
+// hotKeys is the size of the hotspot's key set.
+const hotKeys = 16
+
 func newHotspot(p Params) (Fault, error) { return &hotspotFault{p: p}, nil }
 
 func (f *hotspotFault) Name() string { return "hotspot" }
 func (f *hotspotFault) Shard() int   { return f.p.Shard }
 
 func (f *hotspotFault) Inject(t *Target, intensity float64) (func(), error) {
-	hot := f.p.Amount
-	if hot <= 0 {
-		hot = 16
-	}
-	keys := t.KeysFor(f.p.Shard, hot)
+	keys := t.KeysFor(f.p.Shard, hotKeys)
 	if len(keys) == 0 {
 		return nil, errors.New("chaos: no key routes to the target shard")
 	}
@@ -279,6 +279,9 @@ func (f *churnFault) Inject(t *Target, intensity float64) (func(), error) {
 // convert the whole storm into backlog.
 type delayedReleaseFault struct{ p Params }
 
+// stormOps is the storm's operation count at intensity 1.
+const stormOps = 256
+
 func newDelayedRelease(p Params) (Fault, error) { return &delayedReleaseFault{p: p}, nil }
 
 func (f *delayedReleaseFault) Name() string { return "delayed-release" }
@@ -289,10 +292,7 @@ func (f *delayedReleaseFault) Inject(t *Target, intensity float64) (func(), erro
 	if err != nil {
 		return nil, err
 	}
-	storm := f.p.Amount
-	if storm <= 0 {
-		storm = 256
-	}
+	storm := stormOps
 	if intensity > 1 {
 		storm = int(float64(storm) * intensity)
 	}

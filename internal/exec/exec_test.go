@@ -138,7 +138,7 @@ func newMonitor(shards int) *telemetry.Monitor {
 	for i := range domains {
 		domains[i] = telemetry.Domain{Scheme: "ebr", Declared: smr.NotRobust, Budget: telemetry.Budget{Threads: 2, Threshold: 16}}
 	}
-	return telemetry.NewMonitor(telemetry.MonitorConfig{Window: 64}, domains)
+	return telemetry.NewMonitor(telemetry.MonitorConfig{}, domains)
 }
 
 func TestCompileGroupsByShard(t *testing.T) {

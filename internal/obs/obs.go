@@ -33,7 +33,6 @@ type Registry struct {
 	Sampler  *telemetry.Sampler
 	Monitor  *telemetry.Monitor
 	Recorder *rec.Recorder
-	SLO      *SLOMonitor
 	Exec     *exec.Executor
 	Resil    *resil.Client
 }
@@ -341,25 +340,6 @@ func (r *Registry) WriteMetrics(w io.Writer) error {
 		}
 	}
 
-	// Tail-latency SLO: "robust but slow" as a first-class state.
-	if r.SLO != nil {
-		s := r.SLO.Snapshot()
-		for _, m := range []struct {
-			name, typ, help string
-			v               float64
-		}{
-			{"era_slo_target_ns", "gauge", "The p99 service-request latency objective.", float64(s.Target)},
-			{"era_slo_p99_ns", "gauge", "Windowed p99 service-request latency.", float64(s.P99)},
-			{"era_slo_breached", "gauge", "1 while the windowed p99 sits above the objective.", b2f(s.Breached)},
-			{"era_slo_breaches_total", "counter", "Breach transitions observed.", float64(s.Breaches)},
-		} {
-			fam := r.family(w, m.name, m.typ, m.help)
-			fam.add("", m.v)
-			if fam.err != nil {
-				return fam.err
-			}
-		}
-	}
 	return nil
 }
 
@@ -370,13 +350,6 @@ func sortedKeys(m map[string]uint64) []string {
 	}
 	sort.Strings(keys)
 	return keys
-}
-
-func b2f(b bool) float64 {
-	if b {
-		return 1
-	}
-	return 0
 }
 
 // declaredClass digs the declared class back out of a rendered verdict.

@@ -290,45 +290,6 @@ func TestServerEndpoints(t *testing.T) {
 	}
 }
 
-func TestSLOMonitorBreachAndClear(t *testing.T) {
-	clock := rec.NewClock()
-	r := rec.NewRecorder(clock, 0)
-	m := NewSLO(time.Millisecond, 64, clock, r)
-	for i := 0; i < 32; i++ {
-		m.Observe(10 * time.Millisecond) // all over target
-	}
-	m.Eval()
-	s := m.Snapshot()
-	if !s.Breached || s.Breaches != 1 {
-		t.Fatalf("expected breach: %+v", s)
-	}
-	for i := 0; i < 64; i++ {
-		m.Observe(10 * time.Microsecond)
-	}
-	m.Eval()
-	s = m.Snapshot()
-	if s.Breached || s.Breaches != 1 {
-		t.Fatalf("expected clear: %+v", s)
-	}
-	var breach, clear int
-	for _, ev := range r.Snapshot() {
-		switch ev.Kind {
-		case rec.KindSLOBreach:
-			breach++
-		case rec.KindSLOClear:
-			clear++
-		}
-	}
-	if breach != 1 || clear != 1 {
-		t.Fatalf("recorded breach=%d clear=%d, want 1/1", breach, clear)
-	}
-	if len(s.Points) != 2 {
-		t.Fatalf("got %d points, want 2", len(s.Points))
-	}
-	// Stop without Start must not hang.
-	m.Stop()
-}
-
 func TestWriteChromeTrace(t *testing.T) {
 	ms := func(n int) time.Duration { return time.Duration(n) * time.Millisecond }
 	events := []rec.Event{

@@ -3,7 +3,7 @@
 //
 // Every subsystem that emits history — SMR scan batches, traversal guard
 // trips, store migrations, chaos fault fire/heal, adaptive ladder moves,
-// telemetry verdict flips, SLO breaches — stamps its events on ONE Clock
+// telemetry verdict flips — stamps its events on ONE Clock
 // and appends them to ONE Recorder, so the streams merge into a single
 // ordered timeline without per-subsystem zero-point skew. The package is
 // deliberately dependency-free: the producers (internal/smr, internal/ds,
@@ -91,11 +91,6 @@ const (
 	// KindLadderMove records one adaptive-controller migration decision:
 	// A = target rung, B = source rung, Label = "from→to: reason".
 	KindLadderMove
-	// KindSLOBreach records the p99 latency crossing above the SLO:
-	// A = observed p99 nanoseconds, B = the SLO in nanoseconds.
-	KindSLOBreach
-	// KindSLOClear records the p99 settling back under the SLO.
-	KindSLOClear
 	// KindSamplerGap records telemetry ticks lost in one sampling window:
 	// A = skipped ticks, B = late ticks.
 	KindSamplerGap
@@ -147,8 +142,6 @@ var kindNames = [kindCount]string{
 	KindFaultHeal:      "fault-heal",
 	KindVerdict:        "verdict",
 	KindLadderMove:     "ladder-move",
-	KindSLOBreach:      "slo-breach",
-	KindSLOClear:       "slo-clear",
 	KindSamplerGap:     "sampler-gap",
 	KindExecScatter:    "exec-scatter",
 	KindExecMerge:      "exec-merge",

@@ -46,13 +46,12 @@ func WriteChromeTrace(w io.Writer, events []rec.Event, series map[int][]telemetr
 	pid := func(shard int) int { return shard + 1 } // pid 0 renders oddly
 
 	// Span pairing state: fires await heals, migration starts await
-	// done/fail, breaches await clears.
+	// done/fail.
 	type open struct {
 		idx int // index in out of the provisional span
 	}
 	openFault := map[[2]any]open{} // {shard, episode}
 	openMig := map[int]open{}      // shard
-	openSLO := -1
 
 	for _, ev := range evs {
 		switch ev.Kind {
@@ -83,17 +82,6 @@ func WriteChromeTrace(w io.Writer, events []rec.Event, series map[int][]telemetr
 					out[o.idx].Args = map[string]any{"keys": ev.A, "swap_window_ns": ev.B}
 				}
 				delete(openMig, ev.Shard)
-			}
-		case rec.KindSLOBreach:
-			out = append(out, traceEvent{
-				Name: "slo-breach", Ph: "X", Ts: us(ev.At), Dur: 0, Pid: 0, Tid: 0,
-				Args: map[string]any{"p99_ns": ev.A, "target_ns": ev.B},
-			})
-			openSLO = len(out) - 1
-		case rec.KindSLOClear:
-			if openSLO >= 0 {
-				out[openSLO].Dur = us(ev.At) - out[openSLO].Ts
-				openSLO = -1
 			}
 		case rec.KindSMRScan:
 			// Scan batches are dense; a per-thread instant each would

@@ -123,22 +123,14 @@ type Config struct {
 	Seed uint64
 
 	// Hedge enables hedged legs through the executor, delayed by the p99
-	// of settled call latencies (at least 200µs).
+	// of settled call latencies (at least 200µs), refreshed every 64
+	// landed calls; hedging stays disabled until the first refresh (cold
+	// start).
 	Hedge bool
-	// HedgeWindow is how many landed calls pass between quantile
-	// refreshes; hedging stays disabled until the first refresh (cold
-	// start). 0 selects 64.
-	HedgeWindow int
 
 	// Breaker enables per-shard circuit breakers (breaker.go); the
 	// verdict they fast-fail on is the executor's (exec.Config.Verdicts).
 	Breaker bool
-
-	// OnLegLatency, when set, receives the (shard, latency) of every
-	// store call that settled its scatter leg — the per-shard feed the
-	// SLO verdict dimension observes. Hedge-race losers and failed
-	// calls are excluded. Works with or without hedging enabled.
-	OnLegLatency func(shard int, d time.Duration)
 
 	// Clock and Recorder stamp retry events onto the observability
 	// plane's shared tape; breaker moves land on the executor's. Nil keeps
@@ -165,9 +157,6 @@ func (cfg *Config) fill() {
 	}
 	if cfg.BudgetBurst <= 0 {
 		cfg.BudgetBurst = 256
-	}
-	if cfg.HedgeWindow <= 0 {
-		cfg.HedgeWindow = 64
 	}
 }
 
@@ -211,8 +200,8 @@ func New(st *store.Store, execCfg exec.Config, cfg Config) (*Client, error) {
 		c.bud.tokens = c.bud.cap
 	}
 	c.retriesByShard = make([]atomic.Uint64, st.Shards())
-	if cfg.Hedge || cfg.OnLegLatency != nil {
-		c.hp = &hedgePolicy{enabled: cfg.Hedge, every: uint64(cfg.HedgeWindow), onLat: cfg.OnLegLatency}
+	if cfg.Hedge {
+		c.hp = &hedgePolicy{}
 		execCfg.Hedge = c.hp
 	}
 	if cfg.Breaker {

@@ -209,11 +209,6 @@ type Verdict struct {
 	Fit     Fit    `json:"fit"`
 	// Outcome relates audited to declared.
 	Outcome string `json:"outcome"`
-	// SLOBreached is the orthogonal tail-latency dimension: true while
-	// the domain's latency SLO is breached (Monitor.SetSLO). A verdict
-	// can be robust *and* SLO-breached — "robust but slow" — which is a
-	// de-escalation signal, not an escalation one.
-	SLOBreached bool `json:"slo_breached,omitempty"`
 
 	declared, audited smr.RobustnessClass
 	outcome           Consistency

@@ -19,13 +19,14 @@ type Domain struct {
 	Budget Budget
 }
 
-// MonitorConfig sizes a Monitor.
+// monitorWindow is the sliding fit window in points. The window is the
+// monitor's memory: verdicts describe the last monitorWindow samples,
+// not the whole run, which is what lets a migrated shard's fresh
+// behaviour replace its old scheme's record.
+const monitorWindow = 256
+
+// MonitorConfig configures a Monitor.
 type MonitorConfig struct {
-	// Window is the sliding fit window in points; 0 selects 256. The
-	// window is the monitor's memory: verdicts describe the last Window
-	// samples, not the whole run, which is what lets a migrated shard's
-	// fresh behaviour replace its old scheme's record.
-	Window int
 	// OnFlip, when non-nil, fires whenever a domain's *conclusive*
 	// audited class changes from its previous conclusive reading (the
 	// first conclusive reading sets the baseline silently). Called from
@@ -43,7 +44,6 @@ type MonitorConfig struct {
 // controller (internal/adapt) decides on. An Ops regression (shard
 // reopened or migrated) resets that domain's window automatically.
 type Monitor struct {
-	window int
 	onFlip func(domain int, old, new smr.RobustnessClass, v Verdict)
 
 	mu      sync.Mutex
@@ -54,26 +54,17 @@ type Monitor struct {
 	// it is also the flip detector's memory; Class reads it lock-free.
 	// SetDomain clears it: a fresh incarnation re-baselines.
 	class []atomic.Int32
-	// slo marks domains whose tail-latency SLO is currently breached —
-	// the orthogonal verdict dimension that distinguishes "robust but
-	// slow" from "not robust". Fed by SetSLO (typically from an
-	// obs.SLOSet transition hook), copied into every Verdict.
-	slo []bool
 }
 
 // NewMonitor builds a monitor over the given domains; domain i consumes
 // the sampler's domain-i points (store shard i under the store.Gauges
 // probe convention).
 func NewMonitor(cfg MonitorConfig, domains []Domain) *Monitor {
-	if cfg.Window <= 0 {
-		cfg.Window = 256
-	}
-	m := &Monitor{window: cfg.Window, onFlip: cfg.OnFlip, domains: append([]Domain(nil), domains...)}
+	m := &Monitor{onFlip: cfg.OnFlip, domains: append([]Domain(nil), domains...)}
 	m.fits = make([]*WindowFit, len(m.domains))
 	m.class = make([]atomic.Int32, len(m.domains))
-	m.slo = make([]bool, len(m.domains))
 	for i := range m.fits {
-		m.fits[i] = NewWindowFit(cfg.Window)
+		m.fits[i] = NewWindowFit(monitorWindow)
 	}
 	return m
 }
@@ -145,33 +136,9 @@ func (m *Monitor) Restarts(domain int) int {
 	return m.fits[domain].Resets()
 }
 
-// SetSLO flips domain i's tail-latency SLO dimension: breached marks
-// the domain "slow" orthogonally to its backlog-growth class, so a
-// consumer can tell "robust but slow" (de-escalation candidate) from
-// "not robust" (escalation candidate). Typically wired from an
-// obs.SLOSet transition hook.
-func (m *Monitor) SetSLO(domain int, breached bool) {
-	if domain < 0 || domain >= len(m.slo) {
-		return
-	}
-	m.mu.Lock()
-	m.slo[domain] = breached
-	m.mu.Unlock()
-}
-
-// SLOBreached reports domain i's current SLO dimension.
-func (m *Monitor) SLOBreached(domain int) bool {
-	if domain < 0 || domain >= len(m.slo) {
-		return false
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.slo[domain]
-}
-
 // Verdict returns domain i's live windowed verdict: the current window's
-// fit related to the domain's declared class, carrying the domain's SLO
-// dimension. Safe to call while the sampler keeps observing.
+// fit related to the domain's declared class. Safe to call while the
+// sampler keeps observing.
 func (m *Monitor) Verdict(domain int) Verdict {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -181,9 +148,7 @@ func (m *Monitor) Verdict(domain int) Verdict {
 	d := m.domains[domain]
 	fit := m.fits[domain].Fit(d.Budget)
 	fit.Sanitize()
-	v := NewVerdict(d.Scheme, d.Declared, fit)
-	v.SLOBreached = m.slo[domain]
-	return v
+	return NewVerdict(d.Scheme, d.Declared, fit)
 }
 
 // Verdicts returns every domain's live verdict.

@@ -29,10 +29,6 @@ var dists = map[string]DistFactory{
 	"shifting": func(n int) Dist { return shifting{n: n, window: windowSize(n)} },
 }
 
-// RegisterDist adds a distribution to the registry; later registrations
-// under the same name win, so callers can override the built-ins.
-func RegisterDist(name string, f DistFactory) { dists[name] = f }
-
 // DistNames returns every registered distribution name, sorted.
 func DistNames() []string {
 	names := make([]string, 0, len(dists))

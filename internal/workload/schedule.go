@@ -27,10 +27,6 @@ var schedules = map[string]ScheduleFactory{
 	"oversub": func(base Mix) Schedule { return oversub{base: base, every: 64} },
 }
 
-// RegisterSchedule adds a schedule to the registry; later registrations
-// under the same name win.
-func RegisterSchedule(name string, f ScheduleFactory) { schedules[name] = f }
-
 // ScheduleNames returns every registered schedule name, sorted.
 func ScheduleNames() []string {
 	names := make([]string, 0, len(schedules))
