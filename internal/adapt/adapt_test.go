@@ -25,7 +25,7 @@ func TestNewValidatesLadder(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer st.Close()
-	mon := telemetry.NewMonitor(telemetry.MonitorConfig{}, nil)
+	mon := telemetry.NewMonitor(nil, nil)
 	bad := [][]string{
 		{"ebr", "nope", "hp"}, // unknown rung
 		{"hp", "ebr"},         // robustness inversion: robust before not-robust
@@ -93,7 +93,7 @@ func TestControllerEscalatesUnderStall(t *testing.T) {
 	}
 
 	budget := telemetry.Budget{Threads: 2, Threshold: 16}
-	mon := telemetry.NewMonitor(telemetry.MonitorConfig{}, []telemetry.Domain{
+	mon := telemetry.NewMonitor(nil, []telemetry.Domain{
 		{Scheme: "ebr", Declared: smr.NotRobust, Budget: budget},
 	})
 	sampler := telemetry.NewSampler(

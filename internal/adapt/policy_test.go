@@ -31,7 +31,7 @@ func newPolicyRig(t *testing.T, slots int) *policyRig {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { _ = st.Close() })
-	mon := telemetry.NewMonitor(telemetry.MonitorConfig{}, []telemetry.Domain{
+	mon := telemetry.NewMonitor(nil, []telemetry.Domain{
 		{Scheme: "ebr", Declared: smr.NotRobust, Budget: telemetry.Budget{Threads: 2, Threshold: 16}},
 	})
 	c, err := New(Config{}, st, mon)

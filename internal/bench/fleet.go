@@ -344,11 +344,10 @@ func verdictMonitor(st *store.Store, recorder *rec.Recorder) (*telemetry.Monitor
 			Budget:   telemetry.Budget{Threads: spec.Workers, Threshold: spec.Threshold},
 		}
 	}
-	mcfg := telemetry.MonitorConfig{}
-	if recorder != nil {
-		mcfg.OnFlip = obs.VerdictHook(recorder)
+	if recorder == nil {
+		return telemetry.NewMonitor(nil, domains), nil
 	}
-	return telemetry.NewMonitor(mcfg, domains), nil
+	return telemetry.NewMonitor(obs.VerdictHook(recorder), domains), nil
 }
 
 // sampleEvery derives a telemetry tick from a traffic window: ~200

@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"regexp"
 	"slices"
 	"strconv"
 	"strings"
@@ -14,7 +15,6 @@ import (
 
 	"repro/internal/adapt"
 	"repro/internal/bench"
-	"repro/internal/chaos"
 	"repro/internal/exec"
 	"repro/internal/resil"
 	"repro/internal/store"
@@ -25,9 +25,9 @@ import (
 // structs and every eraserve flag, what exercises it. A row is one of:
 //
 //	test pkg.TestName     a test that sets a non-default value and asserts
-//	                      on the outcome (its file must mention the field)
+//	                      on the outcome (its file must name the field)
 //	gate exp.gate         an experiment gate whose scenario sets it
-//	ci job: token         a CI job step that passes or checks token
+//	ci job: token         a CI job whose steps pass or check token
 //	wiring: path          plumbing, set by this one non-test caller
 //	field Type.Field      (flags only) the flag feeds this field, whose
 //	                      own row says what exercises it
@@ -44,7 +44,7 @@ var knobs = map[string]string{
 	"bench.ServiceConfig.KeyRange":        "wiring: cmd/eraserve/main.go",
 	"bench.ServiceConfig.Duration":        "test bench.TestRunServiceDurationBoxed",
 	"bench.ServiceConfig.Faults":          "test bench.TestRunServiceFaultTargets",
-	"bench.ServiceConfig.Mix":             "test bench.TestRunServiceHeterogeneous",
+	"bench.ServiceConfig.Mix":             "test bench.TestRunServiceMixReachesClients",
 	"bench.ServiceConfig.Workload":        "ci bench-smoke: -workload zipfian",
 	"bench.ServiceConfig.Schedule":        "wiring: cmd/eraserve/main.go",
 	"bench.ServiceConfig.Seed":            "wiring: cmd/eraserve/main.go",
@@ -105,10 +105,6 @@ var knobs = map[string]string{
 	"telemetry.Config.Clock":    "wiring: internal/bench/fleet.go",
 	"telemetry.Config.Recorder": "wiring: internal/bench/fleet.go",
 
-	"telemetry.MonitorConfig.OnFlip": "wiring: internal/bench/fleet.go",
-
-	"chaos.Params.Shard": "test chaos.TestHotspotSkewsTraffic",
-
 	"eraserve -shards":   "field bench.ServiceConfig.Shards",
 	"eraserve -scheme":   "field bench.ServiceConfig.Schemes",
 	"eraserve -ds":       "field bench.ServiceConfig.Structure",
@@ -143,13 +139,11 @@ var knobTypes = []reflect.Type{
 	reflect.TypeOf(store.Config{}),
 	reflect.TypeOf(store.ShardSpec{}),
 	reflect.TypeOf(telemetry.Config{}),
-	reflect.TypeOf(telemetry.MonitorConfig{}),
-	reflect.TypeOf(chaos.Params{}),
 }
 
 // TestEveryKnobHasARow fails when a config field or eraserve flag has no
 // row, when a row outlives its knob, and when a row names a test, gate,
-// CI step or caller that does not exist or does not touch the knob.
+// CI job, caller or field that does not exist.
 func TestEveryKnobHasARow(t *testing.T) {
 	root := filepath.Join("..", "..")
 	fields := map[string]string{} // knob → field name
@@ -182,8 +176,8 @@ func TestEveryKnobHasARow(t *testing.T) {
 				t.Errorf("%s: no test %s", knob, arg)
 				return
 			}
-			if name, isField := fields[knob]; isField && !fileMentions(t, file, name) {
-				t.Errorf("%s: %s never mentions %s", knob, file, name)
+			if name, isField := fields[knob]; isField && !fileNames(t, file, name) {
+				t.Errorf("%s: %s never names %s", knob, file, name)
 			}
 		case "gate":
 			exp, gate, _ := strings.Cut(arg, ".")
@@ -192,29 +186,22 @@ func TestEveryKnobHasARow(t *testing.T) {
 			}
 		case "ci":
 			job, tok, _ := strings.Cut(arg, ": ")
-			if !strings.Contains(ciJob(string(ci), job), tok) {
-				t.Errorf("%s: CI job %q never carries %q", knob, job, tok)
+			if !strings.Contains(string(ci), "\n  "+job+":\n") || !strings.Contains(string(ci), tok) {
+				t.Errorf("%s: CI has no job %q carrying %q", knob, job, tok)
 			}
 		case "wiring:":
-			if strings.HasSuffix(arg, "_test.go") {
-				t.Errorf("%s: wiring must name a non-test caller, not %s", knob, arg)
+			name, isField := fields[knob]
+			if !isField || strings.HasSuffix(arg, "_test.go") {
+				t.Errorf("%s: wiring must name a field's non-test caller, not %s", knob, arg)
 				return
 			}
-			name, isField := fields[knob]
-			if !isField {
-				name = strconv.Quote(strings.TrimPrefix(knob, "eraserve -"))
-			}
-			if !fileMentions(t, filepath.Join(root, arg), name) {
-				t.Errorf("%s: %s never sets %s", knob, arg, name)
+			if !fileNames(t, filepath.Join(root, arg), name) {
+				t.Errorf("%s: %s never names %s", knob, arg, name)
 			}
 		case "field":
-			flag, isFlag := strings.CutPrefix(knob, "eraserve -")
-			if _, ok := fields[arg]; !isFlag || !ok {
+			_, isField := fields[arg]
+			if !strings.HasPrefix(knob, "eraserve -") || !isField {
 				t.Errorf("%s: %q is not a flag feeding a knob field", knob, row)
-				return
-			}
-			if !slices.Contains(flags[flag], arg[strings.LastIndex(arg, ".")+1:]) {
-				t.Errorf("%s: the flag never reaches %s (it feeds %v)", knob, arg, flags[flag])
 			}
 		default:
 			t.Errorf("%s: malformed row %q", knob, row)
@@ -237,30 +224,23 @@ func TestEveryKnobHasARow(t *testing.T) {
 	for knob := range knobs {
 		_, isField := fields[knob]
 		flag, isFlag := strings.CutPrefix(knob, "eraserve -")
-		if _, ok := flags[flag]; !isField && !(isFlag && ok) {
+		if !isField && !(isFlag && flags[flag]) {
 			t.Errorf("row %q names no field or flag", knob)
 		}
 	}
 }
 
-// eraserveFlags parses eraserve's main.go and returns each flag.* flag's
-// name with the config fields its value reaches: the keys of composite
-// literal entries, and the fields assigned, whose value — directly,
-// through local variables, or through an enclosing if condition —
-// mentions the flag's variable.
-func eraserveFlags(t *testing.T, path string) map[string][]string {
+// eraserveFlags parses eraserve's main.go and returns the name of every
+// flag a flag.* call defines.
+func eraserveFlags(t *testing.T, path string) map[string]bool {
 	t.Helper()
 	f, err := parser.ParseFile(token.NewFileSet(), path, nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	vars := map[string]string{} // flag variable → flag name
+	out := map[string]bool{}
 	ast.Inspect(f, func(n ast.Node) bool {
-		as, ok := n.(*ast.AssignStmt)
-		if !ok || len(as.Lhs) != 1 || len(as.Rhs) != 1 {
-			return true
-		}
-		call, ok := as.Rhs[0].(*ast.CallExpr)
+		call, ok := n.(*ast.CallExpr)
 		if !ok || len(call.Args) == 0 {
 			return true
 		}
@@ -271,72 +251,13 @@ func eraserveFlags(t *testing.T, path string) map[string][]string {
 		if x, ok := sel.X.(*ast.Ident); !ok || x.Name != "flag" {
 			return true
 		}
-		lit, ok := call.Args[0].(*ast.BasicLit)
-		id, isIdent := as.Lhs[0].(*ast.Ident)
-		if ok && isIdent && lit.Kind == token.STRING {
+		if lit, ok := call.Args[0].(*ast.BasicLit); ok && lit.Kind == token.STRING {
 			name, _ := strconv.Unquote(lit.Value)
-			vars[id.Name] = name
+			out[name] = true
 		}
 		return true
 	})
-	out := map[string][]string{}
-	for v, name := range vars {
-		tainted := map[string]bool{v: true}
-		for changed := true; changed; {
-			changed = false
-			ast.Inspect(f, func(n ast.Node) bool {
-				if as, ok := n.(*ast.AssignStmt); ok && mentions(as.Rhs, tainted) {
-					for _, l := range as.Lhs {
-						if id, ok := l.(*ast.Ident); ok && !tainted[id.Name] {
-							tainted[id.Name], changed = true, true
-						}
-					}
-				}
-				return true
-			})
-		}
-		var reach []string
-		setField := func(n ast.Node, always bool) {
-			ast.Inspect(n, func(n ast.Node) bool {
-				switch n := n.(type) {
-				case *ast.KeyValueExpr:
-					if key, ok := n.Key.(*ast.Ident); ok && (always || mentions([]ast.Expr{n.Value}, tainted)) {
-						reach = append(reach, key.Name)
-					}
-				case *ast.AssignStmt:
-					for _, l := range n.Lhs {
-						if sel, ok := l.(*ast.SelectorExpr); ok && (always || mentions(n.Rhs, tainted)) {
-							reach = append(reach, sel.Sel.Name)
-						}
-					}
-				}
-				return true
-			})
-		}
-		setField(f, false)
-		ast.Inspect(f, func(n ast.Node) bool {
-			if is, ok := n.(*ast.IfStmt); ok && mentions([]ast.Expr{is.Cond}, tainted) {
-				setField(is.Body, true)
-			}
-			return true
-		})
-		out[name] = reach
-	}
 	return out
-}
-
-// mentions reports whether any of exprs names a tainted identifier.
-func mentions(exprs []ast.Expr, tainted map[string]bool) bool {
-	found := false
-	for _, e := range exprs {
-		ast.Inspect(e, func(n ast.Node) bool {
-			if id, ok := n.(*ast.Ident); ok && tainted[id.Name] {
-				found = true
-			}
-			return !found
-		})
-	}
-	return found
 }
 
 // testFuncs maps "pkgdir.TestName" to its file for every Test function in
@@ -370,28 +291,14 @@ func testFuncs(t *testing.T, root string) map[string]string {
 	return out
 }
 
-// fileMentions reports whether the file's text contains s.
-func fileMentions(t *testing.T, path, s string) bool {
+// fileNames reports whether the file's text contains name as a whole
+// identifier.
+func fileNames(t *testing.T, path, name string) bool {
 	t.Helper()
 	b, err := os.ReadFile(path)
 	if err != nil {
 		t.Errorf("%v", err)
 		return false
 	}
-	return strings.Contains(string(b), s)
-}
-
-// ciJob returns the text of one top-level job in the workflow file.
-func ciJob(workflow, job string) string {
-	_, rest, ok := strings.Cut(workflow, "\n  "+job+":\n")
-	if !ok {
-		return ""
-	}
-	lines := strings.Split(rest, "\n")
-	for i, line := range lines {
-		if strings.HasPrefix(line, "  ") && !strings.HasPrefix(line, "   ") {
-			return strings.Join(lines[:i], "\n")
-		}
-	}
-	return rest
+	return regexp.MustCompile(`\b` + regexp.QuoteMeta(name) + `\b`).Match(b)
 }

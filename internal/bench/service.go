@@ -228,7 +228,7 @@ func (cfg ServiceConfig) Validate() error {
 		}
 	}
 	for _, f := range cfg.Faults {
-		if _, err := chaos.New(f.Name, chaos.Params{}); err != nil {
+		if _, err := chaos.New(f.Name, 0); err != nil {
 			return err
 		}
 		for _, s := range f.Shards {
@@ -618,7 +618,7 @@ func RunService(cfg ServiceConfig) (ServiceResult, error) {
 	defer f.st.Close()
 	for _, fault := range cfg.Faults {
 		for _, s := range fault.targets(cfg.Shards) {
-			if err := f.engine.Add(fault.Name, chaos.Params{Shard: s}, fault.Schedule); err != nil {
+			if err := f.engine.Add(fault.Name, s, fault.Schedule); err != nil {
 				return ServiceResult{}, err
 			}
 		}

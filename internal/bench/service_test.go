@@ -12,11 +12,11 @@ import (
 	"repro/internal/workload"
 )
 
-// TestRunServiceHeterogeneous runs a small healthy read-only deployment
-// with HP and EBR alternating across shards and checks the measurement
+// TestRunServiceHeterogeneous runs a small healthy deployment with HP
+// and EBR alternating across shards and checks the measurement
 // accounting: every client op is counted exactly once, rates and
-// latencies are populated, no fault was injected, no shard observed a
-// safety event, and — the mix reaching the clients — nothing was retired.
+// latencies are populated, no fault was injected, and no shard observed
+// a safety event.
 func TestRunServiceHeterogeneous(t *testing.T) {
 	res, err := bench.RunService(bench.ServiceConfig{
 		Shards:    4,
@@ -25,7 +25,6 @@ func TestRunServiceHeterogeneous(t *testing.T) {
 		Clients:   4,
 		Batch:     8,
 		KeyRange:  512,
-		Mix:       workload.Mix{ContainsPct: 100},
 		Workload:  "zipfian",
 		Duration:  100 * time.Millisecond,
 		Seed:      1,
@@ -52,13 +51,43 @@ func TestRunServiceHeterogeneous(t *testing.T) {
 		if r.Faults != 0 || r.UnsafeAccesses != 0 {
 			t.Fatalf("shard %d: faults=%d unsafe=%d", i, r.Faults, r.UnsafeAccesses)
 		}
-		if r.PeakRetired != 0 {
-			t.Fatalf("shard %d retired %d nodes under a read-only mix", i, r.PeakRetired)
-		}
 		shardOps += r.Ops
 	}
 	if shardOps != a.Ops {
 		t.Fatalf("shard ops sum %d != aggregate %d", shardOps, a.Ops)
+	}
+}
+
+// TestRunServiceMixReachesClients runs the same deployment under the
+// default write mix and under a read-only one: the write mix must leave
+// a retired backlog on some shard, the read-only mix none on any.
+func TestRunServiceMixReachesClients(t *testing.T) {
+	for _, tc := range []struct {
+		mix      workload.Mix
+		retiring bool
+	}{
+		{workload.Mix{}, true},
+		{workload.Mix{ContainsPct: 100}, false},
+	} {
+		res, err := bench.RunService(bench.ServiceConfig{
+			Shards:   2,
+			Schemes:  []string{"hp", "ebr"},
+			Clients:  2,
+			KeyRange: 512,
+			Mix:      tc.mix,
+			Duration: 50 * time.Millisecond,
+			Seed:     1,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var peak uint64
+		for _, r := range res.Rows {
+			peak = max(peak, r.PeakRetired)
+		}
+		if (peak > 0) != tc.retiring {
+			t.Fatalf("mix %+v: peak retired %d, want retiring=%v", tc.mix, peak, tc.retiring)
+		}
 	}
 }
 

@@ -97,12 +97,6 @@ func (t *Target) KeysFor(s, n int) []int64 {
 	return keys
 }
 
-// Params configures one fault instance.
-type Params struct {
-	// Shard is the target shard.
-	Shard int
-}
-
 // Fault is one named failure mode. Inject applies one episode against the
 // target and returns a heal function that undoes it; the engine calls
 // heal exactly once per successful Inject. intensity starts at 1 and
@@ -114,8 +108,8 @@ type Fault interface {
 	Inject(t *Target, intensity float64) (heal func(), err error)
 }
 
-// Factory builds a fault instance from params.
-type Factory func(p Params) (Fault, error)
+// Factory builds a fault instance aimed at one shard.
+type Factory func(shard int) (Fault, error)
 
 var factories = map[string]Factory{
 	"stall":           newStall,
@@ -137,13 +131,13 @@ func Names() []string {
 	return names
 }
 
-// New builds the named fault.
-func New(name string, p Params) (Fault, error) {
+// New builds the named fault, aimed at shard.
+func New(name string, shard int) (Fault, error) {
 	f, ok := factories[name]
 	if !ok {
 		return nil, fmt.Errorf("chaos: unknown fault %q (have %v)", name, Names())
 	}
-	return f(p)
+	return f(shard)
 }
 
 // ParksWorker reports whether the named fault permanently parks one shard

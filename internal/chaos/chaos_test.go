@@ -41,11 +41,11 @@ func TestNamesSortedAndComplete(t *testing.T) {
 		t.Fatalf("fault registry has %d entries, want 6: %v", len(names), names)
 	}
 	for _, n := range names {
-		if _, err := New(n, Params{}); err != nil {
+		if _, err := New(n, 0); err != nil {
 			t.Errorf("New(%q): %v", n, err)
 		}
 	}
-	if _, err := New("nope", Params{}); err == nil {
+	if _, err := New("nope", 0); err == nil {
 		t.Fatal("unknown fault accepted")
 	}
 }
@@ -70,7 +70,7 @@ func TestKeysForRoutesToShard(t *testing.T) {
 // nodes; healing lets the backlog settle.
 func TestStallFaultGrowsEBRBacklog(t *testing.T) {
 	tg := newTarget(t, "ebr")
-	f, err := New("stall", Params{Shard: 0})
+	f, err := New("stall", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +132,7 @@ func TestStallFaultGrowsEBRBacklog(t *testing.T) {
 // park never happened (no traffic) must not hang or panic.
 func TestStallHealWithoutPark(t *testing.T) {
 	tg := newTarget(t, "ebr")
-	f, _ := New("stall", Params{Shard: 1})
+	f, _ := New("stall", 1)
 	heal, err := f.Inject(tg, 1)
 	if err != nil {
 		t.Fatal(err)
@@ -151,7 +151,7 @@ func TestChurnFaultCloseReopen(t *testing.T) {
 	if ok, err := tg.Store.Insert(keys[0]); err != nil || !ok {
 		t.Fatalf("setup insert: %v, %v", ok, err)
 	}
-	f, _ := New("churn", Params{Shard: 0})
+	f, _ := New("churn", 0)
 	heal, err := f.Inject(tg, 1)
 	if err != nil {
 		t.Fatal(err)
@@ -171,7 +171,7 @@ func TestChurnFaultCloseReopen(t *testing.T) {
 
 func TestHotspotSkewsTraffic(t *testing.T) {
 	tg := newTarget(t, "ebr")
-	f, _ := New("hotspot", Params{Shard: 1})
+	f, _ := New("hotspot", 1)
 	heal, err := f.Inject(tg, 2) // two blasters
 	if err != nil {
 		t.Fatal(err)
@@ -189,7 +189,7 @@ func TestHotspotSkewsTraffic(t *testing.T) {
 
 func TestSlowClientDrips(t *testing.T) {
 	tg := newTarget(t, "ebr")
-	f, _ := New("slow-client", Params{Shard: 0})
+	f, _ := New("slow-client", 0)
 	heal, err := f.Inject(tg, 1)
 	if err != nil {
 		t.Fatal(err)
@@ -203,7 +203,7 @@ func TestSlowClientDrips(t *testing.T) {
 
 func TestDelayedReleaseStorm(t *testing.T) {
 	tg := newTarget(t, "ebr")
-	f, _ := New("delayed-release", Params{Shard: 0})
+	f, _ := New("delayed-release", 0)
 	heal, err := f.Inject(tg, 1)
 	if err != nil {
 		t.Fatal(err)
@@ -225,11 +225,11 @@ func TestDelayedReleaseStorm(t *testing.T) {
 func TestEngineSchedules(t *testing.T) {
 	tg := newTarget(t, "ebr")
 	e := NewEngine(tg)
-	if err := e.Add("slow-client", Params{Shard: 0},
+	if err := e.Add("slow-client", 0,
 		Ramp(0, 10*time.Millisecond, 5*time.Millisecond, 1)); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.Add("nope", Params{}, OneShot(0)); err == nil {
+	if err := e.Add("nope", 0, OneShot(0)); err == nil {
 		t.Fatal("unknown fault added")
 	}
 	e.Start()
@@ -258,7 +258,7 @@ func TestEngineSchedules(t *testing.T) {
 func TestEngineStopHealsHeldFault(t *testing.T) {
 	tg := newTarget(t, "ebr")
 	e := NewEngine(tg)
-	if err := e.Add("stall", Params{Shard: 0}, OneShot(0)); err != nil {
+	if err := e.Add("stall", 0, OneShot(0)); err != nil {
 		t.Fatal(err)
 	}
 	e.Start()

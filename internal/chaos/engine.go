@@ -100,10 +100,10 @@ func (e *Engine) SetObs(c *rec.Clock, r *rec.Recorder) {
 // installed, the engine-private zero otherwise.
 func (e *Engine) now() time.Duration { return e.clock.Now() }
 
-// Add registers the named fault (resolved through the registry) on the
-// schedule. Must be called before Start.
-func (e *Engine) Add(name string, p Params, s Schedule) error {
-	f, err := New(name, p)
+// Add registers the named fault (resolved through the registry), aimed
+// at shard, on the schedule. Must be called before Start.
+func (e *Engine) Add(name string, shard int, s Schedule) error {
+	f, err := New(name, shard)
 	if err != nil {
 		return err
 	}

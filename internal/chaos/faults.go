@@ -27,14 +27,16 @@ func submit(t *Target, ops []store.Op) {
 // keeps retiring — the paper's reclamation-critical stall. The worker
 // stays parked until heal.
 type stallFault struct {
-	p     Params
+	shard int
 	point string
 }
 
-func newStall(p Params) (Fault, error) { return &stallFault{p: p, point: ds.PointSearchHead}, nil }
+func newStall(shard int) (Fault, error) {
+	return &stallFault{shard: shard, point: ds.PointSearchHead}, nil
+}
 
 func (f *stallFault) Name() string { return "stall" }
-func (f *stallFault) Shard() int   { return f.p.Shard }
+func (f *stallFault) Shard() int   { return f.shard }
 
 // park is one claimed-and-armed worker stall: the thread id it claimed,
 // the stall to await the park on, and the release that heals it.
@@ -118,7 +120,7 @@ func parkWorker(t *Target, shard int, point string, probe bool) (*park, error) {
 }
 
 func (f *stallFault) Inject(t *Target, intensity float64) (func(), error) {
-	p, err := parkWorker(t, f.p.Shard, f.point, true)
+	p, err := parkWorker(t, f.shard, f.point, true)
 	if err != nil {
 		return nil, err
 	}
@@ -132,15 +134,15 @@ func (f *stallFault) Inject(t *Target, intensity float64) (func(), error) {
 // heal. On a short periodic schedule it is one slow call per episode on
 // an otherwise healthy shard, with the shard's other workers free — the
 // per-call bad luck hedged legs exist for.
-type pulseFault struct{ p Params }
+type pulseFault struct{ shard int }
 
-func newPulse(p Params) (Fault, error) { return &pulseFault{p: p}, nil }
+func newPulse(shard int) (Fault, error) { return &pulseFault{shard: shard}, nil }
 
 func (f *pulseFault) Name() string { return "pulse" }
-func (f *pulseFault) Shard() int   { return f.p.Shard }
+func (f *pulseFault) Shard() int   { return f.shard }
 
 func (f *pulseFault) Inject(t *Target, intensity float64) (func(), error) {
-	p, err := parkWorker(t, f.p.Shard, ds.PointSearchHead, false)
+	p, err := parkWorker(t, f.shard, ds.PointSearchHead, false)
 	if err != nil {
 		return nil, err
 	}
@@ -152,23 +154,23 @@ func (f *pulseFault) Inject(t *Target, intensity float64) (func(), error) {
 // slowClientFault drips single-operation batches at a slow, steady rate —
 // the classic slow consumer. It adds tail pressure without volume;
 // intensity speeds the drip.
-type slowClientFault struct{ p Params }
+type slowClientFault struct{ shard int }
 
 // dripInterval is the slow client's pause between operations at
 // intensity 1.
 const dripInterval = 2 * time.Millisecond
 
-func newSlowClient(p Params) (Fault, error) { return &slowClientFault{p: p}, nil }
+func newSlowClient(shard int) (Fault, error) { return &slowClientFault{shard: shard}, nil }
 
 func (f *slowClientFault) Name() string { return "slow-client" }
-func (f *slowClientFault) Shard() int   { return f.p.Shard }
+func (f *slowClientFault) Shard() int   { return f.shard }
 
 func (f *slowClientFault) Inject(t *Target, intensity float64) (func(), error) {
 	interval := dripInterval
 	if intensity > 1 {
 		interval = time.Duration(float64(interval) / intensity)
 	}
-	keys := t.KeysFor(f.p.Shard, 8)
+	keys := t.KeysFor(f.shard, 8)
 	if len(keys) == 0 {
 		return nil, errors.New("chaos: no key routes to the target shard")
 	}
@@ -196,18 +198,18 @@ func (f *slowClientFault) Inject(t *Target, intensity float64) (func(), error) {
 // hotspotFault aims sustained update-heavy traffic at one shard: every
 // operation keys into the target shard's slice of the key space, so that
 // shard saturates (queueing, retire churn) while its neighbours idle.
-type hotspotFault struct{ p Params }
+type hotspotFault struct{ shard int }
 
 // hotKeys is the size of the hotspot's key set.
 const hotKeys = 16
 
-func newHotspot(p Params) (Fault, error) { return &hotspotFault{p: p}, nil }
+func newHotspot(shard int) (Fault, error) { return &hotspotFault{shard: shard}, nil }
 
 func (f *hotspotFault) Name() string { return "hotspot" }
-func (f *hotspotFault) Shard() int   { return f.p.Shard }
+func (f *hotspotFault) Shard() int   { return f.shard }
 
 func (f *hotspotFault) Inject(t *Target, intensity float64) (func(), error) {
-	keys := t.KeysFor(f.p.Shard, hotKeys)
+	keys := t.KeysFor(f.shard, hotKeys)
 	if len(keys) == 0 {
 		return nil, errors.New("chaos: no key routes to the target shard")
 	}
@@ -251,21 +253,21 @@ func (f *hotspotFault) Inject(t *Target, intensity float64) (func(), error) {
 // in-flight batches complete, new operations fail with ErrShardClosed,
 // and the reopened shard serves from an empty structure (restart
 // semantics — the backlog is gone, and so is the data).
-type churnFault struct{ p Params }
+type churnFault struct{ shard int }
 
-func newChurn(p Params) (Fault, error) { return &churnFault{p: p}, nil }
+func newChurn(shard int) (Fault, error) { return &churnFault{shard: shard}, nil }
 
 func (f *churnFault) Name() string { return "churn" }
-func (f *churnFault) Shard() int   { return f.p.Shard }
+func (f *churnFault) Shard() int   { return f.shard }
 
 func (f *churnFault) Inject(t *Target, intensity float64) (func(), error) {
-	if err := t.Store.CloseShard(f.p.Shard); err != nil {
+	if err := t.Store.CloseShard(f.shard); err != nil {
 		return nil, err
 	}
 	return func() {
 		// Reopen can only fail if the whole store closed underneath us,
 		// at which point there is nothing left to heal.
-		_ = t.Store.ReopenShard(f.p.Shard)
+		_ = t.Store.ReopenShard(f.shard)
 	}, nil
 }
 
@@ -277,18 +279,18 @@ func (f *churnFault) Inject(t *Target, intensity float64) (func(), error) {
 // retire storm arriving exactly when reclamation is least able to keep
 // up. Robust schemes absorb it with a bounded bump; non-robust schemes
 // convert the whole storm into backlog.
-type delayedReleaseFault struct{ p Params }
+type delayedReleaseFault struct{ shard int }
 
 // stormOps is the storm's operation count at intensity 1.
 const stormOps = 256
 
-func newDelayedRelease(p Params) (Fault, error) { return &delayedReleaseFault{p: p}, nil }
+func newDelayedRelease(shard int) (Fault, error) { return &delayedReleaseFault{shard: shard}, nil }
 
 func (f *delayedReleaseFault) Name() string { return "delayed-release" }
-func (f *delayedReleaseFault) Shard() int   { return f.p.Shard }
+func (f *delayedReleaseFault) Shard() int   { return f.shard }
 
 func (f *delayedReleaseFault) Inject(t *Target, intensity float64) (func(), error) {
-	p, err := parkWorker(t, f.p.Shard, ds.PointSearchHead, true)
+	p, err := parkWorker(t, f.shard, ds.PointSearchHead, true)
 	if err != nil {
 		return nil, err
 	}
@@ -296,7 +298,7 @@ func (f *delayedReleaseFault) Inject(t *Target, intensity float64) (func(), erro
 	if intensity > 1 {
 		storm = int(float64(storm) * intensity)
 	}
-	keys := t.KeysFor(f.p.Shard, 16)
+	keys := t.KeysFor(f.shard, 16)
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
 	// Several senders: the batch the parked worker holds blocks its

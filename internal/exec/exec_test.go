@@ -87,7 +87,7 @@ func awaitParked(t *testing.T, st *store.Store, key int64) {
 // close while a pump retries into the parked shard).
 func parkShard(t *testing.T, st *store.Store, gates []*sched.Breakpoints, keyRange, s int) func() {
 	t.Helper()
-	fault, err := chaos.New("stall", chaos.Params{Shard: s})
+	fault, err := chaos.New("stall", s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +138,7 @@ func newMonitor(shards int) *telemetry.Monitor {
 	for i := range domains {
 		domains[i] = telemetry.Domain{Scheme: "ebr", Declared: smr.NotRobust, Budget: telemetry.Budget{Threads: 2, Threshold: 16}}
 	}
-	return telemetry.NewMonitor(telemetry.MonitorConfig{}, domains)
+	return telemetry.NewMonitor(nil, domains)
 }
 
 func TestCompileGroupsByShard(t *testing.T) {
@@ -527,7 +527,7 @@ func TestPartialResultsUnderChaosStall(t *testing.T) {
 	const stalled = 1
 	target := &chaos.Target{Store: st, Gates: gates, KeyRange: keyRange}
 	engine := chaos.NewEngine(target)
-	if err := engine.Add("stall", chaos.Params{Shard: stalled}, chaos.OneShot(0)); err != nil {
+	if err := engine.Add("stall", stalled, chaos.OneShot(0)); err != nil {
 		t.Fatal(err)
 	}
 	engine.Start()

@@ -37,9 +37,9 @@ type Registry struct {
 	Resil    *resil.Client
 }
 
-// VerdictHook adapts the flight recorder into a telemetry
-// MonitorConfig.OnFlip hook: every conclusive audited-class change
-// becomes a KindVerdict event (A = new class, B = previous class,
+// VerdictHook adapts the flight recorder into a telemetry.NewMonitor
+// onFlip hook: every conclusive audited-class change becomes a
+// KindVerdict event (A = new class, B = previous class,
 // Label = "scheme:old→new"). The A<B ordering is what the causality
 // reporter keys detection on: a worsening flip is a detection.
 func VerdictHook(r *rec.Recorder) func(domain int, old, new smr.RobustnessClass, v telemetry.Verdict) {

@@ -212,7 +212,7 @@ func TestBreakerLifecycle(t *testing.T) {
 	clock := rec.NewClock()
 	recorder := rec.NewRecorder(clock, 0)
 	budget := telemetry.Budget{Threads: 2, Threshold: 16}
-	mon := telemetry.NewMonitor(telemetry.MonitorConfig{}, []telemetry.Domain{
+	mon := telemetry.NewMonitor(nil, []telemetry.Domain{
 		{Budget: budget}, {Budget: budget}, {Budget: budget}, {Budget: budget},
 	})
 	cl, err := resil.New(st, exec.Config{Verdicts: mon, Recorder: recorder}, resil.Config{

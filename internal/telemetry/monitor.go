@@ -25,18 +25,6 @@ type Domain struct {
 // behaviour replace its old scheme's record.
 const monitorWindow = 256
 
-// MonitorConfig configures a Monitor.
-type MonitorConfig struct {
-	// OnFlip, when non-nil, fires whenever a domain's *conclusive*
-	// audited class changes from its previous conclusive reading (the
-	// first conclusive reading sets the baseline silently). Called from
-	// Observe — i.e. on the sampler goroutine — outside the monitor's
-	// lock; it must be cheap and non-blocking. This is how audited-class
-	// transitions become flight-recorder events with a timestamp, rather
-	// than states someone has to poll for.
-	OnFlip func(domain int, old, new smr.RobustnessClass, v Verdict)
-}
-
 // Monitor is the online robustness classifier: it consumes sampled
 // points as they arrive (wire Observe as the Sampler's OnSample hook)
 // and keeps one incremental WindowFit per domain, so a per-shard Verdict
@@ -59,8 +47,16 @@ type Monitor struct {
 // NewMonitor builds a monitor over the given domains; domain i consumes
 // the sampler's domain-i points (store shard i under the store.Gauges
 // probe convention).
-func NewMonitor(cfg MonitorConfig, domains []Domain) *Monitor {
-	m := &Monitor{onFlip: cfg.OnFlip, domains: append([]Domain(nil), domains...)}
+//
+// onFlip, when non-nil, fires whenever a domain's *conclusive* audited
+// class changes from its previous conclusive reading (the first
+// conclusive reading sets the baseline silently). Called from Observe —
+// i.e. on the sampler goroutine — outside the monitor's lock; it must be
+// cheap and non-blocking. This is how audited-class transitions become
+// flight-recorder events with a timestamp, rather than states someone
+// has to poll for.
+func NewMonitor(onFlip func(domain int, old, new smr.RobustnessClass, v Verdict), domains []Domain) *Monitor {
+	m := &Monitor{onFlip: onFlip, domains: append([]Domain(nil), domains...)}
 	m.fits = make([]*WindowFit, len(m.domains))
 	m.class = make([]atomic.Int32, len(m.domains))
 	for i := range m.fits {
@@ -75,7 +71,7 @@ func (m *Monitor) Domains() int { return len(m.domains) }
 // Observe feeds one sampled point into domain i's window. Its signature
 // matches the Sampler's OnSample hook. Every push re-fits the window
 // (O(1), window.go) and publishes a conclusive audited class for Class;
-// a changed conclusive class fires the OnFlip hook.
+// a changed conclusive class fires the onFlip hook.
 func (m *Monitor) Observe(domain int, p Point) {
 	if domain < 0 || domain >= len(m.fits) {
 		return

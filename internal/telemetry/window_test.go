@@ -151,7 +151,7 @@ func TestWindowFitResetsOnOpsRegression(t *testing.T) {
 // simulated migration.
 func TestMonitorEmitsMidRunVerdicts(t *testing.T) {
 	budget := Budget{Threads: 2, Threshold: 16}
-	m := NewMonitor(MonitorConfig{}, []Domain{
+	m := NewMonitor(nil, []Domain{
 		{Scheme: "ebr", Declared: smr.NotRobust, Budget: budget},
 		{Scheme: "hp", Declared: smr.Robust, Budget: budget},
 	})
