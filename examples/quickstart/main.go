@@ -58,7 +58,16 @@ func main() {
 		log.Fatal(err)
 	}
 
-	fmt.Println("keys after deleting the evens:", list.Keys())
+	// Iterate walks the live keys under the scheme's barriers, the same
+	// guarded path the store's range scans take.
+	var keys []int64
+	if err := list.Iterate(0, func(key int64) bool {
+		keys = append(keys, key)
+		return true
+	}); err != nil {
+		log.Fatal(err)
+	}
+	fmt.Println("keys after deleting the evens:", keys)
 	fmt.Println("contains(3):", present)
 
 	// Drive reclamation to quiescence and inspect the heap accounting.

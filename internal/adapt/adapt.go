@@ -198,9 +198,6 @@ func New(cfg Config, st *store.Store, mon *telemetry.Monitor) (*Controller, erro
 	return c, nil
 }
 
-// Ladder returns the resolved ladder.
-func (c *Controller) Ladder() []string { return append([]string(nil), c.cfg.Ladder...) }
-
 // Episodes returns a copy of the migration log, in decision order.
 func (c *Controller) Episodes() []Episode {
 	c.mu.Lock()

@@ -152,3 +152,13 @@ func TestPolicyFlapValve(t *testing.T) {
 		t.Fatalf("store counted %d migrations, want 1", n)
 	}
 }
+
+// TestDefaultLadder pins the ladder New climbs when none is configured:
+// ebr, then ibr, then hp.
+func TestDefaultLadder(t *testing.T) {
+	var cfg Config
+	cfg.fill()
+	if got := cfg.Ladder; len(got) != 3 || got[0] != "ebr" || got[1] != "ibr" || got[2] != "hp" {
+		t.Fatalf("default ladder = %v", got)
+	}
+}

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"repro/internal/store"
+	"repro/internal/workload"
 )
 
 // TestRunChaosSeparatesClasses is the chaos audit's acceptance shape in
@@ -120,13 +121,20 @@ func TestPrefillHalfExact(t *testing.T) {
 			if err := prefillHalf(st, keyRange, 16, seed); err != nil {
 				t.Fatal(err)
 			}
+			probe := make([]store.Op, keyRange)
+			for k := range probe {
+				probe[k] = store.Op{Kind: workload.OpContains, Key: int64(k)}
+			}
+			res, err := st.Do(probe)
+			if err != nil {
+				t.Fatal(err)
+			}
 			present := 0
-			for k := 0; k < keyRange; k++ {
-				ok, err := st.Contains(int64(k))
-				if err != nil {
-					t.Fatal(err)
+			for _, r := range res {
+				if r.Err != nil {
+					t.Fatal(r.Err)
 				}
-				if ok {
+				if r.OK {
 					present++
 				}
 			}

@@ -156,7 +156,8 @@ func TestChurnFaultCloseReopen(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := tg.Store.Contains(keys[0]); err == nil {
+	probe := []store.Op{{Kind: workload.OpContains, Key: keys[0]}}
+	if res, err := tg.Store.Do(probe); err == nil && res[0].Err == nil {
 		t.Fatal("closed shard still serving")
 	}
 	// Double injection while closed must fail cleanly.
@@ -164,8 +165,9 @@ func TestChurnFaultCloseReopen(t *testing.T) {
 		t.Fatal("closing a closed shard must error")
 	}
 	heal()
-	if ok, err := tg.Store.Contains(keys[0]); err != nil || ok {
-		t.Fatalf("reopened shard: contains = %v, %v; want clean miss", ok, err)
+	res, err := tg.Store.Do(probe)
+	if err != nil || res[0].Err != nil || res[0].OK {
+		t.Fatalf("reopened shard: contains = %+v, %v; want clean miss", res, err)
 	}
 }
 
@@ -226,7 +228,7 @@ func TestEngineSchedules(t *testing.T) {
 	tg := newTarget(t, "ebr")
 	e := NewEngine(tg)
 	if err := e.Add("slow-client", 0,
-		Ramp(0, 10*time.Millisecond, 5*time.Millisecond, 1)); err != nil {
+		Schedule{Period: 10 * time.Millisecond, Hold: 5 * time.Millisecond, Ramp: 1}); err != nil {
 		t.Fatal(err)
 	}
 	if err := e.Add("nope", 0, OneShot(0)); err == nil {

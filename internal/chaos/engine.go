@@ -35,11 +35,6 @@ func Periodic(after, period, hold time.Duration) Schedule {
 	return Schedule{After: after, Period: period, Hold: hold}
 }
 
-// Ramp is Periodic with intensity growing by step per episode.
-func Ramp(after, period, hold time.Duration, step float64) Schedule {
-	return Schedule{After: after, Period: period, Hold: hold, Ramp: step}
-}
-
 // Event records one episode for the run report: what fired, where, when,
 // and when it was healed.
 type Event struct {

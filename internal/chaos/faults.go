@@ -108,8 +108,9 @@ func parkWorker(t *Target, shard int, point string, probe bool) (*park, error) {
 		once.Do(func() {
 			// Disarm before Release: no *new* park can start, and a park
 			// racing with the disarm falls through on the already-closed
-			// release channel. DisarmStall (not Disarm) so a breakpoint
-			// another fault armed on this tid after ours fired survives.
+			// release channel. DisarmStall removes only our breakpoint, so a
+			// breakpoint another fault armed on this tid after ours fired
+			// survives.
 			gate.DisarmStall(tid, stall)
 			stall.Release()
 			close(stop)

@@ -187,7 +187,7 @@ func Verify(a *mem.Arena, threads int, cfg Config) []Violation {
 	}
 	var all []Violation
 	for tid := 0; tid < threads; tid++ {
-		all = append(all, VerifyThread(tid, tr.Events(tid), cfg)...)
+		all = append(all, VerifyThread(tid, tr.Streams[tid], cfg)...)
 	}
 	return all
 }

@@ -30,7 +30,7 @@ func TestClassifyIntegration(t *testing.T) {
 		if rep.Easy != wantEasy[scheme] {
 			t.Errorf("%s: easy = %v, want %v", scheme, rep.Easy, wantEasy[scheme])
 		}
-		if rep.Easy != p.EasyIntegration() {
+		if rep.Easy != (!p.RequiresRollback && !p.RequiresPhases) {
 			t.Errorf("%s: report and Props disagree", scheme)
 		}
 	}

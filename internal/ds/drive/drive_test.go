@@ -18,7 +18,10 @@ import (
 // run builds a fresh ebr env and structure and runs s on them.
 func run(t *testing.T, structure string, s drive.Script) drive.Result {
 	t.Helper()
-	info := registry.MustGet(structure)
+	info, err := registry.Get(structure)
+	if err != nil {
+		t.Fatal(err)
+	}
 	env, err := drive.NewEnv("ebr", 4, 1<<14, info.PayloadWords, mem.Reuse)
 	if err != nil {
 		t.Fatal(err)

@@ -1,10 +1,12 @@
 package dstest
 
 import (
+	"slices"
 	"sort"
 	"testing"
 
 	"repro/internal/ds"
+	"repro/internal/ds/drive"
 	"repro/internal/smr"
 	"repro/internal/workload"
 )
@@ -67,20 +69,52 @@ func BatchEquivalenceSet(tb testing.TB, a, b ds.Set, batches, batchSize, keyRang
 		tb.Errorf("no mid-window re-brackets across %d fused batches of %d ops (window K=%d)",
 			batches, batchSize, smr.DefaultWindow)
 	}
-	// The twins must agree on the final contents, not just per-op results.
-	ka, aok := a.(interface{ Keys() []int64 })
-	kb, bok := b.(interface{ Keys() []int64 })
-	if aok && bok {
-		fused, serial := ka.Keys(), kb.Keys()
-		sort.Slice(fused, func(i, j int) bool { return fused[i] < fused[j] })
-		sort.Slice(serial, func(i, j int) bool { return serial[i] < serial[j] })
-		if len(fused) != len(serial) {
-			tb.Fatalf("final contents diverge: fused holds %d keys, serial %d", len(fused), len(serial))
+	// The twins must agree on the final contents, not just per-op results,
+	// read through the guarded iterator the store's range scans use.
+	fused, serial := Keys(tb, a), Keys(tb, b)
+	slices.Sort(fused)
+	slices.Sort(serial)
+	if len(fused) != len(serial) {
+		tb.Fatalf("final contents diverge: fused holds %d keys, serial %d", len(fused), len(serial))
+	}
+	for i := range fused {
+		if fused[i] != serial[i] {
+			tb.Fatalf("final contents diverge at position %d: fused %d, serial %d", i, fused[i], serial[i])
 		}
-		for i := range fused {
-			if fused[i] != serial[i] {
-				tb.Fatalf("final contents diverge at position %d: fused %d, serial %d", i, fused[i], serial[i])
+	}
+}
+
+// Keys returns s's live keys in emission order, read through ds.Iterator
+// on thread 0. A set that does not implement ds.Iterator fails the test.
+func Keys(tb testing.TB, s ds.Set) []int64 {
+	tb.Helper()
+	it, ok := s.(ds.Iterator)
+	if !ok {
+		tb.Fatalf("%s does not implement ds.Iterator", s.Name())
+	}
+	var keys []int64
+	if err := it.Iterate(0, func(k int64) bool { keys = append(keys, k); return true }); err != nil {
+		tb.Fatalf("%s: iterate: %v", s.Name(), err)
+	}
+	return keys
+}
+
+// AssertOrdered checks an ordered set after a disjoint script: one scan
+// reports exactly the keys the threads' models hold, ascending. The
+// ordered iterators emit only keys above the last one emitted, so a key
+// stored out of order goes missing from the scan and fails the check.
+func AssertOrdered(tb testing.TB, s ds.Set, res drive.Result) {
+	tb.Helper()
+	var want []int64
+	for _, m := range res.Models {
+		for k, in := range m {
+			if in {
+				want = append(want, k)
 			}
 		}
+	}
+	slices.Sort(want)
+	if got := Keys(tb, s); !slices.Equal(got, want) {
+		tb.Fatalf("%s: scan reports %v, the models hold %v", s.Name(), got, want)
 	}
 }

@@ -30,7 +30,10 @@ var bagLinearizable = drive.Script{Threads: 4, Ops: 3, Rounds: 10}
 // RunSuite runs the full conformance suite for the named registry
 // structure, a set, a queue or a stack, across every applicable scheme.
 func RunSuite(t *testing.T, structure string) {
-	info := registry.MustGet(structure)
+	info, err := registry.Get(structure)
+	if err != nil {
+		t.Fatal(err)
+	}
 	build := func(t *testing.T, scheme string, n int) (*Env, drive.Target) {
 		env := NewEnv(t, scheme, n, 1<<16, info.PayloadWords, mem.Reuse)
 		target, err := drive.NewTarget(structure, env.S)

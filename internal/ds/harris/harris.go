@@ -55,9 +55,6 @@ func (l *List) Name() string { return "harris" }
 // Head returns the head sentinel (used by the adversary scripts).
 func (l *List) Head() mem.Ref { return l.head }
 
-// Tail returns the tail sentinel.
-func (l *List) Tail() mem.Ref { return l.tail }
-
 // maxSteps bounds a single traversal. A healthy list can never be longer
 // than the heap; only an unsafe scheme that recycled memory under a
 // traversal can produce a cycle, and the bound turns that livelock into a
@@ -522,32 +519,5 @@ func (l *List) iterChunk(tid int, after *int64, fn func(key int64) bool) (done b
 			curr = cn.WithoutMark()
 			sc = sn
 		}
-	}
-}
-
-// Keys walks the list without barriers and returns the unmarked keys in
-// order. It is only safe on a quiescent structure; tests use it to compare
-// against a model.
-func (l *List) Keys() []int64 {
-	var keys []int64
-	a := l.A
-	cur, _ := a.Load(0, l.head, ds.WNext)
-	for {
-		r := mem.Ref(cur).WithoutMark()
-		if r.IsNil() || r == l.tail {
-			return keys
-		}
-		k, err := a.Load(0, r, ds.WKey)
-		if err != nil {
-			return keys
-		}
-		next, err := a.Load(0, r, ds.WNext)
-		if err != nil {
-			return keys
-		}
-		if !mem.Ref(next).Marked() {
-			keys = append(keys, int64(k))
-		}
-		cur = next
 	}
 }

@@ -1,7 +1,6 @@
 package harris_test
 
 import (
-	"sort"
 	"testing"
 	"testing/quick"
 
@@ -23,11 +22,7 @@ func TestSortedInvariant(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dstest.Check(t, env, l, drive.Script{Ops: 2000, KeyRange: 64, Disjoint: true})
-	keys := l.Keys()
-	if !sort.SliceIsSorted(keys, func(i, j int) bool { return keys[i] < keys[j] }) {
-		t.Fatalf("keys not sorted: %v", keys)
-	}
+	dstest.AssertOrdered(t, l, dstest.Check(t, env, l, drive.Script{Ops: 2000, KeyRange: 64, Disjoint: true}))
 	env.AssertSafe(t)
 }
 
@@ -97,7 +92,7 @@ func TestMarkedTraversal(t *testing.T) {
 		}
 	}
 	want := []int64{1, 10}
-	got := l.Keys()
+	got := dstest.Keys(t, l)
 	if len(got) != len(want) || got[0] != want[0] || got[1] != want[1] {
 		t.Fatalf("keys = %v, want %v", got, want)
 	}

@@ -31,7 +31,6 @@ type bucket interface {
 	ds.Iterator
 	ds.TravReporter
 	RunChain(tid int, w *smr.Window, ops []ds.BatchOp, res []ds.BatchResult, first int32, next []int32)
-	Keys() []int64
 }
 
 // Map is a fixed-bucket-count lock-free hash set.
@@ -205,13 +204,4 @@ func (m *Map) TravSnapshot() ds.TravSnapshot {
 		s = s.Merge(b.TravSnapshot())
 	}
 	return s
-}
-
-// Keys returns all unmarked keys; quiescent use only.
-func (m *Map) Keys() []int64 {
-	var keys []int64
-	for _, b := range m.buckets {
-		keys = append(keys, b.Keys()...)
-	}
-	return keys
 }

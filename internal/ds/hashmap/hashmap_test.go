@@ -23,7 +23,7 @@ func TestBucketKind(t *testing.T) {
 	}
 }
 
-// TestKeysUnion checks Keys() aggregates every bucket.
+// TestKeysUnion checks a scan aggregates every bucket.
 func TestKeysUnion(t *testing.T) {
 	env := dstest.NewEnv(t, "ebr", 1, 1<<12, 2, mem.Reuse)
 	m, err := hashmap.New(env.S, ds.Options{}, 8, "michael")
@@ -35,8 +35,8 @@ func TestKeysUnion(t *testing.T) {
 			t.Fatalf("insert(%d) = %v, %v", k, ok, err)
 		}
 	}
-	if got := len(m.Keys()); got != 100 {
-		t.Fatalf("Keys() returned %d keys, want 100", got)
+	if got := len(dstest.Keys(t, m)); got != 100 {
+		t.Fatalf("scan returned %d keys, want 100", got)
 	}
 	env.AssertSafe(t)
 }

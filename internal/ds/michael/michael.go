@@ -492,28 +492,3 @@ func (l *List) iterChunk(tid int, after *int64, fn func(key int64) bool) (done b
 		}
 	}
 }
-
-// Keys walks the list without barriers; quiescent use only.
-func (l *List) Keys() []int64 {
-	var keys []int64
-	a := l.A
-	cur, _ := a.Load(0, l.head, ds.WNext)
-	for {
-		r := mem.Ref(cur).WithoutMark()
-		if r.IsNil() || r == l.tail {
-			return keys
-		}
-		k, err := a.Load(0, r, ds.WKey)
-		if err != nil {
-			return keys
-		}
-		next, err := a.Load(0, r, ds.WNext)
-		if err != nil {
-			return keys
-		}
-		if !mem.Ref(next).Marked() {
-			keys = append(keys, int64(k))
-		}
-		cur = next
-	}
-}

@@ -1,7 +1,6 @@
 package michael_test
 
 import (
-	"sort"
 	"testing"
 
 	"repro/internal/ds"
@@ -21,11 +20,7 @@ func TestSortedInvariant(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dstest.Check(t, env, l, drive.Script{Ops: 2000, KeyRange: 64, Disjoint: true})
-	keys := l.Keys()
-	if !sort.SliceIsSorted(keys, func(i, j int) bool { return keys[i] < keys[j] }) {
-		t.Fatalf("keys not sorted: %v", keys)
-	}
+	dstest.AssertOrdered(t, l, dstest.Check(t, env, l, drive.Script{Ops: 2000, KeyRange: 64, Disjoint: true}))
 	env.AssertSafe(t)
 }
 
@@ -60,7 +55,7 @@ func TestHPCompatibility(t *testing.T) {
 		t.Fatal(err)
 	}
 	dstest.Check(t, env, l, drive.Script{Ops: 1500, KeyRange: 32, Disjoint: true})
-	if f := env.A.Stats().Faults(); f != 0 {
+	if f := env.A.Stats().Snapshot().Faults; f != 0 {
 		t.Fatalf("HP on Michael's list took %d segfaults", f)
 	}
 	env.AssertSafe(t)

@@ -153,23 +153,3 @@ func (q *Queue) Dequeue(tid int) (int64, bool, error) {
 	}
 	return 0, false, ds.ErrCorrupted
 }
-
-// Drain returns the queue contents without barriers; quiescent use only.
-func (q *Queue) Drain() []int64 {
-	var vals []int64
-	a := q.A
-	h, _ := a.Load(0, q.anchor, wHead)
-	cur := mem.Ref(h)
-	for {
-		next, err := a.Load(0, cur, wNext)
-		if err != nil || mem.Ref(next).IsNil() {
-			return vals
-		}
-		cur = mem.Ref(next)
-		v, err := a.Load(0, cur, wVal)
-		if err != nil {
-			return vals
-		}
-		vals = append(vals, int64(v))
-	}
-}

@@ -114,9 +114,6 @@ func New(s smr.Scheme, opt ds.Options) (*Tree, error) {
 // Name implements ds.Set.
 func (t *Tree) Name() string { return "nmtree" }
 
-// Root returns the root sentinel (used by verifiers and adversaries).
-func (t *Tree) Root() mem.Ref { return t.root }
-
 const maxSteps = 1 << 22
 
 type status uint8
@@ -700,43 +697,4 @@ func (t *Tree) iterWalk(tid int, cur mem.Ref, after *int64, fn func(key int64) b
 		return itRestart
 	}
 	return t.iterWalk(tid, re, after, fn, steps, emitted)
-}
-
-// Keys walks the tree without barriers and returns the leaf keys in order
-// (sentinel leaves excluded). Only safe on a quiescent structure.
-func (t *Tree) Keys() []int64 {
-	var keys []int64
-	var walk func(r mem.Ref)
-	walk = func(r mem.Ref) {
-		r = r.Bare()
-		if r.IsNil() {
-			return
-		}
-		isLeaf, err := t.A.Load(0, r, WIsLeaf)
-		if err != nil {
-			return
-		}
-		k, err := t.A.Load(0, r, WKey)
-		if err != nil {
-			return
-		}
-		if isLeaf == 1 {
-			if int64(k) < inf1 {
-				keys = append(keys, int64(k))
-			}
-			return
-		}
-		l, err := t.A.Load(0, r, WLeft)
-		if err != nil {
-			return
-		}
-		rr, err := t.A.Load(0, r, WRight)
-		if err != nil {
-			return
-		}
-		walk(mem.Ref(l))
-		walk(mem.Ref(rr))
-	}
-	walk(t.root)
-	return keys
 }

@@ -1,7 +1,6 @@
 package nmtree_test
 
 import (
-	"sort"
 	"testing"
 	"testing/quick"
 
@@ -66,11 +65,7 @@ func TestInOrderInvariant(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dstest.Check(t, env, tr, drive.Script{Ops: 2000, KeyRange: 48, Disjoint: true})
-	keys := tr.Keys()
-	if !sort.SliceIsSorted(keys, func(i, j int) bool { return keys[i] < keys[j] }) {
-		t.Fatalf("in-order walk not sorted: %v", keys)
-	}
+	dstest.AssertOrdered(t, tr, dstest.Check(t, env, tr, drive.Script{Ops: 2000, KeyRange: 48, Disjoint: true}))
 	env.AssertSafe(t)
 }
 
@@ -89,7 +84,7 @@ func TestExternalShape(t *testing.T) {
 			t.Fatalf("insert(%d) = %v, %v", k, ok, err)
 		}
 	}
-	if got := len(tr.Keys()); got != len(keys) {
+	if got := len(dstest.Keys(t, tr)); got != len(keys) {
 		t.Fatalf("size = %d, want %d", got, len(keys))
 	}
 	for _, k := range keys {
@@ -97,7 +92,7 @@ func TestExternalShape(t *testing.T) {
 			t.Fatalf("delete(%d) = %v, %v", k, ok, err)
 		}
 	}
-	if got := tr.Keys(); len(got) != 0 {
+	if got := dstest.Keys(t, tr); len(got) != 0 {
 		t.Fatalf("tree not empty after deleting everything: %v", got)
 	}
 	// The three sentinel leaves and two sentinel internals survive;
@@ -163,7 +158,7 @@ func TestCompoundedDeletes(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if got := tr.Keys(); len(got) != 0 {
+	if got := dstest.Keys(t, tr); len(got) != 0 {
 		t.Fatalf("tree not empty: %v", got)
 	}
 	for tid := 0; tid < 4; tid++ {

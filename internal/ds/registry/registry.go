@@ -157,15 +157,6 @@ func Get(name string) (Info, error) {
 	return in, nil
 }
 
-// MustGet is Get for static names.
-func MustGet(name string) Info {
-	in, err := Get(name)
-	if err != nil {
-		panic(err)
-	}
-	return in
-}
-
 // Applicable reports whether the named scheme is expected to be applicable
 // to the named structure, per the paper's analysis: per-pointer protection
 // schemes (HP, IBR, HE) are not applicable to structures whose searches

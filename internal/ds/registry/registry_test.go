@@ -19,7 +19,10 @@ import (
 // executions), never a constructor error.
 func TestEverySchemeConstructsEveryStructure(t *testing.T) {
 	for _, structure := range registry.Names() {
-		info := registry.MustGet(structure)
+		info, err := registry.Get(structure)
+		if err != nil {
+			t.Fatal(err)
+		}
 		for _, scheme := range all.Names() {
 			env := dstest.NewEnv(t, scheme, 2, 1<<10, info.PayloadWords, mem.Reuse)
 			var err error
@@ -42,7 +45,10 @@ func TestEverySchemeConstructsEveryStructure(t *testing.T) {
 // under every applicable safe scheme.
 func TestRegistrySmoke(t *testing.T) {
 	for _, structure := range registry.Names() {
-		info := registry.MustGet(structure)
+		info, err := registry.Get(structure)
+		if err != nil {
+			t.Fatal(err)
+		}
 		for _, scheme := range all.SafeNames() {
 			if !registry.Applicable(scheme, structure) {
 				continue
@@ -67,7 +73,10 @@ func TestRegistrySmoke(t *testing.T) {
 // promises, a payload size an arena can host, and a name matching its key.
 func TestInfoConsistency(t *testing.T) {
 	for _, name := range registry.Names() {
-		info := registry.MustGet(name)
+		info, err := registry.Get(name)
+		if err != nil {
+			t.Fatal(err)
+		}
 		if info.Name != name {
 			t.Errorf("%s: Info.Name = %q", name, info.Name)
 		}
@@ -97,7 +106,10 @@ func TestInfoConsistency(t *testing.T) {
 // fallback, so a set without one could not be migrated.
 func TestEverySetIterates(t *testing.T) {
 	for _, name := range registry.SetNames() {
-		info := registry.MustGet(name)
+		info, err := registry.Get(name)
+		if err != nil {
+			t.Fatal(err)
+		}
 		env := dstest.NewEnv(t, "ebr", 1, 1<<10, info.PayloadWords, mem.Reuse)
 		set, err := info.NewSet(env.S, ds.Options{})
 		if err != nil {

@@ -89,9 +89,6 @@ func New(s smr.Scheme, opt ds.Options) (*List, error) {
 // Name implements ds.Set.
 func (l *List) Name() string { return "skiplist" }
 
-// Head returns the head sentinel.
-func (l *List) Head() mem.Ref { return l.head }
-
 const maxSteps = 1 << 22
 
 // iterBatch bounds how many keys one Iterate operation bracket emits.
@@ -697,31 +694,5 @@ func (l *List) iterChunk(tid int, after *int64, fn func(key int64) bool) (done b
 			curr = cn.WithoutMark()
 			sc = sn
 		}
-	}
-}
-
-// Keys walks level 0 without barriers and returns the unmarked keys in
-// order. Only safe on a quiescent structure.
-func (l *List) Keys() []int64 {
-	var keys []int64
-	a := l.A
-	cur, _ := a.Load(0, l.head, WLevel0)
-	for {
-		r := mem.Ref(cur).WithoutMark()
-		if r.IsNil() || r == l.tail {
-			return keys
-		}
-		k, err := a.Load(0, r, ds.WKey)
-		if err != nil {
-			return keys
-		}
-		next, err := a.Load(0, r, WLevel0)
-		if err != nil {
-			return keys
-		}
-		if !mem.Ref(next).Marked() {
-			keys = append(keys, int64(k))
-		}
-		cur = next
 	}
 }

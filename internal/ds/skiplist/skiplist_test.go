@@ -1,7 +1,6 @@
 package skiplist_test
 
 import (
-	"sort"
 	"testing"
 	"testing/quick"
 
@@ -22,11 +21,7 @@ func TestSortedInvariant(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dstest.Check(t, env, l, drive.Script{Ops: 1500, KeyRange: 64, Disjoint: true})
-	keys := l.Keys()
-	if !sort.SliceIsSorted(keys, func(i, j int) bool { return keys[i] < keys[j] }) {
-		t.Fatalf("keys not sorted: %v", keys)
-	}
+	dstest.AssertOrdered(t, l, dstest.Check(t, env, l, drive.Script{Ops: 1500, KeyRange: 64, Disjoint: true}))
 	env.AssertSafe(t)
 }
 
@@ -103,7 +98,7 @@ func TestTowerRetirement(t *testing.T) {
 			t.Fatalf("contains(%d) = %v, want %v", k, ok, want)
 		}
 	}
-	if got := len(l.Keys()); got != 128 {
+	if got := len(dstest.Keys(t, l)); got != 128 {
 		t.Fatalf("size = %d, want 128", got)
 	}
 	env.AssertSafe(t)

@@ -114,25 +114,3 @@ func (st *Stack) Pop(tid int) (int64, bool, error) {
 	}
 	return 0, false, ds.ErrCorrupted
 }
-
-// Snapshot returns the stack contents top-first without barriers;
-// quiescent use only.
-func (st *Stack) Snapshot() []int64 {
-	var vals []int64
-	a := st.A
-	cur, _ := a.Load(0, st.anchor, wTop)
-	for !mem.Ref(cur).IsNil() {
-		r := mem.Ref(cur)
-		v, err := a.Load(0, r, wVal)
-		if err != nil {
-			return vals
-		}
-		vals = append(vals, int64(v))
-		next, err := a.Load(0, r, wNext)
-		if err != nil {
-			return vals
-		}
-		cur = next
-	}
-	return vals
-}

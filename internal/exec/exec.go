@@ -4,8 +4,8 @@
 // request graph a production service actually sees — multi-key
 // operations, range queries, and asynchronous completion.
 //
-// A cross-shard request compiles into a Plan: one scatter leg per
-// touched shard (a point-op sub-batch, or a range walk over the shard
+// A cross-shard request compiles into scatter legs: one per touched
+// shard (a point-op sub-batch, or a range walk over the shard
 // structure's iterator) plus a merge stage that assembles the legs'
 // outcomes into one Result. Submission is asynchronous end to end: the
 // caller gets a completion Handle (or registers a callback), each leg is
@@ -14,8 +14,7 @@
 // completes a request's last leg runs the merge stage itself. No
 // goroutine blocks per in-flight leg, so a client can keep a deep window
 // of requests in flight instead of paying a scatter→merge round trip —
-// and two scheduler hand-offs — per request. That is the pipelining
-// EXP-PIPELINE measures.
+// and two scheduler hand-offs — per request.
 //
 // Failure is partial by construction. A leg that cannot complete — its
 // shard drained for migration, its scan guard-tripped, its worker parked
@@ -144,25 +143,6 @@ func (cfg *Config) fill() {
 	}
 }
 
-// Plan is a compiled cross-shard request: the scatter legs submission
-// will fan out plus the merge arity. Compile exposes it for
-// introspection; Submit compiles internally.
-type Plan struct {
-	Kind workload.ReqKind
-	Legs []PlanLeg
-	// Ops is the total operation count across point/multi legs.
-	Ops int
-}
-
-// PlanLeg describes one scatter leg.
-type PlanLeg struct {
-	Shard int
-	// Ops is the leg's point-operation count (0 for range legs).
-	Ops int
-	// Range marks an iterator-walk leg.
-	Range bool
-}
-
 // Result is a cross-shard request's merged outcome.
 type Result struct {
 	Kind workload.ReqKind
@@ -184,17 +164,6 @@ type Result struct {
 
 // Partial reports that at least one scatter leg failed wholesale.
 func (r *Result) Partial() bool { return len(r.ShardErrs) > 0 }
-
-// Hits counts the true point/multi results.
-func (r *Result) Hits() int {
-	n := 0
-	for _, res := range r.Results {
-		if res.OK && res.Err == nil {
-			n++
-		}
-	}
-	return n
-}
 
 // legState is a leg's single-completion latch.
 const (
@@ -283,23 +252,12 @@ func (h *Handle) Wait() *Result {
 	return h.res
 }
 
-// Result returns the merged result, or (nil, false) while legs are still
-// in flight.
-func (h *Handle) Result() (*Result, bool) {
-	select {
-	case <-h.done:
-		return h.res, true
-	default:
-		return nil, false
-	}
-}
-
 // shardQueue is one shard's admission-controlled leg queue plus its
 // execution accounting.
 type shardQueue struct {
 	legs chan *leg
 	// health is the shard's explicit Health word: Healthy, or what the
-	// breaker (Transition) or SetDegraded last wrote.
+	// breaker last wrote through Transition.
 	health atomic.Uint32
 	// stalled counts store calls that outlived their leg's budget and are
 	// still running — the fail-fast valve's gauge.
@@ -356,78 +314,6 @@ func New(st *store.Store, cfg Config) (*Executor, error) {
 		}
 	}
 	return ex, nil
-}
-
-// Store returns the store the executor serves.
-func (ex *Executor) Store() *store.Store { return ex.st }
-
-// Compile groups a request into its per-shard scatter plan without
-// submitting it.
-func (ex *Executor) Compile(req workload.Req) (Plan, error) {
-	p := Plan{Kind: req.Kind}
-	switch req.Kind {
-	case workload.ReqPoint, workload.ReqMultiGet, workload.ReqMultiInsert, workload.ReqMultiDelete:
-		perShard := map[int]int{}
-		for _, k := range req.Keys {
-			perShard[ex.st.ShardFor(k)]++
-		}
-		shards := make([]int, 0, len(perShard))
-		for s := range perShard {
-			shards = append(shards, s)
-		}
-		slices.Sort(shards)
-		for _, s := range shards {
-			p.Legs = append(p.Legs, PlanLeg{Shard: s, Ops: perShard[s]})
-			p.Ops += perShard[s]
-		}
-	case workload.ReqRangeScan, workload.ReqRangeCount:
-		if req.Hi <= req.Lo {
-			return p, nil
-		}
-		// A hash-routed range touches every shard: the scatter is total.
-		for s := 0; s < ex.st.Shards(); s++ {
-			p.Legs = append(p.Legs, PlanLeg{Shard: s, Range: true})
-		}
-	default:
-		return Plan{}, fmt.Errorf("exec: unknown request kind %d", req.Kind)
-	}
-	return p, nil
-}
-
-// MultiGet reads membership of keys across shards; results align with
-// keys.
-func (ex *Executor) MultiGet(keys []int64) (*Handle, error) {
-	return ex.Submit(workload.Req{Kind: workload.ReqMultiGet, Keys: keys})
-}
-
-// MultiInsert inserts keys across shards; results align with keys.
-func (ex *Executor) MultiInsert(keys []int64) (*Handle, error) {
-	return ex.Submit(workload.Req{Kind: workload.ReqMultiInsert, Keys: keys})
-}
-
-// MultiDelete deletes keys across shards; results align with keys.
-func (ex *Executor) MultiDelete(keys []int64) (*Handle, error) {
-	return ex.Submit(workload.Req{Kind: workload.ReqMultiDelete, Keys: keys})
-}
-
-// RangeScan collects the live keys in [lo, hi), merged ascending across
-// shards; limit > 0 caps the merged payload.
-func (ex *Executor) RangeScan(lo, hi int64, limit int) (*Handle, error) {
-	return ex.Submit(workload.Req{Kind: workload.ReqRangeScan, Lo: lo, Hi: hi, Keys: keysLimit(limit)})
-}
-
-// keysLimit smuggles a scan limit through workload.Req without adding a
-// field the generator never draws: a one-element Keys slice carries it.
-func keysLimit(limit int) []int64 {
-	if limit <= 0 {
-		return nil
-	}
-	return []int64{int64(limit)}
-}
-
-// RangeCount counts the live keys in [lo, hi) across shards.
-func (ex *Executor) RangeCount(lo, hi int64) (*Handle, error) {
-	return ex.Submit(workload.Req{Kind: workload.ReqRangeCount, Lo: lo, Hi: hi})
 }
 
 // Submit compiles req into scatter legs, enqueues them under admission

@@ -68,7 +68,7 @@ func awaitParked(t *testing.T, st *store.Store, key int64) {
 	for time.Now().Before(deadline) {
 		done := make(chan struct{})
 		go func() {
-			_, _ = st.Contains(key)
+			_, _ = st.Do([]store.Op{{Kind: workload.OpContains, Key: key}})
 			close(done)
 		}()
 		select {
@@ -141,60 +141,64 @@ func newMonitor(shards int) *telemetry.Monitor {
 	return telemetry.NewMonitor(nil, domains)
 }
 
-func TestCompileGroupsByShard(t *testing.T) {
-	st, _, _ := newGatedStore(t, 4, 2, 256)
-	ex, err := exec.New(st, exec.Config{})
+// TestScatterGroupsByShard checks Submit's partition through the scatter
+// event it stamps on the flight recorder: a multi-key request fans out
+// one leg per touched shard and carries every key, a range touches every
+// shard, an empty interval scatters nothing, and an unknown kind is
+// refused.
+func TestScatterGroupsByShard(t *testing.T) {
+	w := waiter{t}
+	st, _, recorder := newGatedStore(t, 4, 2, 256)
+	ex, err := exec.New(st, exec.Config{Recorder: recorder})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer ex.Close()
 
 	keys := []int64{0, 1, 2, 3, 100, 101, 102, 200}
-	p, err := ex.Compile(workload.Req{Kind: workload.ReqMultiGet, Keys: keys})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p.Ops != len(keys) {
-		t.Fatalf("plan carries %d ops, want %d", p.Ops, len(keys))
-	}
-	want := map[int]int{}
+	w.wait(ex.Submit(workload.Req{Kind: workload.ReqMultiGet, Keys: keys}))
+	touched := map[int]bool{}
 	for _, k := range keys {
-		want[st.ShardFor(k)]++
+		touched[st.ShardFor(k)] = true
 	}
-	if len(p.Legs) != len(want) {
-		t.Fatalf("plan has %d legs, want %d", len(p.Legs), len(want))
+	for s, sh := range ex.Stats().Shards {
+		want := uint64(0)
+		if touched[s] {
+			want = 1
+		}
+		if sh.Legs != want {
+			t.Fatalf("shard %d ran %d legs, want %d", s, sh.Legs, want)
+		}
 	}
-	for i, leg := range p.Legs {
-		if leg.Range {
-			t.Fatalf("point plan produced a range leg")
-		}
-		if leg.Ops != want[leg.Shard] {
-			t.Fatalf("leg %d: %d ops on shard %d, want %d", i, leg.Ops, leg.Shard, want[leg.Shard])
-		}
-		if i > 0 && p.Legs[i-1].Shard >= leg.Shard {
-			t.Fatalf("legs not in shard order: %v", p.Legs)
-		}
+	w.wait(ex.Submit(workload.Req{Kind: workload.ReqRangeScan, Lo: 10, Hi: 20}))
+	// Inverted intervals compile to the empty scatter.
+	w.wait(ex.Submit(workload.Req{Kind: workload.ReqRangeCount, Lo: 20, Hi: 10}))
+	if _, err := ex.Submit(workload.Req{Kind: workload.ReqKind(99)}); err == nil {
+		t.Fatal("unknown request kind submitted")
 	}
 
-	p, err = ex.Compile(workload.Req{Kind: workload.ReqRangeScan, Lo: 10, Hi: 20})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(p.Legs) != st.Shards() {
-		t.Fatalf("range plan has %d legs, want one per shard (%d)", len(p.Legs), st.Shards())
-	}
-	for _, leg := range p.Legs {
-		if !leg.Range {
-			t.Fatalf("range plan produced a point leg")
+	var scatters []rec.Event
+	for _, ev := range recorder.Snapshot() {
+		if ev.Kind == rec.KindExecScatter {
+			scatters = append(scatters, ev)
 		}
 	}
-	// Inverted intervals compile to the empty scatter.
-	p, err = ex.Compile(workload.Req{Kind: workload.ReqRangeCount, Lo: 20, Hi: 10})
-	if err != nil || len(p.Legs) != 0 {
-		t.Fatalf("inverted interval: legs=%d err=%v", len(p.Legs), err)
+	want := []struct {
+		kind      workload.ReqKind
+		legs, ops uint64
+	}{
+		{workload.ReqMultiGet, uint64(len(touched)), uint64(len(keys))},
+		{workload.ReqRangeScan, uint64(st.Shards()), 0},
+		{workload.ReqRangeCount, 0, 0},
 	}
-	if _, err := ex.Compile(workload.Req{Kind: workload.ReqKind(99)}); err == nil {
-		t.Fatal("unknown request kind compiled")
+	if len(scatters) != len(want) {
+		t.Fatalf("recorder holds %d scatter events, want %d: %+v", len(scatters), len(want), scatters)
+	}
+	for i, ev := range scatters {
+		if ev.Label != want[i].kind.String() || ev.A != want[i].legs || ev.B != want[i].ops {
+			t.Fatalf("scatter %d: %s with %d legs / %d ops, want %s with %d / %d",
+				i, ev.Label, ev.A, ev.B, want[i].kind, want[i].legs, want[i].ops)
+		}
 	}
 }
 
@@ -228,7 +232,7 @@ func TestMergeDeterminism(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			h, err := ex.RangeScan(100, 700, 0)
+			h, err := ex.Submit(workload.Req{Kind: workload.ReqRangeScan, Lo: 100, Hi: 700})
 			if err != nil {
 				t.Error(err)
 				return
@@ -253,7 +257,7 @@ func TestMergeDeterminism(t *testing.T) {
 
 	// Position alignment: mixed present/absent keys in arbitrary order.
 	keys := []int64{999, 0, 500, 301, 3, 7, 600, 11}
-	res := w.wait(ex.MultiGet(keys))
+	res := w.wait(ex.Submit(workload.Req{Kind: workload.ReqMultiGet, Keys: keys}))
 	if res.Partial() {
 		t.Fatalf("healthy multiget partial: %v", res.ShardErrs)
 	}
@@ -265,7 +269,7 @@ func TestMergeDeterminism(t *testing.T) {
 	}
 
 	// Limit trims the merged ascending order, not per-shard arrival.
-	res = w.wait(ex.RangeScan(100, 700, 5))
+	res = w.wait(ex.Submit(workload.Req{Kind: workload.ReqRangeScan, Lo: 100, Hi: 700, Keys: []int64{5}}))
 	if len(res.Keys) != 5 || res.Count != 5 {
 		t.Fatalf("limited scan: %d keys count %d, want 5", len(res.Keys), res.Count)
 	}
@@ -275,26 +279,26 @@ func TestMergeDeterminism(t *testing.T) {
 		}
 	}
 
-	res = w.wait(ex.RangeCount(100, 700))
+	res = w.wait(ex.Submit(workload.Req{Kind: workload.ReqRangeCount, Lo: 100, Hi: 700}))
 	if res.Count != uint64(len(want)) || res.Keys != nil {
 		t.Fatalf("range count = %d (keys %v), want %d", res.Count, res.Keys, len(want))
 	}
 
 	// Write fan-out round trip with position-aligned outcomes.
 	fresh := []int64{1, 2, 4, 5, 8, 10}
-	res = w.wait(ex.MultiInsert(fresh))
+	res = w.wait(ex.Submit(workload.Req{Kind: workload.ReqMultiInsert, Keys: fresh}))
 	for i, r := range res.Results {
 		if r.Err != nil || !r.OK {
 			t.Fatalf("insert %d: ok=%v err=%v", fresh[i], r.OK, r.Err)
 		}
 	}
-	res = w.wait(ex.MultiDelete(fresh))
+	res = w.wait(ex.Submit(workload.Req{Kind: workload.ReqMultiDelete, Keys: fresh}))
 	for i, r := range res.Results {
 		if r.Err != nil || !r.OK {
 			t.Fatalf("delete %d: ok=%v err=%v", fresh[i], r.OK, r.Err)
 		}
 	}
-	res = w.wait(ex.MultiDelete(fresh))
+	res = w.wait(ex.Submit(workload.Req{Kind: workload.ReqMultiDelete, Keys: fresh}))
 	for i, r := range res.Results {
 		if r.Err != nil || r.OK {
 			t.Fatalf("re-delete %d: ok=%v err=%v, want miss", fresh[i], r.OK, r.Err)
@@ -302,7 +306,7 @@ func TestMergeDeterminism(t *testing.T) {
 	}
 }
 
-// waiter lets call sites write w.wait(ex.MultiGet(...)) — a method call
+// waiter lets call sites write w.wait(ex.Submit(...)) — a method call
 // accepts a multi-value inner call where a plain function with a leading
 // *testing.T parameter would not.
 type waiter struct{ t *testing.T }
@@ -343,15 +347,15 @@ func TestAsyncCompletion(t *testing.T) {
 	if fired.Load() != 1 {
 		t.Fatalf("callback fired %d times", fired.Load())
 	}
-	if r, ok := h.Result(); !ok || r == nil {
-		t.Fatal("Result() not available after Done")
+	if r := h.Wait(); r == nil {
+		t.Fatal("no result after Done")
 	}
 
 	// A pipelined window: 64 requests in flight, all complete.
 	const window = 64
 	handles := make([]*exec.Handle, window)
 	for i := range handles {
-		handles[i], err = ex.MultiGet([]int64{int64(i), int64(i + 100), int64(i + 300)})
+		handles[i], err = ex.Submit(workload.Req{Kind: workload.ReqMultiGet, Keys: []int64{int64(i), int64(i + 100), int64(i + 300)}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -367,7 +371,7 @@ func TestAsyncCompletion(t *testing.T) {
 	}
 
 	// The empty scatter completes immediately.
-	res := w.wait(ex.MultiGet(nil))
+	res := w.wait(ex.Submit(workload.Req{Kind: workload.ReqMultiGet}))
 	if res.Partial() || len(res.Results) != 0 {
 		t.Fatalf("empty multiget: %+v", res)
 	}
@@ -407,7 +411,7 @@ func TestShedAndQueueAccounting(t *testing.T) {
 
 	// Leg A: pulled by the lone pump, which retries hand-off against the
 	// wedged shard queue.
-	hA, err := ex.MultiGet(keys[:1])
+	hA, err := ex.Submit(workload.Req{Kind: workload.ReqMultiGet, Keys: keys[:1]})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -417,11 +421,11 @@ func TestShedAndQueueAccounting(t *testing.T) {
 	})
 
 	// Legs B, C: fill the healthy queue (room exists, sends don't block).
-	hB, err := ex.MultiGet(keys[1:2])
+	hB, err := ex.Submit(workload.Req{Kind: workload.ReqMultiGet, Keys: keys[1:2]})
 	if err != nil {
 		t.Fatal(err)
 	}
-	hC, err := ex.MultiGet(keys[2:3])
+	hC, err := ex.Submit(workload.Req{Kind: workload.ReqMultiGet, Keys: keys[2:3]})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -430,12 +434,12 @@ func TestShedAndQueueAccounting(t *testing.T) {
 	})
 
 	// Degrade: the full queue now sheds instead of blocking.
-	ex.SetDegraded(0, true)
+	ex.Transition(0, exec.Healthy, exec.Degraded, "test")
 	if h := ex.Health(0); h != exec.Degraded {
-		t.Fatalf("SetDegraded left the shard %v", h)
+		t.Fatalf("Transition left the shard %v", h)
 	}
 	for i := 3; i < 5; i++ {
-		res := w.wait(ex.MultiGet(keys[i : i+1])) // completes immediately: shed
+		res := w.wait(ex.Submit(workload.Req{Kind: workload.ReqMultiGet, Keys: keys[i : i+1]})) // completes immediately: shed
 		if !res.Partial() || len(res.ShardErrs) != 1 {
 			t.Fatalf("shed request %d not partial: %+v", i, res)
 		}
@@ -471,7 +475,7 @@ func TestShedAndQueueAccounting(t *testing.T) {
 
 	// Heal: the parked worker resumes, A–C complete successfully.
 	heal()
-	ex.SetDegraded(0, false)
+	ex.Transition(0, exec.Degraded, exec.Healthy, "test")
 	for i, h := range []*exec.Handle{hA, hB, hC} {
 		res := h.Wait()
 		if res.Partial() || res.Results[0].Err != nil {
@@ -482,7 +486,7 @@ func TestShedAndQueueAccounting(t *testing.T) {
 	if err := ex.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ex.MultiGet(keys[:1]); !errors.Is(err, exec.ErrClosed) {
+	if _, err := ex.Submit(workload.Req{Kind: workload.ReqMultiGet, Keys: keys[:1]}); !errors.Is(err, exec.ErrClosed) {
 		t.Fatalf("submit after Close: %v, want ErrClosed", err)
 	}
 }
@@ -548,7 +552,7 @@ func TestPartialResultsUnderChaosStall(t *testing.T) {
 	if len(keys) != st.Shards() {
 		t.Fatalf("picked %d probe keys for %d shards", len(keys), st.Shards())
 	}
-	res := w.wait(ex.MultiGet(keys))
+	res := w.wait(ex.Submit(workload.Req{Kind: workload.ReqMultiGet, Keys: keys}))
 	if !res.Partial() || len(res.ShardErrs) != 1 || res.ShardErrs[0].Shard != stalled {
 		t.Fatalf("stalled multiget: partial=%v errs=%+v, want exactly shard %d", res.Partial(), res.ShardErrs, stalled)
 	}
@@ -569,7 +573,7 @@ func TestPartialResultsUnderChaosStall(t *testing.T) {
 	}
 
 	// The range merge carries exactly the surviving shards' keys.
-	res = w.wait(ex.RangeScan(0, keyRange, 0))
+	res = w.wait(ex.Submit(workload.Req{Kind: workload.ReqRangeScan, Lo: 0, Hi: keyRange}))
 	if !res.Partial() || len(res.ShardErrs) != 1 || res.ShardErrs[0].Shard != stalled {
 		t.Fatalf("stalled scan: partial=%v errs=%+v", res.Partial(), res.ShardErrs)
 	}
@@ -597,13 +601,13 @@ func TestPartialResultsUnderChaosStall(t *testing.T) {
 	// clean end to end.
 	engine.Stop()
 	waitFor(t, "post-heal multiget to run clean", func() bool {
-		res, err := ex.MultiGet(keys)
+		res, err := ex.Submit(workload.Req{Kind: workload.ReqMultiGet, Keys: keys})
 		if err != nil {
 			return false
 		}
 		return !res.Wait().Partial()
 	})
-	res = w.wait(ex.RangeScan(0, keyRange, 0))
+	res = w.wait(ex.Submit(workload.Req{Kind: workload.ReqRangeScan, Lo: 0, Hi: keyRange}))
 	if res.Partial() || len(res.Keys) != len(want) {
 		t.Fatalf("post-heal scan: partial=%v keys=%d want %d", res.Partial(), len(res.Keys), len(want))
 	}
@@ -660,7 +664,7 @@ func TestVerdictAdmission(t *testing.T) {
 }
 
 // TestShardHealth drives each input of a shard's health — the monitor's
-// verdict, SetDegraded, the breaker's transition API and the
+// verdict, a manual transition, the breaker's transition API and the
 // stalled-call bound — against a parked shard, and checks what admission
 // makes of the state: healthy blocks on a full leg queue and hedges;
 // degraded, open and probing queue while there is room, shed on overflow
@@ -670,7 +674,7 @@ func TestShardHealth(t *testing.T) {
 	const keyRange = 256
 	trip := func(t *testing.T, ex *exec.Executor, moves ...exec.Health) {
 		for i := 1; i < len(moves); i++ {
-			if !ex.Transition(0, moves[i-1], moves[i], "test "+moves[i].String()) {
+			if !ex.Transition(0, moves[i-1], moves[i], "breaker") {
 				t.Fatalf("transition %v→%v refused", moves[i-1], moves[i])
 			}
 		}
@@ -690,14 +694,14 @@ func TestShardHealth(t *testing.T) {
 			feed(m, 0, true, 20)
 		}, exec.Degraded, ""},
 		{"manual", func(_ *testing.T, ex *exec.Executor, _ *telemetry.Monitor, _ int64) {
-			ex.SetDegraded(0, true)
+			ex.Transition(0, exec.Healthy, exec.Degraded, "manual")
 		}, exec.Degraded, "manual"},
 		{"breaker-open", func(t *testing.T, ex *exec.Executor, _ *telemetry.Monitor, _ int64) {
 			trip(t, ex, exec.Healthy, exec.Open)
-		}, exec.Open, "test open"},
+		}, exec.Open, "breaker"},
 		{"breaker-probing", func(t *testing.T, ex *exec.Executor, _ *telemetry.Monitor, _ int64) {
 			trip(t, ex, exec.Healthy, exec.Open, exec.Probing)
-		}, exec.Probing, "test probing"},
+		}, exec.Probing, "breaker"},
 		{"stalled-bound", func(t *testing.T, ex *exec.Executor, _ *telemetry.Monitor, key int64) {
 			// Each leg (and its hedge) is accepted by the parked shard and
 			// outlives the budget: its calls pile onto the stalled gauge.
@@ -705,7 +709,7 @@ func TestShardHealth(t *testing.T) {
 				if i == 16 {
 					t.Fatalf("shard not parked after %d stalled legs: %+v", i, ex.Stats().Shards[0])
 				}
-				res := waiter{t}.wait(ex.MultiGet([]int64{key}))
+				res := waiter{t}.wait(ex.Submit(workload.Req{Kind: workload.ReqMultiGet, Keys: []int64{key}}))
 				if len(res.ShardErrs) != 1 || !errors.Is(&res.ShardErrs[0], exec.ErrLegStalled) || res.ShardErrs[0].NotExecuted {
 					t.Fatalf("leg into the parked shard: %+v, want a stalled leg that ran", res.ShardErrs)
 				}
@@ -736,7 +740,7 @@ func TestShardHealth(t *testing.T) {
 			}
 			var handles []*exec.Handle
 			submit := func(k int64) *exec.Handle {
-				h, err := ex.MultiGet([]int64{k})
+				h, err := ex.Submit(workload.Req{Kind: workload.ReqMultiGet, Keys: []int64{k}})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -775,7 +779,7 @@ func TestShardHealth(t *testing.T) {
 				if tc.want == exec.Healthy {
 					blocked := make(chan *exec.Handle, 1)
 					go func() {
-						h, err := ex.MultiGet(keys[4:5])
+						h, err := ex.Submit(workload.Req{Kind: workload.ReqMultiGet, Keys: keys[4:5]})
 						if err != nil {
 							t.Error(err)
 						}
@@ -833,10 +837,12 @@ func TestShardHealth(t *testing.T) {
 // a partial result whose one shard error never ran.
 func expectShed(t *testing.T, h *exec.Handle) {
 	t.Helper()
-	res, ok := h.Result()
-	if !ok {
+	select {
+	case <-h.Done():
+	default:
 		t.Fatal("leg was not shed at submission")
 	}
+	res := h.Wait()
 	if len(res.ShardErrs) != 1 || !errors.Is(&res.ShardErrs[0], exec.ErrShed) || !res.ShardErrs[0].NotExecuted {
 		t.Fatalf("shed leg: %+v, want one not-executed ErrShed", res.ShardErrs)
 	}

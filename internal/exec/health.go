@@ -1,8 +1,6 @@
 package exec
 
 import (
-	"fmt"
-
 	"repro/internal/obs/rec"
 	"repro/internal/smr"
 	"repro/internal/workload"
@@ -18,7 +16,7 @@ const (
 	Healthy Health = iota
 	// Degraded shards queue legs while there is room and shed the rest,
 	// and are never hedged: the monitor's latest conclusive verdict audits
-	// the shard NotRobust, or SetDegraded says so.
+	// the shard NotRobust, or Transition wrote it.
 	Degraded
 	// Parked shards have maxStalled store calls still running past their
 	// leg budget: new legs shed outright and queued ones fail fast. This
@@ -33,16 +31,6 @@ const (
 	Probing
 )
 
-var healthNames = [...]string{"healthy", "degraded", "parked", "open", "probing"}
-
-// String returns the state's metric/event name.
-func (h Health) String() string {
-	if int(h) < len(healthNames) {
-		return healthNames[h]
-	}
-	return fmt.Sprintf("health(%d)", uint8(h))
-}
-
 // maxStalled bounds how many timed-out store calls may linger per shard
 // before the shard reads Parked: a never-healing fault then neither
 // accumulates unbounded blocked goroutines nor burns a leg budget per
@@ -51,7 +39,7 @@ const maxStalled = 8
 
 // Health reports shard s's admission state from its three inputs, in
 // precedence order: the stalled-call gauge (with a leg budget
-// configured), the explicit word the breaker and SetDegraded write, and
+// configured), the explicit word the breaker writes through Transition, and
 // the monitor's latest conclusive verdict. With no budget and no monitor
 // it is one atomic load.
 func (ex *Executor) Health(s int) Health {
@@ -81,22 +69,6 @@ func (ex *Executor) Transition(s int, from, to Health, reason string) bool {
 	}
 	ex.cfg.Recorder.Record(rec.KindHealth, s, 0, uint64(to), uint64(from), reason)
 	return true
-}
-
-// SetDegraded writes shard s's health word by hand — the test hook, and
-// the override for deployments without a telemetry monitor. It replaces
-// whatever the word held, a breaker position included.
-func (ex *Executor) SetDegraded(s int, degraded bool) {
-	if s < 0 || s >= len(ex.queues) {
-		return
-	}
-	to := Healthy
-	if degraded {
-		to = Degraded
-	}
-	if from := Health(ex.queues[s].health.Swap(uint32(to))); from != to {
-		ex.cfg.Recorder.Record(rec.KindHealth, s, 0, uint64(to), uint64(from), "manual")
-	}
 }
 
 // Stats is a point-in-time snapshot of the executor's accounting: the

@@ -54,9 +54,6 @@ func (l *Latency) Record(d time.Duration) {
 	l.count++
 }
 
-// Count returns the number of recorded observations.
-func (l *Latency) Count() uint64 { return l.count }
-
 // Merge folds other into l.
 func (l *Latency) Merge(other *Latency) {
 	if other == nil {

@@ -7,7 +7,7 @@ import (
 
 func TestLatencyEmpty(t *testing.T) {
 	var l Latency
-	if l.Percentile(0.5) != 0 || l.Count() != 0 {
+	if l.Percentile(0.5) != 0 || l.count != 0 {
 		t.Fatal("empty histogram must report zero")
 	}
 }
@@ -57,8 +57,8 @@ func TestLatencyMerge(t *testing.T) {
 		b.Record(time.Millisecond)
 	}
 	a.Merge(&b)
-	if a.Count() != 200 {
-		t.Fatalf("count = %d", a.Count())
+	if a.count != 200 {
+		t.Fatalf("count = %d", a.count)
 	}
 	if p := a.Percentile(0.25); p > 2*time.Microsecond {
 		t.Errorf("p25 = %v, want the microsecond mass", p)

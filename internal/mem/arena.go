@@ -198,9 +198,6 @@ func unpackHdr(h uint64) (seq uint64, st State) {
 	return h >> hdrStateBits, State(h & (1<<hdrStateBits - 1))
 }
 
-// SeqOf returns the current allocation sequence number of slot.
-func (a *Arena) SeqOf(slot int) uint64 { seq, _ := unpackHdr(a.hdr[slot].Load()); return seq }
-
 // StateOf returns the current life-cycle state of slot.
 func (a *Arena) StateOf(slot int) State { _, st := unpackHdr(a.hdr[slot].Load()); return st }
 
@@ -526,10 +523,4 @@ func (a *Arena) MetaStore(slot, w int, v uint64) { a.meta[slot*a.cfg.MetaWords+w
 // MetaCAS compares-and-swaps scheme word w of slot.
 func (a *Arena) MetaCAS(slot, w int, old, new uint64) bool {
 	return a.meta[slot*a.cfg.MetaWords+w].CompareAndSwap(old, new)
-}
-
-// MetaAdd atomically adds delta to scheme word w of slot and returns the
-// new value.
-func (a *Arena) MetaAdd(slot, w int, delta uint64) uint64 {
-	return a.meta[slot*a.cfg.MetaWords+w].Add(delta)
 }

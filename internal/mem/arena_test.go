@@ -95,8 +95,8 @@ func TestUnsafeLoadAfterReclaimReuse(t *testing.T) {
 	if v != 11 {
 		t.Fatalf("stale read: got %d", v)
 	}
-	if a.Stats().UnsafeLoads() != 1 {
-		t.Fatalf("unsafe loads: %d", a.Stats().UnsafeLoads())
+	if a.Stats().Snapshot().UnsafeLoads != 1 {
+		t.Fatalf("unsafe loads: %d", a.Stats().Snapshot().UnsafeLoads)
 	}
 }
 
@@ -111,8 +111,8 @@ func TestSegfaultAfterReclaimUnmap(t *testing.T) {
 	if _, err := a.Load(0, r, 0); !errors.Is(err, ErrFault) {
 		t.Fatalf("want ErrFault, got %v", err)
 	}
-	if a.Stats().Faults() != 1 {
-		t.Fatalf("faults: %d", a.Stats().Faults())
+	if a.Stats().Snapshot().Faults != 1 {
+		t.Fatalf("faults: %d", a.Stats().Snapshot().Faults)
 	}
 	// Unmapped slots are never re-allocated: exhaust the heap.
 	for i := 0; i < 3; i++ {
@@ -145,8 +145,8 @@ func TestUnsafeStoreRefused(t *testing.T) {
 	if ok, err := a.CAS(0, r, 0, 5, 99); ok || !errors.Is(err, ErrInvalid) {
 		t.Fatalf("unsafe CAS must fail: ok=%v err=%v", ok, err)
 	}
-	if a.Stats().UnsafeStores() != 2 {
-		t.Fatalf("unsafe stores: %d", a.Stats().UnsafeStores())
+	if a.Stats().Snapshot().UnsafeStores != 2 {
+		t.Fatalf("unsafe stores: %d", a.Stats().Snapshot().UnsafeStores)
 	}
 }
 
@@ -159,7 +159,7 @@ func TestDoubleRetireViolation(t *testing.T) {
 	if err := a.Retire(0, r); !errors.Is(err, ErrLifecycle) {
 		t.Fatalf("want ErrLifecycle, got %v", err)
 	}
-	if a.Stats().Violations() == 0 {
+	if a.Stats().Snapshot().Violations == 0 {
 		t.Fatal("violation not counted")
 	}
 }
@@ -325,7 +325,7 @@ func TestQuickLifecycleConservation(t *testing.T) {
 				return false
 			}
 		}
-		return a.Stats().Violations() == 0
+		return a.Stats().Snapshot().Violations == 0
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
@@ -339,7 +339,7 @@ func TestTracer(t *testing.T) {
 	_, _ = a.Load(1, r, 0)
 	a.Tracer().Annotate(1, "phase:read")
 	_ = a.Retire(1, r)
-	evs := a.Tracer().Events(1)
+	evs := a.Tracer().Streams[1]
 	kinds := make([]EventKind, len(evs))
 	for i, e := range evs {
 		kinds[i] = e.Kind
@@ -353,11 +353,11 @@ func TestTracer(t *testing.T) {
 			t.Fatalf("event %d: got %v want %v", i, kinds[i], want[i])
 		}
 	}
-	if len(a.Tracer().Events(0)) != 0 {
+	if len(a.Tracer().Streams[0]) != 0 {
 		t.Fatal("thread 0 must have no events")
 	}
 	a.Tracer().Reset()
-	if len(a.Tracer().Events(1)) != 0 {
+	if len(a.Tracer().Streams[1]) != 0 {
 		t.Fatal("reset failed")
 	}
 }
@@ -371,7 +371,7 @@ func TestMetaOps(t *testing.T) {
 	if a.MetaCAS(1, 0, 5, 7) {
 		t.Fatal("meta CAS with stale expected succeeded")
 	}
-	if v := a.MetaAdd(1, 0, 4); v != 10 {
-		t.Fatalf("meta add: %d", v)
+	if v := a.MetaLoad(1, 0); v != 6 {
+		t.Fatalf("meta word after CAS: %d", v)
 	}
 }

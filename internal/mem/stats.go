@@ -70,14 +70,6 @@ func (s *Stats) stripe(tid int) *statStripe {
 	return &s.stripes[tid]
 }
 
-func (s *Stats) sum(f func(*statStripe) *atomic.Uint64) uint64 {
-	var v uint64
-	for i := range s.stripes {
-		v += f(&s.stripes[i]).Load()
-	}
-	return v
-}
-
 func (s *Stats) bumpMaxActive(v uint64) {
 	for {
 		m := s.maxActive.Load()
@@ -100,21 +92,6 @@ func (s *Stats) bumpMaxRetired(v uint64) {
 // nodes — the paper's active_E(i).
 func (s *Stats) Active() uint64 { return s.active.Load() }
 
-// Allocs returns the total number of allocations.
-func (s *Stats) Allocs() uint64 {
-	return s.sum(func(t *statStripe) *atomic.Uint64 { return &t.allocs })
-}
-
-// Reclaims returns the total number of reclamations.
-func (s *Stats) Reclaims() uint64 {
-	return s.sum(func(t *statStripe) *atomic.Uint64 { return &t.reclaims })
-}
-
-// Retires returns the total number of retirements.
-func (s *Stats) Retires() uint64 {
-	return s.sum(func(t *statStripe) *atomic.Uint64 { return &t.retires })
-}
-
 // Retired returns the current number of retired-but-not-reclaimed nodes,
 // the quantity bounded by the robustness definitions.
 func (s *Stats) Retired() uint64 { return s.retired.Load() }
@@ -125,32 +102,6 @@ func (s *Stats) MaxActive() uint64 { return s.maxActive.Load() }
 
 // MaxRetired returns the historical maximum of Retired.
 func (s *Stats) MaxRetired() uint64 { return s.maxRetired.Load() }
-
-// UnsafeLoads returns the number of loads through invalid references.
-func (s *Stats) UnsafeLoads() uint64 {
-	return s.sum(func(t *statStripe) *atomic.Uint64 { return &t.unsafeLoads })
-}
-
-// UnsafeStores returns the number of refused stores/CASes through invalid
-// references.
-func (s *Stats) UnsafeStores() uint64 {
-	return s.sum(func(t *statStripe) *atomic.Uint64 { return &t.unsafeStores })
-}
-
-// Faults returns the number of simulated segmentation faults (accesses to
-// system space).
-func (s *Stats) Faults() uint64 {
-	return s.sum(func(t *statStripe) *atomic.Uint64 { return &t.faults })
-}
-
-// Violations returns the number of life-cycle violations (double retire,
-// retire of unallocated memory, ...).
-func (s *Stats) Violations() uint64 {
-	return s.sum(func(t *statStripe) *atomic.Uint64 { return &t.violations })
-}
-
-// OOMs returns the number of failed allocations due to heap exhaustion.
-func (s *Stats) OOMs() uint64 { return s.sum(func(t *statStripe) *atomic.Uint64 { return &t.oom }) }
 
 // Snapshot is a consistent-enough copy of all counters for reporting.
 type Snapshot struct {

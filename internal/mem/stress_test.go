@@ -95,7 +95,7 @@ func TestConcurrentTagInvalidation(t *testing.T) {
 			}
 		}
 	}
-	if a.Stats().UnsafeLoads() != 0 {
+	if a.Stats().Snapshot().UnsafeLoads != 0 {
 		t.Fatal("Valid() must not count as an access")
 	}
 }

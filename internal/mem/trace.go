@@ -56,31 +56,29 @@ type TraceEvent struct {
 // slice, so recording needs no synchronization as long as a thread id is
 // driven by a single goroutine at a time (which the harness guarantees).
 type Tracer struct {
-	perThread [][]TraceEvent
+	// Streams holds thread tid's recorded stream at index tid. The slices
+	// are owned by the tracer; readers must not mutate them.
+	Streams [][]TraceEvent
 }
 
 // NewTracer builds a tracer for n threads.
 func NewTracer(n int) *Tracer {
-	return &Tracer{perThread: make([][]TraceEvent, n)}
+	return &Tracer{Streams: make([][]TraceEvent, n)}
 }
 
 func (t *Tracer) record(tid int, ev TraceEvent) {
-	t.perThread[tid] = append(t.perThread[tid], ev)
+	t.Streams[tid] = append(t.Streams[tid], ev)
 }
 
 // Annotate appends a marker event (for example a phase boundary) to thread
 // tid's stream.
 func (t *Tracer) Annotate(tid int, note string) {
-	t.perThread[tid] = append(t.perThread[tid], TraceEvent{Kind: EvNote, Slot: -1, Note: note})
+	t.Streams[tid] = append(t.Streams[tid], TraceEvent{Kind: EvNote, Slot: -1, Note: note})
 }
-
-// Events returns thread tid's recorded stream. The returned slice is owned
-// by the tracer; callers must not mutate it.
-func (t *Tracer) Events(tid int) []TraceEvent { return t.perThread[tid] }
 
 // Reset clears all recorded streams.
 func (t *Tracer) Reset() {
-	for i := range t.perThread {
-		t.perThread[i] = t.perThread[i][:0]
+	for i := range t.Streams {
+		t.Streams[i] = t.Streams[i][:0]
 	}
 }

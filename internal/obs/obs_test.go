@@ -17,6 +17,7 @@ import (
 	"repro/internal/smr"
 	"repro/internal/store"
 	"repro/internal/telemetry"
+	"repro/internal/workload"
 )
 
 func newTestStore(t *testing.T, r *rec.Recorder) *store.Store {
@@ -54,8 +55,8 @@ func TestMetricsDuringLiveMigration(t *testing.T) {
 					k = -k
 				}
 				_, _ = st.Insert(k)
-				_, _ = st.Contains(k)
-				_, _ = st.Delete(k)
+				_, _ = st.Do([]store.Op{{Kind: workload.OpContains, Key: k}})
+				_, _ = st.Do([]store.Op{{Kind: workload.OpDelete, Key: k}})
 			}
 		}(int64(w + 1))
 	}
@@ -358,19 +359,19 @@ func TestExecMetricsFamilies(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer ex.Close()
-	if h, err := ex.MultiInsert([]int64{1, 2, 3, 4, 5}); err != nil {
+	if h, err := ex.Submit(workload.Req{Kind: workload.ReqMultiInsert, Keys: []int64{1, 2, 3, 4, 5}}); err != nil {
 		t.Fatal(err)
 	} else if h.Wait().Partial() {
 		t.Fatal("healthy multiinsert partial")
 	}
-	if h, err := ex.RangeScan(0, 256, 0); err != nil {
+	if h, err := ex.Submit(workload.Req{Kind: workload.ReqRangeScan, Lo: 0, Hi: 256}); err != nil {
 		t.Fatal(err)
 	} else {
 		h.Wait()
 	}
 	// Shed accounting itself is pinned by the exec package's own tests;
 	// here only the health gauge needs to move.
-	ex.SetDegraded(0, true)
+	ex.Transition(0, exec.Healthy, exec.Degraded, "test")
 
 	var buf bytes.Buffer
 	reg := &Registry{Store: st, Exec: ex}

@@ -36,23 +36,12 @@ type Clock struct {
 // NewClock starts a run clock at the current instant.
 func NewClock() *Clock { return &Clock{t0: time.Now()} }
 
-// ClockAt builds a run clock with an explicit origin (replay/tests).
-func ClockAt(t0 time.Time) *Clock { return &Clock{t0: t0} }
-
 // Now returns the elapsed run time. Zero on a nil clock.
 func (c *Clock) Now() time.Duration {
 	if c == nil || c.t0.IsZero() {
 		return 0
 	}
 	return time.Since(c.t0)
-}
-
-// Origin returns the wall-clock instant of t=0 (zero time on nil).
-func (c *Clock) Origin() time.Time {
-	if c == nil {
-		return time.Time{}
-	}
-	return c.t0
 }
 
 // Kind is the typed event tag. It marshals to and from its string name in
@@ -241,14 +230,6 @@ func NewRecorder(clock *Clock, capacity int) *Recorder {
 	return r
 }
 
-// Clock returns the recorder's run clock (nil on a nil recorder).
-func (r *Recorder) Clock() *Clock {
-	if r == nil {
-		return nil
-	}
-	return r.clock
-}
-
 // stripeFor maps a shard id onto a stripe; store-wide events (shard < 0)
 // share stripe 0.
 func stripeFor(shard int) int {
@@ -264,14 +245,6 @@ func (r *Recorder) Record(kind Kind, shard, tid int, a, b uint64, label string) 
 		return
 	}
 	r.append(Event{At: r.clock.Now(), Kind: kind, Shard: shard, Tid: tid, A: a, B: b, Label: label})
-}
-
-// RecordEvent appends a pre-stamped event (replay and tests). No-op on nil.
-func (r *Recorder) RecordEvent(ev Event) {
-	if r == nil {
-		return
-	}
-	r.append(ev)
 }
 
 func (r *Recorder) append(ev Event) {

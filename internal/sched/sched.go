@@ -90,17 +90,10 @@ func (b *Breakpoints) ArmIfFree(tid int, point string, match func(arg uint64) bo
 	return s, true
 }
 
-// Disarm removes any breakpoint armed for tid.
-func (b *Breakpoints) Disarm(tid int) {
-	b.mu.Lock()
-	delete(b.armed, tid)
-	b.mu.Unlock()
-}
-
 // DisarmStall removes tid's breakpoint only if it is the one whose Arm
-// returned s — the safe form for a director that may be racing other
-// directors (its own breakpoint may have fired and the slot been re-armed
-// by someone else; a plain Disarm would remove theirs).
+// returned s, so a director racing other directors never removes theirs
+// (its own breakpoint may have fired and the slot been re-armed by
+// someone else).
 func (b *Breakpoints) DisarmStall(tid int, s *Stall) {
 	b.mu.Lock()
 	if p := b.armed[tid]; p != nil && p.stall == s {
@@ -149,14 +142,4 @@ func Go(fn func() error) *Task {
 func (t *Task) Wait() error {
 	<-t.done
 	return t.err
-}
-
-// Done reports without blocking whether the task has finished.
-func (t *Task) Done() bool {
-	select {
-	case <-t.done:
-		return true
-	default:
-		return false
-	}
 }

@@ -20,8 +20,10 @@ func TestBreakpointParksAndReleases(t *testing.T) {
 	if len(order) != 1 || order[0] != "before" {
 		t.Fatalf("order at stall: %v", order)
 	}
-	if task.Done() {
+	select {
+	case <-task.done:
 		t.Fatal("task must be parked")
+	default:
 	}
 	stall.Release()
 	if err := task.Wait(); err != nil {
@@ -72,8 +74,8 @@ func TestBreakpointOtherThreadUnaffected(t *testing.T) {
 
 func TestDisarm(t *testing.T) {
 	b := NewBreakpoints()
-	_ = b.Arm(0, "p", nil, 0)
-	b.Disarm(0)
+	stall := b.Arm(0, "p", nil, 0)
+	b.DisarmStall(0, stall)
 	done := make(chan struct{})
 	go func() {
 		b.Hit(0, "p", 0)
@@ -186,7 +188,7 @@ func TestReleaseBeforeReached(t *testing.T) {
 	b := NewBreakpoints()
 	stall := b.Arm(0, "p", nil, 0)
 	// Heal-without-park: disarm then release, as chaos does.
-	b.Disarm(0)
+	b.DisarmStall(0, stall)
 	stall.Release()
 	done := make(chan struct{})
 	go func() {
@@ -212,7 +214,7 @@ func TestReleaseBeforeReached(t *testing.T) {
 	}
 }
 
-// TestConcurrentHitsAndDisarms hammers Arm/Hit/Disarm from many
+// TestConcurrentHitsAndDisarms hammers Arm/Hit/DisarmStall from many
 // goroutines: no panics, no lost releases, every parked thread drains.
 // This is the exact contention shape of a chaos run — gate hits on every
 // shard operation while the engine arms and heals.
@@ -244,7 +246,7 @@ func TestConcurrentHitsAndDisarms(t *testing.T) {
 			t.Fatal("armed breakpoint never reached under churn")
 		}
 		stall.Release()
-		b.Disarm(tid) // already fired: must be a harmless no-op
+		b.DisarmStall(tid, stall) // already fired: must be a harmless no-op
 	}
 	close(stop)
 	hitters.Wait()

@@ -74,7 +74,7 @@ func TestClaimedPropertiesMatchERA(t *testing.T) {
 			t.Fatal(err)
 		}
 		p := s.Props()
-		easy := p.EasyIntegration()
+		easy := !p.RequiresRollback && !p.RequiresPhases
 		robust := p.Robustness != smr.NotRobust // weak robustness suffices for the theorem
 		wide := p.Applicability == smr.WidelyApplicable || p.Applicability == smr.StronglyApplicable
 		if easy && robust && wide {

@@ -21,7 +21,7 @@ func TestReclaimsWhenQuiescent(t *testing.T) {
 	if got := a.Stats().Retired(); got != 0 {
 		t.Fatalf("retired backlog after drain = %d, want 0", got)
 	}
-	if a.Stats().Reclaims() == 0 {
+	if a.Stats().Snapshot().Reclaims == 0 {
 		t.Fatal("no reclamations happened")
 	}
 }
@@ -75,7 +75,7 @@ func TestGrowthIsUnbounded(t *testing.T) {
 func TestProps(t *testing.T) {
 	s := ebr.New(smrtest.NewArena(1, 64, mem.Reuse), 1, 0)
 	p := s.Props()
-	if !p.EasyIntegration() {
+	if p.RequiresRollback || p.RequiresPhases {
 		t.Error("EBR must classify as easily integrated")
 	}
 	if p.Robustness != smr.NotRobust {

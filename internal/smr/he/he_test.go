@@ -85,7 +85,7 @@ func TestStalledEraBound(t *testing.T) {
 func TestProps(t *testing.T) {
 	s := he.New(smrtest.NewArena(1, 64, mem.Reuse), 1, 0)
 	p := s.Props()
-	if !p.EasyIntegration() {
+	if p.RequiresRollback || p.RequiresPhases {
 		t.Error("HE must classify as easily integrated")
 	}
 	if p.Robustness != smr.WeaklyRobust {

@@ -119,7 +119,7 @@ func TestValidationRetries(t *testing.T) {
 func TestProps(t *testing.T) {
 	s := hp.New(smrtest.NewArena(1, 64, mem.Reuse), 1, 0)
 	p := s.Props()
-	if !p.EasyIntegration() {
+	if p.RequiresRollback || p.RequiresPhases {
 		t.Error("HP must classify as easily integrated")
 	}
 	if p.Robustness != smr.Robust {

@@ -85,7 +85,7 @@ func TestStalledReaderDoesNotPinNewNodes(t *testing.T) {
 func TestProps(t *testing.T) {
 	s := ibr.New(smrtest.NewArena(1, 64, mem.Reuse), 1, 0)
 	p := s.Props()
-	if !p.EasyIntegration() {
+	if p.RequiresRollback || p.RequiresPhases {
 		t.Error("IBR must classify as easily integrated")
 	}
 	if p.Robustness != smr.WeaklyRobust {

@@ -102,7 +102,7 @@ func TestRobustnessBound(t *testing.T) {
 func TestProps(t *testing.T) {
 	s := nbr.New(smrtest.NewArena(1, 64, mem.Reuse), 1, 0)
 	p := s.Props()
-	if p.EasyIntegration() {
+	if !p.RequiresRollback && !p.RequiresPhases {
 		t.Error("NBR must not classify as easily integrated")
 	}
 	if !p.RequiresPhases {

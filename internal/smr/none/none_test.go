@@ -21,7 +21,7 @@ func TestNeverReclaims(t *testing.T) {
 	if got := a.Stats().Retired(); got != churn {
 		t.Fatalf("retired backlog = %d, want %d (nothing reclaims)", got, churn)
 	}
-	if a.Stats().Reclaims() != 0 {
+	if a.Stats().Snapshot().Reclaims != 0 {
 		t.Fatal("the leak baseline must never reclaim")
 	}
 }
@@ -35,7 +35,7 @@ func TestExhaustsHeap(t *testing.T) {
 	if err == nil {
 		t.Fatal("expected OOM churning 200 nodes through a 128-slot heap")
 	}
-	if a.Stats().OOMs() == 0 {
+	if a.Stats().Snapshot().OOMs == 0 {
 		t.Fatal("OOM not recorded")
 	}
 }
@@ -44,7 +44,7 @@ func TestExhaustsHeap(t *testing.T) {
 func TestProps(t *testing.T) {
 	s := none.New(smrtest.NewArena(1, 64, mem.Reuse), 1, 0)
 	p := s.Props()
-	if !p.EasyIntegration() {
+	if p.RequiresRollback || p.RequiresPhases {
 		t.Error("the leak baseline is trivially easy to integrate")
 	}
 	if p.Robustness != smr.NotRobust {

@@ -91,7 +91,7 @@ func TestStaleReadRollsBack(t *testing.T) {
 func TestProps(t *testing.T) {
 	s := pebr.New(smrtest.NewArena(1, 64, mem.Reuse), 1, 0)
 	p := s.Props()
-	if p.EasyIntegration() {
+	if !p.RequiresRollback && !p.RequiresPhases {
 		t.Error("PEBR must not classify as easily integrated (ejection restarts)")
 	}
 	if p.Robustness != smr.Robust {

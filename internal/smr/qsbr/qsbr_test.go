@@ -54,7 +54,7 @@ func TestStalledThreadBlocksGracePeriod(t *testing.T) {
 func TestProps(t *testing.T) {
 	s := qsbr.New(smrtest.NewArena(1, 64, mem.Reuse), 1, 0)
 	p := s.Props()
-	if !p.EasyIntegration() {
+	if p.RequiresRollback || p.RequiresPhases {
 		t.Error("QSBR must classify as easily integrated")
 	}
 	if p.Robustness != smr.NotRobust {

@@ -123,7 +123,7 @@ func TestCycleLeak(t *testing.T) {
 func TestProps(t *testing.T) {
 	s := rc.New(smrtest.NewArena(1, 64, mem.Reuse), 1, 0)
 	p := s.Props()
-	if !p.EasyIntegration() {
+	if p.RequiresRollback || p.RequiresPhases {
 		t.Error("RC must classify as easily integrated")
 	}
 	if p.Robustness != smr.NotRobust {

@@ -123,14 +123,6 @@ type Props struct {
 	Applicability ApplicabilityClass
 }
 
-// EasyIntegration reports whether the scheme satisfies Definition 5.3:
-// it is provided as an object, its operations slot into the allowed code
-// locations, and it never moves control out of its own operations
-// (no rollbacks, no bespoke phase restructuring).
-func (p Props) EasyIntegration() bool {
-	return !p.RequiresRollback && !p.RequiresPhases
-}
-
 // Stats counts scheme-level events of interest to the monitors.
 type Stats struct {
 	// Restarts is the number of ok=false results handed to the data

@@ -3,12 +3,14 @@ package smr_test
 import (
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/mem"
 	"repro/internal/smr"
 )
 
 // TestEasyIntegration pins Definition 5.3's derivation from the property
-// sheet: any rollback or phase requirement disqualifies a scheme.
+// sheet (core.ClassifyIntegration): any rollback or phase requirement
+// disqualifies a scheme.
 func TestEasyIntegration(t *testing.T) {
 	cases := []struct {
 		name string
@@ -22,8 +24,8 @@ func TestEasyIntegration(t *testing.T) {
 		{"meta-words-allowed", smr.Props{MetaWordsUsed: 3}, true},
 	}
 	for _, c := range cases {
-		if got := c.p.EasyIntegration(); got != c.want {
-			t.Errorf("%s: EasyIntegration() = %v, want %v", c.name, got, c.want)
+		if got := core.ClassifyIntegration(c.name, c.p).Easy; got != c.want {
+			t.Errorf("%s: Easy = %v, want %v", c.name, got, c.want)
 		}
 	}
 }

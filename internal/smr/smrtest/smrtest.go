@@ -109,7 +109,7 @@ func CheckEpochScans(s smr.Scheme, b *smr.Base, epoch func() uint64, seed uint64
 		for _, r := range before {
 			stamps[r] = stamp(r)
 		}
-		scans, reclaims := s.Stats().Scans.Load(), a.Stats().Reclaims()
+		scans, reclaims := s.Stats().Scans.Load(), a.Stats().Snapshot().Reclaims
 		switch k := rng.IntN(10); {
 		case k < 2:
 			if inOp[tid] {
@@ -145,7 +145,7 @@ func CheckEpochScans(s smr.Scheme, b *smr.Base, epoch func() uint64, seed uint64
 		if !slices.Equal(after, want) {
 			return fmt.Errorf("step %d: T%d retire list %v after the scan, full-list rule keeps %v", step, tid, after, want)
 		}
-		if got, wantN := a.Stats().Reclaims()-reclaims, uint64(len(stamps)-len(want)); got != wantN {
+		if got, wantN := a.Stats().Snapshot().Reclaims-reclaims, uint64(len(stamps)-len(want)); got != wantN {
 			return fmt.Errorf("step %d: T%d scan reclaimed %d nodes, full-list rule reclaims %d", step, tid, got, wantN)
 		}
 	}

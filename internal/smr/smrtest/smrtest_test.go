@@ -61,7 +61,7 @@ func TestChurnSurfacesExhaustion(t *testing.T) {
 	if err := smrtest.Churn(s, 0, 64); err == nil {
 		t.Fatal("churn past heap capacity reported no error")
 	}
-	if a.Stats().OOMs() == 0 {
+	if a.Stats().Snapshot().OOMs == 0 {
 		t.Error("exhaustion not counted as OOM")
 	}
 }

@@ -45,7 +45,7 @@ func TestUseAfterFreeDetected(t *testing.T) {
 		t.Fatal("the unsafe baseline never rolls back")
 	}
 	s.EndOp(0)
-	if a.Stats().UnsafeLoads() == 0 {
+	if a.Stats().Snapshot().UnsafeLoads == 0 {
 		t.Fatal("use-after-free not accounted as an unsafe load")
 	}
 	if s.Stats().Snapshot().StaleUses == 0 {
@@ -66,7 +66,7 @@ func TestSegfaultInUnmapMode(t *testing.T) {
 	s.Retire(0, r)
 	s.Read(0, r, 0)
 	s.EndOp(0)
-	if a.Stats().Faults() == 0 {
+	if a.Stats().Snapshot().Faults == 0 {
 		t.Fatal("access to system space not recorded as a fault")
 	}
 }

@@ -93,7 +93,7 @@ func TestStallImmune(t *testing.T) {
 func TestProps(t *testing.T) {
 	s := vbr.New(smrtest.NewArena(1, 64, mem.Reuse), 1, 0)
 	p := s.Props()
-	if p.EasyIntegration() {
+	if !p.RequiresRollback && !p.RequiresPhases {
 		t.Error("VBR must not classify as easily integrated (rollbacks)")
 	}
 	if p.Robustness != smr.Robust {

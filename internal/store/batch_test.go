@@ -44,7 +44,7 @@ func TestFusedBatchStats(t *testing.T) {
 				}
 			}
 			// A single-op batch never fuses.
-			if _, err := st.Contains(1); err != nil {
+			if _, err := do1(st, workload.OpContains, 1); err != nil {
 				t.Fatal(err)
 			}
 			s := st.Stats()
@@ -153,7 +153,7 @@ func runParkedBacklog(t *testing.T, scheme string, perReq int) uint64 {
 			case <-stop:
 				return
 			default:
-				if _, err := st.Contains(1); err != nil {
+				if _, err := do1(st, workload.OpContains, 1); err != nil {
 					t.Errorf("sacrificial contains: %v", err)
 					return
 				}

@@ -10,8 +10,9 @@ import (
 )
 
 // TestDoShardExecutesOneGroup checks the scatter-leg submission path: a
-// pre-grouped batch lands entirely on the named shard and its results
-// align position-for-position with the submitted operations.
+// pre-grouped batch handed to DoShardAsync lands entirely on the named
+// shard and its results align position-for-position with the submitted
+// operations.
 func TestDoShardExecutesOneGroup(t *testing.T) {
 	st, err := store.New(store.Config{
 		Shards:   store.Uniform(4, store.ShardSpec{Scheme: "ebr", Structure: "michael"}),
@@ -28,13 +29,13 @@ func TestDoShardExecutesOneGroup(t *testing.T) {
 			ops = append(ops, store.Op{Kind: workload.OpInsert, Key: k})
 		}
 	}
-	res, err := st.DoShard(2, ops)
-	if err != nil {
-		t.Fatal(err)
+	res := make([]store.Result, len(ops))
+	done := make(chan struct{})
+	accepted, err := st.DoShardAsync(2, ops, res, nil, func() { close(done) })
+	if err != nil || !accepted {
+		t.Fatalf("DoShardAsync on an idle shard: accepted=%v err=%v", accepted, err)
 	}
-	if len(res) != len(ops) {
-		t.Fatalf("got %d results for %d ops", len(res), len(ops))
-	}
+	<-done
 	for i, r := range res {
 		if r.Err != nil || !r.OK {
 			t.Fatalf("insert %d: ok=%v err=%v", ops[i].Key, r.OK, r.Err)
@@ -42,16 +43,16 @@ func TestDoShardExecutesOneGroup(t *testing.T) {
 	}
 	// Membership must be visible through the routed path too.
 	for _, op := range ops {
-		ok, err := st.Contains(op.Key)
+		ok, err := do1(st, workload.OpContains, op.Key)
 		if err != nil || !ok {
-			t.Fatalf("Contains(%d) = %v, %v after DoShard insert", op.Key, ok, err)
+			t.Fatalf("Contains(%d) = %v, %v after DoShardAsync insert", op.Key, ok, err)
 		}
 	}
 	if err := st.CloseShard(2); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := st.DoShard(2, ops); !errors.Is(err, store.ErrShardClosed) {
-		t.Fatalf("DoShard on a drained shard: got %v, want ErrShardClosed", err)
+	if _, err := st.DoShardAsync(2, ops, res, nil, func() {}); !errors.Is(err, store.ErrShardClosed) {
+		t.Fatalf("DoShardAsync on a drained shard: got %v, want ErrShardClosed", err)
 	}
 }
 
@@ -137,7 +138,7 @@ func TestScanShardMatchesModel(t *testing.T) {
 			for i := 0; i < 3*keyRange; i++ {
 				k := int64(rng.Next() % keyRange)
 				if rng.Next()%3 == 0 {
-					if _, err := st.Delete(k); err != nil {
+					if _, err := do1(st, workload.OpDelete, k); err != nil {
 						t.Fatal(err)
 					}
 					delete(model, k)

@@ -49,14 +49,14 @@ func TestMigrateShardPreservesContents(t *testing.T) {
 	}
 	// Churn a few so the old shard has retired nodes too.
 	for i := 0; i < 30; i++ {
-		if _, err := st.Delete(keys[1]); err != nil {
+		if _, err := do1(st, workload.OpDelete, keys[1]); err != nil {
 			t.Fatal(err)
 		}
 		if _, err := st.Insert(keys[1]); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if _, err := st.Delete(keys[1]); err != nil {
+	if _, err := do1(st, workload.OpDelete, keys[1]); err != nil {
 		t.Fatal(err)
 	}
 	delete(present, keys[1])
@@ -66,7 +66,7 @@ func TestMigrateShardPreservesContents(t *testing.T) {
 	}
 	// Exact membership: present keys survived, absent keys stayed absent.
 	for _, k := range keys {
-		ok, err := st.Contains(k)
+		ok, err := do1(st, workload.OpContains, k)
 		if err != nil {
 			t.Fatalf("contains(%d) post-migration: %v", k, err)
 		}
@@ -214,7 +214,7 @@ func TestMigrateShardRacingClients(t *testing.T) {
 			t.Fatalf("migrate → %s under load: %v", scheme, err)
 		}
 		for _, k := range pinned {
-			if ok, err := st.Contains(k); err != nil || !ok {
+			if ok, err := do1(st, workload.OpContains, k); err != nil || !ok {
 				t.Fatalf("pinned key %d lost after → %s: %v, %v", k, scheme, ok, err)
 			}
 		}
@@ -291,7 +291,7 @@ func TestMigrateShardWithParkedWorker(t *testing.T) {
 			probes.Add(1)
 			go func() {
 				defer probes.Done()
-				_, _ = st.Contains(keys[0])
+				_, _ = do1(st, workload.OpContains, keys[0])
 			}()
 		}
 	}()
@@ -306,7 +306,7 @@ func TestMigrateShardWithParkedWorker(t *testing.T) {
 		t.Fatalf("migration blocked on the parked worker for %v", waited)
 	}
 	for _, k := range keys {
-		if ok, err := st.Contains(k); err != nil || !ok {
+		if ok, err := do1(st, workload.OpContains, k); err != nil || !ok {
 			t.Fatalf("key %d lost migrating around the straggler: %v, %v", k, ok, err)
 		}
 	}

@@ -25,7 +25,7 @@ type request struct {
 	// answers ops[i]).
 	idx []int
 	// Exactly one of wg and done is set. wg serves the blocking paths
-	// (Do, DoShard, ScanShard); done serves the async ones and runs on
+	// (Do, ScanShard); done serves the async ones and runs on
 	// the worker that completed the request.
 	wg   *sync.WaitGroup
 	done func()

@@ -453,42 +453,6 @@ func (st *Store) DoInto(ops []Op, res []Result) error {
 	return nil
 }
 
-// DoShard executes one batch entirely on shard s — the scatter-leg
-// submission path the exec layer (internal/exec) compiles cross-shard
-// operations onto. Unlike Do it does not route: the caller has already
-// grouped its operations by ShardFor, and the whole group travels as one
-// message to shard s's workers. A drained shard fails the leg with
-// ErrShardClosed (typed, so fan-out layers can surface it as a per-shard
-// partial-failure instead of a failed fan-out); per-operation errors land
-// in the individual Results exactly as with Do.
-func (st *Store) DoShard(s int, ops []Op) ([]Result, error) {
-	if s < 0 || s >= len(st.shards) {
-		return nil, fmt.Errorf("store: no shard %d", s)
-	}
-	if len(ops) == 0 {
-		return nil, nil
-	}
-	res := make([]Result, len(ops))
-	var wg sync.WaitGroup
-	st.mu.RLock()
-	if st.closed {
-		st.mu.RUnlock()
-		return nil, ErrClosed
-	}
-	sh := st.shards[s]
-	if sh.closed {
-		st.mu.RUnlock()
-		return nil, ErrShardClosed
-	}
-	wg.Add(1)
-	req := newRequest()
-	req.ops, req.res, req.wg = ops, res, &wg
-	sh.reqs <- req
-	st.mu.RUnlock()
-	wg.Wait()
-	return res, nil
-}
-
 // ScanShard walks shard s's live keys in the half-open interval [lo, hi)
 // and returns them in the structure's iterator emission order, plus the
 // match count. The leg travels the shard's request queue and executes on
@@ -531,16 +495,18 @@ func (st *Store) ScanShard(s int, lo, hi int64, limit int, countOnly bool) ([]in
 	return sc.keys, sc.count, nil
 }
 
-// DoShardAsync is DoShard's asynchronous, non-blocking form: the batch
-// is offered to shard s's request queue and the call returns
-// immediately — accepted reports whether the queue had room. On
-// acceptance, the worker that completes the batch writes each
-// operation's outcome into res (at idx positions when idx is non-nil,
-// res[i] answers ops[i] otherwise) and then runs done on its own
-// goroutine; done observes every result write. done must be light — it
-// occupies the shard worker. A refused batch (accepted == false, err ==
-// nil) touched nothing and may be retried; a drained shard or closed
-// store refuses with the same typed errors as DoShard. This is the
+// DoShardAsync executes one batch entirely on shard s — the scatter-leg
+// submission path the exec layer (internal/exec) compiles cross-shard
+// operations onto. Unlike Do it does not route: the caller has already
+// grouped its operations by ShardFor. The batch is offered to shard s's
+// request queue and the call returns immediately — accepted reports
+// whether the queue had room. On acceptance, the worker that completes
+// the batch writes each operation's outcome into res (at idx positions
+// when idx is non-nil, res[i] answers ops[i] otherwise) and then runs
+// done on its own goroutine; done observes every result write. done must
+// be light — it occupies the shard worker. A refused batch (accepted ==
+// false, err == nil) touched nothing and may be retried; a drained shard
+// or closed store refuses with ErrShardClosed or ErrClosed. This is the
 // submission path a pipelined fan-out layer needs: one goroutine can
 // keep many legs in flight with no blocked thread per leg.
 func (st *Store) DoShardAsync(s int, ops []Op, res []Result, idx []int, done func()) (accepted bool, err error) {
@@ -617,14 +583,8 @@ func (st *Store) do1(kind workload.Op, key int64) (bool, error) {
 	return res[0].OK, res[0].Err
 }
 
-// Contains reports membership of key.
-func (st *Store) Contains(key int64) (bool, error) { return st.do1(workload.OpContains, key) }
-
 // Insert adds key; false if already present.
 func (st *Store) Insert(key int64) (bool, error) { return st.do1(workload.OpInsert, key) }
-
-// Delete removes key; false if absent.
-func (st *Store) Delete(key int64) (bool, error) { return st.do1(workload.OpDelete, key) }
 
 // detachShard is the front half of every shard swap: it stops new
 // submissions to shard s (they start failing with ErrShardClosed) and

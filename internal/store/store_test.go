@@ -17,6 +17,16 @@ type ref struct {
 	m  map[int64]bool
 }
 
+// do1 runs one operation through Do, the path the binaries use, and
+// returns its outcome.
+func do1(st *store.Store, kind workload.Op, key int64) (bool, error) {
+	res, err := st.Do([]store.Op{{Kind: kind, Key: key}})
+	if err != nil {
+		return false, err
+	}
+	return res[0].OK, res[0].Err
+}
+
 func (r *ref) apply(op store.Op) bool {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -205,7 +215,7 @@ func TestCloseShardDrains(t *testing.T) {
 		if _, err := st.Insert(k0); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := st.Delete(k0); err != nil {
+		if _, err := do1(st, workload.OpDelete, k0); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -244,7 +254,7 @@ func TestCloseRejectsLateSubmissions(t *testing.T) {
 	if err := st.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := st.Contains(1); !errors.Is(err, store.ErrClosed) {
+	if _, err := do1(st, workload.OpContains, 1); !errors.Is(err, store.ErrClosed) {
 		t.Fatalf("post-close op: %v", err)
 	}
 	if err := st.Close(); !errors.Is(err, store.ErrClosed) {
@@ -272,7 +282,7 @@ func TestRejectsInvalidOpKind(t *testing.T) {
 	if res[0].Err == nil {
 		t.Fatal("invalid op kind executed")
 	}
-	if ok, err := st.Contains(5); err != nil || !ok {
+	if ok, err := do1(st, workload.OpContains, 5); err != nil || !ok {
 		t.Fatalf("key 5 disturbed by invalid op: %v, %v", ok, err)
 	}
 }
@@ -315,14 +325,14 @@ func TestReopenShard(t *testing.T) {
 	if err := st.CloseShard(0); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := st.Contains(key); !errors.Is(err, store.ErrShardClosed) {
+	if _, err := do1(st, workload.OpContains, key); !errors.Is(err, store.ErrShardClosed) {
 		t.Fatalf("closed shard served: %v", err)
 	}
 	if err := st.ReopenShard(0); err != nil {
 		t.Fatal(err)
 	}
 	// Reopened shard serves, and serves *empty*.
-	if ok, err := st.Contains(key); err != nil || ok {
+	if ok, err := do1(st, workload.OpContains, key); err != nil || ok {
 		t.Fatalf("reopened shard contains(%d) = %v, %v; want miss on fresh shard", key, ok, err)
 	}
 	if ok, err := st.Insert(key); err != nil || !ok {
@@ -357,7 +367,7 @@ func TestGaugesTrackLifecycle(t *testing.T) {
 		if _, err := st.Insert(key); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := st.Delete(key); err != nil {
+		if _, err := do1(st, workload.OpDelete, key); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -411,7 +421,7 @@ func TestShardGateParksWorker(t *testing.T) {
 				case <-stop:
 					return
 				default:
-					if _, err := st.Contains(int64(c)); err != nil {
+					if _, err := do1(st, workload.OpContains, int64(c)); err != nil {
 						t.Errorf("client %d contains: %v", c, err)
 						return
 					}

@@ -31,7 +31,7 @@ func TestSnapshotProbesBounded(t *testing.T) {
 		t.Fatalf("migrate: %v", err)
 	}
 	for k := int64(0); k < live; k++ {
-		if ok, err := st.Contains(k * 7); err != nil || !ok {
+		if ok, err := do1(st, workload.OpContains, k*7); err != nil || !ok {
 			t.Fatalf("key %d lost across migration: %v, %v", k*7, ok, err)
 		}
 	}

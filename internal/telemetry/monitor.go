@@ -65,9 +65,6 @@ func NewMonitor(onFlip func(domain int, old, new smr.RobustnessClass, v Verdict)
 	return m
 }
 
-// Domains returns the number of monitored domains.
-func (m *Monitor) Domains() int { return len(m.domains) }
-
 // Observe feeds one sampled point into domain i's window. Its signature
 // matches the Sampler's OnSample hook. Every push re-fits the window
 // (O(1), window.go) and publishes a conclusive audited class for Class;
@@ -119,17 +116,6 @@ func (m *Monitor) SetDomain(domain int, scheme string, declared smr.RobustnessCl
 	m.fits[domain].Reset()
 	m.class[domain].Store(0)
 	m.mu.Unlock()
-}
-
-// Restarts returns how many window resets (domain incarnations) domain i
-// has absorbed, SetDomain rebinds included.
-func (m *Monitor) Restarts(domain int) int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if domain < 0 || domain >= len(m.fits) {
-		return 0
-	}
-	return m.fits[domain].Resets()
 }
 
 // Verdict returns domain i's live windowed verdict: the current window's

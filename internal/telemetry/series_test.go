@@ -34,19 +34,18 @@ func TestSeriesConcurrentPushPointsLast(t *testing.T) {
 				}
 				// Within one writer's stream Ops is monotone; with two
 				// interleaved writers the invariant that must hold is just
-				// internal consistency: the copy's length matches Len's
-				// bound and Last agrees with some pushed point.
-				if p, ok := s.Last(); ok && p.Ops >= per {
-					t.Errorf("Last() returned never-pushed point %+v", p)
+				// internal consistency: the copy stays within the ring's
+				// bound and its newest point is one some writer pushed.
+				if n := len(pts); n > 0 && pts[n-1].Ops >= per {
+					t.Errorf("Points() returned never-pushed point %+v", pts[n-1])
 					return
 				}
-				_ = s.Len()
 			}
 		}()
 	}
 	wg.Wait()
-	if got := s.Len(); got != 64 {
-		t.Fatalf("Len() = %d after %d pushes into a 64-ring", got, writers*per)
+	if got := len(s.Points()); got != 64 {
+		t.Fatalf("Points() holds %d after %d pushes into a 64-ring", got, writers*per)
 	}
 }
 

@@ -92,13 +92,6 @@ func (s *Series) Push(p Point) {
 	s.mu.Unlock()
 }
 
-// Len returns the number of buffered points.
-func (s *Series) Len() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.n
-}
-
 // Points returns the buffered points oldest-first. The copy is safe to
 // read while the sampler keeps pushing.
 func (s *Series) Points() []Point {
@@ -113,20 +106,6 @@ func (s *Series) Points() []Point {
 		out[i] = s.buf[(start+i)%len(s.buf)]
 	}
 	return out
-}
-
-// Last returns the most recent point, or a zero point when empty.
-func (s *Series) Last() (Point, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.n == 0 {
-		return Point{}, false
-	}
-	i := s.head - 1
-	if i < 0 {
-		i += len(s.buf)
-	}
-	return s.buf[i], true
 }
 
 // Probe reads one point per monitored domain. The sampler calls it on
@@ -220,9 +199,6 @@ func NewSampler(cfg Config, probe Probe) *Sampler {
 	}
 	return s
 }
-
-// Domains returns the number of monitored domains.
-func (s *Sampler) Domains() int { return len(s.series) }
 
 // Series returns domain i's series (live: the sampler keeps pushing into
 // it until Stop).

@@ -13,28 +13,24 @@ func TestSeriesRingOrder(t *testing.T) {
 	for i := 0; i < 6; i++ {
 		s.Push(Point{Ops: uint64(i)})
 	}
-	if s.Len() != 4 {
-		t.Fatalf("len = %d, want 4", s.Len())
-	}
 	pts := s.Points()
+	if len(pts) != 4 {
+		t.Fatalf("len = %d, want 4", len(pts))
+	}
 	for i, p := range pts {
 		if want := uint64(i + 2); p.Ops != want {
 			t.Fatalf("point %d has ops %d, want %d (oldest-first after wrap)", i, p.Ops, want)
 		}
 	}
-	last, ok := s.Last()
-	if !ok || last.Ops != 5 {
-		t.Fatalf("last = %v, %v", last, ok)
+	if last := pts[len(pts)-1]; last.Ops != 5 {
+		t.Fatalf("last = %v", last)
 	}
 }
 
 func TestSeriesEmpty(t *testing.T) {
 	s := NewSeries(2)
-	if s.Len() != 0 || len(s.Points()) != 0 {
+	if len(s.Points()) != 0 {
 		t.Fatal("fresh series must be empty")
-	}
-	if _, ok := s.Last(); ok {
-		t.Fatal("Last on empty series must report !ok")
 	}
 }
 
@@ -48,8 +44,8 @@ func TestSamplerCollects(t *testing.T) {
 		}
 	}
 	s := NewSampler(Config{Interval: time.Millisecond, Capacity: 64}, probe)
-	if s.Domains() != 2 {
-		t.Fatalf("domains = %d, want 2", s.Domains())
+	if len(s.series) != 2 {
+		t.Fatalf("domains = %d, want 2", len(s.series))
 	}
 	s.Start()
 	time.Sleep(10 * time.Millisecond)

@@ -62,10 +62,6 @@ func (w *WindowFit) at(i int) Point {
 // Len returns the number of points in the window.
 func (w *WindowFit) Len() int { return w.n }
 
-// Resets returns how many domain restarts (Ops regressions) the window
-// has absorbed.
-func (w *WindowFit) Resets() int { return w.resets }
-
 // Reset empties the window, marking a new domain incarnation.
 func (w *WindowFit) Reset() {
 	w.head, w.n, w.seq = 0, 0, 0

@@ -127,15 +127,15 @@ func TestWindowFitResetsOnOpsRegression(t *testing.T) {
 	for _, p := range synth(20, 100, func(i int) uint64 { return uint64(i) * 100 }) {
 		w.Push(p)
 	}
-	if w.Resets() != 0 {
-		t.Fatalf("resets before regression = %d", w.Resets())
+	if w.resets != 0 {
+		t.Fatalf("resets before regression = %d", w.resets)
 	}
 	// The new incarnation: counters restart near zero and stay flat.
 	for i := 0; i < 10; i++ {
 		w.Push(Point{Ops: uint64(i) * 50, Retired: 3})
 	}
-	if w.Resets() != 1 {
-		t.Fatalf("resets after regression = %d, want 1", w.Resets())
+	if w.resets != 1 {
+		t.Fatalf("resets after regression = %d, want 1", w.resets)
 	}
 	if w.Len() != 10 {
 		t.Fatalf("window len after reset = %d, want 10", w.Len())
@@ -155,8 +155,8 @@ func TestMonitorEmitsMidRunVerdicts(t *testing.T) {
 		{Scheme: "ebr", Declared: smr.NotRobust, Budget: budget},
 		{Scheme: "hp", Declared: smr.Robust, Budget: budget},
 	})
-	if m.Domains() != 2 {
-		t.Fatalf("domains = %d", m.Domains())
+	if len(m.domains) != 2 {
+		t.Fatalf("domains = %d", len(m.domains))
 	}
 	// Mid-run: the ebr domain grows unbounded, the hp domain stays flat.
 	for i := 0; i < 20; i++ {
@@ -176,8 +176,8 @@ func TestMonitorEmitsMidRunVerdicts(t *testing.T) {
 	if got := m.Verdict(0); !got.Inconclusive() || got.Scheme != "ibr" {
 		t.Fatalf("post-rebind verdict = %+v, want inconclusive ibr", got)
 	}
-	if m.Restarts(0) != 1 {
-		t.Fatalf("restarts = %d, want 1", m.Restarts(0))
+	if r := m.fits[0].resets; r != 1 {
+		t.Fatalf("restarts = %d, want 1", r)
 	}
 	// The new incarnation's flat telemetry earns ibr a "stronger".
 	for i := 0; i < 20; i++ {

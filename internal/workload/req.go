@@ -208,9 +208,6 @@ func NewReqSource(cfg ReqConfig) (*ReqSource, error) {
 	return &ReqSource{dist: dist, cfg: cfg}, nil
 }
 
-// Config returns the resolved configuration.
-func (s *ReqSource) Config() ReqConfig { return s.cfg }
-
 // Thread returns client tid's request stream of the given nominal length
 // (the length only parameterizes phase-aware distributions; streams keep
 // drawing past it). Streams for distinct (tid, seed) pairs are

@@ -47,7 +47,7 @@ func TestReqStreamDeterministicAndShaped(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	resolved := src.Config()
+	resolved := src.cfg
 	a, b := src.Thread(0, 1000), src.Thread(0, 1000)
 	other := src.Thread(1, 1000)
 	seen := map[ReqKind]int{}

@@ -158,9 +158,6 @@ func New(cfg Config) (*Source, error) {
 // Config returns the resolved configuration.
 func (s *Source) Config() Config { return s.cfg }
 
-// Name renders the workload as "dist/schedule".
-func (s *Source) Name() string { return s.dist.Name() + "/" + s.sched.Name() }
-
 // Thread returns thread tid's operation stream of the given length. Streams
 // for distinct (tid, seed) pairs are independent and deterministic.
 func (s *Source) Thread(tid, total int) *Stream {
