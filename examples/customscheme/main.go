@@ -22,22 +22,25 @@ import (
 
 // Deferred is the example scheme: a per-thread FIFO ring of retired nodes.
 // Old enough nodes are assumed dead — an assumption a stalled traversal
-// violates, which is exactly what the evaluation exposes.
+// violates, which is exactly what the evaluation exposes. smr.Base
+// supplies every method the scheme does not change: transparent brackets
+// and accesses, Alloc, and a no-op Flush (the ring drains only by
+// rotation; draining eagerly would break even sequential use).
 type Deferred struct {
 	smr.Base
-	depth int
 }
 
 var _ smr.Scheme = (*Deferred)(nil)
 
 // NewDeferred builds the scheme over arena a for n threads with a ring of
-// depth retired nodes per thread (the scheme's scan threshold; <= 0
-// selects 64).
+// depth retired nodes per thread (<= 0 selects 64). The ring lives in
+// Base's retire lists with depth as the threshold, and the scheme installs
+// no scan.
 func NewDeferred(a *mem.Arena, n, depth int) *Deferred {
 	if depth <= 0 {
 		depth = 64
 	}
-	return &Deferred{Base: smr.NewBase(a, n, depth), depth: depth}
+	return &Deferred{Base: smr.NewBase(a, n, depth, nil)}
 }
 
 // Name implements smr.Scheme.
@@ -55,15 +58,6 @@ func (d *Deferred) Props() smr.Props {
 	}
 }
 
-// BeginOp implements smr.Scheme.
-func (d *Deferred) BeginOp(tid int) {}
-
-// EndOp implements smr.Scheme.
-func (d *Deferred) EndOp(tid int) {}
-
-// Alloc implements smr.Scheme.
-func (d *Deferred) Alloc(tid int) (mem.Ref, error) { return d.Arena.Alloc(tid) }
-
 // Retire implements smr.Scheme: push into the ring; reclaim the oldest
 // entry once the ring is full.
 func (d *Deferred) Retire(tid int, r mem.Ref) {
@@ -72,49 +66,12 @@ func (d *Deferred) Retire(tid int, r mem.Ref) {
 	}
 	l := &d.Lists[tid].Refs
 	*l = append(*l, r)
-	if len(*l) > d.depth {
+	if len(*l) > d.Threshold {
 		oldest := (*l)[0]
 		*l = (*l)[1:]
 		_ = d.Arena.Reclaim(tid, oldest)
 	}
 }
-
-// Flush implements smr.Scheme; the ring drains only by rotation, so Flush
-// is a no-op (draining eagerly would break even sequential use).
-func (d *Deferred) Flush(tid int) {}
-
-// Read implements smr.Scheme.
-func (d *Deferred) Read(tid int, r mem.Ref, w int) (uint64, bool) {
-	return d.TransparentRead(tid, r, w)
-}
-
-// ReadPtr implements smr.Scheme.
-func (d *Deferred) ReadPtr(tid, idx int, src mem.Ref, w int) (mem.Ref, bool) {
-	return d.TransparentReadPtr(tid, src, w)
-}
-
-// Write implements smr.Scheme.
-func (d *Deferred) Write(tid int, r mem.Ref, w int, v uint64) bool {
-	return d.TransparentWrite(tid, r, w, v)
-}
-
-// WritePtr implements smr.Scheme.
-func (d *Deferred) WritePtr(tid int, r mem.Ref, w int, v mem.Ref) bool {
-	return d.TransparentWrite(tid, r, w, uint64(v))
-}
-
-// CAS implements smr.Scheme.
-func (d *Deferred) CAS(tid int, r mem.Ref, w int, old, new uint64) (bool, bool) {
-	return d.TransparentCAS(tid, r, w, old, new)
-}
-
-// CASPtr implements smr.Scheme.
-func (d *Deferred) CASPtr(tid int, r mem.Ref, w int, old, new mem.Ref) (bool, bool) {
-	return d.TransparentCAS(tid, r, w, uint64(old), uint64(new))
-}
-
-// Reserve implements smr.Scheme.
-func (d *Deferred) Reserve(tid int, refs ...mem.Ref) bool { return true }
 
 func main() {
 	// 1. Concurrent correctness on Harris's list through the seeded

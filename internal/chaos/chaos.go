@@ -99,13 +99,12 @@ func (t *Target) KeysFor(s, n int) []int64 {
 
 // Fault is one named failure mode. Inject applies one episode against the
 // target and returns a heal function that undoes it; the engine calls
-// heal exactly once per successful Inject. intensity starts at 1 and
-// grows along ramp schedules; faults scale their magnitude by it.
+// heal exactly once per successful Inject.
 type Fault interface {
 	Name() string
 	// Shard reports the fault's target shard (for event labeling).
 	Shard() int
-	Inject(t *Target, intensity float64) (heal func(), err error)
+	Inject(t *Target) (heal func(), err error)
 }
 
 // Factory builds a fault instance aimed at one shard.

@@ -74,7 +74,7 @@ func TestStallFaultGrowsEBRBacklog(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	heal, err := f.Inject(tg, 1)
+	heal, err := f.Inject(tg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +133,7 @@ func TestStallFaultGrowsEBRBacklog(t *testing.T) {
 func TestStallHealWithoutPark(t *testing.T) {
 	tg := newTarget(t, "ebr")
 	f, _ := New("stall", 1)
-	heal, err := f.Inject(tg, 1)
+	heal, err := f.Inject(tg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,7 +152,7 @@ func TestChurnFaultCloseReopen(t *testing.T) {
 		t.Fatalf("setup insert: %v, %v", ok, err)
 	}
 	f, _ := New("churn", 0)
-	heal, err := f.Inject(tg, 1)
+	heal, err := f.Inject(tg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +161,7 @@ func TestChurnFaultCloseReopen(t *testing.T) {
 		t.Fatal("closed shard still serving")
 	}
 	// Double injection while closed must fail cleanly.
-	if _, err := f.Inject(tg, 1); err == nil {
+	if _, err := f.Inject(tg); err == nil {
 		t.Fatal("closing a closed shard must error")
 	}
 	heal()
@@ -174,7 +174,7 @@ func TestChurnFaultCloseReopen(t *testing.T) {
 func TestHotspotSkewsTraffic(t *testing.T) {
 	tg := newTarget(t, "ebr")
 	f, _ := New("hotspot", 1)
-	heal, err := f.Inject(tg, 2) // two blasters
+	heal, err := f.Inject(tg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,7 +192,7 @@ func TestHotspotSkewsTraffic(t *testing.T) {
 func TestSlowClientDrips(t *testing.T) {
 	tg := newTarget(t, "ebr")
 	f, _ := New("slow-client", 0)
-	heal, err := f.Inject(tg, 1)
+	heal, err := f.Inject(tg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,7 +206,7 @@ func TestSlowClientDrips(t *testing.T) {
 func TestDelayedReleaseStorm(t *testing.T) {
 	tg := newTarget(t, "ebr")
 	f, _ := New("delayed-release", 0)
-	heal, err := f.Inject(tg, 1)
+	heal, err := f.Inject(tg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,12 +223,12 @@ func TestDelayedReleaseStorm(t *testing.T) {
 }
 
 // TestEngineSchedules drives a periodic fault and checks the event log
-// shape: every episode healed, ramped intensity recorded.
+// shape: every episode labeled, numbered and healed.
 func TestEngineSchedules(t *testing.T) {
 	tg := newTarget(t, "ebr")
 	e := NewEngine(tg)
 	if err := e.Add("slow-client", 0,
-		Schedule{Period: 10 * time.Millisecond, Hold: 5 * time.Millisecond, Ramp: 1}); err != nil {
+		Periodic(0, 10*time.Millisecond, 5*time.Millisecond)); err != nil {
 		t.Fatal(err)
 	}
 	if err := e.Add("nope", 0, OneShot(0)); err == nil {
@@ -249,8 +249,8 @@ func TestEngineSchedules(t *testing.T) {
 		if ev.Err == "" && ev.Healed == 0 {
 			t.Fatalf("event %d never healed: %+v", i, ev)
 		}
-		if want := 1 + float64(i); ev.Intensity != want {
-			t.Fatalf("event %d intensity = %f, want %f", i, ev.Intensity, want)
+		if ev.Episode != i {
+			t.Fatalf("event %d is episode %d", i, ev.Episode)
 		}
 	}
 }

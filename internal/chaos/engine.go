@@ -20,9 +20,6 @@ type Schedule struct {
 	// Hold is how long an episode stays injected before it is healed;
 	// 0 holds until the engine stops.
 	Hold time.Duration `json:"hold_ns"`
-	// Ramp grows the intensity across episodes: episode i fires with
-	// intensity 1 + Ramp×i. 0 keeps every episode at intensity 1.
-	Ramp float64 `json:"ramp"`
 }
 
 // OneShot fires once after the delay and holds until the engine stops.
@@ -47,8 +44,6 @@ type Event struct {
 	Healed time.Duration `json:"healed_ns"`
 	// Err records an episode that failed to inject.
 	Err string `json:"err,omitempty"`
-	// Intensity is the episode's ramped intensity.
-	Intensity float64 `json:"intensity"`
 }
 
 type injection struct {
@@ -190,21 +185,18 @@ func (e *Engine) run(inj injection) {
 		if inj.sched.Period <= 0 && ep >= 1 {
 			return
 		}
-		intensity := 1 + inj.sched.Ramp*float64(ep)
 		fired := time.Now()
 		idx := e.record(Event{
-			Fault:     inj.fault.Name(),
-			Shard:     inj.fault.Shard(),
-			Episode:   ep,
-			At:        e.now(),
-			Intensity: intensity,
+			Fault:   inj.fault.Name(),
+			Shard:   inj.fault.Shard(),
+			Episode: ep,
+			At:      e.now(),
 		})
-		heal, err := inj.fault.Inject(e.target, intensity)
+		heal, err := inj.fault.Inject(e.target)
 		if err != nil {
 			e.setErr(idx, err)
 		} else {
-			e.rec.Record(rec.KindFaultFire, inj.fault.Shard(), 0,
-				uint64(ep), uint64(intensity*1000), inj.fault.Name())
+			e.rec.Record(rec.KindFaultFire, inj.fault.Shard(), 0, uint64(ep), 0, inj.fault.Name())
 			if inj.sched.Hold > 0 {
 				e.sleep(inj.sched.Hold)
 				heal()

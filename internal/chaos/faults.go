@@ -120,7 +120,7 @@ func parkWorker(t *Target, shard int, point string, probe bool) (*park, error) {
 	return &park{tid: tid, stall: stall, release: release}, nil
 }
 
-func (f *stallFault) Inject(t *Target, intensity float64) (func(), error) {
+func (f *stallFault) Inject(t *Target) (func(), error) {
 	p, err := parkWorker(t, f.shard, f.point, true)
 	if err != nil {
 		return nil, err
@@ -142,7 +142,7 @@ func newPulse(shard int) (Fault, error) { return &pulseFault{shard: shard}, nil 
 func (f *pulseFault) Name() string { return "pulse" }
 func (f *pulseFault) Shard() int   { return f.shard }
 
-func (f *pulseFault) Inject(t *Target, intensity float64) (func(), error) {
+func (f *pulseFault) Inject(t *Target) (func(), error) {
 	p, err := parkWorker(t, f.shard, ds.PointSearchHead, false)
 	if err != nil {
 		return nil, err
@@ -153,12 +153,10 @@ func (f *pulseFault) Inject(t *Target, intensity float64) (func(), error) {
 // --- slow-client ---------------------------------------------------------
 
 // slowClientFault drips single-operation batches at a slow, steady rate —
-// the classic slow consumer. It adds tail pressure without volume;
-// intensity speeds the drip.
+// the classic slow consumer. It adds tail pressure without volume.
 type slowClientFault struct{ shard int }
 
-// dripInterval is the slow client's pause between operations at
-// intensity 1.
+// dripInterval is the slow client's pause between operations.
 const dripInterval = 2 * time.Millisecond
 
 func newSlowClient(shard int) (Fault, error) { return &slowClientFault{shard: shard}, nil }
@@ -166,11 +164,7 @@ func newSlowClient(shard int) (Fault, error) { return &slowClientFault{shard: sh
 func (f *slowClientFault) Name() string { return "slow-client" }
 func (f *slowClientFault) Shard() int   { return f.shard }
 
-func (f *slowClientFault) Inject(t *Target, intensity float64) (func(), error) {
-	interval := dripInterval
-	if intensity > 1 {
-		interval = time.Duration(float64(interval) / intensity)
-	}
+func (f *slowClientFault) Inject(t *Target) (func(), error) {
 	keys := t.KeysFor(f.shard, 8)
 	if len(keys) == 0 {
 		return nil, errors.New("chaos: no key routes to the target shard")
@@ -180,7 +174,7 @@ func (f *slowClientFault) Inject(t *Target, intensity float64) (func(), error) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		tick := time.NewTicker(interval)
+		tick := time.NewTicker(dripInterval)
 		defer tick.Stop()
 		for i := 0; ; i++ {
 			select {
@@ -209,42 +203,36 @@ func newHotspot(shard int) (Fault, error) { return &hotspotFault{shard: shard}, 
 func (f *hotspotFault) Name() string { return "hotspot" }
 func (f *hotspotFault) Shard() int   { return f.shard }
 
-func (f *hotspotFault) Inject(t *Target, intensity float64) (func(), error) {
+func (f *hotspotFault) Inject(t *Target) (func(), error) {
 	keys := t.KeysFor(f.shard, hotKeys)
 	if len(keys) == 0 {
 		return nil, errors.New("chaos: no key routes to the target shard")
 	}
-	blasters := 1
-	if intensity > 1 {
-		blasters = int(intensity)
-	}
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
-	for b := 0; b < blasters; b++ {
-		wg.Add(1)
-		go func(b int) {
-			defer wg.Done()
-			rng := workload.RNG(uint64(0xbeef + b))
-			batch := make([]store.Op, 0, 16)
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				batch = batch[:0]
-				for len(batch) < cap(batch) {
-					key := keys[rng.Next()%uint64(len(keys))]
-					kind := workload.OpInsert
-					if rng.Next()%2 == 0 {
-						kind = workload.OpDelete
-					}
-					batch = append(batch, store.Op{Kind: kind, Key: key})
-				}
-				submit(t, batch)
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		rng := workload.RNG(0xbeef)
+		batch := make([]store.Op, 0, 16)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
 			}
-		}(b)
-	}
+			batch = batch[:0]
+			for len(batch) < cap(batch) {
+				key := keys[rng.Next()%uint64(len(keys))]
+				kind := workload.OpInsert
+				if rng.Next()%2 == 0 {
+					kind = workload.OpDelete
+				}
+				batch = append(batch, store.Op{Kind: kind, Key: key})
+			}
+			submit(t, batch)
+		}
+	}()
 	return func() { close(stop); wg.Wait() }, nil
 }
 
@@ -261,7 +249,7 @@ func newChurn(shard int) (Fault, error) { return &churnFault{shard: shard}, nil 
 func (f *churnFault) Name() string { return "churn" }
 func (f *churnFault) Shard() int   { return f.shard }
 
-func (f *churnFault) Inject(t *Target, intensity float64) (func(), error) {
+func (f *churnFault) Inject(t *Target) (func(), error) {
 	if err := t.Store.CloseShard(f.shard); err != nil {
 		return nil, err
 	}
@@ -282,7 +270,7 @@ func (f *churnFault) Inject(t *Target, intensity float64) (func(), error) {
 // convert the whole storm into backlog.
 type delayedReleaseFault struct{ shard int }
 
-// stormOps is the storm's operation count at intensity 1.
+// stormOps is the storm's operation count.
 const stormOps = 256
 
 func newDelayedRelease(shard int) (Fault, error) { return &delayedReleaseFault{shard: shard}, nil }
@@ -290,14 +278,10 @@ func newDelayedRelease(shard int) (Fault, error) { return &delayedReleaseFault{s
 func (f *delayedReleaseFault) Name() string { return "delayed-release" }
 func (f *delayedReleaseFault) Shard() int   { return f.shard }
 
-func (f *delayedReleaseFault) Inject(t *Target, intensity float64) (func(), error) {
+func (f *delayedReleaseFault) Inject(t *Target) (func(), error) {
 	p, err := parkWorker(t, f.shard, ds.PointSearchHead, true)
 	if err != nil {
 		return nil, err
-	}
-	storm := stormOps
-	if intensity > 1 {
-		storm = int(float64(storm) * intensity)
 	}
 	keys := t.KeysFor(f.shard, 16)
 	stop := make(chan struct{})
@@ -312,14 +296,14 @@ func (f *delayedReleaseFault) Inject(t *Target, intensity float64) (func(), erro
 			defer wg.Done()
 			rng := workload.RNG(uint64(0x5701 + c))
 			batch := make([]store.Op, 0, 16)
-			for sent := 0; sent < storm/senders; {
+			for sent := 0; sent < stormOps/senders; {
 				select {
 				case <-stop:
 					return
 				default:
 				}
 				batch = batch[:0]
-				for len(batch) < cap(batch) && sent+len(batch) < storm/senders {
+				for len(batch) < cap(batch) && sent+len(batch) < stormOps/senders {
 					key := keys[rng.Next()%uint64(len(keys))]
 					batch = append(batch,
 						store.Op{Kind: workload.OpInsert, Key: key},

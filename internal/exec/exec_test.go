@@ -91,7 +91,7 @@ func parkShard(t *testing.T, st *store.Store, gates []*sched.Breakpoints, keyRan
 	if err != nil {
 		t.Fatal(err)
 	}
-	release, err := fault.Inject(&chaos.Target{Store: st, Gates: gates, KeyRange: keyRange}, 1)
+	release, err := fault.Inject(&chaos.Target{Store: st, Gates: gates, KeyRange: keyRange})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -152,7 +152,7 @@ renderLoop:
 func TestBuildTimelineCompleteChain(t *testing.T) {
 	ms := func(n int) time.Duration { return time.Duration(n) * time.Millisecond }
 	events := []rec.Event{
-		{At: ms(10), Kind: rec.KindFaultFire, Shard: 0, A: 1, B: 500, Label: "delayed-release"},
+		{At: ms(10), Kind: rec.KindFaultFire, Shard: 0, A: 1, Label: "delayed-release"},
 		{At: ms(14), Kind: rec.KindSMRScan, Shard: 0, A: 40, B: 0},
 		{At: ms(18), Kind: rec.KindVerdict, Shard: 0, A: 0, B: 2, Label: "ebr:robust→not-robust"},
 		{At: ms(20), Kind: rec.KindLadderMove, Shard: 0, A: 1, B: 0, Label: "ebr→ibr: audit"},
@@ -294,7 +294,7 @@ func TestServerEndpoints(t *testing.T) {
 func TestWriteChromeTrace(t *testing.T) {
 	ms := func(n int) time.Duration { return time.Duration(n) * time.Millisecond }
 	events := []rec.Event{
-		{At: ms(10), Kind: rec.KindFaultFire, Shard: 0, A: 1, B: 500, Label: "stall"},
+		{At: ms(10), Kind: rec.KindFaultFire, Shard: 0, A: 1, Label: "stall"},
 		{At: ms(12), Kind: rec.KindVerdict, Shard: 0, A: 0, B: 2, Label: "flip"},
 		{At: ms(14), Kind: rec.KindMigrationStart, Shard: 0, Label: "ebr→hp"},
 		{At: ms(18), Kind: rec.KindMigrationDone, Shard: 0, A: 10, B: 1000},

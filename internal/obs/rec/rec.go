@@ -68,7 +68,7 @@ const (
 	// KindReopen records a shard rebuilt in place on its own scheme.
 	KindReopen
 	// KindFaultFire records a chaos fault injection: Label = fault name,
-	// A = episode index, B = intensity in thousandths.
+	// A = episode index.
 	KindFaultFire
 	// KindFaultHeal records the matching heal: Label = fault name,
 	// A = episode index.

@@ -59,7 +59,7 @@ func WriteChromeTrace(w io.Writer, events []rec.Event, series map[int][]telemetr
 			out = append(out, traceEvent{
 				Name: "fault:" + ev.Label, Ph: "X", Ts: us(ev.At), Dur: 0,
 				Pid: pid(ev.Shard), Tid: 0,
-				Args: map[string]any{"episode": ev.A, "intensity_milli": ev.B},
+				Args: map[string]any{"episode": ev.A},
 			})
 			openFault[[2]any{ev.Shard, ev.A}] = open{idx: len(out) - 1}
 		case rec.KindFaultHeal:

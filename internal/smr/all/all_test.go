@@ -1,6 +1,7 @@
 package all_test
 
 import (
+	"errors"
 	"testing"
 
 	"repro/internal/mem"
@@ -105,6 +106,35 @@ func TestScansAllocateNothing(t *testing.T) {
 			}
 			if allocs != 0 {
 				t.Errorf("%.0f allocs per %d alloc→retire rounds, want 0", allocs, rounds)
+			}
+		})
+	}
+}
+
+// TestAllocReclaimsExhaustedHeap: scans run on retire, and an operation
+// whose allocation fails retires nothing. With the scan threshold above
+// the heap size no retire ever scans, so a 16-slot heap fills with
+// retired nodes; allocation must then reclaim them itself once nothing
+// protects them, within 3 single-op churns of the first failure, not fail
+// forever. rc reclaims at retire, so its heap never fills, and none never
+// reclaims.
+func TestAllocReclaimsExhaustedHeap(t *testing.T) {
+	for _, name := range all.SafeNames() {
+		if name == "rc" || name == "none" {
+			continue
+		}
+		t.Run(name, func(t *testing.T) {
+			a := smrtest.NewArena(1, 16, mem.Reuse)
+			s := all.MustNew(name, a, 1, 64)
+			err := smrtest.Churn(s, 0, 64)
+			if a.Stats().Snapshot().OOMs == 0 {
+				t.Fatalf("64 churns on a 16-slot heap never exhausted it (err %v)", err)
+			}
+			for attempt := 1; err != nil; attempt++ {
+				if !errors.Is(err, mem.ErrOOM) || attempt > 3 {
+					t.Fatalf("allocation after exhaustion, attempt %d: %v", attempt, err)
+				}
+				err = smrtest.Churn(s, 0, 1)
 			}
 		})
 	}

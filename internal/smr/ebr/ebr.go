@@ -10,7 +10,6 @@
 package ebr
 
 import (
-	"errors"
 	"sync/atomic"
 
 	"repro/internal/mem"
@@ -47,10 +46,10 @@ var _ smr.Scheme = (*EBR)(nil)
 // selects the default retire-list scan threshold.
 func New(a *mem.Arena, n, threshold int) *EBR {
 	e := &EBR{
-		Base:     smr.NewBase(a, n, threshold),
 		announce: make([]announcement, n),
 		counters: make([]counter, n),
 	}
+	e.Base = smr.NewBase(a, n, threshold, e.scan)
 	e.epoch.Store(2) // start above the reclamation horizon
 	return e
 }
@@ -99,53 +98,27 @@ func (e *EBR) tryAdvance() {
 	e.epoch.CompareAndSwap(cur, cur+1)
 }
 
-// Alloc implements smr.Scheme. On an exhausted heap it flushes tid's
-// retire list and tries once more: scans run only on retire, and a thread
-// whose allocations fail may retire nothing, so a backlog that filled the
-// heap while the epoch was pinned would otherwise outlive the pin.
-func (e *EBR) Alloc(tid int) (mem.Ref, error) {
-	r, err := e.Arena.Alloc(tid)
-	if errors.Is(err, mem.ErrOOM) {
-		e.Flush(tid)
-		r, err = e.Arena.Alloc(tid)
-	}
-	return r, err
-}
-
 // Retire stamps the node with the current epoch and appends it to the
 // thread's retire list; full lists trigger an advance attempt and a scan.
 func (e *EBR) Retire(tid int, r mem.Ref) {
 	e.Arena.MetaStore(r.Slot(), smr.MetaRetire, e.epoch.Load())
-	if e.Arena.Retire(tid, r) != nil {
-		return
-	}
-	if e.PushRetired(tid, r) {
-		e.tryAdvance()
-		e.scan(tid)
-	}
+	e.Base.Retire(tid, r)
 }
 
-// scan reclaims every node in tid's retire list whose retire epoch is at
-// least two epochs old: every thread active then has since announced a
-// newer epoch or quiescence, so no reference to the node survives. The
-// list is in retire-epoch order, so those nodes are its front.
-func (e *EBR) scan(tid int) { e.ReclaimExpired(tid, e.epoch.Load()) }
-
-// Flush attempts an epoch advance and a scan regardless of list length.
-func (e *EBR) Flush(tid int) {
+// scan attempts an epoch advance, then reclaims every node in tid's
+// retire list whose retire epoch is at least two epochs old: every thread
+// active then has since announced a newer epoch or quiescence, so no
+// reference to the node survives. The list is in retire-epoch order, so
+// those nodes are its front.
+func (e *EBR) scan(tid int) {
 	e.tryAdvance()
-	e.scan(tid)
-}
-
-// Read implements smr.Scheme; EBR leaves reads untouched.
-func (e *EBR) Read(tid int, r mem.Ref, w int) (uint64, bool) {
-	return e.TransparentRead(tid, r, w)
+	e.ReclaimExpired(tid, e.epoch.Load())
 }
 
 // ReadPtr implements smr.Scheme; EBR needs no per-pointer protection.
 func (e *EBR) ReadPtr(tid, idx int, src mem.Ref, w int) (mem.Ref, bool) {
 	e.maybeAdvance(tid)
-	return e.TransparentReadPtr(tid, src, w)
+	return e.Base.ReadPtr(tid, idx, src, w)
 }
 
 func (e *EBR) maybeAdvance(tid int) {
@@ -155,26 +128,3 @@ func (e *EBR) maybeAdvance(tid int) {
 		e.tryAdvance()
 	}
 }
-
-// Write implements smr.Scheme.
-func (e *EBR) Write(tid int, r mem.Ref, w int, v uint64) bool {
-	return e.TransparentWrite(tid, r, w, v)
-}
-
-// CAS implements smr.Scheme.
-func (e *EBR) CAS(tid int, r mem.Ref, w int, old, new uint64) (bool, bool) {
-	return e.TransparentCAS(tid, r, w, old, new)
-}
-
-// CASPtr implements smr.Scheme.
-func (e *EBR) CASPtr(tid int, r mem.Ref, w int, old, new mem.Ref) (bool, bool) {
-	return e.TransparentCAS(tid, r, w, uint64(old), uint64(new))
-}
-
-// WritePtr implements smr.Scheme.
-func (e *EBR) WritePtr(tid int, r mem.Ref, w int, v mem.Ref) bool {
-	return e.TransparentWrite(tid, r, w, uint64(v))
-}
-
-// Reserve implements smr.Scheme; EBR has no reservations.
-func (e *EBR) Reserve(tid int, refs ...mem.Ref) bool { return true }

@@ -56,11 +56,11 @@ var _ smr.Scheme = (*HE)(nil)
 // New builds an HE instance over arena a for n threads.
 func New(a *mem.Arena, n, threshold int) *HE {
 	h := &HE{
-		Base:    smr.NewBase(a, n, threshold),
 		slots:   make([]eraSlot, n*K),
 		retires: make([]retireCounter, n),
 		eras:    make([][]uint64, n),
 	}
+	h.Base = smr.NewBase(a, n, threshold, h.scan)
 	h.era.Store(1)
 	for t := range h.eras {
 		h.eras[t] = make([]uint64, 0, n*K)
@@ -86,9 +86,6 @@ func (h *HE) Props() smr.Props {
 	}
 }
 
-// BeginOp implements smr.Scheme.
-func (h *HE) BeginOp(tid int) {}
-
 // EndOp clears the thread's era slots.
 func (h *HE) EndOp(tid int) {
 	for i := 0; i < K; i++ {
@@ -98,7 +95,7 @@ func (h *HE) EndOp(tid int) {
 
 // Alloc stamps the node's birth era.
 func (h *HE) Alloc(tid int) (mem.Ref, error) {
-	r, err := h.Arena.Alloc(tid)
+	r, err := h.Base.Alloc(tid)
 	if err != nil {
 		return r, err
 	}
@@ -110,17 +107,12 @@ func (h *HE) Alloc(tid int) (mem.Ref, error) {
 // epochFreq retirements.
 func (h *HE) Retire(tid int, r mem.Ref) {
 	h.Arena.MetaStore(r.Slot(), smr.MetaRetire, h.era.Load())
-	if h.Arena.Retire(tid, r) != nil {
-		return
-	}
 	c := &h.retires[tid]
 	c.n++
 	if c.n%epochFreq == 0 {
 		h.era.Add(1)
 	}
-	if h.PushRetired(tid, r) {
-		h.scan(tid)
-	}
+	h.Base.Retire(tid, r)
 }
 
 // scan reclaims retired nodes whose lifetime contains no published era.
@@ -131,35 +123,16 @@ func (h *HE) scan(tid int) {
 			eras = append(eras, e)
 		}
 	}
-	l := &h.Lists[tid].Refs
-	scanned := len(*l)
-	kept := (*l)[:0]
-	for _, r := range *l {
+	h.Compact(tid, func(r mem.Ref) bool {
 		birth := h.Arena.MetaLoad(r.Slot(), smr.MetaBirth)
 		retire := h.Arena.MetaLoad(r.Slot(), smr.MetaRetire)
-		conflict := false
 		for _, e := range eras {
 			if birth <= e && e <= retire {
-				conflict = true
-				break
+				return true
 			}
 		}
-		if conflict {
-			kept = append(kept, r)
-		} else {
-			_ = h.Arena.Reclaim(tid, r)
-		}
-	}
-	*l = kept
-	h.NoteScan(tid, scanned, scanned-len(kept))
-}
-
-// Flush implements smr.Scheme.
-func (h *HE) Flush(tid int) { h.scan(tid) }
-
-// Read implements smr.Scheme.
-func (h *HE) Read(tid int, r mem.Ref, w int) (uint64, bool) {
-	return h.TransparentRead(tid, r, w)
+		return false
+	})
 }
 
 // ReadPtr publishes the current era in slot idx, loads the target, and
@@ -184,26 +157,3 @@ func (h *HE) ReadPtr(tid, idx int, src mem.Ref, w int) (mem.Ref, bool) {
 		}
 	}
 }
-
-// Write implements smr.Scheme.
-func (h *HE) Write(tid int, r mem.Ref, w int, v uint64) bool {
-	return h.TransparentWrite(tid, r, w, v)
-}
-
-// CAS implements smr.Scheme.
-func (h *HE) CAS(tid int, r mem.Ref, w int, old, new uint64) (bool, bool) {
-	return h.TransparentCAS(tid, r, w, old, new)
-}
-
-// CASPtr implements smr.Scheme.
-func (h *HE) CASPtr(tid int, r mem.Ref, w int, old, new mem.Ref) (bool, bool) {
-	return h.TransparentCAS(tid, r, w, uint64(old), uint64(new))
-}
-
-// WritePtr implements smr.Scheme.
-func (h *HE) WritePtr(tid int, r mem.Ref, w int, v mem.Ref) bool {
-	return h.TransparentWrite(tid, r, w, uint64(v))
-}
-
-// Reserve implements smr.Scheme.
-func (h *HE) Reserve(tid int, refs ...mem.Ref) bool { return true }

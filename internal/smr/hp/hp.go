@@ -42,10 +42,10 @@ var _ smr.Scheme = (*HP)(nil)
 // New builds an HP instance over arena a for n threads.
 func New(a *mem.Arena, n, threshold int) *HP {
 	h := &HP{
-		Base:      smr.NewBase(a, n, threshold),
 		hazards:   make([]hazard, n*K),
 		protected: make([]map[mem.Ref]struct{}, n),
 	}
+	h.Base = smr.NewBase(a, n, threshold, h.scan)
 	for t := range h.protected {
 		h.protected[t] = make(map[mem.Ref]struct{}, n*K)
 	}
@@ -65,26 +65,10 @@ func (h *HP) Props() smr.Props {
 	}
 }
 
-// BeginOp implements smr.Scheme; HP has no per-operation bracket work.
-func (h *HP) BeginOp(tid int) {}
-
 // EndOp clears the thread's hazard slots.
 func (h *HP) EndOp(tid int) {
 	for i := 0; i < K; i++ {
 		h.hazards[tid*K+i].ref.Store(0)
-	}
-}
-
-// Alloc implements smr.Scheme.
-func (h *HP) Alloc(tid int) (mem.Ref, error) { return h.Arena.Alloc(tid) }
-
-// Retire implements smr.Scheme.
-func (h *HP) Retire(tid int, r mem.Ref) {
-	if h.Arena.Retire(tid, r) != nil {
-		return
-	}
-	if h.PushRetired(tid, r) {
-		h.scan(tid)
 	}
 }
 
@@ -99,27 +83,10 @@ func (h *HP) scan(tid int) {
 			protected[mem.Ref(v)] = struct{}{}
 		}
 	}
-	l := &h.Lists[tid].Refs
-	scanned := len(*l)
-	kept := (*l)[:0]
-	for _, r := range *l {
-		if _, ok := protected[r.WithoutMark()]; ok {
-			kept = append(kept, r)
-		} else {
-			_ = h.Arena.Reclaim(tid, r)
-		}
-	}
-	*l = kept
-	h.NoteScan(tid, scanned, scanned-len(kept))
-}
-
-// Flush implements smr.Scheme.
-func (h *HP) Flush(tid int) { h.scan(tid) }
-
-// Read implements smr.Scheme. Plain word reads are left untouched; the
-// node is expected to be protected by an earlier ReadPtr.
-func (h *HP) Read(tid int, r mem.Ref, w int) (uint64, bool) {
-	return h.TransparentRead(tid, r, w)
+	h.Compact(tid, func(r mem.Ref) bool {
+		_, ok := protected[r.WithoutMark()]
+		return ok
+	})
 }
 
 // ReadPtr is HP's protect-and-validate loop: read the target, publish a
@@ -153,26 +120,3 @@ func (h *HP) ReadPtr(tid, idx int, src mem.Ref, w int) (mem.Ref, bool) {
 		v = v2
 	}
 }
-
-// Write implements smr.Scheme.
-func (h *HP) Write(tid int, r mem.Ref, w int, v uint64) bool {
-	return h.TransparentWrite(tid, r, w, v)
-}
-
-// CAS implements smr.Scheme.
-func (h *HP) CAS(tid int, r mem.Ref, w int, old, new uint64) (bool, bool) {
-	return h.TransparentCAS(tid, r, w, old, new)
-}
-
-// CASPtr implements smr.Scheme.
-func (h *HP) CASPtr(tid int, r mem.Ref, w int, old, new mem.Ref) (bool, bool) {
-	return h.TransparentCAS(tid, r, w, uint64(old), uint64(new))
-}
-
-// WritePtr implements smr.Scheme.
-func (h *HP) WritePtr(tid int, r mem.Ref, w int, v mem.Ref) bool {
-	return h.TransparentWrite(tid, r, w, uint64(v))
-}
-
-// Reserve implements smr.Scheme; HP's protection lives in ReadPtr.
-func (h *HP) Reserve(tid int, refs ...mem.Ref) bool { return true }

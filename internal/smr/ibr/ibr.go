@@ -59,11 +59,11 @@ var _ smr.Scheme = (*IBR)(nil)
 // New builds an IBR instance over arena a for n threads.
 func New(a *mem.Arena, n, threshold int) *IBR {
 	i := &IBR{
-		Base:   smr.NewBase(a, n, threshold),
 		resv:   make([]reservation, n),
 		allocs: make([]allocCounter, n),
 		snaps:  make([][]interval, n),
 	}
+	i.Base = smr.NewBase(a, n, threshold, i.scan)
 	i.era.Store(1)
 	for t := range i.snaps {
 		i.snaps[t] = make([]interval, n)
@@ -114,7 +114,7 @@ func (i *IBR) Rebracket(tid int) {
 // Alloc stamps the node's birth era and advances the era every epochFreq
 // allocations.
 func (i *IBR) Alloc(tid int) (mem.Ref, error) {
-	r, err := i.Arena.Alloc(tid)
+	r, err := i.Base.Alloc(tid)
 	if err != nil {
 		return r, err
 	}
@@ -131,12 +131,7 @@ func (i *IBR) Alloc(tid int) (mem.Ref, error) {
 // Retire stamps the node's retire era.
 func (i *IBR) Retire(tid int, r mem.Ref) {
 	i.Arena.MetaStore(r.Slot(), smr.MetaRetire, i.era.Load())
-	if i.Arena.Retire(tid, r) != nil {
-		return
-	}
-	if i.PushRetired(tid, r) {
-		i.scan(tid)
-	}
+	i.Base.Retire(tid, r)
 }
 
 // scan reclaims retired nodes whose [birth, retire] interval intersects no
@@ -146,38 +141,16 @@ func (i *IBR) scan(tid int) {
 	for t := range snap {
 		snap[t] = interval{i.resv[t].lower.Load(), i.resv[t].upper.Load()}
 	}
-	l := &i.Lists[tid].Refs
-	scanned := len(*l)
-	kept := (*l)[:0]
-	for _, r := range *l {
+	i.Compact(tid, func(r mem.Ref) bool {
 		birth := i.Arena.MetaLoad(r.Slot(), smr.MetaBirth)
 		retire := i.Arena.MetaLoad(r.Slot(), smr.MetaRetire)
-		conflict := false
 		for _, v := range snap {
-			if v.lower == noReservation {
-				continue
-			}
-			if birth <= v.upper && v.lower <= retire {
-				conflict = true
-				break
+			if v.lower != noReservation && birth <= v.upper && v.lower <= retire {
+				return true
 			}
 		}
-		if conflict {
-			kept = append(kept, r)
-		} else {
-			_ = i.Arena.Reclaim(tid, r)
-		}
-	}
-	*l = kept
-	i.NoteScan(tid, scanned, scanned-len(kept))
-}
-
-// Flush implements smr.Scheme.
-func (i *IBR) Flush(tid int) { i.scan(tid) }
-
-// Read implements smr.Scheme.
-func (i *IBR) Read(tid int, r mem.Ref, w int) (uint64, bool) {
-	return i.TransparentRead(tid, r, w)
+		return false
+	})
 }
 
 // ReadPtr extends the thread's reservation to the current era around the
@@ -200,26 +173,3 @@ func (i *IBR) ReadPtr(tid, idx int, src mem.Ref, w int) (mem.Ref, bool) {
 		}
 	}
 }
-
-// Write implements smr.Scheme.
-func (i *IBR) Write(tid int, r mem.Ref, w int, v uint64) bool {
-	return i.TransparentWrite(tid, r, w, v)
-}
-
-// CAS implements smr.Scheme.
-func (i *IBR) CAS(tid int, r mem.Ref, w int, old, new uint64) (bool, bool) {
-	return i.TransparentCAS(tid, r, w, old, new)
-}
-
-// CASPtr implements smr.Scheme.
-func (i *IBR) CASPtr(tid int, r mem.Ref, w int, old, new mem.Ref) (bool, bool) {
-	return i.TransparentCAS(tid, r, w, uint64(old), uint64(new))
-}
-
-// WritePtr implements smr.Scheme.
-func (i *IBR) WritePtr(tid int, r mem.Ref, w int, v mem.Ref) bool {
-	return i.TransparentWrite(tid, r, w, uint64(v))
-}
-
-// Reserve implements smr.Scheme.
-func (i *IBR) Reserve(tid int, refs ...mem.Ref) bool { return true }

@@ -40,7 +40,10 @@ type reservation struct {
 	_    pad
 }
 
-// NBR is the neutralization-based reclamation scheme.
+// NBR is the neutralization-based reclamation scheme. Its writes and
+// CASes are Base's: write-phase accesses touch only reserved nodes, so
+// they do not poll the flag (signals are deferred during write phases in
+// the real scheme).
 type NBR struct {
 	smr.Base
 	flags    []flag
@@ -53,11 +56,11 @@ var _ smr.Scheme = (*NBR)(nil)
 // New builds an NBR instance over arena a for n threads.
 func New(a *mem.Arena, n, threshold int) *NBR {
 	s := &NBR{
-		Base:     smr.NewBase(a, n, threshold),
 		flags:    make([]flag, n),
 		resv:     make([]reservation, n),
 		reserved: make([]map[mem.Ref]struct{}, n),
 	}
+	s.Base = smr.NewBase(a, n, threshold, s.scan)
 	for t := range s.reserved {
 		s.reserved[t] = make(map[mem.Ref]struct{}, n*K)
 	}
@@ -111,27 +114,13 @@ func (s *NBR) neutralized(tid int) bool {
 	return false
 }
 
-// Alloc implements smr.Scheme.
-func (s *NBR) Alloc(tid int) (mem.Ref, error) { return s.Arena.Alloc(tid) }
-
-// Retire appends to the retire list; a full list neutralizes every other
-// thread ("sends signals") and reclaims everything unreserved. The
-// reclaimer never waits for acknowledgements, preserving lock freedom.
-func (s *NBR) Retire(tid int, r mem.Ref) {
-	if s.Arena.Retire(tid, r) != nil {
-		return
-	}
-	if s.PushRetired(tid, r) {
-		s.scan(tid)
-	}
-}
-
-// scan raises every other thread's neutralization flag, then reclaims all
+// scan neutralizes every other thread ("sends signals"), then reclaims all
 // retired nodes not covered by a published reservation. Ordering argument:
 // a thread publishes reservations and then checks its flag (Reserve); the
 // reclaimer raises flags and then reads reservations. Either the reclaimer
 // sees the reservation, or the thread sees the flag and rolls back before
-// entering its write phase.
+// entering its write phase. The reclaimer never waits for
+// acknowledgements, preserving lock freedom.
 func (s *NBR) scan(tid int) {
 	for t := range s.flags {
 		if t != tid {
@@ -147,22 +136,11 @@ func (s *NBR) scan(tid int) {
 			}
 		}
 	}
-	l := &s.Lists[tid].Refs
-	scanned := len(*l)
-	kept := (*l)[:0]
-	for _, r := range *l {
-		if _, ok := reserved[r.WithoutMark()]; ok {
-			kept = append(kept, r)
-		} else {
-			_ = s.Arena.Reclaim(tid, r)
-		}
-	}
-	*l = kept
-	s.NoteScan(tid, scanned, scanned-len(kept))
+	s.Compact(tid, func(r mem.Ref) bool {
+		_, ok := reserved[r.WithoutMark()]
+		return ok
+	})
 }
-
-// Flush implements smr.Scheme.
-func (s *NBR) Flush(tid int) { s.scan(tid) }
 
 // Read loads, then polls the neutralization flag; a raised flag discards
 // the value and rolls the operation back.
@@ -180,8 +158,9 @@ func (s *NBR) Read(tid int, r mem.Ref, w int) (uint64, bool) {
 	return val, true
 }
 
-// ReadPtr implements smr.Scheme; reads need no reservations, safety comes
-// from neutralization.
+// ReadPtr implements smr.Scheme through NBR's Read; reads need no
+// reservations, safety comes from neutralization. The promoted
+// Base.ReadPtr would call Base.Read instead.
 func (s *NBR) ReadPtr(tid, idx int, src mem.Ref, w int) (mem.Ref, bool) {
 	val, ok := s.Read(tid, src, w)
 	return mem.Ref(val), ok
@@ -204,33 +183,4 @@ func (s *NBR) Reserve(tid int, refs ...mem.Ref) bool {
 		return false
 	}
 	return true
-}
-
-// Write implements smr.Scheme. Write-phase accesses touch only reserved
-// nodes, so they do not poll the flag (signals are deferred during write
-// phases in the real scheme).
-func (s *NBR) Write(tid int, r mem.Ref, w int, v uint64) bool {
-	if err := s.Arena.Store(tid, r.WithoutMark(), w, v); err != nil {
-		s.S.StaleUses.Add(1)
-	}
-	return true
-}
-
-// WritePtr implements smr.Scheme.
-func (s *NBR) WritePtr(tid int, r mem.Ref, w int, v mem.Ref) bool {
-	return s.Write(tid, r, w, uint64(v))
-}
-
-// CAS implements smr.Scheme.
-func (s *NBR) CAS(tid int, r mem.Ref, w int, old, new uint64) (bool, bool) {
-	swapped, err := s.Arena.CAS(tid, r.WithoutMark(), w, old, new)
-	if err != nil {
-		s.S.StaleUses.Add(1)
-	}
-	return swapped, true
-}
-
-// CASPtr implements smr.Scheme.
-func (s *NBR) CASPtr(tid int, r mem.Ref, w int, old, new mem.Ref) (bool, bool) {
-	return s.CAS(tid, r, w, uint64(old), uint64(new))
 }

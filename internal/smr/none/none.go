@@ -23,7 +23,7 @@ var _ smr.Scheme = (*None)(nil)
 
 // New builds a None instance over arena a for n threads.
 func New(a *mem.Arena, n, threshold int) *None {
-	return &None{Base: smr.NewBase(a, n, threshold)}
+	return &None{Base: smr.NewBase(a, n, threshold, nil)}
 }
 
 // Name implements smr.Scheme.
@@ -38,50 +38,5 @@ func (s *None) Props() smr.Props {
 	}
 }
 
-// BeginOp implements smr.Scheme.
-func (s *None) BeginOp(tid int) {}
-
-// EndOp implements smr.Scheme.
-func (s *None) EndOp(tid int) {}
-
-// Alloc implements smr.Scheme.
-func (s *None) Alloc(tid int) (mem.Ref, error) { return s.Arena.Alloc(tid) }
-
 // Retire marks the node retired and forgets it.
 func (s *None) Retire(tid int, r mem.Ref) { _ = s.Arena.Retire(tid, r) }
-
-// Flush implements smr.Scheme.
-func (s *None) Flush(tid int) {}
-
-// Read implements smr.Scheme.
-func (s *None) Read(tid int, r mem.Ref, w int) (uint64, bool) {
-	return s.TransparentRead(tid, r, w)
-}
-
-// ReadPtr implements smr.Scheme.
-func (s *None) ReadPtr(tid, idx int, src mem.Ref, w int) (mem.Ref, bool) {
-	return s.TransparentReadPtr(tid, src, w)
-}
-
-// Write implements smr.Scheme.
-func (s *None) Write(tid int, r mem.Ref, w int, v uint64) bool {
-	return s.TransparentWrite(tid, r, w, v)
-}
-
-// WritePtr implements smr.Scheme.
-func (s *None) WritePtr(tid int, r mem.Ref, w int, v mem.Ref) bool {
-	return s.TransparentWrite(tid, r, w, uint64(v))
-}
-
-// CAS implements smr.Scheme.
-func (s *None) CAS(tid int, r mem.Ref, w int, old, new uint64) (bool, bool) {
-	return s.TransparentCAS(tid, r, w, old, new)
-}
-
-// CASPtr implements smr.Scheme.
-func (s *None) CASPtr(tid int, r mem.Ref, w int, old, new mem.Ref) (bool, bool) {
-	return s.TransparentCAS(tid, r, w, uint64(old), uint64(new))
-}
-
-// Reserve implements smr.Scheme.
-func (s *None) Reserve(tid int, refs ...mem.Ref) bool { return true }

@@ -21,7 +21,6 @@
 package pebr
 
 import (
-	"errors"
 	"sync/atomic"
 
 	"repro/internal/mem"
@@ -48,9 +47,11 @@ type ejectState struct {
 // which a thread is ejected.
 const EjectAfter = 3
 
-// PEBR is the ejection-based epoch scheme.
+// PEBR is the ejection-based epoch scheme. Its updates are
+// smr.Validating's: a post-ejection update through a reclaimed reference
+// fails and rolls back.
 type PEBR struct {
-	smr.Base
+	smr.Validating
 	epoch    atomic.Uint64
 	announce []announcement
 	eject    []ejectState
@@ -60,11 +61,12 @@ var _ smr.Scheme = (*PEBR)(nil)
 
 // New builds a PEBR instance over arena a for n threads.
 func New(a *mem.Arena, n, threshold int) *PEBR {
-	return &PEBR{
-		Base:     smr.NewBase(a, n, threshold),
+	p := &PEBR{
 		announce: make([]announcement, n),
 		eject:    make([]ejectState, n),
 	}
+	p.Base = smr.NewBase(a, n, threshold, p.scan)
+	return p
 }
 
 // Name implements smr.Scheme.
@@ -147,39 +149,18 @@ func (p *PEBR) ejected(tid int) bool {
 	return false
 }
 
-// Alloc implements smr.Scheme. On an exhausted heap it flushes tid's
-// retire list and tries once more, as EBR does: scans run only on retire,
-// and a thread whose allocations fail may retire nothing.
-func (p *PEBR) Alloc(tid int) (mem.Ref, error) {
-	r, err := p.Arena.Alloc(tid)
-	if errors.Is(err, mem.ErrOOM) {
-		p.Flush(tid)
-		r, err = p.Arena.Alloc(tid)
-	}
-	return r, err
-}
-
 // Retire stamps the retire epoch; full lists advance and scan.
 func (p *PEBR) Retire(tid int, r mem.Ref) {
 	p.Arena.MetaStore(r.Slot(), smr.MetaRetire, p.epoch.Load())
-	if p.Arena.Retire(tid, r) != nil {
-		return
-	}
-	if p.PushRetired(tid, r) {
-		p.tryAdvance()
-		p.scan(tid)
-	}
+	p.Base.Retire(tid, r)
 }
 
-// scan reclaims nodes at least two epochs old (ejection guarantees the
-// epoch keeps moving). The list is in retire-epoch order, so those nodes
-// are its front.
-func (p *PEBR) scan(tid int) { p.ReclaimExpired(tid, p.epoch.Load()) }
-
-// Flush implements smr.Scheme.
-func (p *PEBR) Flush(tid int) {
+// scan attempts an advance, then reclaims nodes at least two epochs old
+// (ejection guarantees the epoch keeps moving). The list is in
+// retire-epoch order, so those nodes are its front.
+func (p *PEBR) scan(tid int) {
 	p.tryAdvance()
-	p.scan(tid)
+	p.ReclaimExpired(tid, p.epoch.Load())
 }
 
 // Read validates both the ejection flag and the reference: either failure
@@ -198,51 +179,11 @@ func (p *PEBR) Read(tid int, r mem.Ref, w int) (uint64, bool) {
 	return v, true
 }
 
-// ReadPtr implements smr.Scheme.
+// ReadPtr implements smr.Scheme through PEBR's Read. The promoted
+// Base.ReadPtr would call Base.Read instead.
 func (p *PEBR) ReadPtr(tid, idx int, src mem.Ref, w int) (mem.Ref, bool) {
 	v, ok := p.Read(tid, src, w)
 	return mem.Ref(v), ok
-}
-
-// Write implements smr.Scheme.
-func (p *PEBR) Write(tid int, r mem.Ref, w int, v uint64) bool {
-	if err := p.Arena.Store(tid, r.WithoutMark(), w, v); err != nil {
-		p.S.Restarts.Add(1)
-		return false
-	}
-	return true
-}
-
-// WritePtr implements smr.Scheme.
-func (p *PEBR) WritePtr(tid int, r mem.Ref, w int, v mem.Ref) bool {
-	return p.Write(tid, r, w, uint64(v))
-}
-
-// CAS implements smr.Scheme; updates through invalid references fail and
-// roll back.
-func (p *PEBR) CAS(tid int, r mem.Ref, w int, old, new uint64) (bool, bool) {
-	swapped, err := p.Arena.CAS(tid, r.WithoutMark(), w, old, new)
-	if err != nil {
-		p.S.Restarts.Add(1)
-		return false, false
-	}
-	return swapped, true
-}
-
-// CASPtr implements smr.Scheme. Like VBR, a post-ejection link must not
-// publish a reference whose target was reclaimed between read and link
-// (it would leave a permanently stale edge); validate after the swap and
-// undo on failure.
-func (p *PEBR) CASPtr(tid int, r mem.Ref, w int, old, new mem.Ref) (bool, bool) {
-	swapped, ok := p.CAS(tid, r, w, uint64(old), uint64(new))
-	if swapped && ok {
-		if t := new.Bare(); !t.IsNil() && !p.Arena.Valid(t) {
-			_, _ = p.Arena.CAS(tid, r.WithoutMark(), w, uint64(new), uint64(old))
-			p.S.Restarts.Add(1)
-			return false, false
-		}
-	}
-	return swapped, ok
 }
 
 // Reserve implements smr.Scheme; PEBR has no reservations, but polls the

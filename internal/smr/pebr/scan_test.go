@@ -1,7 +1,6 @@
 package pebr
 
 import (
-	"errors"
 	"testing"
 
 	"repro/internal/mem"
@@ -39,27 +38,6 @@ func TestScanMatchesFullListRule(t *testing.T) {
 		p := New(smrtest.NewArena(2, 1<<13, mem.Reuse), 2, 8)
 		if err := smrtest.CheckEpochScans(p, &p.Base, p.epoch.Load, seed, 3000); err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
-		}
-	}
-}
-
-// TestAllocReclaimsExhaustedHeap: scans run on retire, and an operation
-// whose allocation fails retires nothing. With the scan threshold above
-// the heap size no retire ever scans, so the heap fills with retired
-// nodes; allocation must then reclaim them itself once their epoch has
-// passed, not fail forever.
-func TestAllocReclaimsExhaustedHeap(t *testing.T) {
-	p := New(smrtest.NewArena(1, 16, mem.Reuse), 1, 64)
-	if err := smrtest.Churn(p, 0, 64); !errors.Is(err, mem.ErrOOM) {
-		t.Fatalf("churn on a 16-slot heap: %v, want it exhausted", err)
-	}
-	for attempt := 1; ; attempt++ {
-		err := smrtest.Churn(p, 0, 1)
-		if err == nil {
-			break
-		}
-		if attempt == 3 {
-			t.Fatalf("allocation after exhaustion, attempt %d: %v", attempt, err)
 		}
 	}
 }

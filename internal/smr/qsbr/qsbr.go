@@ -42,11 +42,11 @@ var _ smr.Scheme = (*QSBR)(nil)
 // New builds a QSBR instance over arena a for n threads.
 func New(a *mem.Arena, n, threshold int) *QSBR {
 	q := &QSBR{
-		Base:      smr.NewBase(a, n, threshold),
 		quiescent: make([]slot, n),
 		waiting:   make([][]mem.Ref, n),
 		snaps:     make([][]uint64, n),
 	}
+	q.Base = smr.NewBase(a, n, threshold, q.scan)
 	for i := range q.snaps {
 		q.snaps[i] = make([]uint64, n)
 	}
@@ -87,20 +87,6 @@ func (q *QSBR) Rebracket(tid int) {
 	q.quiescent[tid].word.Store((w>>1+1)<<1 | 1)
 }
 
-// Alloc implements smr.Scheme.
-func (q *QSBR) Alloc(tid int) (mem.Ref, error) { return q.Arena.Alloc(tid) }
-
-// Retire appends to the thread's pending bucket; a full bucket triggers a
-// grace-period check.
-func (q *QSBR) Retire(tid int, r mem.Ref) {
-	if q.Arena.Retire(tid, r) != nil {
-		return
-	}
-	if q.PushRetired(tid, r) {
-		q.scan(tid)
-	}
-}
-
 // graceElapsed reports whether every thread has either been offline at the
 // snapshot or since passed a quiescent state. A thread that has been
 // inside the same critical section continuously since the snapshot blocks
@@ -139,39 +125,3 @@ func (q *QSBR) scan(tid int) {
 		snap[i] = q.quiescent[i].word.Load()
 	}
 }
-
-// Flush implements smr.Scheme.
-func (q *QSBR) Flush(tid int) { q.scan(tid) }
-
-// Read implements smr.Scheme.
-func (q *QSBR) Read(tid int, r mem.Ref, w int) (uint64, bool) {
-	return q.TransparentRead(tid, r, w)
-}
-
-// ReadPtr implements smr.Scheme.
-func (q *QSBR) ReadPtr(tid, idx int, src mem.Ref, w int) (mem.Ref, bool) {
-	return q.TransparentReadPtr(tid, src, w)
-}
-
-// Write implements smr.Scheme.
-func (q *QSBR) Write(tid int, r mem.Ref, w int, v uint64) bool {
-	return q.TransparentWrite(tid, r, w, v)
-}
-
-// CAS implements smr.Scheme.
-func (q *QSBR) CAS(tid int, r mem.Ref, w int, old, new uint64) (bool, bool) {
-	return q.TransparentCAS(tid, r, w, old, new)
-}
-
-// CASPtr implements smr.Scheme.
-func (q *QSBR) CASPtr(tid int, r mem.Ref, w int, old, new mem.Ref) (bool, bool) {
-	return q.TransparentCAS(tid, r, w, uint64(old), uint64(new))
-}
-
-// WritePtr implements smr.Scheme.
-func (q *QSBR) WritePtr(tid int, r mem.Ref, w int, v mem.Ref) bool {
-	return q.TransparentWrite(tid, r, w, uint64(v))
-}
-
-// Reserve implements smr.Scheme.
-func (q *QSBR) Reserve(tid int, refs ...mem.Ref) bool { return true }

@@ -26,7 +26,8 @@ const claimed = ^uint64(0)
 
 // RC is the reference-counting scheme. Construct with New and register the
 // data structure's link words with SetLinkWords before use (the cascade
-// must know which payload words hold references).
+// must know which payload words hold references). RC reclaims eagerly and
+// keeps no retire lists, so Flush is Base's no-op.
 type RC struct {
 	smr.Base
 	linkWords []int
@@ -40,7 +41,7 @@ var _ smr.Scheme = (*RC)(nil)
 // later with SetLinkWords.
 func New(a *mem.Arena, n, threshold int, linkWords ...int) *RC {
 	return &RC{
-		Base:      smr.NewBase(a, n, threshold),
+		Base:      smr.NewBase(a, n, threshold, nil),
 		linkWords: linkWords,
 		held:      make([][]mem.Ref, n),
 	}
@@ -144,9 +145,6 @@ func (c *RC) maybeFree(tid int, r mem.Ref) {
 	}
 }
 
-// BeginOp implements smr.Scheme.
-func (c *RC) BeginOp(tid int) {}
-
 // EndOp releases every thread-held reference acquired during the
 // operation.
 func (c *RC) EndOp(tid int) {
@@ -155,9 +153,6 @@ func (c *RC) EndOp(tid int) {
 	}
 	c.held[tid] = c.held[tid][:0]
 }
-
-// Alloc implements smr.Scheme.
-func (c *RC) Alloc(tid int) (mem.Ref, error) { return c.Arena.Alloc(tid) }
 
 // Retire implements smr.Scheme. If the count already drained (the unlink
 // removed the last reference), reclaim immediately.
@@ -168,14 +163,6 @@ func (c *RC) Retire(tid int, r mem.Ref) {
 	if c.Arena.MetaLoad(r.Slot(), smr.MetaVersion) == 0 {
 		c.maybeFree(tid, r)
 	}
-}
-
-// Flush implements smr.Scheme; RC reclaims eagerly and keeps no lists.
-func (c *RC) Flush(tid int) {}
-
-// Read implements smr.Scheme.
-func (c *RC) Read(tid int, r mem.Ref, w int) (uint64, bool) {
-	return c.TransparentRead(tid, r, w)
 }
 
 // ReadPtr loads a link and acquires a thread reference on the target,
@@ -208,11 +195,6 @@ func (c *RC) ReadPtr(tid, idx int, src mem.Ref, w int) (mem.Ref, bool) {
 	}
 }
 
-// Write implements smr.Scheme.
-func (c *RC) Write(tid int, r mem.Ref, w int, v uint64) bool {
-	return c.TransparentWrite(tid, r, w, v)
-}
-
 // WritePtr stores a link, transferring counts from the old target to the
 // new one. It is only legal on nodes the operation owns (local
 // initialization), so the read-modify-write needs no atomicity.
@@ -231,11 +213,6 @@ func (c *RC) WritePtr(tid int, r mem.Ref, w int, v mem.Ref) bool {
 		c.rcDec(tid, t)
 	}
 	return true
-}
-
-// CAS implements smr.Scheme.
-func (c *RC) CAS(tid int, r mem.Ref, w int, old, new uint64) (bool, bool) {
-	return c.TransparentCAS(tid, r, w, old, new)
 }
 
 // CASPtr swings a link, transferring counts: the new target is pinned
@@ -266,6 +243,3 @@ func (c *RC) CASPtr(tid int, r mem.Ref, w int, old, new mem.Ref) (bool, bool) {
 	}
 	return swapped, true
 }
-
-// Reserve implements smr.Scheme.
-func (c *RC) Reserve(tid int, refs ...mem.Ref) bool { return true }

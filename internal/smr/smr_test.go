@@ -1,6 +1,8 @@
 package smr_test
 
 import (
+	"math/rand/v2"
+	"slices"
 	"testing"
 
 	"repro/internal/core"
@@ -41,22 +43,84 @@ func TestClassStrings(t *testing.T) {
 	}
 }
 
-// TestRetireListThreshold checks the Base building block.
+// TestRetireListThreshold: Base.Retire pushes onto the thread's retire
+// list and runs the scheme's scan hook exactly when the list reaches the
+// threshold; Flush runs it regardless of length.
 func TestRetireListThreshold(t *testing.T) {
 	a := mem.NewArena(mem.Config{Slots: 64, PayloadWords: 1, Threads: 1})
-	b := smr.NewBase(a, 1, 3)
-	r1, _ := a.Alloc(0)
-	r2, _ := a.Alloc(0)
-	r3, _ := a.Alloc(0)
-	if b.PushRetired(0, r1) {
-		t.Error("threshold hit after 1 push")
+	var scans []int
+	var b smr.Base
+	b = smr.NewBase(a, 1, 3, func(tid int) { scans = append(scans, len(b.Lists[tid].Refs)) })
+	for i := 1; i <= 3; i++ {
+		r, _ := a.Alloc(0)
+		b.Retire(0, r)
+		if got := len(b.Lists[0].Refs); got != i {
+			t.Fatalf("after %d retires the list holds %d nodes", i, got)
+		}
+		if want := i / 3; len(scans) != want {
+			t.Fatalf("after %d retires the hook ran %d times, want %d", i, len(scans), want)
+		}
 	}
-	if b.PushRetired(0, r2) {
-		t.Error("threshold hit after 2 pushes")
+	if scans[0] != 3 {
+		t.Errorf("hook saw a list of %d nodes, want the threshold 3", scans[0])
 	}
-	if !b.PushRetired(0, r3) {
-		t.Error("threshold not hit after 3 pushes")
+	b.Flush(0)
+	if len(scans) != 2 {
+		t.Errorf("Flush did not run the hook")
 	}
+}
+
+// TestCompactKeepsThePredicatesNodes: over a seeded list and predicate,
+// Base.Compact keeps exactly the nodes the predicate keeps, in list
+// order, reclaims the rest in the arena, and reports (examined,
+// reclaimed) to the observer.
+func TestCompactKeepsThePredicatesNodes(t *testing.T) {
+	for seed := uint64(1); seed <= 8; seed++ {
+		rng := rand.New(rand.NewPCG(seed, 0))
+		a := mem.NewArena(mem.Config{Slots: 128, PayloadWords: 1, Threads: 1})
+		b := smr.NewBase(a, 1, 1000, nil)
+		var log scanLog
+		b.SetObserver(&log)
+		keep := map[mem.Ref]bool{}
+		var want []mem.Ref
+		for i := rng.IntN(100); i >= 0; i-- {
+			r, err := a.Alloc(0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			b.Retire(0, r)
+			if keep[r] = rng.IntN(3) == 0; keep[r] {
+				want = append(want, r)
+			}
+		}
+		all := slices.Clone(b.Lists[0].Refs)
+		b.Compact(0, func(r mem.Ref) bool { return keep[r] })
+		if !slices.Equal(b.Lists[0].Refs, want) {
+			t.Fatalf("seed %d: kept %v, predicate keeps %v", seed, b.Lists[0].Refs, want)
+		}
+		for _, r := range all {
+			if a.Valid(r) != keep[r] {
+				t.Fatalf("seed %d: node %v valid=%v after the scan, kept=%v", seed, r, a.Valid(r), keep[r])
+			}
+		}
+		if got := a.Stats().Snapshot().Reclaims; got != uint64(len(all)-len(want)) {
+			t.Fatalf("seed %d: arena reclaimed %d nodes, want %d", seed, got, len(all)-len(want))
+		}
+		if want := (scanLog{1, len(all), len(all) - len(want)}); log != want {
+			t.Fatalf("seed %d: observer saw %+v, want %+v", seed, log, want)
+		}
+		if b.S.Scans.Load() != 1 {
+			t.Fatalf("seed %d: %d scans counted, want 1", seed, b.S.Scans.Load())
+		}
+	}
+}
+
+// scanLog records the scans an observer sees.
+type scanLog struct{ scans, scanned, reclaimed int }
+
+func (l *scanLog) SMRScan(tid, scanned, reclaimed int) {
+	l.scans++
+	l.scanned, l.reclaimed = scanned, reclaimed
 }
 
 // TestStatsSnapshot checks counter copying.

@@ -21,7 +21,7 @@ var _ smr.Scheme = (*Free)(nil)
 
 // New builds a Free instance over arena a for n threads.
 func New(a *mem.Arena, n, threshold int) *Free {
-	return &Free{Base: smr.NewBase(a, n, threshold)}
+	return &Free{Base: smr.NewBase(a, n, threshold, nil)}
 }
 
 // Name implements smr.Scheme.
@@ -36,15 +36,6 @@ func (s *Free) Props() smr.Props {
 	}
 }
 
-// BeginOp implements smr.Scheme.
-func (s *Free) BeginOp(tid int) {}
-
-// EndOp implements smr.Scheme.
-func (s *Free) EndOp(tid int) {}
-
-// Alloc implements smr.Scheme.
-func (s *Free) Alloc(tid int) (mem.Ref, error) { return s.Arena.Alloc(tid) }
-
 // Retire reclaims immediately.
 func (s *Free) Retire(tid int, r mem.Ref) {
 	if s.Arena.Retire(tid, r) != nil {
@@ -52,39 +43,3 @@ func (s *Free) Retire(tid int, r mem.Ref) {
 	}
 	_ = s.Arena.Reclaim(tid, r)
 }
-
-// Flush implements smr.Scheme.
-func (s *Free) Flush(tid int) {}
-
-// Read implements smr.Scheme.
-func (s *Free) Read(tid int, r mem.Ref, w int) (uint64, bool) {
-	return s.TransparentRead(tid, r, w)
-}
-
-// ReadPtr implements smr.Scheme.
-func (s *Free) ReadPtr(tid, idx int, src mem.Ref, w int) (mem.Ref, bool) {
-	return s.TransparentReadPtr(tid, src, w)
-}
-
-// Write implements smr.Scheme.
-func (s *Free) Write(tid int, r mem.Ref, w int, v uint64) bool {
-	return s.TransparentWrite(tid, r, w, v)
-}
-
-// WritePtr implements smr.Scheme.
-func (s *Free) WritePtr(tid int, r mem.Ref, w int, v mem.Ref) bool {
-	return s.TransparentWrite(tid, r, w, uint64(v))
-}
-
-// CAS implements smr.Scheme.
-func (s *Free) CAS(tid int, r mem.Ref, w int, old, new uint64) (bool, bool) {
-	return s.TransparentCAS(tid, r, w, old, new)
-}
-
-// CASPtr implements smr.Scheme.
-func (s *Free) CASPtr(tid int, r mem.Ref, w int, old, new mem.Ref) (bool, bool) {
-	return s.TransparentCAS(tid, r, w, uint64(old), uint64(new))
-}
-
-// Reserve implements smr.Scheme.
-func (s *Free) Reserve(tid int, refs ...mem.Ref) bool { return true }

@@ -25,16 +25,19 @@ import (
 	"repro/internal/smr"
 )
 
-// VBR is the version-based reclamation scheme.
+// VBR is the version-based reclamation scheme. Its updates are
+// smr.Validating's.
 type VBR struct {
-	smr.Base
+	smr.Validating
 }
 
 var _ smr.Scheme = (*VBR)(nil)
 
 // New builds a VBR instance over arena a for n threads.
 func New(a *mem.Arena, n, threshold int) *VBR {
-	return &VBR{Base: smr.NewBase(a, n, threshold)}
+	v := &VBR{}
+	v.Base = smr.NewBase(a, n, threshold, v.scan)
+	return v
 }
 
 // Name implements smr.Scheme.
@@ -52,37 +55,11 @@ func (v *VBR) Props() smr.Props {
 	}
 }
 
-// BeginOp implements smr.Scheme.
-func (v *VBR) BeginOp(tid int) {}
-
-// EndOp implements smr.Scheme.
-func (v *VBR) EndOp(tid int) {}
-
-// Alloc implements smr.Scheme. Type preservation comes from the arena:
-// slots are recycled with their metadata intact.
-func (v *VBR) Alloc(tid int) (mem.Ref, error) { return v.Arena.Alloc(tid) }
-
-// Retire appends to the retire list; a full list is reclaimed wholesale,
-// immediately. This is the scheme's robustness: the backlog per thread
-// never exceeds the threshold.
-func (v *VBR) Retire(tid int, r mem.Ref) {
-	if v.Arena.Retire(tid, r) != nil {
-		return
-	}
-	if v.PushRetired(tid, r) {
-		v.Flush(tid)
-	}
-}
-
-// Flush reclaims the thread's whole retire list.
-func (v *VBR) Flush(tid int) {
-	l := &v.Lists[tid].Refs
-	v.NoteScan(tid, len(*l), len(*l))
-	for _, r := range *l {
-		_ = v.Arena.Reclaim(tid, r)
-	}
-	*l = (*l)[:0]
-}
+// scan reclaims the thread's whole retire list, immediately. This is the
+// scheme's robustness: the backlog per thread never exceeds the
+// threshold. Type preservation comes from the arena: slots are recycled
+// with their metadata intact.
+func (v *VBR) scan(tid int) { v.Compact(tid, func(mem.Ref) bool { return false }) }
 
 // Read loads and then validates the version. A stale read is discarded and
 // the operation is rolled back, satisfying Definition 4.2: the value read
@@ -96,56 +73,9 @@ func (v *VBR) Read(tid int, r mem.Ref, w int) (uint64, bool) {
 	return val, true
 }
 
-// ReadPtr implements smr.Scheme; same validation as Read.
+// ReadPtr implements smr.Scheme; same validation as Read. The promoted
+// Base.ReadPtr would call Base.Read instead.
 func (v *VBR) ReadPtr(tid, idx int, src mem.Ref, w int) (mem.Ref, bool) {
 	val, ok := v.Read(tid, src, w)
 	return mem.Ref(val), ok
 }
-
-// Write implements smr.Scheme. Stores are only used on nodes the operation
-// owns (pre-publication initialization); a stale target rolls back.
-func (v *VBR) Write(tid int, r mem.Ref, w int, val uint64) bool {
-	if err := v.Arena.Store(tid, r.WithoutMark(), w, val); err != nil {
-		v.S.Restarts.Add(1)
-		return false
-	}
-	return true
-}
-
-// WritePtr implements smr.Scheme.
-func (v *VBR) WritePtr(tid int, r mem.Ref, w int, val mem.Ref) bool {
-	return v.Write(tid, r, w, uint64(val))
-}
-
-// CAS implements smr.Scheme. An update through an invalid reference is
-// guaranteed to fail (the version check); the operation rolls back.
-func (v *VBR) CAS(tid int, r mem.Ref, w int, old, new uint64) (bool, bool) {
-	swapped, err := v.Arena.CAS(tid, r.WithoutMark(), w, old, new)
-	if err != nil {
-		v.S.Restarts.Add(1)
-		return false, false
-	}
-	return swapped, true
-}
-
-// CASPtr implements smr.Scheme. Beyond CAS's version check on the *source*
-// word, a link installation must also cover the *target*: between reading
-// a reference and linking it, the target may have been reclaimed, and
-// publishing such a reference would leave a permanently stale edge that
-// livelocks every traversal crossing it. The real scheme's wide CAS covers
-// the target's version atomically; the simulation validates after the swap
-// and undoes on failure (a best-effort stand-in — see DESIGN.md).
-func (v *VBR) CASPtr(tid int, r mem.Ref, w int, old, new mem.Ref) (bool, bool) {
-	swapped, ok := v.CAS(tid, r, w, uint64(old), uint64(new))
-	if swapped && ok {
-		if t := new.Bare(); !t.IsNil() && !v.Arena.Valid(t) {
-			_, _ = v.Arena.CAS(tid, r.WithoutMark(), w, uint64(new), uint64(old))
-			v.S.Restarts.Add(1)
-			return false, false
-		}
-	}
-	return swapped, ok
-}
-
-// Reserve implements smr.Scheme; VBR needs no reservations.
-func (v *VBR) Reserve(tid int, refs ...mem.Ref) bool { return true }

@@ -32,8 +32,6 @@ type WindowFit struct {
 	// peak is a monotonically decreasing deque over the window, so the
 	// window maximum survives evictions without a rescan.
 	peak []peakEntry
-
-	resets int
 }
 
 type peakEntry struct {
@@ -67,7 +65,6 @@ func (w *WindowFit) Reset() {
 	w.head, w.n, w.seq = 0, 0, 0
 	w.sx, w.sy, w.sxx, w.sxy = 0, 0, 0, 0
 	w.peak = w.peak[:0]
-	w.resets++
 }
 
 // Push slides the window forward by one sample. A point whose Ops

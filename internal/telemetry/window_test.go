@@ -127,18 +127,15 @@ func TestWindowFitResetsOnOpsRegression(t *testing.T) {
 	for _, p := range synth(20, 100, func(i int) uint64 { return uint64(i) * 100 }) {
 		w.Push(p)
 	}
-	if w.resets != 0 {
-		t.Fatalf("resets before regression = %d", w.resets)
+	if w.Len() != 20 {
+		t.Fatalf("window len before regression = %d, want 20", w.Len())
 	}
 	// The new incarnation: counters restart near zero and stay flat.
 	for i := 0; i < 10; i++ {
 		w.Push(Point{Ops: uint64(i) * 50, Retired: 3})
 	}
-	if w.resets != 1 {
-		t.Fatalf("resets after regression = %d, want 1", w.resets)
-	}
 	if w.Len() != 10 {
-		t.Fatalf("window len after reset = %d, want 10", w.Len())
+		t.Fatalf("window len after regression = %d, want 10 (the window resets)", w.Len())
 	}
 	f := w.Fit(Budget{Threads: 2, Threshold: 16})
 	if f.Growth != GrowthBounded {
@@ -176,8 +173,8 @@ func TestMonitorEmitsMidRunVerdicts(t *testing.T) {
 	if got := m.Verdict(0); !got.Inconclusive() || got.Scheme != "ibr" {
 		t.Fatalf("post-rebind verdict = %+v, want inconclusive ibr", got)
 	}
-	if r := m.fits[0].resets; r != 1 {
-		t.Fatalf("restarts = %d, want 1", r)
+	if n := m.fits[0].Len(); n != 0 {
+		t.Fatalf("window holds %d points after the rebind, want 0", n)
 	}
 	// The new incarnation's flat telemetry earns ibr a "stronger".
 	for i := 0; i < 20; i++ {
