@@ -1,6 +1,6 @@
-// Top-level benchmark suite: one bench per classic experiment of the
-// registry (internal/bench), plus micro-benchmarks for the ablation
-// targets in DESIGN.md.
+// Top-level benchmark suite: one bench per paper execution cmd/eramatrix
+// prints, one per throughput cell of the registry (internal/bench), plus
+// micro-benchmarks for the ablation targets in DESIGN.md.
 //
 //	go test -bench=. -benchmem
 package repro_test
@@ -20,8 +20,9 @@ import (
 	"repro/internal/smr/all"
 )
 
-// BenchmarkERAMatrix regenerates EXP-ERA: the full matrix assembly — per
-// scheme, the audited stalled-reader run and both adversary executions.
+// BenchmarkERAMatrix times the matrix eramatrix prints: the full matrix
+// assembly — per scheme, the audited stalled-reader run and both
+// adversary executions.
 func BenchmarkERAMatrix(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		m, err := core.BuildMatrix(400)
@@ -34,16 +35,19 @@ func BenchmarkERAMatrix(b *testing.B) {
 	}
 }
 
-// BenchmarkFigure1 regenerates EXP-FIG1 per scheme: the Theorem 6.1
-// lower-bound execution. The reported metric of interest is
+// BenchmarkFigure1 times eramatrix's Figure 1 witness per scheme: the
+// Theorem 6.1 lower-bound execution. The reported metric of interest is
 // retired-per-churn (1.0 for the non-robust schemes, ~0 for the robust).
 func BenchmarkFigure1(b *testing.B) {
 	for _, scheme := range all.Names() {
 		b.Run(scheme, func(b *testing.B) {
+			f, err := all.Get(scheme)
+			if err != nil {
+				b.Fatal(err)
+			}
 			var o *adversary.Outcome
-			var err error
 			for i := 0; i < b.N; i++ {
-				o, err = adversary.Figure1(scheme, 600, mem.Unmap)
+				o, err = adversary.Figure1Of(f, 1, 600, mem.Unmap)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -54,15 +58,18 @@ func BenchmarkFigure1(b *testing.B) {
 	}
 }
 
-// BenchmarkFigure2 regenerates EXP-FIG2 per scheme: the Appendix E
-// incompatibility execution.
+// BenchmarkFigure2 times eramatrix's Figure 2 witness per scheme: the
+// Appendix E incompatibility execution.
 func BenchmarkFigure2(b *testing.B) {
 	for _, scheme := range all.Names() {
 		b.Run(scheme, func(b *testing.B) {
+			f, err := all.Get(scheme)
+			if err != nil {
+				b.Fatal(err)
+			}
 			var o *adversary.Outcome
-			var err error
 			for i := 0; i < b.N; i++ {
-				o, err = adversary.Figure2(scheme, mem.Unmap)
+				o, err = adversary.Figure2Of(f, mem.Unmap)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -72,8 +79,8 @@ func BenchmarkFigure2(b *testing.B) {
 	}
 }
 
-// BenchmarkStallTraversal regenerates EXP-EXT: the Figure 1 script
-// generalized to the skip list and the external tree (the Section 6
+// BenchmarkStallTraversal times eramatrix's stall rows: the Figure 1
+// script generalized to the skip list and the external tree (the Section 6
 // open question about which structures behave like Harris's list).
 func BenchmarkStallTraversal(b *testing.B) {
 	for _, structure := range []string{"harris", "skiplist", "nmtree"} {
@@ -183,7 +190,10 @@ func BenchmarkSchemeReadPtr(b *testing.B) {
 			a := mem.NewArena(mem.Config{
 				Slots: 64, PayloadWords: 2, MetaWords: smr.MetaWords, Threads: 1,
 			})
-			s := all.MustNew(scheme, a, 1, 0)
+			s, err := all.New(scheme, a, 1, 0)
+			if err != nil {
+				b.Fatal(err)
+			}
 			src, err := s.Alloc(0)
 			if err != nil {
 				b.Fatal(err)

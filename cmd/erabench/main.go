@@ -35,7 +35,6 @@ var (
 	out       = flag.String("out", "", "directory for BENCH_<name>.json artifacts (empty writes none)")
 	check     = flag.Bool("check", false, "exit 1 when any of an experiment's gates does not hold")
 	seed      = flag.Uint64("seed", 42, "workload seed: runs with equal seeds draw identical operation streams")
-	k         = flag.Int("k", 0, "Figure 1 churn length for the matrix's Harris witness and the structures experiment (0 = the profile's default)")
 	ops       = flag.Int("ops", 0, "operations per thread for the throughput sweep (0 = the profile's default)")
 	keyRange  = flag.Int("keyrange", 0, "key universe for the throughput sweep (0 = the profile's default)")
 	structure = flag.String("structure", "harris", "set structure for the throughput sweep")
@@ -61,9 +60,6 @@ func main() {
 		if err != nil {
 			usage(err)
 		}
-		if *out != "" && e.TableOnly {
-			usage(fmt.Errorf("-out: experiment %s prints a table only, it has no artifact", e.Name))
-		}
 		exps = []bench.Experiment{e}
 	}
 	if *profile != "short" && *profile != "full" {
@@ -82,7 +78,7 @@ func main() {
 	}
 	p := bench.Profile{
 		Short: *profile == "short", Seed: *seed, ObsAddr: *obsAddr,
-		K: *k, Ops: *ops, KeyRange: *keyRange,
+		Ops: *ops, KeyRange: *keyRange,
 		Structure: *structure, Workload: *wl, Schedule: *mix,
 	}
 
@@ -91,9 +87,6 @@ func main() {
 	files := map[string]*os.File{}
 	if *out != "" {
 		for _, e := range exps {
-			if e.TableOnly {
-				continue
-			}
 			f, err := os.Create(artifactPath(*out, e.Name))
 			if err != nil {
 				usage(err)

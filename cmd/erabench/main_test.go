@@ -28,7 +28,7 @@ func TestFlagsNameNoExperiment(t *testing.T) {
 			}
 		}
 	})
-	if n > 12 {
-		t.Errorf("erabench registers %d flags, want at most 12", n)
+	if n > 11 {
+		t.Errorf("erabench registers %d flags, want at most 11", n)
 	}
 }

@@ -27,12 +27,12 @@
 //     pool, behind the point-op clients and the fan-out lane.
 //
 // The paper itself is a theory paper with two proof illustrations and no
-// measurement section; the harness therefore regenerates (a) the paper's
-// two figures as deterministic executions (internal/core/adversary), and
-// (b) the standard evaluation shape of the SMR literature the paper builds
-// on — throughput under operation mixes, backlog audits under stalls (the
-// matrix's R column, EXP-CHAOS), and the Harris-vs-Michael comparison the
-// Section 6 discussion cites.
+// measurement section. Its two figures are deterministic executions
+// (internal/core/adversary) that cmd/eramatrix prints beside the ERA
+// matrix; this harness regenerates the standard evaluation shape of the
+// SMR literature the paper builds on — throughput under operation mixes,
+// live backlog audits under stalls (EXP-CHAOS), and the Harris-vs-Michael
+// comparison the Section 6 discussion cites.
 package bench
 
 import (
@@ -57,11 +57,10 @@ type Profile struct {
 	// address for the duration of EXP-OBS's faulted run.
 	ObsAddr string
 
-	// Sizing of the classic sweeps (erabench -k -ops -keyrange); zero
+	// Sizing of the throughput sweep (erabench -ops -keyrange); zero
 	// selects the profile's default.
-	K        int // Figure 1 churn length: matrix, structures
-	Ops      int // operations per thread: throughput
-	KeyRange int // key universe: throughput
+	Ops      int // operations per thread
+	KeyRange int // key universe
 	// Structure, Workload and Schedule name the throughput sweep's set
 	// structure, key distribution and op-mix schedule (registry names);
 	// empty selects harris/uniform/steady.
@@ -80,7 +79,6 @@ func (p Profile) pick(set, short, full int) int {
 	return full
 }
 
-func (p Profile) k() int        { return p.pick(p.K, 300, 800) }
 func (p Profile) ops() int      { return p.pick(p.Ops, 2000, 20000) }
 func (p Profile) keyRange() int { return p.pick(p.KeyRange, 256, 1024) }
 
@@ -95,7 +93,7 @@ type Gate struct {
 
 // Result is what every experiment produces: a terminal table and the
 // gates its claims rest on (nil for the experiments that assert nothing).
-// Results other than the table-only ones encode as a JSON object.
+// Every result encodes as a JSON object.
 type Result interface {
 	WriteTable(w io.Writer)
 	Gates() []Gate
@@ -121,17 +119,12 @@ type Experiment struct {
 	Name string
 	// Title is the banner printed above the table.
 	Title string
-	// TableOnly marks the deterministic classics whose whole product is
-	// the printed table: they have no JSON artifact.
-	TableOnly bool
-	Run       func(Profile) (Result, error)
+	Run   func(Profile) (Result, error)
 }
 
 // experiments is the registry, in the order "all" runs it.
 var experiments = []Experiment{
-	{Name: "matrix", Title: "EXP-ERA: the ERA matrix (Theorem 6.1)", TableOnly: true, Run: runMatrix},
 	{Name: "throughput", Title: "EXP-THRU: scheme × mix × threads throughput cells, then EXP-MICHAEL's Harris+EBR vs Michael+HP", Run: runThroughput},
-	{Name: "structures", Title: "EXP-EXT: stalled traversal across structures (§6 open question)", TableOnly: true, Run: runStructures},
 	{Name: "chaos", Title: "EXP-CHAOS: live robustness audit under stall injection (ebr/ibr/hp) + partial-failure campaign", Run: runChaos},
 	{Name: "adaptive", Title: "EXP-ADAPT: static vs adaptive reclamation under a delayed-release storm", Run: runAdaptive},
 	{Name: "obs", Title: "EXP-OBS: flight recorder + causal fault→verdict→migration timelines", Run: runObs},

@@ -1,14 +1,12 @@
 package bench_test
 
 import (
-	"fmt"
 	"runtime"
 	"strings"
 	"testing"
 
 	"repro/internal/bench"
 	"repro/internal/ds/registry"
-	"repro/internal/smr/all"
 	"repro/internal/workload"
 )
 
@@ -102,38 +100,6 @@ func TestRunCellKnownRed(t *testing.T) {
 	}
 }
 
-// TestERASlopeSeparatesNotRobust checks EXP-ERA's audited-R column
-// separates the robustness classes by the stalled reader's backlog slope:
-// one retired node per churn step (two operations) for EBR and the leaky
-// baseline, none for VBR.
-func TestERASlopeSeparatesNotRobust(t *testing.T) {
-	rows := eraRows(t)
-	for _, s := range []string{"ebr", "none"} {
-		if r := rows[s]; r.audited != "not-robust" || r.slope < 0.4 {
-			t.Errorf("%s: audited %q, slope %.3f per op — want not-robust near 0.5 (unbounded backlog)", s, r.audited, r.slope)
-		}
-	}
-	if r := rows["vbr"]; r.audited != "robust" || r.slope > 0.05 {
-		t.Errorf("vbr: audited %q, slope %.3f per op — want robust near 0", r.audited, r.slope)
-	}
-}
-
-// TestStallSeriesShape: in EXP-EXT's stalled traversals the backlog grows
-// with the churn for EBR and stays flat for VBR, on every structure.
-func TestStallSeriesShape(t *testing.T) {
-	const k = 1000
-	stalls := stallRows(t, k)
-	for _, structure := range []string{"harris", "nmtree", "skiplist"} {
-		ebr, vbr := stalls[structure+"/ebr"], stalls[structure+"/vbr"]
-		if ebr.audited != "not-robust" || ebr.final < k-64 {
-			t.Errorf("%s: ebr backlog %s, final %d after %d churn steps — should track the churn", structure, ebr.audited, ebr.final, k)
-		}
-		if vbr.audited != "robust" || vbr.peak > 32 {
-			t.Errorf("%s: vbr backlog %s, peak %d — should stay flat", structure, vbr.audited, vbr.peak)
-		}
-	}
-}
-
 // TestSweepEndsWithSectionSixCells: the sweep ends with the Section 6
 // comparison's three cells, in the documented order, and each runs.
 // Which pair is faster is a measurement, not a unit-test fact.
@@ -181,97 +147,4 @@ func TestThroughputSweep(t *testing.T) {
 	if !strings.Contains(sb.String(), "Mops/s") {
 		t.Error("table rendering lost header")
 	}
-}
-
-// TestERAPlateauSeparatesWeaklyRobust is the Definition 5.1 vs 5.2
-// separation at EXP-ERA's 128-key prefix: a robust scheme's stalled-reader
-// backlog plateaus at a few nodes, a weakly robust one's at the structure
-// size (the stalled era/interval pins the whole structure alive at the
-// stall).
-func TestERAPlateauSeparatesWeaklyRobust(t *testing.T) {
-	rows := eraRows(t)
-	for _, s := range []string{"hp", "vbr", "nbr"} {
-		if r := rows[s]; r.audited != "robust" || r.plateau > 32 {
-			t.Errorf("%s: audited %q, plateau %.0f — want robust, independent of the structure size", s, r.audited, r.plateau)
-		}
-	}
-	for _, s := range []string{"he", "ibr"} {
-		if r := rows[s]; r.audited != "weakly-robust" || r.plateau < 100 {
-			t.Errorf("%s: audited %q, plateau %.0f — want weakly-robust, tracking the structure size", s, r.audited, r.plateau)
-		}
-	}
-}
-
-// runTable runs the named experiment's short profile with churn k (0 for
-// the profile's own) and returns its rendered table.
-func runTable(t *testing.T, name string, k int) string {
-	t.Helper()
-	e, err := bench.Lookup(name)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := e.Run(bench.Profile{Short: true, Seed: 42, K: k})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var sb strings.Builder
-	res.WriteTable(&sb)
-	return sb.String()
-}
-
-// eraRow is one scheme's robustness evidence as EXP-ERA prints it.
-type eraRow struct {
-	audited        string
-	slope, plateau float64
-}
-
-// eraRows parses EXP-ERA's audited-R column and its slope/plateau
-// evidence per scheme.
-func eraRows(t *testing.T) map[string]eraRow {
-	t.Helper()
-	rows := map[string]eraRow{}
-	for _, line := range strings.Split(runTable(t, "matrix", 0), "\n") {
-		f := strings.Fields(line)
-		if len(f) < 8 || !strings.HasPrefix(f[6], "slope=") {
-			continue
-		}
-		r := eraRow{audited: f[3]}
-		if _, err := fmt.Sscanf(f[6]+" "+f[7], "slope=%g plateau=%g", &r.slope, &r.plateau); err != nil {
-			t.Fatalf("evidence %q: %v", line, err)
-		}
-		rows[f[0]] = r
-	}
-	if len(rows) != len(all.SafeNames()) {
-		t.Fatalf("matrix table has %d scheme rows, want %d", len(rows), len(all.SafeNames()))
-	}
-	return rows
-}
-
-// stallRow is one stalled traversal's backlog as EXP-EXT prints it.
-type stallRow struct {
-	audited     string
-	peak, final int
-}
-
-// stallRows parses EXP-EXT's outcomes at churn k, keyed "structure/scheme".
-func stallRows(t *testing.T, k int) map[string]stallRow {
-	t.Helper()
-	rows := map[string]stallRow{}
-	structure := ""
-	for _, line := range strings.Split(runTable(t, "structures", k), "\n") {
-		if _, err := fmt.Sscanf(line, "-- %s --", &structure); err == nil {
-			continue
-		}
-		scheme, rest, ok := strings.Cut(line, " ")
-		_, backlog, found := strings.Cut(rest, "backlog ")
-		if !ok || !found {
-			continue
-		}
-		var r stallRow
-		if _, err := fmt.Sscanf(backlog, "%s (peak %d, final %d,", &r.audited, &r.peak, &r.final); err != nil {
-			t.Fatalf("outcome %q: %v", line, err)
-		}
-		rows[structure+"/"+scheme] = r
-	}
-	return rows
 }

@@ -6,8 +6,6 @@ import (
 	"io"
 	"time"
 
-	"repro/internal/core"
-	"repro/internal/core/adversary"
 	"repro/internal/ds/drive"
 	"repro/internal/ds/registry"
 	"repro/internal/mem"
@@ -180,57 +178,4 @@ func RunCell(c ThroughputCell, p Profile) (ThroughputRow, error) {
 	row.PeakRetired = env.A.Stats().MaxRetired()
 	row.Restarts = env.S.Stats().Snapshot().Restarts - restarts
 	return row, nil
-}
-
-// matrixResult is EXP-ERA's result: the assembled ERA matrix.
-type matrixResult struct{ m core.Matrix }
-
-func (matrixResult) Gates() []Gate { return nil }
-
-func (r matrixResult) WriteTable(w io.Writer) { io.WriteString(w, r.m.String()) }
-
-func runMatrix(p Profile) (Result, error) {
-	m, err := core.BuildMatrix(p.k())
-	if err != nil {
-		return nil, err
-	}
-	return matrixResult{m}, nil
-}
-
-// structuresResult is EXP-EXT's result: per traversal structure, the
-// Figure 1 stall script's outcome under every safe scheme.
-type structuresResult []structureStalls
-
-type structureStalls struct {
-	structure string
-	outcomes  []*adversary.Outcome
-}
-
-func (structuresResult) Gates() []Gate { return nil }
-
-func (res structuresResult) WriteTable(w io.Writer) {
-	for _, s := range res {
-		fmt.Fprintf(w, "-- %s --\n", s.structure)
-		for _, o := range s.outcomes {
-			fmt.Fprintln(w, o)
-		}
-	}
-}
-
-// runStructures sweeps the registry's traversal structures (sorted, so
-// the table orders stably and new structures join automatically).
-func runStructures(p Profile) (Result, error) {
-	var res structuresResult
-	for _, structure := range registry.TraversalSetNames() {
-		s := structureStalls{structure: structure}
-		for _, scheme := range all.SafeNames() {
-			o, err := adversary.StallTraversal(scheme, structure, p.k(), mem.Unmap)
-			if err != nil {
-				return nil, err
-			}
-			s.outcomes = append(s.outcomes, o)
-		}
-		res = append(res, s)
-	}
-	return res, nil
 }

@@ -33,8 +33,9 @@ const (
 	fanoutKeys = 8
 	// recorderCapacity is a recorded run's per-stripe ring size: large
 	// enough that a one-second window's scan events cannot wrap the early
-	// fault fires out of the ring.
-	recorderCapacity = 1 << 15
+	// fault fires out of the ring. A 700 ms EXP-OBS run on two cores logs
+	// over 40 000 scans on one shard, which wraps a 1 << 15 ring.
+	recorderCapacity = 1 << 16
 )
 
 // fleetLadder is the adaptive controller's migration ladder, cheapest

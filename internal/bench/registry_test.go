@@ -30,8 +30,8 @@ var nestedGates = map[string]bool{"detection_latency_ns": true, "overhead_ok": t
 
 // wantTable is one header token each experiment's table must carry.
 var wantTable = map[string]string{
-	"matrix": "holds=true", "throughput": "Mops/s", "structures": "-- harris --",
-	"chaos": "partial-failure campaign", "adaptive": "faulted-audited", "obs": "recorder:",
+	"throughput": "Mops/s",
+	"chaos":      "partial-failure campaign", "adaptive": "faulted-audited", "obs": "recorder:",
 	"resil": "retry:",
 }
 
@@ -39,8 +39,7 @@ var wantTable = map[string]string{
 // listed — in run order — by the unknown-name error.
 func TestRegistry(t *testing.T) {
 	names := bench.Names()
-	want := []string{"matrix", "throughput", "structures",
-		"chaos", "adaptive", "obs", "resil"}
+	want := []string{"throughput", "chaos", "adaptive", "obs", "resil"}
 	if !reflect.DeepEqual(names, want) {
 		t.Fatalf("registry order:\n got %v\nwant %v", names, want)
 	}
@@ -56,9 +55,6 @@ func TestRegistry(t *testing.T) {
 		got, err := bench.Lookup(e.Name)
 		if err != nil || got.Name != e.Name {
 			t.Errorf("Lookup(%q) = %q, %v", e.Name, got.Name, err)
-		}
-		if e.TableOnly && wantGates[e.Name] != nil {
-			t.Errorf("%s: a gated experiment must have an artifact", e.Name)
 		}
 	}
 	_, err := bench.Lookup("nosuch")
@@ -140,9 +136,7 @@ func TestExperimentsShortProfile(t *testing.T) {
 			if got := gateNames(res); !reflect.DeepEqual(got, wantGates[e.Name]) {
 				t.Errorf("gates %v, want %v", got, wantGates[e.Name])
 			}
-			if !e.TableOnly {
-				checkArtifact(t, e.Name, res)
-			}
+			checkArtifact(t, e.Name, res)
 			checkStructure(t, res)
 		})
 	}

@@ -1,7 +1,7 @@
 // Package adversary builds the paper's two scripted executions as
 // replayable, deterministic runs parameterized by reclamation scheme:
 //
-//   - Figure1 is the lower-bound execution proving Theorem 6.1: thread T1
+//   - Figure1Of is the lower-bound execution proving Theorem 6.1: thread T1
 //     stalls at the start of a traversal of Harris's linked-list while T2
 //     runs an alternating insert(n+1)/delete(n) workload, keeping the data
 //     structure at four active nodes while retiring n nodes. A scheme that
@@ -9,7 +9,7 @@
 //     T1 resumes solo, an easily-integrated scheme has no way to stop it
 //     from dereferencing the reclaimed node.
 //
-//   - Figure2 is the Appendix E execution showing protection-based schemes
+//   - Figure2Of is the Appendix E execution showing protection-based schemes
 //     (HP, HE, IBR) are not applicable to Harris's list: T1 protects node
 //     15 and stalls before reading its next pointer; deleters mark 15 and
 //     43 without unlinking; a traversal bulk-unlinks both; 43 is reclaimed
@@ -121,14 +121,6 @@ func effectiveMode(p smr.Props, mode mem.ReclaimMode) mem.ReclaimMode {
 	return mode
 }
 
-// registered returns the registry's factory for the named scheme.
-func registered(scheme string) (all.Factory, error) {
-	if _, err := all.Props(scheme); err != nil {
-		return nil, err
-	}
-	return func(a *mem.Arena, n, t int) smr.Scheme { return all.MustNew(scheme, a, n, t) }, nil
-}
-
 // probe builds the scheme f makes over a throwaway arena, for its name and
 // property sheet before the script's arena (whose mode depends on them)
 // exists.
@@ -146,49 +138,22 @@ func mustOp(name string, ok bool, want bool, err error) error {
 	return nil
 }
 
-// Figure1 runs the Theorem 6.1 lower-bound execution for the named scheme
-// with churn length K. mode selects what reclaimed memory does (Unmap
-// reproduces the segmentation-fault reading; Reuse the read-another-node
-// reading — both are unsafe per Definition 4.1).
-func Figure1(scheme string, K int, mode mem.ReclaimMode) (*Outcome, error) {
-	f, err := registered(scheme)
-	if err != nil {
-		return nil, err
-	}
-	return Figure1Of(f, 1, K, mode)
-}
-
-// Figure1Of runs the Figure 1 execution against the scheme f builds, so an
-// unregistered scheme runs the same script. Harris's list holds keys
+// Figure1Of runs the Theorem 6.1 lower-bound execution against the scheme
+// f builds, a registered one or any other. Harris's list holds keys
 // 1..prefill+1 when T1 parks right after reading head's next pointer; T2
 // deletes the prefix, then alternates insert(n+1)/delete(n) up to key K,
 // keeping the list at prefill+1 keys while retiring K nodes. Prefill 1 is
 // the paper's execution (max_active 4); a longer prefix is what separates
 // weak robustness from robustness, since a stalled era reservation pins
-// every node alive when T1 parked.
+// every node alive when T1 parked. mode selects what reclaimed memory does
+// (Unmap reproduces the segmentation-fault reading; Reuse the
+// read-another-node reading — both are unsafe per Definition 4.1).
 func Figure1Of(f all.Factory, prefill, K int, mode mem.ReclaimMode) (*Outcome, error) {
 	scenario := "figure1"
 	if prefill != 1 {
 		scenario = fmt.Sprintf("figure1/prefill=%d", prefill)
 	}
 	return run(f, script{scenario: scenario, structure: "harris", prefill: prefill, K: K, mode: mode})
-}
-
-// Figure2Keys are the keys of the Appendix E scenario, exported for the
-// example binaries' narration.
-var Figure2Keys = struct {
-	A, B, C int64 // nodes 15, 43, 76
-	Probe   int64 // T4's absent key 44
-	Insert  int64 // T1's key 58
-}{15, 43, 76, 44, 58}
-
-// Figure2 runs the Appendix E execution for the named scheme.
-func Figure2(scheme string, mode mem.ReclaimMode) (*Outcome, error) {
-	f, err := registered(scheme)
-	if err != nil {
-		return nil, err
-	}
-	return Figure2Of(f, mode)
 }
 
 // Figure2Of runs the Appendix E execution against the scheme f builds.
@@ -204,7 +169,9 @@ func Figure2Of(f all.Factory, mode mem.ReclaimMode) (*Outcome, error) {
 		return nil, err
 	}
 	const t1, t2, t3, t4 = 0, 1, 2, 3
-	k := Figure2Keys
+	// The Appendix E keys: nodes 15, 43 and 76, T4's absent key 44, T1's
+	// key 58.
+	k := struct{ A, B, C, Probe, Insert int64 }{15, 43, 76, 44, 58}
 
 	// Stage a: the list contains {15, 76}.
 	for _, key := range []int64{k.A, k.C} {

@@ -22,6 +22,16 @@ type expectation struct {
 	bounded bool
 }
 
+// factory returns the registry's factory for the named scheme.
+func factory(tb testing.TB, scheme string) all.Factory {
+	tb.Helper()
+	f, err := all.Get(scheme)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return f
+}
+
 var figure1Want = map[string]expectation{
 	"ebr":        {safe: true, bounded: false},
 	"qsbr":       {safe: true, bounded: false},
@@ -44,7 +54,7 @@ func TestTheoremERA(t *testing.T) {
 	for _, scheme := range all.Names() {
 		scheme := scheme
 		t.Run(scheme, func(t *testing.T) {
-			o, err := adversary.Figure1(scheme, K, mem.Unmap)
+			o, err := adversary.Figure1Of(factory(t, scheme), 1, K, mem.Unmap)
 			if err != nil {
 				t.Fatalf("figure1: %v", err)
 			}
@@ -80,7 +90,7 @@ func TestTheoremERAReuseMode(t *testing.T) {
 	for _, scheme := range []string{"ebr", "hp", "vbr", "nbr"} {
 		scheme := scheme
 		t.Run(scheme, func(t *testing.T) {
-			o, err := adversary.Figure1(scheme, 600, mem.Reuse)
+			o, err := adversary.Figure1Of(factory(t, scheme), 1, 600, mem.Reuse)
 			if err != nil {
 				t.Fatalf("figure1: %v", err)
 			}
@@ -104,7 +114,7 @@ func TestFigure1GrowthTracksChurn(t *testing.T) {
 		t.Run(scheme, func(t *testing.T) {
 			var prev uint64
 			for _, k := range []int{200, 400, 800} {
-				o, err := adversary.Figure1(scheme, k, mem.Unmap)
+				o, err := adversary.Figure1Of(factory(t, scheme), 1, k, mem.Unmap)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -128,7 +138,7 @@ func TestFigure1RobustBoundIndependentOfChurn(t *testing.T) {
 		t.Run(scheme, func(t *testing.T) {
 			var backlogs []uint64
 			for _, k := range []int{200, 800} {
-				o, err := adversary.Figure1(scheme, k, mem.Unmap)
+				o, err := adversary.Figure1Of(factory(t, scheme), 1, k, mem.Unmap)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -154,7 +164,7 @@ func TestFigure2Incompatibility(t *testing.T) {
 	for _, scheme := range all.Names() {
 		scheme := scheme
 		t.Run(scheme, func(t *testing.T) {
-			o, err := adversary.Figure2(scheme, mem.Unmap)
+			o, err := adversary.Figure2Of(factory(t, scheme), mem.Unmap)
 			if err != nil {
 				t.Fatalf("figure2: %v", err)
 			}
@@ -173,30 +183,28 @@ func TestFigure2Incompatibility(t *testing.T) {
 }
 
 // TestFigure1Deterministic: same inputs, same outcome — the scripted
-// executions are replayable.
+// executions are replayable down to every peak, final and fault count,
+// which is what makes eramatrix's output byte-identical across runs.
 func TestFigure1Deterministic(t *testing.T) {
-	a, err := adversary.Figure1("hp", 300, mem.Unmap)
+	a, err := adversary.Figure1Of(factory(t, "hp"), 1, 300, mem.Unmap)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := adversary.Figure1("hp", 300, mem.Unmap)
+	b, err := adversary.Figure1Of(factory(t, "hp"), 1, 300, mem.Unmap)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a.Safe != b.Safe || a.Bounded != b.Bounded || a.MaxActive != b.MaxActive {
+	if a.String() != b.String() {
 		t.Errorf("outcomes differ:\n  %s\n  %s", a, b)
 	}
 }
 
 // TestBadInputs covers the error paths.
 func TestBadInputs(t *testing.T) {
-	if _, err := adversary.Figure1("nosuch", 100, mem.Unmap); err == nil {
-		t.Error("unknown scheme accepted")
-	}
-	if _, err := adversary.Figure1("ebr", 1, mem.Unmap); err == nil {
+	if _, err := adversary.Figure1Of(factory(t, "ebr"), 1, 1, mem.Unmap); err == nil {
 		t.Error("K=1 accepted")
 	}
-	if _, err := adversary.Figure2("nosuch", mem.Unmap); err == nil {
-		t.Error("unknown scheme accepted")
+	if _, err := adversary.Figure1Of(factory(t, "ebr"), 8, 8, mem.Unmap); err == nil {
+		t.Error("K=prefill accepted")
 	}
 }

@@ -150,15 +150,15 @@ func run(f all.Factory, sc script) (*Outcome, error) {
 // for 3 lands on leaf 2.
 //
 // The per-structure outcomes differ in instructive ways (measured by the
-// tests and `erabench -exp structures`): the skip list reproduces Harris's trichotomy
-// exactly; the Natarajan-Mittal tree keeps protection-based schemes safe
-// under *this* script (each traversal step protects the node it lands on,
-// and the tree detaches small units rather than chains), while the
-// non-robust backlog shape is unchanged — and RC, chain-pinning on the
-// lists, is bounded on the tree because detached units do not link to
-// each other.
+// tests and printed by cmd/eramatrix): the skip list reproduces Harris's
+// trichotomy exactly; the Natarajan-Mittal tree keeps protection-based
+// schemes safe under *this* script (each traversal step protects the node
+// it lands on, and the tree detaches small units rather than chains),
+// while the non-robust backlog shape is unchanged — and RC, chain-pinning
+// on the lists, is bounded on the tree because detached units do not link
+// to each other.
 func StallTraversal(scheme, structure string, K int, mode mem.ReclaimMode) (*Outcome, error) {
-	f, err := registered(scheme)
+	f, err := all.Get(scheme)
 	if err != nil {
 		return nil, err
 	}

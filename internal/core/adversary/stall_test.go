@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/core/adversary"
 	"repro/internal/mem"
+	"repro/internal/smr"
 	"repro/internal/smr/all"
 )
 
@@ -71,12 +72,34 @@ func TestStallTraversalHarris(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		f1, err := adversary.Figure1(scheme, 600, mem.Unmap)
+		f1, err := adversary.Figure1Of(factory(t, scheme), 1, 600, mem.Unmap)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if o.Bounded != f1.Bounded {
 			t.Errorf("%s: stall bounded=%v, figure1 bounded=%v", scheme, o.Bounded, f1.Bounded)
+		}
+	}
+}
+
+// TestStallSeriesShape: in the stalled traversals the backlog grows with
+// the churn for EBR and stays flat for VBR, on every structure.
+func TestStallSeriesShape(t *testing.T) {
+	const k = 1000
+	for _, structure := range []string{"harris", "nmtree", "skiplist"} {
+		ebr, err := adversary.StallTraversal("ebr", structure, k, mem.Unmap)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ebr.Audit.AuditedClass() != smr.NotRobust || ebr.FinalRetired < k-64 {
+			t.Errorf("%s: ebr backlog %s, final %d after %d churn steps — should track the churn", structure, ebr.Audit.Audited, ebr.FinalRetired, k)
+		}
+		vbr, err := adversary.StallTraversal("vbr", structure, k, mem.Unmap)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if vbr.Audit.AuditedClass() != smr.Robust || vbr.PeakRetired > 32 {
+			t.Errorf("%s: vbr backlog %s, peak %d — should stay flat", structure, vbr.Audit.Audited, vbr.PeakRetired)
 		}
 	}
 }
@@ -114,7 +137,7 @@ func TestStallScriptsShortChurn(t *testing.T) {
 			var o *adversary.Outcome
 			var err error
 			if structure == "figure1" {
-				o, err = adversary.Figure1("ebr", K, mem.Unmap)
+				o, err = adversary.Figure1Of(factory(t, "ebr"), 1, K, mem.Unmap)
 			} else {
 				o, err = adversary.StallTraversal("ebr", structure, K, mem.Unmap)
 			}

@@ -5,12 +5,11 @@ import (
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/core/adversary"
 	"repro/internal/ds/drive"
 	"repro/internal/ds/registry"
-	"repro/internal/mem"
 	"repro/internal/smr"
 	"repro/internal/smr/all"
+	"repro/internal/telemetry"
 )
 
 // TestClassifyIntegration pins Definition 5.3 per scheme: only the
@@ -64,24 +63,50 @@ func TestSafetyReport(t *testing.T) {
 
 // TestMeasureRobustness pins, per safe scheme, the robustness class
 // telemetry's growth fit audits from a stalled reader's backlog on
-// Harris's list. At the matrix's 128-key prefix it is the declared class.
-// At Figure 1's one-key prefix the stalled era reservation pins almost
-// nothing, so HE and IBR read robust: stronger than declared.
+// Harris's list. At the matrix's 128-key prefix it is the declared class,
+// and the fit's shape separates the classes: a slope near one retired
+// node per churn step (two operations) for the unbounded backlogs, a
+// plateau of a few nodes for the robust schemes and of the structure size
+// for the weakly robust ones (the stalled era/interval pins the whole
+// structure alive at the stall). At Figure 1's one-key prefix the stalled
+// era reservation pins almost nothing, so HE and IBR read robust: stronger
+// than declared.
 func TestMeasureRobustness(t *testing.T) {
-	atFigure1 := map[string]smr.RobustnessClass{
-		"ebr": smr.NotRobust, "qsbr": smr.NotRobust, "none": smr.NotRobust, "rc": smr.NotRobust,
-		"he": smr.Robust, "ibr": smr.Robust,
-		"hp": smr.Robust, "vbr": smr.Robust, "nbr": smr.Robust, "pebr": smr.Robust,
+	grows := func(f telemetry.Fit) bool { return f.Slope >= 0.4 }
+	few := func(f telemetry.Fit) bool { return f.Plateau <= 32 }
+	level := func(f telemetry.Fit) bool { return f.Slope <= 0.05 && few(f) }
+	pinned := func(f telemetry.Fit) bool { return f.Plateau >= 100 }
+	unchecked := func(telemetry.Fit) bool { return true }
+	want := map[string]struct {
+		atFigure1 smr.RobustnessClass
+		shape     func(telemetry.Fit) bool
+	}{
+		"ebr":  {smr.NotRobust, grows},
+		"none": {smr.NotRobust, grows},
+		"qsbr": {smr.NotRobust, unchecked},
+		"rc":   {smr.NotRobust, unchecked},
+		"he":   {smr.Robust, pinned},
+		"ibr":  {smr.Robust, pinned},
+		"hp":   {smr.Robust, few},
+		"vbr":  {smr.Robust, level},
+		"nbr":  {smr.Robust, few},
+		"pebr": {smr.Robust, unchecked},
 	}
 	for _, scheme := range all.SafeNames() {
 		t.Run(scheme, func(t *testing.T) {
+			w, ok := want[scheme]
+			if !ok {
+				t.Fatalf("no expectation recorded for scheme %q", scheme)
+			}
 			p, err := all.Props(scheme)
 			if err != nil {
 				t.Fatal(err)
 			}
-			row, err := core.Classify(func(a *mem.Arena, n, th int) smr.Scheme {
-				return all.MustNew(scheme, a, n, th)
-			}, 300)
+			f, err := all.Get(scheme)
+			if err != nil {
+				t.Fatal(err)
+			}
+			row, err := core.Classify(f, 600)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -89,19 +114,15 @@ func TestMeasureRobustness(t *testing.T) {
 				t.Errorf("prefill 128: audited %v, declared %v, consistent %v (%s)",
 					got, p.Robustness, row.Consistent, row.Robustness)
 			}
-			o, err := adversary.Figure1(scheme, 600, mem.Unmap)
-			if err != nil {
-				t.Fatal(err)
+			if fit := row.Robustness.Fit; !w.shape(fit) {
+				t.Errorf("prefill 128: slope %.3f per op, plateau %.0f — the wrong shape for %v", fit.Slope, fit.Plateau, p.Robustness)
 			}
-			want, ok := atFigure1[scheme]
-			if !ok {
-				t.Fatalf("no expectation recorded for scheme %q", scheme)
+			audit := row.Figure1.Audit
+			if got := audit.AuditedClass(); got != w.atFigure1 {
+				t.Errorf("prefill 1: audited %v, want %v (%s)", got, w.atFigure1, audit)
 			}
-			if got := o.Audit.AuditedClass(); got != want {
-				t.Errorf("prefill 1: audited %v, want %v (%s)", got, want, o.Audit)
-			}
-			if stronger := o.Audit.Outcome == "stronger"; stronger != (want > p.Robustness) {
-				t.Errorf("prefill 1: outcome %s against declared %v", o.Audit.Outcome, p.Robustness)
+			if stronger := audit.Outcome == "stronger"; stronger != (w.atFigure1 > p.Robustness) {
+				t.Errorf("prefill 1: outcome %s against declared %v", audit.Outcome, p.Robustness)
 			}
 		})
 	}

@@ -30,9 +30,11 @@ type MatrixRow struct {
 
 	// ClaimedApplicability is the scheme's declared class.
 	ClaimedApplicability smr.ApplicabilityClass
-	// HarrisSafe aggregates the deterministic adversary executions on
-	// Harris's list — the access-aware witness of Definition 5.6.
-	HarrisSafe bool
+	// Figure1 (churn Matrix.FigureK) and Figure2 are the deterministic
+	// adversary executions on Harris's list — the access-aware witness of
+	// Definition 5.6 — and HarrisSafe is both being safe.
+	Figure1, Figure2 *adversary.Outcome
+	HarrisSafe       bool
 	// Wide is the ERA-theorem-relevant bit: applicable to the
 	// access-aware class, confirmed on its witness.
 	Wide bool
@@ -132,15 +134,13 @@ func Classify(f all.Factory, figureK int) (MatrixRow, error) {
 	row.Robustness = r.Audit
 	row.Robust = r.Bounded
 
-	f1, err := adversary.Figure1Of(f, 1, figureK, mem.Unmap)
-	if err != nil {
+	if row.Figure1, err = adversary.Figure1Of(f, 1, figureK, mem.Unmap); err != nil {
 		return row, err
 	}
-	f2, err := adversary.Figure2Of(f, mem.Unmap)
-	if err != nil {
+	if row.Figure2, err = adversary.Figure2Of(f, mem.Unmap); err != nil {
 		return row, err
 	}
-	row.HarrisSafe = f1.Safe && f2.Safe
+	row.HarrisSafe = row.Figure1.Safe && row.Figure2.Safe
 	claimedWide := props.Applicability == smr.WidelyApplicable ||
 		props.Applicability == smr.StronglyApplicable
 	row.Wide = claimedWide && row.HarrisSafe
@@ -158,7 +158,11 @@ func BuildMatrix(figureK int) (Matrix, error) {
 	}
 	m := Matrix{FigureK: figureK}
 	for _, scheme := range all.SafeNames() {
-		row, err := Classify(func(a *mem.Arena, n, t int) smr.Scheme { return all.MustNew(scheme, a, n, t) }, figureK)
+		f, err := all.Get(scheme)
+		if err != nil {
+			return m, err
+		}
+		row, err := Classify(f, figureK)
 		if err != nil {
 			return m, fmt.Errorf("%s: %w", scheme, err)
 		}

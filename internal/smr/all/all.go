@@ -62,11 +62,20 @@ func SafeNames() []string {
 	return names
 }
 
-// New builds the named scheme.
-func New(name string, a *mem.Arena, n, threshold int) (smr.Scheme, error) {
+// Get returns the named scheme's factory.
+func Get(name string) (Factory, error) {
 	f, ok := factories[name]
 	if !ok {
 		return nil, fmt.Errorf("smr: unknown scheme %q (have %v)", name, Names())
+	}
+	return f, nil
+}
+
+// New builds the named scheme.
+func New(name string, a *mem.Arena, n, threshold int) (smr.Scheme, error) {
+	f, err := Get(name)
+	if err != nil {
+		return nil, err
 	}
 	return f(a, n, threshold), nil
 }
@@ -74,19 +83,10 @@ func New(name string, a *mem.Arena, n, threshold int) (smr.Scheme, error) {
 // Props returns the named scheme's static property sheet without binding
 // it to a real heap (a probe instance is built over a throwaway arena).
 func Props(name string) (smr.Props, error) {
-	f, ok := factories[name]
-	if !ok {
-		return smr.Props{}, fmt.Errorf("smr: unknown scheme %q (have %v)", name, Names())
+	f, err := Get(name)
+	if err != nil {
+		return smr.Props{}, err
 	}
 	a := mem.NewArena(mem.Config{Slots: 1, PayloadWords: 1, MetaWords: smr.MetaWords, Threads: 1})
 	return f(a, 1, 0).Props(), nil
-}
-
-// MustNew is New for tests and tools with static names.
-func MustNew(name string, a *mem.Arena, n, threshold int) smr.Scheme {
-	s, err := New(name, a, n, threshold)
-	if err != nil {
-		panic(err)
-	}
-	return s
 }

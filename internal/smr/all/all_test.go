@@ -49,6 +49,9 @@ func TestUnknownScheme(t *testing.T) {
 	if _, err := all.New("gc", newArena(1), 1, 0); err == nil {
 		t.Fatal("expected an error for an unknown scheme")
 	}
+	if _, err := all.Get("gc"); err == nil {
+		t.Fatal("Get: expected an error for an unknown scheme")
+	}
 }
 
 // TestSafeNamesExcludesBaseline ensures the failure-injection baseline is
@@ -125,8 +128,11 @@ func TestAllocReclaimsExhaustedHeap(t *testing.T) {
 		}
 		t.Run(name, func(t *testing.T) {
 			a := smrtest.NewArena(1, 16, mem.Reuse)
-			s := all.MustNew(name, a, 1, 64)
-			err := smrtest.Churn(s, 0, 64)
+			s, err := all.New(name, a, 1, 64)
+			if err != nil {
+				t.Fatal(err)
+			}
+			err = smrtest.Churn(s, 0, 64)
 			if a.Stats().Snapshot().OOMs == 0 {
 				t.Fatalf("64 churns on a 16-slot heap never exhausted it (err %v)", err)
 			}

@@ -4,9 +4,20 @@ import (
 	"testing"
 
 	"repro/internal/mem"
+	"repro/internal/smr"
 	"repro/internal/smr/all"
 	"repro/internal/smr/smrtest"
 )
+
+// newScheme builds the named registered scheme over a.
+func newScheme(t *testing.T, name string, a *mem.Arena, n, threshold int) smr.Scheme {
+	t.Helper()
+	s, err := all.New(name, a, n, threshold)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
 
 // TestNewArenaFitsEveryScheme checks the helper's arena layout carries the
 // full scheme-metadata block: every registered scheme must construct over
@@ -14,7 +25,7 @@ import (
 func TestNewArenaFitsEveryScheme(t *testing.T) {
 	for _, name := range all.Names() {
 		a := smrtest.NewArena(2, 64, mem.Reuse)
-		s := all.MustNew(name, a, 2, 0)
+		s := newScheme(t, name, a, 2, 0)
 		if _, err := smrtest.AllocShared(s, 0, 42); err != nil {
 			t.Errorf("%s: %v", name, err)
 		}
@@ -29,7 +40,7 @@ func TestChurnAccounting(t *testing.T) {
 	for _, name := range []string{"ebr", "hp", "vbr", "none"} {
 		t.Run(name, func(t *testing.T) {
 			a := smrtest.NewArena(2, 512, mem.Reuse)
-			s := all.MustNew(name, a, 2, 16)
+			s := newScheme(t, name, a, 2, 16)
 			const ops = 100
 			if err := smrtest.Churn(s, 0, ops); err != nil {
 				t.Fatal(err)
@@ -57,7 +68,7 @@ func TestChurnAccounting(t *testing.T) {
 // size arenas tightly under the leak baseline.
 func TestChurnSurfacesExhaustion(t *testing.T) {
 	a := smrtest.NewArena(1, 8, mem.Reuse)
-	s := all.MustNew("none", a, 1, 0) // never reclaims
+	s := newScheme(t, "none", a, 1, 0) // never reclaims
 	if err := smrtest.Churn(s, 0, 64); err == nil {
 		t.Fatal("churn past heap capacity reported no error")
 	}
@@ -71,7 +82,7 @@ func TestChurnSurfacesExhaustion(t *testing.T) {
 func TestAllocSharedVisible(t *testing.T) {
 	for _, name := range []string{"ebr", "none"} {
 		a := smrtest.NewArena(1, 16, mem.Reuse)
-		s := all.MustNew(name, a, 1, 0)
+		s := newScheme(t, name, a, 1, 0)
 		r, err := smrtest.AllocShared(s, 0, 7)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
@@ -89,7 +100,7 @@ func TestAllocSharedVisible(t *testing.T) {
 // backlog — the post-churn cleanup every conformance test performs.
 func TestDrainAllSettlesBacklog(t *testing.T) {
 	a := smrtest.NewArena(2, 512, mem.Reuse)
-	s := all.MustNew("ebr", a, 2, 1000) // threshold high: nothing reclaims mid-churn
+	s := newScheme(t, "ebr", a, 2, 1000) // threshold high: nothing reclaims mid-churn
 	if err := smrtest.Churn(s, 0, 50); err != nil {
 		t.Fatal(err)
 	}
