@@ -63,38 +63,18 @@ func TestSafetyReport(t *testing.T) {
 
 // TestMeasureRobustness pins, per safe scheme, the robustness class
 // telemetry's growth fit audits from a stalled reader's backlog on
-// Harris's list. At the matrix's 128-key prefix it is the declared class,
-// and the fit's shape separates the classes: a slope near one retired
-// node per churn step (two operations) for the unbounded backlogs, a
-// plateau of a few nodes for the robust schemes and of the structure size
-// for the weakly robust ones (the stalled era/interval pins the whole
-// structure alive at the stall). At Figure 1's one-key prefix the stalled
-// era reservation pins almost nothing, so HE and IBR read robust: stronger
-// than declared.
+// Harris's list. At the matrix's 128-key prefix it is the declared class.
+// At Figure 1's one-key prefix the stalled era reservation pins almost
+// nothing, so HE and IBR read robust: stronger than declared.
 func TestMeasureRobustness(t *testing.T) {
-	grows := func(f telemetry.Fit) bool { return f.Slope >= 0.4 }
-	few := func(f telemetry.Fit) bool { return f.Plateau <= 32 }
-	level := func(f telemetry.Fit) bool { return f.Slope <= 0.05 && few(f) }
-	pinned := func(f telemetry.Fit) bool { return f.Plateau >= 100 }
-	unchecked := func(telemetry.Fit) bool { return true }
-	want := map[string]struct {
-		atFigure1 smr.RobustnessClass
-		shape     func(telemetry.Fit) bool
-	}{
-		"ebr":  {smr.NotRobust, grows},
-		"none": {smr.NotRobust, grows},
-		"qsbr": {smr.NotRobust, unchecked},
-		"rc":   {smr.NotRobust, unchecked},
-		"he":   {smr.Robust, pinned},
-		"ibr":  {smr.Robust, pinned},
-		"hp":   {smr.Robust, few},
-		"vbr":  {smr.Robust, level},
-		"nbr":  {smr.Robust, few},
-		"pebr": {smr.Robust, unchecked},
+	atFigure1 := map[string]smr.RobustnessClass{
+		"ebr": smr.NotRobust, "qsbr": smr.NotRobust, "none": smr.NotRobust, "rc": smr.NotRobust,
+		"he": smr.Robust, "ibr": smr.Robust,
+		"hp": smr.Robust, "vbr": smr.Robust, "nbr": smr.Robust, "pebr": smr.Robust,
 	}
 	for _, scheme := range all.SafeNames() {
 		t.Run(scheme, func(t *testing.T) {
-			w, ok := want[scheme]
+			want, ok := atFigure1[scheme]
 			if !ok {
 				t.Fatalf("no expectation recorded for scheme %q", scheme)
 			}
@@ -114,18 +94,68 @@ func TestMeasureRobustness(t *testing.T) {
 				t.Errorf("prefill 128: audited %v, declared %v, consistent %v (%s)",
 					got, p.Robustness, row.Consistent, row.Robustness)
 			}
-			if fit := row.Robustness.Fit; !w.shape(fit) {
-				t.Errorf("prefill 128: slope %.3f per op, plateau %.0f — the wrong shape for %v", fit.Slope, fit.Plateau, p.Robustness)
-			}
 			audit := row.Figure1.Audit
-			if got := audit.AuditedClass(); got != w.atFigure1 {
-				t.Errorf("prefill 1: audited %v, want %v (%s)", got, w.atFigure1, audit)
+			if got := audit.AuditedClass(); got != want {
+				t.Errorf("prefill 1: audited %v, want %v (%s)", got, want, audit)
 			}
-			if stronger := audit.Outcome == "stronger"; stronger != (w.atFigure1 > p.Robustness) {
+			if stronger := audit.Outcome == "stronger"; stronger != (want > p.Robustness) {
 				t.Errorf("prefill 1: outcome %s against declared %v", audit.Outcome, p.Robustness)
 			}
 		})
 	}
+}
+
+// TestERASlopeSeparatesNotRobust checks the matrix's audited robustness
+// separates the classes by the stalled reader's backlog slope: one
+// retired node per churn step (two operations) for EBR and the leaky
+// baseline, none for VBR.
+func TestERASlopeSeparatesNotRobust(t *testing.T) {
+	verdicts := robustnessVerdicts(t)
+	for _, s := range []string{"ebr", "none"} {
+		if v := verdicts[s]; v.AuditedClass() != smr.NotRobust || v.Fit.Slope < 0.4 {
+			t.Errorf("%s: audited %v, slope %.3f per op — want not-robust near 0.5 (unbounded backlog)", s, v.AuditedClass(), v.Fit.Slope)
+		}
+	}
+	if v := verdicts["vbr"]; v.AuditedClass() != smr.Robust || v.Fit.Slope > 0.05 {
+		t.Errorf("vbr: audited %v, slope %.3f per op — want robust near 0", v.AuditedClass(), v.Fit.Slope)
+	}
+}
+
+// TestERAPlateauSeparatesWeaklyRobust is the Definition 5.1 vs 5.2
+// separation at the matrix's 128-key prefix: a robust scheme's
+// stalled-reader backlog plateaus at a few nodes, a weakly robust one's at
+// the structure size (the stalled era/interval pins the whole structure
+// alive at the stall).
+func TestERAPlateauSeparatesWeaklyRobust(t *testing.T) {
+	verdicts := robustnessVerdicts(t)
+	for _, s := range []string{"hp", "vbr", "nbr"} {
+		if v := verdicts[s]; v.AuditedClass() != smr.Robust || v.Fit.Plateau > 32 {
+			t.Errorf("%s: audited %v, plateau %.0f — want robust, independent of the structure size", s, v.AuditedClass(), v.Fit.Plateau)
+		}
+	}
+	for _, s := range []string{"he", "ibr"} {
+		if v := verdicts[s]; v.AuditedClass() != smr.WeaklyRobust || v.Fit.Plateau < 100 {
+			t.Errorf("%s: audited %v, plateau %.0f — want weakly-robust, tracking the structure size", s, v.AuditedClass(), v.Fit.Plateau)
+		}
+	}
+}
+
+// robustnessVerdicts builds the matrix and returns each safe scheme's
+// audited robustness verdict.
+func robustnessVerdicts(t *testing.T) map[string]telemetry.Verdict {
+	t.Helper()
+	m, err := core.BuildMatrix(300)
+	if err != nil {
+		t.Fatal(err)
+	}
+	verdicts := map[string]telemetry.Verdict{}
+	for _, row := range m.Rows {
+		verdicts[row.Scheme] = row.Robustness
+	}
+	if len(verdicts) != len(all.SafeNames()) {
+		t.Fatalf("matrix has %d scheme rows, want %d", len(verdicts), len(all.SafeNames()))
+	}
+	return verdicts
 }
 
 // TestEBRStrongApplicability is the Appendix A experiment: EBR is
