@@ -16,6 +16,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/ds/drive"
+	"repro/internal/ds/registry"
 	"repro/internal/mem"
 	"repro/internal/smr"
 )
@@ -97,7 +98,20 @@ func main() {
 	}
 	fmt.Printf("safety so far: %s\n\n", safety)
 
-	// 2. The scheme's ERA row, from the same scripts the matrix runs on
+	// 2. Which structures the declared Props admit: a Restricted scheme
+	//    is not applicable where searches cross retired nodes (Appendix E),
+	//    whatever its name.
+	for _, name := range registry.SetNames() {
+		info, _ := registry.Get(name) // a listed name resolves
+		verdict := "not applicable"
+		if registry.Applicable(scheme.Props(), info) {
+			verdict = "applicable"
+		}
+		fmt.Printf("%s on %s: %s\n", scheme.Name(), name, verdict)
+	}
+	fmt.Println()
+
+	// 3. The scheme's ERA row, from the same scripts the matrix runs on
 	//    every registered scheme: a stalled reader's audited backlog, and
 	//    Figures 1 and 2 on Harris's list. The ring rotates the stalled
 	//    thread's path out of existence — the "robust + easy" corner

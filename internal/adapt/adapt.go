@@ -25,6 +25,7 @@ package adapt
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -40,11 +41,10 @@ import (
 type Config struct {
 	// Ladder is the migration ladder, cheapest first; resolved through
 	// smr/all, and its declared robustness must be non-decreasing.
-	// Empty selects ebr → ibr → hp (not-robust → weakly-robust →
-	// robust). Shards serving a scheme not on the ladder are left
-	// alone, as are shards whose structure rejects any rung (Appendix
-	// E) — the incompatibility is detected at construction, not one
-	// failed migration at a time.
+	// Empty selects DefaultLadder. Shards serving a scheme not on the
+	// ladder are left alone, as are shards whose structure rejects any
+	// rung (Appendix E) — the incompatibility is detected at
+	// construction, not one failed migration at a time.
 	Ladder []string
 	// Interval is the decision tick; 0 selects 25ms.
 	Interval time.Duration
@@ -58,9 +58,14 @@ type Config struct {
 	Recorder *rec.Recorder
 }
 
+// DefaultLadder is the ladder an empty Config.Ladder selects: one scheme
+// per robustness class, not-robust → weakly-robust → robust. Callers must
+// not modify it.
+var DefaultLadder = []string{"ebr", "ibr", "hp"}
+
 func (cfg *Config) fill() {
 	if len(cfg.Ladder) == 0 {
-		cfg.Ladder = []string{"ebr", "ibr", "hp"}
+		cfg.Ladder = DefaultLadder
 	}
 	if cfg.Interval <= 0 {
 		cfg.Interval = 25 * time.Millisecond
@@ -188,12 +193,9 @@ func New(cfg Config, st *store.Store, mon *telemetry.Monitor) (*Controller, erro
 		if err != nil {
 			return nil, err
 		}
-		for _, scheme := range cfg.Ladder {
-			if !registry.Applicable(scheme, info.Name) {
-				c.state[s].unmanaged = true
-				break
-			}
-		}
+		c.state[s].unmanaged = slices.ContainsFunc(c.props, func(p smr.Props) bool {
+			return !registry.Applicable(p, info)
+		})
 	}
 	return c, nil
 }

@@ -31,7 +31,7 @@ func decideEvery(d time.Duration) time.Duration {
 
 // ladderConfig is the controller both adaptive experiments run.
 func ladderConfig(d time.Duration) *adapt.Config {
-	return &adapt.Config{Ladder: fleetLadder, Interval: decideEvery(d)}
+	return &adapt.Config{Ladder: adapt.DefaultLadder, Interval: decideEvery(d)}
 }
 
 // adaptiveScenario is one arm: a single shard on the ladder's bottom
@@ -45,7 +45,7 @@ func adaptiveScenario(p Profile, adaptive bool) ServiceConfig {
 		d = time.Second
 	}
 	cfg := ServiceConfig{
-		Schemes: []string{fleetLadder[0]}, WorkersPerShard: 2, Clients: 4, Duration: d,
+		Schemes: []string{adapt.DefaultLadder[0]}, WorkersPerShard: 2, Clients: 4, Duration: d,
 		Faults: []Fault{{Name: "delayed-release", Schedule: chaos.OneShot(d / 8)}},
 		Seed:   p.Seed,
 	}
@@ -133,7 +133,7 @@ func (res AdaptiveResult) WriteTable(w io.Writer) {
 	}
 	a := res.Adaptive.Aggregate
 	fmt.Fprintf(w, "aggregate: ladder %v from %s, faults %v, %s window, %d clients × batch %d, %s/%s mix %s seed %d\n",
-		fleetLadder, a.Schemes[0], faultNames(a.Faults), a.Elapsed.Round(time.Millisecond), a.Clients, a.Batch,
+		adapt.DefaultLadder, a.Schemes[0], faultNames(a.Faults), a.Elapsed.Round(time.Millisecond), a.Clients, a.Batch,
 		a.Workload, a.Schedule, a.Mix, a.Seed)
 	fmt.Fprintf(w, "           adaptive improved on static: %v\n", res.Improved)
 }

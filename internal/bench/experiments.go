@@ -88,9 +88,12 @@ type ThroughputCell struct {
 // update-only at 2 threads. The paper's point: forcing a data structure
 // into the shape a protection scheme needs costs performance.
 func ThroughputCells(structure string) []ThroughputCell {
+	// An unknown structure admits every scheme; RunCell then rejects its
+	// cells with the registry's listing.
+	info, _ := registry.Get(structure)
 	var cells []ThroughputCell
 	for _, scheme := range all.SafeNames() {
-		if !registry.Applicable(scheme, structure) {
+		if p, _ := all.Props(scheme); !registry.Applicable(p, info) {
 			continue
 		}
 		for _, mix := range []workload.Mix{workload.MixReadHeavy, workload.MixBalanced, workload.MixUpdateOnly} {

@@ -38,10 +38,6 @@ const (
 	recorderCapacity = 1 << 16
 )
 
-// fleetLadder is the adaptive controller's migration ladder, cheapest
-// first: it walks the paper's robustness classes.
-var fleetLadder = []string{"ebr", "ibr", "hp"}
-
 // fleet is an assembled, prefilled, not yet started deployment of a
 // filled ServiceConfig: a shard per scheme slot, a telemetry
 // sampler, a chaos engine aimed at the shards, and the run clock they

@@ -14,6 +14,7 @@ import (
 	"slices"
 	"time"
 
+	"repro/internal/adapt"
 	"repro/internal/chaos"
 	"repro/internal/obs"
 	"repro/internal/telemetry"
@@ -46,7 +47,7 @@ func obsWindow(p Profile) time.Duration {
 func obsScenario(p Profile) ServiceConfig {
 	d := obsWindow(p)
 	cfg := ServiceConfig{
-		Shards: obsShards, Schemes: []string{fleetLadder[0]}, WorkersPerShard: 2, Duration: d,
+		Shards: obsShards, Schemes: []string{adapt.DefaultLadder[0]}, WorkersPerShard: 2, Duration: d,
 		Adapt: ladderConfig(d), Record: true, ObsAddr: p.ObsAddr, Seed: p.Seed,
 	}
 	for s := range obsShards {
@@ -64,7 +65,7 @@ func obsOverheadScenario(p Profile, record bool) ServiceConfig {
 		d = 100 * time.Millisecond
 	}
 	return ServiceConfig{
-		Shards: obsShards, Schemes: []string{fleetLadder[0]}, WorkersPerShard: 2, Duration: d,
+		Shards: obsShards, Schemes: []string{adapt.DefaultLadder[0]}, WorkersPerShard: 2, Duration: d,
 		Record: record, Seed: p.Seed,
 	}
 }
@@ -241,7 +242,7 @@ func (res ObsResult) WriteTable(w io.Writer) {
 		res.Overhead.DeltaPct, res.Overhead.OK)
 	a := res.Run.Aggregate
 	fmt.Fprintf(w, "aggregate: %d shards from %s on ladder %v, faults %v, %s window, %d clients × batch %d, %d ops (%d errs), p99 %s\n",
-		a.Shards, a.Schemes[0], fleetLadder, faultNames(a.Faults), a.Elapsed.Round(time.Millisecond),
+		a.Shards, a.Schemes[0], adapt.DefaultLadder, faultNames(a.Faults), a.Elapsed.Round(time.Millisecond),
 		a.Clients, a.Batch, a.Ops, a.OpErrs, fmtLatency(a.P99))
 	if res.Run.ObsURL != "" {
 		fmt.Fprintf(w, "           live plane served at %s\n", res.Run.ObsURL)

@@ -40,7 +40,7 @@ type ServiceConfig struct {
 	Shards int
 	// Schemes assigns reclamation schemes to shards, cycled when shorter
 	// than Shards (so ["hp","ebr"] alternates). Empty selects
-	// ["ebr","ibr","hp"], one per robustness class.
+	// adapt.DefaultLadder, one per robustness class.
 	Schemes []string
 	// Structure is the per-shard set structure; empty selects "hashmap"
 	// (HP-compatible, so the widest scheme set applies).
@@ -150,7 +150,7 @@ func faultNames(faults []Fault) []string {
 
 func (cfg *ServiceConfig) fill() {
 	if len(cfg.Schemes) == 0 {
-		cfg.Schemes = []string{"ebr", "ibr", "hp"}
+		cfg.Schemes = adapt.DefaultLadder
 	}
 	if cfg.Shards <= 0 {
 		cfg.Shards = len(cfg.Schemes)
@@ -220,10 +220,11 @@ func (cfg ServiceConfig) Validate() error {
 		schemes = append(slices.Clip(schemes), cfg.Adapt.Ladder...)
 	}
 	for _, s := range schemes {
-		if _, err := all.Props(s); err != nil {
+		p, err := all.Props(s)
+		if err != nil {
 			return err
 		}
-		if !registry.Applicable(s, info.Name) {
+		if !registry.Applicable(p, info) {
 			return fmt.Errorf("bench: scheme %s is not applicable to %s (Appendix E)", s, info.Name)
 		}
 	}

@@ -121,13 +121,6 @@ func effectiveMode(p smr.Props, mode mem.ReclaimMode) mem.ReclaimMode {
 	return mode
 }
 
-// probe builds the scheme f makes over a throwaway arena, for its name and
-// property sheet before the script's arena (whose mode depends on them)
-// exists.
-func probe(f all.Factory) smr.Scheme {
-	return f(mem.NewArena(mem.Config{Slots: 1, PayloadWords: 1, MetaWords: smr.MetaWords, Threads: 1}), 1, 0)
-}
-
 func mustOp(name string, ok bool, want bool, err error) error {
 	if err != nil {
 		return fmt.Errorf("adversary: %s: %w", name, err)
@@ -160,7 +153,7 @@ func Figure1Of(f all.Factory, prefill, K int, mode mem.ReclaimMode) (*Outcome, e
 func Figure2Of(f all.Factory, mode mem.ReclaimMode) (*Outcome, error) {
 	a := mem.NewArena(mem.Config{
 		Slots: 4096, PayloadWords: 2, MetaWords: smr.MetaWords, Threads: 4,
-		Mode: effectiveMode(probe(f).Props(), mode),
+		Mode: effectiveMode(all.Probe(f).Props(), mode),
 	})
 	s := f(a, 4, 8)
 	bp := sched.NewBreakpoints()

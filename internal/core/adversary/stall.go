@@ -50,7 +50,7 @@ func run(f all.Factory, sc script) (*Outcome, error) {
 	if info.Kind != registry.KindSet {
 		return nil, fmt.Errorf("adversary: %s is not a set structure", sc.structure)
 	}
-	props := probe(f).Props()
+	props := all.Probe(f).Props()
 	// Trees allocate two nodes per insert.
 	a := mem.NewArena(mem.Config{
 		Slots: 4*sc.K + 256, PayloadWords: info.PayloadWords, MetaWords: smr.MetaWords,

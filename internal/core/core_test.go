@@ -185,8 +185,12 @@ func TestApplicabilityAcrossSchemes(t *testing.T) {
 		t.Skip("skipping the pairwise applicability stress matrix in short mode")
 	}
 	for _, scheme := range all.SafeNames() {
+		p, err := all.Props(scheme)
+		if err != nil {
+			t.Fatal(err)
+		}
 		for _, structure := range registry.Names() {
-			if !registry.Applicable(scheme, structure) {
+			if info, _ := registry.Get(structure); !registry.Applicable(p, info) {
 				continue
 			}
 			t.Run(scheme+"/"+structure, func(t *testing.T) {

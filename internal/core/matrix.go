@@ -114,7 +114,7 @@ func (m Matrix) String() string {
 // from a stalled reader's backlog on Harris's list, and A's Harris
 // witness from the Figure 1 (churn figureK) and Figure 2 executions.
 func Classify(f all.Factory, figureK int) (MatrixRow, error) {
-	s := f(mem.NewArena(mem.Config{Slots: 1, PayloadWords: 1, MetaWords: smr.MetaWords, Threads: 1}), 1, 0)
+	s := all.Probe(f)
 	props := s.Props()
 	row := MatrixRow{
 		Scheme:               s.Name(),

@@ -11,13 +11,15 @@ import (
 	"repro/internal/smr/all"
 )
 
-// SchemesFor returns every safe scheme applicable to structure per the
-// paper's classification (the non-applicable pairs are exercised by the
-// deterministic adversary tests instead).
+// SchemesFor returns every safe scheme whose Props make it applicable to
+// structure (registry.Applicable; the non-applicable pairs are exercised
+// by the deterministic adversary tests instead). An unknown structure
+// admits every scheme, and each test's build then fails on the name.
 func SchemesFor(structure string) []string {
+	info, _ := registry.Get(structure)
 	var names []string
 	for _, s := range all.SafeNames() {
-		if registry.Applicable(s, structure) {
+		if p, _ := all.Props(s); registry.Applicable(p, info) {
 			names = append(names, s)
 		}
 	}

@@ -1,6 +1,10 @@
 // Package registry enumerates the repository's data-structure
 // implementations behind by-name factories, so the applicability harness,
 // the benchmarks and the tests can sweep scheme × structure uniformly.
+//
+// Which schemes a structure admits is derived from the schemes' declared
+// claims, never from their names: Applicable reads a scheme's
+// smr.Props.Applicability against the structure's TraversesRetired.
 package registry
 
 import (
@@ -157,31 +161,13 @@ func Get(name string) (Info, error) {
 	return in, nil
 }
 
-// Applicable reports whether the named scheme is expected to be applicable
-// to the named structure, per the paper's analysis: per-pointer protection
-// schemes (HP, IBR, HE) are not applicable to structures whose searches
-// traverse retired nodes (Appendix E); everything else is.
-func Applicable(scheme string, structure string) bool {
-	in, err := Get(structure)
-	if err != nil {
-		return false
-	}
-	if !in.TraversesRetired {
-		return true
-	}
-	switch scheme {
-	case "hp", "ibr", "he":
-		// The protect-and-validate idiom re-reads the *source* pointer;
-		// a stable source does not imply the target still lives when
-		// traversals cross retired nodes (Appendix E).
-		return false
-	}
-	// rc stays applicable: its pin is on the *target* (increment the
-	// count, then validate the target itself), and a held node's link
-	// counts pin the rest of the retired run — at the price of
-	// non-robustness (the pinned chain is unbounded, see the adversary
-	// outcomes).
-	return true
+// Applicable reports whether a scheme with property sheet p is applicable
+// to structure in, per the paper's analysis: a scheme that declares
+// smr.Restricted (the per-pointer protection schemes HP, IBR and HE) is
+// not applicable to a structure whose searches traverse retired nodes
+// (Appendix E); everything else is.
+func Applicable(p smr.Props, in Info) bool {
+	return !in.TraversesRetired || p.Applicability != smr.Restricted
 }
 
 // Red is a cell Applicable admits that the randomized concurrent checks

@@ -10,6 +10,7 @@ import (
 	"repro/internal/ds/dstest"
 	"repro/internal/ds/registry"
 	"repro/internal/mem"
+	"repro/internal/smr"
 	"repro/internal/smr/all"
 )
 
@@ -49,10 +50,7 @@ func TestRegistrySmoke(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, scheme := range all.SafeNames() {
-			if !registry.Applicable(scheme, structure) {
-				continue
-			}
+		for _, scheme := range dstest.SchemesFor(structure) {
 			t.Run(structure+"/"+scheme, func(t *testing.T) {
 				env := dstest.NewEnv(t, scheme, 1, 1<<12, info.PayloadWords, mem.Reuse)
 				target, err := drive.NewTarget(structure, env.S)
@@ -126,26 +124,71 @@ func TestGetUnknown(t *testing.T) {
 	if _, err := registry.Get("nosuch"); err == nil {
 		t.Error("unknown structure must error")
 	}
-	if registry.Applicable("ebr", "nosuch") {
-		t.Error("unknown structure cannot be applicable")
+}
+
+// renamed is a registered scheme under another name: applicability must
+// follow its Props, not its name.
+type renamed struct{ smr.Scheme }
+
+func (renamed) Name() string { return "myhp" }
+
+// TestApplicabilityClassification pins the paper's Appendix E analysis,
+// driven by each scheme's declared Props: per-pointer protection schemes
+// (hp, ibr, he — the ones declaring smr.Restricted) are not applicable to
+// structures whose searches traverse retired nodes, and every other scheme
+// is applicable everywhere.
+func TestApplicabilityClassification(t *testing.T) {
+	restricted := map[string]bool{"hp": true, "ibr": true, "he": true}
+	for _, scheme := range all.Names() {
+		p, err := all.Props(scheme)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, structure := range registry.Names() {
+			info, err := registry.Get(structure)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := !restricted[scheme] || !info.TraversesRetired
+			if got := registry.Applicable(p, info); got != want {
+				t.Errorf("%s × %s: applicable = %v, want %v", scheme, structure, got, want)
+			}
+		}
+	}
+	hpf, err := all.Get("hp")
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := all.Probe(func(a *mem.Arena, n, threshold int) smr.Scheme { return renamed{hpf(a, n, threshold)} })
+	if s.Name() != "myhp" || s.Props() != all.Probe(hpf).Props() {
+		t.Fatalf("renamed probe = %s %+v", s.Name(), s.Props())
+	}
+	for structure, want := range map[string]bool{"harris": false, "skiplist": false, "michael": true} {
+		info, err := registry.Get(structure)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := registry.Applicable(s.Props(), info); got != want {
+			t.Errorf("hp's Props under the name %s × %s: applicable = %v, want %v", s.Name(), structure, got, want)
+		}
 	}
 }
 
-// TestApplicabilityClassification pins the paper's Appendix E analysis:
-// per-pointer protection schemes are not applicable to structures whose
-// searches traverse retired nodes.
-func TestApplicabilityClassification(t *testing.T) {
-	for _, scheme := range []string{"hp", "ibr", "he"} {
-		if registry.Applicable(scheme, "harris") {
-			t.Errorf("%s must not be applicable to harris", scheme)
-		}
-		if !registry.Applicable(scheme, "michael") {
-			t.Errorf("%s must be applicable to michael", scheme)
-		}
+// TestSchemesForPinned pins every structure's suite sweep: the schemes
+// dstest.SchemesFor returns are the cells each structure's tests run.
+func TestSchemesForPinned(t *testing.T) {
+	every := []string{"ebr", "he", "hp", "ibr", "nbr", "none", "pebr", "qsbr", "rc", "vbr"}
+	traversal := []string{"ebr", "nbr", "none", "pebr", "qsbr", "rc", "vbr"}
+	want := map[string][]string{
+		"harris": traversal, "hashmap-harris": traversal, "nmtree": traversal, "skiplist": traversal,
+		"hashmap-michael": every, "michael": every, "msqueue": every, "treiber": every,
 	}
-	for _, scheme := range []string{"ebr", "vbr", "nbr", "rc"} {
-		if !registry.Applicable(scheme, "harris") {
-			t.Errorf("%s must be applicable to harris", scheme)
+	if len(want) != len(registry.Names()) {
+		t.Fatalf("table covers %d structures, registry has %v", len(want), registry.Names())
+	}
+	for structure, schemes := range want {
+		if got := dstest.SchemesFor(structure); !reflect.DeepEqual(got, schemes) {
+			t.Errorf("SchemesFor(%s) = %v, want %v", structure, got, schemes)
 		}
 	}
 }

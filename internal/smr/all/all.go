@@ -5,6 +5,7 @@ package all
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/mem"
@@ -50,16 +51,12 @@ func Names() []string {
 	return names
 }
 
-// SafeNames returns every scheme that claims to be an SMR (everything but
-// the failure-injection baseline).
+// SafeNames returns every scheme that claims to be an SMR: every one whose
+// Props do not declare smr.Unsafe (the failure-injection baseline does).
 func SafeNames() []string {
-	var names []string
-	for _, n := range Names() {
-		if n != "unsafefree" {
-			names = append(names, n)
-		}
-	}
-	return names
+	return slices.DeleteFunc(Names(), func(n string) bool {
+		return Probe(factories[n]).Props().Applicability == smr.Unsafe
+	})
 }
 
 // Get returns the named scheme's factory.
@@ -80,13 +77,19 @@ func New(name string, a *mem.Arena, n, threshold int) (smr.Scheme, error) {
 	return f(a, n, threshold), nil
 }
 
+// Probe builds the scheme f makes over a one-slot throwaway arena, for its
+// name and property sheet before (or without) the real arena, whose shape
+// may depend on them.
+func Probe(f Factory) smr.Scheme {
+	return f(mem.NewArena(mem.Config{Slots: 1, PayloadWords: 1, MetaWords: smr.MetaWords, Threads: 1}), 1, 0)
+}
+
 // Props returns the named scheme's static property sheet without binding
-// it to a real heap (a probe instance is built over a throwaway arena).
+// it to a real heap.
 func Props(name string) (smr.Props, error) {
 	f, err := Get(name)
 	if err != nil {
 		return smr.Props{}, err
 	}
-	a := mem.NewArena(mem.Config{Slots: 1, PayloadWords: 1, MetaWords: smr.MetaWords, Threads: 1})
-	return f(a, 1, 0).Props(), nil
+	return Probe(f).Props(), nil
 }

@@ -54,7 +54,14 @@ func (c *RC) SetLinkWords(words []int) { c.linkWords = words }
 // Name implements smr.Scheme.
 func (c *RC) Name() string { return "rc" }
 
-// Props implements smr.Scheme.
+// Props implements smr.Scheme. rc claims wide applicability, so it stays
+// applicable to structures whose searches cross retired nodes, where the
+// protect-and-validate schemes (HP, IBR, HE) are not: their validation
+// re-reads the *source* pointer, and a stable source does not imply the
+// target still lives; rc pins the *target* (increment its count, then
+// validate the target itself), and a held node's link counts pin the rest
+// of the retired run — at the price of non-robustness (the pinned chain
+// is unbounded, see the adversary outcomes).
 func (c *RC) Props() smr.Props {
 	return smr.Props{
 		SelfContained: true,

@@ -68,7 +68,9 @@ type ApplicabilityClass uint8
 // Applicability classes.
 const (
 	// Restricted: not applicable to all access-aware implementations
-	// (HP, IBR, HE fail on Harris's linked-list; Appendix E).
+	// (HP, IBR, HE fail on Harris's linked-list; Appendix E). It is what
+	// excludes a scheme from the structures whose searches traverse
+	// retired nodes (registry.Applicable).
 	Restricted ApplicabilityClass = iota
 	// WidelyApplicable: applicable to every access-aware implementation
 	// (NBR, VBR).

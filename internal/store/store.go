@@ -209,9 +209,6 @@ func newShard(id int, spec ShardSpec, cfg Config) (*shard, error) {
 	if info.Kind != registry.KindSet {
 		return nil, fmt.Errorf("store serves set structures, %s is a %v", spec.Structure, info.Kind)
 	}
-	if !registry.Applicable(spec.Scheme, info.Name) {
-		return nil, fmt.Errorf("scheme %s is not applicable to %s (Appendix E)", spec.Scheme, info.Name)
-	}
 	if spec.Workers <= 0 {
 		spec.Workers = 1
 	}
@@ -247,6 +244,9 @@ func newShard(id int, spec ShardSpec, cfg Config) (*shard, error) {
 	s, err := all.New(spec.Scheme, a, threads, spec.Threshold)
 	if err != nil {
 		return nil, err
+	}
+	if !registry.Applicable(s.Props(), info) {
+		return nil, fmt.Errorf("scheme %s is not applicable to %s (Appendix E)", spec.Scheme, info.Name)
 	}
 	opts := ds.Options{Gate: spec.Gate}
 	if r := cfg.Recorder; r != nil {
@@ -723,7 +723,8 @@ func (st *Store) MigrateShard(s int, scheme string) error {
 	}
 	// Validate the target before touching the shard: a typo'd scheme must
 	// not leave the shard closed.
-	if _, err := all.Props(scheme); err != nil {
+	props, err := all.Props(scheme)
+	if err != nil {
 		return err
 	}
 	spec, err := st.Spec(s)
@@ -734,7 +735,7 @@ func (st *Store) MigrateShard(s int, scheme string) error {
 	if err != nil {
 		return err
 	}
-	if !registry.Applicable(scheme, info.Name) {
+	if !registry.Applicable(props, info) {
 		return fmt.Errorf("store: migrate shard %d: scheme %s is not applicable to %s (Appendix E)", s, scheme, info.Name)
 	}
 	transition := spec.Scheme + "→" + scheme
